@@ -34,7 +34,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .gaussian import ComplexGaussian, SuperpositionState, g_from_a
-from .semiclassical import LindbladModel
+from .semiclassical import LindbladModel, _packing
 from .symbols import Chart, PolyBatch, PolySymbol, double_lift, moyal_term, poisson, symplectic_form
 
 __all__ = [
@@ -136,7 +136,8 @@ def build_k(model: LindbladModel) -> DoubledSymbol:
 
 
 class _KEvaluator:
-    """Cached batched evaluation of K0, K1, grad K0 and the K0 Hessian."""
+    """Cached batched evaluation of K0, K1, grad K0 and the K0 Hessian; packs
+    a component as (Z, Re/Im upper triangle of B, alpha, phi)."""
 
     def __init__(self, ksym: DoubledSymbol):
         self.n2 = 2 * ksym.n_modes
@@ -148,6 +149,11 @@ class _KEvaluator:
             polys.extend(hess[i])
         self.batch = PolyBatch(polys)
         self.dim = dim
+        self.omega = symplectic_form(self.n2)
+        self.iu, gather = _packing(self.n2)
+        # gather points into (X, triangle); here Z takes dim = 2 n2 slots
+        self.b_re = gather + self.n2
+        self.b_im = self.b_re + self.iu[0].size
 
     def __call__(self, z):
         vals = self.batch(z)
@@ -158,12 +164,20 @@ class _KEvaluator:
         hess = vals[2 + dim :].reshape(dim, dim)
         return k0, k1, grad, hess
 
+    def pack(self, z, b, alpha, phi):
+        tri = b[self.iu]
+        return np.concatenate([z, tri.real, tri.imag, [alpha.real, alpha.imag, phi.real, phi.imag]])
+
+    def unpack(self, yvec):
+        b = yvec[self.b_re] + 1j * yvec[self.b_im]
+        return yvec[: self.dim], b, complex(yvec[-4], yvec[-3]), complex(yvec[-2], yvec[-1])
+
 
 def _component_rates(kev: _KEvaluator, z, b, hbar):
     n2 = kev.n2
     k0, k1, grad, hess = kev(z)
     gcal = g_from_a(b)
-    zdot = symplectic_form(n2) @ grad.real + np.linalg.solve(gcal, grad.imag)
+    zdot = kev.omega @ grad.real + np.linalg.solve(gcal, grad.imag)
     kxx = hess[:n2, :n2]
     kxy = hess[:n2, n2:]
     kyy = hess[n2:, n2:]
@@ -188,24 +202,6 @@ def rhs_component(ksym: DoubledSymbol, comp: ComplexGaussian):
 
 
 # -- integration of a superposition -------------------------------------------
-
-
-def _pack_component(z, b, alpha, phi, iu):
-    return np.concatenate(
-        [z, b[iu].real, b[iu].imag, [alpha.real, alpha.imag, phi.real, phi.imag]]
-    )
-
-
-def _unpack_component(yvec, n2, iu):
-    z = yvec[: 2 * n2]
-    ntri = len(iu[0])
-    b = np.zeros((n2, n2), dtype=complex)
-    b[iu] = yvec[2 * n2 : 2 * n2 + ntri] + 1j * yvec[2 * n2 + ntri : 2 * n2 + 2 * ntri]
-    b = b + np.triu(b, 1).T
-    rest = yvec[2 * n2 + 2 * ntri :]
-    alpha = complex(rest[0], rest[1])
-    phi = complex(rest[2], rest[3])
-    return z, b, alpha, phi
 
 
 @dataclass
@@ -255,17 +251,15 @@ def propagate_superposition(
     ksym = build_k(model)
     kev = _KEvaluator(ksym)
     hbar = state.hbar
-    n2 = 2 * state.n_modes
-    iu = np.triu_indices(n2)
     t_eval = np.asarray(t_eval, dtype=float)
 
     def odefun(t, yvec):
-        z, b, _, _ = _unpack_component(yvec, n2, iu)
+        z, b, _, _ = kev.unpack(yvec)
         zdot, bdot, alphadot, tau = _component_rates(kev, z, b, hbar)
-        return _pack_component(zdot, bdot, alphadot, 0.25 * tau, iu)
+        return kev.pack(zdot, bdot, alphadot, 0.25 * tau)
 
     def breakdown(t, yvec):
-        _, b, _, _ = _unpack_component(yvec, n2, iu)
+        _, b, _, _ = kev.unpack(yvec)
         return np.linalg.eigvalsh(b.imag).min() - _IMB_FLOOR
 
     breakdown.terminal = True
@@ -273,7 +267,7 @@ def propagate_superposition(
 
     tracks = []
     for comp in state.components:
-        y0 = _pack_component(comp.z, comp.b, complex(comp.alpha), 0j, iu)
+        y0 = kev.pack(comp.z, comp.b, complex(comp.alpha), 0j)
         sol = solve_ivp(
             odefun,
             (t_eval[0], t_eval[-1]),
@@ -291,7 +285,7 @@ def propagate_superposition(
         last_alive = None
         for k, t in enumerate(t_eval):
             if k < sol.y.shape[1]:
-                z, b, alpha, phi = _unpack_component(sol.y[:, k], n2, iu)
+                z, b, alpha, phi = kev.unpack(sol.y[:, k])
                 weight = comp.weight * np.exp(phi)
                 cg = ComplexGaussian(hbar=hbar, z=z, b=b, alpha=alpha, weight=weight)
                 states.append(cg)

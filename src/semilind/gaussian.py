@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "cat_decompose",
     "eval_wigner",
     "moments",
+    "moments_from_covariance",
     "check_physical",
     "transformation_matrix",
 ]
@@ -461,16 +462,15 @@ class Moments:
         return float(abs(self.adag_a(i, j)) / np.sqrt(den))
 
 
+def moments_from_covariance(hbar: float, x: np.ndarray, cov: np.ndarray) -> Moments:
+    """Moment table from first moments and the symmetrized quadrature covariance."""
+    n = x.size // 2
+    t = transformation_matrix(n)
+    sigma = t @ cov @ t.conj().T
+    blocks = CovarianceBlocks(alpha_block=sigma[n:, n:], beta_block=sigma[n:, :n])
+    return Moments(hbar=hbar, x=x, modes=(t @ x)[:n], blocks=blocks)
+
+
 def moments(state: GaussianWigner) -> Moments:
     """Moment table of a Gaussian state in the mode frame."""
-    n = state.n_modes
-    t = transformation_matrix(n)
-    cov = state.covariance()
-    sigma = t @ cov @ t.conj().T
-    xc = t @ state.x
-    return Moments(
-        hbar=state.hbar,
-        x=state.x.copy(),
-        modes=xc[:n],
-        blocks=CovarianceBlocks(alpha_block=sigma[n:, n:], beta_block=sigma[n:, :n]),
-    )
+    return moments_from_covariance(state.hbar, state.x.copy(), state.covariance())

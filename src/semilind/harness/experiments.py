@@ -57,10 +57,11 @@ def _mode_amplitudes(x: np.ndarray) -> np.ndarray:
     return (x[:n] + 1j * x[n:]) / np.sqrt(2.0)
 
 
-def _wigner_frames(outdir: Path, prefix: str, states, times, indices, spec):
+def _wigner_frames(outdir: Path, times, indices, frame):
+    """Write ``frame(k)`` (a WignerGrid) as text and JSON for each index k."""
     for k in indices:
-        grid = eval_wigner(states[k], spec)
-        stem = f"{prefix}_t{times[k]:g}"
+        grid = frame(k)
+        stem = f"wigner_t{times[k]:g}"
         _write(outdir / f"{stem}.txt", grid.to_text())
         _write(outdir / f"{stem}.json", grid.to_json())
 
@@ -152,8 +153,8 @@ def run_limit_cycle(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
         sc_obs = _gaussian_observables(traj, config.hbar)
         write_observables(sc_obs, outdir / "semiclassical" / "observables.csv")
         if spec is not None:
-            gaussians = [st.as_gaussian(config.hbar) for st in traj.states]
-            _wigner_frames(outdir / "semiclassical", "wigner", gaussians, t_eval, frames, spec)
+            _wigner_frames(outdir / "semiclassical", t_eval, frames,
+                           lambda k: eval_wigner(traj.states[k].as_gaussian(config.hbar), spec))
         report.runtime_s["semiclassical"] = time.perf_counter() - t0
         report.add(
             check="physicality_min_eig",
@@ -179,8 +180,8 @@ def run_limit_cycle(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
         mtraj = integrate_master(rho0, model, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
         amat = fock.lowering(0)
         re_a, im_a, absq, alpha_cov = [], [], [], []
-        for rho in mtraj.rhos:
-            dm = DensityMatrix(rho=rho, fock=fock)
+        for k in range(len(mtraj.rhos)):
+            dm = mtraj.density(k)
             aval = dm.expectation(amat)
             m = moments_of_density(dm)
             re_a.append(aval.real)
@@ -195,12 +196,8 @@ def run_limit_cycle(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
         }
         write_observables(q_obs, outdir / "master" / "observables.csv")
         if spec is not None:
-            dms = [DensityMatrix(rho=mtraj.rhos[k], fock=fock) for k in frames]
-            for dm, k in zip(dms, frames):
-                grid = wigner_of_density(dm, spec)
-                stem = f"wigner_t{t_eval[k]:g}"
-                _write(outdir / "master" / f"{stem}.txt", grid.to_text())
-                _write(outdir / "master" / f"{stem}.json", grid.to_json())
+            _wigner_frames(outdir / "master", t_eval, frames,
+                           lambda k: wigner_of_density(mtraj.density(k), spec))
         report.runtime_s["master"] = time.perf_counter() - t0
 
     if sc_obs is not None and q_obs is not None:
@@ -470,7 +467,8 @@ def run_cat(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
         }
         write_observables(obs, outdir / "doubled" / "observables.csv")
         if spec is not None:
-            _wigner_frames(outdir / "doubled", "wigner", series.states, t_eval, frames, spec)
+            _wigner_frames(outdir / "doubled", t_eval, frames,
+                           lambda k: eval_wigner(series.states[k], spec))
         report.runtime_s["doubled"] = time.perf_counter() - t0
         slack = tol.get("cross_monotone_slack", 1e-9)
         monotone = bool(np.all(np.diff(cross) <= slack * max(cross[0], 1e-300)))
@@ -479,7 +477,6 @@ def run_cat(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
             report.add(check="component_collapse", passed=True, **ev)
 
     mtraj = None
-    fock = None
     if "master" in config.solvers:
         t0 = time.perf_counter()
         init = config.initial
@@ -504,11 +501,8 @@ def run_cat(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
             outdir / "master" / "observables.csv",
         )
         if spec is not None:
-            for k in frames:
-                grid = wigner_of_density(DensityMatrix(rho=mtraj.rhos[k], fock=fock), spec)
-                stem = f"wigner_t{t_eval[k]:g}"
-                _write(outdir / "master" / f"{stem}.txt", grid.to_text())
-                _write(outdir / "master" / f"{stem}.json", grid.to_json())
+            _wigner_frames(outdir / "master", t_eval, frames,
+                           lambda k: wigner_of_density(mtraj.density(k), spec))
         report.runtime_s["master"] = time.perf_counter() - t0
 
     if dq is not None and q_means is not None:
@@ -527,7 +521,7 @@ def run_cat(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
     if "wigner_sup" in tol and series is not None and mtraj is not None and spec is not None:
         k = frames[-1] if frames else len(t_eval) - 1
         grid_sc = eval_wigner(series.states[k], spec)
-        grid_q = wigner_of_density(DensityMatrix(rho=mtraj.rhos[k], fock=fock), spec)
+        grid_q = wigner_of_density(mtraj.density(k), spec)
         sup = grid_sc.sup_diff(grid_q)
         report.add(
             check="wigner_sup_error",

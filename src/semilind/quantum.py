@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eig as _dense_eig
 from scipy.special import gammaln
 
-from .gaussian import CovarianceBlocks, GridSpec, Moments, WignerGrid, transformation_matrix
+from .gaussian import GridSpec, Moments, WignerGrid, moments_from_covariance
 from .semiclassical import LindbladModel
 from .symbols import Chart, PolySymbol, chart_transform, weyl_of_normal_ordered
 
@@ -313,8 +313,12 @@ def integrate_master(
         leak = fock.leakage(rho)
         if leak > 1e-6:
             events.append({"t": float(t), "kind": "leakage", "population": leak})
-            warnings.warn(f"truncation leakage {leak:.2e} at t={t:.3g}")
         rhos.append(rho)
+    leaks = [ev for ev in events if ev["kind"] == "leakage"]
+    if leaks:
+        peak = max(ev["population"] for ev in leaks)
+        warnings.warn(f"truncation leakage above 1e-6 at {len(leaks)} output times: "
+                      f"max {peak:.2e}, first at t={leaks[0]['t']:.3g}")
     return MasterTrajectory(times=sol.t.copy(), rhos=rhos, fock=fock, events=events)
 
 
@@ -332,33 +336,9 @@ def _quadrature_ops(fock: FockSpace):
     return ops
 
 
-def moments_of_density(rho: DensityMatrix) -> Moments:
-    """First moments and mode covariance blocks of a density matrix."""
-    fock = rho.fock
-    n = fock.n_modes
-    xops = _quadrature_ops(fock)
-    x = np.array([np.real(rho.expectation(op)) for op in xops])
-    dim = 2 * n
-    cov = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            sym = xops[i] @ xops[j] + xops[j] @ xops[i]
-            cov[i, j] = cov[j, i] = np.real(rho.expectation(sym)) - 2 * x[i] * x[j]
-    t = transformation_matrix(n)
-    sigma = t @ cov @ t.conj().T
-    xc = t @ x
-    return Moments(
-        hbar=rho.hbar,
-        x=x,
-        modes=xc[:n],
-        blocks=CovarianceBlocks(alpha_block=sigma[n:, n:], beta_block=sigma[n:, :n]),
-    )
-
-
-def width_matrix_of_density(rho: DensityMatrix) -> np.ndarray:
-    """G matrix such that the covariance equals hbar G^{-1}."""
-    fock = rho.fock
-    xops = _quadrature_ops(fock)
+def _quadrature_moments(rho: DensityMatrix):
+    """First moments and symmetrized covariance of the quadratures."""
+    xops = _quadrature_ops(rho.fock)
     x = np.array([np.real(rho.expectation(op)) for op in xops])
     dim = len(xops)
     cov = np.zeros((dim, dim))
@@ -366,6 +346,18 @@ def width_matrix_of_density(rho: DensityMatrix) -> np.ndarray:
         for j in range(i, dim):
             sym = xops[i] @ xops[j] + xops[j] @ xops[i]
             cov[i, j] = cov[j, i] = np.real(rho.expectation(sym)) - 2 * x[i] * x[j]
+    return x, cov
+
+
+def moments_of_density(rho: DensityMatrix) -> Moments:
+    """First moments and mode covariance blocks of a density matrix."""
+    x, cov = _quadrature_moments(rho)
+    return moments_from_covariance(rho.hbar, x, cov)
+
+
+def width_matrix_of_density(rho: DensityMatrix) -> np.ndarray:
+    """G matrix such that the covariance equals hbar G^{-1}."""
+    _, cov = _quadrature_moments(rho)
     return rho.hbar * np.linalg.inv(cov)
 
 

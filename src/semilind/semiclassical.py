@@ -19,14 +19,14 @@ other.  Mode-chart equations assume hbar = 1.
 
 from __future__ import annotations
 
-import io
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .gaussian import GaussianWigner, physicality_of_width, transformation_matrix
+from .gaussian import GaussianWigner, physicality_of_width
 from .symbols import Chart, PolyBatch, PolySymbol, chart_transform, poisson, symplectic_form
 
 __all__ = [
@@ -83,6 +83,11 @@ class LindbladModel:
             lindblads=tuple(chart_transform(L, target) for L in self.lindblads),
         )
 
+    @functools.cached_property
+    def _compiled(self) -> "_CompiledRhs":
+        """Gaussian fields on the REAL_QP chart, compiled on first use."""
+        return _CompiledRhs(self.to_chart(Chart.REAL_QP))
+
 
 @dataclass(frozen=True)
 class SemiclassicalState:
@@ -124,7 +129,8 @@ def drift_field(model: LindbladModel) -> list[PolySymbol]:
 
 def drift_x(model: LindbladModel, x) -> np.ndarray:
     """Centre drift evaluated at a phase-space point."""
-    return np.array([f.eval(x).real for f in drift_field(model)])
+    _require_chart(model, Chart.REAL_QP, "drift_x")
+    return model._compiled.fields(x)[0]
 
 
 def _lambda_field(model: LindbladModel) -> list[list[PolySymbol]]:
@@ -160,24 +166,17 @@ def _d_field(model: LindbladModel) -> list[list[PolySymbol]]:
 def drift_matrices(model: LindbladModel, x) -> DriftMatrices:
     """Lam and D evaluated at the centre."""
     _require_chart(model, Chart.REAL_QP, "drift_matrices")
-    dim = 2 * model.n_modes
-    lam_syms = _lambda_field(model)
-    d_syms = _d_field(model)
-    lam = np.array([[lam_syms[i][j].eval(x).real for j in range(dim)] for i in range(dim)])
-    d = np.array([[d_syms[i][j].eval(x).real for j in range(dim)] for i in range(dim)])
-    return DriftMatrices(lam=lam, d=0.5 * (d + d.T))
+    _, lam, d2 = model._compiled.fields(x)
+    return DriftMatrices(lam=lam, d=0.5 * d2)
 
 
 def rhs_g(model: LindbladModel, x, g: np.ndarray) -> np.ndarray:
-    """Width equation right-hand side, explicitly symmetrized."""
-    dm = drift_matrices(model, x)
-    return _g_rhs_from_matrices(dm.lam, dm.d, np.asarray(g, dtype=float), model.n_modes)
-
-
-def _g_rhs_from_matrices(lam, d, g, n_modes):
-    omega = symplectic_form(n_modes)
-    core = lam @ omega @ g - g @ omega @ lam.T + 2.0 * g @ omega @ d @ omega @ g
-    return 0.5 * (core + core.T)
+    """Width equation right-hand side from the upper triangle of g, mirrored
+    through the gather index so that it is exactly symmetric."""
+    _require_chart(model, Chart.REAL_QP, "rhs_g")
+    rhs = model._compiled
+    y = np.concatenate([np.asarray(x, dtype=float), np.asarray(g, dtype=float)[rhs.iu]])
+    return rhs(0.0, y)[rhs.gather]
 
 
 # -- mode-chart form ----------------------------------------------------------
@@ -338,11 +337,12 @@ class Trajectory:
 
 
 class _CompiledRhs:
-    """Drift, Lam and D + D^T compiled once into a PolyBatch for solve_ivp.
+    """Drift, Lam and D + D^T compiled once into a PolyBatch; every Gaussian
+    caller evaluates them here, through the instance a model caches.
 
-    Per call the width equation is evaluated in its symmetric closed form
-    dG/dt = S + S^T - W^T (D + D^T) W with W = Omega G and S = Lam W, which
-    equals the symmetrized core of ``rhs_g`` because Omega^T = -Omega.
+    On the packed state the width equation is evaluated in its symmetric
+    closed form dG/dt = S + S^T - W^T (D + D^T) W with W = Omega G and
+    S = Lam W, which equals the symmetrized core because Omega^T = -Omega.
     """
 
     def __init__(self, model: LindbladModel):
@@ -357,15 +357,20 @@ class _CompiledRhs:
         self.omega = symplectic_form(model.n_modes)
         self.iu, self.gather = _packing(dim)
 
-    def __call__(self, t, y):
+    def fields(self, x):
+        """Drift, Lam and D + D^T at a real point."""
         dim = self.dim
-        vals = self.batch.real_at(y[:dim])
+        vals = self.batch.real_at(x)
         lam = vals[dim : dim + dim * dim].reshape(dim, dim)
         d2 = vals[dim + dim * dim :].reshape(dim, dim)
+        return vals[:dim], lam, d2
+
+    def __call__(self, t, y):
+        drift, lam, d2 = self.fields(y[: self.dim])
         w = self.omega.dot(y[self.gather])
         s = lam.dot(w)
         gdot = s + s.T - w.T.dot(d2).dot(w)
-        return np.concatenate([vals[:dim], gdot[self.iu]])
+        return np.concatenate([drift, gdot[self.iu]])
 
 
 def integrate(
@@ -382,14 +387,13 @@ def integrate(
     clamp threshold are raised (with an event record) and the uncertainty
     measure min eig(G^{-1} + i Omega) is stored.
     """
-    mreal = model.to_chart(Chart.REAL_QP)
-    dim = 2 * mreal.n_modes
+    dim = 2 * model.n_modes
     if state0.x.size != dim:
         raise ValueError("state dimension does not match the model")
     t_eval = np.asarray(t_eval, dtype=float)
     if abs(t_eval[0] - state0.t) > 1e-12:
         raise ValueError("t_eval must start at the initial state time")
-    rhs = _CompiledRhs(mreal)
+    rhs = model._compiled
     y0 = np.concatenate([state0.x, state0.g[rhs.iu]])
     sol = solve_ivp(
         rhs,

@@ -4,6 +4,7 @@ import pytest
 from semilind.doubled import (
     ChordGaussian,
     DoubledSymbol,
+    _KEvaluator,
     build_k,
     chord_from_component,
     chord_rhs,
@@ -188,6 +189,20 @@ def SuperpositionState_one(comp):
     from semilind.gaussian import SuperpositionState
 
     return SuperpositionState((comp,), norm_factor=1.0)
+
+
+class TestComponentPacking:
+    @pytest.mark.parametrize("n_modes", [1, 2])
+    def test_pack_unpack_round_trip(self, n_modes):
+        rng = np.random.default_rng(14 + n_modes)
+        kev = _KEvaluator(build_k(random_quadratic_linear(rng, n=n_modes)))
+        comp = random_component(rng, n=n_modes)
+        phi = complex(rng.normal(), rng.normal())
+        z, b, alpha, phi_back = kev.unpack(kev.pack(comp.z, comp.b, comp.alpha, phi))
+        assert np.array_equal(z, comp.z)
+        assert np.array_equal(b, comp.b)
+        assert np.array_equal(b, b.T)
+        assert alpha == comp.alpha and phi_back == phi
 
 
 class TestPropagateSuperposition:

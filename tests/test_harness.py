@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 from pathlib import Path
 
@@ -22,6 +24,9 @@ from semilind.harness.experiments import (
     run_experiment,
     run_portrait,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_cat_config(tmp_path, **times):
@@ -296,3 +301,33 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(d))
         assert cli_main(["portrait", str(path)]) == 0
+
+
+def tracer_targets():
+    """TARGETS and ODE_TARGETS of perfbench/tracing.py, parsed without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("TARGETS", "ODE_TARGETS"):
+                found[node.targets[0].id] = ast.literal_eval(node.value)
+    return found["TARGETS"], found["ODE_TARGETS"]
+
+
+class TestTracerTargets:
+    """The benchmark tracer skips a name it cannot find, dropping its metric."""
+
+    def test_every_traced_name_resolves(self):
+        targets, ode_targets = tracer_targets()
+        assert targets and ode_targets
+        names = [(module, attr) for module, attr, _ in targets]
+        names += [(module, "solve_ivp") for module, _ in ode_targets]
+        names.append(("semilind.harness.experiments", "quantum_jump"))
+        missing = []
+        for module, attr in names:
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{module}.{attr}")
+        assert missing == []

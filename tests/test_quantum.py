@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import hermite
@@ -226,6 +228,24 @@ class TestMaster:
             assert np.allclose(mom.x, straj.states[k].x, atol=1e-7)
             gq = width_matrix_of_density(dm)
             assert np.allclose(gq, straj.states[k].g, atol=1e-7)
+
+    def test_leakage_warns_once_per_run(self):
+        (a,), (ab,) = mode_symbols()
+        model = LindbladModel(1, 1.0, a * ab, (ab * np.sqrt(0.5),))
+        f = FockSpace(6)
+        rho0 = DensityMatrix.from_state(f.vacuum(), f)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = integrate_master(rho0, model, np.linspace(0, 2.0, 11))
+        leaky = [(float(t), f.leakage(r)) for t, r in zip(traj.times, traj.rhos)
+                 if f.leakage(r) > 1e-6]
+        assert len(leaky) > 1
+        events = [(ev["t"], ev["population"]) for ev in traj.events if ev["kind"] == "leakage"]
+        assert events == leaky
+        messages = [str(w.message) for w in caught if "leakage" in str(w.message)]
+        assert len(messages) == 1
+        assert f"at {len(leaky)} output times" in messages[0]
+        assert f"first at t={leaky[0][0]:.3g}" in messages[0]
 
     def test_initial_leakage_guard(self):
         model = damped_model()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import semilind.semiclassical as semiclassical
 from semilind.gaussian import transformation_matrix
 from semilind.semiclassical import (
     FlowKind,
@@ -13,6 +14,8 @@ from semilind.semiclassical import (
     drift_x,
     drift_field,
     _CompiledRhs,
+    _d_field,
+    _lambda_field,
     integrate,
     rhs_g,
     rhs_g_complex,
@@ -295,6 +298,18 @@ class TestClassifyFlow:
                 assert (fld - gp).max_abs_coeff() < 1e-12 * max(1.0, gp.max_abs_coeff())
 
 
+def symbolic_fields(model, x, g):
+    """Drift and symmetrized width rate by PolySymbol.eval, term by term."""
+    dim = 2 * model.n_modes
+    drift = np.array([f.eval(x).real for f in drift_field(model)])
+    lam_syms, d_syms = _lambda_field(model), _d_field(model)
+    lam = np.array([[lam_syms[i][j].eval(x).real for j in range(dim)] for i in range(dim)])
+    d = np.array([[d_syms[i][j].eval(x).real for j in range(dim)] for i in range(dim)])
+    om = symplectic_form(model.n_modes)
+    core = lam @ om @ g - g @ om @ lam.T + 2.0 * g @ om @ d @ om @ g
+    return drift, 0.5 * (core + core.T)
+
+
 class TestCompiledRhs:
     @pytest.mark.parametrize("n_modes", [1, 2])
     def test_matches_symbolic_path(self, n_modes):
@@ -308,11 +323,30 @@ class TestCompiledRhs:
                 r = rng.normal(size=(dim, dim))
                 g = r @ r.T + np.eye(dim)
                 got = rhs(0.0, np.concatenate([x, g[rhs.iu]]))
-                want_x = drift_x(model, x)
-                want_g = rhs_g(model, x, g)
+                want_x, want_g = symbolic_fields(model, x, g)
                 scale = max(1.0, np.max(np.abs(want_x)), np.max(np.abs(want_g)))
                 assert np.max(np.abs(got[:dim] - want_x)) <= 1e-13 * scale
                 assert np.max(np.abs(got[dim:] - want_g[rhs.iu])) <= 1e-13 * scale
+
+    def test_fields_built_once_per_model(self, monkeypatch):
+        calls = []
+        original = semiclassical.drift_field
+
+        def counting(model):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(semiclassical, "drift_field", counting)
+        rng = np.random.default_rng(5)
+        model = random_model(rng)
+        g = np.array([[1.3, 0.2], [0.2, 0.9]])
+        for _ in range(20):
+            x = rng.normal(size=2)
+            drift_x(model, x)
+            drift_matrices(model, x)
+            rhs_g(model, x, g)
+        integrate(model, SemiclassicalState(0.0, [0.1, 0.2], g), [0.0, 0.01])
+        assert len(calls) == 1
 
 
 class TestIntegrate:
