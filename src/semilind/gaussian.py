@@ -364,8 +364,7 @@ class WignerGrid:
             f"# {s.q_min!r} {s.q_max!r} {s.n_q}",
             f"# {s.p_min!r} {s.p_max!r} {s.n_p}",
         ]
-        for row in self.values:
-            lines.append(" ".join(repr(complex(v)) if np.iscomplexobj(self.values) else repr(float(v)) for v in row))
+        lines.extend(" ".join(map(repr, row)) for row in self.values.tolist())
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -178,6 +178,7 @@ def run_limit_cycle(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
         amps = np.array(config.initial.amplitudes)
         rho0 = DensityMatrix.from_state(fock.coherent_vector(amps), fock)
         mtraj = integrate_master(rho0, model, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
+        report.add(check="master_solver", nfev=mtraj.nfev, nnz=mtraj.nnz, passed=True)
         amat = fock.lowering(0)
         re_a, im_a, absq, alpha_cov = [], [], [], []
         for k in range(len(mtraj.rhos)):
@@ -489,6 +490,7 @@ def run_cat(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
         )
         rho0 = DensityMatrix.from_state(vec, fock)
         mtraj = integrate_master(rho0, model, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
+        report.add(check="master_solver", nfev=mtraj.nfev, nnz=mtraj.nnz, passed=True)
         qop = (fock.lowering(0) + fock.raising(0)) / np.sqrt(2)
         pop = 1j * (fock.raising(0) - fock.lowering(0)) / np.sqrt(2)
         q_means = np.array([np.real(np.trace(r @ qop)) for r in mtraj.rhos])

@@ -2,8 +2,9 @@
 
 Everything here works at hbar = 1, where the mode operators satisfy
 [a, adag] = 1 and the quadratures are q = (a + adag)/sqrt(2),
-p = i(adag - a)/sqrt(2).  Dense matrices throughout; the sizes stay at
-desk scale and reproducibility beats speed.
+p = i(adag - a)/sqrt(2).  Operators are assembled from sparse (CSR) mode
+ladders and handed out as dense arrays; the master equation integrates one
+CSR Lindblad superoperator with RK45.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import eig as _dense_eig
+from scipy.sparse.linalg import matrix_power as _sparse_matrix_power
 from scipy.special import gammaln
 
 from .gaussian import GridSpec, Moments, WignerGrid, moments_from_covariance
@@ -45,30 +48,24 @@ class FockSpace:
             raise ValueError("each mode needs at least two Fock levels")
         self.n_modes = len(self.dims)
         self.dim = int(np.prod(self.dims))
-        self._lowering = [self._embed(self._mode_lowering(d), j) for j, d in enumerate(self.dims)]
-
-    @staticmethod
-    def _mode_lowering(d: int) -> np.ndarray:
-        a = np.zeros((d, d), dtype=complex)
-        for k in range(1, d):
-            a[k - 1, k] = np.sqrt(k)
-        return a
-
-    def _embed(self, op: np.ndarray, mode: int) -> np.ndarray:
-        mat = np.eye(1, dtype=complex)
-        for j, d in enumerate(self.dims):
-            mat = np.kron(mat, op if j == mode else np.eye(d, dtype=complex))
-        return mat
+        # CSR lowering operator of each mode, embedded in the full space
+        ladders = [sp.diags_array(np.sqrt(np.arange(1.0, d)), offsets=1) for d in self.dims]
+        self._lowering = []
+        for mode in range(self.n_modes):
+            mat = sp.identity(1, dtype=complex, format="csr")
+            for j, d in enumerate(self.dims):
+                mat = sp.kron(mat, ladders[j] if j == mode else sp.identity(d), format="csr")
+            self._lowering.append(mat)
 
     def lowering(self, mode: int) -> np.ndarray:
-        return self._lowering[mode]
+        return self._lowering[mode].toarray()
 
     def raising(self, mode: int) -> np.ndarray:
-        return self._lowering[mode].conj().T
+        return self._lowering[mode].conj().T.toarray()
 
     def number(self, mode: int) -> np.ndarray:
         a = self._lowering[mode]
-        return a.conj().T @ a
+        return (a.conj().T @ a).toarray()
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
@@ -132,16 +129,17 @@ def quantize(terms, fock: FockSpace) -> np.ndarray:
     of per-mode (dag_power, low_power); each term contributes
     coeff * prod_j adag_j^m_j a_j^k_j.
     """
-    out = np.zeros((fock.dim, fock.dim), dtype=complex)
+    out = sp.csr_array((fock.dim, fock.dim), dtype=complex)
     for coeff, powers in terms:
         if len(powers) != fock.n_modes:
             raise ValueError("term arity does not match mode count")
-        mat = np.eye(fock.dim, dtype=complex)
+        mat = sp.identity(fock.dim, dtype=complex, format="csr")
         for j, (m, k) in enumerate(powers):
-            mat = mat @ np.linalg.matrix_power(fock.raising(j), m)
-            mat = mat @ np.linalg.matrix_power(fock.lowering(j), k)
-        out += complex(coeff) * mat
-    return out
+            a = fock._lowering[j]
+            mat = mat @ _sparse_matrix_power(a.conj().T, m)
+            mat = mat @ _sparse_matrix_power(a, k)
+        out = out + complex(coeff) * mat
+    return out.toarray()
 
 
 def symbol_to_normal_ordered(sym: PolySymbol, hbar: float = 1.0):
@@ -228,16 +226,28 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.rho).min())
 
 
+def _liouvillian(h, ls, hbar: float = 1.0) -> sp.csr_array:
+    """CSR superoperator of `lindblad_rhs` acting on the row-major vec(rho).
+
+    A rho B maps to kron(A, B^T), so the generator is
+    -i/hbar (H x I - I x H^T) + sum_k [L x conj(L) - (LdagL x I + I x (LdagL)^T)/2].
+    """
+    h = sp.csr_array(h, dtype=complex)
+    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
+    liou = (sp.kron(h, eye) - sp.kron(eye, h.T)) * (-1j / hbar)
+    for L in ls:
+        L = sp.csr_array(L, dtype=complex)
+        ldl = L.conj().T @ L
+        liou = liou + sp.kron(L, L.conj()) - 0.5 * (sp.kron(ldl, eye) + sp.kron(eye, ldl.T))
+    return liou.tocsr()
+
+
 def lindblad_rhs(rho, h: np.ndarray, lindblads, hbar: float = 1.0) -> np.ndarray:
     """(1/i hbar)[H, rho] + sum_k L rho Ldag - (LdagL rho + rho LdagL)/2."""
     if isinstance(rho, DensityMatrix):
         rho = rho.rho
-    out = (h @ rho - rho @ h) / (1j * hbar)
-    for L in lindblads:
-        ld = L.conj().T
-        ldl = ld @ L
-        out += L @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl)
-    return out
+    rho = np.asarray(rho)
+    return (_liouvillian(h, lindblads, hbar) @ rho.ravel()).reshape(rho.shape)
 
 
 @dataclass
@@ -245,6 +255,8 @@ class MasterTrajectory:
     times: np.ndarray
     rhos: list
     fock: FockSpace
+    nfev: int  # RK45 right-hand-side calls
+    nnz: int  # stored entries of the CSR superoperator
     events: list = field(default_factory=list)
 
     def density(self, k: int) -> DensityMatrix:
@@ -275,20 +287,14 @@ def integrate_master(
     if model.hbar != 1.0:
         raise ValueError("Fock-basis solvers are defined at hbar = 1")
     fock = rho0.fock
-    h, ls = _model_matrices(model, fock)
-    lds = [L.conj().T for L in ls]
-    ldls = [ld @ L for L, ld in zip(ls, lds)]
     dim = fock.dim
     init_leak = fock.leakage(rho0.rho)
     if init_leak > 1e-10:
         raise ValueError(f"initial truncation leakage {init_leak:.2e} exceeds 1e-10")
+    liou = _liouvillian(*_model_matrices(model, fock))
 
     def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        out = (h @ rho - rho @ h) / 1j
-        for L, ld, ldl in zip(ls, lds, ldls):
-            out += L @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl)
-        return out.ravel()
+        return liou @ y
 
     t_eval = np.asarray(t_eval, dtype=float)
     sol = solve_ivp(
@@ -319,7 +325,8 @@ def integrate_master(
         peak = max(ev["population"] for ev in leaks)
         warnings.warn(f"truncation leakage above 1e-6 at {len(leaks)} output times: "
                       f"max {peak:.2e}, first at t={leaks[0]['t']:.3g}")
-    return MasterTrajectory(times=sol.t.copy(), rhos=rhos, fock=fock, events=events)
+    return MasterTrajectory(times=sol.t.copy(), rhos=rhos, fock=fock,
+                            nfev=int(sol.nfev), nnz=int(liou.nnz), events=events)
 
 
 # -- moments ------------------------------------------------------------------

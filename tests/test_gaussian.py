@@ -198,6 +198,24 @@ class TestGridIO:
         back = WignerGrid.from_text(WignerGrid(spec, vals).to_text())
         assert np.array_equal(back.values, vals)
 
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_text_matches_per_value_reference(self, complex_values):
+        spec = GridSpec(-1.5, 2.0, 3, -0.25, 1.0, 4)
+        vals = np.array([[0.1, -0.0, 5e-324, 1.0 / 3.0],
+                         [-2.5e-310, 0.0, 1e300, -7.0],
+                         [np.pi, -1e-17, 2.0**-1074, 123456789.125]])
+        if complex_values:
+            vals = vals + 1j * vals[::-1]
+        rows = [" ".join(repr(complex(v)) if complex_values else repr(float(v)) for v in row)
+                for row in vals]
+        want = "# -1.5 2.0 3\n# -0.25 1.0 4\n" + "\n".join(rows) + "\n"
+        grid = WignerGrid(spec, vals)
+        assert grid.to_text() == want
+        back = WignerGrid.from_text(want)
+        assert back.values.dtype == vals.dtype
+        assert np.array_equal(back.values, vals)
+        assert np.array_equal(np.signbit(back.values.real), np.signbit(vals.real))
+
 
 class TestComplexGaussianChecks:
     def test_rejects_nonpositive_im_b(self):

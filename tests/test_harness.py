@@ -172,6 +172,36 @@ class TestRunners:
         doc = json.loads((Path(outdir) / "report.json").read_text())
         assert "entries" in doc and "passed" in doc
 
+    @pytest.mark.parametrize("name", ["limit_cycle", "cat_anharmonic"])
+    def test_master_solver_stats_reach_report(self, name, tmp_path, monkeypatch):
+        if name == "cat_anharmonic":
+            cfg = tiny_cat_config(tmp_path)
+        else:
+            d = default_config(name)
+            d["times"] = {"t_end": 1.0, "n_out": 5, "frames": []}
+            del d["grid"]
+            d["output_dir"] = str(tmp_path)
+            cfg = ExperimentConfig.from_dict(d)
+        import semilind.harness.experiments as experiments
+
+        real, trajs = experiments.integrate_master, []
+
+        def recorded(*args, **kwargs):
+            trajs.append(real(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(experiments, "integrate_master", recorded)
+        report, outdir = run_experiment(cfg)
+        doc = json.loads((Path(outdir) / "report.json").read_text())
+        solver = [e for e in doc["entries"] if e["check"] == "master_solver"]
+        (mtraj,) = trajs
+        assert solver == [{"check": "master_solver", "nfev": mtraj.nfev, "nnz": mtraj.nnz,
+                           "passed": True}]
+        assert mtraj.nfev > 0 and mtraj.nnz > 0
+        others = [e["passed"] for e in doc["entries"] if e["check"] != "master_solver"]
+        assert others
+        assert doc["passed"] == report.passed == all(others)
+
     def test_unknown_experiment_rejected(self):
         d = default_config("cat_anharmonic")
         d["experiment"] = "not_a_thing"

@@ -12,6 +12,7 @@ from semilind.quantum import (
     DensityMatrix,
     FockSpace,
     JumpEnsemble,
+    _liouvillian,
     _model_matrices,
     _trajectory_key,
     integrate_master,
@@ -31,6 +32,30 @@ def mode_symbols(n=1):
     a = [PolySymbol.variable(Chart.COMPLEX_AABAR, n, j) for j in range(n)]
     ab = [PolySymbol.variable(Chart.COMPLEX_AABAR, n, n + j) for j in range(n)]
     return a, ab
+
+
+def registered_model(name):
+    return ExperimentConfig.from_dict(default_config(name)).model.build(1.0)
+
+
+def dense_quantize(sym, dims):
+    """Normal-ordered quantization with np.kron ladders and np.linalg.matrix_power."""
+    lows = []
+    for mode, d in enumerate(dims):
+        mat = np.eye(1, dtype=complex)
+        for j, dj in enumerate(dims):
+            op = np.diag(np.sqrt(np.arange(1.0, d)), 1) if j == mode else np.eye(dj)
+            mat = np.kron(mat, op.astype(complex))
+        lows.append(mat)
+    dim = int(np.prod(dims))
+    out = np.zeros((dim, dim), dtype=complex)
+    for coeff, powers in symbol_to_normal_ordered(sym):
+        mat = np.eye(dim, dtype=complex)
+        for j, (m, k) in enumerate(powers):
+            mat = mat @ np.linalg.matrix_power(lows[j].conj().T, m)
+            mat = mat @ np.linalg.matrix_power(lows[j], k)
+        out += complex(coeff) * mat
+    return out
 
 
 def hermite_fn(m, x):
@@ -107,6 +132,16 @@ class TestQuantize:
         # total number commutes with the closed lattice Hamiltonian
         assert np.max(np.abs(comm)) < 1e-10
 
+    @pytest.mark.parametrize("name", ["limit_cycle", "bose_hubbard_losses", "cat_anharmonic"])
+    def test_registered_models_match_dense_assembly(self, name):
+        model = registered_model(name)
+        dims = [default_config(name)["fock_levels"]] * model.n_modes
+        h, ls = _model_matrices(model, FockSpace(dims))
+        assert np.array_equal(h, dense_quantize(model.hamiltonian, dims))
+        assert len(ls) == len(model.lindblads)
+        for L, sym in zip(ls, model.lindblads):
+            assert np.array_equal(L, dense_quantize(sym, dims))
+
     def test_registered_lattice_keeps_number_sectors_exactly(self):
         model = ExperimentConfig.from_dict(default_config("bose_hubbard_losses")).model.build(1.0)
         f = FockSpace([8, 8])
@@ -171,6 +206,29 @@ class TestLindbladRhs:
         rho /= np.trace(rho)
         out = lindblad_rhs(rho, h, ls)
         assert abs(np.trace(out)) < 1e-12
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    @pytest.mark.parametrize("dims", [[5], [3, 2]])
+    def test_matches_dense_commutator_and_dissipator(self, dims, hbar):
+        rng = np.random.default_rng(7)
+        f = FockSpace(dims)
+        n = f.dim
+
+        def cplx():
+            return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+        h = cplx()
+        h = h + h.conj().T
+        ls = [cplx(), cplx()]  # non-Hermitian jump operators
+        r = cplx()
+        rho = r @ r.conj().T
+        rho /= np.trace(rho)
+        want = (h @ rho - rho @ h) * (-1j / hbar)
+        for L in ls:
+            ldl = L.conj().T @ L
+            want += L @ rho @ L.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+        got = lindblad_rhs(DensityMatrix(rho=rho, fock=f), h, ls, hbar)
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 def damped_model(omega=1.0, gamma=0.1):
@@ -246,6 +304,37 @@ class TestMaster:
         assert len(messages) == 1
         assert f"at {len(leaky)} output times" in messages[0]
         assert f"first at t={leaky[0][0]:.3g}" in messages[0]
+
+    def test_limit_cycle_liouvillian_keeps_u1_bands(self):
+        # the registered limit cycle commutes with the phase rotation, so
+        # rho_{m,n} only couples to rho_{m',n'} with m - n = m' - n'
+        levels = default_config("limit_cycle")["fock_levels"]
+        liou = _liouvillian(*_model_matrices(registered_model("limit_cycle"), FockSpace(levels)))
+        coo = liou.tocoo()
+        m, n = np.divmod(coo.row, levels)
+        m2, n2 = np.divmod(coo.col, levels)
+        assert coo.nnz > levels**2
+        assert np.array_equal(m - n, m2 - n2)
+
+    def test_liouvillian_built_once_per_call(self, monkeypatch):
+        import semilind.quantum as quantum
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _liouvillian(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, "_liouvillian", counted)
+        model = damped_model(1.0, 0.3)
+        f = FockSpace(16)
+        rho0 = DensityMatrix.from_state(f.coherent_vector([1.0]), f)
+        traj = integrate_master(rho0, model, np.linspace(0, 3, 7))
+        assert len(calls) == 1
+        assert traj.nfev > 6
+        assert traj.nnz == _liouvillian(*_model_matrices(model, f)).nnz
+        integrate_master(rho0, model, np.linspace(0, 1, 3))
+        assert len(calls) == 2
 
     def test_initial_leakage_guard(self):
         model = damped_model()
