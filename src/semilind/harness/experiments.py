@@ -328,6 +328,9 @@ def run_bose_hubbard(config: ExperimentConfig, outdir: Path) -> ComparisonReport
         ens = quantum_jump(
             model, psi0, t_eval, n_traj=config.n_trajectories, seed=config.seed, fock=fock
         )
+        report.add(check="jump_solver", jumps_per_traj=float(ens.jump_counts.mean()),
+                   n_blocks=ens.n_blocks, max_block=ens.max_block,
+                   max_leakage=ens.max_leakage, passed=True)
         o1, o2 = ens.series["occ_1"], ens.series["occ_2"]
         tot, imb = o1 + o2, o1 - o2
         g12, g12_err = _g12_with_stderr(

@@ -4,7 +4,10 @@ Everything here works at hbar = 1, where the mode operators satisfy
 [a, adag] = 1 and the quadratures are q = (a + adag)/sqrt(2),
 p = i(adag - a)/sqrt(2).  Operators are assembled from sparse (CSR) mode
 ladders and handed out as dense arrays; the master equation integrates one
-CSR Lindblad superoperator with RK45.
+CSR Lindblad superoperator with RK45.  The quantum-jump ensemble propagates
+each connected block of the effective Hamiltonian (each number sector of
+the lossy lattice) with its own eigendecomposition, and applies jump
+operators and observables as CSR matrices.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.linalg import eig as _dense_eig
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import matrix_power as _sparse_matrix_power
 from scipy.special import gammaln
 
@@ -56,6 +59,10 @@ class FockSpace:
             for j, d in enumerate(self.dims):
                 mat = sp.kron(mat, ladders[j] if j == mode else sp.identity(d), format="csr")
             self._lowering.append(mat)
+        # 1.0 on every basis state with some mode in its highest level
+        levels = np.unravel_index(np.arange(self.dim), self.dims)
+        top = [lv == d - 1 for lv, d in zip(levels, self.dims)]
+        self._top_mask = np.any(top, axis=0).astype(float)
 
     def lowering(self, mode: int) -> np.ndarray:
         return self._lowering[mode].toarray()
@@ -106,17 +113,10 @@ class FockSpace:
 
     def leakage(self, vec_or_rho: np.ndarray) -> float:
         """Total population of the highest level of any mode."""
-        occ = self._top_level_mask()
+        occ = self._top_mask
         if vec_or_rho.ndim == 1:
             return float(np.sum(np.abs(vec_or_rho) ** 2 * occ))
         return float(np.real(np.sum(np.diag(vec_or_rho) * occ)))
-
-    def _top_level_mask(self) -> np.ndarray:
-        mask = np.zeros(self.dim)
-        for j, d in enumerate(self.dims):
-            idx = np.unravel_index(np.arange(self.dim), self.dims)
-            mask = np.maximum(mask, (idx[j] == d - 1).astype(float))
-        return mask
 
 
 # -- operator assembly --------------------------------------------------------
@@ -427,6 +427,9 @@ class JumpEnsemble:
 
     `series` maps an observable name to the per-trajectory time series of
     shape (n_times, n_traj); `mean` and `stderr` are the aggregates.
+    `n_blocks` and `max_block` describe the propagator's invariant blocks;
+    `max_leakage` is the largest ensemble-mean population of the highest
+    Fock level of any mode over the output times.
     """
 
     times: np.ndarray
@@ -434,6 +437,9 @@ class JumpEnsemble:
     seed: int
     series: dict
     jump_counts: np.ndarray
+    n_blocks: int
+    max_block: int
+    max_leakage: float
 
     def mean(self, name: str) -> np.ndarray:
         return self.series[name].mean(axis=1)
@@ -451,29 +457,68 @@ class JumpEnsemble:
         return "\n".join(lines) + "\n"
 
 
-class _EigPropagator:
+class _SectorPropagator:
     """Exact propagation with the spectral decomposition of the (constant)
-    effective non-Hermitian Hamiltonian."""
+    effective non-Hermitian Hamiltonian, one invariant block at a time.
 
-    def __init__(self, heff: np.ndarray):
-        lam, vec = _dense_eig(heff)
-        cond = np.linalg.cond(vec)
+    The blocks are the connected components of the nonzero pattern of
+    `heff` (the number sectors of a model that conserves or only lowers
+    the total number); a model without such structure is one block.
+    States are permuted into block order, blocks of equal size are stacked,
+    and `coeffs` and `apply` are one batched product per block size.
+    Coefficients live in block order; `apply` returns states in the
+    original basis order.
+    """
+
+    def __init__(self, heff):
+        heff = sp.csr_array(heff)
+        self.n_blocks, labels = connected_components(heff != 0, directed=True, connection="weak")
+        sizes = np.bincount(labels)
+        self.max_block = int(sizes.max())
+        # by block size, then block label; basis order is kept within a block
+        self.perm = np.argsort(sizes[labels] * self.n_blocks + labels, kind="stable")
+        self.inv_perm = np.argsort(self.perm)
+        dense = heff.toarray().astype(complex, copy=False)
+        self._vec, lams = [], []
+        smax, smin, start = 0.0, np.inf, 0
+        for m in np.unique(sizes):
+            rows = slice(start, start + int(np.count_nonzero(sizes == m)) * m)
+            idx = self.perm[rows].reshape(-1, m)
+            lam, vec = np.linalg.eig(dense[idx[:, :, None], idx[:, None, :]])
+            sv = np.linalg.svd(vec, compute_uv=False)
+            smax, smin = max(smax, sv.max()), min(smin, sv.min())
+            self._vec.append((rows, vec))
+            lams.append(lam.ravel())
+            start = rows.stop
+        # condition number of the whole block-diagonal eigenvector matrix
+        cond = smax / smin if smin > 0 else np.inf
         if cond > 1e8:
             raise RuntimeError(
                 f"effective Hamiltonian too non-normal for spectral propagation (cond {cond:.1e})"
             )
-        self.lam = lam
-        self.vec = vec
-        self.vec_inv = np.linalg.inv(vec)
+        self.lam = np.concatenate(lams)
+        self._vec_inv = [(rows, np.linalg.inv(vec)) for rows, vec in self._vec]
+
+    @staticmethod
+    def _blockwise(blocks, x: np.ndarray) -> np.ndarray:
+        """Multiply x, rows in block order, by stacked (g, m, m) diagonal blocks."""
+        out = np.empty_like(x)
+        for rows, mats in blocks:
+            g, m, _ = mats.shape
+            out[rows] = (mats @ x[rows].reshape(g, m, -1)).reshape(g * m, -1)
+        return out
 
     def coeffs(self, states: np.ndarray) -> np.ndarray:
-        return self.vec_inv @ states
+        """Eigenbasis coefficients of the columns of `states`, in block order."""
+        return self._blockwise(self._vec_inv, states[self.perm])
 
     def apply(self, coeffs: np.ndarray, dt) -> np.ndarray:
-        phases = np.exp(-1j * np.outer(self.lam, np.atleast_1d(dt)))
-        if np.ndim(dt) == 0:
-            phases = phases[:, 0][:, None]
-        return self.vec @ (phases * coeffs)
+        """States at times `dt` (a scalar, or one per column) after `coeffs`."""
+        # columns that share a time (every column, on a step without jumps)
+        # share one column of phases
+        times, col = np.unique(dt, return_inverse=True)
+        phases = np.exp(-1j * np.outer(self.lam, times))[:, col.ravel()]
+        return self._blockwise(self._vec, phases * coeffs)[self.inv_perm]
 
 
 def _trajectory_key(seed: int, index: int) -> int:
@@ -500,6 +545,11 @@ def quantum_jump(
     high 64 bits and the trajectory index in its low 64 bits, so no two
     (seed, trajectory) pairs share a stream, and ensembles are reproducible
     and independent of batching order.
+
+    The jump operators and the `adag_a` cross observables (and any
+    `extra_observables`) are converted to CSR once.  The no-jump evolution
+    uses the eigendecomposition of each connected block of the effective
+    Hamiltonian; for the lossy lattice these are its number sectors.
     """
     if model.hbar != 1.0:
         raise ValueError("Fock-basis solvers are defined at hbar = 1")
@@ -507,24 +557,23 @@ def quantum_jump(
         raise ValueError("seed must lie in [0, 2**64)")
     t_eval = np.asarray(t_eval, dtype=float)
     h, ls = _model_matrices(model, fock)
-    heff = h.copy()
+    ls = [sp.csr_array(L) for L in ls]
+    heff = sp.csr_array(h)
     for L in ls:
-        heff -= 0.5j * (L.conj().T @ L)
-    prop = _EigPropagator(heff)
+        heff = heff - 0.5j * (L.conj().T @ L)
+    prop = _SectorPropagator(heff)
 
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
 
-    obs: dict[str, np.ndarray | None] = {}
-    for j in range(fock.n_modes):
-        obs[f"occ_{j+1}"] = None  # diagonal, handled via number op
     number_diags = [np.real(np.diag(fock.number(j))) for j in range(fock.n_modes)]
     cross_ops = {}
     for i in range(fock.n_modes):
         for j in range(i + 1, fock.n_modes):
-            cross_ops[f"adag_a_{i+1}_{j+1}"] = fock.raising(i) @ fock.lowering(j)
+            cross_ops[f"adag_a_{i+1}_{j+1}"] = fock._lowering[i].conj().T @ fock._lowering[j]
     if extra_observables:
         cross_ops.update(extra_observables)
+    cross_ops = {name: sp.csr_array(op) for name, op in cross_ops.items()}
 
     names = [f"occ_{j+1}" for j in range(fock.n_modes)]
     cross_names = sorted(cross_ops)
@@ -533,6 +582,7 @@ def quantum_jump(
         series["re_" + name] = np.zeros((t_eval.size, n_traj))
         series["im_" + name] = np.zeros((t_eval.size, n_traj))
     series["norm_sq"] = np.zeros((t_eval.size, n_traj))
+    leakage = np.zeros(t_eval.size)
 
     rngs = [
         np.random.default_rng(np.random.Philox(key=_trajectory_key(seed, k)))
@@ -544,10 +594,12 @@ def quantum_jump(
     states = np.tile(psi0[:, None], (1, n_traj))
 
     def record(k):
-        norms = np.sum(np.abs(states) ** 2, axis=0)
+        pops = np.abs(states) ** 2
+        norms = np.sum(pops, axis=0)
         series["norm_sq"][k] = norms
         for j, name in enumerate(names):
-            series[name][k] = (number_diags[j] @ (np.abs(states) ** 2)) / norms
+            series[name][k] = (number_diags[j] @ pops) / norms
+        leakage[k] = np.mean((fock._top_mask @ pops) / norms)
         for name in cross_names:
             vals = np.einsum("it,it->t", states.conj(), cross_ops[name] @ states) / norms
             series["re_" + name][k] = vals.real
@@ -588,25 +640,26 @@ def quantum_jump(
                 hi = np.where(above, hi, mid)
             s_jump = 0.5 * (lo + hi)
             at_jump = prop.apply(csub, s_jump)
+            jumped = [L @ at_jump for L in ls]
+            weights = np.array([np.sum(np.abs(v) ** 2, axis=0) for v in jumped])
+            weights = weights.reshape(len(ls), idx.size)
             for col, traj in enumerate(idx):
-                psi = at_jump[:, col]
-                weights = np.array([np.linalg.norm(L @ psi) ** 2 for L in ls])
-                wsum = weights.sum()
                 rng = rngs[traj]
+                wsum = weights[:, col].sum()
                 if wsum <= 0:
                     # no decay channel open; accept and keep evolving
-                    states[:, traj] = psi / np.linalg.norm(psi)
+                    psi = at_jump[:, col]
                 else:
                     u = rng.uniform() * wsum
-                    ch = int(np.searchsorted(np.cumsum(weights), u))
-                    ch = min(ch, len(ls) - 1)
-                    psi = ls[ch] @ psi
-                    states[:, traj] = psi / np.linalg.norm(psi)
+                    ch = int(np.searchsorted(np.cumsum(weights[:, col]), u))
+                    psi = jumped[min(ch, len(ls) - 1)][:, col]
+                states[:, traj] = psi / np.linalg.norm(psi)
                 thresholds[traj] = rng.uniform()
                 jump_counts[traj] += 1
             offsets[idx] += s_jump
             active = idx
         record(k)
     return JumpEnsemble(
-        times=t_eval.copy(), n_traj=n_traj, seed=seed, series=series, jump_counts=jump_counts
+        times=t_eval.copy(), n_traj=n_traj, seed=seed, series=series, jump_counts=jump_counts,
+        n_blocks=prop.n_blocks, max_block=prop.max_block, max_leakage=float(leakage.max()),
     )

@@ -246,6 +246,28 @@ class TestLatticeG12:
         assert g12.stderr is not None
         assert g12.stderr[0] < 1e-12 and np.all(g12.stderr[1:] > 0)
 
+    def test_jump_solver_stats_reach_report(self, tmp_path, monkeypatch):
+        d = default_config("bose_hubbard_losses")
+        d.update(n_trajectories=20, fock_levels=10, output_dir=str(tmp_path))
+        d["times"] = {"t_end": 0.5, "n_out": 5, "frames": []}
+        import semilind.harness.experiments as experiments
+
+        real, ensembles = experiments.quantum_jump, []
+
+        def recorded(*args, **kwargs):
+            ensembles.append(real(*args, **kwargs))
+            return ensembles[-1]
+
+        monkeypatch.setattr(experiments, "quantum_jump", recorded)
+        report, outdir = run_experiment(ExperimentConfig.from_dict(d))
+        doc = json.loads((Path(outdir) / "report.json").read_text())
+        (ens,) = ensembles
+        solver = [e for e in doc["entries"] if e["check"] == "jump_solver"]
+        assert solver == [{"check": "jump_solver", "jumps_per_traj": float(ens.jump_counts.mean()),
+                           "n_blocks": 19, "max_block": 10, "max_leakage": ens.max_leakage,
+                           "passed": True}]
+        assert ens.jump_counts.sum() > 0 and 0 < ens.max_leakage < 1  # 10 levels leak heavily
+
 
 class TestPortrait:
     def test_nonlinear_loss_field_and_lines(self, tmp_path):

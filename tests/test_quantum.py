@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, expm
 from scipy.special import hermite
 
 from semilind.gaussian import GridSpec, cat_decompose, coherent, eval_wigner
@@ -12,6 +13,7 @@ from semilind.quantum import (
     DensityMatrix,
     FockSpace,
     JumpEnsemble,
+    _SectorPropagator,
     _liouvillian,
     _model_matrices,
     _trajectory_key,
@@ -94,6 +96,15 @@ class TestFockSpace:
         n2 = f.number(1)
         assert np.allclose(n1 @ n2, n2 @ n1)
         assert f.dim == 12
+
+    def test_top_level_mask_marks_highest_level_of_any_mode(self):
+        dims = (3, 4, 2)
+        f = FockSpace(dims)
+        levels = list(np.ndindex(*dims))  # row-major, like the Kronecker basis
+        want = [float(any(n == d - 1 for n, d in zip(lv, dims))) for lv in levels]
+        assert np.array_equal(f._top_mask, want)
+        vec = np.arange(1.0, f.dim + 1)
+        assert f.leakage(vec) == pytest.approx(np.dot(vec**2, want), rel=1e-15)
 
     def test_coherent_vector_is_eigenvector(self):
         f = FockSpace(40)
@@ -430,6 +441,82 @@ class TestWignerOfDensity:
         assert grid_q.sup_diff(grid_c) < 1e-8
 
 
+def lattice_heff(levels):
+    """Registered lattice H - (i/2) sum_k Ldag_k L_k, dense, and its Fock space."""
+    f = FockSpace([levels, levels])
+    h, ls = _model_matrices(registered_model("bose_hubbard_losses"), f)
+    return h - 0.5j * sum(L.conj().T @ L for L in ls), f
+
+
+class TestSectorPropagator:
+    def test_registered_lattice_matches_expm(self):
+        heff, f = lattice_heff(26)
+        prop = _SectorPropagator(heff)
+        assert (prop.n_blocks, prop.max_block) == (51, 26)
+        rng = np.random.default_rng(7)
+        psi = f.coherent_vector([2.0, 1.5j]) + 0.1 * rng.standard_normal(f.dim)
+        psi /= np.linalg.norm(psi)
+        for t in (0.05, 0.4):
+            got = prop.apply(prop.coeffs(psi[:, None]), t)[:, 0]
+            assert np.max(np.abs(got - expm(-1j * heff * t) @ psi)) < 1e-10
+
+    def test_random_dense_heff_is_one_block(self):
+        rng = np.random.default_rng(3)
+        dim = 40
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        heff = 0.5 * (x + x.conj().T) - 0.05j * (y.conj().T @ y)
+        prop = _SectorPropagator(heff)
+        assert (prop.n_blocks, prop.max_block) == (1, dim)
+        states = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        times = np.array([0.1, 0.3, 0.7])  # one time per column
+        got = prop.apply(prop.coeffs(states), times)
+        for col, t in enumerate(times):
+            want = expm(-1j * heff * t) @ states[:, col]
+            assert np.max(np.abs(got[:, col] - want)) < 1e-10 * np.linalg.norm(states[:, col])
+
+    def test_non_normal_guard_covers_the_assembled_eigenbasis(self):
+        # A near-Jordan pair (eigenvector cond ~ 2/d = 6.7e7) and a 25-level
+        # block whose eigenvectors share a common direction (largest singular
+        # value ~ 5, cond ~ 51) each pass alone, but the block-diagonal
+        # eigenvector matrix they form has cond ~ 2.4e8 > 1e8.
+        d = 3e-8
+        jordan = np.array([[0.0, 1.0], [0.0, d]], dtype=complex)
+        m = 25
+        vec = np.eye(m) + 2.0 * np.ones((m, m))
+        skewed = vec @ np.diag(np.arange(m) + 0.5j) @ np.linalg.inv(vec)
+        for block in (jordan, skewed):
+            _SectorPropagator(block)
+        heff = block_diag(skewed, jordan, np.diag([1.0 - 0.1j, 2.0]))
+        vecs = [np.linalg.eig(b)[1] for b in (skewed, jordan)]
+        assert np.linalg.cond(block_diag(*vecs)) > 1e8
+        with pytest.raises(RuntimeError, match="too non-normal"):
+            _SectorPropagator(heff)
+        for gap in (1e-12, 0.0):  # a nearly and an exactly defective pair
+            with pytest.raises(RuntimeError, match="too non-normal"):
+                _SectorPropagator(block_diag(np.eye(3), [[0.0, 1.0], [0.0, gap]]))
+
+    def test_one_forced_block_matches_sector_run(self, monkeypatch):
+        import semilind.quantum as quantum
+
+        model = registered_model("bose_hubbard_losses")
+        f = FockSpace([8, 8])
+        psi0 = f.coherent_vector([1.5j, 1.5])
+        t_eval = np.linspace(0.0, 2.0, 9)
+        sectors = quantum_jump(model, psi0, t_eval, n_traj=40, seed=17, fock=f)
+        assert (sectors.n_blocks, sectors.max_block) == (15, 8)
+        monkeypatch.setattr(quantum, "connected_components",
+                            lambda graph, **kw: (1, np.zeros(graph.shape[0], dtype=int)))
+        whole = quantum_jump(model, psi0, t_eval, n_traj=40, seed=17, fock=f)
+        assert (whole.n_blocks, whole.max_block) == (1, 64)
+        assert sectors.jump_counts.sum() > 40
+        assert np.array_equal(sectors.jump_counts, whole.jump_counts)
+        assert sectors.series.keys() == whole.series.keys()
+        for name in sectors.series:
+            assert np.max(np.abs(sectors.series[name] - whole.series[name])) < 1e-9, name
+        assert abs(sectors.max_leakage - whole.max_leakage) < 1e-12
+
+
 class TestQuantumJump:
     def test_no_lindblads_zero_variance(self):
         (a,), (ab,) = mode_symbols()
@@ -441,6 +528,9 @@ class TestQuantumJump:
         occ = ens.series["occ_1"]
         assert np.max(occ.std(axis=1)) < 1e-12
         assert np.allclose(occ.mean(axis=1), 1.0, atol=1e-9)
+        # a diagonal Heff is one block per level; populations never move
+        assert (ens.n_blocks, ens.max_block) == (12, 1)
+        assert ens.max_leakage == pytest.approx(f.leakage(psi0 / np.linalg.norm(psi0)), rel=1e-12)
 
     def test_single_mode_decay_matches_exact_law(self):
         gamma = 0.8
@@ -499,6 +589,19 @@ class TestQuantumJump:
         # first 20 trajectories of a larger run match a smaller run exactly
         e3 = quantum_jump(model, psi0, t_eval, n_traj=20, seed=9, fock=f)
         assert np.allclose(e1.series["occ_1"][:, :20], e3.series["occ_1"], atol=1e-12)
+
+    def test_max_leakage_is_largest_ensemble_mean(self):
+        # hopping carries |3,2> into the top levels |5,0>, |0,5>; a loss jump
+        # leaves N = 4, where no mode can reach its top level
+        (a1, a2), (a1b, a2b) = mode_symbols(2)
+        model = LindbladModel(2, 1.0, a1b * a2 + a2b * a1, (a1 * np.sqrt(0.3),))
+        f = FockSpace([6, 6])
+        psi0 = np.zeros(f.dim, dtype=complex)
+        psi0[3 * 6 + 2] = 1.0
+        ens = quantum_jump(model, psi0, np.linspace(0, 1.5, 6), n_traj=30, seed=4, fock=f,
+                           extra_observables={"top": np.diag(f._top_mask)})
+        assert ens.series["re_top"][0].max() == 0 and ens.jump_counts.sum() > 0
+        assert ens.max_leakage == pytest.approx(ens.mean("re_top").max(), rel=1e-12)
 
     def test_csv_format(self):
         model = damped_model(0.0, 0.4)
