@@ -28,6 +28,7 @@ evaluate with no extra prefactor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,11 @@ class DoubledSymbol:
     @property
     def n_modes(self) -> int:
         return self.k0.n_modes
+
+    @functools.cached_property
+    def _evaluator(self) -> "_KEvaluator":
+        """Batched evaluator of K0, K1 and their derivatives, compiled on first use."""
+        return _KEvaluator(self)
 
     def validate_structure(self, rng=None, samples: int = 64) -> None:
         """Parity and sign structure of K0; raises on violation.
@@ -196,8 +202,7 @@ def _component_rates(kev: _KEvaluator, z, b, hbar):
 
 def rhs_component(ksym: DoubledSymbol, comp: ComplexGaussian):
     """Time derivatives (dZ, dB, dalpha) of one complex Gaussian component."""
-    kev = _KEvaluator(ksym)
-    zdot, bdot, alphadot, _ = _component_rates(kev, comp.z, comp.b, comp.hbar)
+    zdot, bdot, alphadot, _ = _component_rates(ksym._evaluator, comp.z, comp.b, comp.hbar)
     return zdot, bdot, alphadot
 
 
@@ -222,6 +227,7 @@ class SuperpositionSeries:
     raw_norms: np.ndarray
     tracks: list
     events: list = field(default_factory=list)
+    nfev: int = 0  # RK45 right-hand-side calls, summed over components
 
     def cross_magnitudes(self) -> np.ndarray:
         """Normalized peak magnitude of the off-diagonal (Y != 0) part."""
@@ -248,8 +254,7 @@ def propagate_superposition(
     integral is recorded).  A component whose Im B loses positivity beyond
     the floor is frozen with weight zero and an event record.
     """
-    ksym = build_k(model)
-    kev = _KEvaluator(ksym)
+    kev = model._doubled._evaluator
     hbar = state.hbar
     t_eval = np.asarray(t_eval, dtype=float)
 
@@ -265,7 +270,7 @@ def propagate_superposition(
     breakdown.terminal = True
     breakdown.direction = -1
 
-    tracks = []
+    tracks, nfev = [], 0
     for comp in state.components:
         y0 = kev.pack(comp.z, comp.b, complex(comp.alpha), 0j)
         sol = solve_ivp(
@@ -280,6 +285,7 @@ def propagate_superposition(
         )
         if not sol.success and sol.status != 1:
             raise RuntimeError(f"component integration failed: {sol.message}")
+        nfev += int(sol.nfev)
         states, events = [], []
         alive = np.zeros(t_eval.size, dtype=bool)
         last_alive = None
@@ -319,6 +325,7 @@ def propagate_superposition(
         raw_norms=np.array(raw_norms),
         tracks=tracks,
         events=all_events,
+        nfev=nfev,
     )
 
 
@@ -418,8 +425,7 @@ def chord_rhs(model: LindbladModel, chord: ChordGaussian):
     Returns (dX, dY, dMmat, dNmat); equivalent to rhs_component transported
     through -B^{-1} = N + iM, which the tests assert to 1e-12.
     """
-    ksym = build_k(model)
-    kev = _KEvaluator(ksym)
+    kev = model._doubled._evaluator
     n2 = chord.x.size
     z = np.concatenate([chord.x, chord.y])
     _, _, grad, hess = kev(z)

@@ -1,8 +1,24 @@
-"""Named, config-driven experiment runners.
+"""Named, config-driven experiments, each a table of solver rows and check rows.
 
-Each experiment writes ``<root>/<name>/<solver>/*.csv|*.json|*.txt`` plus a
-top-level ``report.json`` and returns the comparison report.  Re-running
-with the same config and seed reproduces every CSV byte for byte.
+``ExperimentDef.solvers`` maps a solver name, as a config lists it under
+``solvers``, to ``fn(config, model, t_eval) -> SolverRun``.  A ``SolverRun``
+carries the observables, written to ``<root>/<experiment>/<solver>/observables.csv``;
+extra files (name -> text) for the same directory; a frame function
+``k -> WignerGrid``, written there as ``wigner_t<t>.txt|json`` at each
+configured frame when the config has a ``grid``; the report entries the
+solver adds (its statistics and events); and the solver's raw result.
+
+``ExperimentDef.checks`` lists ``(needed solvers, fn(config, t_eval, runs) ->
+entries)``, with ``runs`` mapping solver name to ``SolverRun``.  After the
+requested solvers have run, each check whose needed solvers all ran adds its
+entries to ``report.json``.  So a new solver is one function and one
+``solvers`` row, and a new comparison one function and one ``checks`` row.
+
+``run_experiment`` alone runs, times and writes the solvers.  Re-running with
+the same config and seed reproduces every CSV byte for byte.  Rows call the
+library functions (``integrate``, ``eval_wigner``, ...) by their names in this
+module when they run, so a name replaced here, as ``perfbench/tracing.py``
+does, is the one every run calls.
 """
 
 from __future__ import annotations
@@ -10,6 +26,8 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,16 +53,32 @@ from ..symbols import Chart
 from .compare import ComparisonReport, ObservableSeries, write_observables
 from .config import ConfigError, ExperimentConfig
 
-__all__ = ["EXPERIMENTS", "ExperimentDef", "default_config", "run_experiment", "run_portrait"]
+__all__ = ["EXPERIMENTS", "ExperimentDef", "SolverRun", "default_config", "run_experiment",
+           "run_portrait"]
 
 
+@dataclass
+class SolverRun:
+    """What a solver row returns; see the module docstring."""
+
+    observables: dict = field(default_factory=dict)  # name -> ObservableSeries
+    files: dict = field(default_factory=dict)  # file name -> text
+    frame: Callable | None = None  # output index -> WignerGrid
+    entries: list = field(default_factory=list)
+    result: object = None
+
+
+@dataclass(frozen=True)
 class ExperimentDef:
-    def __init__(self, name, kind, description, defaults, runner=None):
-        self.name = name
-        self.kind = kind  # "experiment" | "portrait"
-        self.description = description
-        self.defaults = defaults
-        self.runner = runner
+    name: str
+    description: str
+    defaults: Callable
+    solvers: dict = field(default_factory=dict)  # name -> fn(config, model, t_eval) -> SolverRun
+    checks: tuple = ()  # (needed solver names, fn(config, t_eval, runs) -> entries)
+
+    @property
+    def kind(self) -> str:
+        return "experiment" if self.solvers else "portrait"
 
 
 def _write(path: Path, text: str):
@@ -66,8 +100,34 @@ def _wigner_frames(outdir: Path, times, indices, frame):
         _write(outdir / f"{stem}.json", grid.to_json())
 
 
-def _linear_fit_slope(t, v):
-    return float(np.polyfit(t, v, 1)[0])
+def _bounded(check: str, value, tolerance, **extra) -> dict:
+    """Report entry of a value that passes when it is at most the tolerance."""
+    return dict(check=check, value=float(value), tolerance=tolerance,
+                passed=bool(value <= tolerance), **extra)
+
+
+def _coherent_flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
+    """Gaussian centre and width flow from the config's coherent state; the
+    calling row adds the observables."""
+    state0 = coherent(model.n_modes, np.array(config.initial.amplitudes), config.hbar)
+    traj = integrate(model, SemiclassicalState(0.0, state0.x, state0.g), t_eval,
+                     rtol=config.ode_rtol, atol=config.ode_atol)
+    return SolverRun(
+        files={"trajectory.csv": trajectory_to_csv(traj)},
+        entries=[{"check": "semiclassical_solver", "nfev": traj.nfev, "passed": True}],
+        result=traj,
+    )
+
+
+def _master_run(config: ExperimentConfig, model, t_eval, rho0: DensityMatrix) -> SolverRun:
+    """Master equation from rho0, with its Wigner frames; the calling row adds
+    the observables."""
+    mtraj = integrate_master(rho0, model, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
+    return SolverRun(
+        frame=lambda k: wigner_of_density(mtraj.density(k), config.grid.spec()),
+        entries=[{"check": "master_solver", "nfev": mtraj.nfev, "nnz": mtraj.nnz, "passed": True}],
+        result=mtraj,
+    )
 
 
 # -- limit cycle ---------------------------------------------------------------
@@ -110,121 +170,71 @@ def _limit_cycle_defaults():
     }
 
 
-def _gaussian_observables(traj, hbar):
-    re_a, im_a, absq, alpha_cov = [], [], [], []
-    for st in traj.states:
-        a = _mode_amplitudes(st.x)[0]
-        re_a.append(a.real)
-        im_a.append(a.imag)
-        absq.append(abs(a) ** 2)
-        m = moments(GaussianWigner(hbar=hbar, x=st.x, g=st.g))
-        alpha_cov.append(float(np.real(m.blocks.alpha_block[0, 0])))
-    t = traj.times
+def _ring_observables(t_eval, amps, moms) -> dict:
+    """Mode amplitude and its covariance, from the amplitude and the moments
+    at each output time."""
     return {
-        "re_a": ObservableSeries(t, np.array(re_a)),
-        "im_a": ObservableSeries(t, np.array(im_a)),
-        "abs_a_sq": ObservableSeries(t, np.array(absq)),
-        "alpha_cov": ObservableSeries(t, np.array(alpha_cov)),
-        "min_eig_physicality": ObservableSeries(t, traj.min_physicality),
+        "re_a": ObservableSeries(t_eval, np.array([a.real for a in amps])),
+        "im_a": ObservableSeries(t_eval, np.array([a.imag for a in amps])),
+        "abs_a_sq": ObservableSeries(t_eval, np.array([abs(a) ** 2 for a in amps])),
+        "alpha_cov": ObservableSeries(
+            t_eval, np.array([float(np.real(m.blocks.alpha_block[0, 0])) for m in moms])
+        ),
     }
 
 
-def run_limit_cycle(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
-    model = config.model.build(config.hbar)
-    t_eval = config.times.grid()
-    frames = config.times.frame_indices()
-    spec = config.grid.spec() if config.grid else None
+def _limit_cycle_semiclassical(config: ExperimentConfig, model, t_eval) -> SolverRun:
+    run = _coherent_flow(config, model, t_eval)
+    traj = run.result
+    amps = [_mode_amplitudes(st.x)[0] for st in traj.states]
+    moms = [moments(GaussianWigner(hbar=config.hbar, x=st.x, g=st.g)) for st in traj.states]
+    run.observables = _ring_observables(t_eval, amps, moms)
+    run.observables["min_eig_physicality"] = ObservableSeries(t_eval, traj.min_physicality)
+    run.frame = lambda k: eval_wigner(traj.states[k].as_gaussian(config.hbar), config.grid.spec())
+    return run
+
+
+def _limit_cycle_master(config: ExperimentConfig, model, t_eval) -> SolverRun:
+    fock = FockSpace([config.fock_levels] * model.n_modes)
+    psi0 = fock.coherent_vector(np.array(config.initial.amplitudes))
+    run = _master_run(config, model, t_eval, DensityMatrix.from_state(psi0, fock))
+    dms = [run.result.density(k) for k in range(len(run.result.rhos))]
+    amat = fock.lowering(0)
+    run.observables = _ring_observables(t_eval, [dm.expectation(amat) for dm in dms],
+                                        [moments_of_density(dm) for dm in dms])
+    return run
+
+
+def _limit_cycle_flow_checks(config: ExperimentConfig, t_eval, runs) -> list:
     tol = config.tolerances
-    report = ComparisonReport()
-    sc_obs = q_obs = None
+    phys = runs["semiclassical"].result.min_physicality.min()
+    entries = [{"check": "physicality_min_eig", "value": float(phys), "tolerance": -1e-9,
+                "passed": bool(phys >= -1e-9)}]
+    if "ring_target" in tol:
+        final = runs["semiclassical"].observables["abs_a_sq"].values[-1]
+        ring_tol = tol.get("ring_tol", 1e-6)
+        entries.append({"check": "limit_cycle_intensity", "value": float(final),
+                        "target": tol["ring_target"], "tolerance": ring_tol,
+                        "passed": bool(abs(final - tol["ring_target"]) <= ring_tol)})
+    return entries
 
-    if "semiclassical" in config.solvers:
-        t0 = time.perf_counter()
-        amps = np.array(config.initial.amplitudes)
-        state0 = coherent(model.n_modes, amps, config.hbar)
-        traj = integrate(
-            model,
-            SemiclassicalState(0.0, state0.x, state0.g),
-            t_eval,
-            rtol=config.ode_rtol,
-            atol=config.ode_atol,
-        )
-        _write(outdir / "semiclassical" / "trajectory.csv", trajectory_to_csv(traj))
-        sc_obs = _gaussian_observables(traj, config.hbar)
-        write_observables(sc_obs, outdir / "semiclassical" / "observables.csv")
-        if spec is not None:
-            _wigner_frames(outdir / "semiclassical", t_eval, frames,
-                           lambda k: eval_wigner(traj.states[k].as_gaussian(config.hbar), spec))
-        report.runtime_s["semiclassical"] = time.perf_counter() - t0
-        report.add(
-            check="physicality_min_eig",
-            value=float(traj.min_physicality.min()),
-            tolerance=-1e-9,
-            passed=bool(traj.min_physicality.min() >= -1e-9),
-        )
-        if "ring_target" in tol:
-            final = sc_obs["abs_a_sq"].values[-1]
-            report.add(
-                check="limit_cycle_intensity",
-                value=float(final),
-                target=tol["ring_target"],
-                tolerance=tol.get("ring_tol", 1e-6),
-                passed=bool(abs(final - tol["ring_target"]) <= tol.get("ring_tol", 1e-6)),
-            )
 
-    if "master" in config.solvers:
-        t0 = time.perf_counter()
-        fock = FockSpace([config.fock_levels] * model.n_modes)
-        amps = np.array(config.initial.amplitudes)
-        rho0 = DensityMatrix.from_state(fock.coherent_vector(amps), fock)
-        mtraj = integrate_master(rho0, model, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
-        report.add(check="master_solver", nfev=mtraj.nfev, nnz=mtraj.nnz, passed=True)
-        amat = fock.lowering(0)
-        re_a, im_a, absq, alpha_cov = [], [], [], []
-        for k in range(len(mtraj.rhos)):
-            dm = mtraj.density(k)
-            aval = dm.expectation(amat)
-            m = moments_of_density(dm)
-            re_a.append(aval.real)
-            im_a.append(aval.imag)
-            absq.append(abs(aval) ** 2)
-            alpha_cov.append(float(np.real(m.blocks.alpha_block[0, 0])))
-        q_obs = {
-            "re_a": ObservableSeries(t_eval, np.array(re_a)),
-            "im_a": ObservableSeries(t_eval, np.array(im_a)),
-            "abs_a_sq": ObservableSeries(t_eval, np.array(absq)),
-            "alpha_cov": ObservableSeries(t_eval, np.array(alpha_cov)),
-        }
-        write_observables(q_obs, outdir / "master" / "observables.csv")
-        if spec is not None:
-            _wigner_frames(outdir / "master", t_eval, frames,
-                           lambda k: wigner_of_density(mtraj.density(k), spec))
-        report.runtime_s["master"] = time.perf_counter() - t0
-
-    if sc_obs is not None and q_obs is not None:
-        t_short = tol.get("t_short", 15.0)
-        mask = (t_eval > 0) & (t_eval <= t_short)
-        rel = np.abs(sc_obs["alpha_cov"].values[mask] - q_obs["alpha_cov"].values[mask]) / np.abs(
-            q_obs["alpha_cov"].values[mask]
-        )
-        report.add(
-            check="alpha_relative_error_short_times",
-            value=float(rel.max()),
-            tolerance=tol["alpha_rel_short"],
-            passed=bool(rel.max() <= tol["alpha_rel_short"]),
-        )
-        window = tol.get("slope_window", 30.0)
-        wmask = t_eval >= t_eval[-1] - window
-        slope_sc = _linear_fit_slope(t_eval[wmask], sc_obs["alpha_cov"].values[wmask])
-        slope_q = _linear_fit_slope(t_eval[wmask], q_obs["alpha_cov"].values[wmask])
-        flat = tol.get("slope_flat_ratio", 0.2)
-        report.add(
-            check="alpha_final_slopes",
-            semiclassical_slope=slope_sc,
-            quantum_slope=slope_q,
-            passed=bool(slope_sc > 0 and abs(slope_q) <= flat * slope_sc),
-        )
-    return report
+def _limit_cycle_cross_checks(config: ExperimentConfig, t_eval, runs) -> list:
+    tol = config.tolerances
+    sc = runs["semiclassical"].observables["alpha_cov"].values
+    q = runs["master"].observables["alpha_cov"].values
+    t_short = tol.get("t_short", 15.0)
+    mask = (t_eval > 0) & (t_eval <= t_short)
+    rel = np.abs(sc[mask] - q[mask]) / np.abs(q[mask])
+    window = tol.get("slope_window", 30.0)
+    wmask = t_eval >= t_eval[-1] - window
+    slope_sc, slope_q = (float(np.polyfit(t_eval[wmask], v[wmask], 1)[0]) for v in (sc, q))
+    flat = tol.get("slope_flat_ratio", 0.2)
+    return [
+        _bounded("alpha_relative_error_short_times", rel.max(), tol["alpha_rel_short"]),
+        {"check": "alpha_final_slopes", "semiclassical_slope": slope_sc, "quantum_slope": slope_q,
+         "passed": bool(slope_sc > 0 and abs(slope_q) <= flat * slope_sc)},
+    ]
 
 
 # -- lattice with two-body losses ----------------------------------------------
@@ -281,117 +291,93 @@ def _g12_with_stderr(o1, o2, re12, im12):
     return g12[:, 0], influence.std(axis=1, ddof=1) / np.sqrt(o1.shape[1])
 
 
-def run_bose_hubbard(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
-    model = config.model.build(config.hbar)
-    n = model.n_modes
-    t_eval = config.times.grid()
-    tol = config.tolerances
-    report = ComparisonReport()
-    sc = jq = None
+def _lattice_semiclassical(config: ExperimentConfig, model, t_eval) -> SolverRun:
+    run = _coherent_flow(config, model, t_eval)
+    traj = run.result
+    occ = np.array([np.abs(_mode_amplitudes(st.x)) ** 2 for st in traj.states])
+    g12 = []
+    occ_gauss = []
+    for st in traj.states:
+        m = moments(GaussianWigner(hbar=config.hbar, x=st.x, g=st.g))
+        g12.append(m.g1(0, 1))
+        occ_gauss.append([m.occupation(j) for j in range(model.n_modes)])
+    occ_gauss = np.array(occ_gauss)
+    run.observables = {
+        "occ_1": ObservableSeries(t_eval, occ[:, 0]),
+        "occ_2": ObservableSeries(t_eval, occ[:, 1]),
+        "total_number": ObservableSeries(t_eval, occ.sum(axis=1)),
+        "imbalance": ObservableSeries(t_eval, occ[:, 0] - occ[:, 1]),
+        "g12": ObservableSeries(t_eval, np.array(g12)),
+        "total_number_gauss": ObservableSeries(t_eval, occ_gauss.sum(axis=1)),
+    }
+    return run
 
-    if "semiclassical" in config.solvers:
-        t0 = time.perf_counter()
-        amps = np.array(config.initial.amplitudes)
-        state0 = coherent(n, amps, config.hbar)
-        traj = integrate(
-            model,
-            SemiclassicalState(0.0, state0.x, state0.g),
-            t_eval,
-            rtol=config.ode_rtol,
-            atol=config.ode_atol,
-        )
-        _write(outdir / "semiclassical" / "trajectory.csv", trajectory_to_csv(traj))
-        occ = np.array([np.abs(_mode_amplitudes(st.x)) ** 2 for st in traj.states])
-        g12 = []
-        occ_gauss = []
-        for st in traj.states:
-            m = moments(GaussianWigner(hbar=config.hbar, x=st.x, g=st.g))
-            g12.append(m.g1(0, 1))
-            occ_gauss.append([m.occupation(j) for j in range(n)])
-        occ_gauss = np.array(occ_gauss)
-        sc = {
-            "occ_1": ObservableSeries(t_eval, occ[:, 0]),
-            "occ_2": ObservableSeries(t_eval, occ[:, 1]),
-            "total_number": ObservableSeries(t_eval, occ.sum(axis=1)),
-            "imbalance": ObservableSeries(t_eval, occ[:, 0] - occ[:, 1]),
-            "g12": ObservableSeries(t_eval, np.array(g12)),
-            "total_number_gauss": ObservableSeries(t_eval, occ_gauss.sum(axis=1)),
-        }
-        write_observables(sc, outdir / "semiclassical" / "observables.csv")
-        report.runtime_s["semiclassical"] = time.perf_counter() - t0
 
-    if "jumps" in config.solvers:
-        t0 = time.perf_counter()
-        fock = FockSpace([config.fock_levels] * n)
-        amps = np.array(config.initial.amplitudes)
-        psi0 = fock.coherent_vector(amps)
-        ens = quantum_jump(
-            model, psi0, t_eval, n_traj=config.n_trajectories, seed=config.seed, fock=fock
-        )
-        report.add(check="jump_solver", jumps_per_traj=float(ens.jump_counts.mean()),
-                   n_blocks=ens.n_blocks, max_block=ens.max_block,
-                   max_leakage=ens.max_leakage, passed=True)
-        o1, o2 = ens.series["occ_1"], ens.series["occ_2"]
-        tot, imb = o1 + o2, o1 - o2
-        g12, g12_err = _g12_with_stderr(
-            o1, o2, ens.series["re_adag_a_1_2"], ens.series["im_adag_a_1_2"]
+def _lattice_jumps(config: ExperimentConfig, model, t_eval) -> SolverRun:
+    fock = FockSpace([config.fock_levels] * model.n_modes)
+    psi0 = fock.coherent_vector(np.array(config.initial.amplitudes))
+    ens = quantum_jump(model, psi0, t_eval, n_traj=config.n_trajectories, seed=config.seed,
+                       fock=fock)
+    o1, o2 = ens.series["occ_1"], ens.series["occ_2"]
+    g12, g12_err = _g12_with_stderr(o1, o2, ens.series["re_adag_a_1_2"],
+                                    ens.series["im_adag_a_1_2"])
+
+    def agg(arr):
+        return ObservableSeries(
+            t_eval, arr.mean(axis=1), arr.std(axis=1, ddof=1) / np.sqrt(config.n_trajectories)
         )
 
-        def agg(arr):
-            return ObservableSeries(
-                t_eval, arr.mean(axis=1), arr.std(axis=1, ddof=1) / np.sqrt(config.n_trajectories)
-            )
-
-        jq = {
+    return SolverRun(
+        observables={
             "occ_1": agg(o1),
             "occ_2": agg(o2),
-            "total_number": agg(tot),
-            "imbalance": agg(imb),
+            "total_number": agg(o1 + o2),
+            "imbalance": agg(o1 - o2),
             "g12": ObservableSeries(t_eval, g12, g12_err),
-        }
-        write_observables(jq, outdir / "jumps" / "observables.csv")
-        report.runtime_s["jumps"] = time.perf_counter() - t0
-        report.add(
-            check="total_number_monotone_decay",
-            passed=bool(np.all(np.diff(jq["total_number"].values) < 0)),
-        )
-        decay = float(jq["g12"].values[0] - jq["g12"].values[-1])
-        report.add(
-            check="g12_decay",
-            value=decay,
-            tolerance=tol["g12_min_decay"],
-            passed=bool(decay >= tol["g12_min_decay"]),
-        )
+        },
+        entries=[{"check": "jump_solver", "jumps_per_traj": float(ens.jump_counts.mean()),
+                  "n_blocks": ens.n_blocks, "max_block": ens.max_block,
+                  "max_leakage": ens.max_leakage, "passed": True}],
+        result=ens,
+    )
 
-    if sc is not None and jq is not None:
-        band = tol.get("stderr_band", 3.0)
-        for name in ("total_number", "imbalance"):
-            diff = np.abs(sc[name].values - jq[name].values)
-            allowed = band * jq[name].stderr
-            inside = diff[1:] <= allowed[1:]
-            worst = float(np.max(diff[1:] / np.maximum(allowed[1:], 1e-300)))
-            report.add(
-                check=f"{name}_within_stderr_band",
-                worst_ratio=worst,
-                band=band,
-                passed=bool(np.all(inside)),
-            )
-            report.add(
-                check=f"{name}_initial_truncation_match",
-                value=float(diff[0]),
-                tolerance=tol.get("initial_match", 2e-3),
-                passed=bool(diff[0] <= tol.get("initial_match", 2e-3)),
-            )
-        diffg = np.abs(sc["total_number_gauss"].values - jq["total_number"].values)
-        report.add(
-            check="total_number_gaussian_corrected_info",
-            worst_ratio=float(
-                np.max(diffg[1:] / np.maximum(band * jq["total_number"].stderr[1:], 1e-300))
-            ),
-            max_abs=float(diffg.max()),
-            passed=True,  # informational
-        )
-    return report
+
+def _lattice_jump_checks(config: ExperimentConfig, t_eval, runs) -> list:
+    jq = runs["jumps"].observables
+    decay = float(jq["g12"].values[0] - jq["g12"].values[-1])
+    min_decay = config.tolerances["g12_min_decay"]
+    return [
+        {"check": "total_number_monotone_decay",
+         "passed": bool(np.all(np.diff(jq["total_number"].values) < 0))},
+        {"check": "g12_decay", "value": decay, "tolerance": min_decay,
+         "passed": bool(decay >= min_decay)},
+    ]
+
+
+def _lattice_cross_checks(config: ExperimentConfig, t_eval, runs) -> list:
+    tol = config.tolerances
+    sc, jq = runs["semiclassical"].observables, runs["jumps"].observables
+    band = tol.get("stderr_band", 3.0)
+    entries = []
+    for name in ("total_number", "imbalance"):
+        diff = np.abs(sc[name].values - jq[name].values)
+        allowed = band * jq[name].stderr
+        inside = diff[1:] <= allowed[1:]
+        worst = float(np.max(diff[1:] / np.maximum(allowed[1:], 1e-300)))
+        entries.append({"check": f"{name}_within_stderr_band", "worst_ratio": worst,
+                        "band": band, "passed": bool(np.all(inside))})
+        entries.append(_bounded(f"{name}_initial_truncation_match", diff[0],
+                                tol.get("initial_match", 2e-3)))
+    diffg = np.abs(sc["total_number_gauss"].values - jq["total_number"].values)
+    entries.append({
+        "check": "total_number_gaussian_corrected_info",
+        "worst_ratio": float(
+            np.max(diffg[1:] / np.maximum(band * jq["total_number"].stderr[1:], 1e-300))
+        ),
+        "max_abs": float(diffg.max()),
+        "passed": True,  # informational
+    })
+    return entries
 
 
 # -- cat state in the damped anharmonic oscillator ------------------------------
@@ -433,109 +419,77 @@ def _cat_defaults():
     }
 
 
-def _build_cat(config: ExperimentConfig):
+def _cat_doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
     init = config.initial
     if init.kind != "cat":
         raise ConfigError("cat experiment needs initial.kind == 'cat'")
-    width = np.array([[init.width]])
-    return cat_decompose(init.centres, init.coefficients, width, hbar=config.hbar)
-
-
-def run_cat(config: ExperimentConfig, outdir: Path) -> ComparisonReport:
-    model = config.model.build(config.hbar)
-    t_eval = config.times.grid()
-    frames = config.times.frame_indices()
-    spec = config.grid.spec() if config.grid else None
-    tol = config.tolerances
-    report = ComparisonReport()
-    dq = dp = None
-    series = None
-    q_means = p_means = None
-
-    if "doubled" in config.solvers:
-        t0 = time.perf_counter()
-        cat = _build_cat(config)
-        series = propagate_superposition(
-            model, cat, t_eval, rtol=config.ode_rtol, atol=config.ode_atol
-        )
-        for idx, track in enumerate(series.tracks):
-            _write(outdir / "doubled" / f"component_{idx}.csv", component_csv(track, t_eval))
-        mom = np.array([st.moments_xp() for st in series.states])
-        dq, dp = mom[:, 0], mom[:, 1]
-        cross = series.cross_magnitudes()
-        obs = {
-            "q_mean": ObservableSeries(t_eval, dq),
-            "p_mean": ObservableSeries(t_eval, dp),
+    cat = cat_decompose(init.centres, init.coefficients, np.array([[init.width]]), hbar=config.hbar)
+    series = propagate_superposition(model, cat, t_eval, rtol=config.ode_rtol,
+                                     atol=config.ode_atol)
+    mom = np.array([st.moments_xp() for st in series.states])
+    return SolverRun(
+        observables={
+            "q_mean": ObservableSeries(t_eval, mom[:, 0]),
+            "p_mean": ObservableSeries(t_eval, mom[:, 1]),
             "raw_norm": ObservableSeries(t_eval, series.raw_norms),
-            "cross_magnitude": ObservableSeries(t_eval, cross),
-        }
-        write_observables(obs, outdir / "doubled" / "observables.csv")
-        if spec is not None:
-            _wigner_frames(outdir / "doubled", t_eval, frames,
-                           lambda k: eval_wigner(series.states[k], spec))
-        report.runtime_s["doubled"] = time.perf_counter() - t0
-        slack = tol.get("cross_monotone_slack", 1e-9)
-        monotone = bool(np.all(np.diff(cross) <= slack * max(cross[0], 1e-300)))
-        report.add(check="cross_magnitude_monotone", passed=monotone)
-        for ev in series.events:
-            report.add(check="component_collapse", passed=True, **ev)
+            "cross_magnitude": ObservableSeries(t_eval, series.cross_magnitudes()),
+        },
+        files={f"component_{idx}.csv": component_csv(track, t_eval)
+               for idx, track in enumerate(series.tracks)},
+        frame=lambda k: eval_wigner(series.states[k], config.grid.spec()),
+        entries=[{"check": "doubled_solver", "nfev": series.nfev, "passed": True}]
+        + [dict(check="component_collapse", passed=True, **ev) for ev in series.events],
+        result=series,
+    )
 
-    mtraj = None
-    if "master" in config.solvers:
-        t0 = time.perf_counter()
-        init = config.initial
-        if abs(init.width - 1j) > 1e-12:
-            raise ConfigError("the quantum reference supports unit packet width only")
-        fock = FockSpace([config.fock_levels])
-        vec = sum(
-            complex(c) * fock.packet_vector(q0, p0)
-            for c, (q0, p0) in zip(init.coefficients, init.centres)
-        )
-        rho0 = DensityMatrix.from_state(vec, fock)
-        mtraj = integrate_master(rho0, model, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
-        report.add(check="master_solver", nfev=mtraj.nfev, nnz=mtraj.nnz, passed=True)
-        qop = (fock.lowering(0) + fock.raising(0)) / np.sqrt(2)
-        pop = 1j * (fock.raising(0) - fock.lowering(0)) / np.sqrt(2)
-        q_means = np.array([np.real(np.trace(r @ qop)) for r in mtraj.rhos])
-        p_means = np.array([np.real(np.trace(r @ pop)) for r in mtraj.rhos])
-        write_observables(
-            {
-                "q_mean": ObservableSeries(t_eval, q_means),
-                "p_mean": ObservableSeries(t_eval, p_means),
-            },
-            outdir / "master" / "observables.csv",
-        )
-        if spec is not None:
-            _wigner_frames(outdir / "master", t_eval, frames,
-                           lambda k: wigner_of_density(mtraj.density(k), spec))
-        report.runtime_s["master"] = time.perf_counter() - t0
 
-    if dq is not None and q_means is not None:
-        t_short = tol.get("t_short", 1.0)
-        mask = t_eval <= t_short + 1e-12
-        for name, sc_vals, q_vals in (("q_mean", dq, q_means), ("p_mean", dp, p_means)):
-            num = np.sqrt(np.mean((sc_vals[mask] - q_vals[mask]) ** 2))
-            den = np.sqrt(np.mean(q_vals[mask] ** 2))
-            rel = float(num / den)
-            report.add(
-                check=f"{name}_rms_relative_error",
-                value=rel,
-                tolerance=tol["moment_rms_rel"],
-                passed=bool(rel <= tol["moment_rms_rel"]),
-            )
-    if "wigner_sup" in tol and series is not None and mtraj is not None and spec is not None:
-        k = frames[-1] if frames else len(t_eval) - 1
-        grid_sc = eval_wigner(series.states[k], spec)
-        grid_q = wigner_of_density(mtraj.density(k), spec)
-        sup = grid_sc.sup_diff(grid_q)
-        report.add(
-            check="wigner_sup_error",
-            at_time=float(t_eval[k]),
-            value=float(sup),
-            tolerance=tol["wigner_sup"],
-            passed=bool(sup <= tol["wigner_sup"]),
-        )
-    return report
+def _cat_master(config: ExperimentConfig, model, t_eval) -> SolverRun:
+    init = config.initial
+    if abs(init.width - 1j) > 1e-12:
+        raise ConfigError("the quantum reference supports unit packet width only")
+    fock = FockSpace([config.fock_levels])
+    vec = sum(complex(c) * fock.packet_vector(q0, p0)
+              for c, (q0, p0) in zip(init.coefficients, init.centres))
+    run = _master_run(config, model, t_eval, DensityMatrix.from_state(vec, fock))
+    qop = (fock.lowering(0) + fock.raising(0)) / np.sqrt(2)
+    pop = 1j * (fock.raising(0) - fock.lowering(0)) / np.sqrt(2)
+    rhos = run.result.rhos
+    run.observables = {
+        name: ObservableSeries(t_eval, np.array([np.real(np.trace(r @ op)) for r in rhos]))
+        for name, op in (("q_mean", qop), ("p_mean", pop))
+    }
+    return run
+
+
+def _cat_doubled_checks(config: ExperimentConfig, t_eval, runs) -> list:
+    cross = runs["doubled"].observables["cross_magnitude"].values
+    slack = config.tolerances.get("cross_monotone_slack", 1e-9)
+    monotone = bool(np.all(np.diff(cross) <= slack * max(cross[0], 1e-300)))
+    return [{"check": "cross_magnitude_monotone", "passed": monotone}]
+
+
+def _cat_moment_checks(config: ExperimentConfig, t_eval, runs) -> list:
+    tol = config.tolerances
+    mask = t_eval <= tol.get("t_short", 1.0) + 1e-12
+    entries = []
+    for name in ("q_mean", "p_mean"):
+        sc_vals = runs["doubled"].observables[name].values
+        q_vals = runs["master"].observables[name].values
+        num = np.sqrt(np.mean((sc_vals[mask] - q_vals[mask]) ** 2))
+        den = np.sqrt(np.mean(q_vals[mask] ** 2))
+        entries.append(_bounded(f"{name}_rms_relative_error", float(num / den),
+                                tol["moment_rms_rel"]))
+    return entries
+
+
+def _cat_wigner_check(config: ExperimentConfig, t_eval, runs) -> list:
+    if "wigner_sup" not in config.tolerances or config.grid is None:
+        return []
+    frames = config.times.frame_indices()
+    k = frames[-1] if frames else len(t_eval) - 1
+    sup = runs["doubled"].frame(k).sup_diff(runs["master"].frame(k))
+    return [_bounded("wigner_sup_error", sup, config.tolerances["wigner_sup"],
+                     at_time=float(t_eval[k]))]
 
 
 # -- portraits -------------------------------------------------------------------
@@ -630,38 +584,46 @@ def run_portrait(config: ExperimentConfig, root=None):
 EXPERIMENTS = {
     "limit_cycle": ExperimentDef(
         "limit_cycle",
-        "experiment",
         "oscillator with linear/nonlinear damping and amplification: Wigner "
         "snapshots and covariance growth, semiclassical vs master equation",
         _limit_cycle_defaults,
-        run_limit_cycle,
+        solvers={"semiclassical": _limit_cycle_semiclassical, "master": _limit_cycle_master},
+        checks=(
+            (("semiclassical",), _limit_cycle_flow_checks),
+            (("semiclassical", "master"), _limit_cycle_cross_checks),
+        ),
     ),
     "bose_hubbard_losses": ExperimentDef(
         "bose_hubbard_losses",
-        "experiment",
         "two-mode lattice with two-body losses: populations, imbalance and "
         "phase coherence, mean-field Gaussian vs quantum-jump ensemble",
         _bose_hubbard_defaults,
-        run_bose_hubbard,
+        solvers={"semiclassical": _lattice_semiclassical, "jumps": _lattice_jumps},
+        checks=(
+            (("jumps",), _lattice_jump_checks),
+            (("semiclassical", "jumps"), _lattice_cross_checks),
+        ),
     ),
     "cat_anharmonic": ExperimentDef(
         "cat_anharmonic",
-        "experiment",
         "cat state in a damped (an)harmonic oscillator: superposition "
         "propagation with interference terms vs master equation",
         _cat_defaults,
-        run_cat,
+        solvers={"doubled": _cat_doubled, "master": _cat_master},
+        checks=(
+            (("doubled",), _cat_doubled_checks),
+            (("doubled", "master"), _cat_moment_checks),
+            (("doubled", "master"), _cat_wigner_check),
+        ),
     ),
     "portrait_nonlinear_loss": ExperimentDef(
         "portrait_nonlinear_loss",
-        "portrait",
         "phase portrait of the flow generated by a quadratic non-gradient "
         "Lindblad symbol (straight-line trajectories)",
         _portrait_nonlinear_defaults,
     ),
     "portrait_limit_cycle": ExperimentDef(
         "portrait_limit_cycle",
-        "portrait",
         "phase portrait of the oscillator with damping and amplification "
         "(stable ring attractor)",
         _portrait_limit_cycle_defaults,
@@ -683,16 +645,44 @@ def _resolve_root(config: ExperimentConfig, root=None) -> Path:
 
 
 def run_experiment(config: ExperimentConfig, root=None):
-    """Run a registered experiment; returns (report, output directory)."""
+    """Run a registered experiment; returns (report, output directory).
+
+    The requested solvers run in table order, each timed from its call to
+    its last written file; then every check whose solvers all ran.
+    """
     if config.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
     exp = EXPERIMENTS[config.experiment]
     if exp.kind != "experiment":
         raise ConfigError(f"{config.experiment!r} is a portrait; use the portrait command")
+    unknown = [name for name in config.solvers if name not in exp.solvers]
+    if unknown:
+        raise ConfigError(f"unknown solver(s) {unknown} for {config.experiment!r}; "
+                          f"known: {list(exp.solvers)}")
     outdir = _resolve_root(config, root) / config.experiment
-    t0 = time.perf_counter()
-    report = exp.runner(config, outdir)
-    report.runtime_s["total"] = time.perf_counter() - t0
+    start = time.perf_counter()
+    model = config.model.build(config.hbar)
+    t_eval = config.times.grid()
+    frames = config.times.frame_indices()
+    report = ComparisonReport()
+    runs = {}
+    for name, solve in exp.solvers.items():
+        if name not in config.solvers:
+            continue
+        t0 = time.perf_counter()
+        run = solve(config, model, t_eval)
+        for fname, text in run.files.items():
+            _write(outdir / name / fname, text)
+        write_observables(run.observables, outdir / name / "observables.csv")
+        if config.grid is not None and run.frame is not None:
+            _wigner_frames(outdir / name, t_eval, frames, run.frame)
+        report.runtime_s[name] = time.perf_counter() - t0
+        report.entries.extend(run.entries)
+        runs[name] = run
+    for needs, check in exp.checks:
+        if all(name in runs for name in needs):
+            report.entries.extend(check(config, t_eval, runs))
+    report.runtime_s["total"] = time.perf_counter() - start
     _write(outdir / "report.json", report.to_json() + "\n")
     _write(outdir / "config.json", json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
     return report, outdir

@@ -34,7 +34,6 @@ __all__ = [
     "quantize",
     "symbol_to_normal_ordered",
     "weyl_quantize",
-    "lindblad_rhs",
     "integrate_master",
     "moments_of_density",
     "wigner_of_density",
@@ -227,7 +226,9 @@ class DensityMatrix:
 
 
 def _liouvillian(h, ls, hbar: float = 1.0) -> sp.csr_array:
-    """CSR superoperator of `lindblad_rhs` acting on the row-major vec(rho).
+    """CSR superoperator of the Lindblad equation acting on the row-major vec(rho),
+
+        drho/dt = (1/i hbar)[H, rho] + sum_k L rho Ldag - (LdagL rho + rho LdagL)/2.
 
     A rho B maps to kron(A, B^T), so the generator is
     -i/hbar (H x I - I x H^T) + sum_k [L x conj(L) - (LdagL x I + I x (LdagL)^T)/2].
@@ -240,14 +241,6 @@ def _liouvillian(h, ls, hbar: float = 1.0) -> sp.csr_array:
         ldl = L.conj().T @ L
         liou = liou + sp.kron(L, L.conj()) - 0.5 * (sp.kron(ldl, eye) + sp.kron(eye, ldl.T))
     return liou.tocsr()
-
-
-def lindblad_rhs(rho, h: np.ndarray, lindblads, hbar: float = 1.0) -> np.ndarray:
-    """(1/i hbar)[H, rho] + sum_k L rho Ldag - (LdagL rho + rho LdagL)/2."""
-    if isinstance(rho, DensityMatrix):
-        rho = rho.rho
-    rho = np.asarray(rho)
-    return (_liouvillian(h, lindblads, hbar) @ rho.ravel()).reshape(rho.shape)
 
 
 @dataclass

@@ -88,6 +88,14 @@ class LindbladModel:
         """Gaussian fields on the REAL_QP chart, compiled on first use."""
         return _CompiledRhs(self.to_chart(Chart.REAL_QP))
 
+    @functools.cached_property
+    def _doubled(self):
+        """Doubled generator symbol, built on first use by `semilind.doubled.build_k`
+        (imported here because `semilind.doubled` imports this module)."""
+        from . import doubled
+
+        return doubled.build_k(self)
+
 
 @dataclass(frozen=True)
 class SemiclassicalState:
@@ -331,6 +339,7 @@ class Trajectory:
     states: list
     min_physicality: np.ndarray
     events: list = field(default_factory=list)
+    nfev: int = 0  # RK45 right-hand-side calls
 
     def observable(self, fn) -> np.ndarray:
         return np.array([fn(s) for s in self.states])
@@ -425,7 +434,8 @@ def integrate(
         phys.append(rep.min_eig)
         states.append(SemiclassicalState(t=float(t), x=x, g=g))
     return Trajectory(
-        times=sol.t.copy(), states=states, min_physicality=np.array(phys), events=events
+        times=sol.t.copy(), states=states, min_physicality=np.array(phys), events=events,
+        nfev=int(sol.nfev),
     )
 
 

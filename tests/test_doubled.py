@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import semilind.doubled as doubled
 from semilind.doubled import (
     ChordGaussian,
     DoubledSymbol,
@@ -333,6 +334,33 @@ class TestChord:
         comp = random_component(np.random.default_rng(1))
         with pytest.raises(ValueError):
             chord_rhs(model, chord_from_component(comp))
+
+    def test_generator_built_once_per_model(self, monkeypatch):
+        built, evaluators = [], []
+        original_k, original_kev = doubled.build_k, doubled._KEvaluator
+
+        def counting_k(model):
+            built.append(model)
+            return original_k(model)
+
+        def counting_kev(ksym):
+            evaluators.append(ksym)
+            return original_kev(ksym)
+
+        monkeypatch.setattr(doubled, "build_k", counting_k)
+        monkeypatch.setattr(doubled, "_KEvaluator", counting_kev)
+        rng = np.random.default_rng(41)
+        model = random_quadratic_linear(rng, n=1, n_lind=2)
+        comp = random_component(rng, n=1)
+        for _ in range(20):
+            chord_rhs(model, chord_from_component(comp))
+        propagate_superposition(model, cat_decompose([(1.0, 0.5)], [1.0], np.array([[1j]])),
+                                [0.0, 0.01])
+        assert len(built) == 1 and len(evaluators) == 1
+        ksym = build_k(model)
+        for _ in range(20):
+            rhs_component(ksym, comp)
+        assert len(evaluators) == 2
 
     def test_mmat_positivity_enforced(self):
         with pytest.raises(ValueError):

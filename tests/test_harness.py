@@ -41,6 +41,36 @@ def tiny_cat_config(tmp_path, **times):
     return ExperimentConfig.from_dict(d)
 
 
+def tiny_config(name, tmp_path, solvers=None):
+    """A registered experiment cut to a run of about a second."""
+    if name == "cat_anharmonic":
+        d = tiny_cat_config(tmp_path).to_dict()
+    else:
+        d = default_config(name)
+        d["times"] = {"t_end": 0.5, "n_out": 5, "frames": []}
+        d.pop("grid", None)
+        d["output_dir"] = str(tmp_path)
+        if name == "bose_hubbard_losses":
+            d.update(n_trajectories=20, fock_levels=10)
+    if solvers is not None:
+        d["solvers"] = solvers
+    return ExperimentConfig.from_dict(d)
+
+
+def recording(monkeypatch, name):
+    """Replace ``name`` in the experiments module by a wrapper that keeps each result."""
+    import semilind.harness.experiments as experiments
+
+    real, results = getattr(experiments, name), []
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, name, recorded)
+    return results
+
+
 class TestConfig:
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_defaults_round_trip(self, name):
@@ -202,6 +232,25 @@ class TestRunners:
         assert others
         assert doc["passed"] == report.passed == all(others)
 
+    @pytest.mark.parametrize("name, traced, check", [
+        ("limit_cycle", "integrate", "semiclassical_solver"),
+        ("cat_anharmonic", "propagate_superposition", "doubled_solver"),
+    ])
+    def test_gaussian_solver_stats_reach_report(self, name, traced, check, tmp_path, monkeypatch):
+        results = recording(monkeypatch, traced)
+        _, outdir = run_experiment(tiny_config(name, tmp_path))
+        doc = json.loads((Path(outdir) / "report.json").read_text())
+        (result,) = results
+        assert [e for e in doc["entries"] if e["check"] == check] == [
+            {"check": check, "nfev": result.nfev, "passed": True}]
+        assert result.nfev > 0
+
+    def test_unknown_solver_rejected(self, tmp_path):
+        cfg = tiny_config("cat_anharmonic", tmp_path, solvers=["dubled", "mastr"])
+        with pytest.raises(ConfigError, match=r"'dubled'.*'mastr'.*'doubled', 'master'"):
+            run_experiment(cfg)
+        assert not (tmp_path / "cat_anharmonic").exists()
+
     def test_unknown_experiment_rejected(self):
         d = default_config("cat_anharmonic")
         d["experiment"] = "not_a_thing"
@@ -269,6 +318,44 @@ class TestLatticeG12:
         assert ens.jump_counts.sum() > 0 and 0 < ens.max_leakage < 1  # 10 levels leak heavily
 
 
+# The library function each solver row calls, by its name in the experiments
+# module: the name perfbench/tracing.py wraps.
+SOLVER_CALLS = {
+    ("limit_cycle", "semiclassical"): "integrate",
+    ("limit_cycle", "master"): "integrate_master",
+    ("bose_hubbard_losses", "semiclassical"): "integrate",
+    ("bose_hubbard_losses", "jumps"): "quantum_jump",
+    ("cat_anharmonic", "doubled"): "propagate_superposition",
+    ("cat_anharmonic", "master"): "integrate_master",
+}
+
+
+class TestSolverTable:
+    def test_every_solver_row_is_listed(self):
+        rows = {(name, s) for name, exp in EXPERIMENTS.items() for s in exp.solvers}
+        assert rows == set(SOLVER_CALLS)
+
+    @pytest.mark.parametrize("name, solver", sorted(SOLVER_CALLS))
+    def test_row_calls_the_library_at_run_time(self, name, solver, tmp_path, monkeypatch):
+        results = recording(monkeypatch, SOLVER_CALLS[name, solver])
+        report, _ = run_experiment(tiny_config(name, tmp_path, solvers=[solver]))
+        assert len(results) == 1
+        assert set(report.runtime_s) == {solver, "total"}
+
+    @pytest.mark.parametrize("name, solver, checks", [
+        ("cat_anharmonic", "doubled", {"doubled_solver", "cross_magnitude_monotone"}),
+        ("bose_hubbard_losses", "jumps",
+         {"jump_solver", "total_number_monotone_decay", "g12_decay"}),
+        ("limit_cycle", "semiclassical", {"semiclassical_solver", "physicality_min_eig"}),
+    ])
+    def test_subset_runs_its_solver_and_single_solver_checks(self, name, solver, checks,
+                                                             tmp_path):
+        report, outdir = run_experiment(tiny_config(name, tmp_path, solvers=[solver]))
+        written = {p.name for p in Path(outdir).iterdir() if p.is_dir()}
+        assert written == {solver}
+        assert {e["check"] for e in report.entries} == checks
+
+
 class TestPortrait:
     def test_nonlinear_loss_field_and_lines(self, tmp_path):
         d = default_config("portrait_nonlinear_loss")
@@ -327,6 +414,12 @@ class TestCli:
         path = tmp_path / "cfg.json"
         dump_config(cfg, path)
         assert cli_main(["run", str(path)]) == 0
+
+    def test_run_unknown_solver_is_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        dump_config(tiny_config("cat_anharmonic", tmp_path, solvers=["dubled", "mastr"]), path)
+        assert cli_main(["run", str(path)]) == 1
+        assert "dubled" in capsys.readouterr().err
 
     def test_run_missing_file_is_error(self, capsys):
         assert cli_main(["run", "/nonexistent/cfg.json"]) == 1
