@@ -198,10 +198,8 @@ def _limit_cycle_master(config: ExperimentConfig, model, t_eval) -> SolverRun:
     fock = FockSpace([config.fock_levels] * model.n_modes)
     psi0 = fock.coherent_vector(np.array(config.initial.amplitudes))
     run = _master_run(config, model, t_eval, DensityMatrix.from_state(psi0, fock))
-    dms = [run.result.density(k) for k in range(len(run.result.rhos))]
-    amat = fock.lowering(0)
-    run.observables = _ring_observables(t_eval, [dm.expectation(amat) for dm in dms],
-                                        [moments_of_density(dm) for dm in dms])
+    moms = [moments_of_density(run.result.density(k)) for k in range(len(t_eval))]
+    run.observables = _ring_observables(t_eval, [m.modes[0] for m in moms], moms)
     return run
 
 
@@ -451,13 +449,9 @@ def _cat_master(config: ExperimentConfig, model, t_eval) -> SolverRun:
     vec = sum(complex(c) * fock.packet_vector(q0, p0)
               for c, (q0, p0) in zip(init.coefficients, init.centres))
     run = _master_run(config, model, t_eval, DensityMatrix.from_state(vec, fock))
-    qop = (fock.lowering(0) + fock.raising(0)) / np.sqrt(2)
-    pop = 1j * (fock.raising(0) - fock.lowering(0)) / np.sqrt(2)
-    rhos = run.result.rhos
-    run.observables = {
-        name: ObservableSeries(t_eval, np.array([np.real(np.trace(r @ op)) for r in rhos]))
-        for name, op in (("q_mean", qop), ("p_mean", pop))
-    }
+    means = np.array([moments_of_density(run.result.density(k)).x for k in range(len(t_eval))])
+    run.observables = {"q_mean": ObservableSeries(t_eval, means[:, 0]),
+                       "p_mean": ObservableSeries(t_eval, means[:, 1])}
     return run
 
 
@@ -550,13 +544,10 @@ def run_portrait(config: ExperimentConfig, root=None):
     outdir = _resolve_root(config, root) / config.experiment
     qs = np.linspace(port.q_min, port.q_max, port.n_q)
     ps = np.linspace(port.p_min, port.p_max, port.n_p)
+    points = np.stack(np.meshgrid(qs, ps, indexing="ij"), axis=-1).reshape(-1, 2)
     lines = ["q,p,dq,dp,speed"]
-    for q in qs:
-        for p in ps:
-            v = drift_x(model, [q, p])
-            lines.append(
-                ",".join(repr(float(x)) for x in (q, p, v[0], v[1], float(np.hypot(*v))))
-            )
+    for (q, p), v in zip(points, drift_x(model, points)):
+        lines.append(",".join(repr(float(x)) for x in (q, p, v[0], v[1], float(np.hypot(*v)))))
     _write(outdir / "field.csv", "\n".join(lines) + "\n")
 
     from scipy.integrate import solve_ivp
@@ -659,6 +650,9 @@ def run_experiment(config: ExperimentConfig, root=None):
     if unknown:
         raise ConfigError(f"unknown solver(s) {unknown} for {config.experiment!r}; "
                           f"known: {list(exp.solvers)}")
+    if not config.solvers:
+        raise ConfigError(f"{config.experiment!r} config runs no solver; "
+                          f"list some of {list(exp.solvers)} under 'solvers'")
     outdir = _resolve_root(config, root) / config.experiment
     start = time.perf_counter()
     model = config.model.build(config.hbar)

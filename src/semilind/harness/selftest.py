@@ -22,29 +22,31 @@ __all__ = ["run_selftest"]
 
 
 def _brute_moyal(f, g, hbar):
+    """Independent star-product oracle: the raw bidifferential series, one
+    derivative pair at a time.  Each row of Omega has one nonzero entry, so
+    each index tuple pairs only with the tuple of those entries' columns."""
     dim = f.dim
     omega = symplectic_form(dim // 2)
+    partner = [int(np.flatnonzero(row)[0]) for row in omega]
     total = PolySymbol.zero(f.chart, f.n_modes)
     for m in range(f.total_degree() + g.total_degree() + 1):
         term = PolySymbol.zero(f.chart, f.n_modes)
         for idx in product(range(dim), repeat=m):
-            for jdx in product(range(dim), repeat=m):
-                w = 1.0
-                for i, j in zip(idx, jdx):
-                    w *= omega[i, j]
-                if w == 0:
-                    continue
-                df = f
-                for i in idx:
-                    df = df.deriv(i)
-                if df.is_zero():
-                    continue
-                dg = g
-                for j in jdx:
-                    dg = dg.deriv(j)
-                if dg.is_zero():
-                    continue
-                term = term + df * dg * w
+            jdx = [partner[i] for i in idx]
+            w = 1.0
+            for i, j in zip(idx, jdx):
+                w *= omega[i, j]
+            df = f
+            for i in idx:
+                df = df.deriv(i)
+            if df.is_zero():
+                continue
+            dg = g
+            for j in jdx:
+                dg = dg.deriv(j)
+            if dg.is_zero():
+                continue
+            term = term + df * dg * w
         total = total + term * ((0.5j * hbar) ** m / math.factorial(m))
     return total
 

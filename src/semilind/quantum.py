@@ -1,19 +1,23 @@
-"""Truncated Fock-basis reference solvers.
+"""Truncated Fock-basis reference solvers, at hbar = 1.
 
-Everything here works at hbar = 1, where the mode operators satisfy
-[a, adag] = 1 and the quadratures are q = (a + adag)/sqrt(2),
-p = i(adag - a)/sqrt(2).  Operators are assembled from sparse (CSR) mode
-ladders and handed out as dense arrays; the master equation integrates one
-CSR Lindblad superoperator with RK45.  The quantum-jump ensemble propagates
-each connected block of the effective Hamiltonian (each number sector of
-the lossy lattice) with its own eigendecomposition, and applies jump
-operators and observables as CSR matrices.
+The mode operators satisfy [a, adag] = 1 and the quadratures are
+q = (a + adag)/sqrt(2), p = i(adag - a)/sqrt(2).  Operators stay sparse
+from symbol to observable: `symbol_to_normal_ordered` orders each Weyl monomial
+in closed form, `quantize` assembles the terms from sparse mode ladders, and
+`_model_matrices`, the one place that rejects hbar != 1, hands a model's H
+and L_k to the master equation (one CSR Lindblad superoperator, RK45) and to
+the quantum-jump ensemble (one eigendecomposition per connected block of the
+effective Hamiltonian, such as a number sector of the lossy lattice).
+Moments read sparse quadratures that each `FockSpace` builds once.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +28,7 @@ from scipy.special import gammaln
 
 from .gaussian import GridSpec, Moments, WignerGrid, moments_from_covariance
 from .semiclassical import LindbladModel
-from .symbols import Chart, PolySymbol, chart_transform, weyl_of_normal_ordered
+from .symbols import Chart, PolySymbol, chart_transform
 
 __all__ = [
     "FockSpace",
@@ -73,9 +77,6 @@ class FockSpace:
         a = self._lowering[mode]
         return (a.conj().T @ a).toarray()
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
-
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
         v[0] = 1.0
@@ -110,6 +111,17 @@ class FockSpace:
         alpha = (q0 + 1j * p0) / np.sqrt(2)
         return np.exp(-0.5j * q0 * p0) * self.coherent_vector([alpha])
 
+    @cached_property
+    def _quadratures(self):
+        """Sparse quadratures x = (q_1..q_n, p_1..p_n), and their symmetrized
+        products x_i x_j + x_j x_i keyed by (i, j) with i <= j.  They are
+        kept as COO, the form `DensityMatrix.expectation` reads."""
+        xs = [(a + a.conj().T) / np.sqrt(2) for a in self._lowering]
+        xs += [1j * (a.conj().T - a) / np.sqrt(2) for a in self._lowering]
+        pairs = {(i, j): (xs[i] @ xs[j] + xs[j] @ xs[i]).tocoo()
+                 for i in range(len(xs)) for j in range(i, len(xs))}
+        return [x.tocoo() for x in xs], pairs
+
     def leakage(self, vec_or_rho: np.ndarray) -> float:
         """Total population of the highest level of any mode."""
         occ = self._top_mask
@@ -121,8 +133,8 @@ class FockSpace:
 # -- operator assembly --------------------------------------------------------
 
 
-def quantize(terms, fock: FockSpace) -> np.ndarray:
-    """Matrix of a normal-ordered expression.
+def quantize(terms, fock: FockSpace) -> sp.csr_array:
+    """CSR matrix of a normal-ordered expression.
 
     `terms` is an iterable of (coeff, powers) with powers a length-n tuple
     of per-mode (dag_power, low_power); each term contributes
@@ -138,53 +150,46 @@ def quantize(terms, fock: FockSpace) -> np.ndarray:
             mat = mat @ _sparse_matrix_power(a.conj().T, m)
             mat = mat @ _sparse_matrix_power(a, k)
         out = out + complex(coeff) * mat
-    return out.toarray()
+    return out
 
 
-def symbol_to_normal_ordered(sym: PolySymbol, hbar: float = 1.0):
-    """Expand a Weyl symbol over the symbols of normal-ordered monomials.
+def symbol_to_normal_ordered(sym: PolySymbol):
+    """Normal-ordered terms of the Weyl quantization (hbar = 1) of a symbol.
 
-    Peels the highest-degree monomial abar^m a^k, emits the operator term
-    (adag)^m a^k, subtracts that operator's exact Weyl symbol and repeats;
-    the remainder loses total degree every step, so this terminates.
+    The Weyl monomial abar^m a^k of one mode quantizes to the symmetrized
+    product of m raising and k lowering operators, whose normal-ordered form
+    is (Cahill & Glauber, Phys. Rev. 177, 1857 (1969))
+
+        sum_{i <= min(m, k)} i! C(m, i) C(k, i) (1/2)^i adag^(m-i) a^(k-i).
+
+    Operators of different modes commute, so a monomial of several modes
+    expands to the product of its modes' sums.  Returns (coeff, powers)
+    pairs, powers being per-mode (dag_power, low_power); equal powers are
+    merged and exact zeros dropped.
     """
     work = chart_transform(sym, Chart.COMPLEX_AABAR) if sym.chart is Chart.REAL_QP else sym
     if work.chart is not Chart.COMPLEX_AABAR:
         raise ValueError("expected a REAL_QP or COMPLEX_AABAR symbol")
     n = work.n_modes
-    cache: dict[tuple[int, int, int], PolySymbol] = {}
-
-    def ordered_symbol(powers) -> PolySymbol:
-        total = PolySymbol.constant(Chart.COMPLEX_AABAR, n, 1.0)
-        for j, (m, k) in enumerate(powers):
-            if m == 0 and k == 0:
-                continue
-            key = (j, m, k)
-            if key not in cache:
-                cache[key] = weyl_of_normal_ordered(n, j, m, k, hbar)
-            total = total * cache[key]
-        return total
-
-    terms = []
-    guard = 0
-    eps = 1e-14 * max(1.0, work.max_abs_coeff())
-    while not work.is_zero():
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("normal-ordered expansion did not terminate")
-        key = max(work.terms, key=lambda k: (sum(k), k))
-        coeff = work.terms[key]
-        powers = tuple((key[n + j], key[j]) for j in range(n))  # (dag, low) per mode
-        terms.append((coeff, powers))
-        work = (work - ordered_symbol(powers) * coeff).prune(eps)
-    return terms
+    merged: dict[tuple, complex] = {}
+    for key, coeff in work.terms.items():
+        # per mode, the (weight, (dag_power, low_power)) terms of its sum
+        per_mode = []
+        for j in range(n):
+            m, k = key[n + j], key[j]
+            per_mode.append([(math.factorial(i) * math.comb(m, i) * math.comb(k, i) * 0.5**i,
+                              (m - i, k - i)) for i in range(min(m, k) + 1)])
+        for choice in product(*per_mode):
+            powers = tuple(pw for _, pw in choice)
+            weight = math.prod(w for w, _ in choice)
+            merged[powers] = merged.get(powers, 0j) + coeff * weight
+    return [(c, powers) for powers, c in merged.items() if c != 0]
 
 
-def weyl_quantize(sym: PolySymbol, fock: FockSpace, hbar: float = 1.0) -> np.ndarray:
-    """Exact Weyl quantization of a polynomial symbol in the truncated basis."""
-    if hbar != 1.0:
-        raise ValueError("Fock-basis solvers are defined at hbar = 1")
-    return quantize(symbol_to_normal_ordered(sym, hbar), fock)
+def weyl_quantize(sym: PolySymbol, fock: FockSpace) -> sp.csr_array:
+    """Exact Weyl quantization (hbar = 1) of a polynomial symbol, as a CSR
+    matrix in the truncated basis."""
+    return quantize(symbol_to_normal_ordered(sym), fock)
 
 
 # -- density matrices ---------------------------------------------------------
@@ -218,8 +223,10 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.real(np.trace(self.rho @ self.rho)))
 
-    def expectation(self, op: np.ndarray) -> complex:
-        return complex(np.trace(self.rho @ op))
+    def expectation(self, op) -> complex:
+        """Tr(rho op), summed over the stored entries of a sparse or dense op."""
+        op = op.tocoo() if sp.issparse(op) else sp.coo_array(op)
+        return complex(self.rho[op.col, op.row] @ op.data)
 
     def min_eig(self) -> float:
         return float(np.linalg.eigvalsh(self.rho).min())
@@ -233,11 +240,9 @@ def _liouvillian(h, ls, hbar: float = 1.0) -> sp.csr_array:
     A rho B maps to kron(A, B^T), so the generator is
     -i/hbar (H x I - I x H^T) + sum_k [L x conj(L) - (LdagL x I + I x (LdagL)^T)/2].
     """
-    h = sp.csr_array(h, dtype=complex)
     eye = sp.identity(h.shape[0], dtype=complex, format="csr")
     liou = (sp.kron(h, eye) - sp.kron(eye, h.T)) * (-1j / hbar)
     for L in ls:
-        L = sp.csr_array(L, dtype=complex)
         ldl = L.conj().T @ L
         liou = liou + sp.kron(L, L.conj()) - 0.5 * (sp.kron(ldl, eye) + sp.kron(eye, ldl.T))
     return liou.tocsr()
@@ -257,6 +262,9 @@ class MasterTrajectory:
 
 
 def _model_matrices(model: LindbladModel, fock: FockSpace):
+    """CSR H and L_k of a model; every Fock solver gets them here."""
+    if model.hbar != 1.0:
+        raise ValueError("Fock-basis solvers are defined at hbar = 1")
     # Quantized from the model's own chart: a round trip through the other
     # chart leaves rounding noise on monomials the model does not have.
     h = weyl_quantize(model.hamiltonian, fock)
@@ -277,8 +285,6 @@ def integrate_master(
     only if it drifts beyond 1e-10 (logged).  Population of the highest
     Fock level is the truncation-leakage monitor.
     """
-    if model.hbar != 1.0:
-        raise ValueError("Fock-basis solvers are defined at hbar = 1")
     fock = rho0.fock
     dim = fock.dim
     init_leak = fock.leakage(rho0.rho)
@@ -325,27 +331,13 @@ def integrate_master(
 # -- moments ------------------------------------------------------------------
 
 
-def _quadrature_ops(fock: FockSpace):
-    ops = []
-    for j in range(fock.n_modes):
-        a, ad = fock.lowering(j), fock.raising(j)
-        ops.append((a + ad) / np.sqrt(2))
-    for j in range(fock.n_modes):
-        a, ad = fock.lowering(j), fock.raising(j)
-        ops.append(1j * (ad - a) / np.sqrt(2))
-    return ops
-
-
 def _quadrature_moments(rho: DensityMatrix):
     """First moments and symmetrized covariance of the quadratures."""
-    xops = _quadrature_ops(rho.fock)
+    xops, pairs = rho.fock._quadratures
     x = np.array([np.real(rho.expectation(op)) for op in xops])
-    dim = len(xops)
-    cov = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            sym = xops[i] @ xops[j] + xops[j] @ xops[i]
-            cov[i, j] = cov[j, i] = np.real(rho.expectation(sym)) - 2 * x[i] * x[j]
+    cov = np.zeros((x.size, x.size))
+    for (i, j), op in pairs.items():
+        cov[i, j] = cov[j, i] = np.real(rho.expectation(op)) - 2 * x[i] * x[j]
     return x, cov
 
 
@@ -539,34 +531,27 @@ def quantum_jump(
     (seed, trajectory) pairs share a stream, and ensembles are reproducible
     and independent of batching order.
 
-    The jump operators and the `adag_a` cross observables (and any
-    `extra_observables`) are converted to CSR once.  The no-jump evolution
-    uses the eigendecomposition of each connected block of the effective
+    The jump operators and the `adag_a` cross observables are CSR matrices;
+    `extra_observables` may be dense or sparse.  The no-jump evolution uses
+    the eigendecomposition of each connected block of the effective
     Hamiltonian; for the lossy lattice these are its number sectors.
     """
-    if model.hbar != 1.0:
-        raise ValueError("Fock-basis solvers are defined at hbar = 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
     t_eval = np.asarray(t_eval, dtype=float)
     h, ls = _model_matrices(model, fock)
-    ls = [sp.csr_array(L) for L in ls]
-    heff = sp.csr_array(h)
-    for L in ls:
-        heff = heff - 0.5j * (L.conj().T @ L)
-    prop = _SectorPropagator(heff)
+    prop = _SectorPropagator(h - 0.5j * sum(L.conj().T @ L for L in ls))
 
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
 
-    number_diags = [np.real(np.diag(fock.number(j))) for j in range(fock.n_modes)]
+    number_diags = [(a.conj().T @ a).diagonal().real for a in fock._lowering]
     cross_ops = {}
     for i in range(fock.n_modes):
         for j in range(i + 1, fock.n_modes):
             cross_ops[f"adag_a_{i+1}_{j+1}"] = fock._lowering[i].conj().T @ fock._lowering[j]
     if extra_observables:
         cross_ops.update(extra_observables)
-    cross_ops = {name: sp.csr_array(op) for name, op in cross_ops.items()}
 
     names = [f"occ_{j+1}" for j in range(fock.n_modes)]
     cross_names = sorted(cross_ops)

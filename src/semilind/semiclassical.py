@@ -136,7 +136,7 @@ def drift_field(model: LindbladModel) -> list[PolySymbol]:
 
 
 def drift_x(model: LindbladModel, x) -> np.ndarray:
-    """Centre drift evaluated at a phase-space point."""
+    """Centre drift at a phase-space point, or at each row of an (m, dim) array."""
     _require_chart(model, Chart.REAL_QP, "drift_x")
     return model._compiled.fields(x)[0]
 
@@ -367,12 +367,14 @@ class _CompiledRhs:
         self.iu, self.gather = _packing(dim)
 
     def fields(self, x):
-        """Drift, Lam and D + D^T at a real point."""
+        """Drift, Lam and D + D^T at a real point x of shape (dim,), or at
+        each row of x of shape (m, dim), with a leading axis m."""
         dim = self.dim
         vals = self.batch.real_at(x)
-        lam = vals[dim : dim + dim * dim].reshape(dim, dim)
-        d2 = vals[dim + dim * dim :].reshape(dim, dim)
-        return vals[:dim], lam, d2
+        shape = vals.shape[:-1] + (dim, dim)
+        lam = vals[..., dim : dim + dim * dim].reshape(shape)
+        d2 = vals[..., dim + dim * dim :].reshape(shape)
+        return vals[..., :dim], lam, d2
 
     def __call__(self, t, y):
         drift, lam, d2 = self.fields(y[: self.dim])

@@ -317,11 +317,18 @@ class PolyBatch:
 
         Monomials are real there, so Re(c m) = Re(c) m holds exactly; each
         monomial is a product of entries of a table of variable powers.
+        `point` is one point of shape (dim,), giving shape (n_symbols,), or
+        m points of shape (m, dim), giving shape (m, n_symbols); each row of
+        a batch gets the arithmetic of a single point.
         """
         pt = np.asarray(point, dtype=float)
-        table = pt[:, None] ** self._powers
-        monos = np.multiply.reduce(table.ravel()[self._table_index], axis=1)
-        return self._real_coeffs.dot(monos)
+        table = pt[..., None] ** self._powers
+        if pt.ndim == 1:  # the ODE right-hand sides' path, kept lean
+            monos = np.multiply.reduce(table.ravel()[self._table_index], axis=1)
+            return self._real_coeffs.dot(monos)
+        monos = np.multiply.reduce(table.reshape(len(pt), -1)[:, self._table_index], axis=2)
+        # a stack of matrix-vector products, one per point
+        return np.matmul(self._real_coeffs, monos[:, :, None])[:, :, 0]
 
 
 # -- bilinear operations ----------------------------------------------------

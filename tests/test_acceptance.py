@@ -4,9 +4,7 @@ Each test prints a single PASS/FAIL line (visible with ``pytest -s`` and in
 failure output).  Expensive artifacts are shared through session fixtures.
 """
 
-import math
 import time
-from itertools import product
 
 import numpy as np
 import pytest
@@ -27,13 +25,13 @@ from semilind.gaussian import (
 from semilind.harness import default_config, run_experiment
 from semilind.harness.compare import read_observables
 from semilind.harness.config import ExperimentConfig
+from semilind.harness.selftest import _brute_moyal
 from semilind.quantum import (
     DensityMatrix,
     FockSpace,
     _model_matrices,
     integrate_master,
     moments_of_density,
-    weyl_of_normal_ordered,
     width_matrix_of_density,
 )
 from semilind.semiclassical import (
@@ -42,7 +40,7 @@ from semilind.semiclassical import (
     drift_field,
     integrate,
 )
-from semilind.symbols import Chart, PolySymbol, moyal, symplectic_form
+from semilind.symbols import Chart, PolySymbol, moyal, weyl_of_normal_ordered
 
 _ALL_TRAJECTORIES = []  # min-physicality series collected for criterion 6
 
@@ -568,33 +566,6 @@ def test_c12_star_product_oracle(rng_factory):
     t0 = time.perf_counter()
     rng = rng_factory(1212)
 
-    def brute(f, g, hbar):
-        dim = f.dim
-        omega = symplectic_form(dim // 2)
-        total = PolySymbol.zero(f.chart, f.n_modes)
-        for m in range(f.total_degree() + g.total_degree() + 1):
-            term = PolySymbol.zero(f.chart, f.n_modes)
-            for idx in product(range(dim), repeat=m):
-                for jdx in product(range(dim), repeat=m):
-                    w = 1.0
-                    for i, j in zip(idx, jdx):
-                        w *= omega[i, j]
-                    if w == 0:
-                        continue
-                    df = f
-                    for i in idx:
-                        df = df.deriv(i)
-                    if df.is_zero():
-                        continue
-                    dg = g
-                    for j in jdx:
-                        dg = dg.deriv(j)
-                    if dg.is_zero():
-                        continue
-                    term = term + df * dg * w
-            total = total + term * ((0.5j * hbar) ** m / math.factorial(m))
-        return total
-
     def rand_poly(deg):
         terms = {}
         for _ in range(5):
@@ -610,7 +581,7 @@ def test_c12_star_product_oracle(rng_factory):
         f, g = rand_poly(3), rand_poly(2)
         hbar = float(rng.uniform(0.3, 1.5))
         got = moyal(f, g, hbar)
-        want = brute(f, g, hbar)
+        want = _brute_moyal(f, g, hbar)
         scale = max(got.max_abs_coeff(), want.max_abs_coeff(), 1.0)
         for key in set(got.terms) | set(want.terms):
             worst = max(

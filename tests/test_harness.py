@@ -24,6 +24,8 @@ from semilind.harness.experiments import (
     run_experiment,
     run_portrait,
 )
+from semilind.semiclassical import drift_x
+from semilind.symbols import Chart
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -251,6 +253,12 @@ class TestRunners:
             run_experiment(cfg)
         assert not (tmp_path / "cat_anharmonic").exists()
 
+    def test_no_solver_rejected(self, tmp_path):
+        cfg = tiny_config("cat_anharmonic", tmp_path, solvers=[])
+        with pytest.raises(ConfigError, match=r"runs no solver.*'doubled', 'master'"):
+            run_experiment(cfg)
+        assert not (tmp_path / "cat_anharmonic").exists()
+
     def test_unknown_experiment_rejected(self):
         d = default_config("cat_anharmonic")
         d["experiment"] = "not_a_thing"
@@ -386,6 +394,21 @@ class TestPortrait:
             ratios = [p / q for q, p in pts if abs(q) > 1e-6]
             assert np.max(np.abs(np.diff(ratios))) < 1e-6
 
+    def test_field_matches_pointwise_drift(self, tmp_path):
+        d = default_config("portrait_limit_cycle")
+        d["output_dir"] = str(tmp_path)
+        d["portrait"].update(n_q=7, n_p=6, t_end=0.5, n_out=3, starts=[[1.0, 0.5]])
+        cfg = ExperimentConfig.from_dict(d)
+        _, outdir = run_portrait(cfg)
+        model = cfg.model.build(cfg.hbar).to_chart(Chart.REAL_QP)
+        rows = (Path(outdir) / "field.csv").read_text().splitlines()[1:]
+        assert len(rows) == 7 * 6
+        for row in rows:
+            qv, pv, dq, dp, speed = (float(x) for x in row.split(","))
+            want = drift_x(model, [qv, pv])
+            assert np.allclose([dq, dp], want, rtol=1e-15, atol=0)
+            assert speed == pytest.approx(np.hypot(*want), rel=1e-15)
+
     def test_portrait_config_needed(self, tmp_path):
         d = default_config("cat_anharmonic")
         d["output_dir"] = str(tmp_path)
@@ -420,6 +443,13 @@ class TestCli:
         dump_config(tiny_config("cat_anharmonic", tmp_path, solvers=["dubled", "mastr"]), path)
         assert cli_main(["run", str(path)]) == 1
         assert "dubled" in capsys.readouterr().err
+
+    def test_run_no_solver_is_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        dump_config(tiny_config("cat_anharmonic", tmp_path, solvers=[]), path)
+        assert cli_main(["run", str(path)]) == 1
+        assert "runs no solver" in capsys.readouterr().err
+        assert not (tmp_path / "cat_anharmonic").exists()
 
     def test_run_missing_file_is_error(self, capsys):
         assert cli_main(["run", "/nonexistent/cfg.json"]) == 1

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import block_diag, expm
 from scipy.special import hermite
 
@@ -26,7 +27,13 @@ from semilind.quantum import (
     width_matrix_of_density,
     wigner_of_density,
 )
-from semilind.symbols import Chart, PolySymbol, parse_symbol
+from semilind.symbols import (
+    Chart,
+    PolySymbol,
+    chart_transform,
+    parse_symbol,
+    weyl_of_normal_ordered,
+)
 
 
 def mode_symbols(n=1):
@@ -116,7 +123,7 @@ class TestFockSpace:
 class TestQuantize:
     def test_number_operator_diagonal(self):
         f = FockSpace(6)
-        mat = quantize([(1.0, ((1, 1),))], f)
+        mat = quantize([(1.0, ((1, 1),))], f).toarray()
         assert np.allclose(mat, np.diag(np.arange(6)))
 
     def test_quadrature_vacuum_variance(self):
@@ -134,7 +141,7 @@ class TestQuantize:
             return (nsym * nsym - nsym * 2 + 0.5) * (U / 2)
         h = hop + onsite(a1, a1b) + onsite(a2, a2b)
         f = FockSpace([8, 8])
-        mat = weyl_quantize(h, f)
+        mat = weyl_quantize(h, f).toarray()
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
         # block sparsity: hopping only couples neighbours in total occupation
         ad_a = quantize([(1.0, ((1, 1), (0, 0)))], f) + quantize([(1.0, ((0, 0), (1, 1)))], f)
@@ -147,10 +154,10 @@ class TestQuantize:
         model = registered_model(name)
         dims = [default_config(name)["fock_levels"]] * model.n_modes
         h, ls = _model_matrices(model, FockSpace(dims))
-        assert np.array_equal(h, dense_quantize(model.hamiltonian, dims))
+        assert np.array_equal(h.toarray(), dense_quantize(model.hamiltonian, dims))
         assert len(ls) == len(model.lindblads)
         for L, sym in zip(ls, model.lindblads):
-            assert np.array_equal(L, dense_quantize(sym, dims))
+            assert np.array_equal(L.toarray(), dense_quantize(sym, dims))
 
     def test_registered_lattice_keeps_number_sectors_exactly(self):
         model = ExperimentConfig.from_dict(default_config("bose_hubbard_losses")).model.build(1.0)
@@ -158,22 +165,22 @@ class TestQuantize:
         h, ls = _model_matrices(model, f)
         n1, n2 = np.divmod(np.arange(f.dim), 8)
         total = n1 + n2
-        assert np.count_nonzero(h[total[:, None] != total[None, :]]) == 0
+        assert np.count_nonzero(h.toarray()[total[:, None] != total[None, :]]) == 0
         for L in ls:  # each two-body loss lowers the total number by exactly 2
-            assert np.count_nonzero(L[total[:, None] != total[None, :] - 2]) == 0
+            assert np.count_nonzero(L.toarray()[total[:, None] != total[None, :] - 2]) == 0
 
 
 class TestWeylQuantize:
     def test_number_symbol_round_trip(self):
         (a,), (ab,) = mode_symbols()
         f = FockSpace(7)
-        mat = weyl_quantize(a * ab - 0.5, f)
+        mat = weyl_quantize(a * ab - 0.5, f).toarray()
         assert np.allclose(mat, np.diag(np.arange(7)))
 
     def test_quartic_position_matches_matrix_power(self):
         q4 = parse_symbol("1.0*q1^4", Chart.REAL_QP, 1)
         f = FockSpace(25)
-        got = weyl_quantize(q4, f)
+        got = weyl_quantize(q4, f).toarray()
         qmat = (f.lowering(0) + f.raising(0)) / np.sqrt(2)
         want = np.linalg.matrix_power(qmat, 4)
         # truncation corrupts the top two levels; compare the protected block
@@ -185,6 +192,32 @@ class TestWeylQuantize:
         as_dict = {powers: c for c, powers in terms}
         assert as_dict[((1, 1),)] == pytest.approx(1.0)
         assert as_dict[((0, 0),)] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("chart", [Chart.COMPLEX_AABAR, Chart.REAL_QP])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_expansion_matches_normal_ordered_symbols(self, n, chart):
+        # summing the terms' exact Weyl symbols gives back the symbol
+        rng = np.random.default_rng(40 + n)
+        for _ in range(6):
+            terms = {}
+            for _ in range(5):
+                key = tuple(int(e) for e in rng.integers(0, 4, size=2 * n))
+                terms[key] = complex(rng.normal(), rng.normal())
+            sym = PolySymbol(chart, n, terms)
+            back = PolySymbol.zero(Chart.COMPLEX_AABAR, n)
+            for coeff, powers in symbol_to_normal_ordered(sym):
+                term = PolySymbol.constant(Chart.COMPLEX_AABAR, n, coeff)
+                for j, (m, k) in enumerate(powers):
+                    term = term * weyl_of_normal_ordered(n, j, m, k, 1.0)
+                back = back + term
+            want = chart_transform(sym, Chart.COMPLEX_AABAR)
+            scale = max(1.0, want.max_abs_coeff())
+            for key in set(back.terms) | set(want.terms):
+                assert abs(back.terms.get(key, 0) - want.terms.get(key, 0)) <= 1e-13 * scale
+
+    def test_returns_csr(self):
+        h, ls = _model_matrices(damped_model(), FockSpace(5))
+        assert all(isinstance(m, sp.csr_array) for m in (h, *ls))
 
 
 class TestLindbladRhs:
@@ -374,6 +407,22 @@ class TestMomentsOfDensity:
         assert m.x[0] == pytest.approx(4.0, abs=1e-6)
         assert m.x[1] == pytest.approx(0.0, abs=1e-9)
 
+    def test_two_mode_matches_dense_quadratures(self):
+        rng = np.random.default_rng(9)
+        f = FockSpace([4, 5])
+        r = rng.normal(size=(f.dim, f.dim)) + 1j * rng.normal(size=(f.dim, f.dim))
+        dm = DensityMatrix(rho=r @ r.conj().T / np.trace(r @ r.conj().T), fock=f)
+        xs = [(f.lowering(j) + f.raising(j)) / np.sqrt(2) for j in range(2)]
+        xs += [1j * (f.raising(j) - f.lowering(j)) / np.sqrt(2) for j in range(2)]
+        x = np.array([np.real(np.trace(dm.rho @ op)) for op in xs])
+        cov = np.array([[np.real(np.trace(dm.rho @ (u @ v + v @ u))) - 2 * xu * xv
+                         for v, xv in zip(xs, x)] for u, xu in zip(xs, x)])
+        m = moments_of_density(dm)
+        assert np.max(np.abs(m.x - x)) < 1e-13
+        assert np.max(np.abs(width_matrix_of_density(dm) - np.linalg.inv(cov))) < 1e-12
+        op = sp.csr_array(f.number(1) + 0.3j * f.lowering(0))
+        assert dm.expectation(op) == pytest.approx(np.trace(dm.rho @ op.toarray()), abs=1e-13)
+
 
 class TestWignerOfDensity:
     def test_vacuum_gaussian(self):
@@ -444,7 +493,7 @@ def lattice_heff(levels):
     """Registered lattice H - (i/2) sum_k Ldag_k L_k, dense, and its Fock space."""
     f = FockSpace([levels, levels])
     h, ls = _model_matrices(registered_model("bose_hubbard_losses"), f)
-    return h - 0.5j * sum(L.conj().T @ L for L in ls), f
+    return (h - 0.5j * sum(L.conj().T @ L for L in ls)).toarray(), f
 
 
 class TestSectorPropagator:
@@ -514,6 +563,24 @@ class TestSectorPropagator:
         for name in sectors.series:
             assert np.max(np.abs(sectors.series[name] - whole.series[name])) < 1e-9, name
         assert abs(sectors.max_leakage - whole.max_leakage) < 1e-12
+
+
+class TestHbarGuard:
+    def test_fock_solvers_reject_hbar_before_integrating(self, monkeypatch):
+        import semilind.quantum as quantum
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(quantum, "solve_ivp", forbidden)
+        monkeypatch.setattr(quantum, "_SectorPropagator", forbidden)
+        (a,), (ab,) = mode_symbols()
+        model = LindbladModel(1, 0.5, a * ab, (a * np.sqrt(0.2),))
+        f = FockSpace(8)
+        with pytest.raises(ValueError, match="hbar = 1"):
+            integrate_master(DensityMatrix.from_state(f.vacuum(), f), model, [0.0, 1.0])
+        with pytest.raises(ValueError, match="hbar = 1"):
+            quantum_jump(model, f.vacuum(), [0.0, 1.0], n_traj=2, seed=0, fock=f)
 
 
 class TestQuantumJump:

@@ -328,6 +328,12 @@ class TestCompiledRhs:
                 assert np.max(np.abs(got[:dim] - want_x)) <= 1e-13 * scale
                 assert np.max(np.abs(got[dim:] - want_g[rhs.iu])) <= 1e-13 * scale
 
+    def test_fields_batch_is_each_point(self):
+        rhs = _CompiledRhs(random_model(np.random.default_rng(6), n=2))
+        xs = np.random.default_rng(7).uniform(-1.5, 1.5, size=(5, 4))
+        for got, want in zip(rhs.fields(xs), zip(*(rhs.fields(x) for x in xs))):
+            assert np.array_equal(got, np.array(want))
+
     def test_fields_built_once_per_model(self, monkeypatch):
         calls = []
         original = semiclassical.drift_field

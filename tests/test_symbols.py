@@ -1,9 +1,9 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
 
+from semilind.harness.selftest import _brute_moyal
 from semilind.symbols import (
     Chart,
     PolyBatch,
@@ -25,39 +25,6 @@ def qp(n=1):
     q = [PolySymbol.variable(Chart.REAL_QP, n, j) for j in range(n)]
     p = [PolySymbol.variable(Chart.REAL_QP, n, n + j) for j in range(n)]
     return q, p
-
-
-def brute_moyal(f, g, hbar, rng_dim):
-    """Independent star-product oracle: raw sum over index tuples of the
-    bidifferential operator, one derivative pair at a time."""
-    half = rng_dim // 2
-    omega = symplectic_form(half)
-    total = PolySymbol.zero(f.chart, f.n_modes)
-    max_m = f.total_degree() + g.total_degree()
-    for m in range(max_m + 1):
-        # pairs of index tuples (i_1..i_m), (j_1..j_m)
-        term_sum = PolySymbol.zero(f.chart, f.n_modes)
-        for idx in product(range(rng_dim), repeat=m):
-            for jdx in product(range(rng_dim), repeat=m):
-                w = 1.0
-                for i, j in zip(idx, jdx):
-                    w *= omega[i, j]
-                if w == 0:
-                    continue
-                df = f
-                for i in idx:
-                    df = df.deriv(i)
-                if df.is_zero():
-                    continue
-                dg = g
-                for j in jdx:
-                    dg = dg.deriv(j)
-                if dg.is_zero():
-                    continue
-                term_sum = term_sum + df * dg * w
-        coeff = (0.5j * hbar) ** m / math.factorial(m)
-        total = total + term_sum * coeff
-    return total
 
 
 def assert_sym_close(a, b, tol=1e-13):
@@ -189,7 +156,7 @@ class TestMoyal:
             f = random_poly(rng, n=n, deg=3)
             g = random_poly(rng, n=n, deg=2)
             hbar = float(rng.uniform(0.3, 1.5))
-            assert_sym_close(moyal(f, g, hbar), brute_moyal(f, g, hbar, 2 * n), tol=1e-13)
+            assert_sym_close(moyal(f, g, hbar), _brute_moyal(f, g, hbar), tol=1e-13)
 
     def test_commutator_matches_poisson_to_third_order(self):
         rng = np.random.default_rng(3)
@@ -388,3 +355,10 @@ class TestPolyBatch:
             pt = rng.normal(size=4)
             want = np.array([p.eval(pt).real for p in polys])
             assert np.allclose(batch.real_at(pt), want, rtol=1e-13, atol=1e-13)
+
+    def test_real_at_batch_is_each_point(self):
+        rng = np.random.default_rng(15)
+        batch = PolyBatch([random_poly(rng, n=2, deg=4) for _ in range(6)])
+        pts = rng.normal(size=(9, 4))
+        want = np.array([batch.real_at(pt) for pt in pts])
+        assert np.array_equal(batch.real_at(pts), want)
