@@ -7,6 +7,8 @@ extra files (name -> text) for the same directory; a frame function
 ``k -> WignerGrid``, written there as ``wigner_t<t>.txt|json`` at each
 configured frame when the config has a ``grid``; the report entries the
 solver adds (its statistics and events); and the solver's raw result.
+``SolverRun.grid(k)`` computes each frame once, so checks read the grids
+that were written.
 
 ``ExperimentDef.checks`` lists ``(needed solvers, fn(config, t_eval, runs) ->
 entries)``, with ``runs`` mapping solver name to ``SolverRun``.  After the
@@ -66,6 +68,13 @@ class SolverRun:
     frame: Callable | None = None  # output index -> WignerGrid
     entries: list = field(default_factory=list)
     result: object = None
+    grids: dict = field(default_factory=dict)  # output index -> WignerGrid, as computed
+
+    def grid(self, k: int):
+        """Frame k, computed on first use."""
+        if k not in self.grids:
+            self.grids[k] = self.frame(k)
+        return self.grids[k]
 
 
 @dataclass(frozen=True)
@@ -91,10 +100,13 @@ def _mode_amplitudes(x: np.ndarray) -> np.ndarray:
     return (x[:n] + 1j * x[n:]) / np.sqrt(2.0)
 
 
-def _wigner_frames(outdir: Path, times, indices, frame):
-    """Write ``frame(k)`` (a WignerGrid) as text and JSON for each index k."""
+def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
+    """Write ``run.grid(k)`` as text and JSON for each index k; a grid with a
+    non-finite value raises before it is written."""
     for k in indices:
-        grid = frame(k)
+        grid = run.grid(k)
+        if not np.all(np.isfinite(grid.values)):
+            raise ValueError(f"{outdir}: Wigner frame at t={times[k]:g} has non-finite values")
         stem = f"wigner_t{times[k]:g}"
         _write(outdir / f"{stem}.txt", grid.to_text())
         _write(outdir / f"{stem}.json", grid.to_json())
@@ -481,9 +493,28 @@ def _cat_wigner_check(config: ExperimentConfig, t_eval, runs) -> list:
         return []
     frames = config.times.frame_indices()
     k = frames[-1] if frames else len(t_eval) - 1
-    sup = runs["doubled"].frame(k).sup_diff(runs["master"].frame(k))
+    sup = runs["doubled"].grid(k).sup_diff(runs["master"].grid(k))
     return [_bounded("wigner_sup_error", sup, config.tolerances["wigner_sup"],
                      at_time=float(t_eval[k]))]
+
+
+def _cat_fringe_entries(config: ExperimentConfig, t_eval, runs) -> list:
+    """Informational: the doubled-phase-space Wigner function against the
+    master equation's at each frame, as sup and L2 errors relative to the
+    master's peak and norm, and the minimum (negativity) of each."""
+    if config.grid is None:
+        return []
+    entries = []
+    for k in config.times.frame_indices():
+        wd, wm = runs["doubled"].grid(k).values, runs["master"].grid(k).values
+        entries.append({
+            "check": "wigner_fringe_info", "at_time": float(t_eval[k]),
+            "sup_rel_error": float(np.max(np.abs(wd - wm)) / np.max(np.abs(wm))),
+            "l2_rel_error": float(np.linalg.norm(wd - wm) / np.linalg.norm(wm)),
+            "min_doubled": float(wd.min()), "min_master": float(wm.min()),
+            "passed": True,  # informational
+        })
+    return entries
 
 
 # -- portraits -------------------------------------------------------------------
@@ -605,6 +636,7 @@ EXPERIMENTS = {
             (("doubled",), _cat_doubled_checks),
             (("doubled", "master"), _cat_moment_checks),
             (("doubled", "master"), _cat_wigner_check),
+            (("doubled", "master"), _cat_fringe_entries),
         ),
     ),
     "portrait_nonlinear_loss": ExperimentDef(
@@ -669,7 +701,7 @@ def run_experiment(config: ExperimentConfig, root=None):
             _write(outdir / name / fname, text)
         write_observables(run.observables, outdir / name / "observables.csv")
         if config.grid is not None and run.frame is not None:
-            _wigner_frames(outdir / name, t_eval, frames, run.frame)
+            _wigner_frames(outdir / name, t_eval, frames, run)
         report.runtime_s[name] = time.perf_counter() - t0
         report.entries.extend(run.entries)
         runs[name] = run

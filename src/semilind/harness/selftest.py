@@ -6,9 +6,11 @@ import math
 from itertools import product
 
 import numpy as np
+from scipy.special import eval_laguerre
 
 from ..doubled import build_k, chord_from_component, chord_rhs, rhs_component
-from ..gaussian import ComplexGaussian
+from ..gaussian import ComplexGaussian, GridSpec
+from ..quantum import DensityMatrix, FockSpace, wigner_of_density
 from ..semiclassical import FlowKind, LindbladModel, classify_flow, drift_field
 from ..symbols import (
     Chart,
@@ -163,5 +165,19 @@ def run_selftest(emit=print) -> bool:
         ok = ok and np.allclose(dninv.real, ndot, atol=1e-11)
         ok = ok and np.allclose(dninv.imag, mdot, atol=1e-11)
     check("chord-variable equations equivalent", ok)
+
+    # Fock-state Wigner functions: (-1)^n L_n(2 r^2) exp(-r^2) / pi at hbar = 1,
+    # on a grid whose centre is the origin, where |1> gives -1/pi
+    fock = FockSpace(13)
+    spec = GridSpec(-1.5, 1.5, 13, -1.5, 1.5, 13)
+    r2 = np.sum(spec.points() ** 2, axis=-1)
+    ok = True
+    for n in (0, 1, 2, 5, 12):
+        grid = wigner_of_density(DensityMatrix.from_state(np.eye(13)[n], fock), spec)
+        want = (-1) ** n * eval_laguerre(n, 2 * r2) * np.exp(-r2) / np.pi
+        ok = ok and np.max(np.abs(grid.values - want)) < 1e-12
+        if n == 1:
+            ok = ok and abs(grid.values[6, 6] + 1 / np.pi) < 1e-12
+    check("Fock-state Wigner functions match the Laguerre closed form", ok)
 
     return all(results)

@@ -8,7 +8,10 @@ in closed form, `quantize` assembles the terms from sparse mode ladders, and
 and L_k to the master equation (one CSR Lindblad superoperator, RK45) and to
 the quantum-jump ensemble (one eigendecomposition per connected block of the
 effective Hamiltonian, such as a number sector of the lossy lattice).
-Moments read sparse quadratures that each `FockSpace` builds once.
+Moments read sparse quadratures that each `FockSpace` builds once.  The
+Wigner transform of a density matrix is exact and separable: a 45-degree
+rotation of (x, x') turns it into two matrix products with tables of
+Hermite functions on the grid axes.
 """
 
 from __future__ import annotations
@@ -356,51 +359,97 @@ def width_matrix_of_density(rho: DensityMatrix) -> np.ndarray:
 # -- Wigner transform ---------------------------------------------------------
 
 
+def _hermite_functions(x: np.ndarray, n: int) -> np.ndarray:
+    """Hermite functions phi_0 .. phi_{n-1} at the points x, shape (x.size, n).
+
+    The normalised recurrence phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1}
+    runs on values kept at most 1 in size, with their scale and the envelope
+    exp(-x^2/2) carried as a logarithm, so far from the origin no value
+    underflows before its true size does.
+    """
+    vals, logs = np.empty((x.size, n)), np.empty((x.size, n))
+    log_scale = -0.5 * x**2 - 0.25 * np.log(np.pi)
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(n):
+        vals[:, k], logs[:, k] = cur, log_scale
+        prev, cur = cur, np.sqrt(2.0 / (k + 1)) * x * cur - np.sqrt(k / (k + 1)) * prev
+        big = np.maximum(np.abs(cur), 1.0)
+        prev, cur = prev / big, cur / big
+        log_scale = log_scale + np.log(big)
+    return vals * np.exp(logs)
+
+
+def _rotation_blocks(n: int):
+    """Yield R^s for s = 0 .. 2n - 2: R^s[j, m - lo] is the overlap
+    <j, s-j | m, s-m> of the two-mode Fock states |j, s-j> of
+    c = (a + b)/sqrt 2, d = (a - b)/sqrt 2 and |m, s-m> of a, b, for the
+    columns lo = max(0, s - n + 1) <= m <= min(s, n - 1), whose |m, s-m>
+    lies in an n-level truncation of each mode.
+
+    Each level follows from the one below through
+    |m, k> = (sqrt(m) adag|m-1, k> + sqrt(k) bdag|m, k-1>) / (m + k) with
+    adag = (cdag + ddag)/sqrt 2 and bdag = (cdag - ddag)/sqrt 2, the stable
+    two-sided recurrence of Risbo (J. Geodesy 70, 383 (1996)); the one-sided
+    recurrence in adag alone loses orthogonality as s grows.
+    """
+    rot, prev_lo = np.ones((1, 1)), 0
+    yield rot
+    for s in range(1, 2 * n - 1):
+        lo, hi = max(0, s - n + 1), min(s, n - 1)
+        # columns lo - 1 .. hi of the level below, zero outside its range
+        below = np.zeros((s, hi - lo + 2))
+        below[:, prev_lo - lo + 1:prev_lo - lo + 1 + rot.shape[1]] = rot
+        j = np.arange(s + 1)[:, None]
+        cdag = np.zeros((s + 1, below.shape[1]))
+        ddag = np.zeros_like(cdag)
+        cdag[1:] = np.sqrt(j[1:]) * below  # cdag |j-1, s-j> = sqrt(j) |j, s-j>
+        ddag[:-1] = np.sqrt(s - j[:-1]) * below  # ddag |j, s-1-j> = sqrt(s-j) |j, s-j>
+        m = np.arange(lo, hi + 1)
+        rot = (np.sqrt(m) * (cdag + ddag)[:, :-1]
+               + np.sqrt(s - m) * (cdag - ddag)[:, 1:]) / (np.sqrt(2.0) * s)
+        prev_lo = lo
+        yield rot
+
+
 def wigner_of_density(rho: DensityMatrix, spec: GridSpec) -> WignerGrid:
     """Wigner function of a single-mode density matrix on a grid.
 
-    Uses the closed-form matrix elements of the doubled displacement against
-    the parity operator; the generalized Laguerre values are generated by
-    their three-term recurrence over the whole grid at once.
+    In the position representation rho(x, x') = sum_mn rho_mn phi_m(x) phi_n(x')
+    with Hermite functions phi and x in units of sqrt(hbar).  Rotated to
+    u = (x + x')/sqrt 2, v = (x - x')/sqrt 2, each product becomes
+    phi_m(x) phi_n(x') = sum_{j + l = m + n} R^s_jm phi_j(u) phi_l(v), with
+    s = m + n and R^s the two-mode rotation overlaps of `_rotation_blocks`.
+    The Wigner integral over x - x' is a Fourier transform in v, which maps
+    phi_l to (-i)^l phi_l, so
+
+        W(q, p) = Phi(sqrt(2/hbar) q) M Phi(sqrt(2/hbar) p)^T / (sqrt(pi) hbar),
+        M_jl = (-i)^l sum_{m + n = j + l} R^s_jm rho_mn,
+
+    with Phi the table of Hermite functions on each axis.  W and Phi are
+    real, so only Re M enters.  For N levels and G points per axis this is
+    O(N^3) work for M and two matrix products of O(G N^2 + G^2 N), in place of
+    a Laguerre recurrence over all G^2 points for each of N diagonals, and
+    every factor stays in floating-point range at any truncation.
     """
     fock = rho.fock
     if fock.n_modes != 1:
         raise ValueError("wigner_of_density is single mode")
     hbar = rho.hbar
-    nmax = fock.dims[0] - 1
+    n = fock.dims[0]
     q, p = spec.axes()
-    kmax = 2.0 * np.sqrt(2.0 * (nmax + 1) / hbar)
+    kmax = 2.0 * np.sqrt(2.0 * n / hbar)
     if max(spec.dq, spec.dp) > np.pi / kmax:
         warnings.warn("grid spacing too coarse for the Fock truncation; fringes may alias")
-    qq, pp = np.meshgrid(q, p, indexing="ij")
-    alpha = (qq + 1j * pp) / np.sqrt(2.0 * hbar)
-    absq = np.abs(alpha) ** 2
-    envelope = np.exp(-2.0 * absq)
-    two_alpha = 2.0 * alpha
-    x4 = 4.0 * absq
-    total = np.zeros_like(qq, dtype=complex)
-    rmat = rho.rho
-    for d in range(0, nmax + 1):
-        diag = np.array([rmat[k, k + d] for k in range(nmax + 1 - d)])
-        if np.all(np.abs(diag) < 1e-300):
-            continue
-        ratios = np.exp(0.5 * (gammaln(np.arange(nmax + 1 - d) + 1) - gammaln(np.arange(nmax + 1 - d) + d + 1)))
-        power = two_alpha**d
-        lk_prev = np.zeros_like(x4)
-        lk = np.ones_like(x4)  # L_0^d
-        acc = np.zeros_like(qq, dtype=complex)
-        for k in range(nmax + 1 - d):
-            if k == 1:
-                lk_prev, lk = lk, (1.0 + d - x4)
-            elif k > 1:
-                lk_prev, lk = lk, ((2 * k - 1 + d - x4) * lk - (k - 1 + d) * lk_prev) / k
-            coeff = diag[k] * ((-1) ** k) * ratios[k]
-            if coeff != 0:
-                acc += coeff * lk
-        contrib = acc * power
-        total += contrib if d == 0 else contrib + np.conj(contrib)
-    vals = np.real(total) * envelope / (np.pi * hbar)
-    return WignerGrid(spec, vals)
+    flipped = rho.rho[:, ::-1]  # anti-diagonal s of rho is diagonal n - 1 - s here
+    minus_i_pow = np.array([1.0, -1j, -1.0, 1j])
+    m_re = np.zeros((2 * n - 1, 2 * n - 1))
+    for s, rot in enumerate(_rotation_blocks(n)):
+        j = np.arange(s + 1)
+        m_re[j, s - j] = (minus_i_pow[(s - j) % 4] * (rot @ np.diagonal(flipped, n - 1 - s))).real
+    scale = np.sqrt(2.0 / hbar)
+    phi_q = _hermite_functions(scale * q, 2 * n - 1)
+    phi_p = _hermite_functions(scale * p, 2 * n - 1)
+    return WignerGrid(spec, phi_q @ m_re @ phi_p.T / (np.sqrt(np.pi) * hbar))
 
 
 # -- quantum-jump Monte Carlo ---------------------------------------------------

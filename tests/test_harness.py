@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semilind.gaussian import GridSpec, WignerGrid
 from semilind.harness.cli import main as cli_main
 from semilind.harness.compare import (
     ComparisonReport,
@@ -19,7 +20,9 @@ from semilind.harness.compare import (
 from semilind.harness.config import ConfigError, ExperimentConfig, dump_config, load_config
 from semilind.harness.experiments import (
     EXPERIMENTS,
+    SolverRun,
     _g12_with_stderr,
+    _wigner_frames,
     default_config,
     run_experiment,
     run_portrait,
@@ -271,6 +274,46 @@ class TestRunners:
         monkeypatch.setenv("SEMILIND_OUTPUT_ROOT", str(tmp_path / "redirected"))
         _, outdir = run_experiment(cfg)
         assert Path(outdir).parent == tmp_path / "redirected"
+
+
+    def test_non_finite_frame_raises_before_writing(self, tmp_path):
+        spec = GridSpec(-1.0, 1.0, 4, -1.0, 1.0, 4)
+        run = SolverRun(frame=lambda k: WignerGrid(spec, np.full((4, 4), np.nan)))
+        with pytest.raises(ValueError, match=r"master.*t=0\.5.*non-finite"):
+            _wigner_frames(tmp_path / "master", np.array([0.0, 0.5]), [1], run)
+        assert not (tmp_path / "master").exists()
+
+    def test_cat_frames_computed_once_and_fringe_entries(self, tmp_path, monkeypatch):
+        d = tiny_cat_config(tmp_path).to_dict()
+        d["times"]["frames"] = [0.1, 0.2]
+        d["tolerances"]["wigner_sup"] = 10.0
+        cfg = ExperimentConfig.from_dict(d)
+        import semilind.harness.experiments as experiments
+
+        real, calls = experiments.wigner_of_density, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "wigner_of_density", counted)
+        _, outdir = run_experiment(cfg)
+        assert len(calls) == 2
+        doc = json.loads((Path(outdir) / "report.json").read_text())
+        (sup,) = [e for e in doc["entries"] if e["check"] == "wigner_sup_error"]
+        fringes = [e for e in doc["entries"] if e["check"] == "wigner_fringe_info"]
+        assert [e["at_time"] for e in fringes] == [0.1, 0.2]
+        assert all(e["passed"] for e in fringes)
+        master = WignerGrid.from_text((Path(outdir) / "master" / "wigner_t0.2.txt").read_text())
+        doubled = WignerGrid.from_text((Path(outdir) / "doubled" / "wigner_t0.2.txt").read_text())
+        diff = doubled.values - master.values
+        assert sup["value"] == pytest.approx(np.max(np.abs(diff)), rel=1e-12)
+        assert fringes[1]["sup_rel_error"] == pytest.approx(
+            np.max(np.abs(diff)) / np.max(np.abs(master.values)), rel=1e-12)
+        assert fringes[1]["l2_rel_error"] == pytest.approx(
+            np.linalg.norm(diff) / np.linalg.norm(master.values), rel=1e-12)
+        assert fringes[1]["min_master"] == master.values.min()
+        assert fringes[1]["min_doubled"] == doubled.values.min()
 
 
 class TestLatticeG12:

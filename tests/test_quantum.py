@@ -1,12 +1,13 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import block_diag, expm
-from scipy.special import hermite
+from scipy.special import gammaln, hermite
 
-from semilind.gaussian import GridSpec, cat_decompose, coherent, eval_wigner
+from semilind.gaussian import GridSpec, WignerGrid, cat_decompose, coherent, eval_wigner
 from semilind.harness import default_config
 from semilind.harness.config import ExperimentConfig
 from semilind.semiclassical import LindbladModel, SemiclassicalState, integrate
@@ -17,6 +18,7 @@ from semilind.quantum import (
     _SectorPropagator,
     _liouvillian,
     _model_matrices,
+    _rotation_blocks,
     _trajectory_key,
     integrate_master,
     moments_of_density,
@@ -487,6 +489,141 @@ class TestWignerOfDensity:
         cat = cat_decompose([(4.0, 3.0), (4.0, -3.0)], [1.0, 1.0], np.array([[1j]]))
         grid_c = eval_wigner(cat, spec)
         assert grid_q.sup_diff(grid_c) < 1e-8
+
+
+def laguerre_loop_wigner(rho: DensityMatrix, spec: GridSpec) -> WignerGrid:
+    """The Laguerre-loop Wigner transform that `wigner_of_density` replaced,
+    kept as its oracle: closed-form matrix elements of the doubled
+    displacement against the parity operator, each diagonal of rho summed
+    with the Laguerre recurrence over the whole grid."""
+    fock = rho.fock
+    if fock.n_modes != 1:
+        raise ValueError("wigner_of_density is single mode")
+    hbar = rho.hbar
+    nmax = fock.dims[0] - 1
+    q, p = spec.axes()
+    kmax = 2.0 * np.sqrt(2.0 * (nmax + 1) / hbar)
+    if max(spec.dq, spec.dp) > np.pi / kmax:
+        warnings.warn("grid spacing too coarse for the Fock truncation; fringes may alias")
+    qq, pp = np.meshgrid(q, p, indexing="ij")
+    alpha = (qq + 1j * pp) / np.sqrt(2.0 * hbar)
+    absq = np.abs(alpha) ** 2
+    envelope = np.exp(-2.0 * absq)
+    two_alpha = 2.0 * alpha
+    x4 = 4.0 * absq
+    total = np.zeros_like(qq, dtype=complex)
+    rmat = rho.rho
+    for d in range(0, nmax + 1):
+        diag = np.array([rmat[k, k + d] for k in range(nmax + 1 - d)])
+        if np.all(np.abs(diag) < 1e-300):
+            continue
+        ratios = np.exp(0.5 * (gammaln(np.arange(nmax + 1 - d) + 1) - gammaln(np.arange(nmax + 1 - d) + d + 1)))
+        power = two_alpha**d
+        lk_prev = np.zeros_like(x4)
+        lk = np.ones_like(x4)  # L_0^d
+        acc = np.zeros_like(qq, dtype=complex)
+        for k in range(nmax + 1 - d):
+            if k == 1:
+                lk_prev, lk = lk, (1.0 + d - x4)
+            elif k > 1:
+                lk_prev, lk = lk, ((2 * k - 1 + d - x4) * lk - (k - 1 + d) * lk_prev) / k
+            coeff = diag[k] * ((-1) ** k) * ratios[k]
+            if coeff != 0:
+                acc += coeff * lk
+        contrib = acc * power
+        total += contrib if d == 0 else contrib + np.conj(contrib)
+    vals = np.real(total) * envelope / (np.pi * hbar)
+    return WignerGrid(spec, vals)
+
+
+def fock_wigner_closed_form(n, r2):
+    """(-1)^n L_n(2 r2) exp(-r2) / pi, the Wigner function of |n> at hbar = 1
+    and q^2 + p^2 = r2, from the Laguerre recurrence rescaled as it runs with
+    exp(-r2) carried as a logarithm, so that neither overflows."""
+    y = 2.0 * np.asarray(r2, dtype=float)
+    prev, cur, log_scale = np.zeros_like(y), np.ones_like(y), -0.5 * y
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 - y) * cur - k * prev) / (k + 1)
+        big = np.maximum(np.abs(cur), 1.0)
+        prev, cur, log_scale = prev / big, cur / big, log_scale + np.log(big)
+    return (-1) ** n * cur * np.exp(log_scale) / np.pi
+
+
+def binomial_rotation(s, m):
+    """<j, s-j | m, s-m> for j = 0..s from expanding
+    adag^m bdag^(s-m) = (cdag + ddag)^m (cdag - ddag)^(s-m) / 2^(s/2)."""
+    k = s - m
+    out = np.zeros(s + 1)
+    for a in range(m + 1):
+        for b in range(k + 1):
+            j = a + b
+            out[j] += math.comb(m, a) * math.comb(k, b) * (-1) ** (k - b) * math.sqrt(
+                math.factorial(j) * math.factorial(s - j) / (math.factorial(m) * math.factorial(k))
+            ) / 2 ** (s / 2)
+    return out
+
+
+class TestSeparableWigner:
+    @pytest.mark.parametrize("levels, half_width", [(56, 10.0), (61, 8.0)])
+    def test_matches_laguerre_loop_on_registered_grids(self, levels, half_width):
+        rng = np.random.default_rng(levels)
+        r = rng.normal(size=(levels, levels)) + 1j * rng.normal(size=(levels, levels))
+        rho = DensityMatrix(rho=r @ r.conj().T / np.trace(r @ r.conj().T), fock=FockSpace(levels))
+        spec = GridSpec(-half_width, half_width, 200, -half_width, half_width, 200)
+        new = wigner_of_density(rho, spec).values
+        assert np.max(np.abs(new - laguerre_loop_wigner(rho, spec).values)) < 1e-14
+
+    @pytest.mark.parametrize("n", [0, 1, 57, 150, 300])
+    def test_fock_states_match_laguerre_closed_form(self, n):
+        f = FockSpace(301)
+        spec = GridSpec(-30.0, 30.0, 61, -30.0, 30.0, 61)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # coarse grid: the values are exact pointwise
+            grid = wigner_of_density(DensityMatrix.from_state(np.eye(301)[n], f), spec)
+        r2 = np.sum(spec.points() ** 2, axis=-1)
+        assert np.max(np.abs(grid.values - fock_wigner_closed_form(n, r2))) < 1e-13
+
+    def test_fock_state_where_the_gaussian_envelope_underflows(self):
+        # exp(-x^2/2) underflows at x = sqrt(2) |q| > 38.6, where the Hermite
+        # functions up to order 798 that |399> needs are still of order 0.1
+        f = FockSpace(400)
+        spec = GridSpec(-29.5, 29.5, 59, -29.5, 29.5, 59)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            grid = wigner_of_density(DensityMatrix.from_state(np.eye(400)[399], f), spec)
+        pts = spec.points()
+        want = fock_wigner_closed_form(399, np.sum(pts**2, axis=-1))
+        assert np.max(np.abs(want[np.sqrt(2.0) * np.abs(pts[..., 0]) > 38.6])) > 1e-3
+        assert np.max(np.abs(grid.values - want)) < 1e-13
+
+    def test_large_truncation_coherent_state(self):
+        # 274 levels at hbar = 0.25: (2 alpha)^d of the Laguerre loop overflows here
+        hbar, a0 = 0.25, 4.0 + 3.0j
+        f = FockSpace(274)
+        vec = f.coherent_vector([a0 / np.sqrt(hbar)])
+        rho = DensityMatrix(rho=np.outer(vec, vec.conj()), fock=f, hbar=hbar)
+        spec = GridSpec(-12.0, 12.0, 300, -12.0, 12.0, 300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            grid = wigner_of_density(rho, spec)
+        assert np.all(np.isfinite(grid.values))
+        assert grid.sup_diff(eval_wigner(coherent(1, a0, hbar), spec)) < 1e-12
+
+    def test_rotation_blocks_orthogonal(self):
+        for s, rot in enumerate(_rotation_blocks(547)):
+            assert rot.shape == (s + 1, s + 1)
+            if s % 39 == 0 or s == 546:
+                assert np.max(np.abs(rot @ rot.T - np.eye(s + 1))) < 1e-12
+            if s == 546:
+                break
+
+    def test_rotation_blocks_match_binomial_expansion(self):
+        # five levels: from s = 5 on, only the columns inside the truncation
+        n = 5
+        for s, rot in enumerate(_rotation_blocks(n)):
+            lo = max(0, s - n + 1)
+            want = np.column_stack([binomial_rotation(s, m) for m in range(lo, min(s, n - 1) + 1)])
+            assert np.max(np.abs(rot - want)) < 1e-14
 
 
 def lattice_heff(levels):
