@@ -114,20 +114,27 @@ def compare_series(a: ObservableSeries, b: ObservableSeries):
 
 
 def compare_dirs(dir_a, dir_b, tolerances: dict) -> ComparisonReport:
-    """Compare observables.csv files from two solver directories."""
+    """Compare observables.csv files from two solver directories.
+
+    `tolerances` maps an observable common to both directories to bounds
+    {"sup": x, "rms": y}; any other observable name or metric key raises.
+    """
     sa = read_observables(Path(dir_a) / "observables.csv")
     sb = read_observables(Path(dir_b) / "observables.csv")
     common = sorted(set(sa) & set(sb))
     if not common:
         raise ValueError("no common observables to compare")
+    unmatched = sorted(set(tolerances) - set(common))
+    if unmatched:
+        raise ValueError(f"tolerances name no common observable: {unmatched}; "
+                         f"common observables are {common}")
+    bad_keys = sorted({key for tol in tolerances.values() for key in tol} - {"sup", "rms"})
+    if bad_keys:
+        raise ValueError(f"unknown tolerance metrics {bad_keys}; use 'sup' or 'rms'")
     report = ComparisonReport()
     for name in common:
         metrics = compare_series(sa[name], sb[name])
         tol = tolerances.get(name, {})
-        passed = True
-        if "sup" in tol:
-            passed = passed and metrics["sup_error"] <= tol["sup"]
-        if "rms" in tol:
-            passed = passed and metrics["rms_error"] <= tol["rms"]
+        passed = all(metrics[f"{key}_error"] <= bound for key, bound in tol.items())
         report.add(observable=name, **metrics, tolerance=tol, passed=passed)
     return report

@@ -7,6 +7,7 @@ pairs, and to_dict/from_dict round-trip losslessly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +49,14 @@ def _pair_list(v):
 
 def _float_pair_list(v):
     return tuple((float(a), float(b)) for a, b in v)
+
+
+def _check_span(where: str, t_end: float, n_out: int):
+    """An output grid runs forward from 0 to a finite t_end through n_out >= 2 times."""
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ConfigError(f"{where}.t_end must be finite and positive, got {t_end!r}")
+    if n_out < 2:
+        raise ConfigError(f"{where}.n_out must be at least 2")
 
 
 _CHARTS = {"realqp": Chart.REAL_QP, "complex": Chart.COMPLEX_AABAR}
@@ -146,8 +155,7 @@ class TimesSection:
             {"t_end": float, "n_out": int},
             {"frames": (lambda v: tuple(float(x) for x in v), ())},
         )
-        if vals["n_out"] < 2:
-            raise ConfigError("times.n_out must be at least 2")
+        _check_span("times", vals["t_end"], vals["n_out"])
         return cls(**vals)
 
     def to_dict(self):
@@ -223,6 +231,7 @@ class PortraitSection:
                 "starts": _float_pair_list,
             },
         )
+        _check_span("portrait", vals["t_end"], vals["n_out"])
         return cls(**vals)
 
     def to_dict(self):

@@ -137,7 +137,9 @@ def _master_run(config: ExperimentConfig, model, t_eval, rho0: DensityMatrix) ->
     mtraj = integrate_master(rho0, model, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
     return SolverRun(
         frame=lambda k: wigner_of_density(mtraj.density(k), config.grid.spec()),
-        entries=[{"check": "master_solver", "nfev": mtraj.nfev, "nnz": mtraj.nnz, "passed": True}],
+        entries=[{"check": "master_solver", "method": mtraj.method, "nfev": mtraj.nfev,
+                  "nnz": mtraj.nnz, "blocks": mtraj.blocks, "max_block": mtraj.max_block,
+                  "passed": True}],
         result=mtraj,
     )
 

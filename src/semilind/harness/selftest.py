@@ -10,7 +10,7 @@ from scipy.special import eval_laguerre
 
 from ..doubled import build_k, chord_from_component, chord_rhs, rhs_component
 from ..gaussian import ComplexGaussian, GridSpec
-from ..quantum import DensityMatrix, FockSpace, wigner_of_density
+from ..quantum import DensityMatrix, FockSpace, integrate_master, wigner_of_density
 from ..semiclassical import FlowKind, LindbladModel, classify_flow, drift_field
 from ..symbols import (
     Chart,
@@ -179,5 +179,18 @@ def run_selftest(emit=print) -> bool:
         if n == 1:
             ok = ok and abs(grid.values[6, 6] + 1 / np.pi) < 1e-12
     check("Fock-state Wigner functions match the Laguerre closed form", ok)
+
+    # master equation of the damped oscillator from a coherent state, on the
+    # exact block path: <a>(t) = a0 exp((-i omega - gamma/2) t)
+    omega, gamma, a0 = 1.0, 0.2, 1.5 - 0.5j
+    model = LindbladModel(1, 1.0, abar * a * omega, (a * np.sqrt(gamma),))
+    fock = FockSpace(30)
+    t_eval = np.linspace(0.0, 4.0, 9)
+    traj = integrate_master(DensityMatrix.from_state(fock.coherent_vector([a0]), fock), model,
+                            t_eval)
+    got = np.array([traj.density(k).expectation(fock._lowering[0]) for k in range(t_eval.size)])
+    want = a0 * np.exp((-1j * omega - gamma / 2) * t_eval)
+    check("damped-oscillator master equation matches the closed form",
+          traj.method == "block_expm" and np.max(np.abs(got - want)) < 1e-9)
 
     return all(results)

@@ -5,9 +5,14 @@ q = (a + adag)/sqrt(2), p = i(adag - a)/sqrt(2).  Operators stay sparse
 from symbol to observable: `symbol_to_normal_ordered` orders each Weyl monomial
 in closed form, `quantize` assembles the terms from sparse mode ladders, and
 `_model_matrices`, the one place that rejects hbar != 1, hands a model's H
-and L_k to the master equation (one CSR Lindblad superoperator, RK45) and to
-the quantum-jump ensemble (one eigendecomposition per connected block of the
-effective Hamiltonian, such as a number sector of the lossy lattice).
+and L_k to the master equation and to the quantum-jump ensemble.  Both split
+their generator into the connected blocks of its nonzero pattern
+(`_BlockPartition`).  The master equation builds one CSR Lindblad
+superoperator; when no block is larger than the Hilbert space, as for the
+bands m - n of a phase-covariant model, it steps between output times with
+exact dense block propagators, and otherwise it integrates the whole
+superoperator with RK45.  The jump ensemble diagonalizes each block of the
+effective Hamiltonian, such as a number sector of the lossy lattice.
 Moments read sparse quadratures that each `FockSpace` builds once.  The
 Wigner transform of a density matrix is exact and separable: a 45-degree
 rotation of (x, x') turns it into two matrix products with tables of
@@ -25,6 +30,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import matrix_power as _sparse_matrix_power
 from scipy.special import gammaln
@@ -235,6 +241,60 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.rho).min())
 
 
+# -- invariant blocks -----------------------------------------------------------
+
+
+class _BlockPartition:
+    """Connected components of the nonzero pattern of a square matrix.
+
+    `perm` puts the basis in block order: by block size, then block label,
+    with basis order kept within a block.  The blocks of one size then fill
+    one run of rows, listed in `groups` as (rows, size); `stack` gathers the
+    matrix's diagonal blocks of each size into one (g, m, m) array, and
+    `_blockwise` multiplies by the stacks.
+    """
+
+    def __init__(self, mat):
+        mat = sp.csr_array(mat)
+        self.n_blocks, labels = connected_components(mat != 0, directed=True, connection="weak")
+        sizes = np.bincount(labels)
+        self.max_block = int(sizes.max())
+        self.perm = np.argsort(sizes[labels] * self.n_blocks + labels, kind="stable")
+        self.inv_perm = np.argsort(self.perm)
+        self.groups, start = [], 0
+        for m in np.unique(sizes):
+            rows = slice(start, start + int(np.count_nonzero(sizes == m)) * m)
+            self.groups.append((rows, int(m)))
+            start = rows.stop
+
+    def stack(self, mat) -> list:
+        """(rows, stacked (g, m, m) diagonal blocks) of the partitioned matrix,
+        one pair per block size."""
+        coo = sp.coo_array(mat)
+        coo.sum_duplicates()
+        r, c = self.inv_perm[coo.row], self.inv_perm[coo.col]
+        out = []
+        for rows, m in self.groups:
+            sel = (r >= rows.start) & (r < rows.stop)
+            i, j = r[sel] - rows.start, c[sel] - rows.start
+            mats = np.zeros(((rows.stop - rows.start) // m, m, m), dtype=complex)
+            mats[i // m, i % m, j % m] = coo.data[sel]
+            out.append((rows, mats))
+        return out
+
+
+def _blockwise(blocks, x: np.ndarray) -> np.ndarray:
+    """Multiply x, rows in block order, by stacked (g, m, m) diagonal blocks."""
+    out = np.empty_like(x)
+    for rows, mats in blocks:
+        g, m, _ = mats.shape
+        out[rows] = (mats @ x[rows].reshape(g, m, -1)).reshape(g * m, -1)
+    return out
+
+
+# -- master equation ------------------------------------------------------------
+
+
 def _liouvillian(h, ls, hbar: float = 1.0) -> sp.csr_array:
     """CSR superoperator of the Lindblad equation acting on the row-major vec(rho),
 
@@ -256,8 +316,11 @@ class MasterTrajectory:
     times: np.ndarray
     rhos: list
     fock: FockSpace
-    nfev: int  # RK45 right-hand-side calls
+    method: str  # "block_expm" or "rk45"
+    nfev: int  # RK45 right-hand-side calls; 0 on the block path
     nnz: int  # stored entries of the CSR superoperator
+    blocks: int  # connected blocks of the superoperator
+    max_block: int  # size of the largest block
     events: list = field(default_factory=list)
 
     def density(self, k: int) -> DensityMatrix:
@@ -275,6 +338,22 @@ def _model_matrices(model: LindbladModel, fock: FockSpace):
     return h, ls
 
 
+def _block_states(liou, blocks: _BlockPartition, y0: np.ndarray, t_eval: np.ndarray):
+    """Yield vec(rho) at each time of t_eval, stepping with the exact
+    propagators expm(L_b dt) of the blocks of the superoperator, stacked by
+    block size.  Consecutive steps that agree to 1e-12 relative share one set
+    of propagators, so a uniform grid computes one."""
+    stacked = blocks.stack(liou)
+    y = y0[blocks.perm, None]
+    step, props = None, None
+    yield y0
+    for dt in np.diff(t_eval):
+        if props is None or abs(dt - step) > 1e-12 * step:
+            step, props = dt, [(rows, expm(mats * dt)) for rows, mats in stacked]
+        y = _blockwise(props, y)
+        yield y[blocks.inv_perm, 0]
+
+
 def integrate_master(
     rho0: DensityMatrix,
     model: LindbladModel,
@@ -282,37 +361,49 @@ def integrate_master(
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> MasterTrajectory:
-    """Adaptive integration of the master equation in the truncated basis.
+    """Master equation in the truncated basis at the times `t_eval`, which
+    must increase strictly.
+
+    The CSR superoperator is split into the connected blocks of its nonzero
+    pattern.  When the largest block is no larger than the Hilbert-space
+    dimension, as for the bands m - n of a phase-covariant model, rho is
+    mapped from one output time to the next by the exact dense propagator
+    of each block (method "block_expm", scaling and squaring).  Any other
+    model, such as one with a q^4 term, whose blocks are its two parity
+    sectors, is integrated whole by adaptive RK45 (method "rk45"); `rtol`
+    and `atol` apply to this path only.
 
     Hermiticity is re-imposed at output times; the trace is renormalized
     only if it drifts beyond 1e-10 (logged).  Population of the highest
     Fock level is the truncation-leakage monitor.
     """
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.ndim != 1 or t_eval.size < 2 or not np.all(np.diff(t_eval) > 0):
+        raise ValueError("t_eval must hold at least two strictly increasing times")
     fock = rho0.fock
     dim = fock.dim
     init_leak = fock.leakage(rho0.rho)
     if init_leak > 1e-10:
         raise ValueError(f"initial truncation leakage {init_leak:.2e} exceeds 1e-10")
     liou = _liouvillian(*_model_matrices(model, fock))
+    blocks = _BlockPartition(liou)
+    y0 = rho0.rho.ravel().astype(complex)
+    if blocks.max_block <= dim:
+        method, nfev = "block_expm", 0
+        states = _block_states(liou, blocks, y0, t_eval)
+    else:
 
-    def rhs(t, y):
-        return liou @ y
+        def rhs(t, y):
+            return liou @ y
 
-    t_eval = np.asarray(t_eval, dtype=float)
-    sol = solve_ivp(
-        rhs,
-        (t_eval[0], t_eval[-1]),
-        rho0.rho.ravel().astype(complex),
-        method="RK45",
-        t_eval=t_eval,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise RuntimeError(f"master-equation integration failed: {sol.message}")
+        sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]), y0, method="RK45", t_eval=t_eval,
+                        rtol=rtol, atol=atol)
+        if not sol.success:
+            raise RuntimeError(f"master-equation integration failed: {sol.message}")
+        method, nfev, states = "rk45", int(sol.nfev), sol.y.T
     rhos, events = [], []
-    for k, t in enumerate(sol.t):
-        rho = sol.y[:, k].reshape(dim, dim)
+    for t, y in zip(t_eval, states):
+        rho = y.reshape(dim, dim)
         rho = 0.5 * (rho + rho.conj().T)
         tr = np.real(np.trace(rho))
         if abs(tr - 1.0) > 1e-10:
@@ -327,8 +418,9 @@ def integrate_master(
         peak = max(ev["population"] for ev in leaks)
         warnings.warn(f"truncation leakage above 1e-6 at {len(leaks)} output times: "
                       f"max {peak:.2e}, first at t={leaks[0]['t']:.3g}")
-    return MasterTrajectory(times=sol.t.copy(), rhos=rhos, fock=fock,
-                            nfev=int(sol.nfev), nnz=int(liou.nnz), events=events)
+    return MasterTrajectory(times=t_eval.copy(), rhos=rhos, fock=fock, method=method, nfev=nfev,
+                            nnz=int(liou.nnz), blocks=blocks.n_blocks,
+                            max_block=blocks.max_block, events=events)
 
 
 # -- moments ------------------------------------------------------------------
@@ -491,39 +583,28 @@ class JumpEnsemble:
         return "\n".join(lines) + "\n"
 
 
-class _SectorPropagator:
+class _SectorPropagator(_BlockPartition):
     """Exact propagation with the spectral decomposition of the (constant)
     effective non-Hermitian Hamiltonian, one invariant block at a time.
 
     The blocks are the connected components of the nonzero pattern of
     `heff` (the number sectors of a model that conserves or only lowers
     the total number); a model without such structure is one block.
-    States are permuted into block order, blocks of equal size are stacked,
-    and `coeffs` and `apply` are one batched product per block size.
+    `coeffs` and `apply` are one batched product per block size.
     Coefficients live in block order; `apply` returns states in the
     original basis order.
     """
 
     def __init__(self, heff):
-        heff = sp.csr_array(heff)
-        self.n_blocks, labels = connected_components(heff != 0, directed=True, connection="weak")
-        sizes = np.bincount(labels)
-        self.max_block = int(sizes.max())
-        # by block size, then block label; basis order is kept within a block
-        self.perm = np.argsort(sizes[labels] * self.n_blocks + labels, kind="stable")
-        self.inv_perm = np.argsort(self.perm)
-        dense = heff.toarray().astype(complex, copy=False)
+        super().__init__(heff)
         self._vec, lams = [], []
-        smax, smin, start = 0.0, np.inf, 0
-        for m in np.unique(sizes):
-            rows = slice(start, start + int(np.count_nonzero(sizes == m)) * m)
-            idx = self.perm[rows].reshape(-1, m)
-            lam, vec = np.linalg.eig(dense[idx[:, :, None], idx[:, None, :]])
+        smax, smin = 0.0, np.inf
+        for rows, mats in self.stack(heff):
+            lam, vec = np.linalg.eig(mats)
             sv = np.linalg.svd(vec, compute_uv=False)
             smax, smin = max(smax, sv.max()), min(smin, sv.min())
             self._vec.append((rows, vec))
             lams.append(lam.ravel())
-            start = rows.stop
         # condition number of the whole block-diagonal eigenvector matrix
         cond = smax / smin if smin > 0 else np.inf
         if cond > 1e8:
@@ -533,18 +614,9 @@ class _SectorPropagator:
         self.lam = np.concatenate(lams)
         self._vec_inv = [(rows, np.linalg.inv(vec)) for rows, vec in self._vec]
 
-    @staticmethod
-    def _blockwise(blocks, x: np.ndarray) -> np.ndarray:
-        """Multiply x, rows in block order, by stacked (g, m, m) diagonal blocks."""
-        out = np.empty_like(x)
-        for rows, mats in blocks:
-            g, m, _ = mats.shape
-            out[rows] = (mats @ x[rows].reshape(g, m, -1)).reshape(g * m, -1)
-        return out
-
     def coeffs(self, states: np.ndarray) -> np.ndarray:
         """Eigenbasis coefficients of the columns of `states`, in block order."""
-        return self._blockwise(self._vec_inv, states[self.perm])
+        return _blockwise(self._vec_inv, states[self.perm])
 
     def apply(self, coeffs: np.ndarray, dt) -> np.ndarray:
         """States at times `dt` (a scalar, or one per column) after `coeffs`."""
@@ -552,7 +624,7 @@ class _SectorPropagator:
         # share one column of phases
         times, col = np.unique(dt, return_inverse=True)
         phases = np.exp(-1j * np.outer(self.lam, times))[:, col.ravel()]
-        return self._blockwise(self._vec, phases * coeffs)[self.inv_perm]
+        return _blockwise(self._vec, phases * coeffs)[self.inv_perm]
 
 
 def _trajectory_key(seed: int, index: int) -> int:

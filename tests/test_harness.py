@@ -114,6 +114,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.times.frame_indices()
 
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan"), float("inf")])
+    def test_times_t_end_must_be_finite_and_positive(self, t_end):
+        d = default_config("limit_cycle")
+        d["times"]["t_end"] = t_end
+        with pytest.raises(ConfigError, match="times.t_end"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [("t_end", 0.0), ("t_end", -1.0),
+                                            ("t_end", float("nan")), ("n_out", 1)])
+    def test_portrait_span_validated(self, key, value):
+        d = default_config("portrait_limit_cycle")
+        d["portrait"][key] = value
+        with pytest.raises(ConfigError, match=f"portrait.{key}"):
+            ExperimentConfig.from_dict(d)
+
     def test_file_round_trip(self, tmp_path):
         cfg = ExperimentConfig.from_dict(default_config("bose_hubbard_losses"))
         path = tmp_path / "cfg.json"
@@ -179,6 +194,16 @@ class TestCompare:
         rep = compare_dirs(da, db, {"x": {"sup": 0.005}})
         assert not rep.passed
 
+    def test_compare_dirs_rejects_unmatched_tolerances(self, tmp_path):
+        t = np.linspace(0, 1, 11)
+        da, db = tmp_path / "a", tmp_path / "b"
+        write_observables({"x": ObservableSeries(t, t)}, da / "observables.csv")
+        write_observables({"x": ObservableSeries(t, t + 0.5)}, db / "observables.csv")
+        with pytest.raises(ValueError, match=r"\['X'\]"):
+            compare_dirs(da, db, {"X": {"sup": 1e-6}})
+        with pytest.raises(ValueError, match=r"\['max'\]"):
+            compare_dirs(da, db, {"x": {"max": 1e-6}})
+
 
 class TestRunners:
     def test_cat_runner_artifacts_and_determinism(self, tmp_path):
@@ -230,9 +255,16 @@ class TestRunners:
         doc = json.loads((Path(outdir) / "report.json").read_text())
         solver = [e for e in doc["entries"] if e["check"] == "master_solver"]
         (mtraj,) = trajs
-        assert solver == [{"check": "master_solver", "nfev": mtraj.nfev, "nnz": mtraj.nnz,
-                           "passed": True}]
-        assert mtraj.nfev > 0 and mtraj.nnz > 0
+        assert solver == [{"check": "master_solver", "method": mtraj.method, "nfev": mtraj.nfev,
+                           "nnz": mtraj.nnz, "blocks": mtraj.blocks,
+                           "max_block": mtraj.max_block, "passed": True}]
+        assert mtraj.nnz > 0
+        if name == "limit_cycle":  # the bands m - n, propagated exactly
+            assert (mtraj.method, mtraj.nfev, mtraj.blocks, mtraj.max_block) == (
+                "block_expm", 0, 111, 56)
+        else:  # two parity blocks of the 55-level q^4 model
+            assert (mtraj.method, mtraj.blocks, mtraj.max_block) == ("rk45", 2, 1513)
+            assert mtraj.nfev > 0
         others = [e["passed"] for e in doc["entries"] if e["check"] != "master_solver"]
         assert others
         assert doc["passed"] == report.passed == all(others)
@@ -507,6 +539,10 @@ class TestCli:
         assert cli_main(["compare", str(da), str(db), "--tol", str(tolfile)]) == 0
         tolfile.write_text(json.dumps({"x": {"sup": 0.01}}))
         assert cli_main(["compare", str(da), str(db), "--tol", str(tolfile)]) == 2
+        tolfile.write_text(json.dumps({"X": {"sup": 1e-6}}))
+        capsys.readouterr()
+        assert cli_main(["compare", str(da), str(db), "--tol", str(tolfile)]) == 1
+        assert "['X']" in capsys.readouterr().err
 
     def test_portrait_cli(self, tmp_path):
         d = default_config("portrait_nonlinear_loss")

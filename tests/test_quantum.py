@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag, expm
 from scipy.special import gammaln, hermite
 
@@ -376,7 +377,9 @@ class TestMaster:
         rho0 = DensityMatrix.from_state(f.coherent_vector([1.0]), f)
         traj = integrate_master(rho0, model, np.linspace(0, 3, 7))
         assert len(calls) == 1
-        assert traj.nfev > 6
+        # the damped oscillator splits into its 31 bands m - n, so it runs on
+        # the block path and makes no RK45 calls
+        assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 31, 16)
         assert traj.nnz == _liouvillian(*_model_matrices(model, f)).nnz
         integrate_master(rho0, model, np.linspace(0, 1, 3))
         assert len(calls) == 2
@@ -386,6 +389,51 @@ class TestMaster:
         f = FockSpace(4)
         with pytest.raises(ValueError):
             integrate_master(DensityMatrix.from_state(f.coherent_vector([1.8]), f), model, [0, 1])
+
+
+def reference_rhos(rho0, model, t_eval):
+    """rho at t_eval from RK45 on the whole superoperator at rtol 1e-10."""
+    liou = _liouvillian(*_model_matrices(model, rho0.fock))
+    sol = solve_ivp(lambda t, y: liou @ y, (t_eval[0], t_eval[-1]), rho0.rho.ravel(),
+                    t_eval=t_eval, rtol=1e-10, atol=1e-13)
+    assert sol.success
+    return [sol.y[:, k].reshape(rho0.rho.shape) for k in range(len(t_eval))]
+
+
+class TestMasterPaths:
+    @pytest.mark.parametrize("t_eval", [np.linspace(0.0, 10.0, 21), np.array([0.0, 0.3, 1.0, 1.05])],
+                             ids=["uniform", "non_uniform"])
+    def test_limit_cycle_block_path_matches_rk45(self, t_eval):
+        cfg = ExperimentConfig.from_dict(default_config("limit_cycle"))
+        f = FockSpace(cfg.fock_levels)
+        rho0 = DensityMatrix.from_state(f.coherent_vector(cfg.initial.amplitudes), f)
+        model = cfg.model.build(1.0)
+        traj = integrate_master(rho0, model, t_eval)
+        assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 111, 56)
+        assert np.array_equal(traj.times, t_eval)
+        want = reference_rhos(rho0, model, t_eval)
+        assert max(np.max(np.abs(got - ref)) for got, ref in zip(traj.rhos, want)) < 1e-8
+
+    def test_quartic_cat_stays_on_rk45(self):
+        # q^4 couples m - n to m - n +- 2, 4, so the blocks are the two
+        # parities of m - n, each larger than the Hilbert space
+        f = FockSpace(20)
+        psi = f.packet_vector(1.0, 0.5) + f.packet_vector(-1.0, 0.5)
+        rho0 = DensityMatrix.from_state(psi, f)
+        traj = integrate_master(rho0, registered_model("cat_anharmonic"), np.linspace(0, 1, 5))
+        assert traj.method == "rk45" and traj.nfev > 0
+        assert (traj.blocks, traj.max_block) == (2, 200)
+
+    @pytest.mark.parametrize("name, method", [("limit_cycle", "block_expm"),
+                                              ("cat_anharmonic", "rk45")])
+    def test_times_must_increase_on_both_paths(self, name, method):
+        model = registered_model(name)
+        f = FockSpace(12)
+        rho0 = DensityMatrix.from_state(f.vacuum(), f)
+        assert integrate_master(rho0, model, [0.0, 0.1]).method == method
+        for t_eval in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0], [1.0, 0.0], [0.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                integrate_master(rho0, model, t_eval)
 
 
 class TestMomentsOfDensity:
