@@ -14,7 +14,6 @@ Conventions (single source of truth for the whole package):
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -314,8 +313,10 @@ class GridSpec:
     n_p: int
 
     def __post_init__(self):
-        if self.n_q < 1 or self.n_p < 1 or self.q_max <= self.q_min or self.p_max <= self.p_min:
-            raise ValueError("degenerate grid")
+        if not (self.n_q >= 1 and self.n_p >= 1 and 0 < self.q_max - self.q_min < np.inf
+                and 0 < self.p_max - self.p_min < np.inf):
+            raise ValueError("degenerate grid: needs finite q_min < q_max, p_min < p_max "
+                             "and n_q, n_p >= 1")
 
     @property
     def dq(self) -> float:
@@ -378,26 +379,6 @@ class WignerGrid:
         if np.all(vals.imag == 0):
             vals = vals.real
         return cls(spec, vals)
-
-    def to_json(self) -> str:
-        s = self.spec
-        doc = {
-            "q": [s.q_min, s.q_max, s.n_q],
-            "p": [s.p_min, s.p_max, s.n_p],
-            "values_re": np.real(self.values).ravel().tolist(),
-        }
-        if np.iscomplexobj(self.values):
-            doc["values_im"] = np.imag(self.values).ravel().tolist()
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WignerGrid":
-        doc = json.loads(text)
-        spec = GridSpec(*doc["q"][:2], int(doc["q"][2]), *doc["p"][:2], int(doc["p"][2]))
-        vals = np.array(doc["values_re"], dtype=float)
-        if "values_im" in doc:
-            vals = vals + 1j * np.array(doc["values_im"])
-        return cls(spec, vals.reshape(spec.n_q, spec.n_p))
 
 
 def eval_wigner(state, spec: GridSpec) -> WignerGrid:

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..gaussian import GridSpec
 from ..semiclassical import LindbladModel
 from ..symbols import Chart, parse_symbol
 
@@ -175,36 +176,16 @@ class TimesSection:
         return out
 
 
-@dataclass(frozen=True)
-class GridSection:
-    q_min: float
-    q_max: float
-    n_q: int
-    p_min: float
-    p_max: float
-    n_p: int
+_GRID_KEYS = {"q_min": float, "q_max": float, "n_q": int,
+              "p_min": float, "p_max": float, "n_p": int}
 
-    @classmethod
-    def from_dict(cls, d):
-        vals = _pull(
-            d,
-            "grid",
-            {k: conv for k, conv in
-             [("q_min", float), ("q_max", float), ("n_q", int),
-              ("p_min", float), ("p_max", float), ("n_p", int)]},
-        )
-        return cls(**vals)
 
-    def to_dict(self):
-        return {
-            "q_min": self.q_min, "q_max": self.q_max, "n_q": self.n_q,
-            "p_min": self.p_min, "p_max": self.p_max, "n_p": self.n_p,
-        }
-
-    def spec(self):
-        from ..gaussian import GridSpec
-
-        return GridSpec(self.q_min, self.q_max, self.n_q, self.p_min, self.p_max, self.n_p)
+def _grid_spec(d) -> GridSpec:
+    vals = _pull(d, "grid", _GRID_KEYS)
+    try:
+        return GridSpec(**vals)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}, got {vals}") from None
 
 
 @dataclass(frozen=True)
@@ -224,12 +205,7 @@ class PortraitSection:
         vals = _pull(
             d,
             "portrait",
-            {
-                "q_min": float, "q_max": float, "n_q": int,
-                "p_min": float, "p_max": float, "n_p": int,
-                "t_end": float, "n_out": int,
-                "starts": _float_pair_list,
-            },
+            {**_GRID_KEYS, "t_end": float, "n_out": int, "starts": _float_pair_list},
         )
         _check_span("portrait", vals["t_end"], vals["n_out"])
         return cls(**vals)
@@ -253,7 +229,7 @@ class ExperimentConfig:
     model: ModelSection
     initial: InitialSection | None
     times: TimesSection | None
-    grid: GridSection | None
+    grid: GridSpec | None
     fock_levels: int | None
     n_trajectories: int | None
     tolerances: dict
@@ -274,7 +250,7 @@ class ExperimentConfig:
                 "solvers": (lambda v: tuple(str(s) for s in v), ()),
                 "initial": (InitialSection.from_dict, None),
                 "times": (TimesSection.from_dict, None),
-                "grid": (GridSection.from_dict, None),
+                "grid": (_grid_spec, None),
                 "fock_levels": (int, None),
                 "n_trajectories": (int, None),
                 "tolerances": (lambda v: {str(k): float(x) for k, x in v.items()}, {}),
@@ -302,7 +278,7 @@ class ExperimentConfig:
         if self.times is not None:
             out["times"] = self.times.to_dict()
         if self.grid is not None:
-            out["grid"] = self.grid.to_dict()
+            out["grid"] = asdict(self.grid)
         if self.fock_levels is not None:
             out["fock_levels"] = self.fock_levels
         if self.n_trajectories is not None:

@@ -4,11 +4,12 @@
 ``solvers``, to ``fn(config, model, t_eval) -> SolverRun``.  A ``SolverRun``
 carries the observables, written to ``<root>/<experiment>/<solver>/observables.csv``;
 extra files (name -> text) for the same directory; a frame function
-``k -> WignerGrid``, written there as ``wigner_t<t>.txt|json`` at each
+``k -> WignerGrid``, written there as ``wigner_t<t>.txt`` at each
 configured frame when the config has a ``grid``; the report entries the
-solver adds (its statistics and events); and the solver's raw result.
-``SolverRun.grid(k)`` computes each frame once, so checks read the grids
-that were written.
+solver adds (its statistics); and the solver's raw result, whose
+``events``, if it has any, ``run_experiment`` reports as one
+``solver_events`` entry per kind.  ``SolverRun.grid(k)`` computes each
+frame once, so checks read the grids that were written.
 
 ``ExperimentDef.checks`` lists ``(needed solvers, fn(config, t_eval, runs) ->
 entries)``, with ``runs`` mapping solver name to ``SolverRun``.  After the
@@ -17,15 +18,15 @@ entries to ``report.json``.  So a new solver is one function and one
 ``solvers`` row, and a new comparison one function and one ``checks`` row.
 
 ``run_experiment`` alone runs, times and writes the solvers.  Re-running with
-the same config and seed reproduces every CSV byte for byte.  Rows call the
-library functions (``integrate``, ``eval_wigner``, ...) by their names in this
-module when they run, so a name replaced here, as ``perfbench/tracing.py``
-does, is the one every run calls.
+the same config and seed reproduces every file but ``report.json`` (which
+holds run times) byte for byte.  Rows call the library functions
+(``integrate``, ``eval_wigner``, ...) by their names in this module when they
+run, so a name replaced here, as ``perfbench/tracing.py`` does, is the one
+every run calls.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections.abc import Callable
@@ -53,7 +54,7 @@ from ..quantum import (
 from ..semiclassical import SemiclassicalState, drift_x, integrate, trajectory_to_csv
 from ..symbols import Chart
 from .compare import ComparisonReport, ObservableSeries, write_observables
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, dump_config
 
 __all__ = ["EXPERIMENTS", "ExperimentDef", "SolverRun", "default_config", "run_experiment",
            "run_portrait"]
@@ -101,15 +102,24 @@ def _mode_amplitudes(x: np.ndarray) -> np.ndarray:
 
 
 def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
-    """Write ``run.grid(k)`` as text and JSON for each index k; a grid with a
+    """Write ``run.grid(k)`` as text for each index k; a grid with a
     non-finite value raises before it is written."""
     for k in indices:
         grid = run.grid(k)
         if not np.all(np.isfinite(grid.values)):
             raise ValueError(f"{outdir}: Wigner frame at t={times[k]:g} has non-finite values")
-        stem = f"wigner_t{times[k]:g}"
-        _write(outdir / f"{stem}.txt", grid.to_text())
-        _write(outdir / f"{stem}.json", grid.to_json())
+        _write(outdir / f"wigner_t{times[k]:g}.txt", grid.to_text())
+
+
+def _event_entries(solver: str, result) -> list:
+    """Informational report entries of the events a solver's result records
+    (trace renormalizations, width clamps, leakage, component collapses):
+    one per kind, with its count and first time."""
+    times = {}
+    for ev in getattr(result, "events", ()):
+        times.setdefault(ev["kind"], []).append(ev["t"])
+    return [{"check": "solver_events", "solver": solver, "kind": kind, "count": len(ts),
+             "first_t": min(ts), "passed": True} for kind, ts in times.items()]
 
 
 def _bounded(check: str, value, tolerance, **extra) -> dict:
@@ -136,7 +146,7 @@ def _master_run(config: ExperimentConfig, model, t_eval, rho0: DensityMatrix) ->
     the observables."""
     mtraj = integrate_master(rho0, model, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
     return SolverRun(
-        frame=lambda k: wigner_of_density(mtraj.density(k), config.grid.spec()),
+        frame=lambda k: wigner_of_density(mtraj.density(k), config.grid),
         entries=[{"check": "master_solver", "method": mtraj.method, "nfev": mtraj.nfev,
                   "nnz": mtraj.nnz, "blocks": mtraj.blocks, "max_block": mtraj.max_block,
                   "passed": True}],
@@ -204,7 +214,7 @@ def _limit_cycle_semiclassical(config: ExperimentConfig, model, t_eval) -> Solve
     moms = [moments(GaussianWigner(hbar=config.hbar, x=st.x, g=st.g)) for st in traj.states]
     run.observables = _ring_observables(t_eval, amps, moms)
     run.observables["min_eig_physicality"] = ObservableSeries(t_eval, traj.min_physicality)
-    run.frame = lambda k: eval_wigner(traj.states[k].as_gaussian(config.hbar), config.grid.spec())
+    run.frame = lambda k: eval_wigner(traj.states[k].as_gaussian(config.hbar), config.grid)
     return run
 
 
@@ -448,9 +458,8 @@ def _cat_doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
         },
         files={f"component_{idx}.csv": component_csv(track, t_eval)
                for idx, track in enumerate(series.tracks)},
-        frame=lambda k: eval_wigner(series.states[k], config.grid.spec()),
-        entries=[{"check": "doubled_solver", "nfev": series.nfev, "passed": True}]
-        + [dict(check="component_collapse", passed=True, **ev) for ev in series.events],
+        frame=lambda k: eval_wigner(series.states[k], config.grid),
+        entries=[{"check": "doubled_solver", "nfev": series.nfev, "passed": True}],
         result=series,
     )
 
@@ -706,11 +715,12 @@ def run_experiment(config: ExperimentConfig, root=None):
             _wigner_frames(outdir / name, t_eval, frames, run)
         report.runtime_s[name] = time.perf_counter() - t0
         report.entries.extend(run.entries)
+        report.entries.extend(_event_entries(name, run.result))
         runs[name] = run
     for needs, check in exp.checks:
         if all(name in runs for name in needs):
             report.entries.extend(check(config, t_eval, runs))
     report.runtime_s["total"] = time.perf_counter() - start
     _write(outdir / "report.json", report.to_json() + "\n")
-    _write(outdir / "config.json", json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    dump_config(config, outdir / "config.json")
     return report, outdir

@@ -574,14 +574,6 @@ class JumpEnsemble:
         s = self.series[name]
         return s.std(axis=1, ddof=1) / np.sqrt(self.n_traj)
 
-    def to_csv(self) -> str:
-        lines = ["t,obs_name,value,stderr"]
-        for name in sorted(self.series):
-            m, e = self.mean(name), self.stderr(name)
-            for t, v, s in zip(self.times, m, e):
-                lines.append(f"{t!r},{name},{v!r},{s!r}")
-        return "\n".join(lines) + "\n"
-
 
 class _SectorPropagator(_BlockPartition):
     """Exact propagation with the spectral decomposition of the (constant)

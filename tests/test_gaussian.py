@@ -184,11 +184,11 @@ class TestGridIO:
         assert back.spec == grid.spec
         assert np.array_equal(back.values, grid.values)
 
-    def test_json_round_trip_complex(self):
+    def test_text_round_trip_complex_component(self):
         comp = cat_decompose([(2.0, 0.0), (-2.0, 0.0)], [1, 1], np.array([[1j]])).components[1]
         spec = GridSpec(-4, 4, 17, -4, 4, 17)
         grid = WignerGrid(spec, comp.values(spec.points()))
-        back = WignerGrid.from_json(grid.to_json())
+        back = WignerGrid.from_text(grid.to_text())
         assert back.spec == grid.spec
         assert np.allclose(back.values, grid.values, atol=0)
 

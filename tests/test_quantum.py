@@ -853,10 +853,3 @@ class TestQuantumJump:
                            extra_observables={"top": np.diag(f._top_mask)})
         assert ens.series["re_top"][0].max() == 0 and ens.jump_counts.sum() > 0
         assert ens.max_leakage == pytest.approx(ens.mean("re_top").max(), rel=1e-12)
-
-    def test_csv_format(self):
-        model = damped_model(0.0, 0.4)
-        f = FockSpace(6)
-        ens = quantum_jump(model, f.coherent_vector([0.8]), [0, 0.5], n_traj=10, seed=1, fock=f)
-        text = ens.to_csv()
-        assert text.splitlines()[0] == "t,obs_name,value,stderr"
