@@ -14,6 +14,7 @@ Conventions (single source of truth for the whole package):
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
 
@@ -379,6 +380,19 @@ class WignerGrid:
         if np.all(vals.imag == 0):
             vals = vals.real
         return cls(spec, vals)
+
+    def to_json(self) -> str:
+        # Frames are written only as text; perfbench/tracing.py still names this
+        # method, so it goes together with that tracer row.
+        s = self.spec
+        doc = {
+            "q": [s.q_min, s.q_max, s.n_q],
+            "p": [s.p_min, s.p_max, s.n_p],
+            "values_re": np.real(self.values).ravel().tolist(),
+        }
+        if np.iscomplexobj(self.values):
+            doc["values_im"] = np.imag(self.values).ravel().tolist()
+        return json.dumps(doc)
 
 
 def eval_wigner(state, spec: GridSpec) -> WignerGrid:

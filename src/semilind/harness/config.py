@@ -180,12 +180,12 @@ _GRID_KEYS = {"q_min": float, "q_max": float, "n_q": int,
               "p_min": float, "p_max": float, "n_p": int}
 
 
-def _grid_spec(d) -> GridSpec:
-    vals = _pull(d, "grid", _GRID_KEYS)
+def _grid_spec(where: str, vals: dict) -> GridSpec:
+    vals = {k: vals[k] for k in _GRID_KEYS}
     try:
         return GridSpec(**vals)
     except ValueError as exc:
-        raise ConfigError(f"grid: {exc}, got {vals}") from None
+        raise ConfigError(f"{where}: {exc}, got {vals}") from None
 
 
 @dataclass(frozen=True)
@@ -207,6 +207,7 @@ class PortraitSection:
             "portrait",
             {**_GRID_KEYS, "t_end": float, "n_out": int, "starts": _float_pair_list},
         )
+        _grid_spec("portrait", vals)
         _check_span("portrait", vals["t_end"], vals["n_out"])
         return cls(**vals)
 
@@ -250,7 +251,7 @@ class ExperimentConfig:
                 "solvers": (lambda v: tuple(str(s) for s in v), ()),
                 "initial": (InitialSection.from_dict, None),
                 "times": (TimesSection.from_dict, None),
-                "grid": (_grid_spec, None),
+                "grid": (lambda v: _grid_spec("grid", _pull(v, "grid", _GRID_KEYS)), None),
                 "fock_levels": (int, None),
                 "n_trajectories": (int, None),
                 "tolerances": (lambda v: {str(k): float(x) for k, x in v.items()}, {}),

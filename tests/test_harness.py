@@ -132,6 +132,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"portrait.{key}"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("key, value", [("q_max", -9.0), ("p_min", 9.0), ("n_q", 0),
+                                            ("n_p", -1), ("q_min", float("nan"))])
+    def test_portrait_degenerate_grid_rejected(self, key, value):
+        d = default_config("portrait_limit_cycle")
+        d["portrait"][key] = value
+        with pytest.raises(ConfigError, match="^portrait: degenerate grid"):
+            ExperimentConfig.from_dict(d)
+
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_file_round_trip(self, name, tmp_path):
         cfg = ExperimentConfig.from_dict(default_config(name))
@@ -608,29 +616,20 @@ def tracer_targets():
     return found["TARGETS"], found["ODE_TARGETS"]
 
 
-# Names the program deleted that the tracer still lists until its next change.
-# The JSON frame writer's span shares ``harness.serialize`` with the other
-# writers, so no metric is lost; the test checks that too.
-RETIRED_TARGETS = ["semilind.gaussian.WignerGrid.to_json"]
-
-
 class TestTracerTargets:
     """The benchmark tracer skips a name it cannot find, dropping its metric."""
 
     def test_every_traced_name_resolves(self):
         targets, ode_targets = tracer_targets()
         assert targets and ode_targets
-        names = list(targets)
-        names += [(module, "solve_ivp", None) for module, _ in ode_targets]
-        names.append(("semilind.harness.experiments", "quantum_jump", None))
-        missing, metrics = [], set()
-        for module, attr, metric in names:
+        names = [(module, attr) for module, attr, _ in targets]
+        names += [(module, "solve_ivp") for module, _ in ode_targets]
+        names.append(("semilind.harness.experiments", "quantum_jump"))
+        missing = []
+        for module, attr in names:
             owner = importlib.import_module(module)
             for part in attr.split("."):
                 owner = getattr(owner, part, None)
-            if callable(owner):
-                metrics.add(metric)
-            else:
-                missing.append((f"{module}.{attr}", metric))
-        assert [name for name, _ in missing] == RETIRED_TARGETS
-        assert all(metric in metrics for _, metric in missing)
+            if not callable(owner):
+                missing.append(f"{module}.{attr}")
+        assert missing == []
