@@ -358,6 +358,8 @@ def _lattice_jumps(config: ExperimentConfig, model, t_eval) -> SolverRun:
             "g12": ObservableSeries(t_eval, g12, g12_err),
         },
         entries=[{"check": "jump_solver", "jumps_per_traj": float(ens.jump_counts.mean()),
+                  "norm_evals_per_jump": ens.norm_evals / max(int(ens.jump_counts.sum()), 1),
+                  "max_norm_evals": ens.max_norm_evals,
                   "n_blocks": ens.n_blocks, "max_block": ens.max_block,
                   "max_leakage": ens.max_leakage, "passed": True}],
         result=ens,
@@ -611,6 +613,7 @@ def run_portrait(config: ExperimentConfig, root=None):
     report = ComparisonReport()
     report.add(check="portrait_written", passed=True)
     _write(outdir / "report.json", report.to_json() + "\n")
+    dump_config(config, outdir / "config.json")
     return report, outdir
 
 

@@ -555,7 +555,9 @@ class JumpEnsemble:
     shape (n_times, n_traj); `mean` and `stderr` are the aggregates.
     `n_blocks` and `max_block` describe the propagator's invariant blocks;
     `max_leakage` is the largest ensemble-mean population of the highest
-    Fock level of any mode over the output times.
+    Fock level of any mode over the output times.  `norm_evals` counts the
+    norm evaluations of the jump-time root finder over the whole run and
+    `max_norm_evals` the most it spent on one crossing.
     """
 
     times: np.ndarray
@@ -566,6 +568,8 @@ class JumpEnsemble:
     n_blocks: int
     max_block: int
     max_leakage: float
+    norm_evals: int
+    max_norm_evals: int
 
     def mean(self, name: str) -> np.ndarray:
         return self.series[name].mean(axis=1)
@@ -582,9 +586,13 @@ class _SectorPropagator(_BlockPartition):
     The blocks are the connected components of the nonzero pattern of
     `heff` (the number sectors of a model that conserves or only lowers
     the total number); a model without such structure is one block.
-    `coeffs` and `apply` are one batched product per block size.
-    Coefficients live in block order; `apply` returns states in the
-    original basis order.
+    With heff = V diag(lam) V^-1, a state with eigenbasis coefficients c is
+    V x(s) after a time s, x(s) = exp(-i lam s) c.  Its squared norm is
+    n(s) = Re x^H G x with the Gram matrix G = V^H V, stored per block, and
+    n'(s) = 2 Re (G x)^H (-i lam x); `norm_and_slope` reads both without
+    returning to the Fock basis.  `coeffs`, `apply` and `norm_and_slope`
+    are one batched product per block size.  Coefficients live in block
+    order; `apply` returns states in the original basis order.
     """
 
     def __init__(self, heff):
@@ -605,18 +613,73 @@ class _SectorPropagator(_BlockPartition):
             )
         self.lam = np.concatenate(lams)
         self._vec_inv = [(rows, np.linalg.inv(vec)) for rows, vec in self._vec]
+        self._gram = [(rows, vec.conj().swapaxes(1, 2) @ vec) for rows, vec in self._vec]
 
     def coeffs(self, states: np.ndarray) -> np.ndarray:
         """Eigenbasis coefficients of the columns of `states`, in block order."""
         return _blockwise(self._vec_inv, states[self.perm])
 
-    def apply(self, coeffs: np.ndarray, dt) -> np.ndarray:
-        """States at times `dt` (a scalar, or one per column) after `coeffs`."""
+    def evolve(self, coeffs: np.ndarray, dt) -> np.ndarray:
+        """Coefficients at times `dt` (a scalar, or one per column) after `coeffs`."""
         # columns that share a time (every column, on a step without jumps)
         # share one column of phases
         times, col = np.unique(dt, return_inverse=True)
-        phases = np.exp(-1j * np.outer(self.lam, times))[:, col.ravel()]
-        return _blockwise(self._vec, phases * coeffs)[self.inv_perm]
+        return np.exp(-1j * np.outer(self.lam, times))[:, col.ravel()] * coeffs
+
+    def apply(self, coeffs: np.ndarray, dt) -> np.ndarray:
+        """States at times `dt` (a scalar, or one per column) after `coeffs`."""
+        return _blockwise(self._vec, self.evolve(coeffs, dt))[self.inv_perm]
+
+    def norm_and_slope(self, x: np.ndarray):
+        """Squared norms n and their time derivatives n' of the states whose
+        eigenbasis coefficients are the columns of `x`.
+
+        For heff = H - (i/2) sum_k Ldag_k L_k, n' = -sum_k |L_k psi|^2, the
+        total jump weight, which is never positive.
+        """
+        gx = _blockwise(self._gram, x)
+        n = np.einsum("ij,ij->j", x.conj(), gx).real
+        dn = 2.0 * np.einsum("ij,ij->j", gx.conj(), -1j * self.lam[:, None] * x).real
+        return n, dn
+
+
+def _crossing_times(prop: _SectorPropagator, coeffs, remain, n0, n1, r):
+    """Times s in [0, remain] at which the squared norms of the states with
+    eigenbasis coefficients `coeffs` (one per column) fall to the thresholds
+    `r`, with n0 >= r > n1 the squared norms at 0 and at `remain`.
+
+    A safeguarded Newton iteration (rtsafe, Numerical Recipes 9.4) on
+    n(s) - r, with n and n' from `prop.norm_and_slope`.  It starts at the
+    log-linear guess remain ln(n0/r) / ln(n0/n1) and keeps the bracket
+    [lo, hi] by the sign of n - r after each evaluation; a Newton step that
+    is not finite, leaves the bracket or is not at most half the step before
+    it is replaced by bisection.  Each column stops by its own test (step
+    < 1e-11 or bracket < 1e-10) and leaves the batch, so its time does not
+    depend on the other columns.  Returns the times and the number of norm
+    evaluations per column.
+    """
+    lo, hi = np.zeros_like(remain), remain.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = remain * np.log(n0 / r) / np.log(n0 / n1)
+    s = np.where((s > lo) & (s < hi), s, 0.5 * hi)  # a NaN guess fails both
+    last = hi.copy()  # the step before; the bracket, to start
+    evals = np.zeros(remain.size, dtype=int)
+    todo = np.arange(remain.size)
+    while todo.size:
+        n, dn = prop.norm_and_slope(prop.evolve(coeffs[:, todo], s[todo]))
+        evals[todo] += 1
+        st, f = s[todo], n - r[todo]
+        above = f >= 0
+        lo_t, hi_t = np.where(above, st, lo[todo]), np.where(above, hi[todo], st)
+        lo[todo], hi[todo] = lo_t, hi_t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = st - f / dn
+        ok = (lo_t <= newton) & (newton <= hi_t) & (np.abs(newton - st) <= 0.5 * last[todo])
+        nxt = np.where(ok, newton, 0.5 * (lo_t + hi_t))
+        step = np.abs(nxt - st)
+        s[todo], last[todo] = nxt, step
+        todo = todo[(step >= 1e-11) & (hi_t - lo_t >= 1e-10)]
+    return s, evals
 
 
 def _trajectory_key(seed: int, index: int) -> int:
@@ -637,12 +700,17 @@ def quantum_jump(
 
     Between jumps the unnormalized state evolves under
     H - (i/2) sum_k Ldag_k L_k; a jump fires when the squared norm crosses a
-    pre-drawn uniform threshold (located by bisection to 1e-10 in time) and
-    the channel is drawn proportional to <Ldag_k L_k>.  Each trajectory owns
-    a counter-based Philox stream whose 128-bit key holds the seed in its
-    high 64 bits and the trajectory index in its low 64 bits, so no two
-    (seed, trajectory) pairs share a stream, and ensembles are reproducible
-    and independent of batching order.
+    pre-drawn uniform threshold and the channel is drawn proportional to
+    <Ldag_k L_k>.  The crossing time is a root of the squared norm, found by
+    `_crossing_times`: safeguarded Newton in the eigenbasis of the effective
+    Hamiltonian, with the norm read through the Gram matrix of its
+    eigenvectors; each crossing stops by its own test (step < 1e-11 or
+    bracket < 1e-10 in time), whatever else crosses in the same step.
+
+    Each trajectory owns a counter-based Philox stream whose 128-bit key
+    holds the seed in its high 64 bits and the trajectory index in its low
+    64 bits, so no two (seed, trajectory) pairs share a stream, and
+    ensembles are reproducible and independent of batching order.
 
     The jump operators and the `adag_a` cross observables are CSR matrices;
     `extra_observables` may be dense or sparse.  The no-jump evolution uses
@@ -681,6 +749,7 @@ def quantum_jump(
     ]
     thresholds = np.array([rng.uniform() for rng in rngs])
     jump_counts = np.zeros(n_traj, dtype=int)
+    norm_evals = max_norm_evals = 0
 
     states = np.tile(psi0[:, None], (1, n_traj))
 
@@ -718,18 +787,11 @@ def quantum_jump(
                 break
             idx = active[crossed]
             csub = coeffs[:, crossed]
-            lo = np.zeros(idx.size)
-            hi = remain[crossed].copy()
-            for _ in range(64):
-                mid = 0.5 * (lo + hi)
-                if np.max(hi - lo) < 1e-10:
-                    break
-                trial = prop.apply(csub, mid)
-                tn = np.sum(np.abs(trial) ** 2, axis=0)
-                above = tn >= thresholds[idx]
-                lo = np.where(above, mid, lo)
-                hi = np.where(above, hi, mid)
-            s_jump = 0.5 * (lo + hi)
+            n0 = np.sum(np.abs(states[:, idx]) ** 2, axis=0)
+            s_jump, evals = _crossing_times(prop, csub, remain[crossed], n0, norms[crossed],
+                                            thresholds[idx])
+            norm_evals += int(evals.sum())
+            max_norm_evals = max(max_norm_evals, int(evals.max()))
             at_jump = prop.apply(csub, s_jump)
             jumped = [L @ at_jump for L in ls]
             weights = np.array([np.sum(np.abs(v) ** 2, axis=0) for v in jumped])
@@ -753,4 +815,5 @@ def quantum_jump(
     return JumpEnsemble(
         times=t_eval.copy(), n_traj=n_traj, seed=seed, series=series, jump_counts=jump_counts,
         n_blocks=prop.n_blocks, max_block=prop.max_block, max_leakage=float(leakage.max()),
+        norm_evals=norm_evals, max_norm_evals=max_norm_evals,
     )

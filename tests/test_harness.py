@@ -444,9 +444,13 @@ class TestLatticeG12:
         (ens,) = ensembles
         solver = [e for e in doc["entries"] if e["check"] == "jump_solver"]
         assert solver == [{"check": "jump_solver", "jumps_per_traj": float(ens.jump_counts.mean()),
+                           "norm_evals_per_jump": ens.norm_evals / ens.jump_counts.sum(),
+                           "max_norm_evals": ens.max_norm_evals,
                            "n_blocks": 19, "max_block": 10, "max_leakage": ens.max_leakage,
                            "passed": True}]
         assert ens.jump_counts.sum() > 0 and 0 < ens.max_leakage < 1  # 10 levels leak heavily
+        # every crossing takes at least one norm evaluation
+        assert ens.norm_evals >= ens.jump_counts.sum() and ens.max_norm_evals >= 1
 
 
 # The library function each solver row calls, by its name in the experiments
@@ -531,6 +535,16 @@ class TestPortrait:
             want = drift_x(model, [qv, pv])
             assert np.allclose([dq, dp], want, rtol=1e-15, atol=0)
             assert speed == pytest.approx(np.hypot(*want), rel=1e-15)
+
+    def test_portrait_writes_its_config(self, tmp_path):
+        d = default_config("portrait_limit_cycle")
+        d["output_dir"] = str(tmp_path)
+        d["portrait"].update(n_q=4, n_p=3, t_end=0.2, n_out=3, starts=[[1.0, 0.5]])
+        cfg = ExperimentConfig.from_dict(d)
+        _, outdir = run_portrait(cfg)
+        assert sorted(p.name for p in Path(outdir).iterdir()) == [
+            "config.json", "field.csv", "report.json", "trajectories.csv"]
+        assert load_config(Path(outdir) / "config.json") == cfg
 
     def test_portrait_config_needed(self, tmp_path):
         d = default_config("cat_anharmonic")

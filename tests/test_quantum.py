@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag, expm
+from scipy.optimize import brentq
 from scipy.special import gammaln, hermite
 
 from semilind.gaussian import GridSpec, WignerGrid, cat_decompose, coherent, eval_wigner
@@ -17,6 +18,7 @@ from semilind.quantum import (
     FockSpace,
     JumpEnsemble,
     _SectorPropagator,
+    _crossing_times,
     _liouvillian,
     _model_matrices,
     _rotation_blocks,
@@ -748,6 +750,108 @@ class TestSectorPropagator:
         for name in sectors.series:
             assert np.max(np.abs(sectors.series[name] - whole.series[name])) < 1e-9, name
         assert abs(sectors.max_leakage - whole.max_leakage) < 1e-12
+
+
+    def test_norm_slope_is_minus_total_jump_weight(self):
+        f = FockSpace([8, 8])
+        h, ls = _model_matrices(registered_model("bose_hubbard_losses"), f)
+        prop = _SectorPropagator(h - 0.5j * sum(L.conj().T @ L for L in ls))
+        rng = np.random.default_rng(5)
+        psi = f.coherent_vector([1.5j, 1.5]) + 0.1 * rng.standard_normal(f.dim)
+        c = prop.coeffs(np.tile(psi[:, None], (1, 3)))
+        times = np.array([0.0, 0.3, 1.1])
+        n, dn = prop.norm_and_slope(prop.evolve(c, times))
+        states = prop.apply(c, times)
+        assert np.allclose(n, np.sum(np.abs(states) ** 2, axis=0), rtol=1e-12, atol=0)
+        weight = sum(np.sum(np.abs(L @ states) ** 2, axis=0) for L in ls)
+        assert np.allclose(dn, -weight, rtol=1e-10, atol=0)
+
+
+def crossing_run(prop, psi, remain, thresholds):
+    """`_crossing_times` for one state against several thresholds."""
+    r = np.asarray(thresholds, dtype=float)
+    c = prop.coeffs(np.tile(psi[:, None], (1, r.size)))
+    remain = np.full(r.size, float(remain))
+    n0 = np.full(r.size, np.vdot(psi, psi).real)
+    n1 = np.sum(np.abs(prop.apply(c, remain)) ** 2, axis=0)
+    assert np.all((n0 >= r) & (r > n1))
+    return _crossing_times(prop, c, remain, n0, n1, r)
+
+
+def brentq_times(norm, remain, thresholds):
+    return np.array([brentq(lambda s: norm(s) - r, 0.0, remain, xtol=1e-15)
+                     for r in thresholds])
+
+
+def expm_norm(heff, psi):
+    return lambda s: float(np.sum(np.abs(expm(-1j * heff * s) @ psi) ** 2))
+
+
+class TestCrossingTimes:
+    def test_diagonal_heff_sum_of_exponentials(self):
+        rates = np.array([0.0, 0.4, 1.3, 3.0, 7.5])
+        heff = np.diag(np.array([0.5, -1.0, 2.0, 0.1, -3.0]) - 0.5j * rates)
+        rng = np.random.default_rng(2)
+        psi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        psi /= np.linalg.norm(psi)
+        weights = np.abs(psi) ** 2
+        remain = 1.5
+        end = weights @ np.exp(-rates * remain)
+        thresholds = end + (1.0 - end) * np.array([0.999, 0.7, 0.3, 0.05, 1e-4])
+        times, evals = crossing_run(_SectorPropagator(heff), psi, remain, thresholds)
+        want = brentq_times(lambda s: weights @ np.exp(-rates * s), remain, thresholds)
+        assert np.max(np.abs(times - want)) < 1e-12
+        assert evals.max() <= 8
+
+    def test_non_normal_block(self):
+        # H - (i/2) Ldag L with L not commuting with H: the eigenvectors
+        # are not orthogonal, but the norm still only falls
+        h = np.array([[1.0, 0.8, 0.0], [0.8, -0.5, 0.6j], [0.0, -0.6j, 0.2]])
+        loss = np.array([[0.0, 1.2, 0.0], [0.0, 0.0, 0.9], [0.3, 0.0, 0.0]])
+        heff = h - 0.5j * loss.conj().T @ loss
+        psi = np.array([0.2, 0.5j, 0.8 - 0.1j])
+        psi /= np.linalg.norm(psi)
+        remain = 2.0
+        norm = expm_norm(heff, psi)
+        end = norm(remain)
+        thresholds = end + (1.0 - end) * np.array([0.95, 0.6, 0.2, 0.01])
+        prop = _SectorPropagator(heff)
+        times, _ = crossing_run(prop, psi, remain, thresholds)
+        (_, gram), = prop._gram
+        assert np.max(np.abs(gram - np.eye(3))) > 0.1
+        want = brentq_times(norm, remain, thresholds)
+        assert np.max(np.abs(times - want)) < 1e-12
+
+    def test_staircase_of_hopping_into_a_lossy_level(self):
+        # |0> is lossless and hops into the lossy |1>: the norm is flat at
+        # s = 0 (n'(0) = 0) and falls in steps, flat again each time the
+        # population is back in |0>, so it is not convex and Newton steps
+        # from a flat stretch would leave the bracket; bisection replaces them
+        hop, gamma = 3.0, 1.0
+        heff = np.array([[0.0, hop], [hop, -0.5j * gamma]])
+        psi = np.array([1.0, 0.0], dtype=complex)
+        prop = _SectorPropagator(heff)
+        _, dn = prop.norm_and_slope(prop.evolve(prop.coeffs(psi[:, None]), 0.0))
+        assert dn[0] == pytest.approx(0.0, abs=1e-14)
+        evaluated, evolve = [], prop.evolve
+
+        def recording(coeffs, dt):
+            evaluated.append(np.ravel(dt))
+            return evolve(coeffs, dt)
+
+        prop.evolve = recording
+        remain = 4.0
+        norm = expm_norm(heff, psi)
+        grid = np.array([norm(s) for s in np.linspace(0.0, remain, 801)])
+        curvature = np.diff(grid, 2)
+        assert curvature.min() < 0 < curvature.max()
+        end = norm(remain)
+        thresholds = end + (1.0 - end) * np.linspace(0.999, 0.001, 23)
+        times, _ = crossing_run(prop, psi, remain, thresholds)
+        want = brentq_times(norm, remain, thresholds)
+        assert np.max(np.abs(times - want)) < 1e-12
+        evaluated = np.concatenate(evaluated)
+        assert evaluated.min() >= 0.0 and evaluated.max() <= remain
 
 
 class TestHbarGuard:
