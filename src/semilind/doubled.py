@@ -314,9 +314,8 @@ def propagate_superposition(
     states_out, raw_norms = [], []
     for k, t in enumerate(t_eval):
         comps = tuple(tr.states[k] for tr in tracks)
-        raw = state.norm_factor * sum(c.integral() for c in comps)
-        raw_norms.append(float(raw.real))
         total = sum(c.integral() for c in comps)
+        raw_norms.append(float((state.norm_factor * total).real))
         states_out.append(SuperpositionState(comps, norm_factor=float(1.0 / total.real)))
     all_events = [ev for tr in tracks for ev in tr.events]
     return SuperpositionSeries(

@@ -16,6 +16,10 @@ entries)``, with ``runs`` mapping solver name to ``SolverRun``.  After the
 requested solvers have run, each check whose needed solvers all ran adds its
 entries to ``report.json``.  So a new solver is one function and one
 ``solvers`` row, and a new comparison one function and one ``checks`` row.
+Checks read their bounds from ``config.tolerances``, which holds every key
+of the experiment's registered defaults; a key in
+``ExperimentDef.optional_tolerances`` has no default, and its check runs only
+when a config sets it.
 
 ``run_experiment`` alone runs, times and writes the solvers.  Re-running with
 the same config and seed reproduces every file but ``report.json`` (which
@@ -30,14 +34,13 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from ..doubled import component_csv, propagate_superposition
 from ..gaussian import (
-    GaussianWigner,
     cat_decompose,
     coherent,
     eval_wigner,
@@ -51,7 +54,7 @@ from ..quantum import (
     quantum_jump,
     wigner_of_density,
 )
-from ..semiclassical import SemiclassicalState, drift_x, integrate, trajectory_to_csv
+from ..semiclassical import drift_x, integrate, trajectory_to_csv
 from ..symbols import Chart
 from .compare import ComparisonReport, ObservableSeries, write_observables
 from .config import ConfigError, ExperimentConfig, dump_config
@@ -85,6 +88,7 @@ class ExperimentDef:
     defaults: Callable
     solvers: dict = field(default_factory=dict)  # name -> fn(config, model, t_eval) -> SolverRun
     checks: tuple = ()  # (needed solver names, fn(config, t_eval, runs) -> entries)
+    optional_tolerances: tuple = ()  # keys with no default; their checks run only when set
 
     @property
     def kind(self) -> str:
@@ -94,11 +98,6 @@ class ExperimentDef:
 def _write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-
-
-def _mode_amplitudes(x: np.ndarray) -> np.ndarray:
-    n = x.size // 2
-    return (x[:n] + 1j * x[n:]) / np.sqrt(2.0)
 
 
 def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
@@ -132,8 +131,7 @@ def _coherent_flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
     """Gaussian centre and width flow from the config's coherent state; the
     calling row adds the observables."""
     state0 = coherent(model.n_modes, np.array(config.initial.amplitudes), config.hbar)
-    traj = integrate(model, SemiclassicalState(0.0, state0.x, state0.g), t_eval,
-                     rtol=config.ode_rtol, atol=config.ode_atol)
+    traj = integrate(model, state0, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
     return SolverRun(
         files={"trajectory.csv": trajectory_to_csv(traj)},
         entries=[{"check": "semiclassical_solver", "nfev": traj.nfev, "passed": True}],
@@ -194,9 +192,10 @@ def _limit_cycle_defaults():
     }
 
 
-def _ring_observables(t_eval, amps, moms) -> dict:
-    """Mode amplitude and its covariance, from the amplitude and the moments
-    at each output time."""
+def _ring_observables(t_eval, moms) -> dict:
+    """Mode amplitude <a> and its covariance, from the moments at each output
+    time."""
+    amps = [m.modes[0] for m in moms]
     return {
         "re_a": ObservableSeries(t_eval, np.array([a.real for a in amps])),
         "im_a": ObservableSeries(t_eval, np.array([a.imag for a in amps])),
@@ -210,11 +209,9 @@ def _ring_observables(t_eval, amps, moms) -> dict:
 def _limit_cycle_semiclassical(config: ExperimentConfig, model, t_eval) -> SolverRun:
     run = _coherent_flow(config, model, t_eval)
     traj = run.result
-    amps = [_mode_amplitudes(st.x)[0] for st in traj.states]
-    moms = [moments(GaussianWigner(hbar=config.hbar, x=st.x, g=st.g)) for st in traj.states]
-    run.observables = _ring_observables(t_eval, amps, moms)
+    run.observables = _ring_observables(t_eval, [moments(st) for st in traj.states])
     run.observables["min_eig_physicality"] = ObservableSeries(t_eval, traj.min_physicality)
-    run.frame = lambda k: eval_wigner(traj.states[k].as_gaussian(config.hbar), config.grid)
+    run.frame = lambda k: eval_wigner(traj.states[k], config.grid)
     return run
 
 
@@ -223,39 +220,28 @@ def _limit_cycle_master(config: ExperimentConfig, model, t_eval) -> SolverRun:
     psi0 = fock.coherent_vector(np.array(config.initial.amplitudes))
     run = _master_run(config, model, t_eval, DensityMatrix.from_state(psi0, fock))
     moms = [moments_of_density(run.result.density(k)) for k in range(len(t_eval))]
-    run.observables = _ring_observables(t_eval, [m.modes[0] for m in moms], moms)
+    run.observables = _ring_observables(t_eval, moms)
     return run
 
 
 def _limit_cycle_flow_checks(config: ExperimentConfig, t_eval, runs) -> list:
-    tol = config.tolerances
     phys = runs["semiclassical"].result.min_physicality.min()
-    entries = [{"check": "physicality_min_eig", "value": float(phys), "tolerance": -1e-9,
-                "passed": bool(phys >= -1e-9)}]
-    if "ring_target" in tol:
-        final = runs["semiclassical"].observables["abs_a_sq"].values[-1]
-        ring_tol = tol.get("ring_tol", 1e-6)
-        entries.append({"check": "limit_cycle_intensity", "value": float(final),
-                        "target": tol["ring_target"], "tolerance": ring_tol,
-                        "passed": bool(abs(final - tol["ring_target"]) <= ring_tol)})
-    return entries
+    return [{"check": "physicality_min_eig", "value": float(phys), "tolerance": -1e-9,
+             "passed": bool(phys >= -1e-9)}]
 
 
 def _limit_cycle_cross_checks(config: ExperimentConfig, t_eval, runs) -> list:
     tol = config.tolerances
     sc = runs["semiclassical"].observables["alpha_cov"].values
     q = runs["master"].observables["alpha_cov"].values
-    t_short = tol.get("t_short", 15.0)
-    mask = (t_eval > 0) & (t_eval <= t_short)
+    mask = (t_eval > 0) & (t_eval <= tol["t_short"])
     rel = np.abs(sc[mask] - q[mask]) / np.abs(q[mask])
-    window = tol.get("slope_window", 30.0)
-    wmask = t_eval >= t_eval[-1] - window
+    wmask = t_eval >= t_eval[-1] - tol["slope_window"]
     slope_sc, slope_q = (float(np.polyfit(t_eval[wmask], v[wmask], 1)[0]) for v in (sc, q))
-    flat = tol.get("slope_flat_ratio", 0.2)
     return [
         _bounded("alpha_relative_error_short_times", rel.max(), tol["alpha_rel_short"]),
         {"check": "alpha_final_slopes", "semiclassical_slope": slope_sc, "quantum_slope": slope_q,
-         "passed": bool(slope_sc > 0 and abs(slope_q) <= flat * slope_sc)},
+         "passed": bool(slope_sc > 0 and abs(slope_q) <= tol["slope_flat_ratio"] * slope_sc)},
     ]
 
 
@@ -316,14 +302,10 @@ def _g12_with_stderr(o1, o2, re12, im12):
 def _lattice_semiclassical(config: ExperimentConfig, model, t_eval) -> SolverRun:
     run = _coherent_flow(config, model, t_eval)
     traj = run.result
-    occ = np.array([np.abs(_mode_amplitudes(st.x)) ** 2 for st in traj.states])
-    g12 = []
-    occ_gauss = []
-    for st in traj.states:
-        m = moments(GaussianWigner(hbar=config.hbar, x=st.x, g=st.g))
-        g12.append(m.g1(0, 1))
-        occ_gauss.append([m.occupation(j) for j in range(model.n_modes)])
-    occ_gauss = np.array(occ_gauss)
+    moms = [moments(st) for st in traj.states]
+    occ = np.array([np.abs(m.modes) ** 2 for m in moms])
+    occ_gauss = np.array([[m.occupation(j) for j in range(model.n_modes)] for m in moms])
+    g12 = [m.g1(0, 1) for m in moms]
     run.observables = {
         "occ_1": ObservableSeries(t_eval, occ[:, 0]),
         "occ_2": ObservableSeries(t_eval, occ[:, 1]),
@@ -381,7 +363,7 @@ def _lattice_jump_checks(config: ExperimentConfig, t_eval, runs) -> list:
 def _lattice_cross_checks(config: ExperimentConfig, t_eval, runs) -> list:
     tol = config.tolerances
     sc, jq = runs["semiclassical"].observables, runs["jumps"].observables
-    band = tol.get("stderr_band", 3.0)
+    band = tol["stderr_band"]
     entries = []
     for name in ("total_number", "imbalance"):
         diff = np.abs(sc[name].values - jq[name].values)
@@ -391,7 +373,7 @@ def _lattice_cross_checks(config: ExperimentConfig, t_eval, runs) -> list:
         entries.append({"check": f"{name}_within_stderr_band", "worst_ratio": worst,
                         "band": band, "passed": bool(np.all(inside))})
         entries.append(_bounded(f"{name}_initial_truncation_match", diff[0],
-                                tol.get("initial_match", 2e-3)))
+                                tol["initial_match"]))
     diffg = np.abs(sc["total_number_gauss"].values - jq["total_number"].values)
     entries.append({
         "check": "total_number_gaussian_corrected_info",
@@ -482,14 +464,14 @@ def _cat_master(config: ExperimentConfig, model, t_eval) -> SolverRun:
 
 def _cat_doubled_checks(config: ExperimentConfig, t_eval, runs) -> list:
     cross = runs["doubled"].observables["cross_magnitude"].values
-    slack = config.tolerances.get("cross_monotone_slack", 1e-9)
+    slack = config.tolerances["cross_monotone_slack"]
     monotone = bool(np.all(np.diff(cross) <= slack * max(cross[0], 1e-300)))
     return [{"check": "cross_magnitude_monotone", "passed": monotone}]
 
 
 def _cat_moment_checks(config: ExperimentConfig, t_eval, runs) -> list:
     tol = config.tolerances
-    mask = t_eval <= tol.get("t_short", 1.0) + 1e-12
+    mask = t_eval <= tol["t_short"] + 1e-12
     entries = []
     for name in ("q_mean", "p_mean"):
         sc_vals = runs["doubled"].observables[name].values
@@ -652,6 +634,7 @@ EXPERIMENTS = {
             (("doubled", "master"), _cat_wigner_check),
             (("doubled", "master"), _cat_fringe_entries),
         ),
+        optional_tolerances=("wigner_sup",),
     ),
     "portrait_nonlinear_loss": ExperimentDef(
         "portrait_nonlinear_loss",
@@ -685,7 +668,9 @@ def run_experiment(config: ExperimentConfig, root=None):
     """Run a registered experiment; returns (report, output directory).
 
     The requested solvers run in table order, each timed from its call to
-    its last written file; then every check whose solvers all ran.
+    its last written file; then every check whose solvers all ran.  A
+    tolerance the experiment does not register is a `ConfigError` before any
+    solver runs; one the config leaves out takes its registered value.
     """
     if config.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
@@ -699,6 +684,13 @@ def run_experiment(config: ExperimentConfig, root=None):
     if not config.solvers:
         raise ConfigError(f"{config.experiment!r} config runs no solver; "
                           f"list some of {list(exp.solvers)} under 'solvers'")
+    registered = exp.defaults()["tolerances"]
+    unknown = [key for key in config.tolerances
+               if key not in registered and key not in exp.optional_tolerances]
+    if unknown:
+        raise ConfigError(f"unknown tolerance(s) {unknown} for {config.experiment!r}; "
+                          f"known: {[*registered, *exp.optional_tolerances]}")
+    config = replace(config, tolerances={**registered, **config.tolerances})
     outdir = _resolve_root(config, root) / config.experiment
     start = time.perf_counter()
     model = config.model.build(config.hbar)

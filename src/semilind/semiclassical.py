@@ -12,6 +12,9 @@ with Lam = H'' + sum_k Im(L_k conj(L_k)'') + sum_k Im(grad L_k grad conj(L_k)^T)
 and D = sum_k Re(grad L_k grad conj(L_k)^T), everything evaluated at X.
 The last term is the quantum correction that keeps G^{-1} + i Omega >= 0.
 
+`integrate` moves a `GaussianWigner` (centre X, width G, hbar) along both
+flows and returns a `Trajectory` of `GaussianWigner`s with the same hbar.
+
 The same dynamics is available in the mode chart (a, abar); the two are
 related by the unitary transformation matrix T and are tested against each
 other.  Mode-chart equations assume hbar = 1.
@@ -31,7 +34,6 @@ from .symbols import Chart, PolyBatch, PolySymbol, chart_transform, poisson, sym
 
 __all__ = [
     "LindbladModel",
-    "SemiclassicalState",
     "DriftMatrices",
     "Trajectory",
     "FlowKind",
@@ -95,20 +97,6 @@ class LindbladModel:
         from . import doubled
 
         return doubled.build_k(self)
-
-
-@dataclass(frozen=True)
-class SemiclassicalState:
-    t: float
-    x: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
-
-    def as_gaussian(self, hbar: float) -> GaussianWigner:
-        return GaussianWigner(hbar=hbar, x=self.x, g=self.g)
 
 
 @dataclass(frozen=True)
@@ -333,7 +321,8 @@ def _packing(dim):
 
 @dataclass
 class Trajectory:
-    """Semiclassical trajectory sampled at requested times."""
+    """Gaussian states (centre X, width G, hbar) at the sampled times, with
+    min eig(G^{-1} + i Omega) at each and the clamp and physicality events."""
 
     times: np.ndarray
     states: list
@@ -386,12 +375,14 @@ class _CompiledRhs:
 
 def integrate(
     model: LindbladModel,
-    state0: SemiclassicalState,
+    state0: GaussianWigner,
     t_eval,
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> Trajectory:
-    """Propagate (X, G) with an adaptive embedded Runge-Kutta 5(4) scheme.
+    """Propagate the centre X and width G of ``state0`` from t_eval[0] with an
+    adaptive embedded Runge-Kutta 5(4) scheme; the states returned at t_eval
+    carry ``state0.hbar``.
 
     G is packed by its upper triangle, so symmetry is exact by construction.
     At each output time the state is checked: eigenvalues of G below the
@@ -402,8 +393,6 @@ def integrate(
     if state0.x.size != dim:
         raise ValueError("state dimension does not match the model")
     t_eval = np.asarray(t_eval, dtype=float)
-    if abs(t_eval[0] - state0.t) > 1e-12:
-        raise ValueError("t_eval must start at the initial state time")
     rhs = model._compiled
     y0 = np.concatenate([state0.x, state0.g[rhs.iu]])
     sol = solve_ivp(
@@ -434,7 +423,7 @@ def integrate(
                 {"t": float(t), "kind": "physicality", "min_eig": rep.min_eig}
             )
         phys.append(rep.min_eig)
-        states.append(SemiclassicalState(t=float(t), x=x, g=g))
+        states.append(GaussianWigner(hbar=state0.hbar, x=x, g=g))
     return Trajectory(
         times=sol.t.copy(), states=states, min_physicality=np.array(phys), events=events,
         nfev=int(sol.nfev),
@@ -455,25 +444,19 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         + ["min_eig_physicality"]
     )
     lines = [",".join(header)]
-    for k, st in enumerate(traj.states):
-        row = [st.t, *st.x, *st.g[iu], traj.min_physicality[k]]
+    for t, st, phys in zip(traj.times, traj.states, traj.min_physicality):
+        row = [t, *st.x, *st.g[iu], phys]
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def trajectory_from_csv(text: str) -> Trajectory:
+def trajectory_from_csv(text: str, hbar: float) -> Trajectory:
+    """Trajectory written by `trajectory_to_csv`; the file does not hold
+    hbar, so the caller gives the one its states were propagated with."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",")
     dim = sum(1 for h in header if h.startswith("X_"))
     _, gather = _packing(dim)
-    times, states, phys = [], [], []
-    for ln in lines[1:]:
-        vals = np.array([float(tok) for tok in ln.split(",")])
-        t = float(vals[0])
-        x, g = vals[1 : 1 + dim], vals[1:][gather]
-        times.append(t)
-        states.append(SemiclassicalState(t=t, x=x, g=g))
-        phys.append(vals[-1])
-    return Trajectory(
-        times=np.array(times), states=states, min_physicality=np.array(phys)
-    )
+    rows = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
+    states = [GaussianWigner(hbar=hbar, x=r[1 : 1 + dim], g=r[1:][gather]) for r in rows]
+    return Trajectory(times=rows[:, 0], states=states, min_physicality=rows[:, -1])

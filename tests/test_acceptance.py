@@ -36,7 +36,6 @@ from semilind.quantum import (
 )
 from semilind.semiclassical import (
     LindbladModel,
-    SemiclassicalState,
     drift_field,
     integrate,
 )
@@ -181,7 +180,7 @@ def damped_oscillator_run():
     a0 = 2.0
     t_eval = np.linspace(0.0, 20.0, 101)
     straj = integrate(
-        model, SemiclassicalState(0.0, coherent(1, a0).x, np.eye(2)), t_eval
+        model, GaussianWigner(1.0, coherent(1, a0).x, np.eye(2)), t_eval
     )
     fock = FockSpace(41)
     rho0 = DensityMatrix.from_state(fock.coherent_vector([a0]), fock)
@@ -205,7 +204,7 @@ def ring_run():
     a0 = (4.0 + 4.0j) / np.sqrt(2.0)
     t_eval = np.linspace(0.0, 500.0, 251)
     traj = integrate(
-        model, SemiclassicalState(0.0, coherent(1, a0).x, np.eye(2)), t_eval
+        model, GaussianWigner(1.0, coherent(1, a0).x, np.eye(2)), t_eval
     )
     amp_sq = traj.observable(lambda s: (s.x[0] ** 2 + s.x[1] ** 2) / 2.0)
     _ALL_TRAJECTORIES.append(("limit_cycle_ring", traj.min_physicality))
@@ -253,7 +252,7 @@ def bose_hubbard_run(tmp_path_factory):
     amps = np.array(config.initial.amplitudes)
     straj = integrate(
         model,
-        SemiclassicalState(0.0, coherent(2, amps).x, np.eye(4)),
+        GaussianWigner(1.0, coherent(2, amps).x, np.eye(4)),
         config.times.grid(),
     )
     _ALL_TRAJECTORIES.append(("bose_hubbard_meanfield", straj.min_physicality))
@@ -376,7 +375,7 @@ def test_c07_doubled_reduction_matches_width_dynamics():
     worst_xg = 0.0
     for idx, centre in ((0, (4.0, 3.0)), (3, (4.0, -3.0))):
         straj = integrate(
-            model, SemiclassicalState(0.0, np.array(centre), np.eye(2)), t_eval
+            model, GaussianWigner(1.0, np.array(centre), np.eye(2)), t_eval
         )
         for k in range(t_eval.size):
             comp = series.tracks[idx].states[k]
@@ -539,7 +538,7 @@ def test_c11_centre_tolerance_rejects_a_wrong_loss_rate(lattice_exact):
         tuple(L * np.sqrt(1.1) for L in model.lindblads),
     )
     state0 = coherent(2, np.array(config.initial.amplitudes))
-    traj = integrate(lossier, SemiclassicalState(0.0, state0.x, state0.g), config.times.grid())
+    traj = integrate(lossier, GaussianWigner(1.0, state0.x, state0.g), config.times.grid())
     occ = np.array([(st.x[:2] ** 2 + st.x[2:] ** 2) / 2 for st in traj.states])
     err_n, err_s = centre_flow_errors(occ.sum(axis=1), occ[:, 0] - occ[:, 1], lattice_exact)
     assert err_n > C11_CENTRE_TOL

@@ -16,6 +16,7 @@ from semilind.doubled import (
 )
 from semilind.gaussian import (
     ComplexGaussian,
+    GaussianWigner,
     GridSpec,
     cat_decompose,
     eval_wigner,
@@ -23,7 +24,6 @@ from semilind.gaussian import (
 from semilind.quantum import DensityMatrix, FockSpace, integrate_master, wigner_of_density
 from semilind.semiclassical import (
     LindbladModel,
-    SemiclassicalState,
     drift_x,
     integrate,
     rhs_g,
@@ -213,7 +213,7 @@ class TestPropagateSuperposition:
         t_eval = np.linspace(0, 2.0, 21)
         series = propagate_superposition(model, cat, t_eval)
         straj = integrate(
-            model, SemiclassicalState(0.0, np.array([2.0, 1.0]), np.eye(2)), t_eval
+            model, GaussianWigner(1.0, np.array([2.0, 1.0]), np.eye(2)), t_eval
         )
         for k in range(t_eval.size):
             comp = series.tracks[0].states[k]

@@ -342,6 +342,23 @@ class TestRunners:
             run_experiment(cfg)
         assert not (tmp_path / "cat_anharmonic").exists()
 
+    def test_unknown_tolerance_rejected_before_any_solver(self, tmp_path):
+        d = tiny_config("cat_anharmonic", tmp_path).to_dict()
+        d["tolerances"] = {"moment_rms_rl": 0.05}
+        with pytest.raises(ConfigError, match=r"'moment_rms_rl'.*'moment_rms_rel'"):
+            run_experiment(ExperimentConfig.from_dict(d))
+        assert not (tmp_path / "cat_anharmonic").exists()
+
+    def test_missing_tolerances_take_registered_values(self, tmp_path):
+        d = tiny_config("cat_anharmonic", tmp_path).to_dict()
+        d["tolerances"] = {}
+        report, outdir = run_experiment(ExperimentConfig.from_dict(d))
+        registered = default_config("cat_anharmonic")["tolerances"]
+        bounds = {e["check"]: e["tolerance"] for e in report.entries if "tolerance" in e}
+        assert bounds == {"q_mean_rms_relative_error": registered["moment_rms_rel"],
+                          "p_mean_rms_relative_error": registered["moment_rms_rel"]}
+        assert json.loads((Path(outdir) / "config.json").read_text())["tolerances"] == registered
+
     def test_unknown_experiment_rejected(self):
         d = default_config("cat_anharmonic")
         d["experiment"] = "not_a_thing"
@@ -588,6 +605,15 @@ class TestCli:
         assert "runs no solver" in capsys.readouterr().err
         assert not (tmp_path / "cat_anharmonic").exists()
 
+    def test_run_unknown_tolerance_is_error(self, tmp_path, capsys):
+        d = tiny_config("cat_anharmonic", tmp_path).to_dict()
+        d["tolerances"] = {"moment_rms_rl": 0.05}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert cli_main(["run", str(path)]) == 1
+        assert "moment_rms_rl" in capsys.readouterr().err
+        assert not (tmp_path / "cat_anharmonic").exists()
+
     def test_run_missing_file_is_error(self, capsys):
         assert cli_main(["run", "/nonexistent/cfg.json"]) == 1
 
@@ -646,4 +672,27 @@ class TestTracerTargets:
                 owner = getattr(owner, part, None)
             if not callable(owner):
                 missing.append(f"{module}.{attr}")
+        assert missing == []
+
+
+class TestBenchmarkImports:
+    """The benchmark imports names from the package; a renamed or deleted one
+    breaks it without failing any other test."""
+
+    def test_every_imported_name_resolves(self):
+        files = sorted((ROOT / "perfbench").glob("*.py"))
+        files += sorted((ROOT / "perfbench" / "tests").glob("*.py"))
+        imported, missing = [], []
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                        and node.module.split(".")[0] == "semilind"):
+                    continue
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported.append((path.name, node.module, alias.name))
+                    if not hasattr(module, alias.name):
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+        assert ("worker.py", "semilind.harness.experiments", "run_portrait") in imported
+        assert ("workloads.py", "semilind.harness.experiments", "default_config") in imported
         assert missing == []

@@ -9,10 +9,17 @@ from scipy.linalg import block_diag, expm
 from scipy.optimize import brentq
 from scipy.special import gammaln, hermite
 
-from semilind.gaussian import GridSpec, WignerGrid, cat_decompose, coherent, eval_wigner
+from semilind.gaussian import (
+    GaussianWigner,
+    GridSpec,
+    WignerGrid,
+    cat_decompose,
+    coherent,
+    eval_wigner,
+)
 from semilind.harness import default_config
 from semilind.harness.config import ExperimentConfig
-from semilind.semiclassical import LindbladModel, SemiclassicalState, integrate
+from semilind.semiclassical import LindbladModel, integrate
 from semilind.quantum import (
     DensityMatrix,
     FockSpace,
@@ -327,7 +334,7 @@ class TestMaster:
         rho0 = DensityMatrix.from_state(f.coherent_vector([a0]), f)
         t_eval = np.linspace(0, 3.0, 13)
         mtraj = integrate_master(rho0, model, t_eval)
-        straj = integrate(model, SemiclassicalState(0.0, coherent(1, a0).x, np.eye(2)), t_eval)
+        straj = integrate(model, GaussianWigner(1.0, coherent(1, a0).x, np.eye(2)), t_eval)
         for k in range(t_eval.size):
             dm = DensityMatrix(rho=mtraj.rhos[k], fock=f)
             mom = moments_of_density(dm)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import semilind.semiclassical as semiclassical
-from semilind.gaussian import transformation_matrix
+from semilind.gaussian import GaussianWigner, transformation_matrix
 from semilind.semiclassical import (
     FlowKind,
     LindbladModel,
-    SemiclassicalState,
     Trajectory,
     classify_flow,
     drift_complex,
@@ -351,7 +350,7 @@ class TestCompiledRhs:
             drift_x(model, x)
             drift_matrices(model, x)
             rhs_g(model, x, g)
-        integrate(model, SemiclassicalState(0.0, [0.1, 0.2], g), [0.0, 0.01])
+        integrate(model, GaussianWigner(1.0, [0.1, 0.2], g), [0.0, 0.01])
         assert len(calls) == 1
 
 
@@ -363,7 +362,7 @@ class TestIntegrate:
         x0 = np.array([1.5, -0.3])
         g0 = np.array([[2.0, 0.3], [0.3, 0.6]])
         t_eval = np.linspace(0, 2 * np.pi, 33)
-        traj = integrate(model, SemiclassicalState(0.0, x0, g0), t_eval)
+        traj = integrate(model, GaussianWigner(1.0, x0, g0), t_eval)
         assert np.allclose(traj.states[-1].x, x0, atol=1e-8)
         assert np.allclose(traj.states[-1].g, g0, atol=1e-8)
 
@@ -373,7 +372,7 @@ class TestIntegrate:
         a0 = (1.2 + 0.8j)
         x0 = np.sqrt(2) * np.array([a0.real, a0.imag])
         t_eval = np.linspace(0, 8.0, 81)
-        traj = integrate(model, SemiclassicalState(0.0, x0, np.eye(2)), t_eval)
+        traj = integrate(model, GaussianWigner(1.0, x0, np.eye(2)), t_eval)
         for t, st in zip(traj.times, traj.states):
             a_t = (st.x[0] + 1j * st.x[1]) / np.sqrt(2)
             want = a0 * np.exp((-1j * omega - gamma / 2) * t)
@@ -383,16 +382,26 @@ class TestIntegrate:
     def test_physicality_along_flow(self):
         model = damped_oscillator(1.0, 0.3)
         t_eval = np.linspace(0, 10, 51)
-        st0 = SemiclassicalState(0.0, np.array([2.0, 0.0]), np.diag([0.6, 1.4]))
+        st0 = GaussianWigner(1.0, np.array([2.0, 0.0]), np.diag([0.6, 1.4]))
         traj = integrate(model, st0, t_eval)
         assert traj.min_physicality.min() >= -1e-9
+
+    def test_width_clamp(self):
+        # H = q p squeezes G to diag(exp(-2t), exp(2t)): its small eigenvalue
+        # falls below the clamp between t = 12 and t = 14
+        (q,), (p,) = real_vars()
+        model = LindbladModel(1, 1.0, q * p, ())
+        t_eval = np.linspace(0.0, 16.0, 9)
+        traj = integrate(model, GaussianWigner(1.0, [1.0, 0.0], np.eye(2)), t_eval)
+        assert [ev["t"] for ev in traj.events if ev["kind"] == "width_clamp"] == [14.0, 16.0]
+        assert np.linalg.eigvalsh(traj.states[-1].g).min() == pytest.approx(1e-12, rel=1e-9)
 
     def test_csv_round_trip(self):
         model = damped_oscillator()
         t_eval = np.linspace(0, 1.0, 5)
-        traj = integrate(model, SemiclassicalState(0.0, np.array([1.0, 0.0]), np.eye(2)), t_eval)
+        traj = integrate(model, GaussianWigner(1.0, np.array([1.0, 0.0]), np.eye(2)), t_eval)
         text = trajectory_to_csv(traj)
-        back = trajectory_from_csv(text)
+        back = trajectory_from_csv(text, 1.0)
         assert np.array_equal(back.times, traj.times)
         for a, b in zip(back.states, traj.states):
             assert np.array_equal(a.x, b.x)
