@@ -75,7 +75,7 @@ class DoubledSymbol:
         """Batched evaluator of K0, K1 and their derivatives, compiled on first use."""
         return _KEvaluator(self)
 
-    def validate_structure(self, rng=None, samples: int = 64) -> None:
+    def validate_structure(self) -> None:
         """Parity and sign structure of K0; raises on violation.
 
         Coefficient-wise: Im K0 even in y with no y-free part, Re K0 odd in
@@ -93,8 +93,8 @@ class DoubledSymbol:
         for key, coeff in re.terms.items():
             if sum(key[n2:]) % 2 == 0 and abs(coeff) > 1e-12 * scale:
                 raise ValueError(f"Re K0 has a y-even term {key}")
-        rng = rng or np.random.default_rng(0)
-        for _ in range(samples):
+        rng = np.random.default_rng(0)
+        for _ in range(64):
             x = rng.normal(size=n2, scale=2.0)
             y = rng.normal(size=n2, scale=2.0)
             val = im.eval(np.concatenate([x, y])).real
@@ -214,7 +214,6 @@ class ComponentTrack:
     """One component's trajectory; dead components keep their last state."""
 
     states: list
-    alive: np.ndarray
     events: list = field(default_factory=list)
 
 
@@ -287,7 +286,6 @@ def propagate_superposition(
             raise RuntimeError(f"component integration failed: {sol.message}")
         nfev += int(sol.nfev)
         states, events = [], []
-        alive = np.zeros(t_eval.size, dtype=bool)
         last_alive = None
         for k, t in enumerate(t_eval):
             if k < sol.y.shape[1]:
@@ -295,7 +293,6 @@ def propagate_superposition(
                 weight = comp.weight * np.exp(phi)
                 cg = ComplexGaussian(hbar=hbar, z=z, b=b, alpha=alpha, weight=weight)
                 states.append(cg)
-                alive[k] = True
                 last_alive = cg
             else:
                 if not events:
@@ -309,7 +306,7 @@ def propagate_superposition(
                     weight=0.0,
                 )
                 states.append(frozen)
-        tracks.append(ComponentTrack(states=states, alive=alive, events=events))
+        tracks.append(ComponentTrack(states=states, events=events))
 
     states_out, raw_norms = [], []
     for k, t in enumerate(t_eval):

@@ -242,9 +242,6 @@ class SuperpositionState:
         total = sum(c.values(pts) for c in self.components)
         return self.norm_factor * total
 
-    def integral(self) -> complex:
-        return self.norm_factor * sum(c.integral() for c in self.components)
-
     def moments_xp(self) -> np.ndarray:
         """First moments (expectation of x) of the normalized distribution."""
         total = sum(c.integral() for c in self.components)

@@ -1,14 +1,15 @@
 """Strict experiment configuration: JSON in, dataclasses out.
 
-Unknown keys are rejected at every level, complex numbers are [re, im]
-pairs, and to_dict/from_dict round-trip losslessly.
+Unknown keys are rejected at every level.  `_plain` is the one way back to
+JSON: fields that are None are left out, tuples become lists and complex
+numbers [re, im] pairs, so to_dict/from_dict round-trip losslessly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,21 @@ def _float_pair_list(v):
     return tuple((float(a), float(b)) for a, b in v)
 
 
+def _plain(value):
+    """JSON form of a config value: a dataclass becomes a dict of its fields
+    that are not None, a tuple a list and a complex number [re, im]."""
+    if is_dataclass(value):
+        pairs = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: _plain(v) for name, v in pairs if v is not None}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
 def _check_span(where: str, t_end: float, n_out: int):
     """An output grid runs forward from 0 to a finite t_end through n_out >= 2 times."""
     if not (math.isfinite(t_end) and t_end > 0):
@@ -86,14 +102,6 @@ class ModelSection:
             raise ConfigError(f"model.chart must be one of {sorted(_CHARTS)}")
         return cls(**vals)
 
-    def to_dict(self):
-        return {
-            "n_modes": self.n_modes,
-            "chart": self.chart,
-            "hamiltonian": self.hamiltonian,
-            "lindblads": list(self.lindblads),
-        }
-
     def build(self, hbar: float) -> LindbladModel:
         chart = _CHARTS[self.chart]
         h = parse_symbol(self.hamiltonian, chart, self.n_modes)
@@ -103,11 +111,14 @@ class ModelSection:
 
 @dataclass(frozen=True)
 class InitialSection:
+    """A coherent state sets `amplitudes`, a cat the other three; the fields
+    a kind does not use stay None."""
+
     kind: str
-    amplitudes: tuple = ()
-    centres: tuple = ()
-    coefficients: tuple = ()
-    width: complex = 1j
+    amplitudes: tuple | None = None
+    centres: tuple | None = None
+    coefficients: tuple | None = None
+    width: complex | None = None
 
     @classmethod
     def from_dict(cls, d):
@@ -128,19 +139,6 @@ class InitialSection:
             return cls(kind="cat", **vals)
         raise ConfigError(f"initial.kind must be 'coherent' or 'cat', got {kind!r}")
 
-    def to_dict(self):
-        if self.kind == "coherent":
-            return {
-                "kind": "coherent",
-                "amplitudes": [[a.real, a.imag] for a in self.amplitudes],
-            }
-        return {
-            "kind": "cat",
-            "centres": [list(c) for c in self.centres],
-            "coefficients": [[c.real, c.imag] for c in self.coefficients],
-            "width": [self.width.real, self.width.imag],
-        }
-
 
 @dataclass(frozen=True)
 class TimesSection:
@@ -158,9 +156,6 @@ class TimesSection:
         )
         _check_span("times", vals["t_end"], vals["n_out"])
         return cls(**vals)
-
-    def to_dict(self):
-        return {"t_end": self.t_end, "n_out": self.n_out, "frames": list(self.frames)}
 
     def grid(self):
         return np.linspace(0.0, self.t_end, self.n_out)
@@ -211,14 +206,6 @@ class PortraitSection:
         _check_span("portrait", vals["t_end"], vals["n_out"])
         return cls(**vals)
 
-    def to_dict(self):
-        return {
-            "q_min": self.q_min, "q_max": self.q_max, "n_q": self.n_q,
-            "p_min": self.p_min, "p_max": self.p_max, "n_p": self.n_p,
-            "t_end": self.t_end, "n_out": self.n_out,
-            "starts": [list(s) for s in self.starts],
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -263,35 +250,10 @@ class ExperimentConfig:
         return cls(**vals)
 
     def to_dict(self):
-        out = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "hbar": self.hbar,
-            "output_dir": self.output_dir,
-            "solvers": list(self.solvers),
-            "model": self.model.to_dict(),
-            "tolerances": dict(self.tolerances),
-            "ode_rtol": self.ode_rtol,
-            "ode_atol": self.ode_atol,
-        }
-        if self.initial is not None:
-            out["initial"] = self.initial.to_dict()
-        if self.times is not None:
-            out["times"] = self.times.to_dict()
-        if self.grid is not None:
-            out["grid"] = asdict(self.grid)
-        if self.fock_levels is not None:
-            out["fock_levels"] = self.fock_levels
-        if self.n_trajectories is not None:
-            out["n_trajectories"] = self.n_trajectories
-        if self.portrait is not None:
-            out["portrait"] = self.portrait.to_dict()
-        return out
+        return _plain(self)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        d = self.to_dict()
-        d["seed"] = int(seed)
-        return ExperimentConfig.from_dict(d)
+        return replace(self, seed=int(seed))
 
 
 def load_config(path) -> ExperimentConfig:

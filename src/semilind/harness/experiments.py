@@ -586,8 +586,8 @@ def run_portrait(config: ExperimentConfig, root=None):
             (0.0, port.t_end),
             [q0, p0],
             t_eval=t_eval,
-            rtol=1e-9,
-            atol=1e-12,
+            rtol=config.ode_rtol,
+            atol=config.ode_atol,
         )
         for t, q, p in zip(sol.t, sol.y[0], sol.y[1]):
             rows.append(f"{idx},{float(t)!r},{float(q)!r},{float(p)!r}")

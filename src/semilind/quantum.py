@@ -100,8 +100,7 @@ class FockSpace:
         for alpha, d in zip(amps, self.dims):
             k = np.arange(d)
             logmag = -abs(alpha) ** 2 / 2 + k * np.log(abs(alpha) + 1e-300) - 0.5 * gammaln(k + 1)
-            phases = np.exp(1j * k * np.angle(alpha)) if alpha != 0 else np.where(k == 0, 1.0, 0.0 + 0j)
-            comp = np.exp(logmag) * phases
+            comp = np.exp(logmag) * np.exp(1j * k * np.angle(alpha))
             if alpha == 0:
                 comp = np.zeros(d, dtype=complex)
                 comp[0] = 1.0
@@ -226,19 +225,10 @@ class DensityMatrix:
         vec = vec / np.linalg.norm(vec)
         return cls(rho=np.outer(vec, vec.conj()), fock=fock)
 
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
-
     def expectation(self, op) -> complex:
         """Tr(rho op), summed over the stored entries of a sparse or dense op."""
         op = op.tocoo() if sp.issparse(op) else sp.coo_array(op)
         return complex(self.rho[op.col, op.row] @ op.data)
-
-    def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.rho).min())
 
 
 # -- invariant blocks -----------------------------------------------------------
@@ -740,7 +730,6 @@ def quantum_jump(
     for name in cross_names:
         series["re_" + name] = np.zeros((t_eval.size, n_traj))
         series["im_" + name] = np.zeros((t_eval.size, n_traj))
-    series["norm_sq"] = np.zeros((t_eval.size, n_traj))
     leakage = np.zeros(t_eval.size)
 
     rngs = [
@@ -756,7 +745,6 @@ def quantum_jump(
     def record(k):
         pops = np.abs(states) ** 2
         norms = np.sum(pops, axis=0)
-        series["norm_sq"][k] = norms
         for j, name in enumerate(names):
             series[name][k] = (number_diags[j] @ pops) / norms
         leakage[k] = np.mean((fock._top_mask @ pops) / norms)

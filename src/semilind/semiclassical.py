@@ -359,7 +359,7 @@ class _CompiledRhs:
         """Drift, Lam and D + D^T at a real point x of shape (dim,), or at
         each row of x of shape (m, dim), with a leading axis m."""
         dim = self.dim
-        vals = self.batch.real_at(x)
+        vals = self.batch(x).real
         shape = vals.shape[:-1] + (dim, dim)
         lam = vals[..., dim : dim + dim * dim].reshape(shape)
         d2 = vals[..., dim + dim * dim :].reshape(shape)
@@ -417,6 +417,13 @@ def integrate(
             )
             evals = np.clip(evals, _EIG_CLAMP, None)
             g = evecs @ np.diag(evals) @ evecs.T
+            # rounding in the rebuild is about eps times the largest
+            # eigenvalue, which can swamp the floor unless G is axis-aligned
+            if not np.allclose(np.linalg.eigvalsh(g), evals, rtol=1e-6, atol=0.0):
+                raise RuntimeError(
+                    f"width clamp at t={float(t)!r} cannot be held: eigenvalue ratio "
+                    f"{evals[-1] / evals[0]:.3g} of G is beyond float64 precision"
+                )
         rep = physicality_of_width(g)
         if not rep.passed:
             events.append(

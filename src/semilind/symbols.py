@@ -277,11 +277,13 @@ class PolySymbol:
 
 
 class PolyBatch:
-    """Evaluate a fixed list of symbols at one point with two numpy ops.
+    """Evaluate a fixed list of symbols at real points with a few numpy ops.
 
-    Shares the union of monomials across all symbols; evaluation is
-    ``coeffs @ prod(point**exponents)``.  Used by the ODE right-hand sides,
-    where per-call Python overhead matters.
+    Shares the union of monomials across all symbols; each monomial is a
+    product of entries of a table of variable powers, and evaluation is
+    ``coeffs @ monomials``.  The coefficients are stored as float64 when
+    every imaginary part is zero, so real symbols stay in real arithmetic.
+    Used by the ODE right-hand sides, where per-call Python overhead matters.
     """
 
     def __init__(self, polys: list[PolySymbol]):
@@ -299,36 +301,28 @@ class PolyBatch:
         for r, p in enumerate(polys):
             for k, c in p.terms.items():
                 coeffs[r, index[k]] = c
-        self.exponents = np.array(monos, dtype=np.int64)
+        if not coeffs.imag.any():
+            coeffs = np.ascontiguousarray(coeffs.real)
         self.coeffs = coeffs
-        # real_at: flat positions of x_i^e in the (dim, max_exp + 1) power table
-        n_pow = int(self.exponents.max()) + 1
+        exponents = np.array(monos, dtype=np.int64)
+        # flat positions of x_i^e in the (dim, max_exp + 1) power table
+        n_pow = int(exponents.max()) + 1
         self._powers = np.arange(n_pow, dtype=float)
-        self._table_index = np.arange(dim) * n_pow + self.exponents
-        self._real_coeffs = np.ascontiguousarray(coeffs.real)
+        self._table_index = np.arange(dim) * n_pow + exponents
 
     def __call__(self, point) -> np.ndarray:
-        pt = np.asarray(point, dtype=complex)
-        monos = np.prod(pt[None, :] ** self.exponents, axis=1)
-        return self.coeffs @ monos
-
-    def real_at(self, point) -> np.ndarray:
-        """Real parts of the symbols at a real point, in real arithmetic.
-
-        Monomials are real there, so Re(c m) = Re(c) m holds exactly; each
-        monomial is a product of entries of a table of variable powers.
-        `point` is one point of shape (dim,), giving shape (n_symbols,), or
-        m points of shape (m, dim), giving shape (m, n_symbols); each row of
-        a batch gets the arithmetic of a single point.
-        """
+        """The symbols at a real point of shape (dim,), giving shape
+        (n_symbols,), or at m points of shape (m, dim), giving shape
+        (m, n_symbols); each row of a batch gets the arithmetic of a single
+        point."""
         pt = np.asarray(point, dtype=float)
         table = pt[..., None] ** self._powers
         if pt.ndim == 1:  # the ODE right-hand sides' path, kept lean
             monos = np.multiply.reduce(table.ravel()[self._table_index], axis=1)
-            return self._real_coeffs.dot(monos)
+            return self.coeffs.dot(monos)
         monos = np.multiply.reduce(table.reshape(len(pt), -1)[:, self._table_index], axis=2)
         # a stack of matrix-vector products, one per point
-        return np.matmul(self._real_coeffs, monos[:, :, None])[:, :, 0]
+        return np.matmul(self.coeffs, monos[:, :, None])[:, :, 0]
 
 
 # -- bilinear operations ----------------------------------------------------
@@ -406,10 +400,18 @@ def moyal(f: PolySymbol, g: PolySymbol, hbar: float, max_order: int | None = Non
 # -- chart changes ----------------------------------------------------------
 
 
-def _mode_vars(chart: Chart, n: int, j: int):
-    first = PolySymbol.variable(chart, n, j)
-    second = PolySymbol.variable(chart, n, n + j)
-    return first, second
+def _substitute(f: PolySymbol, target: Chart, cores, factor) -> PolySymbol:
+    """f with variable i replaced by the symbol cores[i] on `target`; the
+    coefficient of a degree-d monomial is first multiplied by factor(d)."""
+    n = f.n_modes
+    out = PolySymbol.zero(target, n)
+    for key, coeff in f.terms.items():
+        mono = PolySymbol.constant(target, n, coeff * factor(sum(key)))
+        for i, e in enumerate(key):
+            if e:
+                mono = mono * cores[i] ** e
+        out = out + mono
+    return out
 
 
 def chart_transform(f: PolySymbol, target: Chart) -> PolySymbol:
@@ -422,35 +424,18 @@ def chart_transform(f: PolySymbol, target: Chart) -> PolySymbol:
     if f.chart is target:
         return f
     n = f.n_modes
+    v = [PolySymbol.variable(target, n, i) for i in range(2 * n)]
     if f.chart is Chart.REAL_QP and target is Chart.COMPLEX_AABAR:
         # q_j -> (a_j + abar_j)/sqrt(2), p_j -> -i (a_j - abar_j)/sqrt(2)
-        cores = []
-        for j in range(n):
-            a, abar = _mode_vars(target, n, j)
-            cores.append(a + abar)
-        for j in range(n):
-            a, abar = _mode_vars(target, n, j)
-            cores.append((a - abar) * (-1j))
+        cores = [v[j] + v[n + j] for j in range(n)]
+        cores += [(v[j] - v[n + j]) * (-1j) for j in range(n)]
     elif f.chart is Chart.COMPLEX_AABAR and target is Chart.REAL_QP:
         # a_j -> (q_j + i p_j)/sqrt(2), abar_j -> (q_j - i p_j)/sqrt(2)
-        cores = []
-        for j in range(n):
-            q, p = _mode_vars(target, n, j)
-            cores.append(q + p * 1j)
-        for j in range(n):
-            q, p = _mode_vars(target, n, j)
-            cores.append(q - p * 1j)
+        cores = [v[j] + v[n + j] * 1j for j in range(n)]
+        cores += [v[j] - v[n + j] * 1j for j in range(n)]
     else:
         raise ValueError(f"unsupported chart pair {f.chart} -> {target}")
-    out = PolySymbol.zero(target, n)
-    for key, coeff in f.terms.items():
-        deg = sum(key)
-        mono = PolySymbol.constant(target, n, coeff * 2.0 ** (-deg / 2))
-        for i, e in enumerate(key):
-            if e:
-                mono = mono * cores[i] ** e
-        out = out + mono
-    return out
+    return _substitute(f, target, cores, lambda deg: 2.0 ** (-deg / 2))
 
 
 def double_lift(f: PolySymbol, sign: int) -> PolySymbol:
@@ -465,23 +450,10 @@ def double_lift(f: PolySymbol, sign: int) -> PolySymbol:
         raise ValueError("sign must be +1 or -1")
     n = f.n_modes
     target = Chart.DOUBLED_XY
-    cores = []
-    for i in range(2 * n):
-        x_i = PolySymbol.variable(target, n, i)
-        if i < n:  # q slot pairs with y_p
-            y = PolySymbol.variable(target, n, 2 * n + n + i)
-            cores.append(x_i + y * (0.5 * sign))
-        else:  # p slot pairs with -y_q
-            y = PolySymbol.variable(target, n, 2 * n + (i - n))
-            cores.append(x_i - y * (0.5 * sign))
-    out = PolySymbol.zero(target, n)
-    for key, coeff in f.terms.items():
-        mono = PolySymbol.constant(target, n, coeff)
-        for i, e in enumerate(key):
-            if e:
-                mono = mono * cores[i] ** e
-        out = out + mono
-    return out
+    v = [PolySymbol.variable(target, n, i) for i in range(4 * n)]  # x_q, x_p, y_q, y_p
+    cores = [v[j] + v[3 * n + j] * (0.5 * sign) for j in range(n)]
+    cores += [v[n + j] - v[2 * n + j] * (0.5 * sign) for j in range(n)]
+    return _substitute(f, target, cores, lambda deg: 1.0)
 
 
 def weyl_of_normal_ordered(

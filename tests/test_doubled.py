@@ -18,6 +18,7 @@ from semilind.gaussian import (
     ComplexGaussian,
     GaussianWigner,
     GridSpec,
+    SuperpositionState,
     cat_decompose,
     eval_wigner,
 )
@@ -238,6 +239,30 @@ class TestPropagateSuperposition:
         got = eval_wigner(series.states[1], spec)
         want = wigner_of_density(DensityMatrix(rho=mtraj.rhos[1], fock=f), spec)
         assert got.sup_diff(want) < 1e-6
+
+    def test_component_collapse(self):
+        # H = q p squeezes a component with G = I to diag(exp(-2t), exp(2t)),
+        # so Im B = 2G reaches the floor 1e-10 at t = ln(2e10)/2; the
+        # component with G = diag(1e6, 1e-6) squeezes the other way and lives
+        (q,), (p,) = real_vars()
+        model = LindbladModel(1, 1.0, q * p, ())
+        comps = tuple(
+            ComplexGaussian(hbar=1.0, z=np.zeros(4), b=2j * g, alpha=0.0,
+                            weight=np.sqrt(np.linalg.det(g)) / np.pi)
+            for g in (np.eye(2), np.diag([1e6, 1e-6]))
+        )
+        state = SuperpositionState(comps).normalized()
+        t_eval = np.linspace(0.0, 14.0, 8)
+        series = propagate_superposition(model, state, t_eval)
+        (event,) = series.events
+        assert event["kind"] == "component_collapse"
+        assert event["t"] == pytest.approx(np.log(2e10) / 2, abs=1e-3)
+        after = t_eval > event["t"]
+        assert after.sum() == 2
+        weights = np.array([c.weight for c in series.tracks[0].states])
+        assert np.all(weights[after] == 0) and np.all(weights[~after] != 0)
+        assert series.tracks[1].events == []
+        assert np.allclose(series.raw_norms, np.where(after, 0.5, 1.0), atol=1e-6)
 
     def test_norm_conserved_in_exact_case(self):
         model = anharmonic_damped(beta=0.0, gamma=0.25)

@@ -563,6 +563,17 @@ class TestPortrait:
             "config.json", "field.csv", "report.json", "trajectories.csv"]
         assert load_config(Path(outdir) / "config.json") == cfg
 
+    def test_portrait_uses_config_ode_tolerances(self, tmp_path):
+        d = default_config("portrait_limit_cycle")
+        d["portrait"].update(n_q=3, n_p=3, t_end=5.0, n_out=11, starts=[[1.0, 0.5]])
+        written = []
+        for rtol in (1e-9, 1e-3):
+            d["output_dir"] = str(tmp_path / str(rtol))
+            d["ode_rtol"] = rtol
+            _, outdir = run_portrait(ExperimentConfig.from_dict(d))
+            written.append((Path(outdir) / "trajectories.csv").read_text())
+        assert written[0] != written[1]
+
     def test_portrait_config_needed(self, tmp_path):
         d = default_config("cat_anharmonic")
         d["output_dir"] = str(tmp_path)
@@ -695,4 +706,24 @@ class TestBenchmarkImports:
                         missing.append(f"{path.name}: {node.module}.{alias.name}")
         assert ("worker.py", "semilind.harness.experiments", "run_portrait") in imported
         assert ("workloads.py", "semilind.harness.experiments", "default_config") in imported
+        assert missing == []
+
+    def test_every_traced_name_resolves(self):
+        """TARGETS and ODE_TARGETS of the benchmark tracer, read from its
+        source without importing it."""
+        tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+        lists = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                 and node.targets[0].id in ("TARGETS", "ODE_TARGETS")}
+        assert ("semilind.symbols", "PolyBatch.__call__", "symbols.PolyBatch") in lists["TARGETS"]
+        missing = []
+        for module_name, attribute, _ in lists["TARGETS"]:
+            obj = importlib.import_module(module_name)
+            for part in attribute.split("."):
+                obj = getattr(obj, part, None)
+            if obj is None:
+                missing.append(f"{module_name}.{attribute}")
+        for module_name, _ in lists["ODE_TARGETS"]:
+            if not hasattr(importlib.import_module(module_name), "solve_ivp"):
+                missing.append(f"{module_name}.solve_ivp")
         assert missing == []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -395,6 +397,20 @@ class TestIntegrate:
         traj = integrate(model, GaussianWigner(1.0, [1.0, 0.0], np.eye(2)), t_eval)
         assert [ev["t"] for ev in traj.events if ev["kind"] == "width_clamp"] == [14.0, 16.0]
         assert np.linalg.eigvalsh(traj.states[-1].g).min() == pytest.approx(1e-12, rel=1e-9)
+
+    def test_width_clamp_off_axis(self):
+        # H = (q^2 - p^2)/2 squeezes G along the diagonals; V diag(lam) V^T
+        # cannot hold the floor next to eigenvalues of 1e8 and more, so the
+        # run stops with the time and the eigenvalue ratio instead of
+        # returning a singular width
+        (q,), (p,) = real_vars()
+        model = LindbladModel(1, 1.0, (q * q - p * p) * 0.5, ())
+        t_eval = np.linspace(0.0, 14.0, 8)
+        with pytest.raises(RuntimeError, match="width clamp at t=") as err:
+            integrate(model, GaussianWigner(1.0, [1.0, 0.0], np.eye(2)), t_eval)
+        t, ratio = re.search(r"t=(\S+) .*eigenvalue ratio (\S+)", str(err.value)).groups()
+        assert float(t) in t_eval
+        assert float(ratio) > 1e16
 
     def test_csv_round_trip(self):
         model = damped_oscillator()

@@ -346,7 +346,7 @@ class TestPolyBatch:
             want = np.array([p.eval(pt) for p in polys])
             assert np.allclose(got, want, atol=1e-12)
 
-    def test_real_at_is_real_part_at_real_points(self):
+    def test_real_part_at_real_points(self):
         rng = np.random.default_rng(14)
         polys = [random_poly(rng, n=2, deg=4) for _ in range(6)]
         polys.append(PolySymbol.constant(Chart.REAL_QP, 2, 2.5 - 1j))
@@ -354,11 +354,11 @@ class TestPolyBatch:
         for _ in range(5):
             pt = rng.normal(size=4)
             want = np.array([p.eval(pt).real for p in polys])
-            assert np.allclose(batch.real_at(pt), want, rtol=1e-13, atol=1e-13)
+            assert np.allclose(batch(pt).real, want, rtol=1e-13, atol=1e-13)
 
-    def test_real_at_batch_is_each_point(self):
+    def test_batch_is_each_point(self):
         rng = np.random.default_rng(15)
         batch = PolyBatch([random_poly(rng, n=2, deg=4) for _ in range(6)])
         pts = rng.normal(size=(9, 4))
-        want = np.array([batch.real_at(pt) for pt in pts])
-        assert np.array_equal(batch.real_at(pts), want)
+        want = np.array([batch(pt) for pt in pts])
+        assert np.array_equal(batch(pts), want)
