@@ -20,21 +20,29 @@ A component (Z=(X,Y), B, alpha, weight) then follows
     dalpha/dt = (i hbar/4) Tr(dB/dt B^{-1}) + Y . dX/dt - K0 - hbar K1
                 + (i hbar/2) Tr(K0_xy + K0_yy B)
 
-with Gcal the real width matrix built from B.  The evolving amplitude
-prefactor (det B)^{1/4} is integrated alongside as phi = log(det B)/4 and
-folded into the component weight at output times, so stored components
-evaluate with no extra prefactor.
+with Gcal the real width matrix built from B, whose inverse acts in closed
+form: Gcal^{-1} (v1, v2) = (u, Re B u + Im B v2), u = (Im B)^{-1}(v1 + Re B v2).
+The evolving amplitude prefactor (det B)^{1/4} is integrated alongside as
+phi = log(det B)/4 and folded into the component weight at output times, so
+stored components evaluate with no extra prefactor.
+
+The components of a superposition are propagated together, as one RK45
+system over the stack of their packed states: each right-hand-side call
+evaluates the symbols at all live centres in one `PolyBatch` call and the
+rates with stacked matrix products and solves.  A component whose Im B
+collapses ends that solve at a terminal event; the solve restarts from the
+event time without it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .gaussian import ComplexGaussian, SuperpositionState, g_from_a
+from .gaussian import ComplexGaussian, SuperpositionState
 from .semiclassical import LindbladModel, _packing
 from .symbols import Chart, PolyBatch, PolySymbol, double_lift, moyal_term, poisson, symplectic_form
 
@@ -143,7 +151,8 @@ def build_k(model: LindbladModel) -> DoubledSymbol:
 
 class _KEvaluator:
     """Cached batched evaluation of K0, K1, grad K0 and the K0 Hessian; packs
-    a component as (Z, Re/Im upper triangle of B, alpha, phi)."""
+    a component as the row (Z, Re/Im upper triangle of B, alpha, phi), and a
+    stack of components as a stack of rows."""
 
     def __init__(self, ksym: DoubledSymbol):
         self.n2 = 2 * ksym.n_modes
@@ -160,50 +169,60 @@ class _KEvaluator:
         # gather points into (X, triangle); here Z takes dim = 2 n2 slots
         self.b_re = gather + self.n2
         self.b_im = self.b_re + self.iu[0].size
+        self.row_size = dim + 2 * self.iu[0].size + 4
 
     def __call__(self, z):
+        """K0, K1, grad K0 and the K0 Hessian at a point z of shape (dim,),
+        or at each row of a stack of shape (m, dim)."""
         vals = self.batch(z)
         dim = self.dim
-        k0 = vals[0]
-        k1 = vals[1]
-        grad = vals[2 : 2 + dim]
-        hess = vals[2 + dim :].reshape(dim, dim)
-        return k0, k1, grad, hess
+        hess = vals[..., 2 + dim :].reshape(vals.shape[:-1] + (dim, dim))
+        return vals[..., 0], vals[..., 1], vals[..., 2 : 2 + dim], hess
 
     def pack(self, z, b, alpha, phi):
-        tri = b[self.iu]
-        return np.concatenate([z, tri.real, tri.imag, [alpha.real, alpha.imag, phi.real, phi.imag]])
+        tri = b[..., self.iu[0], self.iu[1]]
+        tail = np.stack([np.real(alpha), np.imag(alpha), np.real(phi), np.imag(phi)], axis=-1)
+        return np.concatenate([z, tri.real, tri.imag, tail], axis=-1)
 
-    def unpack(self, yvec):
-        b = yvec[self.b_re] + 1j * yvec[self.b_im]
-        return yvec[: self.dim], b, complex(yvec[-4], yvec[-3]), complex(yvec[-2], yvec[-1])
+    def unpack(self, rows):
+        b = rows[..., self.b_re] + 1j * rows[..., self.b_im]
+        alpha = rows[..., -4] + 1j * rows[..., -3]
+        return rows[..., : self.dim], b, alpha, rows[..., -2] + 1j * rows[..., -1]
 
 
-def _component_rates(kev: _KEvaluator, z, b, hbar):
+def _rates(kev: _KEvaluator, z, b, hbar):
+    """(dZ, dB, dalpha, Tr(dB B^-1)) of a stack of m components, z of shape
+    (m, 2 n2) and b of shape (m, n2, n2); each row is computed on its own."""
     n2 = kev.n2
+    re, im = b.real, b.imag
+    if np.linalg.eigvalsh(im).min() <= 0:
+        raise ValueError("Im B must be positive definite")
     k0, k1, grad, hess = kev(z)
-    gcal = g_from_a(b)
-    zdot = kev.omega @ grad.real + np.linalg.solve(gcal, grad.imag)
-    kxx = hess[:n2, :n2]
-    kxy = hess[:n2, n2:]
-    kyy = hess[n2:, n2:]
-    bdot = -b @ kyy @ b - b @ kxy.T - kxy @ b - kxx
-    tau = np.trace(np.linalg.solve(b.T, bdot.T))  # Tr(bdot b^{-1})
-    xdot = zdot[:n2]
+    # Gcal^{-1} (v1, v2) = (u, Re B u + Im B v2) with u = (Im B)^{-1} (v1 + Re B v2)
+    v1 = grad.imag[:, :n2, None]
+    v2 = grad.imag[:, n2:, None]
+    u = np.linalg.solve(im, v1 + re @ v2)
+    zdot = grad.real @ kev.omega.T + np.concatenate([u, re @ u + im @ v2], axis=1)[:, :, 0]
+    kxx = hess[:, :n2, :n2]
+    kxy = hess[:, :n2, n2:]
+    kyy = hess[:, n2:, n2:]
+    bdot = -b @ kyy @ b - b @ kxy.transpose(0, 2, 1) - kxy @ b - kxx
+    tau = np.einsum("mii->m", np.linalg.solve(b, bdot))  # Tr(B^{-1} dB) = Tr(dB B^{-1})
+    xdot = zdot[:, :n2]
     alphadot = (
         0.25j * hbar * tau
-        + z[n2:] @ xdot
+        + np.einsum("mi,mi->m", z[:, n2:], xdot)
         - k0
         - hbar * k1
-        + 0.5j * hbar * (np.trace(kxy) + np.trace(kyy @ b))
+        + 0.5j * hbar * (np.einsum("mii->m", kxy) + np.einsum("mij,mji->m", kyy, b))
     )
     return zdot, bdot, alphadot, tau
 
 
 def rhs_component(ksym: DoubledSymbol, comp: ComplexGaussian):
     """Time derivatives (dZ, dB, dalpha) of one complex Gaussian component."""
-    zdot, bdot, alphadot, _ = _component_rates(ksym._evaluator, comp.z, comp.b, comp.hbar)
-    return zdot, bdot, alphadot
+    zdot, bdot, alphadot, _ = _rates(ksym._evaluator, comp.z[None], comp.b[None], comp.hbar)
+    return zdot[0], bdot[0], alphadot[0]
 
 
 # -- integration of a superposition -------------------------------------------
@@ -226,7 +245,7 @@ class SuperpositionSeries:
     raw_norms: np.ndarray
     tracks: list
     events: list = field(default_factory=list)
-    nfev: int = 0  # RK45 right-hand-side calls, summed over components
+    nfev: int = 0  # RK45 right-hand-side calls of the one stacked system
 
     def cross_magnitudes(self) -> np.ndarray:
         """Normalized peak magnitude of the off-diagonal (Y != 0) part."""
@@ -247,80 +266,99 @@ def propagate_superposition(
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> SuperpositionSeries:
-    """Evolve each complex Gaussian component independently and resum.
+    """Evolve all complex Gaussian components as one stacked ODE system and resum.
 
-    The Wigner normalization is re-imposed at every output time (the raw
-    integral is recorded).  A component whose Im B loses positivity beyond
-    the floor is frozen with weight zero and an event record.
+    The live components share the steps of one RK45 solve.  When the smallest
+    eigenvalue of some component's Im B falls to the floor, the solve stops
+    there: that component is frozen with weight zero and an event record, and
+    the solve restarts from the event time with the components left.  The
+    Wigner normalization is re-imposed at every output time (the raw integral
+    is recorded).  An output time with no live component left raises
+    `RuntimeError`.
     """
     kev = model._doubled._evaluator
     hbar = state.hbar
     t_eval = np.asarray(t_eval, dtype=float)
+    comps = state.components
 
     def odefun(t, yvec):
-        z, b, _, _ = kev.unpack(yvec)
-        zdot, bdot, alphadot, tau = _component_rates(kev, z, b, hbar)
-        return kev.pack(zdot, bdot, alphadot, 0.25 * tau)
+        z, b, _, _ = kev.unpack(yvec.reshape(-1, kev.row_size))
+        zdot, bdot, alphadot, tau = _rates(kev, z, b, hbar)
+        return kev.pack(zdot, bdot, alphadot, 0.25 * tau).ravel()
+
+    def floor_gaps(rows):
+        return np.linalg.eigvalsh(kev.unpack(rows)[1].imag).min(axis=1) - _IMB_FLOOR
 
     def breakdown(t, yvec):
-        _, b, _, _ = kev.unpack(yvec)
-        return np.linalg.eigvalsh(b.imag).min() - _IMB_FLOOR
+        return floor_gaps(yvec.reshape(-1, kev.row_size)).min()
 
     breakdown.terminal = True
     breakdown.direction = -1
 
-    tracks, nfev = [], 0
-    for comp in state.components:
-        y0 = kev.pack(comp.z, comp.b, complex(comp.alpha), 0j)
+    rows = kev.pack(
+        np.array([c.z for c in comps]),
+        np.array([c.b for c in comps]),
+        np.array([c.alpha for c in comps]),
+        np.zeros(len(comps)),
+    )
+    live = np.arange(len(comps))
+    frozen = {}
+    tracks = [ComponentTrack(states=[]) for _ in comps]
+    events, nfev, k, t0 = [], 0, 0, t_eval[0]
+    while k < t_eval.size:
+        if not live.size:
+            times = ", ".join(f"{ev['t']:.6g}" for ev in events)
+            raise RuntimeError(
+                f"no live component at output time t = {t_eval[k]:g}: "
+                f"every component collapsed (at t = {times})"
+            )
         sol = solve_ivp(
             odefun,
-            (t_eval[0], t_eval[-1]),
-            y0,
+            (t0, t_eval[-1]),
+            rows[live].ravel(),
             method="RK45",
-            t_eval=t_eval,
+            t_eval=t_eval[k:],
             rtol=rtol,
             atol=atol,
             events=breakdown,
         )
         if not sol.success and sol.status != 1:
-            raise RuntimeError(f"component integration failed: {sol.message}")
+            raise RuntimeError(f"superposition integration failed: {sol.message}")
         nfev += int(sol.nfev)
-        states, events = [], []
-        last_alive = None
-        for k, t in enumerate(t_eval):
-            if k < sol.y.shape[1]:
-                z, b, alpha, phi = kev.unpack(sol.y[:, k])
-                weight = comp.weight * np.exp(phi)
-                cg = ComplexGaussian(hbar=hbar, z=z, b=b, alpha=alpha, weight=weight)
-                states.append(cg)
-                last_alive = cg
-            else:
-                if not events:
-                    t_dead = sol.t_events[0][0] if sol.t_events[0].size else t
-                    events.append({"t": float(t_dead), "kind": "component_collapse"})
-                frozen = ComplexGaussian(
-                    hbar=hbar,
-                    z=last_alive.z,
-                    b=last_alive.b,
-                    alpha=last_alive.alpha,
-                    weight=0.0,
+        for yvec in sol.y.T:
+            z, b, alpha, phi = kev.unpack(yvec.reshape(live.size, -1))
+            for j, idx in enumerate(live):
+                weight = comps[idx].weight * np.exp(phi[j])
+                tracks[idx].states.append(
+                    ComplexGaussian(hbar=hbar, z=z[j], b=b[j], alpha=alpha[j], weight=weight)
                 )
-                states.append(frozen)
-        tracks.append(ComponentTrack(states=states, events=events))
+            for idx, dead in frozen.items():
+                tracks[idx].states.append(dead)
+        k += sol.t.size
+        if sol.status == 1:
+            t0 = float(sol.t_events[0][0])
+            rows[live] = sol.y_events[0][0].reshape(live.size, -1)
+            gaps = floor_gaps(rows[live])
+            collapsed = gaps <= max(gaps.min(), 0.0)
+            for idx in live[collapsed]:
+                frozen[idx] = replace(tracks[idx].states[-1], weight=0.0)
+                event = {"t": t0, "kind": "component_collapse"}
+                tracks[idx].events.append(event)
+                events.append(event)
+            live = live[~collapsed]
 
     states_out, raw_norms = [], []
-    for k, t in enumerate(t_eval):
-        comps = tuple(tr.states[k] for tr in tracks)
-        total = sum(c.integral() for c in comps)
+    for k in range(t_eval.size):
+        comps_k = tuple(tr.states[k] for tr in tracks)
+        total = sum(c.integral() for c in comps_k)
         raw_norms.append(float((state.norm_factor * total).real))
-        states_out.append(SuperpositionState(comps, norm_factor=float(1.0 / total.real)))
-    all_events = [ev for tr in tracks for ev in tr.events]
+        states_out.append(SuperpositionState(comps_k, norm_factor=float(1.0 / total.real)))
     return SuperpositionSeries(
         times=t_eval.copy(),
         states=states_out,
         raw_norms=np.array(raw_norms),
         tracks=tracks,
-        events=all_events,
+        events=events,
         nfev=nfev,
     )
 

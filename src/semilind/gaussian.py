@@ -207,10 +207,10 @@ class ComplexGaussian:
         pref = (2 * np.pi * self.hbar) ** (dim // 2) / self._det_mi_b_sqrt()
         return self.weight * pref * np.exp(expo)
 
-    def first_moment(self) -> np.ndarray:
-        """Integral of x times the component (complex vector)."""
-        binv_y = np.linalg.solve(self.b, self.y)
-        return (self.x - binv_y) * self.integral()
+    def centroid(self) -> np.ndarray:
+        """Complex centroid X - B^{-1} Y: the integral of x times the
+        component is the centroid times `integral()`."""
+        return self.x - np.linalg.solve(self.b, self.y)
 
 
 @dataclass(frozen=True)
@@ -244,9 +244,9 @@ class SuperpositionState:
 
     def moments_xp(self) -> np.ndarray:
         """First moments (expectation of x) of the normalized distribution."""
-        total = sum(c.integral() for c in self.components)
-        first = sum(c.first_moment() for c in self.components)
-        return np.real(first / total)
+        integrals = [c.integral() for c in self.components]
+        first = sum(c.centroid() * w for c, w in zip(self.components, integrals))
+        return np.real(first / sum(integrals))
 
     def normalized(self) -> "SuperpositionState":
         raw = sum(c.integral() for c in self.components)

@@ -22,6 +22,8 @@ from semilind.gaussian import (
     cat_decompose,
     eval_wigner,
 )
+from semilind.harness.config import ExperimentConfig
+from semilind.harness.experiments import default_config
 from semilind.quantum import DensityMatrix, FockSpace, integrate_master, wigner_of_density
 from semilind.semiclassical import (
     LindbladModel,
@@ -162,6 +164,20 @@ class TestRhsComponent:
         assert np.allclose(bdot, 0, atol=1e-12)
         assert alphadot == pytest.approx(0.25j * gamma * (y @ y), abs=1e-12)
 
+    def test_stacked_rows_are_independent(self):
+        # the batched rates of a stack must equal each component's rates alone
+        rng = np.random.default_rng(21)
+        ksym = build_k(random_quadratic_linear(rng, n=2, n_lind=2))
+        comps = [random_component(rng, n=2) for _ in range(3)]
+        zdot, bdot, alphadot, _ = doubled._rates(
+            ksym._evaluator, np.array([c.z for c in comps]), np.array([c.b for c in comps]), 1.0
+        )
+        for j, comp in enumerate(comps):
+            z1, b1, a1 = rhs_component(ksym, comp)
+            assert np.max(np.abs(zdot[j] - z1)) <= 1e-13 * max(np.max(np.abs(z1)), 1.0)
+            assert np.max(np.abs(bdot[j] - b1)) <= 1e-13 * max(np.max(np.abs(b1)), 1.0)
+            assert abs(alphadot[j] - a1) <= 1e-13 * max(abs(a1), 1.0)
+
     def test_free_rotation_closed_form(self):
         (q,), (p,) = real_vars()
         h = (q * q + p * p) * 0.5
@@ -191,6 +207,29 @@ def SuperpositionState_one(comp):
     from semilind.gaussian import SuperpositionState
 
     return SuperpositionState((comp,), norm_factor=1.0)
+
+
+def squeeze_model():
+    (q,), (p,) = real_vars()
+    return LindbladModel(1, 1.0, q * p, ())
+
+
+def squeezed_state(widths):
+    """Normalized superposition of real Gaussians at the origin, one per G."""
+    comps = tuple(
+        ComplexGaussian(hbar=1.0, z=np.zeros(4), b=2j * g, alpha=0.0,
+                        weight=np.sqrt(np.linalg.det(g)) / np.pi)
+        for g in widths
+    )
+    return SuperpositionState(comps).normalized()
+
+
+def assert_tracks_close(track, reference, rel):
+    """Equal states within `rel` of each quantity's largest entry (at least 1)."""
+    for got, want in zip(track.states, reference.states, strict=True):
+        for a, b in ((got.z, want.z), (got.b, want.b), (got.alpha, want.alpha),
+                     (got.weight, want.weight)):
+            assert np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(b)), 1.0)
 
 
 class TestComponentPacking:
@@ -244,16 +283,10 @@ class TestPropagateSuperposition:
         # H = q p squeezes a component with G = I to diag(exp(-2t), exp(2t)),
         # so Im B = 2G reaches the floor 1e-10 at t = ln(2e10)/2; the
         # component with G = diag(1e6, 1e-6) squeezes the other way and lives
-        (q,), (p,) = real_vars()
-        model = LindbladModel(1, 1.0, q * p, ())
-        comps = tuple(
-            ComplexGaussian(hbar=1.0, z=np.zeros(4), b=2j * g, alpha=0.0,
-                            weight=np.sqrt(np.linalg.det(g)) / np.pi)
-            for g in (np.eye(2), np.diag([1e6, 1e-6]))
-        )
-        state = SuperpositionState(comps).normalized()
         t_eval = np.linspace(0.0, 14.0, 8)
-        series = propagate_superposition(model, state, t_eval)
+        series = propagate_superposition(
+            squeeze_model(), squeezed_state([np.eye(2), np.diag([1e6, 1e-6])]), t_eval
+        )
         (event,) = series.events
         assert event["kind"] == "component_collapse"
         assert event["t"] == pytest.approx(np.log(2e10) / 2, abs=1e-3)
@@ -263,6 +296,73 @@ class TestPropagateSuperposition:
         assert np.all(weights[after] == 0) and np.all(weights[~after] != 0)
         assert series.tracks[1].events == []
         assert np.allclose(series.raw_norms, np.where(after, 0.5, 1.0), atol=1e-6)
+
+    def test_collapses_restart_the_stacked_solve(self):
+        # G = diag(a, 1/a) reaches the floor at t = ln(2a / 1e-10) / 2:
+        # a = 0.01 first, then a = 1
+        model = squeeze_model()
+        gs = [np.eye(2), np.diag([0.01, 100.0]), np.diag([1e6, 1e-6])]
+        t_eval = np.linspace(0.0, 14.0, 8)
+        series = propagate_superposition(model, squeezed_state(gs), t_eval)
+        want = [np.log(2e8) / 2, np.log(2e10) / 2]
+        assert [ev["kind"] for ev in series.events] == ["component_collapse"] * 2
+        assert [ev["t"] for ev in series.events] == pytest.approx(want, abs=1e-3)
+        assert series.tracks[1].events == [series.events[0]]
+        assert series.tracks[0].events == [series.events[1]]
+        assert series.tracks[2].events == []
+        solo = propagate_superposition(model, squeezed_state(gs[2:]), t_eval)
+        assert_tracks_close(series.tracks[2], solo.tracks[0], 1e-8)
+
+    def test_duplicated_collapsing_component_gives_two_events(self):
+        gs = [np.eye(2), np.eye(2), np.diag([1e6, 1e-6])]
+        series = propagate_superposition(squeeze_model(), squeezed_state(gs),
+                                         np.linspace(0.0, 14.0, 8))
+        first, second = series.events
+        assert first["t"] == second["t"] == pytest.approx(np.log(2e10) / 2, abs=1e-3)
+        assert series.tracks[0].events == [first] and series.tracks[1].events == [second]
+
+    def test_no_live_component_raises(self):
+        # the only component collapses at t = 11.86; t = 12 and 14 have none
+        with pytest.raises(RuntimeError, match=r"t = 12: .*collapsed \(at t = 11\.859"):
+            propagate_superposition(squeeze_model(), squeezed_state([np.eye(2)]),
+                                    np.linspace(0.0, 14.0, 8))
+
+    def test_tracks_match_solo_runs(self):
+        # the pooled RK45 error norm of the stacked system keeps every track
+        # as accurate as the component propagated alone
+        model = anharmonic_damped(beta=0.1, gamma=0.3)
+        widths = [np.eye(2), np.diag([4.0, 0.25]), np.array([[2.0, 0.5], [0.5, 1.0]])]
+        rng = np.random.default_rng(22)
+        comps = tuple(
+            ComplexGaussian(hbar=1.0, z=rng.normal(size=4), b=0.3 + 2j * g,
+                            alpha=0.1j, weight=1.0)
+            for g in widths
+        )
+        t_eval = np.linspace(0.0, 2.0, 11)
+        series = propagate_superposition(model, SuperpositionState(comps), t_eval)
+        for comp, track in zip(comps, series.tracks):
+            solo = propagate_superposition(model, SuperpositionState((comp,)), t_eval)
+            assert_tracks_close(track, solo.tracks[0], 1e-8)
+
+    def test_registered_cat_tracks_are_conjugate_pairs(self):
+        # component (j, i) of the cat is the conjugate of (i, j):
+        # (X, Y, B, alpha, weight) -> (X, -Y, -conj B, -conj alpha, conj weight)
+        cfg = ExperimentConfig.from_dict(default_config("cat_anharmonic"))
+        init = cfg.initial
+        cat = cat_decompose(init.centres, init.coefficients, np.array([[init.width]]),
+                            hbar=cfg.hbar)
+        series = propagate_superposition(cfg.model.build(cfg.hbar), cat, cfg.times.grid(),
+                                         rtol=cfg.ode_rtol, atol=cfg.ode_atol)
+        n = len(init.centres)
+        for i in range(n):
+            for j in range(i + 1, n):
+                upper, lower = series.tracks[i * n + j], series.tracks[j * n + i]
+                for cij, cji in zip(upper.states, lower.states):
+                    assert np.max(np.abs(cji.x - cij.x)) < 1e-10
+                    assert np.max(np.abs(cji.y + cij.y)) < 1e-10
+                    assert np.max(np.abs(cji.b + np.conj(cij.b))) < 1e-10
+                    assert abs(cji.alpha + np.conj(cij.alpha)) < 1e-10
+                    assert abs(cji.weight - np.conj(cij.weight)) < 1e-10
 
     def test_norm_conserved_in_exact_case(self):
         model = anharmonic_damped(beta=0.0, gamma=0.25)
