@@ -1,6 +1,7 @@
 """Command line interface.
 
-Verbs: run, portrait, compare, list-experiments, selftest.
+Verbs: run (any registered experiment, phase portraits included; ``portrait``
+is an alias), compare, list-experiments (each with its solver rows), selftest.
 Exit codes: 0 pass, 2 tolerance failure, 1 error.
 Set SEMILIND_OUTPUT_ROOT to redirect all artifact output.
 """
@@ -13,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .compare import compare_dirs
-from .config import ConfigError, ExperimentConfig, load_config
-from .experiments import EXPERIMENTS, default_config, run_experiment, run_portrait
+from .config import ConfigError, load_config
+from .experiments import EXPERIMENTS, default_config, run_experiment
 from .selftest import run_selftest
 
 __all__ = ["main"]
@@ -28,13 +29,10 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a registered experiment from a config file")
+    p_run = sub.add_parser("run", aliases=["portrait"],
+                           help="run a registered experiment from a config file")
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-
-    p_port = sub.add_parser("portrait", help="sample a drift field and trajectory fan")
-    p_port.add_argument("config", type=Path)
-    p_port.add_argument("--seed", type=int, default=None)
 
     p_cmp = sub.add_parser("compare", help="compare observables.csv of two solver dirs")
     p_cmp.add_argument("dir_a", type=Path)
@@ -49,27 +47,18 @@ def _build_parser():
     return parser
 
 
-def _load(path: Path, seed) -> ExperimentConfig:
-    config = load_config(path)
-    if seed is not None:
-        config = config.with_seed(seed)
-    return config
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            report, outdir = run_experiment(_load(args.config, args.seed))
+        if args.command in ("run", "portrait"):
+            config = load_config(args.config)
+            if args.seed is not None:
+                config = config.with_seed(args.seed)
+            report, outdir = run_experiment(config)
             print(f"artifacts in {outdir}")
             for entry in report.entries:
                 status = "PASS" if entry.get("passed", True) else "FAIL"
                 print(f"{status} {entry.get('check', entry.get('observable', '?'))}")
-            return 0 if report.passed else 2
-
-        if args.command == "portrait":
-            report, outdir = run_portrait(_load(args.config, args.seed))
-            print(f"artifacts in {outdir}")
             return 0 if report.passed else 2
 
         if args.command == "compare":
@@ -84,7 +73,7 @@ def main(argv=None) -> int:
                 print(json.dumps(default_config(args.name), indent=2, sort_keys=True))
             else:
                 for name, exp in sorted(EXPERIMENTS.items()):
-                    print(f"{name} [{exp.kind}]\n    {exp.description}")
+                    print(f"{name} [{', '.join(exp.solvers)}]\n    {exp.description}")
             return 0
 
         if args.command == "selftest":

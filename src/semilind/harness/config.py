@@ -25,15 +25,25 @@ class ConfigError(ValueError):
     pass
 
 
+def _convert(where: str, key: str, conv, value):
+    """``conv(value)``; a value of the wrong type is a `ConfigError` naming ``where.key``."""
+    try:
+        return conv(value)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{where}.{key}: {exc}") from None
+
+
 def _pull(d: dict, where: str, required, optional=None):
     d = dict(d)
     out = {}
     for key, conv in required.items():
         if key not in d:
             raise ConfigError(f"{where}: missing key {key!r}")
-        out[key] = conv(d.pop(key))
+        out[key] = _convert(where, key, conv, d.pop(key))
     for key, (conv, default) in (optional or {}).items():
-        out[key] = conv(d.pop(key)) if key in d else default
+        out[key] = _convert(where, key, conv, d.pop(key)) if key in d else default
     if d:
         raise ConfigError(f"{where}: unknown keys {sorted(d)}")
     return out
@@ -209,45 +219,44 @@ class PortraitSection:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config.  A top-level key the document leaves out is None here;
+    ``run_experiment`` gives it the experiment's registered value."""
+
     experiment: str
-    seed: int
-    hbar: float
-    output_dir: str
-    solvers: tuple
+    seed: int | None
+    hbar: float | None
+    output_dir: str | None
+    solvers: tuple | None
     model: ModelSection
     initial: InitialSection | None
     times: TimesSection | None
     grid: GridSpec | None
     fock_levels: int | None
     n_trajectories: int | None
-    tolerances: dict
+    tolerances: dict | None
     portrait: PortraitSection | None
-    ode_rtol: float = 1e-9
-    ode_atol: float = 1e-12
+    ode_rtol: float | None
+    ode_atol: float | None
 
     @classmethod
     def from_dict(cls, d):
-        vals = _pull(
-            d,
-            "config",
-            {"experiment": str, "model": ModelSection.from_dict},
-            {
-                "seed": (int, 0),
-                "hbar": (float, 1.0),
-                "output_dir": (str, "out"),
-                "solvers": (lambda v: tuple(str(s) for s in v), ()),
-                "initial": (InitialSection.from_dict, None),
-                "times": (TimesSection.from_dict, None),
-                "grid": (lambda v: _grid_spec("grid", _pull(v, "grid", _GRID_KEYS)), None),
-                "fock_levels": (int, None),
-                "n_trajectories": (int, None),
-                "tolerances": (lambda v: {str(k): float(x) for k, x in v.items()}, {}),
-                "portrait": (PortraitSection.from_dict, None),
-                "ode_rtol": (float, 1e-9),
-                "ode_atol": (float, 1e-12),
-            },
-        )
-        return cls(**vals)
+        optional = {
+            "seed": int,
+            "hbar": float,
+            "output_dir": str,
+            "solvers": lambda v: tuple(str(s) for s in v),
+            "initial": InitialSection.from_dict,
+            "times": TimesSection.from_dict,
+            "grid": lambda v: _grid_spec("grid", _pull(v, "grid", _GRID_KEYS)),
+            "fock_levels": int,
+            "n_trajectories": int,
+            "tolerances": lambda v: {str(k): float(x) for k, x in v.items()},
+            "portrait": PortraitSection.from_dict,
+            "ode_rtol": float,
+            "ode_atol": float,
+        }
+        return cls(**_pull(d, "config", {"experiment": str, "model": ModelSection.from_dict},
+                           {key: (conv, None) for key, conv in optional.items()}))
 
     def to_dict(self):
         return _plain(self)

@@ -1,15 +1,16 @@
 """Named, config-driven experiments, each a table of solver rows and check rows.
 
 ``ExperimentDef.solvers`` maps a solver name, as a config lists it under
-``solvers``, to ``fn(config, model, t_eval) -> SolverRun``.  A ``SolverRun``
-carries the observables, written to ``<root>/<experiment>/<solver>/observables.csv``;
-extra files (name -> text) for the same directory; a frame function
-``k -> WignerGrid``, written there as ``wigner_t<t>.txt`` at each
-configured frame when the config has a ``grid``; the report entries the
-solver adds (its statistics); and the solver's raw result, whose
-``events``, if it has any, ``run_experiment`` reports as one
-``solver_events`` entry per kind.  ``SolverRun.grid(k)`` computes each
-frame once, so checks read the grids that were written.
+``solvers``, to ``fn(config, model, t_eval) -> SolverRun``; ``t_eval`` is
+None for a config without ``times``.  A ``SolverRun`` carries the
+observables, written, when there are any, to
+``<root>/<experiment>/<solver>/observables.csv``; extra files (name -> text)
+for the same directory; a frame function ``k -> WignerGrid``, written there
+as ``wigner_t<t>.txt`` at each configured frame when the config has a
+``grid``; the report entries the solver adds (its statistics); and the
+solver's raw result, whose ``events``, if it has any, ``run_experiment``
+reports as one ``solver_events`` entry per kind.  ``SolverRun.grid(k)``
+computes each frame once, so checks read the grids that were written.
 
 ``ExperimentDef.checks`` lists ``(needed solvers, fn(config, t_eval, runs) ->
 entries)``, with ``runs`` mapping solver name to ``SolverRun``.  After the
@@ -21,12 +22,17 @@ of the experiment's registered defaults; a key in
 ``ExperimentDef.optional_tolerances`` has no default, and its check runs only
 when a config sets it.
 
-``run_experiment`` alone runs, times and writes the solvers.  Re-running with
-the same config and seed reproduces every file but ``report.json`` (which
-holds run times) byte for byte.  Rows call the library functions
-(``integrate``, ``eval_wigner``, ...) by their names in this module when they
-run, so a name replaced here, as ``perfbench/tracing.py`` does, is the one
-every run calls.
+A phase portrait is an experiment whose one row, ``flow``, writes the
+sampled drift and a trajectory fan.  ``run_portrait`` stays only because
+``perfbench/worker.py`` imports it.
+
+``run_experiment`` alone runs, times and writes the solvers.  Every top-level
+config field left unset takes the experiment's registered value.
+Re-running with the same config and seed reproduces every file but
+``report.json`` (which holds run times) byte for byte.  Rows call the
+library functions (``integrate``, ``eval_wigner``, ...) by their names in
+this module when they run, so a name replaced here, as
+``perfbench/tracing.py`` does, is the one every run calls.
 """
 
 from __future__ import annotations
@@ -34,10 +40,11 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from ..doubled import component_csv, propagate_superposition
 from ..gaussian import (
@@ -89,10 +96,6 @@ class ExperimentDef:
     solvers: dict = field(default_factory=dict)  # name -> fn(config, model, t_eval) -> SolverRun
     checks: tuple = ()  # (needed solver names, fn(config, t_eval, runs) -> entries)
     optional_tolerances: tuple = ()  # keys with no default; their checks run only when set
-
-    @property
-    def kind(self) -> str:
-        return "experiment" if self.solvers else "portrait"
 
 
 def _write(path: Path, text: str):
@@ -484,7 +487,7 @@ def _cat_moment_checks(config: ExperimentConfig, t_eval, runs) -> list:
 
 
 def _cat_wigner_check(config: ExperimentConfig, t_eval, runs) -> list:
-    if "wigner_sup" not in config.tolerances or config.grid is None:
+    if "wigner_sup" not in config.tolerances:
         return []
     frames = config.times.frame_indices()
     k = frames[-1] if frames else len(t_eval) - 1
@@ -497,8 +500,6 @@ def _cat_fringe_entries(config: ExperimentConfig, t_eval, runs) -> list:
     """Informational: the doubled-phase-space Wigner function against the
     master equation's at each frame, as sup and L2 errors relative to the
     master's peak and norm, and the minimum (negativity) of each."""
-    if config.grid is None:
-        return []
     entries = []
     for k in config.times.frame_indices():
         wd, wm = runs["doubled"].grid(k).values, runs["master"].grid(k).values
@@ -515,88 +516,71 @@ def _cat_fringe_entries(config: ExperimentConfig, t_eval, runs) -> list:
 # -- portraits -------------------------------------------------------------------
 
 
+def _portrait_defaults(experiment: str, model: dict, portrait: dict) -> dict:
+    return {"experiment": experiment, "seed": 0, "hbar": 1.0, "output_dir": "out",
+            "solvers": ["flow"], "ode_rtol": 1e-9, "ode_atol": 1e-12, "model": model,
+            "portrait": portrait, "tolerances": {}}
+
+
 def _portrait_nonlinear_defaults():
     sq = float(np.sqrt(0.1))
-    return {
-        "experiment": "portrait_nonlinear_loss",
-        "seed": 0,
-        "hbar": 1.0,
-        "output_dir": "out",
-        "solvers": [],
-        "model": {
-            "n_modes": 1,
-            "chart": "realqp",
-            "hamiltonian": "0.0",
-            "lindblads": [f"{sq!r}*q1^2 + {sq!r}j*p1^2"],
-        },
-        "portrait": {
-            "q_min": -4.0, "q_max": 4.0, "n_q": 21,
-            "p_min": -4.0, "p_max": 4.0, "n_p": 21,
-            "t_end": 6.0, "n_out": 61,
-            "starts": [[3.0, 1.0], [3.0, 2.0], [3.0, 3.0], [-3.0, -1.0],
-                       [-3.0, -2.0], [1.5, 3.0], [-1.5, -3.0], [2.0, -2.0]],
-        },
-        "tolerances": {},
-    }
+    model = {"n_modes": 1, "chart": "realqp", "hamiltonian": "0.0",
+             "lindblads": [f"{sq!r}*q1^2 + {sq!r}j*p1^2"]}
+    return _portrait_defaults("portrait_nonlinear_loss", model, {
+        "q_min": -4.0, "q_max": 4.0, "n_q": 21,
+        "p_min": -4.0, "p_max": 4.0, "n_p": 21,
+        "t_end": 6.0, "n_out": 61,
+        # where q p < 0 the flow runs out along p/q = const and blows up at
+        # t = 1 / (4 * 0.1 * |q0 p0|): (0.5, -0.5) at t = 10, after t_end
+        "starts": [[3.0, 1.0], [3.0, 2.0], [3.0, 3.0], [-3.0, -1.0],
+                   [-3.0, -2.0], [1.5, 3.0], [-1.5, -3.0], [0.5, -0.5]],
+    })
 
 
 def _portrait_limit_cycle_defaults():
-    base = _limit_cycle_defaults()
-    return {
-        "experiment": "portrait_limit_cycle",
-        "seed": 0,
-        "hbar": 1.0,
-        "output_dir": "out",
-        "solvers": [],
-        "model": base["model"],
-        "portrait": {
-            "q_min": -6.0, "q_max": 6.0, "n_q": 25,
-            "p_min": -6.0, "p_max": 6.0, "n_p": 25,
-            "t_end": 60.0, "n_out": 601,
-            "starts": [[4.0, 4.0], [0.5, 0.0], [-3.0, 3.0], [6.0, 0.0]],
-        },
-        "tolerances": {},
-    }
+    return _portrait_defaults("portrait_limit_cycle", _limit_cycle_defaults()["model"], {
+        "q_min": -6.0, "q_max": 6.0, "n_q": 25,
+        "p_min": -6.0, "p_max": 6.0, "n_p": 25,
+        "t_end": 60.0, "n_out": 601,
+        "starts": [[4.0, 4.0], [0.5, 0.0], [-3.0, 3.0], [6.0, 0.0]],
+    })
 
 
-def run_portrait(config: ExperimentConfig, root=None):
-    """Sample the centre drift field on a grid and integrate trajectory fans."""
-    if config.portrait is None:
-        raise ConfigError("portrait configs need a 'portrait' section")
-    model = config.model.build(config.hbar).to_chart(Chart.REAL_QP)
+def _flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
+    """The centre drift on the portrait grid and a trajectory from each start
+    (``t_eval`` is unused); a trajectory that stops before ``t_end`` raises."""
+    model = model.to_chart(Chart.REAL_QP)
     if model.n_modes != 1:
         raise ConfigError("portraits are drawn for single-mode models")
     port = config.portrait
-    outdir = _resolve_root(config, root) / config.experiment
     qs = np.linspace(port.q_min, port.q_max, port.n_q)
     ps = np.linspace(port.p_min, port.p_max, port.n_p)
     points = np.stack(np.meshgrid(qs, ps, indexing="ij"), axis=-1).reshape(-1, 2)
     lines = ["q,p,dq,dp,speed"]
     for (q, p), v in zip(points, drift_x(model, points)):
         lines.append(",".join(repr(float(x)) for x in (q, p, v[0], v[1], float(np.hypot(*v)))))
-    _write(outdir / "field.csv", "\n".join(lines) + "\n")
-
-    from scipy.integrate import solve_ivp
-
-    t_eval = np.linspace(0.0, port.t_end, port.n_out)
-    rows = ["trajectory,t,q,p"]
+    times = np.linspace(0.0, port.t_end, port.n_out)
+    rows, nfev = ["trajectory,t,q,p"], 0
     for idx, (q0, p0) in enumerate(port.starts):
         sol = solve_ivp(
             lambda t, x: drift_x(model, x),
             (0.0, port.t_end),
             [q0, p0],
-            t_eval=t_eval,
+            t_eval=times,
             rtol=config.ode_rtol,
             atol=config.ode_atol,
         )
+        if not sol.success:
+            reached = sol.t[-1] if sol.t.size else 0.0
+            raise RuntimeError(f"portrait trajectory {idx} from ({q0:g}, {p0:g}) stopped after "
+                               f"output time t={reached:g} of {port.t_end:g}: {sol.message}")
+        nfev += sol.nfev
         for t, q, p in zip(sol.t, sol.y[0], sol.y[1]):
             rows.append(f"{idx},{float(t)!r},{float(q)!r},{float(p)!r}")
-    _write(outdir / "trajectories.csv", "\n".join(rows) + "\n")
-    report = ComparisonReport()
-    report.add(check="portrait_written", passed=True)
-    _write(outdir / "report.json", report.to_json() + "\n")
-    dump_config(config, outdir / "config.json")
-    return report, outdir
+    return SolverRun(
+        files={"field.csv": "\n".join(lines) + "\n", "trajectories.csv": "\n".join(rows) + "\n"},
+        entries=[{"check": "flow_solver", "nfev": nfev, "passed": True}],
+    )
 
 
 EXPERIMENTS = {
@@ -641,12 +625,14 @@ EXPERIMENTS = {
         "phase portrait of the flow generated by a quadratic non-gradient "
         "Lindblad symbol (straight-line trajectories)",
         _portrait_nonlinear_defaults,
+        solvers={"flow": _flow},
     ),
     "portrait_limit_cycle": ExperimentDef(
         "portrait_limit_cycle",
         "phase portrait of the oscillator with damping and amplification "
         "(stable ring attractor)",
         _portrait_limit_cycle_defaults,
+        solvers={"flow": _flow},
     ),
 }
 
@@ -664,19 +650,37 @@ def _resolve_root(config: ExperimentConfig, root=None) -> Path:
     return Path(env) if env else Path(config.output_dir)
 
 
+def run_portrait(config: ExperimentConfig, root=None):
+    """``run_experiment`` on a portrait; returns (report, its ``flow`` directory).
+    Kept only because ``perfbench/worker.py`` imports it; the next benchmark
+    change deletes it."""
+    if "flow" not in getattr(EXPERIMENTS.get(config.experiment), "solvers", ()):
+        raise ConfigError(f"{config.experiment!r} has no 'flow' row to draw a portrait")
+    report, outdir = run_experiment(config, root)
+    return report, outdir / "flow"
+
+
 def run_experiment(config: ExperimentConfig, root=None):
     """Run a registered experiment; returns (report, output directory).
 
     The requested solvers run in table order, each timed from its call to
     its last written file; then every check whose solvers all ran.  A
     tolerance the experiment does not register is a `ConfigError` before any
-    solver runs; one the config leaves out takes its registered value.
+    solver runs; a top-level field the config leaves unset, and a tolerance
+    it leaves out, takes its registered value.
     """
     if config.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
     exp = EXPERIMENTS[config.experiment]
-    if exp.kind != "experiment":
-        raise ConfigError(f"{config.experiment!r} is a portrait; use the portrait command")
+    registered = ExperimentConfig.from_dict(exp.defaults())
+    unknown = [key for key in config.tolerances or {}
+               if key not in registered.tolerances and key not in exp.optional_tolerances]
+    if unknown:
+        raise ConfigError(f"unknown tolerance(s) {unknown} for {config.experiment!r}; "
+                          f"known: {[*registered.tolerances, *exp.optional_tolerances]}")
+    config = replace(config, tolerances={**registered.tolerances, **(config.tolerances or {})})
+    config = replace(config, **{f.name: getattr(registered, f.name) for f in fields(config)
+                                if getattr(config, f.name) is None})
     unknown = [name for name in config.solvers if name not in exp.solvers]
     if unknown:
         raise ConfigError(f"unknown solver(s) {unknown} for {config.experiment!r}; "
@@ -684,18 +688,12 @@ def run_experiment(config: ExperimentConfig, root=None):
     if not config.solvers:
         raise ConfigError(f"{config.experiment!r} config runs no solver; "
                           f"list some of {list(exp.solvers)} under 'solvers'")
-    registered = exp.defaults()["tolerances"]
-    unknown = [key for key in config.tolerances
-               if key not in registered and key not in exp.optional_tolerances]
-    if unknown:
-        raise ConfigError(f"unknown tolerance(s) {unknown} for {config.experiment!r}; "
-                          f"known: {[*registered, *exp.optional_tolerances]}")
-    config = replace(config, tolerances={**registered, **config.tolerances})
     outdir = _resolve_root(config, root) / config.experiment
     start = time.perf_counter()
     model = config.model.build(config.hbar)
-    t_eval = config.times.grid()
-    frames = config.times.frame_indices()
+    t_eval = frames = None
+    if config.times is not None:
+        t_eval, frames = config.times.grid(), config.times.frame_indices()
     report = ComparisonReport()
     runs = {}
     for name, solve in exp.solvers.items():
@@ -705,7 +703,8 @@ def run_experiment(config: ExperimentConfig, root=None):
         run = solve(config, model, t_eval)
         for fname, text in run.files.items():
             _write(outdir / name / fname, text)
-        write_observables(run.observables, outdir / name / "observables.csv")
+        if run.observables:
+            write_observables(run.observables, outdir / name / "observables.csv")
         if config.grid is not None and run.frame is not None:
             _wigner_frames(outdir / name, t_eval, frames, run)
         report.runtime_s[name] = time.perf_counter() - t0

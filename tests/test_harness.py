@@ -160,6 +160,48 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(default_config("bose_hubbard_losses"))
         assert cfg.with_seed(99).seed == 99
 
+    @pytest.mark.parametrize("key, value", [("grid", None), ("times", None), ("initial", None),
+                                            ("fock_levels", None), ("tolerances", [1]),
+                                            ("solvers", 3)])
+    def test_value_of_wrong_type_is_config_error(self, key, value, tmp_path, capsys):
+        d = default_config("cat_anharmonic")
+        d[key] = value
+        with pytest.raises(ConfigError, match=rf"^config\.{key}: "):
+            ExperimentConfig.from_dict(d)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert cli_main(["run", str(path)]) == 1
+        assert f"config.{key}: " in capsys.readouterr().err
+
+
+class TestRegisteredDefaults:
+    """A top-level key a document leaves out takes the experiment's registered value."""
+
+    def test_limit_cycle_without_fock_levels_or_rtol(self, tmp_path):
+        d = tiny_config("limit_cycle", tmp_path, solvers=["master"]).to_dict()
+        del d["fock_levels"], d["ode_rtol"]
+        _, outdir = run_experiment(ExperimentConfig.from_dict(d))
+        written = json.loads((Path(outdir) / "config.json").read_text())
+        assert (written["fock_levels"], written["ode_rtol"]) == (56, 1e-8)
+
+    def test_lattice_without_seed_or_times(self, tmp_path, monkeypatch):
+        import semilind.harness.experiments as experiments
+
+        real, seeds = experiments.quantum_jump, []
+
+        def recorded(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "quantum_jump", recorded)
+        d = default_config("bose_hubbard_losses")
+        del d["seed"], d["times"]
+        d.update(solvers=["jumps"], n_trajectories=20, fock_levels=10, output_dir=str(tmp_path))
+        _, outdir = run_experiment(ExperimentConfig.from_dict(d))
+        assert seeds == [20260810]
+        written = json.loads((Path(outdir) / "config.json").read_text())
+        assert written["times"] == default_config("bose_hubbard_losses")["times"]
+
 
 class TestObservableCsv:
     def test_round_trip_with_and_without_stderr(self, tmp_path):
@@ -479,6 +521,8 @@ SOLVER_CALLS = {
     ("bose_hubbard_losses", "jumps"): "quantum_jump",
     ("cat_anharmonic", "doubled"): "propagate_superposition",
     ("cat_anharmonic", "master"): "integrate_master",
+    ("portrait_limit_cycle", "flow"): "drift_x",
+    ("portrait_nonlinear_loss", "flow"): "drift_x",
 }
 
 
@@ -491,7 +535,7 @@ class TestSolverTable:
     def test_row_calls_the_library_at_run_time(self, name, solver, tmp_path, monkeypatch):
         results = recording(monkeypatch, SOLVER_CALLS[name, solver])
         report, _ = run_experiment(tiny_config(name, tmp_path, solvers=[solver]))
-        assert len(results) == 1
+        assert len(results) >= 1 if solver == "flow" else len(results) == 1
         assert set(report.runtime_s) == {solver, "total"}
 
     @pytest.mark.parametrize("name, solver, checks", [
@@ -559,9 +603,10 @@ class TestPortrait:
         d["portrait"].update(n_q=4, n_p=3, t_end=0.2, n_out=3, starts=[[1.0, 0.5]])
         cfg = ExperimentConfig.from_dict(d)
         _, outdir = run_portrait(cfg)
-        assert sorted(p.name for p in Path(outdir).iterdir()) == [
-            "config.json", "field.csv", "report.json", "trajectories.csv"]
-        assert load_config(Path(outdir) / "config.json") == cfg
+        assert sorted(p.name for p in Path(outdir).iterdir()) == ["field.csv", "trajectories.csv"]
+        assert sorted(p.name for p in Path(outdir).parent.iterdir()) == [
+            "config.json", "flow", "report.json"]
+        assert load_config(Path(outdir).parent / "config.json") == cfg
 
     def test_portrait_uses_config_ode_tolerances(self, tmp_path):
         d = default_config("portrait_limit_cycle")
@@ -581,6 +626,57 @@ class TestPortrait:
         with pytest.raises(ConfigError):
             run_portrait(cfg)
 
+    def test_trajectory_stopped_early_raises_and_writes_no_row(self, tmp_path):
+        d = default_config("portrait_nonlinear_loss")
+        d["output_dir"] = str(tmp_path)
+        d["model"].update(hamiltonian="1.0*q1^2 p1", lindblads=[])  # dq/dt = q^2
+        # q(t) = q0 / (1 - q0 t): the second start blows up at t = 1
+        d["portrait"].update(n_q=3, n_p=3, t_end=2.0, n_out=21, starts=[[0.25, 0.0], [1.0, 0.0]])
+        with pytest.raises(RuntimeError, match=r"trajectory 1 .* t=0\.9 of 2: \S"):
+            run_portrait(ExperimentConfig.from_dict(d))
+        assert not (tmp_path / "portrait_nonlinear_loss" / "flow").exists()
+
+
+def tiny_portrait_doc(tmp_path):
+    d = default_config("portrait_limit_cycle")
+    d["output_dir"] = str(tmp_path)
+    d["portrait"].update(n_q=4, n_p=3, t_end=0.5, n_out=6, starts=[[1.0, 0.5], [-2.0, 0.0]])
+    return d
+
+
+class TestPortraitBenchmarkContract:
+    """What perfbench/worker.py and perfbench/checks.py read of a portrait run."""
+
+    def test_run_portrait_returns_the_two_csvs(self, tmp_path):
+        _, outdir = run_portrait(ExperimentConfig.from_dict(tiny_portrait_doc(tmp_path)))
+        assert sorted(p.name for p in Path(outdir).iterdir()) == ["field.csv", "trajectories.csv"]
+        field = (Path(outdir) / "field.csv").read_text().splitlines()
+        traj = (Path(outdir) / "trajectories.csv").read_text().splitlines()
+        assert (field[0], len(field)) == ("q,p,dq,dp,speed", 1 + 4 * 3)
+        assert (traj[0], len(traj)) == ("trajectory,t,q,p", 1 + 2 * 6)
+
+    def test_run_and_portrait_verbs_write_the_same_bytes(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_portrait_doc(tmp_path / "out")))
+        root = tmp_path / "out" / "portrait_limit_cycle"
+        written = []
+        for verb in ("run", "portrait"):
+            assert cli_main([verb, str(path)]) == 0
+            written.append({p.relative_to(root).as_posix(): p.read_bytes()
+                            for p in root.rglob("*") if p.is_file() and p.name != "report.json"})
+        assert sorted(written[0]) == ["config.json", "flow/field.csv", "flow/trajectories.csv"]
+        assert written[0] == written[1]
+
+    def test_run_experiment_times_the_flow_row(self, tmp_path, monkeypatch):
+        solutions = recording(monkeypatch, "solve_ivp")
+        report, _ = run_experiment(ExperimentConfig.from_dict(tiny_portrait_doc(tmp_path)))
+        assert set(report.runtime_s) == {"flow", "total"}
+        (entry,) = [e for e in report.entries if e["check"] == "flow_solver"]
+        assert len(solutions) == 2
+        assert entry == {"check": "flow_solver", "nfev": sum(s.nfev for s in solutions),
+                         "passed": True}
+        assert entry["nfev"] > 0
+
 
 class TestCli:
     def test_list_experiments(self, capsys):
@@ -588,6 +684,12 @@ class TestCli:
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
+
+    def test_list_experiments_names_solver_rows(self, capsys):
+        assert cli_main(["list-experiments"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "portrait_limit_cycle [flow]" in out
+        assert "cat_anharmonic [doubled, master]" in out
 
     def test_list_single_prints_config(self, capsys):
         assert cli_main(["list-experiments", "cat_anharmonic"]) == 0
