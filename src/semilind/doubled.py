@@ -26,7 +26,7 @@ The evolving amplitude prefactor (det B)^{1/4} is integrated alongside as
 phi = log(det B)/4 and folded into the component weight at output times, so
 stored components evaluate with no extra prefactor.
 
-The components of a superposition are propagated together, as one RK45
+The components of a superposition are propagated together, as one DOP853
 system over the stack of their packed states: each right-hand-side call
 evaluates the symbols at all live centres in one `PolyBatch` call and the
 rates with stacked matrix products and solves.  A component whose Im B
@@ -245,7 +245,7 @@ class SuperpositionSeries:
     raw_norms: np.ndarray
     tracks: list
     events: list = field(default_factory=list)
-    nfev: int = 0  # RK45 right-hand-side calls of the one stacked system
+    nfev: int = 0  # DOP853 right-hand-side calls of the one stacked system
 
     def cross_magnitudes(self) -> np.ndarray:
         """Normalized peak magnitude of the off-diagonal (Y != 0) part."""
@@ -268,7 +268,7 @@ def propagate_superposition(
 ) -> SuperpositionSeries:
     """Evolve all complex Gaussian components as one stacked ODE system and resum.
 
-    The live components share the steps of one RK45 solve.  When the smallest
+    The live components share the steps of one DOP853 solve.  When the smallest
     eigenvalue of some component's Im B falls to the floor, the solve stops
     there: that component is frozen with weight zero and an event record, and
     the solve restarts from the event time with the components left.  The
@@ -316,7 +316,7 @@ def propagate_superposition(
             odefun,
             (t0, t_eval[-1]),
             rows[live].ravel(),
-            method="RK45",
+            method="DOP853",
             t_eval=t_eval[k:],
             rtol=rtol,
             atol=atol,

@@ -240,6 +240,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"config: the document must be a mapping, got {type(d).__name__}")
         optional = {
             "seed": int,
             "hbar": float,

@@ -566,6 +566,7 @@ def _flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
             lambda t, x: drift_x(model, x),
             (0.0, port.t_end),
             [q0, p0],
+            method="DOP853",
             t_eval=times,
             rtol=config.ode_rtol,
             atol=config.ode_atol,

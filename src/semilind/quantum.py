@@ -11,12 +11,12 @@ their generator into the connected blocks of its nonzero pattern
 superoperator; when no block is larger than the Hilbert space, as for the
 bands m - n of a phase-covariant model, it steps between output times with
 exact dense block propagators, and otherwise it integrates the whole
-superoperator with RK45.  The jump ensemble diagonalizes each block of the
-effective Hamiltonian, such as a number sector of the lossy lattice.
-Moments read sparse quadratures that each `FockSpace` builds once.  The
-Wigner transform of a density matrix is exact and separable: a 45-degree
-rotation of (x, x') turns it into two matrix products with tables of
-Hermite functions on the grid axes.
+superoperator with the adaptive eighth-order Dormand-Prince method (DOP853).
+The jump ensemble diagonalizes each block of the effective Hamiltonian, such
+as a number sector of the lossy lattice.  Moments read sparse quadratures
+that each `FockSpace` builds once.  The Wigner transform of a density matrix
+is exact and separable: a 45-degree rotation of (x, x') turns it into two
+matrix products with tables of Hermite functions on the grid axes.
 """
 
 from __future__ import annotations
@@ -306,8 +306,8 @@ class MasterTrajectory:
     times: np.ndarray
     rhos: list
     fock: FockSpace
-    method: str  # "block_expm" or "rk45"
-    nfev: int  # RK45 right-hand-side calls; 0 on the block path
+    method: str  # "block_expm" or "dop853"
+    nfev: int  # DOP853 right-hand-side calls; 0 on the block path
     nnz: int  # stored entries of the CSR superoperator
     blocks: int  # connected blocks of the superoperator
     max_block: int  # size of the largest block
@@ -360,8 +360,8 @@ def integrate_master(
     mapped from one output time to the next by the exact dense propagator
     of each block (method "block_expm", scaling and squaring).  Any other
     model, such as one with a q^4 term, whose blocks are its two parity
-    sectors, is integrated whole by adaptive RK45 (method "rk45"); `rtol`
-    and `atol` apply to this path only.
+    sectors, is integrated whole by adaptive DOP853 (method "dop853");
+    `rtol` and `atol` apply to this path only.
 
     Hermiticity is re-imposed at output times; the trace is renormalized
     only if it drifts beyond 1e-10 (logged).  Population of the highest
@@ -386,11 +386,11 @@ def integrate_master(
         def rhs(t, y):
             return liou @ y
 
-        sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]), y0, method="RK45", t_eval=t_eval,
+        sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]), y0, method="DOP853", t_eval=t_eval,
                         rtol=rtol, atol=atol)
         if not sol.success:
             raise RuntimeError(f"master-equation integration failed: {sol.message}")
-        method, nfev, states = "rk45", int(sol.nfev), sol.y.T
+        method, nfev, states = "dop853", int(sol.nfev), sol.y.T
     rhos, events = [], []
     for t, y in zip(t_eval, states):
         rho = y.reshape(dim, dim)

@@ -328,7 +328,7 @@ class Trajectory:
     states: list
     min_physicality: np.ndarray
     events: list = field(default_factory=list)
-    nfev: int = 0  # RK45 right-hand-side calls
+    nfev: int = 0  # DOP853 right-hand-side calls
 
     def observable(self, fn) -> np.ndarray:
         return np.array([fn(s) for s in self.states])
@@ -380,9 +380,9 @@ def integrate(
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> Trajectory:
-    """Propagate the centre X and width G of ``state0`` from t_eval[0] with an
-    adaptive embedded Runge-Kutta 5(4) scheme; the states returned at t_eval
-    carry ``state0.hbar``.
+    """Propagate the centre X and width G of ``state0`` from t_eval[0] with
+    the adaptive eighth-order Dormand-Prince scheme (DOP853); the states
+    returned at t_eval carry ``state0.hbar``.
 
     G is packed by its upper triangle, so symmetry is exact by construction.
     At each output time the state is checked: eigenvalues of G below the
@@ -399,7 +399,7 @@ def integrate(
         rhs,
         (t_eval[0], t_eval[-1]),
         y0,
-        method="RK45",
+        method="DOP853",
         t_eval=t_eval,
         rtol=rtol,
         atol=atol,

@@ -173,6 +173,17 @@ class TestConfig:
         assert cli_main(["run", str(path)]) == 1
         assert f"config.{key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [[1], None, "x", 3], ids=["list", "null", "string", "number"])
+    def test_document_that_is_not_a_mapping_is_config_error(self, doc, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"^config: the document must be a mapping"):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: the document must be a mapping")
+        assert "Traceback" not in err
+
 
 class TestRegisteredDefaults:
     """A top-level key a document leaves out takes the experiment's registered value."""
@@ -353,7 +364,7 @@ class TestRunners:
             assert (mtraj.method, mtraj.nfev, mtraj.blocks, mtraj.max_block) == (
                 "block_expm", 0, 111, 56)
         else:  # two parity blocks of the 55-level q^4 model
-            assert (mtraj.method, mtraj.blocks, mtraj.max_block) == ("rk45", 2, 1513)
+            assert (mtraj.method, mtraj.blocks, mtraj.max_block) == ("dop853", 2, 1513)
             assert mtraj.nfev > 0
         others = [e["passed"] for e in doc["entries"] if e["check"] != "master_solver"]
         assert others
@@ -552,6 +563,35 @@ class TestSolverTable:
         assert {e["check"] for e in report.entries} == checks
 
 
+ODE_MODULES = ("semilind.semiclassical", "semilind.doubled", "semilind.quantum",
+               "semilind.harness.experiments")
+
+
+class TestOneIntegrator:
+    def test_every_adaptive_solve_is_dop853_at_the_config_tolerances(self, tmp_path,
+                                                                     monkeypatch):
+        calls = []
+        for modname in ODE_MODULES:
+            module = importlib.import_module(modname)
+
+            def recorded(*args, _real=module.solve_ivp, _mod=modname, **kwargs):
+                calls.append((_mod, kwargs))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "solve_ivp", recorded)
+        seen = set()
+        for name in sorted(EXPERIMENTS):
+            calls.clear()
+            cfg = tiny_config(name, tmp_path / name)
+            run_experiment(cfg)
+            assert calls, name
+            for modname, kwargs in calls:
+                assert (kwargs.get("method"), kwargs.get("rtol"), kwargs.get("atol")) == (
+                    "DOP853", cfg.ode_rtol, cfg.ode_atol), (name, modname)
+            seen.update(modname for modname, _ in calls)
+        assert seen == set(ODE_MODULES)
+
+
 class TestPortrait:
     def test_nonlinear_loss_field_and_lines(self, tmp_path):
         d = default_config("portrait_nonlinear_loss")
@@ -632,7 +672,7 @@ class TestPortrait:
         d["model"].update(hamiltonian="1.0*q1^2 p1", lindblads=[])  # dq/dt = q^2
         # q(t) = q0 / (1 - q0 t): the second start blows up at t = 1
         d["portrait"].update(n_q=3, n_p=3, t_end=2.0, n_out=21, starts=[[0.25, 0.0], [1.0, 0.0]])
-        with pytest.raises(RuntimeError, match=r"trajectory 1 .* t=0\.9 of 2: \S"):
+        with pytest.raises(RuntimeError, match=r"trajectory 1 .* t=1 of 2: \S"):
             run_portrait(ExperimentConfig.from_dict(d))
         assert not (tmp_path / "portrait_nonlinear_loss" / "flow").exists()
 

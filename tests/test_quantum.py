@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag, expm
 from scipy.optimize import brentq
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln, hermite
 
 from semilind.gaussian import (
@@ -423,18 +424,38 @@ class TestMasterPaths:
         want = reference_rhos(rho0, model, t_eval)
         assert max(np.max(np.abs(got - ref)) for got, ref in zip(traj.rhos, want)) < 1e-8
 
-    def test_quartic_cat_stays_on_rk45(self):
+    def test_quartic_cat_stays_on_dop853(self):
         # q^4 couples m - n to m - n +- 2, 4, so the blocks are the two
         # parities of m - n, each larger than the Hilbert space
         f = FockSpace(20)
         psi = f.packet_vector(1.0, 0.5) + f.packet_vector(-1.0, 0.5)
         rho0 = DensityMatrix.from_state(psi, f)
         traj = integrate_master(rho0, registered_model("cat_anharmonic"), np.linspace(0, 1, 5))
-        assert traj.method == "rk45" and traj.nfev > 0
+        assert traj.method == "dop853" and traj.nfev > 0
         assert (traj.blocks, traj.max_block) == (2, 200)
 
+    @pytest.mark.parametrize("t_eval", [np.linspace(0.0, 1.0, 5), np.array([0.0, 0.3, 1.0, 1.05])],
+                             ids=["uniform", "non_uniform"])
+    def test_quartic_cat_matches_exact_propagation(self, t_eval):
+        # exact oracle for the integrated path: expm_multiply of the whole
+        # superoperator from one output time to the next
+        f = FockSpace(20)
+        psi = f.packet_vector(1.0, 0.5) + f.packet_vector(-1.0, 0.5)
+        rho0 = DensityMatrix.from_state(psi, f)
+        model = registered_model("cat_anharmonic")
+        traj = integrate_master(rho0, model, t_eval)
+        assert traj.method == "dop853"
+        liou = _liouvillian(*_model_matrices(model, f)).tocsc()
+        y = rho0.rho.ravel().astype(complex)
+        want = [y]
+        for dt in np.diff(t_eval):
+            y = expm_multiply(liou * dt, y)
+            want.append(y)
+        assert max(np.max(np.abs(got - ref.reshape(got.shape)))
+                   for got, ref in zip(traj.rhos, want)) <= 1e-8
+
     @pytest.mark.parametrize("name, method", [("limit_cycle", "block_expm"),
-                                              ("cat_anharmonic", "rk45")])
+                                              ("cat_anharmonic", "dop853")])
     def test_times_must_increase_on_both_paths(self, name, method):
         model = registered_model(name)
         f = FockSpace(12)
