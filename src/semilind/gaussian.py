@@ -37,7 +37,7 @@ __all__ = [
     "eval_wigner",
     "moments",
     "moments_from_covariance",
-    "check_physical",
+    "physicality_of_width",
     "transformation_matrix",
 ]
 
@@ -99,15 +99,10 @@ class GaussianWigner:
 class PhysicalityReport:
     min_eig: float
     passed: bool
-    tol: float = _PHYS_TOL
-
-
-def check_physical(state: GaussianWigner) -> PhysicalityReport:
-    """Uncertainty-relation check: min eig of G^{-1} + i Omega >= tol."""
-    return physicality_of_width(state.g)
 
 
 def physicality_of_width(g: np.ndarray) -> PhysicalityReport:
+    """Uncertainty-relation check: min eig of G^{-1} + i Omega >= _PHYS_TOL."""
     n = g.shape[0] // 2
     m = np.linalg.inv(g) + 1j * symplectic_form(n)
     min_eig = float(np.linalg.eigvalsh(m).min())
@@ -365,18 +360,6 @@ class WignerGrid:
         ]
         lines.extend(" ".join(map(repr, row)) for row in self.values.tolist())
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "WignerGrid":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        qm, qx, nq = lines[0].lstrip("# ").split()
-        pm, px, np_ = lines[1].lstrip("# ").split()
-        spec = GridSpec(float(qm), float(qx), int(nq), float(pm), float(px), int(np_))
-        rows = [[complex(tok) for tok in ln.split()] for ln in lines[2:]]
-        vals = np.array(rows)
-        if np.all(vals.imag == 0):
-            vals = vals.real
-        return cls(spec, vals)
 
     def to_json(self) -> str:
         # Frames are written only as text; perfbench/tracing.py still names this

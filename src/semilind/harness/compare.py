@@ -7,6 +7,7 @@ stderr field empty for deterministic solvers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,12 +114,34 @@ def compare_series(a: ObservableSeries, b: ObservableSeries):
     }
 
 
+def _check_tolerances(tolerances) -> None:
+    """A tolerance document maps each observable name to {"sup": x, "rms": y},
+    either key optional, with finite numbers x and y."""
+    if not isinstance(tolerances, dict):
+        raise ValueError(f"tolerances must map observable names to bounds, got {tolerances!r}")
+    for name, tol in tolerances.items():
+        if not isinstance(tol, dict):
+            raise ValueError(f"tolerances[{name!r}] must map 'sup' or 'rms' to a number, "
+                             f"got {tol!r}")
+        bad_keys = sorted(set(tol) - {"sup", "rms"})
+        if bad_keys:
+            raise ValueError(f"tolerances[{name!r}]: unknown tolerance metrics {bad_keys}; "
+                             f"use 'sup' or 'rms'")
+        for key, bound in tol.items():
+            number = isinstance(bound, (int, float)) and not isinstance(bound, bool)
+            if not (number and math.isfinite(bound)):
+                raise ValueError(f"tolerances[{name!r}][{key!r}] must be a finite number, "
+                                 f"got {bound!r}")
+
+
 def compare_dirs(dir_a, dir_b, tolerances: dict) -> ComparisonReport:
     """Compare observables.csv files from two solver directories.
 
     `tolerances` maps an observable common to both directories to bounds
-    {"sup": x, "rms": y}; any other observable name or metric key raises.
+    {"sup": x, "rms": y}; any other observable name or metric key, or a
+    bound that is not a finite number, raises before anything is compared.
     """
+    _check_tolerances(tolerances)
     sa = read_observables(Path(dir_a) / "observables.csv")
     sb = read_observables(Path(dir_b) / "observables.csv")
     common = sorted(set(sa) & set(sb))
@@ -128,9 +151,6 @@ def compare_dirs(dir_a, dir_b, tolerances: dict) -> ComparisonReport:
     if unmatched:
         raise ValueError(f"tolerances name no common observable: {unmatched}; "
                          f"common observables are {common}")
-    bad_keys = sorted({key for tol in tolerances.values() for key in tol} - {"sup", "rms"})
-    if bad_keys:
-        raise ValueError(f"unknown tolerance metrics {bad_keys}; use 'sup' or 'rms'")
     report = ComparisonReport()
     for name in common:
         metrics = compare_series(sa[name], sb[name])

@@ -78,6 +78,15 @@ def _plain(value):
     return value
 
 
+def _trajectory_count(v) -> int:
+    """An ensemble of at least two trajectories: its stderr is a sample
+    standard deviation (ddof=1), which one trajectory leaves undefined."""
+    n = int(v)
+    if n < 2:
+        raise ConfigError(f"config.n_trajectories must be at least 2, got {n}")
+    return n
+
+
 def _check_span(where: str, t_end: float, n_out: int):
     """An output grid runs forward from 0 to a finite t_end through n_out >= 2 times."""
     if not (math.isfinite(t_end) and t_end > 0):
@@ -251,7 +260,7 @@ class ExperimentConfig:
             "times": TimesSection.from_dict,
             "grid": lambda v: _grid_spec("grid", _pull(v, "grid", _GRID_KEYS)),
             "fock_levels": int,
-            "n_trajectories": int,
+            "n_trajectories": _trajectory_count,
             "tolerances": lambda v: {str(k): float(x) for k, x in v.items()},
             "portrait": PortraitSection.from_dict,
             "ode_rtol": float,

@@ -76,21 +76,6 @@ class FockSpace:
         top = [lv == d - 1 for lv, d in zip(levels, self.dims)]
         self._top_mask = np.any(top, axis=0).astype(float)
 
-    def lowering(self, mode: int) -> np.ndarray:
-        return self._lowering[mode].toarray()
-
-    def raising(self, mode: int) -> np.ndarray:
-        return self._lowering[mode].conj().T.toarray()
-
-    def number(self, mode: int) -> np.ndarray:
-        a = self._lowering[mode]
-        return (a.conj().T @ a).toarray()
-
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[0] = 1.0
-        return v
-
     def coherent_vector(self, amplitudes) -> np.ndarray:
         """Product coherent state with given mode amplitudes."""
         amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
@@ -344,6 +329,15 @@ def _block_states(liou, blocks: _BlockPartition, y0: np.ndarray, t_eval: np.ndar
         yield y[blocks.inv_perm, 0]
 
 
+def _check_times(t_eval) -> np.ndarray:
+    """Output times as a float array; both Fock solvers step forward between
+    them, so they must be at least two and increase strictly."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.ndim != 1 or t_eval.size < 2 or not np.all(np.diff(t_eval) > 0):
+        raise ValueError("t_eval must hold at least two strictly increasing times")
+    return t_eval
+
+
 def integrate_master(
     rho0: DensityMatrix,
     model: LindbladModel,
@@ -367,9 +361,7 @@ def integrate_master(
     only if it drifts beyond 1e-10 (logged).  Population of the highest
     Fock level is the truncation-leakage monitor.
     """
-    t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval.ndim != 1 or t_eval.size < 2 or not np.all(np.diff(t_eval) > 0):
-        raise ValueError("t_eval must hold at least two strictly increasing times")
+    t_eval = _check_times(t_eval)
     fock = rho0.fock
     dim = fock.dim
     init_leak = fock.leakage(rho0.rho)
@@ -430,12 +422,6 @@ def moments_of_density(rho: DensityMatrix) -> Moments:
     """First moments and mode covariance blocks of a density matrix."""
     x, cov = _quadrature_moments(rho)
     return moments_from_covariance(rho.hbar, x, cov)
-
-
-def width_matrix_of_density(rho: DensityMatrix) -> np.ndarray:
-    """G matrix such that the covariance equals hbar G^{-1}."""
-    _, cov = _quadrature_moments(rho)
-    return rho.hbar * np.linalg.inv(cov)
 
 
 # -- Wigner transform ---------------------------------------------------------
@@ -542,7 +528,7 @@ class JumpEnsemble:
     """Ensemble statistics of a quantum-jump run.
 
     `series` maps an observable name to the per-trajectory time series of
-    shape (n_times, n_traj); `mean` and `stderr` are the aggregates.
+    shape (n_times, n_traj).
     `n_blocks` and `max_block` describe the propagator's invariant blocks;
     `max_leakage` is the largest ensemble-mean population of the highest
     Fock level of any mode over the output times.  `norm_evals` counts the
@@ -560,13 +546,6 @@ class JumpEnsemble:
     max_leakage: float
     norm_evals: int
     max_norm_evals: int
-
-    def mean(self, name: str) -> np.ndarray:
-        return self.series[name].mean(axis=1)
-
-    def stderr(self, name: str) -> np.ndarray:
-        s = self.series[name]
-        return s.std(axis=1, ddof=1) / np.sqrt(self.n_traj)
 
 
 class _SectorPropagator(_BlockPartition):
@@ -686,7 +665,9 @@ def quantum_jump(
     fock: FockSpace,
     extra_observables: dict | None = None,
 ) -> JumpEnsemble:
-    """Monte Carlo wavefunction unravelling of the master equation.
+    """Monte Carlo wavefunction unravelling of the master equation, with
+    `n_traj` >= 1 trajectories, at the times `t_eval`, which must increase
+    strictly.
 
     Between jumps the unnormalized state evolves under
     H - (i/2) sum_k Ldag_k L_k; a jump fires when the squared norm crosses a
@@ -709,7 +690,9 @@ def quantum_jump(
     """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
-    t_eval = np.asarray(t_eval, dtype=float)
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be at least 1, got {n_traj}")
+    t_eval = _check_times(t_eval)
     h, ls = _model_matrices(model, fock)
     prop = _SectorPropagator(h - 0.5j * sum(L.conj().T @ L for L in ls))
 

@@ -34,20 +34,16 @@ from .symbols import Chart, PolyBatch, PolySymbol, chart_transform, poisson, sym
 
 __all__ = [
     "LindbladModel",
-    "DriftMatrices",
     "Trajectory",
     "FlowKind",
     "FlowClassification",
     "drift_field",
     "drift_x",
-    "drift_matrices",
-    "rhs_g",
     "drift_complex",
     "rhs_g_complex",
     "classify_flow",
     "integrate",
     "trajectory_to_csv",
-    "trajectory_from_csv",
 ]
 
 _EIG_CLAMP = 1e-12
@@ -97,12 +93,6 @@ class LindbladModel:
         from . import doubled
 
         return doubled.build_k(self)
-
-
-@dataclass(frozen=True)
-class DriftMatrices:
-    lam: np.ndarray
-    d: np.ndarray
 
 
 def _require_chart(model: LindbladModel, chart: Chart, op: str):
@@ -157,22 +147,6 @@ def _d_field(model: LindbladModel) -> list[list[PolySymbol]]:
             for j in range(dim):
                 dmat[i][j] = dmat[i][j] + (grads[i] * grads_bar[j]).real_part()
     return dmat
-
-
-def drift_matrices(model: LindbladModel, x) -> DriftMatrices:
-    """Lam and D evaluated at the centre."""
-    _require_chart(model, Chart.REAL_QP, "drift_matrices")
-    _, lam, d2 = model._compiled.fields(x)
-    return DriftMatrices(lam=lam, d=0.5 * d2)
-
-
-def rhs_g(model: LindbladModel, x, g: np.ndarray) -> np.ndarray:
-    """Width equation right-hand side from the upper triangle of g, mirrored
-    through the gather index so that it is exactly symmetric."""
-    _require_chart(model, Chart.REAL_QP, "rhs_g")
-    rhs = model._compiled
-    y = np.concatenate([np.asarray(x, dtype=float), np.asarray(g, dtype=float)[rhs.iu]])
-    return rhs(0.0, y)[rhs.gather]
 
 
 # -- mode-chart form ----------------------------------------------------------
@@ -330,9 +304,6 @@ class Trajectory:
     events: list = field(default_factory=list)
     nfev: int = 0  # DOP853 right-hand-side calls
 
-    def observable(self, fn) -> np.ndarray:
-        return np.array([fn(s) for s in self.states])
-
 
 class _CompiledRhs:
     """Drift, Lam and D + D^T compiled once into a PolyBatch; every Gaussian
@@ -456,14 +427,3 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
-
-def trajectory_from_csv(text: str, hbar: float) -> Trajectory:
-    """Trajectory written by `trajectory_to_csv`; the file does not hold
-    hbar, so the caller gives the one its states were propagated with."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    dim = sum(1 for h in header if h.startswith("X_"))
-    _, gather = _packing(dim)
-    rows = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    states = [GaussianWigner(hbar=hbar, x=r[1 : 1 + dim], g=r[1:][gather]) for r in rows]
-    return Trajectory(times=rows[:, 0], states=states, min_physicality=rows[:, -1])

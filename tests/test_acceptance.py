@@ -30,9 +30,9 @@ from semilind.quantum import (
     DensityMatrix,
     FockSpace,
     _model_matrices,
+    _quadrature_moments,
     integrate_master,
     moments_of_density,
-    width_matrix_of_density,
 )
 from semilind.semiclassical import (
     LindbladModel,
@@ -190,7 +190,7 @@ def damped_oscillator_run():
         dm = DensityMatrix(rho=mtraj.rhos[k], fock=fock)
         mom = moments_of_density(dm)
         x_err = max(x_err, float(np.max(np.abs(mom.x - straj.states[k].x))))
-        gq = width_matrix_of_density(dm)
+        gq = np.linalg.inv(_quadrature_moments(dm)[1])
         g_err = max(g_err, float(np.max(np.abs(gq - straj.states[k].g))))
     _ALL_TRAJECTORIES.append(("damped_oscillator", straj.min_physicality))
     return {"x_err": x_err, "g_err": g_err, "runtime": time.perf_counter() - t0}
@@ -206,7 +206,7 @@ def ring_run():
     traj = integrate(
         model, GaussianWigner(1.0, coherent(1, a0).x, np.eye(2)), t_eval
     )
-    amp_sq = traj.observable(lambda s: (s.x[0] ** 2 + s.x[1] ** 2) / 2.0)
+    amp_sq = np.array([(s.x[0] ** 2 + s.x[1] ** 2) / 2.0 for s in traj.states])
     _ALL_TRAJECTORIES.append(("limit_cycle_ring", traj.min_physicality))
     return {"final": float(amp_sq[-1]), "runtime": time.perf_counter() - t0}
 

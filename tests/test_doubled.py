@@ -25,13 +25,9 @@ from semilind.gaussian import (
 from semilind.harness.config import ExperimentConfig
 from semilind.harness.experiments import default_config
 from semilind.quantum import DensityMatrix, FockSpace, integrate_master, wigner_of_density
-from semilind.semiclassical import (
-    LindbladModel,
-    drift_x,
-    integrate,
-    rhs_g,
-)
+from semilind.semiclassical import LindbladModel, drift_x, integrate
 from semilind.symbols import Chart, PolySymbol, double_lift, moyal_term, parse_symbol
+from test_semiclassical import width_rate
 
 
 def real_vars(n=1):
@@ -145,7 +141,7 @@ class TestRhsComponent:
             zdot, bdot, _ = rhs_component(ksym, comp)
             assert np.allclose(zdot[:2], drift_x(model, x), atol=1e-11)
             assert np.allclose(zdot[2:], 0, atol=1e-12)
-            assert np.allclose(bdot / 2j, rhs_g(model, x, g), atol=1e-10)
+            assert np.allclose(bdot / 2j, width_rate(model, x, g), atol=1e-10)
 
     def test_pure_damping_rates_hand_derived(self):
         gamma = 0.4
@@ -328,7 +324,7 @@ class TestPropagateSuperposition:
                                     np.linspace(0.0, 14.0, 8))
 
     def test_tracks_match_solo_runs(self):
-        # the pooled RK45 error norm of the stacked system keeps every track
+        # the pooled DOP853 error norm of the stacked system keeps every track
         # as accurate as the component propagated alone
         model = anharmonic_damped(beta=0.1, gamma=0.3)
         widths = [np.eye(2), np.diag([4.0, 0.25]), np.array([[2.0, 0.5], [0.5, 1.0]])]

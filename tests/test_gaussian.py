@@ -8,11 +8,11 @@ from semilind.gaussian import (
     SuperpositionState,
     WignerGrid,
     cat_decompose,
-    check_physical,
     coherent,
     eval_wigner,
     g_from_a,
     moments,
+    physicality_of_width,
 )
 
 
@@ -32,7 +32,7 @@ class TestCoherent:
         assert np.allclose(st.x, [4.0, 4.0])
 
     def test_saturates_uncertainty(self):
-        rep = check_physical(coherent(1, 1.2 - 0.5j))
+        rep = physicality_of_width(coherent(1, 1.2 - 0.5j).g)
         assert rep.passed
         assert abs(rep.min_eig) < 1e-12
 
@@ -44,13 +44,13 @@ class TestCoherent:
 class TestPhysicality:
     def test_squeezed_below_vacuum_fails(self):
         st = GaussianWigner(hbar=1.0, x=np.zeros(2), g=2 * np.eye(2))
-        rep = check_physical(st)
+        rep = physicality_of_width(st.g)
         assert not rep.passed
         assert rep.min_eig == pytest.approx(-0.5, abs=1e-12)
 
     def test_broadened_state_passes(self):
         st = GaussianWigner(hbar=1.0, x=np.zeros(2), g=0.5 * np.eye(2))
-        rep = check_physical(st)
+        rep = physicality_of_width(st.g)
         assert rep.passed
         assert rep.min_eig == pytest.approx(1.0, abs=1e-12)
 
@@ -180,23 +180,27 @@ class TestMoments:
 class TestGridIO:
     def test_text_round_trip(self):
         grid = eval_wigner(coherent(1, 1.0), wide_grid(n=21))
-        back = WignerGrid.from_text(grid.to_text())
-        assert back.spec == grid.spec
-        assert np.array_equal(back.values, grid.values)
+        lines = grid.to_text().splitlines()
+        s = grid.spec
+        header = [float(v) for v in " ".join(lines[:2]).replace("#", "").split()]
+        assert header == [s.q_min, s.q_max, s.n_q, s.p_min, s.p_max, s.n_p]
+        assert np.array_equal(np.loadtxt(lines), grid.values)
 
     def test_text_round_trip_complex_component(self):
         comp = cat_decompose([(2.0, 0.0), (-2.0, 0.0)], [1, 1], np.array([[1j]])).components[1]
         spec = GridSpec(-4, 4, 17, -4, 4, 17)
         grid = WignerGrid(spec, comp.values(spec.points()))
-        back = WignerGrid.from_text(grid.to_text())
-        assert back.spec == grid.spec
-        assert np.allclose(back.values, grid.values, atol=0)
+        lines = grid.to_text().splitlines()
+        s = grid.spec
+        header = [float(v) for v in " ".join(lines[:2]).replace("#", "").split()]
+        assert header == [s.q_min, s.q_max, s.n_q, s.p_min, s.p_max, s.n_p]
+        assert np.allclose(np.loadtxt(lines, dtype=complex), grid.values, atol=0)
 
     def test_text_round_trip_complex(self):
         spec = GridSpec(-1, 1, 3, -1, 1, 4)
         vals = np.arange(12, dtype=float).reshape(3, 4) * (1 + 2j)
-        back = WignerGrid.from_text(WignerGrid(spec, vals).to_text())
-        assert np.array_equal(back.values, vals)
+        back = np.loadtxt(WignerGrid(spec, vals).to_text().splitlines(), dtype=complex)
+        assert np.array_equal(back, vals)
 
     @pytest.mark.parametrize("complex_values", [False, True])
     def test_text_matches_per_value_reference(self, complex_values):
@@ -211,10 +215,9 @@ class TestGridIO:
         want = "# -1.5 2.0 3\n# -0.25 1.0 4\n" + "\n".join(rows) + "\n"
         grid = WignerGrid(spec, vals)
         assert grid.to_text() == want
-        back = WignerGrid.from_text(want)
-        assert back.values.dtype == vals.dtype
-        assert np.array_equal(back.values, vals)
-        assert np.array_equal(np.signbit(back.values.real), np.signbit(vals.real))
+        back = np.loadtxt(want.splitlines(), dtype=vals.dtype)
+        assert np.array_equal(back, vals)
+        assert np.array_equal(np.signbit(back.real), np.signbit(vals.real))
 
 
 class TestComplexGaussianChecks:

@@ -185,6 +185,18 @@ class TestConfig:
         assert "Traceback" not in err
 
 
+    def test_single_trajectory_is_config_error(self, tmp_path, capsys):
+        # the ensemble stderr is a sample standard deviation, undefined for one trajectory
+        d = default_config("bose_hubbard_losses")
+        d["n_trajectories"] = 1
+        with pytest.raises(ConfigError, match=r"^config\.n_trajectories must be at least 2, got 1"):
+            ExperimentConfig.from_dict(d)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert cli_main(["run", str(path)]) == 1
+        assert "n_trajectories must be at least 2" in capsys.readouterr().err
+
+
 class TestRegisteredDefaults:
     """A top-level key a document leaves out takes the experiment's registered value."""
 
@@ -277,6 +289,18 @@ class TestCompare:
             compare_dirs(da, db, {"X": {"sup": 1e-6}})
         with pytest.raises(ValueError, match=r"\['max'\]"):
             compare_dirs(da, db, {"x": {"max": 1e-6}})
+
+    @pytest.mark.parametrize("tolerances, entry", [({"x": 0.1}, r"tolerances\['x'\] "),
+                                                   ({"x": {"sup": "a"}}, r"\['x'\]\['sup'\]"),
+                                                   ([1], "tolerances must map")],
+                             ids=["bare-number", "string-bound", "list"])
+    def test_compare_dirs_rejects_malformed_tolerances(self, tolerances, entry, tmp_path):
+        t = np.linspace(0, 1, 11)
+        da, db = tmp_path / "a", tmp_path / "b"
+        write_observables({"x": ObservableSeries(t, t)}, da / "observables.csv")
+        write_observables({"x": ObservableSeries(t, t)}, db / "observables.csv")
+        with pytest.raises(ValueError, match=entry):
+            compare_dirs(da, db, tolerances)
 
 
 class TestRunners:
@@ -454,16 +478,16 @@ class TestRunners:
         fringes = [e for e in doc["entries"] if e["check"] == "wigner_fringe_info"]
         assert [e["at_time"] for e in fringes] == [0.1, 0.2]
         assert all(e["passed"] for e in fringes)
-        master = WignerGrid.from_text((Path(outdir) / "master" / "wigner_t0.2.txt").read_text())
-        doubled = WignerGrid.from_text((Path(outdir) / "doubled" / "wigner_t0.2.txt").read_text())
-        diff = doubled.values - master.values
+        master = np.loadtxt(Path(outdir) / "master" / "wigner_t0.2.txt")
+        doubled = np.loadtxt(Path(outdir) / "doubled" / "wigner_t0.2.txt")
+        diff = doubled - master
         assert sup["value"] == pytest.approx(np.max(np.abs(diff)), rel=1e-12)
         assert fringes[1]["sup_rel_error"] == pytest.approx(
-            np.max(np.abs(diff)) / np.max(np.abs(master.values)), rel=1e-12)
+            np.max(np.abs(diff)) / np.max(np.abs(master)), rel=1e-12)
         assert fringes[1]["l2_rel_error"] == pytest.approx(
-            np.linalg.norm(diff) / np.linalg.norm(master.values), rel=1e-12)
-        assert fringes[1]["min_master"] == master.values.min()
-        assert fringes[1]["min_doubled"] == doubled.values.min()
+            np.linalg.norm(diff) / np.linalg.norm(master), rel=1e-12)
+        assert fringes[1]["min_master"] == master.min()
+        assert fringes[1]["min_doubled"] == doubled.min()
 
 
 class TestLatticeG12:
@@ -784,6 +808,12 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["compare", str(da), str(db), "--tol", str(tolfile)]) == 1
         assert "['X']" in capsys.readouterr().err
+        for doc, entry in (({"x": 0.1}, "tolerances['x'] "), ({"x": {"sup": "a"}}, "['x']['sup']"),
+                           ([1], "tolerances must map")):
+            tolfile.write_text(json.dumps(doc))
+            assert cli_main(["compare", str(da), str(db), "--tol", str(tolfile)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and entry in err and "Traceback" not in err
 
     def test_portrait_cli(self, tmp_path):
         d = default_config("portrait_nonlinear_loss")
@@ -796,36 +826,6 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(d))
         assert cli_main(["portrait", str(path)]) == 0
-
-
-def tracer_targets():
-    """TARGETS and ODE_TARGETS of perfbench/tracing.py, parsed without importing it."""
-    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
-    found = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-            if node.targets[0].id in ("TARGETS", "ODE_TARGETS"):
-                found[node.targets[0].id] = ast.literal_eval(node.value)
-    return found["TARGETS"], found["ODE_TARGETS"]
-
-
-class TestTracerTargets:
-    """The benchmark tracer skips a name it cannot find, dropping its metric."""
-
-    def test_every_traced_name_resolves(self):
-        targets, ode_targets = tracer_targets()
-        assert targets and ode_targets
-        names = [(module, attr) for module, attr, _ in targets]
-        names += [(module, "solve_ivp") for module, _ in ode_targets]
-        names.append(("semilind.harness.experiments", "quantum_jump"))
-        missing = []
-        for module, attr in names:
-            owner = importlib.import_module(module)
-            for part in attr.split("."):
-                owner = getattr(owner, part, None)
-            if not callable(owner):
-                missing.append(f"{module}.{attr}")
-        assert missing == []
 
 
 class TestBenchmarkImports:
@@ -851,21 +851,22 @@ class TestBenchmarkImports:
         assert missing == []
 
     def test_every_traced_name_resolves(self):
-        """TARGETS and ODE_TARGETS of the benchmark tracer, read from its
-        source without importing it."""
+        """The benchmark tracer skips a name it cannot find, dropping its metric.
+        Its TARGETS and ODE_TARGETS are read from its source without importing it."""
         tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
         lists = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
                  if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
                  and node.targets[0].id in ("TARGETS", "ODE_TARGETS")}
         assert ("semilind.symbols", "PolyBatch.__call__", "symbols.PolyBatch") in lists["TARGETS"]
+        assert lists["ODE_TARGETS"]
+        names = [(module, attr) for module, attr, _ in lists["TARGETS"]]
+        names += [(module, "solve_ivp") for module, _ in lists["ODE_TARGETS"]]
+        names.append(("semilind.harness.experiments", "quantum_jump"))
         missing = []
-        for module_name, attribute, _ in lists["TARGETS"]:
-            obj = importlib.import_module(module_name)
-            for part in attribute.split("."):
-                obj = getattr(obj, part, None)
-            if obj is None:
-                missing.append(f"{module_name}.{attribute}")
-        for module_name, _ in lists["ODE_TARGETS"]:
-            if not hasattr(importlib.import_module(module_name), "solve_ivp"):
-                missing.append(f"{module_name}.solve_ivp")
+        for module, attr in names:
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{module}.{attr}")
         assert missing == []

@@ -29,6 +29,7 @@ from semilind.quantum import (
     _crossing_times,
     _liouvillian,
     _model_matrices,
+    _quadrature_moments,
     _rotation_blocks,
     _trajectory_key,
     integrate_master,
@@ -37,7 +38,6 @@ from semilind.quantum import (
     quantum_jump,
     symbol_to_normal_ordered,
     weyl_quantize,
-    width_matrix_of_density,
     wigner_of_density,
 )
 from semilind.symbols import (
@@ -98,21 +98,20 @@ def brute_wigner_mn(m, n, q, p):
 class TestFockSpace:
     def test_lowering_superdiagonal(self):
         f = FockSpace(5)
-        a = f.lowering(0)
+        a = f._lowering[0].toarray()
         for k in range(1, 5):
             assert a[k - 1, k] == pytest.approx(np.sqrt(k))
         assert np.count_nonzero(a) == 4
 
     def test_commutator_below_truncation(self):
         f = FockSpace(6)
-        a = f.lowering(0)
+        a = f._lowering[0].toarray()
         comm = a @ a.conj().T - a.conj().T @ a
         assert np.allclose(comm[:-1, :-1], np.eye(5))
 
     def test_two_mode_embedding(self):
         f = FockSpace([3, 4])
-        n1 = f.number(0)
-        n2 = f.number(1)
+        n1, n2 = ((a.conj().T @ a).toarray() for a in f._lowering)
         assert np.allclose(n1 @ n2, n2 @ n1)
         assert f.dim == 12
 
@@ -130,7 +129,7 @@ class TestFockSpace:
         alpha = 1.3 - 0.7j
         v = f.coherent_vector([alpha])
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.norm(f.lowering(0) @ v - alpha * v) < 1e-8
+        assert np.linalg.norm(f._lowering[0] @ v - alpha * v) < 1e-8
 
 
 class TestQuantize:
@@ -141,8 +140,9 @@ class TestQuantize:
 
     def test_quadrature_vacuum_variance(self):
         f = FockSpace(20)
-        qmat = (f.lowering(0) + f.raising(0)) / np.sqrt(2)
-        vac = f.vacuum()
+        a = f._lowering[0].toarray()
+        qmat = (a + a.conj().T) / np.sqrt(2)
+        vac = f.coherent_vector([0.0])
         assert np.real(vac @ qmat @ qmat @ vac) == pytest.approx(0.5)
 
     def test_lattice_hamiltonian_hermitian(self):
@@ -194,7 +194,8 @@ class TestWeylQuantize:
         q4 = parse_symbol("1.0*q1^4", Chart.REAL_QP, 1)
         f = FockSpace(25)
         got = weyl_quantize(q4, f).toarray()
-        qmat = (f.lowering(0) + f.raising(0)) / np.sqrt(2)
+        a = f._lowering[0].toarray()
+        qmat = (a + a.conj().T) / np.sqrt(2)
         want = np.linalg.matrix_power(qmat, 4)
         # truncation corrupts the top two levels; compare the protected block
         assert np.max(np.abs(got[:20, :20] - want[:20, :20])) < 1e-10
@@ -236,7 +237,8 @@ class TestWeylQuantize:
 class TestLindbladRhs:
     def test_hamiltonian_only_traceless(self):
         f = FockSpace(5)
-        h = f.number(0).astype(complex)
+        a = f._lowering[0]
+        h = (a.conj().T @ a).toarray()
         rho = np.diag(np.linspace(0.4, 0.05, 5)).astype(complex)
         rho /= np.trace(rho)
         out = (_liouvillian(h, []) @ rho.ravel()).reshape(rho.shape)
@@ -246,7 +248,7 @@ class TestLindbladRhs:
     def test_two_level_hand_value(self):
         f = FockSpace(2)
         gamma = 0.7
-        L = np.sqrt(gamma) * f.lowering(0)
+        L = np.sqrt(gamma) * f._lowering[0].toarray()
         rho = np.diag([0.0, 1.0]).astype(complex)
         out = (_liouvillian(np.zeros((2, 2)), [L]) @ rho.ravel()).reshape(rho.shape)
         assert np.allclose(out, gamma * np.diag([1.0, -1.0]))
@@ -303,7 +305,7 @@ class TestMaster:
         rho0 = DensityMatrix.from_state(f.coherent_vector([a0]), f)
         t_eval = np.linspace(0, 4.0, 21)
         traj = integrate_master(rho0, model, t_eval)
-        amat = f.lowering(0)
+        amat = f._lowering[0].toarray()
         for t, rho in zip(traj.times, traj.rhos):
             got = np.trace(rho @ amat)
             want = a0 * np.exp((-1j * omega - gamma / 2) * t)
@@ -312,7 +314,7 @@ class TestMaster:
     def test_vacuum_fixed_point_purity(self):
         model = damped_model(1.0, 0.5)
         f = FockSpace(10)
-        rho0 = DensityMatrix.from_state(f.vacuum(), f)
+        rho0 = DensityMatrix.from_state(f.coherent_vector([0.0]), f)
         traj = integrate_master(rho0, model, np.linspace(0, 3, 7))
         for rho in traj.rhos:
             assert np.real(np.trace(rho @ rho)) == pytest.approx(1.0, abs=1e-9)
@@ -340,14 +342,14 @@ class TestMaster:
             dm = DensityMatrix(rho=mtraj.rhos[k], fock=f)
             mom = moments_of_density(dm)
             assert np.allclose(mom.x, straj.states[k].x, atol=1e-7)
-            gq = width_matrix_of_density(dm)
+            gq = np.linalg.inv(_quadrature_moments(dm)[1])
             assert np.allclose(gq, straj.states[k].g, atol=1e-7)
 
     def test_leakage_warns_once_per_run(self):
         (a,), (ab,) = mode_symbols()
         model = LindbladModel(1, 1.0, a * ab, (ab * np.sqrt(0.5),))
         f = FockSpace(6)
-        rho0 = DensityMatrix.from_state(f.vacuum(), f)
+        rho0 = DensityMatrix.from_state(f.coherent_vector([0.0]), f)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             traj = integrate_master(rho0, model, np.linspace(0, 2.0, 11))
@@ -388,7 +390,7 @@ class TestMaster:
         traj = integrate_master(rho0, model, np.linspace(0, 3, 7))
         assert len(calls) == 1
         # the damped oscillator splits into its 31 bands m - n, so it runs on
-        # the block path and makes no RK45 calls
+        # the block path and makes no DOP853 calls
         assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 31, 16)
         assert traj.nnz == _liouvillian(*_model_matrices(model, f)).nnz
         integrate_master(rho0, model, np.linspace(0, 1, 3))
@@ -459,7 +461,7 @@ class TestMasterPaths:
     def test_times_must_increase_on_both_paths(self, name, method):
         model = registered_model(name)
         f = FockSpace(12)
-        rho0 = DensityMatrix.from_state(f.vacuum(), f)
+        rho0 = DensityMatrix.from_state(f.coherent_vector([0.0]), f)
         assert integrate_master(rho0, model, [0.0, 0.1]).method == method
         for t_eval in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0], [1.0, 0.0], [0.0]):
             with pytest.raises(ValueError, match="strictly increasing"):
@@ -469,7 +471,7 @@ class TestMasterPaths:
 class TestMomentsOfDensity:
     def test_vacuum(self):
         f = FockSpace(8)
-        m = moments_of_density(DensityMatrix.from_state(f.vacuum(), f))
+        m = moments_of_density(DensityMatrix.from_state(f.coherent_vector([0.0]), f))
         assert np.allclose(m.x, 0, atol=1e-12)
         assert m.blocks.alpha_block[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -492,15 +494,17 @@ class TestMomentsOfDensity:
         f = FockSpace([4, 5])
         r = rng.normal(size=(f.dim, f.dim)) + 1j * rng.normal(size=(f.dim, f.dim))
         dm = DensityMatrix(rho=r @ r.conj().T / np.trace(r @ r.conj().T), fock=f)
-        xs = [(f.lowering(j) + f.raising(j)) / np.sqrt(2) for j in range(2)]
-        xs += [1j * (f.raising(j) - f.lowering(j)) / np.sqrt(2) for j in range(2)]
+        a = [op.toarray() for op in f._lowering]
+        xs = [(a[j] + a[j].conj().T) / np.sqrt(2) for j in range(2)]
+        xs += [1j * (a[j].conj().T - a[j]) / np.sqrt(2) for j in range(2)]
         x = np.array([np.real(np.trace(dm.rho @ op)) for op in xs])
         cov = np.array([[np.real(np.trace(dm.rho @ (u @ v + v @ u))) - 2 * xu * xv
                          for v, xv in zip(xs, x)] for u, xu in zip(xs, x)])
         m = moments_of_density(dm)
         assert np.max(np.abs(m.x - x)) < 1e-13
-        assert np.max(np.abs(width_matrix_of_density(dm) - np.linalg.inv(cov))) < 1e-12
-        op = sp.csr_array(f.number(1) + 0.3j * f.lowering(0))
+        gq = np.linalg.inv(_quadrature_moments(dm)[1])
+        assert np.max(np.abs(gq - np.linalg.inv(cov))) < 1e-12
+        op = sp.csr_array(a[1].conj().T @ a[1] + 0.3j * a[0])
         assert dm.expectation(op) == pytest.approx(np.trace(dm.rho @ op.toarray()), abs=1e-13)
 
 
@@ -508,7 +512,7 @@ class TestWignerOfDensity:
     def test_vacuum_gaussian(self):
         f = FockSpace(12)
         spec = GridSpec(-4, 4, 61, -4, 4, 61)
-        grid = wigner_of_density(DensityMatrix.from_state(f.vacuum(), f), spec)
+        grid = wigner_of_density(DensityMatrix.from_state(f.coherent_vector([0.0]), f), spec)
         pts = spec.points()
         want = np.exp(-(pts[..., 0] ** 2 + pts[..., 1] ** 2)) / np.pi
         assert np.max(np.abs(grid.values - want)) < 1e-10
@@ -895,9 +899,15 @@ class TestHbarGuard:
         model = LindbladModel(1, 0.5, a * ab, (a * np.sqrt(0.2),))
         f = FockSpace(8)
         with pytest.raises(ValueError, match="hbar = 1"):
-            integrate_master(DensityMatrix.from_state(f.vacuum(), f), model, [0.0, 1.0])
+            integrate_master(DensityMatrix.from_state(f.coherent_vector([0.0]), f), model,
+                             [0.0, 1.0])
         with pytest.raises(ValueError, match="hbar = 1"):
-            quantum_jump(model, f.vacuum(), [0.0, 1.0], n_traj=2, seed=0, fock=f)
+            quantum_jump(model, f.coherent_vector([0.0]), [0.0, 1.0], n_traj=2, seed=0, fock=f)
+
+
+def mean_and_stderr(ens, name):
+    s = ens.series[name]
+    return s.mean(axis=1), s.std(axis=1, ddof=1) / np.sqrt(ens.n_traj)
 
 
 class TestQuantumJump:
@@ -924,8 +934,7 @@ class TestQuantumJump:
         t_eval = np.linspace(0, 2.0, 9)
         ens = quantum_jump(model, psi0, t_eval, n_traj=400, seed=11, fock=f)
         want = abs(a0) ** 2 * np.exp(-gamma * t_eval)
-        mean = ens.mean("occ_1")
-        err = ens.stderr("occ_1")
+        mean, err = mean_and_stderr(ens, "occ_1")
         for k in range(1, t_eval.size):
             assert abs(mean[k] - want[k]) < 3.5 * max(err[k], 1e-3)
 
@@ -939,9 +948,9 @@ class TestQuantumJump:
         ens = quantum_jump(model, psi0, t_eval, n_traj=600, seed=3, fock=f)
         rho0 = DensityMatrix.from_state(psi0, f)
         mtraj = integrate_master(rho0, model, t_eval)
-        pops = np.array([np.real(np.trace(r @ f.number(0))) for r in mtraj.rhos])
-        mean = ens.mean("occ_1")
-        err = ens.stderr("occ_1")
+        n_op = (f._lowering[0].conj().T @ f._lowering[0]).toarray()
+        pops = np.array([np.real(np.trace(r @ n_op)) for r in mtraj.rhos])
+        mean, err = mean_and_stderr(ens, "occ_1")
         for k in range(1, t_eval.size):
             assert abs(mean[k] - pops[k]) < 3.5 * max(err[k], 2e-3)
 
@@ -955,9 +964,10 @@ class TestQuantumJump:
         assert not keys[0] & keys[1]  # the two partitions share no trajectory
         e1 = quantum_jump(model, psi0, t_eval, n_traj=300, seed=100, fock=f)
         e2 = quantum_jump(model, psi0, t_eval, n_traj=300, seed=200, fock=f)
+        (m1, s1), (m2, s2) = (mean_and_stderr(e, "occ_1") for e in (e1, e2))
         for k in range(1, t_eval.size):
-            diff = abs(e1.mean("occ_1")[k] - e2.mean("occ_1")[k])
-            band = np.hypot(e1.stderr("occ_1")[k], e2.stderr("occ_1")[k])
+            diff = abs(m1[k] - m2[k])
+            band = np.hypot(s1[k], s2[k])
             assert diff < 5 * max(band, 1e-3)
 
     def test_reproducible_and_order_independent(self):
@@ -984,4 +994,14 @@ class TestQuantumJump:
         ens = quantum_jump(model, psi0, np.linspace(0, 1.5, 6), n_traj=30, seed=4, fock=f,
                            extra_observables={"top": np.diag(f._top_mask)})
         assert ens.series["re_top"][0].max() == 0 and ens.jump_counts.sum() > 0
-        assert ens.max_leakage == pytest.approx(ens.mean("re_top").max(), rel=1e-12)
+        assert ens.max_leakage == pytest.approx(mean_and_stderr(ens, "re_top")[0].max(), rel=1e-12)
+
+    def test_times_must_increase_and_ensemble_must_be_nonempty(self):
+        model = damped_model(1.0, 0.1)
+        f = FockSpace(12)
+        psi0 = f.coherent_vector([1.0])
+        for t_eval in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0], [1.0, 0.0], [0.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                quantum_jump(model, psi0, t_eval, n_traj=20, seed=0, fock=f)
+        with pytest.raises(ValueError, match="n_traj must be at least 1, got 0"):
+            quantum_jump(model, psi0, [0.0, 1.0], n_traj=0, seed=0, fock=f)

@@ -11,16 +11,13 @@ from semilind.semiclassical import (
     Trajectory,
     classify_flow,
     drift_complex,
-    drift_matrices,
     drift_x,
     drift_field,
     _CompiledRhs,
     _d_field,
     _lambda_field,
     integrate,
-    rhs_g,
     rhs_g_complex,
-    trajectory_from_csv,
     trajectory_to_csv,
 )
 from semilind.symbols import Chart, PolySymbol, chart_transform, parse_symbol, symplectic_form
@@ -43,6 +40,11 @@ def damped_oscillator(omega=1.0, gamma=0.1):
     h = (q * q + p * p) * (0.5 * omega)
     L = (q + p * 1j) * np.sqrt(gamma / 2.0)
     return LindbladModel(n_modes=1, hbar=1.0, hamiltonian=h, lindblads=(L,))
+
+
+def width_rate(model, x, g):
+    rhs = model._compiled  # pack G's upper triangle, evaluate as `integrate` does, gather
+    return rhs(0.0, np.concatenate([x, g[rhs.iu]]))[rhs.gather]
 
 
 def random_model(rng, n=1, deg=3, n_lind=2):
@@ -103,32 +105,32 @@ class TestDriftX:
 class TestDriftMatrices:
     def test_damped_oscillator(self):
         omega, gamma = 1.0, 0.1
-        dm = drift_matrices(damped_oscillator(omega, gamma), [0.4, 0.7])
+        _, lam, d2 = damped_oscillator(omega, gamma)._compiled.fields([0.4, 0.7])
         want_lam = omega * np.eye(2) - 0.5 * gamma * symplectic_form(1)
-        assert np.allclose(dm.lam, want_lam, atol=1e-14)
-        assert np.allclose(dm.d, 0.5 * gamma * np.eye(2), atol=1e-14)
+        assert np.allclose(lam, want_lam, atol=1e-14)
+        assert np.allclose(d2 / 2, 0.5 * gamma * np.eye(2), atol=1e-14)
 
     def test_no_lindblads(self):
         (q,), (p,) = real_vars()
         h = q * q * 1.5 + q * p + p * p * 0.25
         model = LindbladModel(1, 1.0, h, ())
-        dm = drift_matrices(model, [0.0, 0.0])
-        assert np.allclose(dm.lam, [[3.0, 1.0], [1.0, 0.5]])
-        assert np.allclose(dm.d, 0)
+        _, lam, d2 = model._compiled.fields([0.0, 0.0])
+        assert np.allclose(lam, [[3.0, 1.0], [1.0, 0.5]])
+        assert np.allclose(d2 / 2, 0)
 
     def test_real_lindblad(self):
         (q,), (p,) = real_vars()
         L = q * 2.0  # Hermitian symbol
         model = LindbladModel(1, 1.0, PolySymbol.zero(Chart.REAL_QP, 1), (L,))
         x = [0.2, -0.4]
-        dm = drift_matrices(model, x)
-        assert np.allclose(dm.lam, 0)
-        assert np.allclose(dm.d, [[4.0, 0.0], [0.0, 0.0]])
+        _, lam, d2 = model._compiled.fields(x)
+        assert np.allclose(lam, 0)
+        assert np.allclose(d2 / 2, [[4.0, 0.0], [0.0, 0.0]])
 
 
 class TestRhsG:
     def test_damped_oscillator_fixed_point(self):
-        got = rhs_g(damped_oscillator(), [1.3, -0.2], np.eye(2))
+        got = width_rate(damped_oscillator(), [1.3, -0.2], np.eye(2))
         assert np.allclose(got, 0, atol=1e-13)
 
     def test_linearised_hamiltonian_flow(self):
@@ -139,14 +141,14 @@ class TestRhsG:
         hpp = np.array([[1.4, 0.3], [0.3, 0.4]])
         om = symplectic_form(1)
         want = hpp @ om @ g - g @ om @ hpp
-        assert np.allclose(rhs_g(model, [0.1, 0.2], g), 0.5 * (want + want.T), atol=1e-13)
+        assert np.allclose(width_rate(model, [0.1, 0.2], g), 0.5 * (want + want.T), atol=1e-13)
 
     def test_pure_diffusion(self):
         # Lam = 0, D = I comes from L = q + i p ... instead check the algebra
         # directly through a Lindblad pair giving D = I: L1 = q, L2 = p.
         (q,), (p,) = real_vars()
         model = LindbladModel(1, 1.0, PolySymbol.zero(Chart.REAL_QP, 1), (q, p))
-        got = rhs_g(model, [0.0, 0.0], np.eye(2))
+        got = width_rate(model, [0.0, 0.0], np.eye(2))
         om = symplectic_form(1)
         assert np.allclose(got, 2 * om @ om, atol=1e-14)  # = -2 I
 
@@ -155,7 +157,7 @@ class TestRhsG:
         model = random_model(rng)
         g = rng.normal(size=(2, 2))
         g = g @ g.T + 0.5 * np.eye(2)
-        out = rhs_g(model, rng.normal(size=2), g)
+        out = width_rate(model, rng.normal(size=2), g)
         assert np.array_equal(out, out.T)
 
     def test_trace_identity(self):
@@ -167,10 +169,10 @@ class TestRhsG:
             x = rng.normal(size=2)
             g = rng.normal(size=(2, 2))
             g = g @ g.T + 0.5 * np.eye(2)
-            gdot = rhs_g(model, x, g)
-            dm = drift_matrices(model, x)
+            gdot = width_rate(model, x, g)
+            _, lam, d2 = model._compiled.fields(x)
             lhs = np.trace(np.linalg.solve(g, gdot))
-            rhs_val = 2 * np.trace(dm.lam @ om) + 2 * np.trace(om @ dm.d @ om @ g)
+            rhs_val = 2 * np.trace(lam @ om) + 2 * np.trace(om @ (d2 / 2) @ om @ g)
             assert lhs == pytest.approx(rhs_val, rel=1e-9, abs=1e-9)
 
 
@@ -230,7 +232,7 @@ class TestComplexChart:
             gc = t1 @ g @ t1.conj().T
             drift_real = drift_x(model, x)
             assert np.allclose(t1 @ drift_real, drift_complex(cmodel, xc), atol=1e-10)
-            gdot_real = rhs_g(model, x, g)
+            gdot_real = width_rate(model, x, g)
             want = t1 @ gdot_real @ t1.conj().T
             got = rhs_g_complex(cmodel, xc, gc)
             assert np.max(np.abs(got - want)) < 1e-10
@@ -350,8 +352,8 @@ class TestCompiledRhs:
         for _ in range(20):
             x = rng.normal(size=2)
             drift_x(model, x)
-            drift_matrices(model, x)
-            rhs_g(model, x, g)
+            model._compiled.fields(x)
+            width_rate(model, x, g)
         integrate(model, GaussianWigner(1.0, [0.1, 0.2], g), [0.0, 0.01])
         assert len(calls) == 1
 
@@ -416,13 +418,12 @@ class TestIntegrate:
         model = damped_oscillator()
         t_eval = np.linspace(0, 1.0, 5)
         traj = integrate(model, GaussianWigner(1.0, np.array([1.0, 0.0]), np.eye(2)), t_eval)
-        text = trajectory_to_csv(traj)
-        back = trajectory_from_csv(text, 1.0)
-        assert np.array_equal(back.times, traj.times)
-        for a, b in zip(back.states, traj.states):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.g, b.g)
-        assert text == trajectory_to_csv(back)
+        rows = np.loadtxt(trajectory_to_csv(traj).splitlines(), delimiter=",", skiprows=1)
+        iu = np.triu_indices(2)
+        assert np.array_equal(rows[:, 0], traj.times)
+        assert np.array_equal(rows[:, 1:3], [st.x for st in traj.states])
+        assert np.array_equal(rows[:, 3:6], [st.g[iu] for st in traj.states])
+        assert np.array_equal(rows[:, 6], traj.min_physicality)
 
 
 class TestModelParsing:
