@@ -43,7 +43,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .gaussian import ComplexGaussian, SuperpositionState
-from .semiclassical import LindbladModel, _packing
+from .semiclassical import LindbladModel, _check_times, _packing
 from .symbols import Chart, PolyBatch, PolySymbol, double_lift, moyal_term, poisson, symplectic_form
 
 __all__ = [
@@ -229,21 +229,16 @@ def rhs_component(ksym: DoubledSymbol, comp: ComplexGaussian):
 
 
 @dataclass
-class ComponentTrack:
-    """One component's trajectory; dead components keep their last state."""
-
-    states: list
-    events: list = field(default_factory=list)
-
-
-@dataclass
 class SuperpositionSeries:
-    """Renormalized superposition snapshots plus bookkeeping."""
+    """Renormalized superposition snapshots plus bookkeeping.
+
+    ``states[k].components[i]`` is component i at output time k; a collapsed
+    component keeps its last state with weight zero.
+    """
 
     times: np.ndarray
     states: list
     raw_norms: np.ndarray
-    tracks: list
     events: list = field(default_factory=list)
     nfev: int = 0  # DOP853 right-hand-side calls of the one stacked system
 
@@ -273,12 +268,12 @@ def propagate_superposition(
     there: that component is frozen with weight zero and an event record, and
     the solve restarts from the event time with the components left.  The
     Wigner normalization is re-imposed at every output time (the raw integral
-    is recorded).  An output time with no live component left raises
-    `RuntimeError`.
+    is recorded).  The output times must increase strictly; an output time
+    with no live component left raises `RuntimeError`.
     """
     kev = model._doubled._evaluator
     hbar = state.hbar
-    t_eval = np.asarray(t_eval, dtype=float)
+    t_eval = _check_times(t_eval)
     comps = state.components
 
     def odefun(t, yvec):
@@ -302,9 +297,8 @@ def propagate_superposition(
         np.zeros(len(comps)),
     )
     live = np.arange(len(comps))
-    frozen = {}
-    tracks = [ComponentTrack(states=[]) for _ in comps]
-    events, nfev, k, t0 = [], 0, 0, t_eval[0]
+    current = list(comps)  # each component at the latest output time
+    snapshots, events, nfev, k, t0 = [], [], 0, 0, t_eval[0]
     while k < t_eval.size:
         if not live.size:
             times = ", ".join(f"{ev['t']:.6g}" for ev in events)
@@ -329,11 +323,9 @@ def propagate_superposition(
             z, b, alpha, phi = kev.unpack(yvec.reshape(live.size, -1))
             for j, idx in enumerate(live):
                 weight = comps[idx].weight * np.exp(phi[j])
-                tracks[idx].states.append(
-                    ComplexGaussian(hbar=hbar, z=z[j], b=b[j], alpha=alpha[j], weight=weight)
-                )
-            for idx, dead in frozen.items():
-                tracks[idx].states.append(dead)
+                current[idx] = ComplexGaussian(hbar=hbar, z=z[j], b=b[j], alpha=alpha[j],
+                                               weight=weight)
+            snapshots.append(tuple(current))
         k += sol.t.size
         if sol.status == 1:
             t0 = float(sol.t_events[0][0])
@@ -341,15 +333,12 @@ def propagate_superposition(
             gaps = floor_gaps(rows[live])
             collapsed = gaps <= max(gaps.min(), 0.0)
             for idx in live[collapsed]:
-                frozen[idx] = replace(tracks[idx].states[-1], weight=0.0)
-                event = {"t": t0, "kind": "component_collapse"}
-                tracks[idx].events.append(event)
-                events.append(event)
+                current[idx] = replace(current[idx], weight=0.0)
+                events.append({"t": t0, "kind": "component_collapse", "component": int(idx)})
             live = live[~collapsed]
 
     states_out, raw_norms = [], []
-    for k in range(t_eval.size):
-        comps_k = tuple(tr.states[k] for tr in tracks)
+    for comps_k in snapshots:
         total = sum(c.integral() for c in comps_k)
         raw_norms.append(float((state.norm_factor * total).real))
         states_out.append(SuperpositionState(comps_k, norm_factor=float(1.0 / total.real)))
@@ -357,37 +346,9 @@ def propagate_superposition(
         times=t_eval.copy(),
         states=states_out,
         raw_norms=np.array(raw_norms),
-        tracks=tracks,
         events=events,
         nfev=nfev,
     )
-
-
-def component_csv(track: ComponentTrack, times) -> str:
-    """Columns: t, X, Y, Re/Im B upper triangle, alpha, effective weight."""
-    first = track.states[0]
-    n2 = first.z.size // 2
-    iu = np.triu_indices(n2)
-    header = (
-        ["t"]
-        + [f"X_{i+1}" for i in range(n2)]
-        + [f"Y_{i+1}" for i in range(n2)]
-        + [f"ReB_{i+1}{j+1}" for i, j in zip(*iu)]
-        + [f"ImB_{i+1}{j+1}" for i, j in zip(*iu)]
-        + ["re_alpha", "im_alpha", "weight_re", "weight_im"]
-    )
-    lines = [",".join(header)]
-    for t, cg in zip(times, track.states):
-        row = (
-            [t]
-            + list(cg.x)
-            + list(cg.y)
-            + list(cg.b[iu].real)
-            + list(cg.b[iu].imag)
-            + [cg.alpha.real, cg.alpha.imag, cg.weight.real, cg.weight.imag]
-        )
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 # -- chord-variable form for linear Lindblad operators -------------------------

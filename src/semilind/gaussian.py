@@ -343,10 +343,6 @@ class WignerGrid:
             raise ValueError("value matrix does not match the grid spec")
         object.__setattr__(self, "values", vals)
 
-    def integral(self) -> float | complex:
-        total = self.values.sum() * self.spec.dq * self.spec.dp
-        return complex(total) if np.iscomplexobj(self.values) else float(total)
-
     def sup_diff(self, other: "WignerGrid") -> float:
         if self.spec != other.spec:
             raise ValueError("grids must share one spec")

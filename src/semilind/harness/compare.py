@@ -1,7 +1,19 @@
-"""Cross-solver comparison metrics and the observable CSV format.
+"""Every artifact format of the harness, and the cross-solver comparison.
 
-Observable files are long-format CSV: ``t,obs_name,value,stderr`` with the
-stderr field empty for deterministic solvers.
+A table is comma-separated: a header of column names, then one line per row,
+each float as its shortest round-trip ``repr``.  `csv_text` builds each one:
+
+* ``observables.csv``: ``t,obs_name,value,stderr``, stderr empty for
+  deterministic solvers (`write_observables`, `read_observables`);
+* ``trajectory.csv``: ``t``, centre ``X_i``, width upper triangle ``G_ij``,
+  ``min_eig_physicality`` (`trajectory_to_csv`);
+* ``component_<i>.csv``: ``t``, ``X_i``, ``Y_i``, ``ReB_ij``, ``ImB_ij``,
+  ``re_alpha,im_alpha,weight_re,weight_im`` (`component_csv`);
+* a portrait's ``field.csv`` (``q,p,dq,dp,speed``) and ``trajectories.csv``
+  (``trajectory,t,q,p``, with an integer trajectory index).
+
+`write_text` writes every artifact, these and the Wigner frames
+(`WignerGrid.to_text`), ``report.json`` and ``config.json``.
 """
 
 from __future__ import annotations
@@ -16,8 +28,12 @@ import numpy as np
 __all__ = [
     "ObservableSeries",
     "ComparisonReport",
+    "csv_text",
+    "write_text",
     "write_observables",
     "read_observables",
+    "trajectory_to_csv",
+    "component_csv",
     "compare_series",
     "compare_dirs",
 ]
@@ -30,16 +46,30 @@ class ObservableSeries:
     stderr: np.ndarray | None = None
 
 
-def write_observables(series: dict, path) -> None:
-    lines = ["t,obs_name,value,stderr"]
-    for name in sorted(series):
-        s = series[name]
-        for k, t in enumerate(s.times):
-            err = "" if s.stderr is None else repr(float(s.stderr[k]))
-            lines.append(f"{float(t)!r},{name},{float(s.values[k])!r},{err}")
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows of Python floats, ints and strings; the
+    ``str`` of a Python float (from ``ndarray.tolist()``) is its ``repr``."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write one artifact, creating its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(text)
+
+
+def write_observables(series: dict, path) -> None:
+    rows = []
+    for name in sorted(series):
+        s = series[name]
+        times = np.asarray(s.times, dtype=float).tolist()
+        values = np.asarray(s.values, dtype=float).tolist()
+        errs = [""] * len(times) if s.stderr is None else np.asarray(s.stderr, dtype=float).tolist()
+        rows.extend(zip(times, [name] * len(times), values, errs))
+    write_text(path, csv_text(["t", "obs_name", "value", "stderr"], rows))
 
 
 def read_observables(path) -> dict:
@@ -65,6 +95,31 @@ def read_observables(path) -> dict:
             stderr = None
         out[name] = ObservableSeries(times=times, values=values, stderr=stderr)
     return out
+
+
+def trajectory_to_csv(traj) -> str:
+    """A `Trajectory` of Gaussian states as ``trajectory.csv``."""
+    dim = traj.states[0].x.size
+    iu = np.triu_indices(dim)
+    header = (["t"] + [f"X_{i+1}" for i in range(dim)]
+              + [f"G_{i+1}{j+1}" for i, j in zip(*iu)] + ["min_eig_physicality"])
+    table = np.column_stack([traj.times, [st.x for st in traj.states],
+                             [st.g[iu] for st in traj.states], traj.min_physicality])
+    return csv_text(header, table.tolist())
+
+
+def component_csv(series, idx: int) -> str:
+    """Component ``idx`` of a `SuperpositionSeries` as ``component_<idx>.csv``."""
+    comps = [st.components[idx] for st in series.states]
+    n2 = comps[0].z.size // 2
+    iu = np.triu_indices(n2)
+    header = (["t"] + [f"{v}_{i+1}" for v in "XY" for i in range(n2)]
+              + [f"{part}B_{i+1}{j+1}" for part in ("Re", "Im") for i, j in zip(*iu)]
+              + ["re_alpha", "im_alpha", "weight_re", "weight_im"])
+    bu = np.array([c.b[iu] for c in comps])
+    ends = [[c.alpha.real, c.alpha.imag, c.weight.real, c.weight.imag] for c in comps]
+    table = np.column_stack([series.times, [c.z for c in comps], bu.real, bu.imag, ends])
+    return csv_text(header, table.tolist())
 
 
 @dataclass

@@ -10,13 +10,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from ..gaussian import GridSpec
 from ..semiclassical import LindbladModel
 from ..symbols import Chart, parse_symbol
+from .compare import write_text
 
 __all__ = ["ExperimentConfig", "PortraitSection", "load_config", "dump_config"]
 
@@ -284,5 +284,5 @@ def load_config(path) -> ExperimentConfig:
 def dump_config(config: ExperimentConfig, path=None) -> str:
     text = json.dumps(config.to_dict(), indent=2, sort_keys=True)
     if path is not None:
-        Path(path).write_text(text + "\n")
+        write_text(path, text + "\n")
     return text

@@ -3,14 +3,14 @@
 ``ExperimentDef.solvers`` maps a solver name, as a config lists it under
 ``solvers``, to ``fn(config, model, t_eval) -> SolverRun``; ``t_eval`` is
 None for a config without ``times``.  A ``SolverRun`` carries the
-observables, written, when there are any, to
-``<root>/<experiment>/<solver>/observables.csv``; extra files (name -> text)
-for the same directory; a frame function ``k -> WignerGrid``, written there
-as ``wigner_t<t>.txt`` at each configured frame when the config has a
-``grid``; the report entries the solver adds (its statistics); and the
-solver's raw result, whose ``events``, if it has any, ``run_experiment``
-reports as one ``solver_events`` entry per kind.  ``SolverRun.grid(k)``
-computes each frame once, so checks read the grids that were written.
+observables of ``<root>/<experiment>/<solver>/observables.csv``, when there
+are any; extra files (name -> text) for the same directory; a frame function
+``k -> WignerGrid``, saved there as ``wigner_t<t>.txt`` at each configured
+frame when the config has a ``grid``; the report entries the solver adds
+(its statistics); and the solver's raw result, whose ``events``, if it has
+any, ``run_experiment`` reports as one ``solver_events`` entry per kind.
+``SolverRun.grid(k)`` computes each frame once, so checks read the grids
+that were written.
 
 ``ExperimentDef.checks`` lists ``(needed solvers, fn(config, t_eval, runs) ->
 entries)``, with ``runs`` mapping solver name to ``SolverRun``.  After the
@@ -26,8 +26,9 @@ A phase portrait is an experiment whose one row, ``flow``, writes the
 sampled drift and a trajectory fan.  ``run_portrait`` stays only because
 ``perfbench/worker.py`` imports it.
 
-``run_experiment`` alone runs, times and writes the solvers.  Every top-level
-config field left unset takes the experiment's registered value.
+``run_experiment`` alone runs, times and saves the solvers, every file
+through `compare.write_text`; `compare` owns every file format.  Every
+top-level config field left unset takes the experiment's registered value.
 Re-running with the same config and seed reproduces every file but
 ``report.json`` (which holds run times) byte for byte.  Rows call the
 library functions (``integrate``, ``eval_wigner``, ...) by their names in
@@ -46,7 +47,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ..doubled import component_csv, propagate_superposition
+from ..doubled import propagate_superposition
 from ..gaussian import (
     cat_decompose,
     coherent,
@@ -61,9 +62,10 @@ from ..quantum import (
     quantum_jump,
     wigner_of_density,
 )
-from ..semiclassical import drift_x, integrate, trajectory_to_csv
+from ..semiclassical import drift_x, integrate
 from ..symbols import Chart
-from .compare import ComparisonReport, ObservableSeries, write_observables
+from .compare import (ComparisonReport, ObservableSeries, component_csv, csv_text,
+                      trajectory_to_csv, write_observables, write_text)
 from .config import ConfigError, ExperimentConfig, dump_config
 
 __all__ = ["EXPERIMENTS", "ExperimentDef", "SolverRun", "default_config", "run_experiment",
@@ -98,11 +100,6 @@ class ExperimentDef:
     optional_tolerances: tuple = ()  # keys with no default; their checks run only when set
 
 
-def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
     """Write ``run.grid(k)`` as text for each index k; a grid with a
     non-finite value raises before it is written."""
@@ -110,7 +107,7 @@ def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
         grid = run.grid(k)
         if not np.all(np.isfinite(grid.values)):
             raise ValueError(f"{outdir}: Wigner frame at t={times[k]:g} has non-finite values")
-        _write(outdir / f"wigner_t{times[k]:g}.txt", grid.to_text())
+        write_text(outdir / f"wigner_t{times[k]:g}.txt", grid.to_text())
 
 
 def _event_entries(solver: str, result) -> list:
@@ -443,8 +440,8 @@ def _cat_doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
             "raw_norm": ObservableSeries(t_eval, series.raw_norms),
             "cross_magnitude": ObservableSeries(t_eval, series.cross_magnitudes()),
         },
-        files={f"component_{idx}.csv": component_csv(track, t_eval)
-               for idx, track in enumerate(series.tracks)},
+        files={f"component_{idx}.csv": component_csv(series, idx)
+               for idx in range(len(cat.components))},
         frame=lambda k: eval_wigner(series.states[k], config.grid),
         entries=[{"check": "doubled_solver", "nfev": series.nfev, "passed": True}],
         result=series,
@@ -556,11 +553,10 @@ def _flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
     qs = np.linspace(port.q_min, port.q_max, port.n_q)
     ps = np.linspace(port.p_min, port.p_max, port.n_p)
     points = np.stack(np.meshgrid(qs, ps, indexing="ij"), axis=-1).reshape(-1, 2)
-    lines = ["q,p,dq,dp,speed"]
-    for (q, p), v in zip(points, drift_x(model, points)):
-        lines.append(",".join(repr(float(x)) for x in (q, p, v[0], v[1], float(np.hypot(*v)))))
+    drift = drift_x(model, points)
+    samples = np.column_stack([points, drift, np.hypot(drift[:, 0], drift[:, 1])])
     times = np.linspace(0.0, port.t_end, port.n_out)
-    rows, nfev = ["trajectory,t,q,p"], 0
+    rows, nfev = [], 0
     for idx, (q0, p0) in enumerate(port.starts):
         sol = solve_ivp(
             lambda t, x: drift_x(model, x),
@@ -576,10 +572,10 @@ def _flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
             raise RuntimeError(f"portrait trajectory {idx} from ({q0:g}, {p0:g}) stopped after "
                                f"output time t={reached:g} of {port.t_end:g}: {sol.message}")
         nfev += sol.nfev
-        for t, q, p in zip(sol.t, sol.y[0], sol.y[1]):
-            rows.append(f"{idx},{float(t)!r},{float(q)!r},{float(p)!r}")
+        rows.extend([idx, *row] for row in np.vstack([sol.t, sol.y]).T.tolist())
     return SolverRun(
-        files={"field.csv": "\n".join(lines) + "\n", "trajectories.csv": "\n".join(rows) + "\n"},
+        files={"field.csv": csv_text(["q", "p", "dq", "dp", "speed"], samples.tolist()),
+               "trajectories.csv": csv_text(["trajectory", "t", "q", "p"], rows)},
         entries=[{"check": "flow_solver", "nfev": nfev, "passed": True}],
     )
 
@@ -703,7 +699,7 @@ def run_experiment(config: ExperimentConfig, root=None):
         t0 = time.perf_counter()
         run = solve(config, model, t_eval)
         for fname, text in run.files.items():
-            _write(outdir / name / fname, text)
+            write_text(outdir / name / fname, text)
         if run.observables:
             write_observables(run.observables, outdir / name / "observables.csv")
         if config.grid is not None and run.frame is not None:
@@ -716,6 +712,6 @@ def run_experiment(config: ExperimentConfig, root=None):
         if all(name in runs for name in needs):
             report.entries.extend(check(config, t_eval, runs))
     report.runtime_s["total"] = time.perf_counter() - start
-    _write(outdir / "report.json", report.to_json() + "\n")
+    write_text(outdir / "report.json", report.to_json() + "\n")
     dump_config(config, outdir / "config.json")
     return report, outdir

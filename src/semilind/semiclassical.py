@@ -43,7 +43,6 @@ __all__ = [
     "rhs_g_complex",
     "classify_flow",
     "integrate",
-    "trajectory_to_csv",
 ]
 
 _EIG_CLAMP = 1e-12
@@ -344,6 +343,15 @@ class _CompiledRhs:
         return np.concatenate([drift, gdot[self.iu]])
 
 
+def _check_times(t_eval) -> np.ndarray:
+    """Output times as a float array; every solver steps forward between
+    them, so they must be at least two and increase strictly."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.ndim != 1 or t_eval.size < 2 or not np.all(np.diff(t_eval) > 0):
+        raise ValueError("t_eval must hold at least two strictly increasing times")
+    return t_eval
+
+
 def integrate(
     model: LindbladModel,
     state0: GaussianWigner,
@@ -353,7 +361,7 @@ def integrate(
 ) -> Trajectory:
     """Propagate the centre X and width G of ``state0`` from t_eval[0] with
     the adaptive eighth-order Dormand-Prince scheme (DOP853); the states
-    returned at t_eval carry ``state0.hbar``.
+    returned at t_eval, which must increase strictly, carry ``state0.hbar``.
 
     G is packed by its upper triangle, so symmetry is exact by construction.
     At each output time the state is checked: eigenvalues of G below the
@@ -363,7 +371,7 @@ def integrate(
     dim = 2 * model.n_modes
     if state0.x.size != dim:
         raise ValueError("state dimension does not match the model")
-    t_eval = np.asarray(t_eval, dtype=float)
+    t_eval = _check_times(t_eval)
     rhs = model._compiled
     y0 = np.concatenate([state0.x, state0.g[rhs.iu]])
     sol = solve_ivp(
@@ -406,24 +414,3 @@ def integrate(
         times=sol.t.copy(), states=states, min_physicality=np.array(phys), events=events,
         nfev=int(sol.nfev),
     )
-
-
-# -- trajectory CSV -----------------------------------------------------------
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """Columns: t, X_1..X_2n, G upper triangle row-major, min_eig_physicality."""
-    dim = traj.states[0].x.size
-    iu = np.triu_indices(dim)
-    header = (
-        ["t"]
-        + [f"X_{i+1}" for i in range(dim)]
-        + [f"G_{i+1}{j+1}" for i, j in zip(*iu)]
-        + ["min_eig_physicality"]
-    )
-    lines = [",".join(header)]
-    for t, st, phys in zip(traj.times, traj.states, traj.min_physicality):
-        row = [t, *st.x, *st.g[iu], phys]
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-

@@ -336,13 +336,9 @@ def _require_pairable(f: PolySymbol, g: PolySymbol, op: str):
 
 
 def poisson(f: PolySymbol, g: PolySymbol) -> PolySymbol:
-    """Poisson bracket grad(f) . Omega grad(g) on a canonical chart."""
-    _require_pairable(f, g, "poisson")
-    half = f.dim // 2
-    out = PolySymbol.zero(f.chart, f.n_modes)
-    for j in range(half):
-        out = out + f.deriv(j) * g.deriv(half + j) - f.deriv(half + j) * g.deriv(j)
-    return out
+    """Poisson bracket grad(f) . Omega grad(g) on a canonical chart: the
+    first-order term of the star product."""
+    return moyal_term(f, g, 1)
 
 
 def moyal_term(f: PolySymbol, g: PolySymbol, order: int) -> PolySymbol:
@@ -378,17 +374,14 @@ def moyal_term(f: PolySymbol, g: PolySymbol, order: int) -> PolySymbol:
     return out
 
 
-def moyal(f: PolySymbol, g: PolySymbol, hbar: float, max_order: int | None = None) -> PolySymbol:
+def moyal(f: PolySymbol, g: PolySymbol, hbar: float) -> PolySymbol:
     """Star product of two polynomial symbols.
 
-    The bidifferential series terminates for polynomials.  `max_order`
-    truncates the series at that order in the bracket expansion (order 0 is
-    the pointwise product); None sums everything.
+    The bidifferential series terminates for polynomials, so it is summed
+    whole.
     """
     _require_pairable(f, g, "moyal")
     top = f.total_degree() + g.total_degree()
-    if max_order is not None:
-        top = min(top, max_order)
     out = PolySymbol.zero(f.chart, f.n_modes)
     for m in range(top + 1):
         term = moyal_term(f, g, m)

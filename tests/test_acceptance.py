@@ -378,14 +378,15 @@ def test_c07_doubled_reduction_matches_width_dynamics():
             model, GaussianWigner(1.0, np.array(centre), np.eye(2)), t_eval
         )
         for k in range(t_eval.size):
-            comp = series.tracks[idx].states[k]
+            comp = series.states[k].components[idx]
             worst_y = max(worst_y, float(np.max(np.abs(comp.y))))
             worst_xg = max(worst_xg, float(np.max(np.abs(comp.x - straj.states[k].x))))
             worst_xg = max(
                 worst_xg, float(np.max(np.abs(comp.b.imag / 2 - straj.states[k].g)))
             )
         widths = np.array(
-            [physicality_of_width(c.b.imag / 2).min_eig for c in series.tracks[idx].states]
+            [physicality_of_width(st.components[idx].b.imag / 2).min_eig
+             for st in series.states]
         )
         assert widths.min() >= -1e-9  # uncertainty relation along the component flow
     runtime = time.perf_counter() - t0

@@ -9,7 +9,6 @@ from semilind.doubled import (
     build_k,
     chord_from_component,
     chord_rhs,
-    component_csv,
     diffusion_matrix,
     propagate_superposition,
     rhs_component,
@@ -20,8 +19,10 @@ from semilind.gaussian import (
     GridSpec,
     SuperpositionState,
     cat_decompose,
+    coherent,
     eval_wigner,
 )
+from semilind.harness.compare import component_csv
 from semilind.harness.config import ExperimentConfig
 from semilind.harness.experiments import default_config
 from semilind.quantum import DensityMatrix, FockSpace, integrate_master, wigner_of_density
@@ -187,7 +188,7 @@ class TestRhsComponent:
         )
         series = propagate_superposition(model, SuperpositionState_one(comp), [0.0, 0.6])
         rot = rotation(0.6)
-        got = series.tracks[0].states[1]
+        got = series.states[1].components[0]
         assert np.allclose(got.x, rot @ comp.x, atol=1e-9)
         assert np.allclose(got.y, rot @ comp.y, atol=1e-9)
         assert np.allclose(got.b, rot @ comp.b @ rot.T, atol=1e-9)
@@ -220,9 +221,18 @@ def squeezed_state(widths):
     return SuperpositionState(comps).normalized()
 
 
+def component_track(series, idx):
+    """Component idx of a propagated superposition at every output time."""
+    return [st.components[idx] for st in series.states]
+
+
+def component_events(series, idx):
+    return [ev for ev in series.events if ev["component"] == idx]
+
+
 def assert_tracks_close(track, reference, rel):
     """Equal states within `rel` of each quantity's largest entry (at least 1)."""
-    for got, want in zip(track.states, reference.states, strict=True):
+    for got, want in zip(track, reference, strict=True):
         for a, b in ((got.z, want.z), (got.b, want.b), (got.alpha, want.alpha),
                      (got.weight, want.weight)):
             assert np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(b)), 1.0)
@@ -252,7 +262,7 @@ class TestPropagateSuperposition:
             model, GaussianWigner(1.0, np.array([2.0, 1.0]), np.eye(2)), t_eval
         )
         for k in range(t_eval.size):
-            comp = series.tracks[0].states[k]
+            comp = series.states[k].components[0]
             assert np.allclose(comp.x, straj.states[k].x, atol=1e-8)
             assert np.allclose(comp.y, 0, atol=1e-10)
             assert np.allclose(comp.b.imag / 2, straj.states[k].g, atol=1e-8)
@@ -288,9 +298,9 @@ class TestPropagateSuperposition:
         assert event["t"] == pytest.approx(np.log(2e10) / 2, abs=1e-3)
         after = t_eval > event["t"]
         assert after.sum() == 2
-        weights = np.array([c.weight for c in series.tracks[0].states])
+        weights = np.array([c.weight for c in component_track(series, 0)])
         assert np.all(weights[after] == 0) and np.all(weights[~after] != 0)
-        assert series.tracks[1].events == []
+        assert component_events(series, 1) == []
         assert np.allclose(series.raw_norms, np.where(after, 0.5, 1.0), atol=1e-6)
 
     def test_collapses_restart_the_stacked_solve(self):
@@ -303,11 +313,11 @@ class TestPropagateSuperposition:
         want = [np.log(2e8) / 2, np.log(2e10) / 2]
         assert [ev["kind"] for ev in series.events] == ["component_collapse"] * 2
         assert [ev["t"] for ev in series.events] == pytest.approx(want, abs=1e-3)
-        assert series.tracks[1].events == [series.events[0]]
-        assert series.tracks[0].events == [series.events[1]]
-        assert series.tracks[2].events == []
+        assert component_events(series, 1) == [series.events[0]]
+        assert component_events(series, 0) == [series.events[1]]
+        assert component_events(series, 2) == []
         solo = propagate_superposition(model, squeezed_state(gs[2:]), t_eval)
-        assert_tracks_close(series.tracks[2], solo.tracks[0], 1e-8)
+        assert_tracks_close(component_track(series, 2), component_track(solo, 0), 1e-8)
 
     def test_duplicated_collapsing_component_gives_two_events(self):
         gs = [np.eye(2), np.eye(2), np.diag([1e6, 1e-6])]
@@ -315,7 +325,7 @@ class TestPropagateSuperposition:
                                          np.linspace(0.0, 14.0, 8))
         first, second = series.events
         assert first["t"] == second["t"] == pytest.approx(np.log(2e10) / 2, abs=1e-3)
-        assert series.tracks[0].events == [first] and series.tracks[1].events == [second]
+        assert component_events(series, 0) == [first] and component_events(series, 1) == [second]
 
     def test_no_live_component_raises(self):
         # the only component collapses at t = 11.86; t = 12 and 14 have none
@@ -336,9 +346,9 @@ class TestPropagateSuperposition:
         )
         t_eval = np.linspace(0.0, 2.0, 11)
         series = propagate_superposition(model, SuperpositionState(comps), t_eval)
-        for comp, track in zip(comps, series.tracks):
+        for idx, comp in enumerate(comps):
             solo = propagate_superposition(model, SuperpositionState((comp,)), t_eval)
-            assert_tracks_close(track, solo.tracks[0], 1e-8)
+            assert_tracks_close(component_track(series, idx), component_track(solo, 0), 1e-8)
 
     def test_registered_cat_tracks_are_conjugate_pairs(self):
         # component (j, i) of the cat is the conjugate of (i, j):
@@ -352,8 +362,9 @@ class TestPropagateSuperposition:
         n = len(init.centres)
         for i in range(n):
             for j in range(i + 1, n):
-                upper, lower = series.tracks[i * n + j], series.tracks[j * n + i]
-                for cij, cji in zip(upper.states, lower.states):
+                upper = component_track(series, i * n + j)
+                lower = component_track(series, j * n + i)
+                for cij, cji in zip(upper, lower):
                     assert np.max(np.abs(cji.x - cij.x)) < 1e-10
                     assert np.max(np.abs(cji.y + cij.y)) < 1e-10
                     assert np.max(np.abs(cji.b + np.conj(cij.b))) < 1e-10
@@ -389,7 +400,7 @@ class TestPropagateSuperposition:
         cross0 = cat.components[1]
         y0sq = cross0.y @ cross0.y
         for k, t in enumerate(t_eval):
-            got = series.tracks[1].states[k].alpha.imag
+            got = series.states[k].components[1].alpha.imag
             want = 0.25 * y0sq * (1 - np.exp(-gamma * t))
             assert got == pytest.approx(want, abs=5e-8)
 
@@ -397,12 +408,30 @@ class TestPropagateSuperposition:
         model = anharmonic_damped()
         cat = cat_decompose([(1.0, 0.0)], [1.0], np.array([[1j]]))
         series = propagate_superposition(model, cat, [0.0, 0.1])
-        text = component_csv(series.tracks[0], series.times)
+        text = component_csv(series, 0)
         head = text.splitlines()[0]
         assert head == (
             "t,X_1,X_2,Y_1,Y_2,ReB_11,ReB_12,ReB_22,ImB_11,ImB_12,ImB_22,"
             "re_alpha,im_alpha,weight_re,weight_im"
         )
+
+
+class TestTimeGrids:
+    @pytest.mark.parametrize("t_eval", [[1.0, 0.0], [0.0, -1.0], [0.0], [0.0, 1.0, 0.5],
+                                        [0.0, 0.5, 0.5, 1.0]])
+    @pytest.mark.parametrize("name", ["limit_cycle", "cat_anharmonic"])
+    def test_gaussian_solvers_need_strictly_increasing_times(self, name, t_eval):
+        """`integrate` on the registered limit cycle and `propagate_superposition`
+        on the registered cat, each from its registered initial state."""
+        cfg = ExperimentConfig.from_dict(default_config(name))
+        model, init = cfg.model.build(cfg.hbar), cfg.initial
+        with pytest.raises(ValueError, match="at least two strictly increasing times"):
+            if name == "limit_cycle":
+                integrate(model, coherent(1, np.array(init.amplitudes), cfg.hbar), t_eval)
+            else:
+                cat = cat_decompose(init.centres, init.coefficients, np.array([[init.width]]),
+                                    hbar=cfg.hbar)
+                propagate_superposition(model, cat, t_eval)
 
 
 class TestChord:

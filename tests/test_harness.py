@@ -248,6 +248,35 @@ class TestObservableCsv:
             read_observables(path)
 
 
+class TestCsvFormats:
+    def test_every_csv_artifact_keeps_the_format(self, tmp_path):
+        """Each CSV kind of a tiny run of every registered experiment has
+        distinct header names, rows as wide as the header, and each number
+        written as the repr of its float; the integer trajectory index, the
+        observable name and an empty stderr field are the exceptions."""
+        kinds = set()
+        for name in sorted(EXPERIMENTS):
+            _, outdir = run_experiment(tiny_config(name, tmp_path / name))
+            for path in sorted(outdir.rglob("*.csv")):
+                kinds.add(re.sub(r"_\d+\.csv$", "_*.csv", path.name))
+                header, *rows = path.read_text().splitlines()
+                names = header.split(",")
+                assert len(set(names)) == len(names), path
+                assert rows, path
+                for row in rows:
+                    fields = row.split(",")
+                    assert len(fields) == len(names), (path, row)
+                    for col, text in zip(names, fields):
+                        if col == "trajectory":
+                            assert text == str(int(text)), (path, row)
+                        elif col == "obs_name" or (col == "stderr" and text == ""):
+                            continue
+                        else:
+                            assert text == repr(float(text)), (path, col, row)
+        assert kinds == {"observables.csv", "trajectory.csv", "component_*.csv", "field.csv",
+                         "trajectories.csv"}
+
+
 class TestCompare:
     def test_identical_series_zero_error(self):
         t = np.linspace(0, 2, 9)

@@ -18,8 +18,8 @@ from semilind.semiclassical import (
     _lambda_field,
     integrate,
     rhs_g_complex,
-    trajectory_to_csv,
 )
+from semilind.harness.compare import trajectory_to_csv
 from semilind.symbols import Chart, PolySymbol, chart_transform, parse_symbol, symplectic_form
 
 
