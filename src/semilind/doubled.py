@@ -101,13 +101,10 @@ class DoubledSymbol:
         for key, coeff in re.terms.items():
             if sum(key[n2:]) % 2 == 0 and abs(coeff) > 1e-12 * scale:
                 raise ValueError(f"Re K0 has a y-even term {key}")
-        rng = np.random.default_rng(0)
-        for _ in range(64):
-            x = rng.normal(size=n2, scale=2.0)
-            y = rng.normal(size=n2, scale=2.0)
-            val = im.eval(np.concatenate([x, y])).real
-            if val > 1e-10 * scale:
-                raise ValueError(f"Im K0 positive at a sample point: {val}")
+        pts = np.random.default_rng(0).normal(size=(64, 2 * n2), scale=2.0)
+        vals = PolyBatch([im])(pts)[0].real
+        if vals.max() > 1e-10 * scale:
+            raise ValueError(f"Im K0 positive at a sample point: {vals.max()}")
 
 
 def build_k(model: LindbladModel) -> DoubledSymbol:
@@ -127,8 +124,6 @@ def build_k(model: LindbladModel) -> DoubledSymbol:
     for L in m.lindblads:
         lbar = L.conj()
         lm = double_lift(L, -1)
-        lp = double_lift(L, +1)
-        lbar_m = double_lift(lbar, -1)
         lbar_p = double_lift(lbar, +1)
         absq = (lbar * L).real_part()
         k0 = k0 + 1j * (
@@ -150,34 +145,19 @@ def build_k(model: LindbladModel) -> DoubledSymbol:
 
 
 class _KEvaluator:
-    """Cached batched evaluation of K0, K1, grad K0 and the K0 Hessian; packs
-    a component as the row (Z, Re/Im upper triangle of B, alpha, phi), and a
-    stack of components as a stack of rows."""
+    """``batch(z)`` gives K0, K1, grad K0 and the K0 Hessian at a point z, or
+    at each row of a stack; packs a component as the row (Z, Re/Im upper
+    triangle of B, alpha, phi), and a stack of components as a stack of rows."""
 
     def __init__(self, ksym: DoubledSymbol):
         self.n2 = 2 * ksym.n_modes
         dim = 2 * self.n2
-        grad = ksym.k0.grad()
-        hess = ksym.k0.hessian()
-        polys = [ksym.k0, ksym.k1] + grad
-        for i in range(dim):
-            polys.extend(hess[i])
-        self.batch = PolyBatch(polys)
+        self.batch = PolyBatch([ksym.k0, ksym.k1, ksym.k0.grad(), ksym.k0.hessian()])
         self.dim = dim
         self.omega = symplectic_form(self.n2)
-        self.iu, gather = _packing(self.n2)
-        # gather points into (X, triangle); here Z takes dim = 2 n2 slots
-        self.b_re = gather + self.n2
+        self.iu, self.b_re = _packing(self.n2, dim)
         self.b_im = self.b_re + self.iu[0].size
         self.row_size = dim + 2 * self.iu[0].size + 4
-
-    def __call__(self, z):
-        """K0, K1, grad K0 and the K0 Hessian at a point z of shape (dim,),
-        or at each row of a stack of shape (m, dim)."""
-        vals = self.batch(z)
-        dim = self.dim
-        hess = vals[..., 2 + dim :].reshape(vals.shape[:-1] + (dim, dim))
-        return vals[..., 0], vals[..., 1], vals[..., 2 : 2 + dim], hess
 
     def pack(self, z, b, alpha, phi):
         tri = b[..., self.iu[0], self.iu[1]]
@@ -197,7 +177,7 @@ def _rates(kev: _KEvaluator, z, b, hbar):
     re, im = b.real, b.imag
     if np.linalg.eigvalsh(im).min() <= 0:
         raise ValueError("Im B must be positive definite")
-    k0, k1, grad, hess = kev(z)
+    k0, k1, grad, hess = kev.batch(z)
     # Gcal^{-1} (v1, v2) = (u, Re B u + Im B v2) with u = (Im B)^{-1} (v1 + Re B v2)
     v1 = grad.imag[:, :n2, None]
     v2 = grad.imag[:, n2:, None]
@@ -423,7 +403,7 @@ def chord_rhs(model: LindbladModel, chord: ChordGaussian):
     kev = model._doubled._evaluator
     n2 = chord.x.size
     z = np.concatenate([chord.x, chord.y])
-    _, _, grad, hess = kev(z)
+    _, _, grad, hess = kev.batch(z)
     gx = grad.real[:n2]
     gy = grad.real[n2:]
     kxx = hess[:n2, :n2].real

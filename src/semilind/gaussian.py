@@ -14,6 +14,7 @@ Conventions (single source of truth for the whole package):
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -45,10 +46,14 @@ _SYM_TOL = 1e-12
 _PHYS_TOL = -1e-9
 
 
+@functools.cache
 def transformation_matrix(n_modes: int) -> np.ndarray:
-    """Unitary T mapping (q, p) blocks to (a, abar) blocks."""
+    """Unitary T mapping (q, p) blocks to (a, abar) blocks; built once per
+    mode count, read-only."""
     eye = np.eye(n_modes)
-    return np.block([[eye, 1j * eye], [eye, -1j * eye]]) / np.sqrt(2.0)
+    t = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / np.sqrt(2.0)
+    t.setflags(write=False)
+    return t
 
 
 def _check_symmetric(mat: np.ndarray, what: str):

@@ -63,7 +63,6 @@ from ..quantum import (
     wigner_of_density,
 )
 from ..semiclassical import drift_x, integrate
-from ..symbols import Chart
 from .compare import (ComparisonReport, ObservableSeries, component_csv, csv_text,
                       trajectory_to_csv, write_observables, write_text)
 from .config import ConfigError, ExperimentConfig, dump_config
@@ -101,13 +100,11 @@ class ExperimentDef:
 
 
 def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
-    """Write ``run.grid(k)`` as text for each index k; a grid with a
-    non-finite value raises before it is written."""
+    """Compute ``run.grid(k)`` for each index k; a grid with a non-finite
+    value raises, naming the directory it would be written to."""
     for k in indices:
-        grid = run.grid(k)
-        if not np.all(np.isfinite(grid.values)):
+        if not np.all(np.isfinite(run.grid(k).values)):
             raise ValueError(f"{outdir}: Wigner frame at t={times[k]:g} has non-finite values")
-        write_text(outdir / f"wigner_t{times[k]:g}.txt", grid.to_text())
 
 
 def _event_entries(solver: str, result) -> list:
@@ -546,7 +543,6 @@ def _portrait_limit_cycle_defaults():
 def _flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
     """The centre drift on the portrait grid and a trajectory from each start
     (``t_eval`` is unused); a trajectory that stops before ``t_end`` raises."""
-    model = model.to_chart(Chart.REAL_QP)
     if model.n_modes != 1:
         raise ConfigError("portraits are drawn for single-mode models")
     port = config.portrait
@@ -660,11 +656,13 @@ def run_portrait(config: ExperimentConfig, root=None):
 def run_experiment(config: ExperimentConfig, root=None):
     """Run a registered experiment; returns (report, output directory).
 
-    The requested solvers run in table order, each timed from its call to
-    its last written file; then every check whose solvers all ran.  A
-    tolerance the experiment does not register is a `ConfigError` before any
-    solver runs; a top-level field the config leaves unset, and a tolerance
-    it leaves out, takes its registered value.
+    The requested solvers run in table order and compute their frames
+    before any file is written, so a row that raises leaves no file; each
+    row's run time covers its solve, its frames and its writes.  Then every
+    check whose solvers all ran adds its entries.  A tolerance the
+    experiment does not register is a `ConfigError` before any solver runs;
+    a top-level field the config leaves unset, and a tolerance it leaves
+    out, takes its registered value.
     """
     if config.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
@@ -697,17 +695,21 @@ def run_experiment(config: ExperimentConfig, root=None):
         if name not in config.solvers:
             continue
         t0 = time.perf_counter()
-        run = solve(config, model, t_eval)
+        run = runs[name] = solve(config, model, t_eval)
+        if config.grid is not None and run.frame is not None:
+            _wigner_frames(outdir / name, t_eval, frames, run)
+        report.runtime_s[name] = time.perf_counter() - t0
+    for name, run in runs.items():
+        t0 = time.perf_counter()
         for fname, text in run.files.items():
             write_text(outdir / name / fname, text)
         if run.observables:
             write_observables(run.observables, outdir / name / "observables.csv")
-        if config.grid is not None and run.frame is not None:
-            _wigner_frames(outdir / name, t_eval, frames, run)
-        report.runtime_s[name] = time.perf_counter() - t0
+        for k, grid in run.grids.items():  # the frames computed above
+            write_text(outdir / name / f"wigner_t{t_eval[k]:g}.txt", grid.to_text())
+        report.runtime_s[name] += time.perf_counter() - t0
         report.entries.extend(run.entries)
         report.entries.extend(_event_entries(name, run.result))
-        runs[name] = run
     for needs, check in exp.checks:
         if all(name in runs for name in needs):
             report.entries.extend(check(config, t_eval, runs))

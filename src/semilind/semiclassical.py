@@ -99,53 +99,39 @@ def _require_chart(model: LindbladModel, chart: Chart, op: str):
         raise ValueError(f"{op} expects a model on the {chart.value} chart")
 
 
-def drift_field(model: LindbladModel) -> list[PolySymbol]:
-    """Symbolic centre drift Omega grad H + Omega sum Im(L grad conj L)."""
+def _gaussian_fields(model: LindbladModel):
+    """Symbolic drift Omega grad H + Omega sum Im(L grad conj L), Lam and
+    D + D^T (see the module docstring), built in one pass over the Lindblad
+    symbols.  H enters through its real part, so every coefficient is real,
+    whatever rounding noise a chart change left in H."""
     _require_chart(model, Chart.REAL_QP, "drift_field")
     dim = 2 * model.n_modes
-    vec = model.hamiltonian.grad()
+    h = model.hamiltonian.real_part()
+    vec, lam = h.grad(), h.hessian()
+    dmat = [[PolySymbol.zero(Chart.REAL_QP, model.n_modes) for _ in range(dim)] for _ in range(dim)]
     for L in model.lindblads:
         lbar = L.conj()
+        grads, grads_bar, hess_bar = L.grad(), lbar.grad(), lbar.hessian()
         for i in range(dim):
-            vec[i] = vec[i] + (L * lbar.deriv(i)).imag_part()
+            vec[i] = vec[i] + (L * grads_bar[i]).imag_part()
+            for j in range(dim):
+                outer = grads[i] * grads_bar[j]
+                lam[i][j] = lam[i][j] + (L * hess_bar[i][j]).imag_part() + outer.imag_part()
+                dmat[i][j] = dmat[i][j] + outer.real_part()
     half = dim // 2
-    return [vec[half + i] for i in range(half)] + [-vec[i] for i in range(half)]
+    drift = [vec[half + i] for i in range(half)] + [-vec[i] for i in range(half)]
+    return drift, lam, [[dmat[i][j] + dmat[j][i] for j in range(dim)] for i in range(dim)]
+
+
+def drift_field(model: LindbladModel) -> list[PolySymbol]:
+    """Symbolic centre drift Omega grad H + Omega sum Im(L grad conj L)."""
+    return _gaussian_fields(model)[0]
 
 
 def drift_x(model: LindbladModel, x) -> np.ndarray:
-    """Centre drift at a phase-space point, or at each row of an (m, dim) array."""
-    _require_chart(model, Chart.REAL_QP, "drift_x")
-    return model._compiled.fields(x)[0]
-
-
-def _lambda_field(model: LindbladModel) -> list[list[PolySymbol]]:
-    dim = 2 * model.n_modes
-    lam = model.hamiltonian.hessian()
-    for L in model.lindblads:
-        lbar = L.conj()
-        hess_bar = lbar.hessian()
-        grads = L.grad()
-        grads_bar = lbar.grad()
-        for i in range(dim):
-            for j in range(dim):
-                lam[i][j] = (
-                    lam[i][j]
-                    + (L * hess_bar[i][j]).imag_part()
-                    + (grads[i] * grads_bar[j]).imag_part()
-                )
-    return lam
-
-
-def _d_field(model: LindbladModel) -> list[list[PolySymbol]]:
-    dim = 2 * model.n_modes
-    dmat = [[PolySymbol.zero(Chart.REAL_QP, model.n_modes) for _ in range(dim)] for _ in range(dim)]
-    for L in model.lindblads:
-        grads = L.grad()
-        grads_bar = L.conj().grad()
-        for i in range(dim):
-            for j in range(dim):
-                dmat[i][j] = dmat[i][j] + (grads[i] * grads_bar[j]).real_part()
-    return dmat
+    """Centre drift at a phase-space point (q, p), or at each row of an
+    (m, dim) array, for a model on either chart."""
+    return model._compiled.batch(x)[0]
 
 
 # -- mode-chart form ----------------------------------------------------------
@@ -243,7 +229,6 @@ def classify_flow(lindblad: PolySymbol) -> FlowClassification:
     if _is_negligible(re_l, scale) or _is_negligible(im_l, scale):
         return FlowClassification(FlowKind.VANISHING)
 
-    omega = symplectic_form(n)
     grad_re = re_l.grad()
     grad_im = im_l.grad()
 
@@ -283,12 +268,13 @@ def classify_flow(lindblad: PolySymbol) -> FlowClassification:
 # -- integration --------------------------------------------------------------
 
 
-def _packing(dim):
-    """Upper-triangle indices of G, and for every entry of G its position in
-    the packed state (X, upper triangle of G row-major)."""
+def _packing(dim, offset):
+    """Upper-triangle indices of a (dim, dim) symmetric matrix, and for every
+    entry its position in a packed row that holds the upper triangle,
+    row-major, from position ``offset`` on (after the centre)."""
     iu = np.triu_indices(dim)
     pos = np.zeros((dim, dim), dtype=np.intp)
-    pos[iu] = dim + np.arange(iu[0].size)
+    pos[iu] = offset + np.arange(iu[0].size)
     return iu, np.maximum(pos, pos.T)
 
 
@@ -315,28 +301,13 @@ class _CompiledRhs:
 
     def __init__(self, model: LindbladModel):
         dim = 2 * model.n_modes
-        dmat = _d_field(model)
-        polys = list(drift_field(model))
-        for row in _lambda_field(model):
-            polys.extend(row)
-        polys.extend(dmat[i][j] + dmat[j][i] for i in range(dim) for j in range(dim))
-        self.batch = PolyBatch(polys)
+        self.batch = PolyBatch(_gaussian_fields(model))
         self.dim = dim
         self.omega = symplectic_form(model.n_modes)
-        self.iu, self.gather = _packing(dim)
-
-    def fields(self, x):
-        """Drift, Lam and D + D^T at a real point x of shape (dim,), or at
-        each row of x of shape (m, dim), with a leading axis m."""
-        dim = self.dim
-        vals = self.batch(x).real
-        shape = vals.shape[:-1] + (dim, dim)
-        lam = vals[..., dim : dim + dim * dim].reshape(shape)
-        d2 = vals[..., dim + dim * dim :].reshape(shape)
-        return vals[..., :dim], lam, d2
+        self.iu, self.gather = _packing(dim, dim)
 
     def __call__(self, t, y):
-        drift, lam, d2 = self.fields(y[: self.dim])
+        drift, lam, d2 = self.batch(y[: self.dim])
         w = self.omega.dot(y[self.gather])
         s = lam.dot(w)
         gdot = s + s.T - w.T.dot(d2).dot(w)

@@ -15,6 +15,7 @@ a symbol; it enters only as a runtime parameter of the star product.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from enum import Enum
@@ -59,15 +60,19 @@ def variable_names(chart: Chart, n_modes: int) -> list[str]:
     return [f"x{j+1}" for j in range(2 * n_modes)] + [f"y{j+1}" for j in range(2 * n_modes)]
 
 
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block matrix [[0, I], [-I, 0]] of size 2*n_modes.
+    """Block matrix [[0, I], [-I, 0]] of size 2*n_modes; built once per mode
+    count, read-only.
 
     The doubled-space form is the same construction at twice the mode count:
     ``symplectic_form(2 * n)``.
     """
     eye = np.eye(n_modes)
     zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    omega = np.block([[zero, eye], [-eye, zero]])
+    omega.setflags(write=False)
+    return omega
 
 
 class PolySymbol:
@@ -277,16 +282,26 @@ class PolySymbol:
 
 
 class PolyBatch:
-    """Evaluate a fixed list of symbols at real points with a few numpy ops.
+    """Evaluate a fixed list of fields at real points with a few numpy ops.
 
-    Shares the union of monomials across all symbols; each monomial is a
-    product of entries of a table of variable powers, and evaluation is
-    ``coeffs @ monomials``.  The coefficients are stored as float64 when
-    every imaginary part is zero, so real symbols stay in real arithmetic.
-    Used by the ODE right-hand sides, where per-call Python overhead matters.
+    A field is a symbol, or a regular nested list of symbols such as a
+    gradient or a Hessian; a call returns one array per field, shaped like
+    that field.  The batch shares the union of monomials across all symbols;
+    each monomial is a product of entries of a table of variable powers, and
+    evaluation is ``coeffs @ monomials``, one row per symbol in field order.
+    The coefficients are stored as float64 when every imaginary part is
+    zero, so real symbols stay in real arithmetic.  Used by the ODE
+    right-hand sides, where per-call Python overhead matters.
     """
 
-    def __init__(self, polys: list[PolySymbol]):
+    def __init__(self, fields):
+        polys, self._layout = [], []  # rows and shape of each field
+        for fld in fields:
+            cells = np.array(fld, dtype=object)
+            if not all(isinstance(p, PolySymbol) for p in cells.flat):
+                raise ValueError("a field must be a symbol or a regular nested list of symbols")
+            self._layout.append((slice(len(polys), len(polys) + cells.size), cells.shape))
+            polys.extend(cells.flat)
         if not polys:
             raise ValueError("empty batch")
         dim = polys[0].dim
@@ -310,19 +325,21 @@ class PolyBatch:
         self._powers = np.arange(n_pow, dtype=float)
         self._table_index = np.arange(dim) * n_pow + exponents
 
-    def __call__(self, point) -> np.ndarray:
-        """The symbols at a real point of shape (dim,), giving shape
-        (n_symbols,), or at m points of shape (m, dim), giving shape
-        (m, n_symbols); each row of a batch gets the arithmetic of a single
+    def __call__(self, point) -> list[np.ndarray]:
+        """The fields at a real point of shape (dim,), one array shaped like
+        each field, or at m points of shape (m, dim), each array with a
+        leading axis m; each row of a batch gets the arithmetic of a single
         point."""
         pt = np.asarray(point, dtype=float)
         table = pt[..., None] ** self._powers
         if pt.ndim == 1:  # the ODE right-hand sides' path, kept lean
             monos = np.multiply.reduce(table.ravel()[self._table_index], axis=1)
-            return self.coeffs.dot(monos)
+            vals = self.coeffs.dot(monos)
+            return [vals[rows].reshape(shape) for rows, shape in self._layout]
         monos = np.multiply.reduce(table.reshape(len(pt), -1)[:, self._table_index], axis=2)
         # a stack of matrix-vector products, one per point
-        return np.matmul(self.coeffs, monos[:, :, None])[:, :, 0]
+        vals = np.matmul(self.coeffs, monos[:, :, None])[:, :, 0]
+        return [vals[:, rows].reshape(len(pt), *shape) for rows, shape in self._layout]
 
 
 # -- bilinear operations ----------------------------------------------------

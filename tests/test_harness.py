@@ -486,6 +486,17 @@ class TestRunners:
             _wigner_frames(tmp_path / "master", np.array([0.0, 0.5]), [1], run)
         assert not (tmp_path / "master").exists()
 
+    @pytest.mark.parametrize("name, key, value, message", [
+        ("limit_cycle", "hbar", 0.5, "defined at hbar = 1"),
+        ("cat_anharmonic", "initial", {"width": [0.0, 2.0]}, "unit packet width only"),
+    ])
+    def test_error_in_a_later_row_writes_no_file(self, name, key, value, message, tmp_path):
+        d = default_config(name)
+        d[key] = {**d[key], **value} if isinstance(value, dict) else value
+        with pytest.raises(ValueError, match=message):
+            run_experiment(ExperimentConfig.from_dict(d), root=tmp_path)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
     def test_cat_frames_computed_once_and_fringe_entries(self, tmp_path, monkeypatch):
         d = tiny_cat_config(tmp_path).to_dict()
         d["times"]["frames"] = [0.1, 0.2]

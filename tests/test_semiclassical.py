@@ -14,12 +14,13 @@ from semilind.semiclassical import (
     drift_x,
     drift_field,
     _CompiledRhs,
-    _d_field,
-    _lambda_field,
+    _gaussian_fields,
     integrate,
     rhs_g_complex,
 )
 from semilind.harness.compare import trajectory_to_csv
+from semilind.harness.config import ExperimentConfig
+from semilind.harness.experiments import EXPERIMENTS, default_config
 from semilind.symbols import Chart, PolySymbol, chart_transform, parse_symbol, symplectic_form
 
 
@@ -105,7 +106,7 @@ class TestDriftX:
 class TestDriftMatrices:
     def test_damped_oscillator(self):
         omega, gamma = 1.0, 0.1
-        _, lam, d2 = damped_oscillator(omega, gamma)._compiled.fields([0.4, 0.7])
+        _, lam, d2 = damped_oscillator(omega, gamma)._compiled.batch([0.4, 0.7])
         want_lam = omega * np.eye(2) - 0.5 * gamma * symplectic_form(1)
         assert np.allclose(lam, want_lam, atol=1e-14)
         assert np.allclose(d2 / 2, 0.5 * gamma * np.eye(2), atol=1e-14)
@@ -114,7 +115,7 @@ class TestDriftMatrices:
         (q,), (p,) = real_vars()
         h = q * q * 1.5 + q * p + p * p * 0.25
         model = LindbladModel(1, 1.0, h, ())
-        _, lam, d2 = model._compiled.fields([0.0, 0.0])
+        _, lam, d2 = model._compiled.batch([0.0, 0.0])
         assert np.allclose(lam, [[3.0, 1.0], [1.0, 0.5]])
         assert np.allclose(d2 / 2, 0)
 
@@ -123,7 +124,7 @@ class TestDriftMatrices:
         L = q * 2.0  # Hermitian symbol
         model = LindbladModel(1, 1.0, PolySymbol.zero(Chart.REAL_QP, 1), (L,))
         x = [0.2, -0.4]
-        _, lam, d2 = model._compiled.fields(x)
+        _, lam, d2 = model._compiled.batch(x)
         assert np.allclose(lam, 0)
         assert np.allclose(d2 / 2, [[4.0, 0.0], [0.0, 0.0]])
 
@@ -170,7 +171,7 @@ class TestRhsG:
             g = rng.normal(size=(2, 2))
             g = g @ g.T + 0.5 * np.eye(2)
             gdot = width_rate(model, x, g)
-            _, lam, d2 = model._compiled.fields(x)
+            _, lam, d2 = model._compiled.batch(x)
             lhs = np.trace(np.linalg.solve(g, gdot))
             rhs_val = 2 * np.trace(lam @ om) + 2 * np.trace(om @ (d2 / 2) @ om @ g)
             assert lhs == pytest.approx(rhs_val, rel=1e-9, abs=1e-9)
@@ -303,13 +304,12 @@ class TestClassifyFlow:
 
 def symbolic_fields(model, x, g):
     """Drift and symmetrized width rate by PolySymbol.eval, term by term."""
-    dim = 2 * model.n_modes
-    drift = np.array([f.eval(x).real for f in drift_field(model)])
-    lam_syms, d_syms = _lambda_field(model), _d_field(model)
-    lam = np.array([[lam_syms[i][j].eval(x).real for j in range(dim)] for i in range(dim)])
-    d = np.array([[d_syms[i][j].eval(x).real for j in range(dim)] for i in range(dim)])
+    drift_syms, lam_syms, d2_syms = _gaussian_fields(model)
+    drift = np.array([f.eval(x).real for f in drift_syms])
+    lam = np.array([[f.eval(x).real for f in row] for row in lam_syms])
+    d2 = np.array([[f.eval(x).real for f in row] for row in d2_syms])
     om = symplectic_form(model.n_modes)
-    core = lam @ om @ g - g @ om @ lam.T + 2.0 * g @ om @ d @ om @ g
+    core = lam @ om @ g - g @ om @ lam.T + g @ om @ d2 @ om @ g
     return drift, 0.5 * (core + core.T)
 
 
@@ -334,28 +334,72 @@ class TestCompiledRhs:
     def test_fields_batch_is_each_point(self):
         rhs = _CompiledRhs(random_model(np.random.default_rng(6), n=2))
         xs = np.random.default_rng(7).uniform(-1.5, 1.5, size=(5, 4))
-        for got, want in zip(rhs.fields(xs), zip(*(rhs.fields(x) for x in xs))):
+        for got, want in zip(rhs.batch(xs), zip(*(rhs.batch(x) for x in xs))):
             assert np.array_equal(got, np.array(want))
 
     def test_fields_built_once_per_model(self, monkeypatch):
         calls = []
-        original = semiclassical.drift_field
+        original = semiclassical._gaussian_fields
 
         def counting(model):
             calls.append(model)
             return original(model)
 
-        monkeypatch.setattr(semiclassical, "drift_field", counting)
+        monkeypatch.setattr(semiclassical, "_gaussian_fields", counting)
         rng = np.random.default_rng(5)
         model = random_model(rng)
         g = np.array([[1.3, 0.2], [0.2, 0.9]])
         for _ in range(20):
             x = rng.normal(size=2)
             drift_x(model, x)
-            model._compiled.fields(x)
+            model._compiled.batch(x)
             width_rate(model, x, g)
         integrate(model, GaussianWigner(1.0, [0.1, 0.2], g), [0.0, 0.01])
         assert len(calls) == 1
+
+
+def y_free(sym, n2):
+    """The y = 0 restriction of a DOUBLED_XY symbol, on the REAL_QP chart."""
+    terms = {k[:n2]: c for k, c in sym.terms.items() if not any(k[n2:])}
+    return PolySymbol(Chart.REAL_QP, n2 // 2, terms)
+
+
+class TestGaussianFieldsFromK0:
+    """The Gaussian fields are the y-Taylor coefficients of K0 at y = 0:
+    drift_j = d_yj Re K0, Lam = (d_x d_y Re K0) Omega and
+    D + D^T = -2 Omega (d_y d_y Im K0) Omega^T, coefficient by coefficient."""
+
+    def assert_fields_are_k0_coefficients(self, model):
+        n2 = 2 * model.n_modes
+        drift, lam, d2 = _gaussian_fields(model.to_chart(Chart.REAL_QP))
+        k0 = model._doubled.k0
+        re, im = k0.real_part(), k0.imag_part()
+        om = symplectic_form(model.n_modes)
+        dxy = [[y_free(re.deriv(i).deriv(n2 + k), n2) for k in range(n2)] for i in range(n2)]
+        dyy = [[y_free(im.deriv(n2 + k).deriv(n2 + l), n2) for l in range(n2)] for k in range(n2)]
+        zero = PolySymbol.zero(Chart.REAL_QP, model.n_modes)
+        pairs = [(drift[j], y_free(re.deriv(n2 + j), n2)) for j in range(n2)]
+        for i in range(n2):
+            for j in range(n2):
+                want_lam = sum((dxy[i][k] * om[k, j] for k in range(n2)), zero)
+                want_d2 = sum((dyy[k][l] * (-2.0 * om[i, k] * om[j, l])
+                               for k in range(n2) for l in range(n2)), zero)
+                pairs += [(lam[i][j], want_lam), (d2[i][j], want_d2)]
+        scale = max(max(got.max_abs_coeff(), want.max_abs_coeff()) for got, want in pairs)
+        assert scale > 0
+        for got, want in pairs:
+            assert (got - want).max_abs_coeff() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_registered_models(self, name):
+        cfg = ExperimentConfig.from_dict(default_config(name))
+        self.assert_fields_are_k0_coefficients(cfg.model.build(cfg.hbar))
+
+    @pytest.mark.parametrize("n_modes", [1, 2])
+    def test_random_models(self, n_modes):
+        rng = np.random.default_rng(60 + n_modes)
+        for _ in range(4):
+            self.assert_fields_are_k0_coefficients(random_model(rng, n=n_modes))
 
 
 class TestIntegrate:

@@ -340,10 +340,10 @@ class TestPolyBatch:
         rng = np.random.default_rng(13)
         polys = [random_poly(rng, n=2, deg=3) for _ in range(7)]
         polys.append(PolySymbol.zero(Chart.REAL_QP, 2))
-        batch = PolyBatch(polys)
+        batch = PolyBatch([polys])
         for _ in range(5):
             pt = rng.normal(size=4)
-            got = batch(pt)
+            got = batch(pt)[0]
             want = np.array([p.eval(pt) for p in polys])
             assert np.allclose(got, want, atol=1e-12)
 
@@ -351,15 +351,15 @@ class TestPolyBatch:
         rng = np.random.default_rng(14)
         polys = [random_poly(rng, n=2, deg=4) for _ in range(6)]
         polys.append(PolySymbol.constant(Chart.REAL_QP, 2, 2.5 - 1j))
-        batch = PolyBatch(polys)
+        batch = PolyBatch([polys])
         for _ in range(5):
             pt = rng.normal(size=4)
             want = np.array([p.eval(pt).real for p in polys])
-            assert np.allclose(batch(pt).real, want, rtol=1e-13, atol=1e-13)
+            assert np.allclose(batch(pt)[0].real, want, rtol=1e-13, atol=1e-13)
 
     def test_batch_is_each_point(self):
         rng = np.random.default_rng(15)
-        batch = PolyBatch([random_poly(rng, n=2, deg=4) for _ in range(6)])
+        batch = PolyBatch([[random_poly(rng, n=2, deg=4) for _ in range(6)]])
         pts = rng.normal(size=(9, 4))
-        want = np.array([batch(pt) for pt in pts])
-        assert np.array_equal(batch(pts), want)
+        want = np.array([batch(pt)[0] for pt in pts])
+        assert np.array_equal(batch(pts)[0], want)
