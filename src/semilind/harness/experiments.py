@@ -143,8 +143,8 @@ def _master_run(config: ExperimentConfig, model, t_eval, rho0: DensityMatrix) ->
     return SolverRun(
         frame=lambda k: wigner_of_density(mtraj.density(k), config.grid),
         entries=[{"check": "master_solver", "method": mtraj.method, "nfev": mtraj.nfev,
-                  "nnz": mtraj.nnz, "blocks": mtraj.blocks, "max_block": mtraj.max_block,
-                  "passed": True}],
+                  "superoperator": "real_hermitian", "nnz": mtraj.nnz, "blocks": mtraj.blocks,
+                  "max_block": mtraj.max_block, "passed": True}],
         result=mtraj,
     )
 

@@ -8,10 +8,13 @@ in closed form, `quantize` assembles the terms from sparse mode ladders, and
 and L_k to the master equation and to the quantum-jump ensemble.  Both split
 their generator into the connected blocks of its nonzero pattern
 (`_BlockPartition`).  The master equation builds one CSR Lindblad
-superoperator; when no block is larger than the Hilbert space, as for the
-bands m - n of a phase-covariant model, it steps between output times with
-exact dense block propagators, and otherwise it integrates the whole
-superoperator with the adaptive eighth-order Dormand-Prince method (DOP853).
+superoperator and steps rho in its n^2 real Hermitian coordinates
+(`_HermitianCoords`), so every output rho is Hermitian by construction.
+When no block of the real superoperator is larger than twice the Hilbert
+space, as for the band pairs m - n = +-k of a phase-covariant model, it
+steps between output times with exact dense block propagators, and
+otherwise it integrates the whole real superoperator with the adaptive
+eighth-order Dormand-Prince method (DOP853).
 The jump ensemble diagonalizes each block of the effective Hamiltonian, such
 as a number sector of the lossy lattice.  Moments read sparse quadratures
 that each `FockSpace` builds once.  The Wigner transform of a density matrix
@@ -252,7 +255,7 @@ class _BlockPartition:
         for rows, m in self.groups:
             sel = (r >= rows.start) & (r < rows.stop)
             i, j = r[sel] - rows.start, c[sel] - rows.start
-            mats = np.zeros(((rows.stop - rows.start) // m, m, m), dtype=complex)
+            mats = np.zeros(((rows.stop - rows.start) // m, m, m), dtype=coo.dtype)
             mats[i // m, i % m, j % m] = coo.data[sel]
             out.append((rows, mats))
         return out
@@ -286,6 +289,41 @@ def _liouvillian(h, ls, hbar: float = 1.0) -> sp.csr_array:
     return liou.tocsr()
 
 
+class _HermitianCoords:
+    """Real coordinates x = (Re rho_ij for i <= j, Im rho_ij for i < j) of a
+    Hermitian n x n rho, n^2 real numbers in row-major order of the upper
+    triangle.
+
+    `P` is the sparse map from x to the row-major vec(rho); `read` (Q) takes
+    x back from vec(rho).  A superoperator that maps Hermitian rho to
+    Hermitian rho acts on x as the real matrix Q L P (`superop`), and P x is
+    Hermitian entry for entry.
+    """
+
+    def __init__(self, n: int):
+        i, j = np.triu_indices(n)
+        off = i < j
+        self._re, self._im = i * n + j, (i * n + j)[off]
+        n_re, n_im = i.size, self._im.size
+        lower = (j * n + i)[off]
+        rows = np.concatenate([self._re, lower, self._im, lower])
+        cols = np.concatenate([np.arange(n_re), np.flatnonzero(off),
+                               np.tile(np.arange(n_re, n_re + n_im), 2)])
+        data = np.concatenate([np.ones(n_re + n_im), np.full(n_im, 1j), np.full(n_im, -1j)])
+        self.P = sp.csr_array((data, (rows, cols)), shape=(n * n, n * n))
+
+    def read(self, vec: np.ndarray) -> np.ndarray:
+        """x of the Hermitian rho whose row-major vec is `vec`."""
+        return np.concatenate([vec.real[self._re], vec.imag[self._im]])
+
+    def superop(self, liou) -> sp.csr_array:
+        """CSR real matrix Q liou P, which acts on x as liou acts on vec(rho)."""
+        lp = sp.csr_array(liou @ self.P)
+        real = sp.vstack([lp[self._re].real, lp[self._im].imag], format="csr")
+        real.eliminate_zeros()
+        return real
+
+
 @dataclass
 class MasterTrajectory:
     times: np.ndarray
@@ -297,9 +335,9 @@ class MasterTrajectory:
     # whose rounding, and with it the step sequence, follows the threads: the
     # registered cat reads 2,696 with one thread and 2,684 with two.
     nfev: int
-    nnz: int  # stored entries of the CSR superoperator
-    blocks: int  # connected blocks of the superoperator
-    max_block: int  # size of the largest block
+    nnz: int  # stored entries of the real CSR superoperator Q L P
+    blocks: int  # connected blocks of the real superoperator
+    max_block: int  # real unknowns in its largest block
     events: list = field(default_factory=list)
 
     def density(self, k: int) -> DensityMatrix:
@@ -318,7 +356,7 @@ def _model_matrices(model: LindbladModel, fock: FockSpace):
 
 
 def _block_states(liou, blocks: _BlockPartition, y0: np.ndarray, t_eval: np.ndarray):
-    """Yield vec(rho) at each time of t_eval, stepping with the exact
+    """Yield the state y at each time of t_eval, stepping with the exact
     propagators expm(L_b dt) of the blocks of the superoperator, stacked by
     block size.  Consecutive steps that agree to 1e-12 relative share one set
     of propagators, so a uniform grid computes one."""
@@ -343,18 +381,20 @@ def integrate_master(
     """Master equation in the truncated basis at the times `t_eval`, which
     must increase strictly.
 
-    The CSR superoperator is split into the connected blocks of its nonzero
-    pattern.  When the largest block is no larger than the Hilbert-space
-    dimension, as for the bands m - n of a phase-covariant model, rho is
-    mapped from one output time to the next by the exact dense propagator
-    of each block (method "block_expm", scaling and squaring).  Any other
-    model, such as one with a q^4 term, whose blocks are its two parity
-    sectors, is integrated whole by adaptive DOP853 (method "dop853");
-    `rtol` and `atol` apply to this path only.
+    rho is stepped in its n^2 real coordinates x (`_HermitianCoords`), with
+    the real superoperator Q L P of the CSR Lindblad superoperator L.  That
+    matrix is split into the connected blocks of its nonzero pattern.  When
+    the largest block is no larger than twice the Hilbert-space dimension,
+    as for the band pairs m - n = +-k of a phase-covariant model (2(n - k)
+    real unknowns each), x is mapped from one output time to the next by
+    the exact dense propagator of each block (method "block_expm", scaling
+    and squaring).  Any other model, such as one with a q^4 term, whose
+    blocks are its two parity sectors, is integrated whole by adaptive
+    DOP853 (method "dop853"); `rtol` and `atol` apply to this path only.
 
-    Hermiticity is re-imposed at output times; the trace is renormalized
-    only if it drifts beyond 1e-10 (logged).  Population of the highest
-    Fock level is the truncation-leakage monitor.
+    Each output rho = P x is Hermitian by construction; the trace is
+    renormalized only if it drifts beyond 1e-10 (logged).  Population of
+    the highest Fock level is the truncation-leakage monitor.
     """
     t_eval = _check_times(t_eval)
     fock = rho0.fock
@@ -362,10 +402,11 @@ def integrate_master(
     init_leak = fock.leakage(rho0.rho)
     if init_leak > 1e-10:
         raise ValueError(f"initial truncation leakage {init_leak:.2e} exceeds 1e-10")
-    liou = _liouvillian(*_model_matrices(model, fock))
+    coords = _HermitianCoords(dim)
+    liou = coords.superop(_liouvillian(*_model_matrices(model, fock)))
     blocks = _BlockPartition(liou)
-    y0 = rho0.rho.ravel().astype(complex)
-    if blocks.max_block <= dim:
+    y0 = coords.read(rho0.rho.ravel())
+    if blocks.max_block <= 2 * dim:
         method, nfev = "block_expm", 0
         states = _block_states(liou, blocks, y0, t_eval)
     else:
@@ -380,8 +421,7 @@ def integrate_master(
         method, nfev, states = "dop853", int(sol.nfev), sol.y.T
     rhos, events = [], []
     for t, y in zip(t_eval, states):
-        rho = y.reshape(dim, dim)
-        rho = 0.5 * (rho + rho.conj().T)
+        rho = (coords.P @ y).reshape(dim, dim)
         tr = np.real(np.trace(rho))
         if abs(tr - 1.0) > 1e-10:
             events.append({"t": float(t), "kind": "trace_renormalized", "trace": float(tr)})

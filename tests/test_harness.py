@@ -410,12 +410,12 @@ class TestRunners:
         solver = [e for e in doc["entries"] if e["check"] == "master_solver"]
         (mtraj,) = trajs
         assert solver == [{"check": "master_solver", "method": mtraj.method, "nfev": mtraj.nfev,
-                           "nnz": mtraj.nnz, "blocks": mtraj.blocks,
+                           "superoperator": "real_hermitian", "nnz": mtraj.nnz, "blocks": mtraj.blocks,
                            "max_block": mtraj.max_block, "passed": True}]
         assert mtraj.nnz > 0
-        if name == "limit_cycle":  # the bands m - n, propagated exactly
+        if name == "limit_cycle":  # the band pairs m - n = +-k, propagated exactly
             assert (mtraj.method, mtraj.nfev, mtraj.blocks, mtraj.max_block) == (
-                "block_expm", 0, 111, 56)
+                "block_expm", 0, 56, 110)
         else:  # two parity blocks of the 55-level q^4 model
             assert (mtraj.method, mtraj.blocks, mtraj.max_block) == ("dop853", 2, 1513)
             assert mtraj.nfev > 0

@@ -27,6 +27,7 @@ from semilind.quantum import (
     JumpEnsemble,
     _SectorPropagator,
     _crossing_times,
+    _HermitianCoords,
     _liouvillian,
     _model_matrices,
     _quadrature_moments,
@@ -289,6 +290,44 @@ class TestLindbladRhs:
         assert np.max(np.abs(got - want)) < 1e-13
 
 
+def random_hermitian(rng, n):
+    r = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return r + r.conj().T
+
+
+class TestHermitianCoords:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_round_trip_is_exact(self, n):
+        rng = np.random.default_rng(n)
+        coords = _HermitianCoords(n)
+        rho = random_hermitian(rng, n)
+        x = coords.read(rho.ravel())
+        assert x.dtype == float and x.shape == (n * n,)
+        assert np.array_equal(coords.P @ x, rho.ravel())
+        x = rng.normal(size=n * n)
+        assert np.array_equal(coords.read(coords.P @ x), x)
+
+    @pytest.mark.parametrize("model", ["random", "limit_cycle", "cat_anharmonic"])
+    def test_real_superop_matches_liouvillian(self, model):
+        rng = np.random.default_rng(3)
+        if model == "random":
+            n = 6
+            h = random_hermitian(rng, n)
+            ls = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2)]
+        else:
+            n = 12
+            h, ls = _model_matrices(registered_model(model), FockSpace(n))
+        liou = _liouvillian(h, ls)
+        coords = _HermitianCoords(n)
+        real = coords.superop(liou)
+        assert real.dtype == float and real.shape == (n * n, n * n)
+        for _ in range(3):
+            rho = random_hermitian(rng, n)
+            want = liou @ rho.ravel()
+            got = coords.P @ (real @ coords.read(rho.ravel()))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def damped_model(omega=1.0, gamma=0.1):
     (a,), (ab,) = mode_symbols()
     h = a * ab * omega
@@ -389,10 +428,11 @@ class TestMaster:
         rho0 = DensityMatrix.from_state(f.coherent_vector([1.0]), f)
         traj = integrate_master(rho0, model, np.linspace(0, 3, 7))
         assert len(calls) == 1
-        # the damped oscillator splits into its 31 bands m - n, so it runs on
-        # the block path and makes no DOP853 calls
-        assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 31, 16)
-        assert traj.nnz == _liouvillian(*_model_matrices(model, f)).nnz
+        # the damped oscillator splits into its 16 band pairs m - n = +-k,
+        # the largest (k = 1) of 30 real unknowns, so it runs on the block
+        # path and makes no DOP853 calls
+        assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 16, 30)
+        assert traj.nnz == _HermitianCoords(16).superop(_liouvillian(*_model_matrices(model, f))).nnz
         integrate_master(rho0, model, np.linspace(0, 1, 3))
         assert len(calls) == 2
 
@@ -421,7 +461,7 @@ class TestMasterPaths:
         rho0 = DensityMatrix.from_state(f.coherent_vector(cfg.initial.amplitudes), f)
         model = cfg.model.build(1.0)
         traj = integrate_master(rho0, model, t_eval)
-        assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 111, 56)
+        assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 56, 110)
         assert np.array_equal(traj.times, t_eval)
         want = reference_rhos(rho0, model, t_eval)
         assert max(np.max(np.abs(got - ref)) for got, ref in zip(traj.rhos, want)) < 1e-8
@@ -455,6 +495,15 @@ class TestMasterPaths:
             want.append(y)
         assert max(np.max(np.abs(got - ref.reshape(got.shape)))
                    for got, ref in zip(traj.rhos, want)) <= 1e-8
+
+    @pytest.mark.parametrize("name, method", [("limit_cycle", "block_expm"),
+                                              ("cat_anharmonic", "dop853")])
+    def test_outputs_exactly_hermitian_on_both_paths(self, name, method):
+        f = FockSpace(20)
+        rho0 = DensityMatrix.from_state(f.coherent_vector([0.8 + 0.4j]), f)
+        traj = integrate_master(rho0, registered_model(name), np.array([0.0, 0.3, 1.0, 1.05]))
+        assert traj.method == method
+        assert all(np.array_equal(rho, rho.conj().T) for rho in traj.rhos)
 
     @pytest.mark.parametrize("name, method", [("limit_cycle", "block_expm"),
                                               ("cat_anharmonic", "dop853")])
