@@ -303,7 +303,8 @@ class _HermitianCoords:
     def __init__(self, n: int):
         i, j = np.triu_indices(n)
         off = i < j
-        self._re, self._im = i * n + j, (i * n + j)[off]
+        self._re = i * n + j
+        self._im = self._re[off]
         n_re, n_im = i.size, self._im.size
         lower = (j * n + i)[off]
         rows = np.concatenate([self._re, lower, self._im, lower])
