@@ -6,10 +6,12 @@ from symbol to observable: `symbol_to_normal_ordered` orders each Weyl monomial
 in closed form, `quantize` assembles the terms from sparse mode ladders, and
 `_model_matrices`, the one place that rejects hbar != 1, hands a model's H
 and L_k to the master equation and to the quantum-jump ensemble.  Both split
-their generator into the connected blocks of its nonzero pattern
-(`_BlockPartition`).  The master equation builds one CSR Lindblad
-superoperator and steps rho in its n^2 real Hermitian coordinates
-(`_HermitianCoords`), so every output rho is Hermitian by construction.
+their generator into the connected blocks of its nonzero pattern and pack
+the blocks into one stack of equal bins (`_BlockPartition`), so that a
+product by every block is one batched call.  The master equation builds one
+CSR Lindblad superoperator and steps rho in its n^2 real Hermitian
+coordinates (`_HermitianCoords`), so every output rho is Hermitian by
+construction.
 When no block of the real superoperator is larger than twice the Hilbert
 space, as for the band pairs m - n = +-k of a phase-covariant model, it
 steps between output times with exact dense block propagators, and
@@ -223,50 +225,69 @@ class DensityMatrix:
 
 
 class _BlockPartition:
-    """Connected components of the nonzero pattern of a square matrix.
+    """Connected components of the nonzero pattern of a square matrix, packed
+    into bins of width M = `max_block`, the largest block.
 
-    `perm` puts the basis in block order: by block size, then block label,
-    with basis order kept within a block.  The blocks of one size then fill
-    one run of rows, listed in `groups` as (rows, size); `stack` gathers the
-    matrix's diagonal blocks of each size into one (g, m, m) array, and
-    `_blockwise` multiplies by the stacks.
+    Each bin opens with the largest block left and takes the smallest blocks
+    left while they fit, so packing is linear in the number of blocks.  The
+    bin layout has n_bins * M slots, bin b holding slots b M .. b M + M - 1:
+    each block fills a run of slots of one bin (from `starts`, by block
+    label) in basis order, row i of the basis sits at slot `pos[i]`, and the
+    slots that no block fills are padding.  `embed` moves a vector or an
+    operator into the layout, `stack` gathers the matrix's diagonal blocks
+    into one (n_bins, M, M) array, zero in the padded rows and columns and
+    between the blocks of one bin, and `_blockwise` multiplies vectors in
+    the layout by it in one batched product.
     """
 
     def __init__(self, mat):
         mat = sp.csr_array(mat)
         self.n_blocks, labels = connected_components(mat != 0, directed=True, connection="weak")
-        sizes = np.bincount(labels)
-        self.max_block = int(sizes.max())
-        self.perm = np.argsort(sizes[labels] * self.n_blocks + labels, kind="stable")
-        self.inv_perm = np.argsort(self.perm)
-        self.groups, start = [], 0
-        for m in np.unique(sizes):
-            rows = slice(start, start + int(np.count_nonzero(sizes == m)) * m)
-            self.groups.append((rows, int(m)))
-            start = rows.stop
+        self.sizes = np.bincount(labels)
+        self.max_block = width = int(self.sizes.max())
+        order = np.argsort(-self.sizes, kind="stable")
+        self.starts = np.empty(self.n_blocks, dtype=int)
+        big, small, self.n_bins = 0, self.n_blocks - 1, 0
+        while big <= small:
+            slot = self.n_bins * width
+            self.n_bins += 1
+            self.starts[order[big]], slot = slot, slot + self.sizes[order[big]]
+            big += 1
+            while big <= small and slot + self.sizes[order[small]] <= self.n_bins * width:
+                self.starts[order[small]], slot = slot, slot + self.sizes[order[small]]
+                small -= 1
+        # rank of each row within its block, in basis order
+        rows = np.argsort(labels, kind="stable")
+        rank = np.empty_like(labels)
+        rank[rows] = np.arange(labels.size) - (np.cumsum(self.sizes) - self.sizes)[labels[rows]]
+        self.pos = self.starts[labels] + rank
+        self.n_slots = self.n_bins * width
+        self._to_bins = sp.csr_array((np.ones(labels.size), (self.pos, np.arange(labels.size))),
+                                     shape=(self.n_slots, labels.size))
 
-    def stack(self, mat) -> list:
-        """(rows, stacked (g, m, m) diagonal blocks) of the partitioned matrix,
-        one pair per block size."""
+    def embed(self, x, operator: bool = False):
+        """Vector x in the bin layout, zero in the padding, or, for an
+        `operator`, the matrix x with its rows and columns moved so."""
+        return self._to_bins @ x @ self._to_bins.T if operator else self._to_bins @ x
+
+    def stack(self, mat) -> np.ndarray:
+        """(n_bins, M, M) diagonal blocks of the partitioned matrix, by bin."""
         coo = sp.coo_array(mat)
         coo.sum_duplicates()
-        r, c = self.inv_perm[coo.row], self.inv_perm[coo.col]
-        out = []
-        for rows, m in self.groups:
-            sel = (r >= rows.start) & (r < rows.stop)
-            i, j = r[sel] - rows.start, c[sel] - rows.start
-            mats = np.zeros(((rows.stop - rows.start) // m, m, m), dtype=coo.dtype)
-            mats[i // m, i % m, j % m] = coo.data[sel]
-            out.append((rows, mats))
+        r, c = self.pos[coo.row], self.pos[coo.col]
+        m = self.max_block
+        out = np.zeros((self.n_bins, m, m), dtype=coo.dtype)
+        out[r // m, r % m, c % m] = coo.data
         return out
 
 
-def _blockwise(blocks, x: np.ndarray) -> np.ndarray:
-    """Multiply x, rows in block order, by stacked (g, m, m) diagonal blocks."""
-    out = np.empty_like(x)
-    for rows, mats in blocks:
-        g, m, _ = mats.shape
-        out[rows] = (mats @ x[rows].reshape(g, m, -1)).reshape(g * m, -1)
+def _blockwise(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Multiply the vector x, or each row of x, in the bin layout by an
+    (n_bins, M, M) stack: one batched product over the bins."""
+    n_bins, m, _ = stack.shape
+    out = np.empty_like(x, dtype=np.result_type(stack, x))
+    np.matmul(x.reshape(-1, n_bins, m).swapaxes(0, 1), stack.swapaxes(1, 2),
+              out=out.reshape(-1, n_bins, m).swapaxes(0, 1))
     return out
 
 
@@ -358,18 +379,19 @@ def _model_matrices(model: LindbladModel, fock: FockSpace):
 
 def _block_states(liou, blocks: _BlockPartition, y0: np.ndarray, t_eval: np.ndarray):
     """Yield the state y at each time of t_eval, stepping with the exact
-    propagators expm(L_b dt) of the blocks of the superoperator, stacked by
-    block size.  Consecutive steps that agree to 1e-12 relative share one set
+    propagators expm(L_b dt) of the blocks of the superoperator, one expm of
+    their (n_bins, M, M) stack per step.  y stays in the bin layout between
+    steps.  Consecutive steps that agree to 1e-12 relative share one stack
     of propagators, so a uniform grid computes one."""
     stacked = blocks.stack(liou)
-    y = y0[blocks.perm, None]
+    y = blocks.embed(y0)
     step, props = None, None
     yield y0
     for dt in np.diff(t_eval):
         if props is None or abs(dt - step) > 1e-12 * step:
-            step, props = dt, [(rows, expm(mats * dt)) for rows, mats in stacked]
+            step, props = dt, expm(stacked * dt)
         y = _blockwise(props, y)
-        yield y[blocks.inv_perm, 0]
+        yield y[blocks.pos]
 
 
 def integrate_master(
@@ -388,8 +410,9 @@ def integrate_master(
     the largest block is no larger than twice the Hilbert-space dimension,
     as for the band pairs m - n = +-k of a phase-covariant model (2(n - k)
     real unknowns each), x is mapped from one output time to the next by
-    the exact dense propagator of each block (method "block_expm", scaling
-    and squaring).  Any other model, such as one with a q^4 term, whose
+    the exact dense propagators of the blocks, packed into one stack of bins
+    as wide as the largest block (method "block_expm", scaling and
+    squaring).  Any other model, such as one with a q^4 term, whose
     blocks are its two parity sectors, is integrated whole by adaptive
     DOP853 (method "dop853"); `rtol` and `atol` apply to this path only.
 
@@ -593,64 +616,72 @@ class _SectorPropagator(_BlockPartition):
     the total number); a model without such structure is one block.
     With heff = V diag(lam) V^-1, a state with eigenbasis coefficients c is
     V x(s) after a time s, x(s) = exp(-i lam s) c.  Its squared norm is
-    n(s) = Re x^H G x with the Gram matrix G = V^H V, stored per block, and
+    n(s) = Re x^H G x with the Gram matrix G = V^H V, and
     n'(s) = 2 Re (G x)^H (-i lam x); `norm_and_slope` reads both without
-    returning to the Fock basis.  `coeffs`, `apply` and `norm_and_slope`
-    are one batched product per block size.  Coefficients live in block
-    order; `apply` returns states in the original basis order.
+    returning to the Fock basis.  Each block is diagonalized on its own, so
+    V, V^-1 and G are zero between the blocks of one bin, and are the
+    identity on padded slots, whose eigenvalue is 0.  States and
+    coefficients are the rows of an array, each in the bin layout, so that
+    a trajectory is one contiguous row; `coeffs`, `states` and
+    `norm_and_slope` are one batched product by a (n_bins, M, M) stack.
     """
 
     def __init__(self, heff):
         super().__init__(heff)
-        self._vec, lams = [], []
+        blocks = self.stack(heff)
+        m = self.max_block
+        vec = np.broadcast_to(np.eye(m, dtype=complex), blocks.shape).copy()
+        vec_inv = vec.copy()
+        self.lam = np.zeros(self.n_slots, dtype=complex)
         smax, smin = 0.0, np.inf
-        for rows, mats in self.stack(heff):
-            lam, vec = np.linalg.eig(mats)
-            sv = np.linalg.svd(vec, compute_uv=False)
+        for size in np.unique(self.sizes):
+            # every block of this size, as a (g, size, size) stack cut from its bins
+            slots = self.starts[self.sizes == size, None] + np.arange(size)
+            cut = (slots[:, :1, None] // m, slots[:, :, None] % m, slots[:, None, :] % m)
+            lam, v = np.linalg.eig(blocks[cut])
+            sv = np.linalg.svd(v, compute_uv=False)
             smax, smin = max(smax, sv.max()), min(smin, sv.min())
-            self._vec.append((rows, vec))
-            lams.append(lam.ravel())
+            vec[cut], vec_inv[cut], self.lam[slots] = v, np.linalg.inv(v), lam
         # condition number of the whole block-diagonal eigenvector matrix
         cond = smax / smin if smin > 0 else np.inf
         if cond > 1e8:
             raise RuntimeError(
                 f"effective Hamiltonian too non-normal for spectral propagation (cond {cond:.1e})"
             )
-        self.lam = np.concatenate(lams)
-        self._vec_inv = [(rows, np.linalg.inv(vec)) for rows, vec in self._vec]
-        self._gram = [(rows, vec.conj().swapaxes(1, 2) @ vec) for rows, vec in self._vec]
+        self._vec, self._vec_inv = vec, vec_inv
+        self._gram = vec.conj().swapaxes(1, 2) @ vec
 
     def coeffs(self, states: np.ndarray) -> np.ndarray:
-        """Eigenbasis coefficients of the columns of `states`, in block order."""
-        return _blockwise(self._vec_inv, states[self.perm])
+        """Eigenbasis coefficients V^-1 y of the rows y of `states`."""
+        return _blockwise(self._vec_inv, states)
+
+    def states(self, coeffs: np.ndarray) -> np.ndarray:
+        """States V c of the rows c of `coeffs`."""
+        return _blockwise(self._vec, coeffs)
 
     def evolve(self, coeffs: np.ndarray, dt) -> np.ndarray:
-        """Coefficients at times `dt` (a scalar, or one per column) after `coeffs`."""
-        # columns that share a time (every column, on a step without jumps)
-        # share one column of phases
-        times, col = np.unique(dt, return_inverse=True)
-        return np.exp(-1j * np.outer(self.lam, times))[:, col.ravel()] * coeffs
-
-    def apply(self, coeffs: np.ndarray, dt) -> np.ndarray:
-        """States at times `dt` (a scalar, or one per column) after `coeffs`."""
-        return _blockwise(self._vec, self.evolve(coeffs, dt))[self.inv_perm]
+        """Coefficients at times `dt` (a scalar, or one per row) after `coeffs`."""
+        times = np.atleast_1d(dt)
+        if np.all(times == times[0]):
+            times = times[:1]  # one row of phases, broadcast over the rows
+        return np.exp(-1j * np.outer(times, self.lam)) * coeffs
 
     def norm_and_slope(self, x: np.ndarray):
         """Squared norms n and their time derivatives n' of the states whose
-        eigenbasis coefficients are the columns of `x`.
+        eigenbasis coefficients are the rows of `x`.
 
         For heff = H - (i/2) sum_k Ldag_k L_k, n' = -sum_k |L_k psi|^2, the
         total jump weight, which is never positive.
         """
         gx = _blockwise(self._gram, x)
-        n = np.einsum("ij,ij->j", x.conj(), gx).real
-        dn = 2.0 * np.einsum("ij,ij->j", gx.conj(), -1j * self.lam[:, None] * x).real
+        n = np.einsum("ij,ij->i", x.conj(), gx).real
+        dn = 2.0 * np.einsum("ij,ij->i", gx.conj(), -1j * self.lam * x).real
         return n, dn
 
 
 def _crossing_times(prop: _SectorPropagator, coeffs, remain, n0, n1, r):
     """Times s in [0, remain] at which the squared norms of the states with
-    eigenbasis coefficients `coeffs` (one per column) fall to the thresholds
+    eigenbasis coefficients `coeffs` (one per row) fall to the thresholds
     `r`, with n0 >= r > n1 the squared norms at 0 and at `remain`.
 
     A safeguarded Newton iteration (rtsafe, Numerical Recipes 9.4) on
@@ -658,10 +689,10 @@ def _crossing_times(prop: _SectorPropagator, coeffs, remain, n0, n1, r):
     log-linear guess remain ln(n0/r) / ln(n0/n1) and keeps the bracket
     [lo, hi] by the sign of n - r after each evaluation; a Newton step that
     is not finite, leaves the bracket or is not at most half the step before
-    it is replaced by bisection.  Each column stops by its own test (step
+    it is replaced by bisection.  Each state stops by its own test (step
     < 1e-11 or bracket < 1e-10) and leaves the batch, so its time does not
-    depend on the other columns.  Returns the times and the number of norm
-    evaluations per column.
+    depend on the other states.  Returns the times and the number of norm
+    evaluations per state.
     """
     lo, hi = np.zeros_like(remain), remain.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -671,7 +702,7 @@ def _crossing_times(prop: _SectorPropagator, coeffs, remain, n0, n1, r):
     evals = np.zeros(remain.size, dtype=int)
     todo = np.arange(remain.size)
     while todo.size:
-        n, dn = prop.norm_and_slope(prop.evolve(coeffs[:, todo], s[todo]))
+        n, dn = prop.norm_and_slope(prop.evolve(coeffs[todo], s[todo]))
         evals[todo] += 1
         st, f = s[todo], n - r[todo]
         above = f >= 0
@@ -722,7 +753,12 @@ def quantum_jump(
     The jump operators and the `adag_a` cross observables are CSR matrices;
     `extra_observables` may be dense or sparse.  The no-jump evolution uses
     the eigendecomposition of each connected block of the effective
-    Hamiltonian; for the lossy lattice these are its number sectors.
+    Hamiltonian; for the lossy lattice these are its number sectors.  The
+    ensemble is held in the propagator's bin layout as eigenbasis
+    coefficients C and states V C, and every operator is moved into that
+    layout once.  A trajectory that does not jump in an output interval
+    costs one phase multiply and one product by V; only the states that
+    jump are mapped back to coefficients.
     """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
@@ -731,17 +767,21 @@ def quantum_jump(
     t_eval = _check_times(t_eval)
     h, ls = _model_matrices(model, fock)
     prop = _SectorPropagator(h - 0.5j * sum(L.conj().T @ L for L in ls))
+    ls = [prop.embed(L, operator=True) for L in ls]
 
     psi0 = np.asarray(psi0, dtype=complex)
-    psi0 = psi0 / np.linalg.norm(psi0)
+    psi0 = prop.embed(psi0 / np.linalg.norm(psi0))
 
-    number_diags = [(a.conj().T @ a).diagonal().real for a in fock._lowering]
+    number_diags = [prop.embed((a.conj().T @ a).diagonal().real) for a in fock._lowering]
+    top_mask = prop.embed(fock._top_mask)
     cross_ops = {}
     for i in range(fock.n_modes):
         for j in range(i + 1, fock.n_modes):
             cross_ops[f"adag_a_{i+1}_{j+1}"] = fock._lowering[i].conj().T @ fock._lowering[j]
     if extra_observables:
         cross_ops.update(extra_observables)
+    cross_ops = {name: prop.embed(op, operator=True) for name, op in cross_ops.items()}
+    cross_ops = {name: op.tocoo() if sp.issparse(op) else op for name, op in cross_ops.items()}
 
     names = [f"occ_{j+1}" for j in range(fock.n_modes)]
     cross_names = sorted(cross_ops)
@@ -759,23 +799,29 @@ def quantum_jump(
     jump_counts = np.zeros(n_traj, dtype=int)
     norm_evals = max_norm_evals = 0
 
-    states = np.tile(psi0[:, None], (1, n_traj))
+    # each trajectory's state and its eigenbasis coefficients, one row each,
+    # at the trajectory's own time
+    states = np.tile(psi0, (n_traj, 1))
+    coeffs = prop.coeffs(states)
 
-    def record(k):
+    def record(k, states):
         pops = np.abs(states) ** 2
-        norms = np.sum(pops, axis=0)
+        norms = np.sum(pops, axis=1)
         for j, name in enumerate(names):
-            series[name][k] = (number_diags[j] @ pops) / norms
-        leakage[k] = np.mean((fock._top_mask @ pops) / norms)
+            series[name][k] = (pops @ number_diags[j]) / norms
+        leakage[k] = np.mean((pops @ top_mask) / norms)
         for name in cross_names:
-            vals = np.einsum("it,it->t", states.conj(), cross_ops[name] @ states) / norms
+            op = cross_ops[name]
+            if sp.issparse(op):  # a sum over its stored entries
+                vals = (states[:, op.row].conj() * states[:, op.col]) @ op.data / norms
+            else:  # where that sum would gather dim^2 entries per trajectory
+                vals = np.vecdot(states, states @ op.T, axis=1) / norms
             series["re_" + name][k] = vals.real
             series["im_" + name][k] = vals.imag
 
-    record(0)
+    record(0, states)
     for k in range(1, t_eval.size):
-        t_prev, t_next = t_eval[k - 1], t_eval[k]
-        dt = t_next - t_prev
+        dt = t_eval[k] - t_eval[k - 1]
         active = np.arange(n_traj)
         offsets = np.zeros(n_traj)  # elapsed time within the interval per trajectory
         guard = 0
@@ -783,42 +829,48 @@ def quantum_jump(
             guard += 1
             if guard > 10000:
                 raise RuntimeError("step underflow near jump accumulation")
-            coeffs = prop.coeffs(states[:, active])
             remain = dt - offsets[active]
-            prop_states = prop.apply(coeffs, remain)
-            norms = np.sum(np.abs(prop_states) ** 2, axis=0)
+            whole = active.size == n_traj  # then active is every trajectory, in order
+            x = prop.evolve(coeffs if whole else coeffs[active], remain)
+            y = prop.states(x)
+            norms = np.vecdot(y, y, axis=1).real
             crossed = norms < thresholds[active]
-            done = ~crossed
-            states[:, active[done]] = prop_states[:, done]
-            if not np.any(crossed):
+            if whole:
+                # the crossing rows stay where they are
+                x[crossed], y[crossed] = coeffs[crossed], states[crossed]
+                coeffs, states = x, y
+            else:
+                done = ~crossed
+                coeffs[active[done]], states[active[done]] = x[done], y[done]
+            if not crossed.any():
                 break
             idx = active[crossed]
-            csub = coeffs[:, crossed]
-            n0 = np.sum(np.abs(states[:, idx]) ** 2, axis=0)
+            csub = coeffs[idx]
+            n0 = np.vecdot(states[idx], states[idx], axis=1).real
             s_jump, evals = _crossing_times(prop, csub, remain[crossed], n0, norms[crossed],
                                             thresholds[idx])
             norm_evals += int(evals.sum())
             max_norm_evals = max(max_norm_evals, int(evals.max()))
-            at_jump = prop.apply(csub, s_jump)
-            jumped = [L @ at_jump for L in ls]
-            weights = np.array([np.sum(np.abs(v) ** 2, axis=0) for v in jumped])
-            weights = weights.reshape(len(ls), idx.size)
-            for col, traj in enumerate(idx):
+            at_jump = prop.states(prop.evolve(csub, s_jump))
+            # option 0 keeps the state, for a row with no decay channel open
+            options = np.stack([at_jump] + [at_jump @ L.T for L in ls])
+            weights = np.sum(np.abs(options[1:]) ** 2, axis=2)
+            wsum = weights.sum(axis=0)
+            pick = np.zeros(idx.size, dtype=int)
+            for i, traj in enumerate(idx):
                 rng = rngs[traj]
-                wsum = weights[:, col].sum()
-                if wsum <= 0:
-                    # no decay channel open; accept and keep evolving
-                    psi = at_jump[:, col]
-                else:
-                    u = rng.uniform() * wsum
-                    ch = int(np.searchsorted(np.cumsum(weights[:, col]), u))
-                    psi = jumped[min(ch, len(ls) - 1)][:, col]
-                states[:, traj] = psi / np.linalg.norm(psi)
+                if wsum[i] > 0:
+                    u = rng.uniform() * wsum[i]
+                    pick[i] = 1 + min(int(np.searchsorted(np.cumsum(weights[:, i]), u)),
+                                      len(ls) - 1)
                 thresholds[traj] = rng.uniform()
-                jump_counts[traj] += 1
+            psi = options[pick, np.arange(idx.size)]
+            states[idx] = psi / np.sqrt(np.vecdot(psi, psi, axis=1).real)[:, None]
+            coeffs[idx] = prop.coeffs(states[idx])
+            jump_counts[idx] += 1
             offsets[idx] += s_jump
             active = idx
-        record(k)
+        record(k, states)
     return JumpEnsemble(
         times=t_eval.copy(), n_traj=n_traj, seed=seed, series=series, jump_counts=jump_counts,
         n_blocks=prop.n_blocks, max_block=prop.max_block, max_leakage=float(leakage.max()),

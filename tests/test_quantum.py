@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag, expm
 from scipy.optimize import brentq
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln, hermite
 
@@ -25,7 +26,9 @@ from semilind.quantum import (
     DensityMatrix,
     FockSpace,
     JumpEnsemble,
+    _BlockPartition,
     _SectorPropagator,
+    _blockwise,
     _crossing_times,
     _HermitianCoords,
     _liouvillian,
@@ -757,11 +760,81 @@ class TestSeparableWigner:
             assert np.max(np.abs(rot - want)) < 1e-14
 
 
+def propagate(prop, states, times):
+    """Rows of `states`, in basis order, at `times` (a scalar, or one per
+    row), through the propagator's bin layout and back."""
+    c = prop.coeffs(np.array([prop.embed(psi) for psi in states]))
+    return prop.states(prop.evolve(c, times))[:, prop.pos]
+
+
 def lattice_heff(levels):
     """Registered lattice H - (i/2) sum_k Ldag_k L_k, dense, and its Fock space."""
     f = FockSpace([levels, levels])
     h, ls = _model_matrices(registered_model("bose_hubbard_losses"), f)
     return (h - 0.5j * sum(L.conj().T @ L for L in ls)).toarray(), f
+
+
+def block_labels(mat):
+    """Connected-component label of each basis row of a matrix's pattern."""
+    return connected_components(sp.csr_array(mat) != 0, directed=True, connection="weak")[1]
+
+
+class TestBlockPartition:
+    def test_lattice_sectors_fill_bins_without_padding(self):
+        # the 51 number sectors have sizes 1, 1, 2, 2, .., 25, 25, 26: the
+        # largest alone, then N + 1 with 25 - N, fill 26 bins of 26 exactly
+        heff, f = lattice_heff(26)
+        part = _BlockPartition(heff)
+        assert (part.n_blocks, part.n_bins, part.max_block) == (51, 26, 26)
+        assert np.array_equal(np.sort(part.pos), np.arange(f.dim))
+
+    def test_limit_cycle_blocks_each_inside_one_bin(self):
+        n = 56
+        liou = _HermitianCoords(n).superop(
+            _liouvillian(*_model_matrices(registered_model("limit_cycle"), FockSpace(n))))
+        part = _BlockPartition(liou)
+        # 110 alone, 108 + 2, .., 56 + 54 (the band pairs), then the
+        # 56 diagonal unknowns alone: 3,190 slots for 3,136 unknowns
+        assert (part.n_blocks, part.n_bins, part.max_block) == (56, 29, 110)
+        labels = block_labels(liou)
+        assert np.unique(part.pos).size == n * n
+        for label in range(part.n_blocks):
+            slots = part.pos[labels == label]
+            assert np.unique(slots // part.max_block).size == 1
+            assert np.array_equal(slots, slots[0] + np.arange(slots.size))
+        stacked = part.stack(liou)
+        assert stacked.shape == (part.n_bins, 110, 110)
+        x = np.random.default_rng(4).standard_normal(n * n)
+        assert np.allclose(_blockwise(stacked, part.embed(x))[part.pos], liou @ x,
+                           rtol=0, atol=1e-12)
+
+    def test_diagonal_heff_one_bin_per_level(self):
+        (a,), (ab,) = mode_symbols()
+        h, _ = _model_matrices(LindbladModel(1, 1.0, a * ab * 1.0, ()), FockSpace(12))
+        prop = _SectorPropagator(h)
+        assert (prop.n_blocks, prop.n_bins, prop.max_block) == (12, 12, 1)
+
+    def test_each_sector_keeps_its_own_eigenbasis(self):
+        heff, f = lattice_heff(26)
+        prop = _SectorPropagator(heff)
+        m = prop.max_block
+        labels = block_labels(heff)
+        owner = np.full(prop.n_slots, -1)
+        owner[prop.pos] = labels
+        shared = 0
+        for b in range(prop.n_bins):
+            mine = owner[b * m:(b + 1) * m]
+            apart = mine[:, None] != mine[None, :]
+            shared += bool(apart.any())
+            for mats in (prop._vec, prop._vec_inv, prop._gram):
+                assert np.all(mats[b][apart] == 0)
+        assert shared == 25  # every bin but the one of the largest sector
+        for label in range(prop.n_blocks):
+            rows = np.flatnonzero(labels == label)
+            b, k = prop.pos[rows[0]] // m, prop.pos[rows] % m
+            lam, vec = np.linalg.eig(heff[np.ix_(rows, rows)])
+            assert np.array_equal(prop._vec[b][np.ix_(k, k)], vec)
+            assert np.array_equal(prop.lam[prop.pos[rows]], lam)
 
 
 class TestSectorPropagator:
@@ -773,7 +846,7 @@ class TestSectorPropagator:
         psi = f.coherent_vector([2.0, 1.5j]) + 0.1 * rng.standard_normal(f.dim)
         psi /= np.linalg.norm(psi)
         for t in (0.05, 0.4):
-            got = prop.apply(prop.coeffs(psi[:, None]), t)[:, 0]
+            got = propagate(prop, psi[None], t)[0]
             assert np.max(np.abs(got - expm(-1j * heff * t) @ psi)) < 1e-10
 
     def test_random_dense_heff_is_one_block(self):
@@ -786,7 +859,7 @@ class TestSectorPropagator:
         assert (prop.n_blocks, prop.max_block) == (1, dim)
         states = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
         times = np.array([0.1, 0.3, 0.7])  # one time per column
-        got = prop.apply(prop.coeffs(states), times)
+        got = propagate(prop, states.T, times).T
         for col, t in enumerate(times):
             want = expm(-1j * heff * t) @ states[:, col]
             assert np.max(np.abs(got[:, col] - want)) < 1e-10 * np.linalg.norm(states[:, col])
@@ -819,17 +892,25 @@ class TestSectorPropagator:
         f = FockSpace([8, 8])
         psi0 = f.coherent_vector([1.5j, 1.5])
         t_eval = np.linspace(0.0, 2.0, 9)
-        sectors = quantum_jump(model, psi0, t_eval, n_traj=40, seed=17, fock=f)
+        # a dense observable that joins the sectors, moved into each layout
+        extra = {"a_1": f._lowering[0].toarray()}
+        sectors = quantum_jump(model, psi0, t_eval, n_traj=40, seed=17, fock=f,
+                               extra_observables=extra)
         assert (sectors.n_blocks, sectors.max_block) == (15, 8)
         monkeypatch.setattr(quantum, "connected_components",
                             lambda graph, **kw: (1, np.zeros(graph.shape[0], dtype=int)))
-        whole = quantum_jump(model, psi0, t_eval, n_traj=40, seed=17, fock=f)
+        whole = quantum_jump(model, psi0, t_eval, n_traj=40, seed=17, fock=f,
+                             extra_observables=extra)
         assert (whole.n_blocks, whole.max_block) == (1, 64)
         assert sectors.jump_counts.sum() > 40
         assert np.array_equal(sectors.jump_counts, whole.jump_counts)
-        assert sectors.series.keys() == whole.series.keys()
+        assert (sectors.norm_evals, sectors.max_norm_evals) == (whole.norm_evals,
+                                                                whole.max_norm_evals)
+        assert set(sectors.series) == set(whole.series) == {
+            "occ_1", "occ_2", "re_adag_a_1_2", "im_adag_a_1_2", "re_a_1", "im_a_1"}
         for name in sectors.series:
             assert np.max(np.abs(sectors.series[name] - whole.series[name])) < 1e-9, name
+        assert np.max(np.abs(sectors.series["re_a_1"][-1])) > 0.1
         assert abs(sectors.max_leakage - whole.max_leakage) < 1e-12
 
 
@@ -839,10 +920,10 @@ class TestSectorPropagator:
         prop = _SectorPropagator(h - 0.5j * sum(L.conj().T @ L for L in ls))
         rng = np.random.default_rng(5)
         psi = f.coherent_vector([1.5j, 1.5]) + 0.1 * rng.standard_normal(f.dim)
-        c = prop.coeffs(np.tile(psi[:, None], (1, 3)))
+        c = prop.coeffs(np.tile(prop.embed(psi), (3, 1)))
         times = np.array([0.0, 0.3, 1.1])
         n, dn = prop.norm_and_slope(prop.evolve(c, times))
-        states = prop.apply(c, times)
+        states = prop.states(prop.evolve(c, times))[:, prop.pos].T
         assert np.allclose(n, np.sum(np.abs(states) ** 2, axis=0), rtol=1e-12, atol=0)
         weight = sum(np.sum(np.abs(L @ states) ** 2, axis=0) for L in ls)
         assert np.allclose(dn, -weight, rtol=1e-10, atol=0)
@@ -851,10 +932,10 @@ class TestSectorPropagator:
 def crossing_run(prop, psi, remain, thresholds):
     """`_crossing_times` for one state against several thresholds."""
     r = np.asarray(thresholds, dtype=float)
-    c = prop.coeffs(np.tile(psi[:, None], (1, r.size)))
+    c = prop.coeffs(np.tile(prop.embed(psi), (r.size, 1)))
     remain = np.full(r.size, float(remain))
     n0 = np.full(r.size, np.vdot(psi, psi).real)
-    n1 = np.sum(np.abs(prop.apply(c, remain)) ** 2, axis=0)
+    n1 = np.sum(np.abs(prop.states(prop.evolve(c, remain))) ** 2, axis=1)
     assert np.all((n0 >= r) & (r > n1))
     return _crossing_times(prop, c, remain, n0, n1, r)
 
@@ -898,8 +979,8 @@ class TestCrossingTimes:
         thresholds = end + (1.0 - end) * np.array([0.95, 0.6, 0.2, 0.01])
         prop = _SectorPropagator(heff)
         times, _ = crossing_run(prop, psi, remain, thresholds)
-        (_, gram), = prop._gram
-        assert np.max(np.abs(gram - np.eye(3))) > 0.1
+        assert prop._gram.shape == (1, 3, 3)
+        assert np.max(np.abs(prop._gram[0] - np.eye(3))) > 0.1
         want = brentq_times(norm, remain, thresholds)
         assert np.max(np.abs(times - want)) < 1e-12
 
@@ -912,7 +993,7 @@ class TestCrossingTimes:
         heff = np.array([[0.0, hop], [hop, -0.5j * gamma]])
         psi = np.array([1.0, 0.0], dtype=complex)
         prop = _SectorPropagator(heff)
-        _, dn = prop.norm_and_slope(prop.evolve(prop.coeffs(psi[:, None]), 0.0))
+        _, dn = prop.norm_and_slope(prop.evolve(prop.coeffs(prop.embed(psi)[None]), 0.0))
         assert dn[0] == pytest.approx(0.0, abs=1e-14)
         evaluated, evolve = [], prop.evolve
 
