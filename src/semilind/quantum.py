@@ -781,7 +781,6 @@ def quantum_jump(
     if extra_observables:
         cross_ops.update(extra_observables)
     cross_ops = {name: prop.embed(op, operator=True) for name, op in cross_ops.items()}
-    cross_ops = {name: op.tocoo() if sp.issparse(op) else op for name, op in cross_ops.items()}
 
     names = [f"occ_{j+1}" for j in range(fock.n_modes)]
     cross_names = sorted(cross_ops)
@@ -811,11 +810,7 @@ def quantum_jump(
             series[name][k] = (pops @ number_diags[j]) / norms
         leakage[k] = np.mean((pops @ top_mask) / norms)
         for name in cross_names:
-            op = cross_ops[name]
-            if sp.issparse(op):  # a sum over its stored entries
-                vals = (states[:, op.row].conj() * states[:, op.col]) @ op.data / norms
-            else:  # where that sum would gather dim^2 entries per trajectory
-                vals = np.vecdot(states, states @ op.T, axis=1) / norms
+            vals = np.vecdot(states, states @ cross_ops[name].T, axis=1) / norms
             series["re_" + name][k] = vals.real
             series["im_" + name][k] = vals.imag
 
