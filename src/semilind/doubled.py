@@ -10,7 +10,8 @@ the expansion K = K0 + hbar*K1 + ..., with
     K1 = (1/4) sum_k [ {conj L_k, L_k}(x + Oy/2) + {conj L_k, L_k}(x - Oy/2) ]
 
 (O = symplectic form; the shift-ordering and the K1 prefactor are pinned by
-a build-time self-test against a fully worked quartic-plus-damping model).
+the coefficients of a fully worked quartic-plus-damping model, checked by
+``semilind selftest`` and by ``test_anharmonic_damped_coefficients``).
 Im K0 is even in y, non-positive and vanishes at y = 0; Re K0 is odd in y.
 
 A component (Z=(X,Y), B, alpha, weight) then follows
@@ -48,14 +49,9 @@ from .symbols import Chart, PolyBatch, PolySymbol, double_lift, moyal_term, pois
 
 __all__ = [
     "DoubledSymbol",
-    "ChordGaussian",
     "SuperpositionSeries",
     "build_k",
-    "rhs_component",
     "propagate_superposition",
-    "chord_from_component",
-    "chord_rhs",
-    "diffusion_matrix",
 ]
 
 _IMB_FLOOR = 1e-10
@@ -199,12 +195,6 @@ def _rates(kev: _KEvaluator, z, b, hbar):
     return zdot, bdot, alphadot, tau
 
 
-def rhs_component(ksym: DoubledSymbol, comp: ComplexGaussian):
-    """Time derivatives (dZ, dB, dalpha) of one complex Gaussian component."""
-    zdot, bdot, alphadot, _ = _rates(ksym._evaluator, comp.z[None], comp.b[None], comp.hbar)
-    return zdot[0], bdot[0], alphadot[0]
-
-
 # -- integration of a superposition -------------------------------------------
 
 
@@ -329,92 +319,3 @@ def propagate_superposition(
         events=events,
         nfev=nfev,
     )
-
-
-# -- chord-variable form for linear Lindblad operators -------------------------
-
-
-@dataclass(frozen=True)
-class ChordGaussian:
-    """Fourier-side parametrization: -B^{-1} = Nmat + i Mmat, Mmat > 0."""
-
-    x: np.ndarray
-    y: np.ndarray
-    nmat: np.ndarray
-    mmat: np.ndarray
-    norm: complex = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "nmat", np.asarray(self.nmat, dtype=float))
-        object.__setattr__(self, "mmat", np.asarray(self.mmat, dtype=float))
-        if np.linalg.eigvalsh(self.mmat).min() <= 0:
-            raise ValueError("Mmat must be positive definite")
-
-
-def chord_from_component(comp: ComplexGaussian) -> ChordGaussian:
-    minus_binv = -np.linalg.inv(comp.b)
-    return ChordGaussian(
-        x=comp.x,
-        y=comp.y,
-        nmat=minus_binv.real,
-        mmat=minus_binv.imag,
-        norm=comp.integral(),
-    )
-
-
-def _linear_gradients(model: LindbladModel):
-    m = model.to_chart(Chart.REAL_QP)
-    n2 = 2 * m.n_modes
-    grads = []
-    for L in m.lindblads:
-        if L.total_degree() != 1 or any(sum(k) == 0 for k in L.terms):
-            raise ValueError("chord equations require homogeneous linear Lindblad symbols")
-        vec = np.zeros(n2, dtype=complex)
-        for key, coeff in L.terms.items():
-            vec[key.index(1)] = coeff
-        grads.append(vec)
-    return grads
-
-
-def diffusion_matrix(model: LindbladModel) -> np.ndarray:
-    """Quadratic form of -2 Im K0 in the chord variable y.
-
-    For linear Lindblad symbols Im K0(x, y) = -y . D y / 2 with
-    D = sum_k Re(conj(lam_k) lam_k^T), lam_k = Omega^T grad L_k; the
-    symplectic rotation enters through the shifts x -/+ Omega y / 2.
-    """
-    m = model.to_chart(Chart.REAL_QP)
-    omega = symplectic_form(m.n_modes)
-    total = np.zeros((2 * m.n_modes, 2 * m.n_modes))
-    for vec in _linear_gradients(model):
-        lam = omega.T @ vec
-        total += np.real(np.outer(np.conj(lam), lam))
-    return total
-
-
-def chord_rhs(model: LindbladModel, chord: ChordGaussian):
-    """Chord-variable equations of motion for quadratic H and linear L.
-
-    Returns (dX, dY, dMmat, dNmat); equivalent to rhs_component transported
-    through -B^{-1} = N + iM, which the tests assert to 1e-12.
-    """
-    kev = model._doubled._evaluator
-    n2 = chord.x.size
-    z = np.concatenate([chord.x, chord.y])
-    _, _, grad, hess = kev.batch(z)
-    gx = grad.real[:n2]
-    gy = grad.real[n2:]
-    kxx = hess[:n2, :n2].real
-    kxy = hess[:n2, n2:].real
-    kyx = kxy.T
-    kyy = hess[n2:, n2:].real
-    dmat = diffusion_matrix(model)
-    m, nm = chord.mmat, chord.nmat
-    minv = np.linalg.inv(m)
-    xdot = gy + nm @ minv @ dmat @ chord.y
-    ydot = -gx - minv @ dmat @ chord.y
-    mdot = dmat + kyx @ m + m @ kxy - m @ kxx @ nm - nm @ kxx @ m
-    ndot = -kyy + kyx @ nm + nm @ kxy + m @ kxx @ m - nm @ kxx @ nm
-    return xdot, ydot, mdot, ndot

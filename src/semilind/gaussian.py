@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,8 +379,7 @@ def eval_wigner(state, spec: GridSpec) -> WignerGrid:
     """Sample a state's Wigner function on a grid (single mode).
 
     For a SuperpositionState the summed real part is returned; a lone
-    ComplexGaussian keeps its complex values.  Warns when the boundary
-    values are not negligible against the peak.
+    ComplexGaussian keeps its complex values.
     """
     n_modes = state.n_modes
     if n_modes != 1:
@@ -390,15 +388,6 @@ def eval_wigner(state, spec: GridSpec) -> WignerGrid:
     vals = state.values(pts)
     if isinstance(state, (GaussianWigner, SuperpositionState)):
         vals = np.real(vals)
-    peak = np.max(np.abs(vals))
-    border = max(
-        np.max(np.abs(vals[0, :])),
-        np.max(np.abs(vals[-1, :])),
-        np.max(np.abs(vals[:, 0])),
-        np.max(np.abs(vals[:, -1])),
-    )
-    if peak > 0 and border > 1e-6 * peak:
-        warnings.warn("grid boundary value exceeds 1e-6 of the peak; enlarge the grid")
     return WignerGrid(spec, vals)
 
 

@@ -1,6 +1,8 @@
 """Strict experiment configuration: JSON in, dataclasses out.
 
-Unknown keys are rejected at every level.  `_plain` is the one way back to
+Unknown keys are rejected at every level, and every float but the grid
+bounds (which `GridSpec` checks) goes through `_finite`, so NaN and
+Infinity are `ConfigError`s.  `_plain` is the one way back to
 JSON: fields that are None are left out, tuples become lists and complex
 numbers [re, im] pairs, so to_dict/from_dict round-trip losslessly.
 """
@@ -31,7 +33,7 @@ def _convert(where: str, key: str, conv, value):
         return conv(value)
     except ConfigError:
         raise
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:  # int(Infinity)
         raise ConfigError(f"{where}.{key}: {exc}") from None
 
 
@@ -49,10 +51,19 @@ def _pull(d: dict, where: str, required, optional=None):
     return out
 
 
+def _finite(v) -> float:
+    """A config float: ``json.load`` accepts NaN and Infinity, which would
+    hang an adaptive solver or un-gate a check, so both are rejected."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"must be a finite number, got {v!r}")
+    return x
+
+
 def _complex_pair(v) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ConfigError(f"complex values are [re, im] pairs, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_finite(v[0]), _finite(v[1]))
 
 
 def _pair_list(v):
@@ -60,7 +71,7 @@ def _pair_list(v):
 
 
 def _float_pair_list(v):
-    return tuple((float(a), float(b)) for a, b in v)
+    return tuple((_finite(a), _finite(b)) for a, b in v)
 
 
 def _plain(value):
@@ -88,9 +99,10 @@ def _trajectory_count(v) -> int:
 
 
 def _check_span(where: str, t_end: float, n_out: int):
-    """An output grid runs forward from 0 to a finite t_end through n_out >= 2 times."""
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ConfigError(f"{where}.t_end must be finite and positive, got {t_end!r}")
+    """An output grid runs forward from 0 to t_end (finite, read by `_finite`)
+    through n_out >= 2 times."""
+    if not t_end > 0:
+        raise ConfigError(f"{where}.t_end must be positive, got {t_end!r}")
     if n_out < 2:
         raise ConfigError(f"{where}.n_out must be at least 2")
 
@@ -170,8 +182,8 @@ class TimesSection:
         vals = _pull(
             d,
             "times",
-            {"t_end": float, "n_out": int},
-            {"frames": (lambda v: tuple(float(x) for x in v), ())},
+            {"t_end": _finite, "n_out": int},
+            {"frames": (lambda v: tuple(_finite(x) for x in v), ())},
         )
         _check_span("times", vals["t_end"], vals["n_out"])
         return cls(**vals)
@@ -219,7 +231,7 @@ class PortraitSection:
         vals = _pull(
             d,
             "portrait",
-            {**_GRID_KEYS, "t_end": float, "n_out": int, "starts": _float_pair_list},
+            {**_GRID_KEYS, "t_end": _finite, "n_out": int, "starts": _float_pair_list},
         )
         _grid_spec("portrait", vals)
         _check_span("portrait", vals["t_end"], vals["n_out"])
@@ -253,7 +265,7 @@ class ExperimentConfig:
             raise ConfigError(f"config: the document must be a mapping, got {type(d).__name__}")
         optional = {
             "seed": int,
-            "hbar": float,
+            "hbar": _finite,
             "output_dir": str,
             "solvers": lambda v: tuple(str(s) for s in v),
             "initial": InitialSection.from_dict,
@@ -261,10 +273,11 @@ class ExperimentConfig:
             "grid": lambda v: _grid_spec("grid", _pull(v, "grid", _GRID_KEYS)),
             "fock_levels": int,
             "n_trajectories": _trajectory_count,
-            "tolerances": lambda v: {str(k): float(x) for k, x in v.items()},
+            "tolerances": lambda v: {str(k): _convert("config.tolerances", str(k), _finite, x)
+                                     for k, x in v.items()},
             "portrait": PortraitSection.from_dict,
-            "ode_rtol": float,
-            "ode_atol": float,
+            "ode_rtol": _finite,
+            "ode_atol": _finite,
         }
         return cls(**_pull(d, "config", {"experiment": str, "model": ModelSection.from_dict},
                            {key: (conv, None) for key, conv in optional.items()}))

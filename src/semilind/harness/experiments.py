@@ -23,8 +23,16 @@ of the experiment's registered defaults; a key in
 when a config sets it.
 
 A phase portrait is an experiment whose one row, ``flow``, writes the
-sampled drift and a trajectory fan.  ``run_portrait`` stays only because
-``perfbench/worker.py`` imports it.
+sampled drift and a trajectory fan.  Its report states the paper's class of
+the flow: one informational ``flow_class`` entry per Lindblad symbol, with
+the symbol as the config writes it, its ``kind`` (``gradient_holomorphic``,
+``general_gradient``, ``hamiltonian``, ``vanishing`` or ``general``) and, for
+a holomorphic symbol, the ``sign`` of its potential.  ``run_portrait`` stays
+only because ``perfbench/worker.py`` imports it.
+
+Every written Wigner frame is checked in one place, ``_wigner_frames``: a
+non-finite value raises, and a frame whose border exceeds 1e-6 of its peak
+records a ``grid_clipping`` event, reported like the solver's own events.
 
 ``run_experiment`` alone runs, times and saves the solvers, every file
 through `compare.write_text`; `compare` owns every file format.  Every
@@ -62,7 +70,8 @@ from ..quantum import (
     quantum_jump,
     wigner_of_density,
 )
-from ..semiclassical import drift_x, integrate
+from ..semiclassical import classify_flow, drift_x, integrate
+from ..symbols import Chart
 from .compare import (ComparisonReport, ObservableSeries, component_csv, csv_text,
                       trajectory_to_csv, write_observables, write_text)
 from .config import ConfigError, ExperimentConfig, dump_config
@@ -100,17 +109,24 @@ class ExperimentDef:
 
 
 def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
-    """Compute ``run.grid(k)`` for each index k; a grid with a non-finite
-    value raises, naming the directory it would be written to."""
+    """Compute ``run.grid(k)`` for each index k.  A grid with a non-finite
+    value raises, naming the directory it would be written to; a grid whose
+    border exceeds 1e-6 of its peak, so that it cuts off part of the state,
+    records a ``grid_clipping`` event on the solver's result."""
     for k in indices:
-        if not np.all(np.isfinite(run.grid(k).values)):
+        vals = np.abs(run.grid(k).values)
+        if not np.all(np.isfinite(vals)):
             raise ValueError(f"{outdir}: Wigner frame at t={times[k]:g} has non-finite values")
+        peak = vals.max()
+        border = max(vals[0].max(), vals[-1].max(), vals[:, 0].max(), vals[:, -1].max())
+        if peak > 0 and border > 1e-6 * peak:
+            run.result.events.append({"t": float(times[k]), "kind": "grid_clipping"})
 
 
 def _event_entries(solver: str, result) -> list:
     """Informational report entries of the events a solver's result records
-    (trace renormalizations, width clamps, leakage, component collapses):
-    one per kind, with its count and first time."""
+    (trace renormalizations, width clamps, leakage, component collapses,
+    clipped Wigner frames): one per kind, with its count and first time."""
     times = {}
     for ev in getattr(result, "events", ()):
         times.setdefault(ev["kind"], []).append(ev["t"])
@@ -542,7 +558,10 @@ def _portrait_limit_cycle_defaults():
 
 def _flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
     """The centre drift on the portrait grid and a trajectory from each start
-    (``t_eval`` is unused); a trajectory that stops before ``t_end`` raises."""
+    (``t_eval`` is unused); a trajectory that stops before ``t_end`` raises.
+    Each Lindblad symbol adds a ``flow_class`` entry: the class of the centre
+    flow it contributes, from `classify_flow`, with the sign of its potential
+    for a holomorphic or antiholomorphic symbol."""
     if model.n_modes != 1:
         raise ConfigError("portraits are drawn for single-mode models")
     port = config.portrait
@@ -569,10 +588,14 @@ def _flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
                                f"output time t={reached:g} of {port.t_end:g}: {sol.message}")
         nfev += sol.nfev
         rows.extend([idx, *row] for row in np.vstack([sol.t, sol.y]).T.tolist())
+    classes = [classify_flow(L) for L in model.to_chart(Chart.REAL_QP).lindblads]
     return SolverRun(
         files={"field.csv": csv_text(["q", "p", "dq", "dp", "speed"], samples.tolist()),
                "trajectories.csv": csv_text(["trajectory", "t", "q", "p"], rows)},
-        entries=[{"check": "flow_solver", "nfev": nfev, "passed": True}],
+        entries=[{"check": "flow_solver", "nfev": nfev, "passed": True}]
+        + [{"check": "flow_class", "lindblad": symbol, "kind": res.kind.value, "sign": res.sign,
+            "passed": True}  # informational
+           for symbol, res in zip(config.model.lindblads, classes)],
     )
 
 

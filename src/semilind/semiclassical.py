@@ -14,10 +14,9 @@ The last term is the quantum correction that keeps G^{-1} + i Omega >= 0.
 
 `integrate` moves a `GaussianWigner` (centre X, width G, hbar) along both
 flows and returns a `Trajectory` of `GaussianWigner`s with the same hbar.
-
-The same dynamics is available in the mode chart (a, abar); the two are
-related by the unitary transformation matrix T and are tested against each
-other.  Mode-chart equations assume hbar = 1.
+`classify_flow` names the class of the centre flow one Lindblad symbol
+contributes (gradient, Hamiltonian or general); each phase portrait reports
+it for every Lindblad symbol of its model.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ __all__ = [
     "FlowClassification",
     "drift_field",
     "drift_x",
-    "drift_complex",
-    "rhs_g_complex",
     "classify_flow",
     "integrate",
 ]
@@ -132,59 +129,6 @@ def drift_x(model: LindbladModel, x) -> np.ndarray:
     """Centre drift at a phase-space point (q, p), or at each row of an
     (m, dim) array, for a model on either chart."""
     return model._compiled.batch(x)[0]
-
-
-# -- mode-chart form ----------------------------------------------------------
-
-
-def drift_complex(model: LindbladModel, xc) -> np.ndarray:
-    """Centre drift for (a, abar) coordinates; assumes hbar = 1 and a
-    physical point (second half the conjugate of the first)."""
-    _require_chart(model, Chart.COMPLEX_AABAR, "drift_complex")
-    dim = 2 * model.n_modes
-    omega = symplectic_form(model.n_modes)
-    grad_h = np.array([s.eval(xc) for s in model.hamiltonian.grad()])
-    total = -1j * omega @ grad_h
-    for L in model.lindblads:
-        lbar = L.conj()
-        lv = L.eval(xc)
-        lbv = lbar.eval(xc)
-        grad_l = np.array([s.eval(xc) for s in L.grad()])
-        grad_lb = np.array([s.eval(xc) for s in lbar.grad()])
-        total = total + 0.5 * omega @ (lbv * grad_l - lv * grad_lb)
-    return total
-
-
-def rhs_g_complex(model: LindbladModel, xc, gc: np.ndarray) -> np.ndarray:
-    """Width equation in the mode chart: Gc O (K - Gam) - (cKbar + cGambar) O Gc
-    + Gc O Xi O Gc with the three coefficient matrices built from the model."""
-    _require_chart(model, Chart.COMPLEX_AABAR, "rhs_g_complex")
-    n = model.n_modes
-    dim = 2 * n
-    omega = symplectic_form(n)
-    hess_h = np.array([[s.eval(xc) for s in row] for row in model.hamiltonian.hessian()])
-    kmat = 1j * hess_h
-    gam = np.zeros((dim, dim), dtype=complex)
-    xi = np.zeros((dim, dim), dtype=complex)
-    for L in model.lindblads:
-        lbar = L.conj()
-        lv = L.eval(xc)
-        lbv = lbar.eval(xc)
-        hess_lb = np.array([[s.eval(xc) for s in row] for row in lbar.hessian()])
-        hess_l = np.array([[s.eval(xc) for s in row] for row in L.hessian()])
-        grad_l = np.array([s.eval(xc) for s in L.grad()])
-        grad_lb = np.array([s.eval(xc) for s in lbar.grad()])
-        kmat = kmat + 0.5 * (lv * hess_lb - lbv * hess_l)
-        gam = gam + 0.5 * (np.outer(grad_l, grad_lb) - np.outer(grad_lb, grad_l))
-        xi = xi + np.outer(grad_l, grad_lb) + np.outer(grad_lb, grad_l)
-    swap = np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    xi = xi @ swap
-    gc = np.asarray(gc, dtype=complex)
-    return (
-        gc @ omega @ (kmat - gam)
-        - (np.conj(kmat) + np.conj(gam)) @ omega @ gc
-        + gc @ omega @ xi @ omega @ gc
-    )
 
 
 # -- flow classification ------------------------------------------------------

@@ -31,9 +31,7 @@ __all__ = [
     "variable_names",
     "symplectic_form",
     "poisson",
-    "moyal",
     "moyal_term",
-    "weyl_of_normal_ordered",
     "chart_transform",
     "double_lift",
     "parse_symbol",
@@ -132,9 +130,6 @@ class PolySymbol:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_value(self) -> complex:
-        return self.terms.get((0,) * self.dim, 0j)
 
     def total_degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
@@ -391,22 +386,6 @@ def moyal_term(f: PolySymbol, g: PolySymbol, order: int) -> PolySymbol:
     return out
 
 
-def moyal(f: PolySymbol, g: PolySymbol, hbar: float) -> PolySymbol:
-    """Star product of two polynomial symbols.
-
-    The bidifferential series terminates for polynomials, so it is summed
-    whole.
-    """
-    _require_pairable(f, g, "moyal")
-    top = f.total_degree() + g.total_degree()
-    out = PolySymbol.zero(f.chart, f.n_modes)
-    for m in range(top + 1):
-        term = moyal_term(f, g, m)
-        if not term.is_zero():
-            out = out + term * ((0.5j * hbar) ** m)
-    return out
-
-
 # -- chart changes ----------------------------------------------------------
 
 
@@ -464,30 +443,6 @@ def double_lift(f: PolySymbol, sign: int) -> PolySymbol:
     cores = [v[j] + v[3 * n + j] * (0.5 * sign) for j in range(n)]
     cores += [v[n + j] - v[2 * n + j] * (0.5 * sign) for j in range(n)]
     return _substitute(f, target, cores, lambda deg: 1.0)
-
-
-def weyl_of_normal_ordered(
-    n_modes: int, mode: int, dag_power: int, a_power: int, hbar: float
-) -> PolySymbol:
-    """Weyl symbol of (adag_mode)^dag_power (a_mode)^a_power.
-
-    Built by star-multiplying the elementary symbols abar = (q - i p)/sqrt(2)
-    and a = (q + i p)/sqrt(2) on the real chart.  The sqrt(2) factors are
-    applied once at the end, so even-total-degree results are exact.
-    Returned on the COMPLEX_AABAR chart.
-    """
-    if dag_power < 0 or a_power < 0:
-        raise ValueError("powers must be non-negative")
-    if not 0 <= mode < n_modes:
-        raise ValueError("mode index out of range")
-    q = PolySymbol.variable(Chart.REAL_QP, n_modes, mode)
-    p = PolySymbol.variable(Chart.REAL_QP, n_modes, n_modes + mode)
-    factors = [q - p * 1j] * dag_power + [q + p * 1j] * a_power
-    acc = PolySymbol.constant(Chart.REAL_QP, n_modes, 1.0)
-    for fac in factors:
-        acc = moyal(acc, fac, hbar)
-    acc = acc * 2.0 ** (-(dag_power + a_power) / 2)
-    return chart_transform(acc, Chart.COMPLEX_AABAR)
 
 
 # -- textual notation -------------------------------------------------------

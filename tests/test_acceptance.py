@@ -12,7 +12,7 @@ from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
-from semilind.doubled import build_k, chord_from_component, chord_rhs, propagate_superposition, rhs_component
+from semilind.doubled import build_k, propagate_superposition
 from semilind.gaussian import (
     ComplexGaussian,
     GaussianWigner,
@@ -39,7 +39,8 @@ from semilind.semiclassical import (
     drift_field,
     integrate,
 )
-from semilind.symbols import Chart, PolySymbol, moyal, weyl_of_normal_ordered
+from semilind.symbols import Chart, PolySymbol
+from oracles import chord_from_component, chord_rhs, moyal, rhs_component, weyl_of_normal_ordered
 
 _ALL_TRAJECTORIES = []  # min-physicality series collected for criterion 6
 

@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 
 import semilind.doubled as doubled
-from semilind.doubled import (
-    ChordGaussian,
-    DoubledSymbol,
-    _KEvaluator,
-    build_k,
-    chord_from_component,
-    chord_rhs,
-    diffusion_matrix,
-    propagate_superposition,
-    rhs_component,
-)
+from semilind.doubled import DoubledSymbol, _KEvaluator, build_k, propagate_superposition
 from semilind.gaussian import (
     ComplexGaussian,
     GaussianWigner,
@@ -28,6 +18,7 @@ from semilind.harness.experiments import default_config
 from semilind.quantum import DensityMatrix, FockSpace, integrate_master, wigner_of_density
 from semilind.semiclassical import LindbladModel, drift_x, integrate
 from semilind.symbols import Chart, PolySymbol, double_lift, moyal_term, parse_symbol
+from oracles import ChordGaussian, chord_from_component, chord_rhs, diffusion_matrix, rhs_component
 from test_semiclassical import width_rate
 
 

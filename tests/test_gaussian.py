@@ -90,11 +90,6 @@ class TestWignerEval:
         grid = eval_wigner(coherent(1, 1 + 0.3j), wide_grid(n=241, half=9.0))
         assert grid_integral(grid) == pytest.approx(1.0, abs=1e-6)
 
-    def test_boundary_warning(self):
-        small = GridSpec(-1, 1, 21, -1, 1, 21)
-        with pytest.warns(UserWarning):
-            eval_wigner(coherent(1, 0.0), small)
-
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(1, -1, 10, -1, 1, 10)

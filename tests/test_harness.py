@@ -3,13 +3,14 @@ import hashlib
 import importlib
 import json
 import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from semilind.gaussian import GridSpec, WignerGrid
+from semilind.gaussian import GridSpec, WignerGrid, coherent, eval_wigner
 from semilind.harness.cli import main as cli_main
 from semilind.harness.compare import (
     ComparisonReport,
@@ -184,6 +185,51 @@ class TestConfig:
         assert err.startswith("error: config: the document must be a mapping")
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("limit_cycle", ("hbar",), float("nan"), "config.hbar: must be a finite number"),
+        ("limit_cycle", ("ode_rtol",), float("nan"), "config.ode_rtol: must be a finite number"),
+        ("limit_cycle", ("ode_atol",), float("nan"), "config.ode_atol: must be a finite number"),
+        ("cat_anharmonic", ("tolerances", "moment_rms_rel"), float("inf"),
+         "config.tolerances.moment_rms_rel: must be a finite number"),
+        ("cat_anharmonic", ("tolerances", "moment_rms_rel"), float("nan"),
+         "config.tolerances.moment_rms_rel: must be a finite number"),
+        ("cat_anharmonic", ("times", "frames"), [0.5, float("nan")],
+         "times.frames: must be a finite number"),
+        ("limit_cycle", ("initial", "amplitudes"), [[float("nan"), 0.0]],
+         "initial.amplitudes: must be a finite number"),
+        ("cat_anharmonic", ("initial", "centres"), [[4.0, float("inf")], [4.0, -3.0]],
+         "initial.centres: must be a finite number"),
+        ("cat_anharmonic", ("initial", "coefficients"), [[1.0, 0.0], [-float("inf"), 0.0]],
+         "initial.coefficients: must be a finite number"),
+        ("cat_anharmonic", ("initial", "width"), [0.0, float("inf")],
+         "initial.width: must be a finite number"),
+        ("portrait_limit_cycle", ("portrait", "starts"), [[4.0, float("nan")]],
+         "portrait.starts: must be a finite number"),
+        ("limit_cycle", ("seed",), float("inf"), "config.seed: cannot convert"),
+        ("limit_cycle", ("fock_levels",), float("inf"), "config.fock_levels: cannot convert"),
+        ("limit_cycle", ("times", "n_out"), float("inf"), "times.n_out: cannot convert"),
+        ("limit_cycle", ("grid", "n_q"), float("inf"), "grid.n_q: cannot convert"),
+    ])
+    def test_non_finite_number_is_config_error(self, name, path, value, message, tmp_path,
+                                               capsys):
+        # json.load reads NaN and Infinity; a NaN tolerance of the ODE solver
+        # never finishes a step, an infinite bound passes any error, and
+        # int(Infinity) raises OverflowError
+        d = default_config(name)
+        d["output_dir"] = str(tmp_path / "out")
+        section = d
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}"):
+            ExperimentConfig.from_dict(d)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        assert cli_main(["run", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_single_trajectory_is_config_error(self, tmp_path, capsys):
         # the ensemble stderr is a sample standard deviation, undefined for one trajectory
@@ -486,6 +532,40 @@ class TestRunners:
             _wigner_frames(tmp_path / "master", np.array([0.0, 0.5]), [1], run)
         assert not (tmp_path / "master").exists()
 
+    def test_boundary_clipping_event(self, tmp_path):
+        # the vacuum on a grid of +-1 keeps exp(-1) of its peak at the border;
+        # the frame check records it as an event instead of a warning
+        small = GridSpec(-1, 1, 21, -1, 1, 21)
+        result = SimpleNamespace(events=[])
+        run = SolverRun(frame=lambda k: eval_wigner(coherent(1, 0.0), small), result=result)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _wigner_frames(tmp_path / "semiclassical", np.array([0.0, 0.5]), [0, 1], run)
+        assert result.events == [{"t": 0.0, "kind": "grid_clipping"},
+                                 {"t": 0.5, "kind": "grid_clipping"}]
+        assert _event_entries("semiclassical", result) == [
+            {"check": "solver_events", "solver": "semiclassical", "kind": "grid_clipping",
+             "count": 2, "first_t": 0.0, "passed": True}]
+        wide = GridSpec(-8, 8, 41, -8, 8, 41)
+        result = SimpleNamespace(events=[])
+        run = SolverRun(frame=lambda k: eval_wigner(coherent(1, 0.0), wide), result=result)
+        _wigner_frames(tmp_path / "semiclassical", np.array([0.0, 0.5]), [0, 1], run)
+        assert result.events == []
+
+    def test_clipped_cat_frames_are_one_event_per_solver(self, tmp_path):
+        d = tiny_cat_config(tmp_path).to_dict()
+        d["times"]["frames"] = [0.1, 0.2]
+        # the cat's packets start at (4, +-3), outside a grid of +-2
+        d["grid"] = {"q_min": -2.0, "q_max": 2.0, "n_q": 20, "p_min": -2.0, "p_max": 2.0,
+                     "n_p": 20}
+        report, outdir = run_experiment(ExperimentConfig.from_dict(d))
+        written = json.loads((Path(outdir) / "report.json").read_text())["entries"]
+        clipped = [e for e in written if e.get("kind") == "grid_clipping"]
+        assert clipped == [{"check": "solver_events", "solver": solver, "kind": "grid_clipping",
+                            "count": 2, "first_t": 0.1, "passed": True}
+                           for solver in ("doubled", "master")]
+        assert report.passed
+
     @pytest.mark.parametrize("name, key, value, message", [
         ("limit_cycle", "hbar", 0.5, "defined at hbar = 1"),
         ("cat_anharmonic", "initial", {"width": [0.0, 2.0]}, "unit packet width only"),
@@ -614,7 +694,10 @@ class TestSolverTable:
         assert set(report.runtime_s) == {solver, "total"}
 
     @pytest.mark.parametrize("name, solver, checks", [
-        ("cat_anharmonic", "doubled", {"doubled_solver", "cross_magnitude_monotone"}),
+        # the doubled frame at t = 0.2 reaches the +-9 grid's border: a
+        # grid_clipping event
+        ("cat_anharmonic", "doubled",
+         {"doubled_solver", "cross_magnitude_monotone", "solver_events"}),
         ("bose_hubbard_losses", "jumps",
          {"jump_solver", "total_number_monotone_decay", "g12_decay"}),
         ("limit_cycle", "semiclassical", {"semiclassical_solver", "physicality_min_eig"}),
@@ -700,6 +783,24 @@ class TestPortrait:
             want = drift_x(model, [qv, pv])
             assert np.allclose([dq, dp], want, rtol=1e-15, atol=0)
             assert speed == pytest.approx(np.hypot(*want), rel=1e-15)
+
+    @pytest.mark.parametrize("name, want", [
+        ("portrait_limit_cycle", [("gradient_holomorphic", -1), ("gradient_holomorphic", -1),
+                                  ("gradient_holomorphic", 1)]),
+        ("portrait_nonlinear_loss", [("general", None)]),
+    ])
+    def test_flow_class_of_each_lindblad_symbol(self, name, want, tmp_path):
+        # damping a, two-photon loss a^2 and amplification abar are each a
+        # gradient flow; q^2 + i p^2 is the registered non-gradient case
+        d = default_config(name)
+        d["output_dir"] = str(tmp_path)
+        d["portrait"].update(n_q=3, n_p=3, t_end=0.5, n_out=3)
+        _, outdir = run_experiment(ExperimentConfig.from_dict(d))
+        entries = json.loads((Path(outdir) / "report.json").read_text())["entries"]
+        got = [e for e in entries if e["check"] == "flow_class"]
+        assert [e["lindblad"] for e in got] == d["model"]["lindblads"]
+        assert [(e["kind"], e["sign"]) for e in got] == want
+        assert all(e["passed"] for e in got)
 
     def test_portrait_writes_its_config(self, tmp_path):
         d = default_config("portrait_limit_cycle")

@@ -44,13 +44,8 @@ from semilind.quantum import (
     weyl_quantize,
     wigner_of_density,
 )
-from semilind.symbols import (
-    Chart,
-    PolySymbol,
-    chart_transform,
-    parse_symbol,
-    weyl_of_normal_ordered,
-)
+from semilind.symbols import Chart, PolySymbol, chart_transform, parse_symbol
+from oracles import weyl_of_normal_ordered
 
 
 def mode_symbols(n=1):

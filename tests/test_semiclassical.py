@@ -10,18 +10,17 @@ from semilind.semiclassical import (
     LindbladModel,
     Trajectory,
     classify_flow,
-    drift_complex,
     drift_x,
     drift_field,
     _CompiledRhs,
     _gaussian_fields,
     integrate,
-    rhs_g_complex,
 )
 from semilind.harness.compare import trajectory_to_csv
 from semilind.harness.config import ExperimentConfig
 from semilind.harness.experiments import EXPERIMENTS, default_config
 from semilind.symbols import Chart, PolySymbol, chart_transform, parse_symbol, symplectic_form
+from oracles import drift_complex, rhs_g_complex
 
 
 def real_vars(n=1):

@@ -1,26 +1,31 @@
-"""The package has no test-only public surface: every public function, class
-and method under src/semilind is used by some module of the package (the
-library, the harness, the CLI or the selftest), or is listed below with the
-reason it stays."""
+"""The package ships only program code: every public function, class and
+method under src/semilind is used by some module of the package other than
+``harness/selftest.py`` (the library, the harness or the CLI), or is listed
+below with the reason, outside the tests, that it stays.  The selftest is no
+caller: it checks program paths, so every name it imports from the package
+must be loaded by another module too.  Test oracles live in tests/oracles.py."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "semilind"
+SELFTEST = "harness.selftest"
 
 ALLOWED_UNUSED = {
     "harness.experiments.run_portrait": "perfbench/worker.py imports it; the benchmark moves "
                                         "to run_experiment first",
-    "semiclassical.drift_complex": "independent mode-chart oracle of the centre drift "
-                                   "(TestComplexChart)",
-    "semiclassical.rhs_g_complex": "independent mode-chart oracle of the width equation "
-                                   "(TestComplexChart)",
+    "semiclassical.drift_field": "perfbench/tracing.py traces it by name; the symbolic drift "
+                                 "is built by _gaussian_fields",
 }
 
 
-def public_names_never_loaded():
-    trees = {".".join(path.relative_to(SRC).with_suffix("").parts): ast.parse(path.read_text())
-             for path in sorted(SRC.rglob("*.py"))}
+def _trees():
+    return {".".join(path.relative_to(SRC).with_suffix("").parts): ast.parse(path.read_text())
+            for path in sorted(SRC.rglob("*.py"))}
+
+
+def _loaded(trees):
+    """Every name loaded, attribute read or name imported by the given modules."""
     loaded = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -30,6 +35,12 @@ def public_names_never_loaded():
                 loaded.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 loaded.update(alias.name for alias in node.names)
+    return loaded
+
+
+def public_names_never_loaded():
+    trees = _trees()
+    loaded = _loaded({module: tree for module, tree in trees.items() if module != SELFTEST})
     defined = set()  # (qualified name, name) of each top-level def or class and each method
     for module, tree in trees.items():
         for node in tree.body:
@@ -43,3 +54,13 @@ def public_names_never_loaded():
 
 def test_every_public_name_is_used_in_the_package():
     assert public_names_never_loaded() == set(ALLOWED_UNUSED)
+
+
+def test_selftest_imports_only_program_paths():
+    trees = _trees()
+    loaded = _loaded({module: tree for module, tree in trees.items() if module != SELFTEST})
+    allowed = {qual.rsplit(".", 1)[-1] for qual in ALLOWED_UNUSED}
+    imported = {alias.name for node in ast.walk(trees[SELFTEST])
+                if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
+    assert imported
+    assert sorted(imported - loaded - allowed) == []
