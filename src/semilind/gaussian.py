@@ -241,11 +241,19 @@ class SuperpositionState:
         total = sum(c.values(pts) for c in self.components)
         return self.norm_factor * total
 
-    def moments_xp(self) -> np.ndarray:
-        """First moments (expectation of x) of the normalized distribution."""
+    def moments(self) -> "Moments":
+        """Moment table of the normalized distribution, in closed form: with
+        component k's integral I_k, complex centroid c_k and second central
+        moment i hbar B_k^{-1}, and I = sum_k I_k, <x> = Re sum_k I_k c_k / I
+        and <x x^T> = Re sum_k I_k (i hbar B_k^{-1} + c_k c_k^T) / I."""
         integrals = [c.integral() for c in self.components]
-        first = sum(c.centroid() * w for c, w in zip(self.components, integrals))
-        return np.real(first / sum(integrals))
+        cs = [c.centroid() for c in self.components]
+        total = sum(integrals)
+        x = np.real(sum(c * w for c, w in zip(cs, integrals)) / total)
+        binv = np.linalg.inv(np.stack([c.b for c in self.components]))  # one batched call
+        second = sum(w * (1j * self.hbar * bi + np.outer(c, c))
+                     for w, bi, c in zip(integrals, binv, cs))
+        return moments_from_covariance(self.hbar, x, np.real(second / total) - np.outer(x, x))
 
     def normalized(self) -> "SuperpositionState":
         raw = sum(c.integral() for c in self.components)

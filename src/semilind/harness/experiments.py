@@ -1,47 +1,40 @@
-"""Named, config-driven experiments, each a table of solver rows and check rows.
+"""Named, config-driven experiments: solver rows by kind, one observable map
+per experiment, and check rows.
 
-``ExperimentDef.solvers`` maps a solver name, as a config lists it under
-``solvers``, to ``fn(config, model, t_eval) -> SolverRun``; ``t_eval`` is
-None for a config without ``times``.  A ``SolverRun`` carries the
-observables of ``<root>/<experiment>/<solver>/observables.csv``, when there
-are any; extra files (name -> text) for the same directory; a frame function
-``k -> WignerGrid``, saved there as ``wigner_t<t>.txt`` at each configured
-frame when the config has a ``grid``; the report entries the solver adds
-(its statistics); and the solver's raw result, whose ``events``, if it has
-any, ``run_experiment`` reports as one ``solver_events`` entry per kind.
-``SolverRun.grid(k)`` computes each frame once, so checks read the grids
-that were written.
+``ExperimentDef.solvers`` maps a row name, as a config lists it under
+``solvers``, to a row kind ``fn(config, model, t_eval) -> SolverRun``
+(``t_eval`` is None for a config without ``times``): ``_gaussian``,
+``_doubled``, ``_master``, ``_jumps`` or ``_flow``.  The gaussian, master
+and doubled kinds return one `Moments` record per output time;
+``run_experiment`` turns them into observables through the experiment's one
+map, ``ExperimentDef.observables``.  A series only one kind has, such as
+``min_eig_physicality`` or the jump ensemble's means with their standard
+errors, the kind adds itself.  Every Fock row builds its initial state in
+``_initial_vector``, and a kind given an initial state it cannot take raises
+a `ConfigError` naming the row and the kind before it solves.  So a new row
+kind is one function, usable by every experiment whose initial state it
+takes.  A ``SolverRun``'s frames are saved as ``wigner_t<t>.txt`` at each
+configured frame when the config has a ``grid`` (single-mode models only),
+after ``_wigner_frames`` checks them; the ``events`` of its result become
+one ``solver_events`` entry per kind.
 
 ``ExperimentDef.checks`` lists ``(needed solvers, fn(config, t_eval, runs) ->
-entries)``, with ``runs`` mapping solver name to ``SolverRun``.  After the
-requested solvers have run, each check whose needed solvers all ran adds its
-entries to ``report.json``.  So a new solver is one function and one
-``solvers`` row, and a new comparison one function and one ``checks`` row.
-Checks read their bounds from ``config.tolerances``, which holds every key
-of the experiment's registered defaults; a key in
+entries)``, with ``runs`` mapping solver name to ``SolverRun``; each check
+whose solvers all ran adds its entries to ``report.json``.  Checks read their
+bounds from ``config.tolerances``, which holds every registered key; a key in
 ``ExperimentDef.optional_tolerances`` has no default, and its check runs only
-when a config sets it.
-
-A phase portrait is an experiment whose one row, ``flow``, writes the
-sampled drift and a trajectory fan.  Its report states the paper's class of
-the flow: one informational ``flow_class`` entry per Lindblad symbol, with
-the symbol as the config writes it, its ``kind`` (``gradient_holomorphic``,
-``general_gradient``, ``hamiltonian``, ``vanishing`` or ``general``) and, for
-a holomorphic symbol, the ``sign`` of its potential.  ``run_portrait`` stays
-only because ``perfbench/worker.py`` imports it.
-
-Every written Wigner frame is checked in one place, ``_wigner_frames``: a
-non-finite value raises, and a frame whose border exceeds 1e-6 of its peak
-records a ``grid_clipping`` event, reported like the solver's own events.
+when a config sets it.  A phase portrait's one row, ``flow``, writes the
+sampled drift and a trajectory fan and states the flow's class (see `_flow`);
+``run_portrait`` stays only because ``perfbench/worker.py`` imports it.
 
 ``run_experiment`` alone runs, times and saves the solvers, every file
 through `compare.write_text`; `compare` owns every file format.  Every
 top-level config field left unset takes the experiment's registered value.
 Re-running with the same config and seed reproduces every file but
-``report.json`` (which holds run times) byte for byte.  Rows call the
-library functions (``integrate``, ``eval_wigner``, ...) by their names in
-this module when they run, so a name replaced here, as
-``perfbench/tracing.py`` does, is the one every run calls.
+``report.json`` (which holds run times) byte for byte.  Row kinds still call
+the library (``integrate``, ``moments``, ``eval_wigner``, ...) through this
+module's globals, so a name replaced here, as ``perfbench/tracing.py`` does,
+is the one every run calls.
 """
 
 from __future__ import annotations
@@ -82,8 +75,9 @@ __all__ = ["EXPERIMENTS", "ExperimentDef", "SolverRun", "default_config", "run_e
 
 @dataclass
 class SolverRun:
-    """What a solver row returns; see the module docstring."""
+    """What a row kind returns; see the module docstring."""
 
+    moments: list | None = None  # Moments per output time, for the experiment's map
     observables: dict = field(default_factory=dict)  # name -> ObservableSeries
     files: dict = field(default_factory=dict)  # file name -> text
     frame: Callable | None = None  # output index -> WignerGrid
@@ -103,7 +97,8 @@ class ExperimentDef:
     name: str
     description: str
     defaults: Callable
-    solvers: dict = field(default_factory=dict)  # name -> fn(config, model, t_eval) -> SolverRun
+    solvers: dict = field(default_factory=dict)  # name -> row kind
+    observables: Callable | None = None  # fn(t_eval, moments) -> name -> ObservableSeries
     checks: tuple = ()  # (needed solver names, fn(config, t_eval, runs) -> entries)
     optional_tolerances: tuple = ()  # keys with no default; their checks run only when set
 
@@ -140,28 +135,100 @@ def _bounded(check: str, value, tolerance, **extra) -> dict:
                 passed=bool(value <= tolerance), **extra)
 
 
-def _coherent_flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
-    """Gaussian centre and width flow from the config's coherent state; the
-    calling row adds the observables."""
+def _initial_vector(config: ExperimentConfig, fock: FockSpace, row: str) -> np.ndarray:
+    """A Fock row's initial state: the product coherent state, or the cat's packets."""
+    init = config.initial
+    if init.kind == "coherent":
+        return fock.coherent_vector(np.array(init.amplitudes))
+    if fock.n_modes != 1:
+        raise ConfigError(f"the {row} row takes a 'cat' initial state only on a single-mode "
+                          f"model, not on {fock.n_modes} modes")
+    if abs(init.width - 1j) > 1e-12:
+        raise ConfigError("the quantum reference supports unit packet width only")
+    return sum(complex(c) * fock.packet_vector(q0, p0)
+               for c, (q0, p0) in zip(init.coefficients, init.centres))
+
+
+def _gaussian(config: ExperimentConfig, model, t_eval) -> SolverRun:
+    """The centre and width flow from a coherent state, and its physicality."""
+    if config.initial.kind != "coherent":
+        raise ConfigError(f"the semiclassical row takes a 'coherent' initial state, "
+                          f"not {config.initial.kind!r}")
     state0 = coherent(model.n_modes, np.array(config.initial.amplitudes), config.hbar)
     traj = integrate(model, state0, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
     return SolverRun(
+        moments=[moments(st) for st in traj.states],
+        observables={"min_eig_physicality": ObservableSeries(t_eval, traj.min_physicality)},
         files={"trajectory.csv": trajectory_to_csv(traj)},
+        frame=lambda k: eval_wigner(traj.states[k], config.grid),
         entries=[{"check": "semiclassical_solver", "nfev": traj.nfev, "passed": True}],
         result=traj,
     )
 
 
-def _master_run(config: ExperimentConfig, model, t_eval, rho0: DensityMatrix) -> SolverRun:
-    """Master equation from rho0, with its Wigner frames; the calling row adds
-    the observables."""
+def _master(config: ExperimentConfig, model, t_eval) -> SolverRun:
+    """The master equation from a coherent state or a cat."""
+    fock = FockSpace([config.fock_levels] * model.n_modes)
+    rho0 = DensityMatrix.from_state(_initial_vector(config, fock, "master"), fock)
     mtraj = integrate_master(rho0, model, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
     return SolverRun(
+        moments=[moments_of_density(mtraj.density(k)) for k in range(len(t_eval))],
         frame=lambda k: wigner_of_density(mtraj.density(k), config.grid),
         entries=[{"check": "master_solver", "method": mtraj.method, "nfev": mtraj.nfev,
                   "superoperator": "real_hermitian", "nnz": mtraj.nnz, "blocks": mtraj.blocks,
                   "max_block": mtraj.max_block, "passed": True}],
         result=mtraj,
+    )
+
+
+def _doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
+    """The doubled-phase-space superposition of a cat, and its interference terms."""
+    init = config.initial
+    if init.kind != "cat":
+        raise ConfigError(f"the doubled row takes a 'cat' initial state, not {init.kind!r}")
+    cat = cat_decompose(init.centres, init.coefficients, np.array([[init.width]]), hbar=config.hbar)
+    series = propagate_superposition(model, cat, t_eval, rtol=config.ode_rtol,
+                                     atol=config.ode_atol)
+    return SolverRun(
+        moments=[st.moments() for st in series.states],
+        observables={"raw_norm": ObservableSeries(t_eval, series.raw_norms),
+                     "cross_magnitude": ObservableSeries(t_eval, series.cross_magnitudes())},
+        files={f"component_{idx}.csv": component_csv(series, idx)
+               for idx in range(len(cat.components))},
+        frame=lambda k: eval_wigner(series.states[k], config.grid),
+        entries=[{"check": "doubled_solver", "nfev": series.nfev, "passed": True}],
+        result=series,
+    )
+
+
+def _jumps(config: ExperimentConfig, model, t_eval) -> SolverRun:
+    """The jump ensemble of a two-mode model: occupations and g12, with errors."""
+    fock = FockSpace([config.fock_levels] * model.n_modes)
+    ens = quantum_jump(model, _initial_vector(config, fock, "jumps"), t_eval,
+                       n_traj=config.n_trajectories, seed=config.seed, fock=fock)
+    o1, o2 = ens.series["occ_1"], ens.series["occ_2"]
+    g12, g12_err = _g12_with_stderr(o1, o2, ens.series["re_adag_a_1_2"],
+                                    ens.series["im_adag_a_1_2"])
+
+    def agg(arr):
+        return ObservableSeries(
+            t_eval, arr.mean(axis=1), arr.std(axis=1, ddof=1) / np.sqrt(config.n_trajectories)
+        )
+
+    return SolverRun(
+        observables={
+            "occ_1": agg(o1),
+            "occ_2": agg(o2),
+            "total_number": agg(o1 + o2),
+            "imbalance": agg(o1 - o2),
+            "g12": ObservableSeries(t_eval, g12, g12_err),
+        },
+        entries=[{"check": "jump_solver", "jumps_per_traj": float(ens.jump_counts.mean()),
+                  "norm_evals_per_jump": ens.norm_evals / max(int(ens.jump_counts.sum()), 1),
+                  "max_norm_evals": ens.max_norm_evals,
+                  "n_blocks": ens.n_blocks, "max_block": ens.max_block,
+                  "max_leakage": ens.max_leakage, "passed": True}],
+        result=ens,
     )
 
 
@@ -206,8 +273,7 @@ def _limit_cycle_defaults():
 
 
 def _ring_observables(t_eval, moms) -> dict:
-    """Mode amplitude <a> and its covariance, from the moments at each output
-    time."""
+    """Mode amplitude <a> and its covariance at each output time."""
     amps = [m.modes[0] for m in moms]
     return {
         "re_a": ObservableSeries(t_eval, np.array([a.real for a in amps])),
@@ -217,24 +283,6 @@ def _ring_observables(t_eval, moms) -> dict:
             t_eval, np.array([float(np.real(m.blocks.alpha_block[0, 0])) for m in moms])
         ),
     }
-
-
-def _limit_cycle_semiclassical(config: ExperimentConfig, model, t_eval) -> SolverRun:
-    run = _coherent_flow(config, model, t_eval)
-    traj = run.result
-    run.observables = _ring_observables(t_eval, [moments(st) for st in traj.states])
-    run.observables["min_eig_physicality"] = ObservableSeries(t_eval, traj.min_physicality)
-    run.frame = lambda k: eval_wigner(traj.states[k], config.grid)
-    return run
-
-
-def _limit_cycle_master(config: ExperimentConfig, model, t_eval) -> SolverRun:
-    fock = FockSpace([config.fock_levels] * model.n_modes)
-    psi0 = fock.coherent_vector(np.array(config.initial.amplitudes))
-    run = _master_run(config, model, t_eval, DensityMatrix.from_state(psi0, fock))
-    moms = [moments_of_density(run.result.density(k)) for k in range(len(t_eval))]
-    run.observables = _ring_observables(t_eval, moms)
-    return run
 
 
 def _limit_cycle_flow_checks(config: ExperimentConfig, t_eval, runs) -> list:
@@ -312,53 +360,18 @@ def _g12_with_stderr(o1, o2, re12, im12):
     return g12[:, 0], influence.std(axis=1, ddof=1) / np.sqrt(o1.shape[1])
 
 
-def _lattice_semiclassical(config: ExperimentConfig, model, t_eval) -> SolverRun:
-    run = _coherent_flow(config, model, t_eval)
-    traj = run.result
-    moms = [moments(st) for st in traj.states]
+def _lattice_observables(t_eval, moms) -> dict:
+    """Mean-field occupations |<a_j>|^2, N, imbalance, g12, and N with the widths."""
     occ = np.array([np.abs(m.modes) ** 2 for m in moms])
-    occ_gauss = np.array([[m.occupation(j) for j in range(model.n_modes)] for m in moms])
-    g12 = [m.g1(0, 1) for m in moms]
-    run.observables = {
+    occ_gauss = np.array([[m.occupation(j) for j in range(occ.shape[1])] for m in moms])
+    return {
         "occ_1": ObservableSeries(t_eval, occ[:, 0]),
         "occ_2": ObservableSeries(t_eval, occ[:, 1]),
         "total_number": ObservableSeries(t_eval, occ.sum(axis=1)),
         "imbalance": ObservableSeries(t_eval, occ[:, 0] - occ[:, 1]),
-        "g12": ObservableSeries(t_eval, np.array(g12)),
+        "g12": ObservableSeries(t_eval, np.array([m.g1(0, 1) for m in moms])),
         "total_number_gauss": ObservableSeries(t_eval, occ_gauss.sum(axis=1)),
     }
-    return run
-
-
-def _lattice_jumps(config: ExperimentConfig, model, t_eval) -> SolverRun:
-    fock = FockSpace([config.fock_levels] * model.n_modes)
-    psi0 = fock.coherent_vector(np.array(config.initial.amplitudes))
-    ens = quantum_jump(model, psi0, t_eval, n_traj=config.n_trajectories, seed=config.seed,
-                       fock=fock)
-    o1, o2 = ens.series["occ_1"], ens.series["occ_2"]
-    g12, g12_err = _g12_with_stderr(o1, o2, ens.series["re_adag_a_1_2"],
-                                    ens.series["im_adag_a_1_2"])
-
-    def agg(arr):
-        return ObservableSeries(
-            t_eval, arr.mean(axis=1), arr.std(axis=1, ddof=1) / np.sqrt(config.n_trajectories)
-        )
-
-    return SolverRun(
-        observables={
-            "occ_1": agg(o1),
-            "occ_2": agg(o2),
-            "total_number": agg(o1 + o2),
-            "imbalance": agg(o1 - o2),
-            "g12": ObservableSeries(t_eval, g12, g12_err),
-        },
-        entries=[{"check": "jump_solver", "jumps_per_traj": float(ens.jump_counts.mean()),
-                  "norm_evals_per_jump": ens.norm_evals / max(int(ens.jump_counts.sum()), 1),
-                  "max_norm_evals": ens.max_norm_evals,
-                  "n_blocks": ens.n_blocks, "max_block": ens.max_block,
-                  "max_leakage": ens.max_leakage, "passed": True}],
-        result=ens,
-    )
 
 
 def _lattice_jump_checks(config: ExperimentConfig, t_eval, runs) -> list:
@@ -438,41 +451,10 @@ def _cat_defaults():
     }
 
 
-def _cat_doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
-    init = config.initial
-    if init.kind != "cat":
-        raise ConfigError("cat experiment needs initial.kind == 'cat'")
-    cat = cat_decompose(init.centres, init.coefficients, np.array([[init.width]]), hbar=config.hbar)
-    series = propagate_superposition(model, cat, t_eval, rtol=config.ode_rtol,
-                                     atol=config.ode_atol)
-    mom = np.array([st.moments_xp() for st in series.states])
-    return SolverRun(
-        observables={
-            "q_mean": ObservableSeries(t_eval, mom[:, 0]),
-            "p_mean": ObservableSeries(t_eval, mom[:, 1]),
-            "raw_norm": ObservableSeries(t_eval, series.raw_norms),
-            "cross_magnitude": ObservableSeries(t_eval, series.cross_magnitudes()),
-        },
-        files={f"component_{idx}.csv": component_csv(series, idx)
-               for idx in range(len(cat.components))},
-        frame=lambda k: eval_wigner(series.states[k], config.grid),
-        entries=[{"check": "doubled_solver", "nfev": series.nfev, "passed": True}],
-        result=series,
-    )
-
-
-def _cat_master(config: ExperimentConfig, model, t_eval) -> SolverRun:
-    init = config.initial
-    if abs(init.width - 1j) > 1e-12:
-        raise ConfigError("the quantum reference supports unit packet width only")
-    fock = FockSpace([config.fock_levels])
-    vec = sum(complex(c) * fock.packet_vector(q0, p0)
-              for c, (q0, p0) in zip(init.coefficients, init.centres))
-    run = _master_run(config, model, t_eval, DensityMatrix.from_state(vec, fock))
-    means = np.array([moments_of_density(run.result.density(k)).x for k in range(len(t_eval))])
-    run.observables = {"q_mean": ObservableSeries(t_eval, means[:, 0]),
-                       "p_mean": ObservableSeries(t_eval, means[:, 1])}
-    return run
+def _cat_observables(t_eval, moms) -> dict:
+    x = np.array([m.x for m in moms])
+    return {"q_mean": ObservableSeries(t_eval, x[:, 0]),
+            "p_mean": ObservableSeries(t_eval, x[:, 1])}
 
 
 def _cat_doubled_checks(config: ExperimentConfig, t_eval, runs) -> list:
@@ -559,11 +541,11 @@ def _portrait_limit_cycle_defaults():
 def _flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
     """The centre drift on the portrait grid and a trajectory from each start
     (``t_eval`` is unused); a trajectory that stops before ``t_end`` raises.
-    Each Lindblad symbol adds a ``flow_class`` entry: the class of the centre
-    flow it contributes, from `classify_flow`, with the sign of its potential
-    for a holomorphic or antiholomorphic symbol."""
-    if model.n_modes != 1:
-        raise ConfigError("portraits are drawn for single-mode models")
+    Each Lindblad symbol, as the config writes it, adds a ``flow_class``
+    entry: the class of the centre flow it contributes, from `classify_flow`
+    (``gradient_holomorphic``, ``general_gradient``, ``hamiltonian``,
+    ``vanishing`` or ``general``), with the sign of its potential for a
+    holomorphic or antiholomorphic symbol."""
     port = config.portrait
     qs = np.linspace(port.q_min, port.q_max, port.n_q)
     ps = np.linspace(port.p_min, port.p_max, port.n_p)
@@ -605,7 +587,8 @@ EXPERIMENTS = {
         "oscillator with linear/nonlinear damping and amplification: Wigner "
         "snapshots and covariance growth, semiclassical vs master equation",
         _limit_cycle_defaults,
-        solvers={"semiclassical": _limit_cycle_semiclassical, "master": _limit_cycle_master},
+        solvers={"semiclassical": _gaussian, "master": _master},
+        observables=_ring_observables,
         checks=(
             (("semiclassical",), _limit_cycle_flow_checks),
             (("semiclassical", "master"), _limit_cycle_cross_checks),
@@ -616,7 +599,8 @@ EXPERIMENTS = {
         "two-mode lattice with two-body losses: populations, imbalance and "
         "phase coherence, mean-field Gaussian vs quantum-jump ensemble",
         _bose_hubbard_defaults,
-        solvers={"semiclassical": _lattice_semiclassical, "jumps": _lattice_jumps},
+        solvers={"semiclassical": _gaussian, "jumps": _jumps},
+        observables=_lattice_observables,
         checks=(
             (("jumps",), _lattice_jump_checks),
             (("semiclassical", "jumps"), _lattice_cross_checks),
@@ -627,7 +611,8 @@ EXPERIMENTS = {
         "cat state in a damped (an)harmonic oscillator: superposition "
         "propagation with interference terms vs master equation",
         _cat_defaults,
-        solvers={"doubled": _cat_doubled, "master": _cat_master},
+        solvers={"doubled": _doubled, "master": _master},
+        observables=_cat_observables,
         checks=(
             (("doubled",), _cat_doubled_checks),
             (("doubled", "master"), _cat_moment_checks),
@@ -683,7 +668,8 @@ def run_experiment(config: ExperimentConfig, root=None):
     before any file is written, so a row that raises leaves no file; each
     row's run time covers its solve, its frames and its writes.  Then every
     check whose solvers all ran adds its entries.  A tolerance the
-    experiment does not register is a `ConfigError` before any solver runs;
+    experiment does not register, and a grid or portrait on a multi-mode
+    model, are `ConfigError`s before any solver runs;
     a top-level field the config leaves unset, and a tolerance it leaves
     out, takes its registered value.
     """
@@ -706,6 +692,9 @@ def run_experiment(config: ExperimentConfig, root=None):
     if not config.solvers:
         raise ConfigError(f"{config.experiment!r} config runs no solver; "
                           f"list some of {list(exp.solvers)} under 'solvers'")
+    if config.model.n_modes != 1 and (config.grid or config.portrait):
+        raise ConfigError(f"grids and portraits are drawn for single-mode models; "
+                          f"{config.experiment!r} has {config.model.n_modes} modes")
     outdir = _resolve_root(config, root) / config.experiment
     start = time.perf_counter()
     model = config.model.build(config.hbar)
@@ -719,6 +708,8 @@ def run_experiment(config: ExperimentConfig, root=None):
             continue
         t0 = time.perf_counter()
         run = runs[name] = solve(config, model, t_eval)
+        if run.moments is not None:
+            run.observables = {**exp.observables(t_eval, run.moments), **run.observables}
         if config.grid is not None and run.frame is not None:
             _wigner_frames(outdir / name, t_eval, frames, run)
         report.runtime_s[name] = time.perf_counter() - t0

@@ -11,6 +11,7 @@ from semilind.gaussian import (
     cat_decompose,
     coherent,
     eval_wigner,
+    moments_from_covariance,
 )
 from semilind.harness.compare import component_csv
 from semilind.harness.config import ExperimentConfig
@@ -361,6 +362,28 @@ class TestPropagateSuperposition:
                     assert np.max(np.abs(cji.b + np.conj(cij.b))) < 1e-10
                     assert abs(cji.alpha + np.conj(cij.alpha)) < 1e-10
                     assert abs(cji.weight - np.conj(cij.weight)) < 1e-10
+
+    def test_closed_form_moments_match_wigner_quadrature(self):
+        # the registered cat at four times; on a grid of +-16 the cut-off
+        # tails are below the rounding of the midpoint sums (+-12 leaves 7e-8)
+        cfg = ExperimentConfig.from_dict(default_config("cat_anharmonic"))
+        init = cfg.initial
+        cat = cat_decompose(init.centres, init.coefficients, np.array([[init.width]]),
+                            hbar=cfg.hbar)
+        series = propagate_superposition(cfg.model.build(cfg.hbar), cat, [0.0, 0.5, 1.5, 2.5],
+                                         rtol=cfg.ode_rtol, atol=cfg.ode_atol)
+        spec = GridSpec(-16.0, 16.0, 400, -16.0, 16.0, 400)
+        pts = spec.points().reshape(-1, 2)
+        for state in series.states:
+            w = eval_wigner(state, spec).values.ravel()
+            mean = w @ pts / w.sum()
+            cov = (pts - mean).T @ ((pts - mean) * w[:, None]) / w.sum()
+            want = moments_from_covariance(cfg.hbar, mean, cov)
+            got = state.moments()
+            assert np.max(np.abs(got.x - want.x)) < 1e-10
+            for block in ("alpha_block", "beta_block"):
+                diff = getattr(got.blocks, block) - getattr(want.blocks, block)
+                assert np.max(np.abs(diff)) < 1e-10
 
     def test_norm_conserved_in_exact_case(self):
         model = anharmonic_damped(beta=0.0, gamma=0.25)

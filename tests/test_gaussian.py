@@ -151,7 +151,7 @@ class TestCatDecompose:
             assert abs(grid_int - comp.integral()) < 1e-8
 
     def test_moments_symmetric_cat(self):
-        m = self.state.moments_xp()
+        m = self.state.moments().x
         assert m[0] == pytest.approx(4.0, abs=1e-9)
         assert m[1] == pytest.approx(0.0, abs=1e-9)
 

@@ -710,6 +710,71 @@ class TestSolverTable:
         assert {e["check"] for e in report.entries} == checks
 
 
+class TestRowKinds:
+    def test_rows_report_their_experiments_map(self, tmp_path):
+        names = {}
+        for name in ("limit_cycle", "bose_hubbard_losses", "cat_anharmonic"):
+            cfg = tiny_config(name, tmp_path / name)
+            _, outdir = run_experiment(cfg)
+            names[name] = {solver: set(read_observables(outdir / solver / "observables.csv"))
+                           for solver in cfg.solvers}
+        ring, lattice, cat = (names[n] for n in
+                              ("limit_cycle", "bose_hubbard_losses", "cat_anharmonic"))
+        assert ring["master"] == {"re_a", "im_a", "abs_a_sq", "alpha_cov"}
+        assert ring["semiclassical"] == ring["master"] | {"min_eig_physicality"}
+        assert lattice["jumps"] == {"occ_1", "occ_2", "total_number", "imbalance", "g12"}
+        assert lattice["semiclassical"] == lattice["jumps"] | {"total_number_gauss",
+                                                               "min_eig_physicality"}
+        assert cat["master"] == {"q_mean", "p_mean"}
+        assert cat["doubled"] == cat["master"] | {"raw_norm", "cross_magnitude"}
+
+    @pytest.mark.parametrize("name, kind, solvers, message", [
+        ("limit_cycle", "cat", None,
+         r"the semiclassical row takes a 'coherent' initial state, not 'cat'"),
+        ("bose_hubbard_losses", "cat", None,
+         r"the semiclassical row takes a 'coherent' initial state, not 'cat'"),
+        ("bose_hubbard_losses", "cat", ["jumps"],
+         r"the jumps row takes a 'cat' initial state only on a single-mode model"),
+        ("cat_anharmonic", "coherent", None,
+         r"the doubled row takes a 'cat' initial state, not 'coherent'"),
+        ("cat_anharmonic", "coherent", ["master"], None),
+    ], ids=["ring-cat", "lattice-cat", "lattice-jumps-cat", "cat-coherent", "cat-master-coherent"])
+    def test_initial_state_a_row_cannot_take(self, name, kind, solvers, message, tmp_path,
+                                              monkeypatch):
+        """A row given an initial state it cannot take is a ConfigError that
+        names the row and the kind, before it solves, and leaves no file; the
+        master row takes both kinds."""
+        d = tiny_config(name, tmp_path, solvers=solvers).to_dict()
+        other = "cat_anharmonic" if kind == "cat" else "limit_cycle"
+        d["initial"] = default_config(other)["initial"]
+        cfg = ExperimentConfig.from_dict(d)
+        if message is None:
+            report, outdir = run_experiment(cfg)
+            assert report.passed
+            assert set(read_observables(outdir / "master" / "observables.csv")) == {
+                "q_mean", "p_mean"}
+            return
+        solves = [recording(monkeypatch, fn) for fn in
+                  ("integrate", "propagate_superposition", "quantum_jump", "integrate_master")]
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg)
+        assert solves == [[], [], [], []]
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    def test_grid_on_a_multi_mode_experiment_is_rejected_before_any_solver(self, tmp_path,
+                                                                           monkeypatch):
+        d = tiny_config("bose_hubbard_losses", tmp_path).to_dict()
+        d["times"]["frames"] = [0.25]
+        d["grid"] = {"q_min": -5.0, "q_max": 5.0, "n_q": 20, "p_min": -5.0, "p_max": 5.0,
+                     "n_p": 20}
+        solves = recording(monkeypatch, "integrate")
+        with pytest.raises(ConfigError,
+                           match=r"single-mode models; 'bose_hubbard_losses' has 2 modes"):
+            run_experiment(ExperimentConfig.from_dict(d))
+        assert solves == []
+        assert not (tmp_path / "bose_hubbard_losses").exists()
+
+
 ODE_MODULES = ("semilind.semiclassical", "semilind.doubled", "semilind.quantum",
                "semilind.harness.experiments")
 
