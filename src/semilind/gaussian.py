@@ -199,7 +199,13 @@ class ComplexGaussian:
         return complex(np.prod(np.sqrt(eigs)))
 
     def integral(self) -> complex:
-        """Exact phase-space integral of the component."""
+        """Exact phase-space integral of the component.  It is computed once
+        per component: a superposition's normalization and its moments both
+        read it."""
+        return self._integral
+
+    @functools.cached_property
+    def _integral(self) -> complex:
         dim = self.z.size // 2
         binv_y = np.linalg.solve(self.b, self.y)
         expo = 1j / self.hbar * (self.alpha - 0.5 * self.y @ binv_y)
@@ -361,6 +367,9 @@ class WignerGrid:
         return float(np.max(np.abs(self.values - other.values)))
 
     def to_text(self) -> str:
+        # Frames are written as .npy (harness.compare.write_frame); this method
+        # and to_json stay only because perfbench/tracing.py names them, and
+        # they go together with those tracer rows.
         s = self.spec
         lines = [
             f"# {s.q_min!r} {s.q_max!r} {s.n_q}",
@@ -370,8 +379,6 @@ class WignerGrid:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        # Frames are written only as text; perfbench/tracing.py still names this
-        # method, so it goes together with that tracer row.
         s = self.spec
         doc = {
             "q": [s.q_min, s.q_max, s.n_q],

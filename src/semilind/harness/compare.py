@@ -12,8 +12,11 @@ each float as its shortest round-trip ``repr``.  `csv_text` builds each one:
 * a portrait's ``field.csv`` (``q,p,dq,dp,speed``) and ``trajectories.csv``
   (``trajectory,t,q,p``, with an integer trajectory index).
 
-`write_text` writes every artifact, these and the Wigner frames
-(`WignerGrid.to_text`), ``report.json`` and ``config.json``.
+`write_text` writes these, ``report.json`` and ``config.json``.  A Wigner
+frame is one ``wigner_t<t>.npy`` (`frame_name`, `write_frame`): the
+``values[i_q, i_p]`` array in NumPy's ``.npy`` format, with its dtype, shape
+and every bit of every value.  Its axes are those of the ``grid`` section of
+the run's ``config.json`` (``GridSpec(**grid).axes()``).
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "ComparisonReport",
     "csv_text",
     "write_text",
+    "frame_name",
+    "write_frame",
     "write_observables",
     "read_observables",
     "trajectory_to_csv",
@@ -59,6 +64,18 @@ def write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+def frame_name(t: float) -> str:
+    """File name of the Wigner frame at output time t."""
+    return f"wigner_t{t:g}.npy"
+
+
+def write_frame(path, values: np.ndarray) -> None:
+    """Write one Wigner frame as ``.npy``, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.save(path, values, allow_pickle=False)
 
 
 def write_observables(series: dict, path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from ..gaussian import GridSpec
 from ..semiclassical import LindbladModel
 from ..symbols import Chart, parse_symbol
-from .compare import write_text
+from .compare import frame_name, write_text
 
 __all__ = ["ExperimentConfig", "PortraitSection", "load_config", "dump_config"]
 
@@ -186,20 +186,30 @@ class TimesSection:
             {"frames": (lambda v: tuple(_finite(x) for x in v), ())},
         )
         _check_span("times", vals["t_end"], vals["n_out"])
-        return cls(**vals)
+        times = cls(**vals)
+        t, nearest = times._nearest()
+        written = {}
+        for fr, k in zip(times.frames, nearest):
+            name = frame_name(t[k])
+            if name in written:
+                raise ConfigError(f"frame times {written[name]} and {fr} both write {name}")
+            written[name] = fr
+        return times
 
     def grid(self):
         return np.linspace(0.0, self.t_end, self.n_out)
 
-    def frame_indices(self):
+    def _nearest(self):
+        """The output grid, and the index of the grid time nearest each frame."""
         t = self.grid()
-        out = []
-        for fr in self.frames:
-            k = int(np.argmin(np.abs(t - fr)))
+        return t, [int(np.argmin(np.abs(t - fr))) for fr in self.frames]
+
+    def frame_indices(self):
+        t, nearest = self._nearest()
+        for fr, k in zip(self.frames, nearest):
             if abs(t[k] - fr) > 1e-9 * max(1.0, self.t_end):
                 raise ConfigError(f"frame time {fr} is not on the output grid")
-            out.append(k)
-        return out
+        return nearest
 
 
 _GRID_KEYS = {"q_min": float, "q_max": float, "n_q": int,

@@ -13,10 +13,11 @@ errors, the kind adds itself.  Every Fock row builds its initial state in
 ``_initial_vector``, and a kind given an initial state it cannot take raises
 a `ConfigError` naming the row and the kind before it solves.  So a new row
 kind is one function, usable by every experiment whose initial state it
-takes.  A ``SolverRun``'s frames are saved as ``wigner_t<t>.txt`` at each
+takes.  A ``SolverRun``'s frames are saved as ``wigner_t<t>.npy`` at each
 configured frame when the config has a ``grid`` (single-mode models only),
-after ``_wigner_frames`` checks them; the ``events`` of its result become
-one ``solver_events`` entry per kind.
+after ``_wigner_frames`` checks them; their axes are the ``grid`` of
+``config.json``.  The ``events`` of its result become one ``solver_events``
+entry per kind.
 
 ``ExperimentDef.checks`` lists ``(needed solvers, fn(config, t_eval, runs) ->
 entries)``, with ``runs`` mapping solver name to ``SolverRun``; each check
@@ -28,8 +29,9 @@ sampled drift and a trajectory fan and states the flow's class (see `_flow`);
 ``run_portrait`` stays only because ``perfbench/worker.py`` imports it.
 
 ``run_experiment`` alone runs, times and saves the solvers, every file
-through `compare.write_text`; `compare` owns every file format.  Every
-top-level config field left unset takes the experiment's registered value.
+through `compare.write_text` or `compare.write_frame`; `compare` owns every
+file format.  Every top-level config field left unset takes the experiment's
+registered value.
 Re-running with the same config and seed reproduces every file but
 ``report.json`` (which holds run times) byte for byte.  Row kinds still call
 the library (``integrate``, ``moments``, ``eval_wigner``, ...) through this
@@ -66,7 +68,8 @@ from ..quantum import (
 from ..semiclassical import classify_flow, drift_x, integrate
 from ..symbols import Chart
 from .compare import (ComparisonReport, ObservableSeries, component_csv, csv_text,
-                      trajectory_to_csv, write_observables, write_text)
+                      frame_name, trajectory_to_csv, write_frame, write_observables,
+                      write_text)
 from .config import ConfigError, ExperimentConfig, dump_config
 
 __all__ = ["EXPERIMENTS", "ExperimentDef", "SolverRun", "default_config", "run_experiment",
@@ -720,7 +723,7 @@ def run_experiment(config: ExperimentConfig, root=None):
         if run.observables:
             write_observables(run.observables, outdir / name / "observables.csv")
         for k, grid in run.grids.items():  # the frames computed above
-            write_text(outdir / name / f"wigner_t{t_eval[k]:g}.txt", grid.to_text())
+            write_frame(outdir / name / frame_name(t_eval[k]), grid.values)
         report.runtime_s[name] += time.perf_counter() - t0
         report.entries.extend(run.entries)
         report.entries.extend(_event_entries(name, run.result))

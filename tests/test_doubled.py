@@ -245,6 +245,24 @@ class TestComponentPacking:
 
 
 class TestPropagateSuperposition:
+    def test_each_component_integral_computed_once(self, monkeypatch):
+        # the normalization of each output state and its moments read one
+        # integral per component
+        cat = cat_decompose([(2.0, 1.0), (2.0, -1.0)], [1.0, 1.0], np.array([[1j]]))
+        real, calls = ComplexGaussian._det_mi_b_sqrt, []
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(ComplexGaussian, "_det_mi_b_sqrt", counted)
+        series = propagate_superposition(anharmonic_damped(), cat, np.linspace(0, 0.5, 6))
+        solved = len(calls)
+        assert solved == len({id(c) for st in series.states for c in st.components})
+        for st in series.states:
+            st.moments()
+        assert len(calls) == solved
+
     def test_single_component_matches_semiclassical(self):
         model = anharmonic_damped(beta=0.1, gamma=0.3)
         cat = cat_decompose([(2.0, 1.0)], [1.0], np.array([[1j]]))

@@ -18,9 +18,11 @@ from semilind.harness.compare import (
     compare_dirs,
     compare_series,
     read_observables,
+    write_frame,
     write_observables,
 )
-from semilind.harness.config import ConfigError, ExperimentConfig, dump_config, load_config
+from semilind.harness.config import (ConfigError, ExperimentConfig, TimesSection, dump_config,
+                                     load_config)
 from semilind.harness.experiments import (
     EXPERIMENTS,
     SolverRun,
@@ -117,6 +119,17 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(d)
         with pytest.raises(ConfigError):
             cfg.times.frame_indices()
+
+    @pytest.mark.parametrize("times, first, second, name", [
+        ({"t_end": 200.0, "n_out": 2000001, "frames": [100.0001, 100.0002]},
+         "100.0001", "100.0002", "wigner_t100.npy"),
+        ({"t_end": 2.5, "n_out": 126, "frames": [0.5, 1.5, 0.5]}, "0.5", "0.5",
+         "wigner_t0.5.npy"),
+    ], ids=["print-alike", "duplicate"])
+    def test_frames_sharing_a_file_name_rejected(self, times, first, second, name):
+        with pytest.raises(ConfigError, match=f"frame times {first} and {second} both write "
+                                              f"{re.escape(name)}"):
+            TimesSection.from_dict(times)
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan"), float("inf")])
     def test_times_t_end_must_be_finite_and_positive(self, t_end):
@@ -323,6 +336,39 @@ class TestCsvFormats:
                          "trajectories.csv"}
 
 
+class TestFrameFiles:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_write_frame_keeps_every_bit(self, dtype, tmp_path):
+        vals = np.array([[0.1, -0.0, 5e-324, 1.0 / 3.0],
+                         [-2.5e-310, 0.0, 1e300, -7.0],
+                         [np.pi, -1e-17, 2.0**-1074, -1e300]], dtype=dtype)
+        if dtype is complex:
+            vals = vals + 1j * vals[::-1].real
+        path = tmp_path / "solver" / "wigner_t0.5.npy"
+        write_frame(path, vals)
+        back = np.load(path)
+        assert back.dtype == vals.dtype and back.shape == vals.shape
+        assert np.array_equal(back, vals)
+        assert np.array_equal(np.signbit(back.real), np.signbit(vals.real))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(vals.imag))
+
+    def test_frame_axes_come_from_config_json(self, tmp_path):
+        d = default_config("limit_cycle")
+        d.update(solvers=["semiclassical"], output_dir=str(tmp_path))
+        d["times"] = {"t_end": 0.5, "n_out": 5, "frames": [0.0]}
+        d["grid"] = {"q_min": -1.0, "q_max": 9.0, "n_q": 40, "p_min": 1.0, "p_max": 8.0,
+                     "n_p": 28}
+        _, outdir = run_experiment(ExperimentConfig.from_dict(d))
+        spec = GridSpec(**json.loads((outdir / "config.json").read_text())["grid"])
+        q, p = spec.axes()
+        frame = np.load(outdir / "semiclassical" / "wigner_t0.npy")
+        assert frame.shape == (q.size, p.size) == (40, 28)
+        # the initial coherent state peaks at its centre
+        iq, ip = np.unravel_index(np.argmax(frame), frame.shape)
+        centre = coherent(1, complex(*d["initial"]["amplitudes"][0])).x
+        assert abs(q[iq] - centre[0]) <= spec.dq and abs(p[ip] - centre[1]) <= spec.dp
+
+
 class TestCompare:
     def test_identical_series_zero_error(self):
         t = np.linspace(0, 2, 9)
@@ -386,8 +432,8 @@ class TestRunners:
         files = sorted(p.relative_to(outdir).as_posix() for p in Path(outdir).rglob("*")
                        if p.is_file())
         assert files == sorted(
-            ["config.json", "report.json", "master/observables.csv", "master/wigner_t0.2.txt",
-             "doubled/observables.csv", "doubled/wigner_t0.2.txt"]
+            ["config.json", "report.json", "master/observables.csv", "master/wigner_t0.2.npy",
+             "doubled/observables.csv", "doubled/wigner_t0.2.npy"]
             + [f"doubled/component_{i}.csv" for i in range(4)])
 
         def digests():
@@ -598,8 +644,8 @@ class TestRunners:
         fringes = [e for e in doc["entries"] if e["check"] == "wigner_fringe_info"]
         assert [e["at_time"] for e in fringes] == [0.1, 0.2]
         assert all(e["passed"] for e in fringes)
-        master = np.loadtxt(Path(outdir) / "master" / "wigner_t0.2.txt")
-        doubled = np.loadtxt(Path(outdir) / "doubled" / "wigner_t0.2.txt")
+        master = np.load(Path(outdir) / "master" / "wigner_t0.2.npy")
+        doubled = np.load(Path(outdir) / "doubled" / "wigner_t0.2.npy")
         diff = doubled - master
         assert sup["value"] == pytest.approx(np.max(np.abs(diff)), rel=1e-12)
         assert fringes[1]["sup_rel_error"] == pytest.approx(

@@ -16,6 +16,8 @@ ALLOWED_UNUSED = {
                                         "to run_experiment first",
     "semiclassical.drift_field": "perfbench/tracing.py traces it by name; the symbolic drift "
                                  "is built by _gaussian_fields",
+    "gaussian.WignerGrid.to_text": "perfbench/tracing.py traces it by name; frames are written "
+                                   "as .npy by compare.write_frame",
 }
 
 
