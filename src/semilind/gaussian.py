@@ -361,11 +361,6 @@ class WignerGrid:
             raise ValueError("value matrix does not match the grid spec")
         object.__setattr__(self, "values", vals)
 
-    def sup_diff(self, other: "WignerGrid") -> float:
-        if self.spec != other.spec:
-            raise ValueError("grids must share one spec")
-        return float(np.max(np.abs(self.values - other.values)))
-
     def to_text(self) -> str:
         # Frames are written as .npy (harness.compare.write_frame); this method
         # and to_json stay only because perfbench/tracing.py names them, and

@@ -2,7 +2,11 @@
 
 Unknown keys are rejected at every level, and every float but the grid
 bounds (which `GridSpec` checks) goes through `_finite`, so NaN and
-Infinity are `ConfigError`s.  `_plain` is the one way back to
+Infinity are `ConfigError`s.  No boolean or string is read as a number
+(`_real`).  Counts and the seed go through `_integer`, scales that must
+be positive through `_positive`, and lists through `_list`, so a value
+of the wrong type or range is a `ConfigError` naming its key when the
+config is read, before any solver runs.  `_plain` is the one way back to
 JSON: fields that are None are left out, tuples become lists and complex
 numbers [re, im] pairs, so to_dict/from_dict round-trip losslessly.
 """
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -51,13 +56,58 @@ def _pull(d: dict, where: str, required, optional=None):
     return out
 
 
+def _real(v) -> float:
+    """A config number; a boolean or a string is rejected, not read as one."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"must be a number, got {v!r}")
+    return float(v)
+
+
 def _finite(v) -> float:
     """A config float: ``json.load`` accepts NaN and Infinity, which would
     hang an adaptive solver or un-gate a check, so both are rejected."""
-    x = float(v)
+    x = _real(v)
     if not math.isfinite(x):
         raise ValueError(f"must be a finite number, got {v!r}")
     return x
+
+
+def _positive(v) -> float:
+    """A finite config float above zero: a scale, a tolerance or a duration."""
+    x = _finite(v)
+    if not x > 0:
+        raise ValueError(f"must be positive, got {v!r}")
+    return x
+
+
+def _integer(low: int | None = None, high: int | None = None):
+    """Converter of a config integer in [low, high], a bound left None being
+    open: a number with no fractional part, which is not truncated."""
+
+    def conv(v) -> int:
+        _real(v)  # the type check; float(v) would round an integer above 2**53
+        n = int(v)
+        if n != v:
+            raise ValueError(f"must be an integer, got {v!r}")
+        if low is not None and n < low:
+            raise ValueError(f"must be at least {low}, got {n}")
+        if high is not None and n > high:
+            raise ValueError(f"must be at most {high}, got {n}")
+        return n
+
+    return conv
+
+
+def _list(conv):
+    """Converter of a JSON list, item by item; a string is not read as a
+    list of its characters."""
+
+    def convert(v) -> tuple:
+        if not isinstance(v, (list, tuple)):
+            raise TypeError(f"must be a list, got {v!r}")
+        return tuple(conv(item) for item in v)
+
+    return convert
 
 
 def _complex_pair(v) -> complex:
@@ -89,23 +139,10 @@ def _plain(value):
     return value
 
 
-def _trajectory_count(v) -> int:
-    """An ensemble of at least two trajectories: its stderr is a sample
-    standard deviation (ddof=1), which one trajectory leaves undefined."""
-    n = int(v)
-    if n < 2:
-        raise ConfigError(f"config.n_trajectories must be at least 2, got {n}")
-    return n
-
-
-def _check_span(where: str, t_end: float, n_out: int):
-    """An output grid runs forward from 0 to t_end (finite, read by `_finite`)
-    through n_out >= 2 times."""
-    if not t_end > 0:
-        raise ConfigError(f"{where}.t_end must be positive, got {t_end!r}")
-    if n_out < 2:
-        raise ConfigError(f"{where}.n_out must be at least 2")
-
+# An output grid runs forward from 0 to t_end through n_out >= 2 times.
+_SPAN = {"t_end": _positive, "n_out": _integer(2)}
+# the key of a jump trajectory's Philox stream holds the seed in 64 bits
+_SEED = _integer(0, 2**64 - 1)
 
 _CHARTS = {"realqp": Chart.REAL_QP, "complex": Chart.COMPLEX_AABAR}
 
@@ -123,10 +160,10 @@ class ModelSection:
             d,
             "model",
             {
-                "n_modes": int,
+                "n_modes": _integer(1),
                 "chart": str,
                 "hamiltonian": str,
-                "lindblads": lambda v: tuple(str(s) for s in v),
+                "lindblads": _list(str),
             },
         )
         if vals["chart"] not in _CHARTS:
@@ -179,13 +216,7 @@ class TimesSection:
 
     @classmethod
     def from_dict(cls, d):
-        vals = _pull(
-            d,
-            "times",
-            {"t_end": _finite, "n_out": int},
-            {"frames": (lambda v: tuple(_finite(x) for x in v), ())},
-        )
-        _check_span("times", vals["t_end"], vals["n_out"])
+        vals = _pull(d, "times", _SPAN, {"frames": (_list(_finite), ())})
         times = cls(**vals)
         t, nearest = times._nearest()
         written = {}
@@ -212,8 +243,9 @@ class TimesSection:
         return nearest
 
 
-_GRID_KEYS = {"q_min": float, "q_max": float, "n_q": int,
-              "p_min": float, "p_max": float, "n_p": int}
+# GridSpec checks the ranges, for grids and portraits alike
+_GRID_KEYS = {"q_min": _real, "q_max": _real, "n_q": _integer(),
+              "p_min": _real, "p_max": _real, "n_p": _integer()}
 
 
 def _grid_spec(where: str, vals: dict) -> GridSpec:
@@ -238,13 +270,8 @@ class PortraitSection:
 
     @classmethod
     def from_dict(cls, d):
-        vals = _pull(
-            d,
-            "portrait",
-            {**_GRID_KEYS, "t_end": _finite, "n_out": int, "starts": _float_pair_list},
-        )
+        vals = _pull(d, "portrait", {**_GRID_KEYS, **_SPAN, "starts": _float_pair_list})
         _grid_spec("portrait", vals)
-        _check_span("portrait", vals["t_end"], vals["n_out"])
         return cls(**vals)
 
 
@@ -274,20 +301,22 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError(f"config: the document must be a mapping, got {type(d).__name__}")
         optional = {
-            "seed": int,
-            "hbar": _finite,
+            "seed": _SEED,
+            "hbar": _positive,
             "output_dir": str,
-            "solvers": lambda v: tuple(str(s) for s in v),
+            "solvers": _list(str),
             "initial": InitialSection.from_dict,
             "times": TimesSection.from_dict,
             "grid": lambda v: _grid_spec("grid", _pull(v, "grid", _GRID_KEYS)),
-            "fock_levels": int,
-            "n_trajectories": _trajectory_count,
+            "fock_levels": _integer(2),
+            # its stderr is a sample standard deviation (ddof=1), which one
+            # trajectory leaves undefined
+            "n_trajectories": _integer(2),
             "tolerances": lambda v: {str(k): _convert("config.tolerances", str(k), _finite, x)
                                      for k, x in v.items()},
             "portrait": PortraitSection.from_dict,
-            "ode_rtol": _finite,
-            "ode_atol": _finite,
+            "ode_rtol": _positive,
+            "ode_atol": _positive,
         }
         return cls(**_pull(d, "config", {"experiment": str, "model": ModelSection.from_dict},
                            {key: (conv, None) for key, conv in optional.items()}))
@@ -296,7 +325,7 @@ class ExperimentConfig:
         return _plain(self)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=_convert("config", "seed", _SEED, seed))
 
 
 def load_config(path) -> ExperimentConfig:

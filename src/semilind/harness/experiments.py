@@ -22,11 +22,12 @@ entry per kind.
 ``ExperimentDef.checks`` lists ``(needed solvers, fn(config, t_eval, runs) ->
 entries)``, with ``runs`` mapping solver name to ``SolverRun``; each check
 whose solvers all ran adds its entries to ``report.json``.  Checks read their
-bounds from ``config.tolerances``, which holds every registered key; a key in
-``ExperimentDef.optional_tolerances`` has no default, and its check runs only
-when a config sets it.  A phase portrait's one row, ``flow``, writes the
-sampled drift and a trajectory fan and states the flow's class (see `_flow`);
-``run_portrait`` stays only because ``perfbench/worker.py`` imports it.
+bounds from ``config.tolerances``, which holds every key the experiment's
+defaults register and no other, and compare frames only through
+``SolverRun.grids``: the configured frames, each computed once and written.
+A phase portrait's one row, ``flow``, writes the sampled drift and a
+trajectory fan and states the flow's class (see `_flow`); ``run_portrait``
+stays only because ``perfbench/worker.py`` imports it.
 
 ``run_experiment`` alone runs, times and saves the solvers, every file
 through `compare.write_text` or `compare.write_frame`; `compare` owns every
@@ -86,33 +87,26 @@ class SolverRun:
     frame: Callable | None = None  # output index -> WignerGrid
     entries: list = field(default_factory=list)
     result: object = None
-    grids: dict = field(default_factory=dict)  # output index -> WignerGrid, as computed
-
-    def grid(self, k: int):
-        """Frame k, computed on first use."""
-        if k not in self.grids:
-            self.grids[k] = self.frame(k)
-        return self.grids[k]
+    grids: dict = field(default_factory=dict)  # output index -> WignerGrid, set by _wigner_frames
 
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    name: str
     description: str
     defaults: Callable
     solvers: dict = field(default_factory=dict)  # name -> row kind
     observables: Callable | None = None  # fn(t_eval, moments) -> name -> ObservableSeries
     checks: tuple = ()  # (needed solver names, fn(config, t_eval, runs) -> entries)
-    optional_tolerances: tuple = ()  # keys with no default; their checks run only when set
 
 
 def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
-    """Compute ``run.grid(k)`` for each index k.  A grid with a non-finite
-    value raises, naming the directory it would be written to; a grid whose
-    border exceeds 1e-6 of its peak, so that it cuts off part of the state,
-    records a ``grid_clipping`` event on the solver's result."""
+    """Store ``run.frame(k)`` in ``run.grids`` for each index k.  A grid with
+    a non-finite value raises, naming the directory it would be written to; a
+    grid whose border exceeds 1e-6 of its peak, so that it cuts off part of
+    the state, records a ``grid_clipping`` event on the solver's result."""
     for k in indices:
-        vals = np.abs(run.grid(k).values)
+        run.grids[k] = run.frame(k)
+        vals = np.abs(run.grids[k].values)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{outdir}: Wigner frame at t={times[k]:g} has non-finite values")
         peak = vals.max()
@@ -481,23 +475,13 @@ def _cat_moment_checks(config: ExperimentConfig, t_eval, runs) -> list:
     return entries
 
 
-def _cat_wigner_check(config: ExperimentConfig, t_eval, runs) -> list:
-    if "wigner_sup" not in config.tolerances:
-        return []
-    frames = config.times.frame_indices()
-    k = frames[-1] if frames else len(t_eval) - 1
-    sup = runs["doubled"].grid(k).sup_diff(runs["master"].grid(k))
-    return [_bounded("wigner_sup_error", sup, config.tolerances["wigner_sup"],
-                     at_time=float(t_eval[k]))]
-
-
 def _cat_fringe_entries(config: ExperimentConfig, t_eval, runs) -> list:
     """Informational: the doubled-phase-space Wigner function against the
     master equation's at each frame, as sup and L2 errors relative to the
     master's peak and norm, and the minimum (negativity) of each."""
     entries = []
-    for k in config.times.frame_indices():
-        wd, wm = runs["doubled"].grid(k).values, runs["master"].grid(k).values
+    for k, doubled in runs["doubled"].grids.items():
+        wd, wm = doubled.values, runs["master"].grids[k].values
         entries.append({
             "check": "wigner_fringe_info", "at_time": float(t_eval[k]),
             "sup_rel_error": float(np.max(np.abs(wd - wm)) / np.max(np.abs(wm))),
@@ -586,7 +570,6 @@ def _flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
 
 EXPERIMENTS = {
     "limit_cycle": ExperimentDef(
-        "limit_cycle",
         "oscillator with linear/nonlinear damping and amplification: Wigner "
         "snapshots and covariance growth, semiclassical vs master equation",
         _limit_cycle_defaults,
@@ -598,7 +581,6 @@ EXPERIMENTS = {
         ),
     ),
     "bose_hubbard_losses": ExperimentDef(
-        "bose_hubbard_losses",
         "two-mode lattice with two-body losses: populations, imbalance and "
         "phase coherence, mean-field Gaussian vs quantum-jump ensemble",
         _bose_hubbard_defaults,
@@ -610,7 +592,6 @@ EXPERIMENTS = {
         ),
     ),
     "cat_anharmonic": ExperimentDef(
-        "cat_anharmonic",
         "cat state in a damped (an)harmonic oscillator: superposition "
         "propagation with interference terms vs master equation",
         _cat_defaults,
@@ -619,20 +600,16 @@ EXPERIMENTS = {
         checks=(
             (("doubled",), _cat_doubled_checks),
             (("doubled", "master"), _cat_moment_checks),
-            (("doubled", "master"), _cat_wigner_check),
             (("doubled", "master"), _cat_fringe_entries),
         ),
-        optional_tolerances=("wigner_sup",),
     ),
     "portrait_nonlinear_loss": ExperimentDef(
-        "portrait_nonlinear_loss",
         "phase portrait of the flow generated by a quadratic non-gradient "
         "Lindblad symbol (straight-line trajectories)",
         _portrait_nonlinear_defaults,
         solvers={"flow": _flow},
     ),
     "portrait_limit_cycle": ExperimentDef(
-        "portrait_limit_cycle",
         "phase portrait of the oscillator with damping and amplification "
         "(stable ring attractor)",
         _portrait_limit_cycle_defaults,
@@ -680,11 +657,10 @@ def run_experiment(config: ExperimentConfig, root=None):
         raise ConfigError(f"unknown experiment {config.experiment!r}")
     exp = EXPERIMENTS[config.experiment]
     registered = ExperimentConfig.from_dict(exp.defaults())
-    unknown = [key for key in config.tolerances or {}
-               if key not in registered.tolerances and key not in exp.optional_tolerances]
+    unknown = [key for key in config.tolerances or {} if key not in registered.tolerances]
     if unknown:
         raise ConfigError(f"unknown tolerance(s) {unknown} for {config.experiment!r}; "
-                          f"known: {[*registered.tolerances, *exp.optional_tolerances]}")
+                          f"known: {list(registered.tolerances)}")
     config = replace(config, tolerances={**registered.tolerances, **(config.tolerances or {})})
     config = replace(config, **{f.name: getattr(registered, f.name) for f in fields(config)
                                 if getattr(config, f.name) is None})

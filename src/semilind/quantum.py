@@ -730,7 +730,6 @@ def quantum_jump(
     n_traj: int,
     seed: int,
     fock: FockSpace,
-    extra_observables: dict | None = None,
 ) -> JumpEnsemble:
     """Monte Carlo wavefunction unravelling of the master equation, with
     `n_traj` >= 1 trajectories, at the times `t_eval`, which must increase
@@ -750,9 +749,11 @@ def quantum_jump(
     64 bits, so no two (seed, trajectory) pairs share a stream, and
     ensembles are reproducible and independent of batching order.
 
-    The jump operators and the `adag_a` cross observables are CSR matrices;
-    `extra_observables` may be dense or sparse.  The no-jump evolution uses
-    the eigendecomposition of each connected block of the effective
+    `series` holds, per trajectory, each mode's occupation `occ_<j>` and
+    the real and imaginary parts of each cross observable <a_i^dag a_j>,
+    i < j (`re_adag_a_<i>_<j>`, `im_adag_a_<i>_<j>`); the jump operators and
+    the cross observables are CSR matrices.  The no-jump evolution uses the
+    eigendecomposition of each connected block of the effective
     Hamiltonian; for the lossy lattice these are its number sectors.  The
     ensemble is held in the propagator's bin layout as eigenbasis
     coefficients C and states V C, and every operator is moved into that
@@ -778,8 +779,6 @@ def quantum_jump(
     for i in range(fock.n_modes):
         for j in range(i + 1, fock.n_modes):
             cross_ops[f"adag_a_{i+1}_{j+1}"] = fock._lowering[i].conj().T @ fock._lowering[j]
-    if extra_observables:
-        cross_ops.update(extra_observables)
     cross_ops = {name: prop.embed(op, operator=True) for name, op in cross_ops.items()}
 
     names = [f"occ_{j+1}" for j in range(fock.n_modes)]

@@ -173,6 +173,7 @@ class TestConfig:
     def test_seed_override(self):
         cfg = ExperimentConfig.from_dict(default_config("bose_hubbard_losses"))
         assert cfg.with_seed(99).seed == 99
+        assert cfg.with_seed(2**64 - 1).seed == 2**64 - 1  # not rounded through a float
 
     @pytest.mark.parametrize("key, value", [("grid", None), ("times", None), ("initial", None),
                                             ("fock_levels", None), ("tolerances", [1]),
@@ -248,12 +249,47 @@ class TestConfig:
         # the ensemble stderr is a sample standard deviation, undefined for one trajectory
         d = default_config("bose_hubbard_losses")
         d["n_trajectories"] = 1
-        with pytest.raises(ConfigError, match=r"^config\.n_trajectories must be at least 2, got 1"):
+        with pytest.raises(ConfigError, match=r"^config\.n_trajectories: must be at least 2, got 1"):
             ExperimentConfig.from_dict(d)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(d))
         assert cli_main(["run", str(path)]) == 1
-        assert "n_trajectories must be at least 2" in capsys.readouterr().err
+        assert "n_trajectories: must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("fock_levels",), 3.9, "config.fock_levels: must be an integer, got 3.9"),
+        (("seed",), True, "config.seed: must be a number, got True"),
+        (("fock_levels",), "3", "config.fock_levels: must be a number, got '3'"),
+        (("hbar",), "1", "config.hbar: must be a number, got '1'"),
+        (("times", "t_end"), True, "times.t_end: must be a number, got True"),
+        (("grid", "q_min"), "-8", "grid.q_min: must be a number, got '-8'"),
+        (("model", "lindblads"), "1", "model.lindblads: must be a list, got '1'"),
+        (("times", "frames"), "12", "times.frames: must be a list, got '12'"),
+        (("solvers",), "master", "config.solvers: must be a list, got 'master'"),
+        (("ode_rtol",), 0, "config.ode_rtol: must be positive, got 0"),
+        (("fock_levels",), 1, "config.fock_levels: must be at least 2, got 1"),
+        (("seed",), 2**64, f"config.seed: must be at most {2**64 - 1}, got {2**64}"),
+    ], ids=["fractional", "boolean", "numeric-string", "string-scale", "boolean-time",
+            "string-bound", "lindblads-string", "frames-string", "solvers-string", "zero-rtol",
+            "one-level", "seed-above-64-bits"])
+    def test_value_of_wrong_type_or_range_is_config_error(self, path, value, message, tmp_path,
+                                                          capsys):
+        # each was once truncated, read one character at a time or passed on
+        # to a solver; reading the config, which runs no solver, refuses it
+        d = default_config("cat_anharmonic")
+        d["output_dir"] = str(tmp_path / "out")
+        section = d
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}"):
+            ExperimentConfig.from_dict(d)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        assert cli_main(["run", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRegisteredDefaults:
@@ -547,6 +583,17 @@ class TestRunners:
             run_experiment(ExperimentConfig.from_dict(d))
         assert not (tmp_path / "cat_anharmonic").exists()
 
+    def test_wigner_sup_is_unknown_tolerance(self, tmp_path):
+        # every tolerance a check reads has a registered default; the frames
+        # are compared by the wigner_fringe_info entries and by the tests
+        d = tiny_cat_config(tmp_path).to_dict()
+        d["tolerances"]["wigner_sup"] = 10.0
+        with pytest.raises(ConfigError, match=r"unknown tolerance\(s\) \['wigner_sup'\] for "
+                                              r"'cat_anharmonic'; known: \['moment_rms_rel', "
+                                              r"'t_short', 'cross_monotone_slack'\]"):
+            run_experiment(ExperimentConfig.from_dict(d))
+        assert not (tmp_path / "cat_anharmonic").exists()
+
     def test_missing_tolerances_take_registered_values(self, tmp_path):
         d = tiny_config("cat_anharmonic", tmp_path).to_dict()
         d["tolerances"] = {}
@@ -626,7 +673,6 @@ class TestRunners:
     def test_cat_frames_computed_once_and_fringe_entries(self, tmp_path, monkeypatch):
         d = tiny_cat_config(tmp_path).to_dict()
         d["times"]["frames"] = [0.1, 0.2]
-        d["tolerances"]["wigner_sup"] = 10.0
         cfg = ExperimentConfig.from_dict(d)
         import semilind.harness.experiments as experiments
 
@@ -640,14 +686,12 @@ class TestRunners:
         _, outdir = run_experiment(cfg)
         assert len(calls) == 2
         doc = json.loads((Path(outdir) / "report.json").read_text())
-        (sup,) = [e for e in doc["entries"] if e["check"] == "wigner_sup_error"]
         fringes = [e for e in doc["entries"] if e["check"] == "wigner_fringe_info"]
         assert [e["at_time"] for e in fringes] == [0.1, 0.2]
         assert all(e["passed"] for e in fringes)
         master = np.load(Path(outdir) / "master" / "wigner_t0.2.npy")
         doubled = np.load(Path(outdir) / "doubled" / "wigner_t0.2.npy")
         diff = doubled - master
-        assert sup["value"] == pytest.approx(np.max(np.abs(diff)), rel=1e-12)
         assert fringes[1]["sup_rel_error"] == pytest.approx(
             np.max(np.abs(diff)) / np.max(np.abs(master)), rel=1e-12)
         assert fringes[1]["l2_rel_error"] == pytest.approx(
