@@ -18,14 +18,14 @@ A component (Z=(X,Y), B, alpha, weight) then follows
 
     dZ/dt     = O2 grad Re K0 + Gcal^{-1} grad Im K0
     dB/dt     = -B K0_yy B - B K0_yx - K0_xy B - K0_xx
-    dalpha/dt = (i hbar/4) Tr(dB/dt B^{-1}) + Y . dX/dt - K0 - hbar K1
-                + (i hbar/2) Tr(K0_xy + K0_yy B)
+    dalpha/dt = Y . dX/dt - K0 - hbar K1 + (i hbar/2) Tr(K0_xy + K0_yy B)
 
 with Gcal the real width matrix built from B, whose inverse acts in closed
 form: Gcal^{-1} (v1, v2) = (u, Re B u + Im B v2), u = (Im B)^{-1}(v1 + Re B v2).
-The evolving amplitude prefactor (det B)^{1/4} is integrated alongside as
-phi = log(det B)/4 and folded into the component weight at output times, so
-stored components evaluate with no extra prefactor.
+The amplitude prefactor (det B)^{1/4} and the phase term
+(i hbar/4) Tr(dB/dt B^{-1}) of dalpha/dt cancel exactly, so neither is
+integrated: alpha carries the whole phase and amplitude, and the weight
+stays the t = 0 weight until a collapse sets it to zero.
 
 The components of a superposition are propagated together, as one DOP853
 system over the stack of their packed states: each right-hand-side call
@@ -143,7 +143,8 @@ def build_k(model: LindbladModel) -> DoubledSymbol:
 class _KEvaluator:
     """``batch(z)`` gives K0, K1, grad K0 and the K0 Hessian at a point z, or
     at each row of a stack; packs a component as the row (Z, Re/Im upper
-    triangle of B, alpha, phi), and a stack of components as a stack of rows."""
+    triangle of B, Re alpha, Im alpha), and a stack of components as a stack
+    of rows."""
 
     def __init__(self, ksym: DoubledSymbol):
         self.n2 = 2 * ksym.n_modes
@@ -153,21 +154,20 @@ class _KEvaluator:
         self.omega = symplectic_form(self.n2)
         self.iu, self.b_re = _packing(self.n2, dim)
         self.b_im = self.b_re + self.iu[0].size
-        self.row_size = dim + 2 * self.iu[0].size + 4
+        self.row_size = dim + 2 * self.iu[0].size + 2
 
-    def pack(self, z, b, alpha, phi):
+    def pack(self, z, b, alpha):
         tri = b[..., self.iu[0], self.iu[1]]
-        tail = np.stack([np.real(alpha), np.imag(alpha), np.real(phi), np.imag(phi)], axis=-1)
+        tail = np.stack([np.real(alpha), np.imag(alpha)], axis=-1)
         return np.concatenate([z, tri.real, tri.imag, tail], axis=-1)
 
     def unpack(self, rows):
         b = rows[..., self.b_re] + 1j * rows[..., self.b_im]
-        alpha = rows[..., -4] + 1j * rows[..., -3]
-        return rows[..., : self.dim], b, alpha, rows[..., -2] + 1j * rows[..., -1]
+        return rows[..., : self.dim], b, rows[..., -2] + 1j * rows[..., -1]
 
 
 def _rates(kev: _KEvaluator, z, b, hbar):
-    """(dZ, dB, dalpha, Tr(dB B^-1)) of a stack of m components, z of shape
+    """(dZ, dB, dalpha) of a stack of m components, z of shape
     (m, 2 n2) and b of shape (m, n2, n2); each row is computed on its own."""
     n2 = kev.n2
     re, im = b.real, b.imag
@@ -183,16 +183,14 @@ def _rates(kev: _KEvaluator, z, b, hbar):
     kxy = hess[:, :n2, n2:]
     kyy = hess[:, n2:, n2:]
     bdot = -b @ kyy @ b - b @ kxy.transpose(0, 2, 1) - kxy @ b - kxx
-    tau = np.einsum("mii->m", np.linalg.solve(b, bdot))  # Tr(B^{-1} dB) = Tr(dB B^{-1})
     xdot = zdot[:, :n2]
     alphadot = (
-        0.25j * hbar * tau
-        + np.einsum("mi,mi->m", z[:, n2:], xdot)
+        np.einsum("mi,mi->m", z[:, n2:], xdot)
         - k0
         - hbar * k1
         + 0.5j * hbar * (np.einsum("mii->m", kxy) + np.einsum("mij,mji->m", kyy, b))
     )
-    return zdot, bdot, alphadot, tau
+    return zdot, bdot, alphadot
 
 
 # -- integration of a superposition -------------------------------------------
@@ -247,9 +245,8 @@ def propagate_superposition(
     comps = state.components
 
     def odefun(t, yvec):
-        z, b, _, _ = kev.unpack(yvec.reshape(-1, kev.row_size))
-        zdot, bdot, alphadot, tau = _rates(kev, z, b, hbar)
-        return kev.pack(zdot, bdot, alphadot, 0.25 * tau).ravel()
+        z, b, _ = kev.unpack(yvec.reshape(-1, kev.row_size))
+        return kev.pack(*_rates(kev, z, b, hbar)).ravel()
 
     def floor_gaps(rows):
         return np.linalg.eigvalsh(kev.unpack(rows)[1].imag).min(axis=1) - _IMB_FLOOR
@@ -264,7 +261,6 @@ def propagate_superposition(
         np.array([c.z for c in comps]),
         np.array([c.b for c in comps]),
         np.array([c.alpha for c in comps]),
-        np.zeros(len(comps)),
     )
     live = np.arange(len(comps))
     current = list(comps)  # each component at the latest output time
@@ -290,11 +286,10 @@ def propagate_superposition(
             raise RuntimeError(f"superposition integration failed: {sol.message}")
         nfev += int(sol.nfev)
         for yvec in sol.y.T:
-            z, b, alpha, phi = kev.unpack(yvec.reshape(live.size, -1))
+            z, b, alpha = kev.unpack(yvec.reshape(live.size, -1))
             for j, idx in enumerate(live):
-                weight = comps[idx].weight * np.exp(phi[j])
                 current[idx] = ComplexGaussian(hbar=hbar, z=z[j], b=b[j], alpha=alpha[j],
-                                               weight=weight)
+                                               weight=comps[idx].weight)
             snapshots.append(tuple(current))
         k += sol.t.size
         if sol.status == 1:
@@ -307,15 +302,11 @@ def propagate_superposition(
                 events.append({"t": t0, "kind": "component_collapse", "component": int(idx)})
             live = live[~collapsed]
 
-    states_out, raw_norms = [], []
-    for comps_k in snapshots:
-        total = sum(c.integral() for c in comps_k)
-        raw_norms.append(float((state.norm_factor * total).real))
-        states_out.append(SuperpositionState(comps_k, norm_factor=float(1.0 / total.real)))
+    states_out = [SuperpositionState(comps_k).normalized() for comps_k in snapshots]
     return SuperpositionSeries(
         times=t_eval.copy(),
         states=states_out,
-        raw_norms=np.array(raw_norms),
+        raw_norms=np.array([state.norm_factor / out.norm_factor for out in states_out]),
         events=events,
         nfev=nfev,
     )

@@ -6,7 +6,10 @@ Infinity are `ConfigError`s.  No boolean or string is read as a number
 (`_real`).  Counts and the seed go through `_integer`, scales that must
 be positive through `_positive`, and lists through `_list`, so a value
 of the wrong type or range is a `ConfigError` naming its key when the
-config is read, before any solver runs.  `_plain` is the one way back to
+config is read, before any solver runs.  Tolerances are only finite here;
+``run_experiment`` reads each through the converter of its meaning
+(`_positive` or `_non_negative`) registered with the experiment's
+defaults.  `_plain` is the one way back to
 JSON: fields that are None are left out, tuples become lists and complex
 numbers [re, im] pairs, so to_dict/from_dict round-trip losslessly.
 """
@@ -33,7 +36,9 @@ class ConfigError(ValueError):
 
 
 def _convert(where: str, key: str, conv, value):
-    """``conv(value)``; a value of the wrong type is a `ConfigError` naming ``where.key``."""
+    """``conv(value)``; a value of the wrong type or range is a `ConfigError`
+    naming ``where.key``.  A `ConfigError` of a nested section already names
+    its own path and passes through."""
     try:
         return conv(value)
     except ConfigError:
@@ -80,6 +85,14 @@ def _positive(v) -> float:
     return x
 
 
+def _non_negative(v) -> float:
+    """A finite config float at or above zero: a slack."""
+    x = _finite(v)
+    if x < 0:
+        raise ValueError(f"must not be negative, got {v!r}")
+    return x
+
+
 def _integer(low: int | None = None, high: int | None = None):
     """Converter of a config integer in [low, high], a bound left None being
     open: a number with no fractional part, which is not truncated."""
@@ -112,7 +125,7 @@ def _list(conv):
 
 def _complex_pair(v) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ConfigError(f"complex values are [re, im] pairs, got {v!r}")
+        raise TypeError(f"complex values are [re, im] pairs, got {v!r}")
     return complex(_finite(v[0]), _finite(v[1]))
 
 

@@ -10,11 +10,14 @@ and doubled kinds return one `Moments` record per output time;
 map, ``ExperimentDef.observables``.  A series only one kind has, such as
 ``min_eig_physicality`` or the jump ensemble's means with their standard
 errors, the kind adds itself.  Every Fock row builds its initial state in
-``_initial_vector``, and a kind given an initial state it cannot take raises
-a `ConfigError` naming the row and the kind before it solves.  So a new row
-kind is one function, usable by every experiment whose initial state it
-takes.  A ``SolverRun``'s frames are saved as ``wigner_t<t>.npy`` at each
-configured frame when the config has a ``grid`` (single-mode models only),
+``_initial_vector``.  What a row needs of its config (the initial kinds
+``_TAKES`` lists for it, hbar = 1 and a unit-width one-mode cat for the
+``_FOCK_KINDS``, the experiment's ``n_modes``) is checked for every
+requested row by ``_check_rows`` before the first row solves, so the kinds
+do not check it.  So a new row kind is one function and its ``_TAKES``
+entry, usable by every experiment whose initial state it takes.  A
+``SolverRun``'s frames are saved as ``wigner_t<t>.npy`` at each configured
+frame when the config has a ``grid`` (single-mode models only),
 after ``_wigner_frames`` checks them; their axes are the ``grid`` of
 ``config.json``.  The ``events`` of its result become one ``solver_events``
 entry per kind.
@@ -23,7 +26,8 @@ entry per kind.
 entries)``, with ``runs`` mapping solver name to ``SolverRun``; each check
 whose solvers all ran adds its entries to ``report.json``.  Checks read their
 bounds from ``config.tolerances``, which holds every key the experiment's
-defaults register and no other, and compare frames only through
+defaults register and no other, each read through the converter of its
+meaning in ``_TOLERANCES``, and compare frames only through
 ``SolverRun.grids``: the configured frames, each computed once and written.
 A phase portrait's one row, ``flow``, writes the sampled drift and a
 trajectory fan and states the flow's class (see `_flow`); ``run_portrait``
@@ -71,7 +75,7 @@ from ..symbols import Chart
 from .compare import (ComparisonReport, ObservableSeries, component_csv, csv_text,
                       frame_name, trajectory_to_csv, write_frame, write_observables,
                       write_text)
-from .config import ConfigError, ExperimentConfig, dump_config
+from .config import ConfigError, ExperimentConfig, _convert, _non_negative, _positive, dump_config
 
 __all__ = ["EXPERIMENTS", "ExperimentDef", "SolverRun", "default_config", "run_experiment",
            "run_portrait"]
@@ -97,6 +101,7 @@ class ExperimentDef:
     solvers: dict = field(default_factory=dict)  # name -> row kind
     observables: Callable | None = None  # fn(t_eval, moments) -> name -> ObservableSeries
     checks: tuple = ()  # (needed solver names, fn(config, t_eval, runs) -> entries)
+    n_modes: int | None = None  # the one model size its rows and map read, if any
 
 
 def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
@@ -132,25 +137,17 @@ def _bounded(check: str, value, tolerance, **extra) -> dict:
                 passed=bool(value <= tolerance), **extra)
 
 
-def _initial_vector(config: ExperimentConfig, fock: FockSpace, row: str) -> np.ndarray:
+def _initial_vector(config: ExperimentConfig, fock: FockSpace) -> np.ndarray:
     """A Fock row's initial state: the product coherent state, or the cat's packets."""
     init = config.initial
     if init.kind == "coherent":
         return fock.coherent_vector(np.array(init.amplitudes))
-    if fock.n_modes != 1:
-        raise ConfigError(f"the {row} row takes a 'cat' initial state only on a single-mode "
-                          f"model, not on {fock.n_modes} modes")
-    if abs(init.width - 1j) > 1e-12:
-        raise ConfigError("the quantum reference supports unit packet width only")
     return sum(complex(c) * fock.packet_vector(q0, p0)
                for c, (q0, p0) in zip(init.coefficients, init.centres))
 
 
 def _gaussian(config: ExperimentConfig, model, t_eval) -> SolverRun:
     """The centre and width flow from a coherent state, and its physicality."""
-    if config.initial.kind != "coherent":
-        raise ConfigError(f"the semiclassical row takes a 'coherent' initial state, "
-                          f"not {config.initial.kind!r}")
     state0 = coherent(model.n_modes, np.array(config.initial.amplitudes), config.hbar)
     traj = integrate(model, state0, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
     return SolverRun(
@@ -166,7 +163,7 @@ def _gaussian(config: ExperimentConfig, model, t_eval) -> SolverRun:
 def _master(config: ExperimentConfig, model, t_eval) -> SolverRun:
     """The master equation from a coherent state or a cat."""
     fock = FockSpace([config.fock_levels] * model.n_modes)
-    rho0 = DensityMatrix.from_state(_initial_vector(config, fock, "master"), fock)
+    rho0 = DensityMatrix.from_state(_initial_vector(config, fock), fock)
     mtraj = integrate_master(rho0, model, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
     return SolverRun(
         moments=[moments_of_density(mtraj.density(k)) for k in range(len(t_eval))],
@@ -181,8 +178,6 @@ def _master(config: ExperimentConfig, model, t_eval) -> SolverRun:
 def _doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
     """The doubled-phase-space superposition of a cat, and its interference terms."""
     init = config.initial
-    if init.kind != "cat":
-        raise ConfigError(f"the doubled row takes a 'cat' initial state, not {init.kind!r}")
     cat = cat_decompose(init.centres, init.coefficients, np.array([[init.width]]), hbar=config.hbar)
     series = propagate_superposition(model, cat, t_eval, rtol=config.ode_rtol,
                                      atol=config.ode_atol)
@@ -201,7 +196,7 @@ def _doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
 def _jumps(config: ExperimentConfig, model, t_eval) -> SolverRun:
     """The jump ensemble of a two-mode model: occupations and g12, with errors."""
     fock = FockSpace([config.fock_levels] * model.n_modes)
-    ens = quantum_jump(model, _initial_vector(config, fock, "jumps"), t_eval,
+    ens = quantum_jump(model, _initial_vector(config, fock), t_eval,
                        n_traj=config.n_trajectories, seed=config.seed, fock=fock)
     o1, o2 = ens.series["occ_1"], ens.series["occ_2"]
     g12, g12_err = _g12_with_stderr(o1, o2, ens.series["re_adag_a_1_2"],
@@ -227,6 +222,66 @@ def _jumps(config: ExperimentConfig, model, t_eval) -> SolverRun:
                   "max_leakage": ens.max_leakage, "passed": True}],
         result=ens,
     )
+
+
+# -- what a run needs of its config ---------------------------------------------
+
+# The initial kinds each row kind takes (``_flow`` takes none), and the row
+# kinds that solve in a truncated Fock basis, which is built at hbar = 1 and
+# holds a cat only as unit-width packets of one mode.
+_TAKES = {_gaussian: ("coherent",), _master: ("coherent", "cat"), _jumps: ("coherent", "cat"),
+          _doubled: ("cat",)}
+_FOCK_KINDS = (_master, _jumps)
+
+# The meaning of each tolerance an experiment registers: the bounds, windows
+# and ratios are positive, a slack is not negative.
+_TOLERANCES = {
+    "alpha_rel_short": _positive, "t_short": _positive, "slope_window": _positive,
+    "slope_flat_ratio": _positive, "stderr_band": _positive, "g12_min_decay": _positive,
+    "initial_match": _positive, "moment_rms_rel": _positive,
+    "cross_monotone_slack": _non_negative,
+}
+
+
+def _check_rows(config: ExperimentConfig, exp: ExperimentDef) -> None:
+    """Every requested row's preconditions, in one pass before any row
+    solves; each failure is a `ConfigError` naming the key and the row."""
+    n, init = config.model.n_modes, config.initial
+    if exp.n_modes is not None and n != exp.n_modes:
+        raise ConfigError(f"model.n_modes: {config.experiment!r} is written for "
+                          f"{exp.n_modes} modes, got {n}")
+    for name in config.solvers:
+        kind = exp.solvers[name]
+        if kind not in _TAKES:
+            continue
+        if init.kind not in _TAKES[kind]:
+            raise ConfigError(f"initial.kind: the {name} row takes a {_TAKES[kind][0]!r} "
+                              f"initial state, not {init.kind!r}")
+        if init.kind == "coherent" and len(init.amplitudes) != n:
+            raise ConfigError(f"initial.amplitudes: the {name} row needs one amplitude per "
+                              f"mode, {n} in all, got {len(init.amplitudes)}")
+        if init.kind == "cat" and n != 1:
+            raise ConfigError(f"initial.kind: the {name} row takes a 'cat' initial state only "
+                              f"on a single-mode model, not on {n} modes")
+        if kind in _FOCK_KINDS:
+            if config.hbar != 1.0:
+                raise ConfigError(f"hbar: the {name} row solves in a Fock basis, defined at "
+                                  f"hbar = 1, got {config.hbar:g}")
+            if init.kind == "cat" and abs(init.width - 1j) > 1e-12:
+                raise ConfigError(f"initial.width: the {name} row takes unit packet width only "
+                                  f"([0, 1]), got {init.width}")
+
+
+def _check_windows(config: ExperimentConfig, t_eval) -> None:
+    """A time window among the tolerances must hold the output times its check
+    reads: ``t_short`` one after t = 0, ``slope_window`` two for a slope."""
+    tol = config.tolerances
+    if "t_short" in tol and not np.any((t_eval > 0) & (t_eval <= tol["t_short"])):
+        raise ConfigError(f"config.tolerances.t_short: {tol['t_short']:g} holds no output time "
+                          f"after t = 0; the first is {t_eval[1]:g}")
+    if "slope_window" in tol and np.count_nonzero(t_eval >= t_eval[-1] - tol["slope_window"]) < 2:
+        raise ConfigError(f"config.tolerances.slope_window: {tol['slope_window']:g} holds fewer "
+                          f"than two output times; they are {t_eval[1]:g} apart")
 
 
 # -- limit cycle ---------------------------------------------------------------
@@ -590,6 +645,7 @@ EXPERIMENTS = {
             (("jumps",), _lattice_jump_checks),
             (("semiclassical", "jumps"), _lattice_cross_checks),
         ),
+        n_modes=2,
     ),
     "cat_anharmonic": ExperimentDef(
         "cat state in a damped (an)harmonic oscillator: superposition "
@@ -648,8 +704,10 @@ def run_experiment(config: ExperimentConfig, root=None):
     before any file is written, so a row that raises leaves no file; each
     row's run time covers its solve, its frames and its writes.  Then every
     check whose solvers all ran adds its entries.  A tolerance the
-    experiment does not register, and a grid or portrait on a multi-mode
-    model, are `ConfigError`s before any solver runs;
+    experiment does not register or outside its meaning, a time window that
+    holds too few output times, a grid or portrait on a multi-mode model and
+    a row whose needs the config does not meet (`_check_rows`) are
+    `ConfigError`s before any solver runs;
     a top-level field the config leaves unset, and a tolerance it leaves
     out, takes its registered value.
     """
@@ -661,7 +719,10 @@ def run_experiment(config: ExperimentConfig, root=None):
     if unknown:
         raise ConfigError(f"unknown tolerance(s) {unknown} for {config.experiment!r}; "
                           f"known: {list(registered.tolerances)}")
-    config = replace(config, tolerances={**registered.tolerances, **(config.tolerances or {})})
+    tolerances = {**registered.tolerances, **(config.tolerances or {})}
+    config = replace(config, tolerances={
+        key: _convert("config.tolerances", key, _TOLERANCES[key], value)
+        for key, value in tolerances.items()})
     config = replace(config, **{f.name: getattr(registered, f.name) for f in fields(config)
                                 if getattr(config, f.name) is None})
     unknown = [name for name in config.solvers if name not in exp.solvers]
@@ -674,12 +735,14 @@ def run_experiment(config: ExperimentConfig, root=None):
     if config.model.n_modes != 1 and (config.grid or config.portrait):
         raise ConfigError(f"grids and portraits are drawn for single-mode models; "
                           f"{config.experiment!r} has {config.model.n_modes} modes")
-    outdir = _resolve_root(config, root) / config.experiment
-    start = time.perf_counter()
-    model = config.model.build(config.hbar)
+    _check_rows(config, exp)
     t_eval = frames = None
     if config.times is not None:
         t_eval, frames = config.times.grid(), config.times.frame_indices()
+        _check_windows(config, t_eval)
+    outdir = _resolve_root(config, root) / config.experiment
+    start = time.perf_counter()
+    model = config.model.build(config.hbar)
     report = ComparisonReport()
     runs = {}
     for name, solve in exp.solvers.items():

@@ -134,7 +134,7 @@ def rhs_g_complex(model: LindbladModel, xc, gc: np.ndarray) -> np.ndarray:
 
 def rhs_component(ksym: DoubledSymbol, comp: ComplexGaussian):
     """Time derivatives (dZ, dB, dalpha) of one complex Gaussian component."""
-    zdot, bdot, alphadot, _ = _rates(ksym._evaluator, comp.z[None], comp.b[None], comp.hbar)
+    zdot, bdot, alphadot = _rates(ksym._evaluator, comp.z[None], comp.b[None], comp.hbar)
     return zdot[0], bdot[0], alphadot[0]
 
 

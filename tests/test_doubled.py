@@ -158,7 +158,7 @@ class TestRhsComponent:
         rng = np.random.default_rng(21)
         ksym = build_k(random_quadratic_linear(rng, n=2, n_lind=2))
         comps = [random_component(rng, n=2) for _ in range(3)]
-        zdot, bdot, alphadot, _ = doubled._rates(
+        zdot, bdot, alphadot = doubled._rates(
             ksym._evaluator, np.array([c.z for c in comps]), np.array([c.b for c in comps]), 1.0
         )
         for j, comp in enumerate(comps):
@@ -236,12 +236,11 @@ class TestComponentPacking:
         rng = np.random.default_rng(14 + n_modes)
         kev = _KEvaluator(build_k(random_quadratic_linear(rng, n=n_modes)))
         comp = random_component(rng, n=n_modes)
-        phi = complex(rng.normal(), rng.normal())
-        z, b, alpha, phi_back = kev.unpack(kev.pack(comp.z, comp.b, comp.alpha, phi))
+        z, b, alpha = kev.unpack(kev.pack(comp.z, comp.b, comp.alpha))
         assert np.array_equal(z, comp.z)
         assert np.array_equal(b, comp.b)
         assert np.array_equal(b, b.T)
-        assert alpha == comp.alpha and phi_back == phi
+        assert alpha == comp.alpha
 
 
 class TestPropagateSuperposition:
@@ -408,6 +407,19 @@ class TestPropagateSuperposition:
         cat = cat_decompose([(3.0, 1.0), (3.0, -1.0)], [1.0, 1.0], np.array([[1j]]))
         series = propagate_superposition(model, cat, np.linspace(0, 1.5, 7))
         assert np.allclose(series.raw_norms, 1.0, atol=1e-7)
+
+    def test_norm_conserved_while_det_b_moves(self):
+        # a squeezed packet relaxing towards the unit-width steady state: |det B|
+        # falls from 4 to about 2.9, and alpha alone must carry the amplitude
+        # (det B)^{1/4} and the phase (i hbar/4) Tr(dB/dt B^{-1}) would add
+        g = np.diag([4.0, 0.25])
+        comp = ComplexGaussian(hbar=1.0, z=np.array([1.0, -0.5, 0.0, 0.0]), b=2j * g,
+                               alpha=0.0, weight=np.sqrt(np.linalg.det(g)) / np.pi)
+        series = propagate_superposition(anharmonic_damped(beta=0.0, gamma=0.3),
+                                         SuperpositionState((comp,)), np.linspace(0, 5, 11))
+        dets = [abs(np.linalg.det(st.components[0].b)) for st in series.states]
+        assert dets[0] == pytest.approx(4.0) and dets[-1] < 3.0
+        assert np.max(np.abs(series.raw_norms - 1.0)) <= 1e-8
 
     def test_decoherence_monotone(self):
         model = anharmonic_damped(beta=0.1, gamma=0.3)

@@ -864,8 +864,63 @@ class TestRowKinds:
         assert solves == []
         assert not (tmp_path / "bose_hubbard_losses").exists()
 
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("limit_cycle", ("hbar",), 0.5, "hbar: the master row solves in a Fock basis, "
+                                        "defined at hbar = 1, got 0.5"),
+        ("cat_anharmonic", ("initial", "width"), [0.0, 2.0],
+         "initial.width: the master row takes unit packet width only"),
+        ("bose_hubbard_losses", ("model",),
+         {"n_modes": 1, "chart": "complex", "hamiltonian": "0.025*a1^2 a1bar^2",
+          "lindblads": ["0.2*a1^2"]},
+         "model.n_modes: 'bose_hubbard_losses' is written for 2 modes, got 1"),
+        ("limit_cycle", ("initial", "amplitudes"), [[1.0, 0.0], [0.0, 1.0]],
+         "initial.amplitudes: the semiclassical row needs one amplitude per mode, 1 in all, "
+         "got 2"),
+        ("limit_cycle", ("initial", "amplitudes"), "ab",
+         "initial.amplitudes: complex values are [re, im] pairs, got 'a'"),
+        ("cat_anharmonic", ("tolerances", "t_short"), -1.0,
+         "config.tolerances.t_short: must be positive, got -1.0"),
+        ("limit_cycle", ("tolerances", "t_short"), 0.1,
+         "config.tolerances.t_short: 0.1 holds no output time after t = 0; the first is 0.5"),
+        ("limit_cycle", ("tolerances", "slope_window"), 0.1,
+         "config.tolerances.slope_window: 0.1 holds fewer than two output times"),
+        ("limit_cycle", ("tolerances", "alpha_rel_short"), 0.0,
+         "config.tolerances.alpha_rel_short: must be positive, got 0.0"),
+        ("bose_hubbard_losses", ("tolerances", "g12_min_decay"), -0.05,
+         "config.tolerances.g12_min_decay: must be positive, got -0.05"),
+        ("cat_anharmonic", ("tolerances", "cross_monotone_slack"), -1e-9,
+         "config.tolerances.cross_monotone_slack: must not be negative, got -1e-09"),
+    ], ids=["fock-hbar", "fock-cat-width", "lattice-one-mode", "amplitude-count",
+            "amplitudes-string", "negative-t-short", "t-short-below-step",
+            "slope-window-below-step", "zero-bound", "negative-decay", "negative-slack"])
+    def test_config_a_run_cannot_use_fails_before_any_solve(self, name, path, value, message,
+                                                            tmp_path, monkeypatch):
+        """A value no row can run with, or outside a tolerance's meaning, is a
+        ConfigError naming its key (and the row that needs it) before any row
+        solves, and leaves no file."""
+        d = default_config(name)
+        d["times"] = {"t_end": 2.0, "n_out": 5, "frames": []}
+        d.pop("grid", None)
+        d["output_dir"] = str(tmp_path)
+        section = d
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        calls = []
+        for modname in ("semilind.semiclassical", "semilind.doubled", "semilind.quantum"):
+            module = importlib.import_module(modname)
+            monkeypatch.setattr(module, "solve_ivp",
+                                lambda *a, _mod=modname, **k: calls.append(_mod))
+        for fn in ("quantum_jump", "integrate_master"):
+            monkeypatch.setattr(f"semilind.harness.experiments.{fn}",
+                                lambda *a, _fn=fn, **k: calls.append(_fn))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}"):
+            run_experiment(ExperimentConfig.from_dict(d))
+        assert calls == []
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
-ODE_MODULES = ("semilind.semiclassical", "semilind.doubled", "semilind.quantum",
+
+ODE_MODULES =("semilind.semiclassical", "semilind.doubled", "semilind.quantum",
                "semilind.harness.experiments")
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -435,10 +436,17 @@ class TestMaster:
         assert len(calls) == 2
 
     def test_initial_leakage_guard(self):
+        # coherent states far wider than their truncation: |alpha| = 1.8 in
+        # 4 levels, and |alpha|^2 = 30 in 20 levels
         model = damped_model()
-        f = FockSpace(4)
-        with pytest.raises(ValueError):
-            integrate_master(DensityMatrix.from_state(f.coherent_vector([1.8]), f), model, [0, 1])
+        for levels, amplitude in ((4, 1.8), (20, np.sqrt(30.0))):
+            f = FockSpace(levels)
+            rho0 = DensityMatrix.from_state(f.coherent_vector([amplitude]), f)
+            leak = f.leakage(rho0.rho)
+            assert leak > 0.1
+            with pytest.raises(ValueError, match=re.escape(
+                    f"initial truncation leakage {leak:.2e} exceeds 1e-10")):
+                integrate_master(rho0, model, [0, 1])
 
 
 def reference_rhos(rho0, model, t_eval):
