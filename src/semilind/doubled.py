@@ -32,18 +32,23 @@ system over the stack of their packed states: each right-hand-side call
 evaluates the symbols at all live centres in one `PolyBatch` call and the
 rates with stacked matrix products and solves.  A component whose Im B
 collapses ends that solve at a terminal event; the solve restarts from the
-event time without it.
+event time without it.  The output stays stacked: `SuperpositionSeries`
+holds Z, B, alpha and the weight of every component at every output time
+as arrays, and its integrals, norms, moments, cross magnitudes and
+``component_<i>.csv`` come from them in a few batched operations.  A
+`SuperpositionState` is built only for a requested frame.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .gaussian import ComplexGaussian, SuperpositionState
+from .gaussian import (ComplexGaussian, SuperpositionState, _check_widths, _integrals,
+                       _moment_tables, _superposition_moments)
 from .semiclassical import LindbladModel, _check_times, _packing
 from .symbols import Chart, PolyBatch, PolySymbol, double_lift, moyal_term, poisson, symplectic_form
 
@@ -198,28 +203,47 @@ def _rates(kev: _KEvaluator, z, b, hbar):
 
 @dataclass
 class SuperpositionSeries:
-    """Renormalized superposition snapshots plus bookkeeping.
+    """A propagated superposition, stacked over output times k and components i.
 
-    ``states[k].components[i]`` is component i at output time k; a collapsed
-    component keeps its last state with weight zero.
+    ``z[k, i]``, ``b[k, i]``, ``alpha[k, i]`` and ``weights[k, i]`` are
+    component i at output time k; a collapsed component keeps its state at
+    the last output time before its collapse, with weight zero.
+    ``integrals`` and ``centroids`` are each component's (`_integrals`),
+    ``norm_factors[k]`` renormalizes the state at output time k, and
+    ``raw_norms`` is its integral relative to the initial state's.
     """
 
     times: np.ndarray
-    states: list
+    hbar: float
+    z: np.ndarray
+    b: np.ndarray
+    alpha: np.ndarray
+    weights: np.ndarray
+    integrals: np.ndarray
+    centroids: np.ndarray
+    norm_factors: np.ndarray
     raw_norms: np.ndarray
     events: list = field(default_factory=list)
     nfev: int = 0  # DOP853 right-hand-side calls of the one stacked system
 
+    def state(self, k: int) -> SuperpositionState:
+        """The renormalized superposition at output time k."""
+        comps = tuple(ComplexGaussian(hbar=self.hbar, z=z, b=b, alpha=a, weight=w)
+                      for z, b, a, w in zip(self.z[k], self.b[k], self.alpha[k], self.weights[k]))
+        return SuperpositionState(comps, norm_factor=float(self.norm_factors[k]))
+
+    def moments(self) -> list:
+        """The moment table of each output time (`_superposition_moments`)."""
+        x, cov = _superposition_moments(self.hbar, self.integrals, self.centroids, self.b)
+        return _moment_tables(self.hbar, x, cov)
+
     def cross_magnitudes(self) -> np.ndarray:
-        """Normalized peak magnitude of the off-diagonal (Y != 0) part."""
-        mags = []
-        for state in self.states:
-            total = 0.0
-            for comp in state.components:
-                if np.linalg.norm(comp.y) > 1e-8:
-                    total += comp.peak_magnitude() * abs(state.norm_factor)
-            mags.append(total)
-        return np.array(mags)
+        """Normalized peak magnitude of the off-diagonal (Y != 0) part: the sum
+        over those components of |weight| exp(-Im alpha / hbar) at x = X."""
+        n2 = self.z.shape[-1] // 2
+        cross = np.linalg.norm(self.z[..., n2:], axis=-1) > 1e-8
+        peaks = np.abs(self.weights) * np.exp(-self.alpha.imag / self.hbar)
+        return np.sum(np.where(cross, peaks * np.abs(self.norm_factors)[:, None], 0.0), axis=1)
 
 
 def propagate_superposition(
@@ -237,7 +261,10 @@ def propagate_superposition(
     the solve restarts from the event time with the components left.  The
     Wigner normalization is re-imposed at every output time (the raw integral
     is recorded).  The output times must increase strictly; an output time
-    with no live component left raises `RuntimeError`.
+    with no live component left raises `RuntimeError`.  Every output
+    component's B is checked, as `ComplexGaussian` checks it, in one pass
+    over the stack, and the integrals of all output components are one
+    stacked evaluation.
     """
     kev = model._doubled._evaluator
     hbar = state.hbar
@@ -262,9 +289,11 @@ def propagate_superposition(
         np.array([c.b for c in comps]),
         np.array([c.alpha for c in comps]),
     )
+    # the packed rows of every component at every output time
+    out = np.empty((t_eval.size,) + rows.shape)
+    weights = np.tile(np.array([c.weight for c in comps]), (t_eval.size, 1))
     live = np.arange(len(comps))
-    current = list(comps)  # each component at the latest output time
-    snapshots, events, nfev, k, t0 = [], [], 0, 0, t_eval[0]
+    events, nfev, k, t0 = [], 0, 0, t_eval[0]
     while k < t_eval.size:
         if not live.size:
             times = ", ".join(f"{ev['t']:.6g}" for ev in events)
@@ -285,12 +314,11 @@ def propagate_superposition(
         if not sol.success and sol.status != 1:
             raise RuntimeError(f"superposition integration failed: {sol.message}")
         nfev += int(sol.nfev)
-        for yvec in sol.y.T:
-            z, b, alpha = kev.unpack(yvec.reshape(live.size, -1))
-            for j, idx in enumerate(live):
-                current[idx] = ComplexGaussian(hbar=hbar, z=z[j], b=b[j], alpha=alpha[j],
-                                               weight=comps[idx].weight)
-            snapshots.append(tuple(current))
+        done = slice(k, k + sol.t.size)
+        frozen = np.setdiff1d(np.arange(len(comps)), live)
+        out[done, live] = sol.y.T.reshape(sol.t.size, live.size, -1)
+        out[done, frozen] = out[k - 1, frozen]
+        weights[done, frozen] = 0.0
         k += sol.t.size
         if sol.status == 1:
             t0 = float(sol.t_events[0][0])
@@ -298,15 +326,15 @@ def propagate_superposition(
             gaps = floor_gaps(rows[live])
             collapsed = gaps <= max(gaps.min(), 0.0)
             for idx in live[collapsed]:
-                current[idx] = replace(current[idx], weight=0.0)
                 events.append({"t": t0, "kind": "component_collapse", "component": int(idx)})
             live = live[~collapsed]
 
-    states_out = [SuperpositionState(comps_k).normalized() for comps_k in snapshots]
+    z, b, alpha = kev.unpack(out)
+    _check_widths(b)
+    integrals, centroids = _integrals(hbar, z, b, alpha, weights)
+    norm_factors = 1.0 / integrals.sum(axis=1).real
     return SuperpositionSeries(
-        times=t_eval.copy(),
-        states=states_out,
-        raw_norms=np.array([state.norm_factor / out.norm_factor for out in states_out]),
-        events=events,
-        nfev=nfev,
+        times=t_eval.copy(), hbar=hbar, z=z, b=b, alpha=alpha, weights=weights,
+        integrals=integrals, centroids=centroids, norm_factors=norm_factors,
+        raw_norms=state.norm_factor / norm_factors, events=events, nfev=nfev,
     )

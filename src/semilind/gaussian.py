@@ -56,8 +56,29 @@ def transformation_matrix(n_modes: int) -> np.ndarray:
 
 
 def _check_symmetric(mat: np.ndarray, what: str):
-    if np.max(np.abs(mat - mat.T)) > _SYM_TOL * max(1.0, np.max(np.abs(mat))):
+    """Each matrix of a stack (..., d, d) symmetric to _SYM_TOL of its largest entry."""
+    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
+    if np.any(np.max(np.abs(mat - mat.swapaxes(-2, -1)), axis=(-2, -1)) > _SYM_TOL * scale):
         raise ValueError(f"{what} must be symmetric")
+
+
+def _check_widths(b: np.ndarray) -> None:
+    """Complex width matrices B of a stack (..., d, d): symmetric, and Im B
+    positive definite, by one `eigvalsh` over the stack."""
+    _check_symmetric(b, "B")
+    if np.linalg.eigvalsh(b.imag).min() <= 0:
+        raise ValueError("Im B must be positive definite")
+
+
+def _exponent_on_grid(q, p, centre, quad, lin, const):
+    """The exponent d.quad d/2 + lin.d + const, d = (q, p) - centre, on the
+    grid of the axes q and p, as a q term, a p term and one q p outer term,
+    summed before any exponential so that no factor overflows alone."""
+    dq, dp = q - centre[0], p - centre[1]
+    expo = np.multiply.outer(dq, quad[0, 1] * dp)
+    expo += ((0.5 * quad[0, 0] * dq + lin[0]) * dq + const)[:, None]
+    expo += (0.5 * quad[1, 1] * dp + lin[1]) * dp
+    return expo
 
 
 @dataclass(frozen=True)
@@ -87,12 +108,11 @@ class GaussianWigner:
     def n_modes(self) -> int:
         return self.x.size // 2
 
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        """Wigner values at points of shape (..., 2n)."""
-        delta = pts - self.x
-        quad = np.einsum("...i,ij,...j->...", delta, self.g, delta)
-        norm = np.sqrt(np.linalg.det(self.g)) / (np.pi * self.hbar) ** self.n_modes
-        return norm * np.exp(-quad / self.hbar)
+    def _grid(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Wigner values on the grid of the axes q and p (single mode)."""
+        norm = np.sqrt(np.linalg.det(self.g)) / (np.pi * self.hbar)
+        expo = _exponent_on_grid(q, p, self.x, -2.0 / self.hbar * self.g, (0.0, 0.0), 0.0)
+        return norm * np.exp(expo, out=expo)
 
     def covariance(self) -> np.ndarray:
         """Symmetrized covariance matrix hbar * G^{-1}."""
@@ -162,9 +182,7 @@ class ComplexGaussian:
         dim = z.size // 2
         if b.shape != (dim, dim):
             raise ValueError("B shape does not match z")
-        _check_symmetric(b, "B")
-        if np.linalg.eigvalsh(b.imag).min() <= 0:
-            raise ValueError("Im B must be positive definite")
+        _check_widths(b)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "b", 0.5 * (b + b.T))
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -182,40 +200,51 @@ class ComplexGaussian:
     def y(self) -> np.ndarray:
         return self.z[self.z.size // 2:]
 
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        delta = pts - self.x
-        quad = np.einsum("...i,ij,...j->...", delta, self.b, delta)
-        lin = delta @ self.y
-        return self.weight * np.exp(1j / self.hbar * (0.5 * quad + lin + self.alpha))
+    def _grid(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Complex values on the grid of the axes q and p (single mode)."""
+        phase = 1j / self.hbar
+        expo = _exponent_on_grid(q, p, self.x, phase * self.b, phase * self.y,
+                                 phase * self.alpha)
+        np.exp(expo, out=expo)
+        expo *= self.weight
+        return expo
 
-    def peak_magnitude(self) -> float:
-        """Modulus at x = X; the size of the component's envelope."""
-        return abs(self.weight) * float(np.exp(-self.alpha.imag / self.hbar))
 
-    def _det_mi_b_sqrt(self) -> complex:
-        # det(-iB)^(1/2) via principal roots of the eigenvalues; Im B > 0
-        # confines them to the right half-plane, so the branch is unambiguous.
-        eigs = np.linalg.eigvals(-1j * self.b)
-        return complex(np.prod(np.sqrt(eigs)))
+def _integrals(hbar: float, z, b, alpha, weight):
+    """Exact phase-space integrals and complex centroids X - B^{-1} Y of a
+    stack of components, given as arrays over the same leading axes: z
+    (..., 2d), b (..., d, d), alpha and weight (...).
 
-    def integral(self) -> complex:
-        """Exact phase-space integral of the component.  It is computed once
-        per component: a superposition's normalization and its moments both
-        read it."""
-        return self._integral
+    The integral is weight (2 pi hbar)^(d/2) det(-iB)^(-1/2)
+    exp(i/hbar [alpha - Y.B^{-1}Y/2]), with det(-iB)^(1/2) the product of the
+    principal roots of the eigenvalues of -iB: Im B > 0 confines them to
+    the right half-plane, so the branch is unambiguous.  The integral of x
+    times a component is its centroid times its integral.
+    """
+    dim = b.shape[-1]
+    y = z[..., dim:]
+    binv_y = np.linalg.solve(b, y[..., None])[..., 0]
+    expo = 1j / hbar * (alpha - 0.5 * np.sum(y * binv_y, axis=-1))
+    det_sqrt = np.prod(np.sqrt(np.linalg.eigvals(-1j * b)), axis=-1)
+    pref = (2 * np.pi * hbar) ** (dim // 2) / det_sqrt
+    return weight * pref * np.exp(expo), z[..., :dim] - binv_y
 
-    @functools.cached_property
-    def _integral(self) -> complex:
-        dim = self.z.size // 2
-        binv_y = np.linalg.solve(self.b, self.y)
-        expo = 1j / self.hbar * (self.alpha - 0.5 * self.y @ binv_y)
-        pref = (2 * np.pi * self.hbar) ** (dim // 2) / self._det_mi_b_sqrt()
-        return self.weight * pref * np.exp(expo)
 
-    def centroid(self) -> np.ndarray:
-        """Complex centroid X - B^{-1} Y: the integral of x times the
-        component is the centroid times `integral()`."""
-        return self.x - np.linalg.solve(self.b, self.y)
+def _superposition_moments(hbar: float, integrals, centroids, b):
+    """First moments and symmetrized covariances of normalized superpositions,
+    stacked over the leading axes, in closed form: with component k's
+    integral I_k, complex centroid c_k and second central moment
+    i hbar B_k^{-1}, and I = sum_k I_k, <x> = Re sum_k I_k c_k / I and
+    <x x^T> = Re sum_k I_k (i hbar B_k^{-1} + c_k c_k^T) / I.  The last axis
+    of `integrals` runs over the components, as the axis before the vector
+    axis of `centroids` and the matrix axes of `b` does."""
+    total = integrals.sum(axis=-1)[..., None]
+    w = integrals[..., None]
+    x = np.real(np.sum(centroids * w, axis=-2) / total)
+    second = 1j * hbar * np.linalg.inv(b) + centroids[..., :, None] * centroids[..., None, :]
+    second = np.sum(second * w[..., None], axis=-3)
+    cov = np.real(second / total[..., None]) - x[..., :, None] * x[..., None, :]
+    return x, cov
 
 
 @dataclass(frozen=True)
@@ -243,26 +272,25 @@ class SuperpositionState:
     def n_modes(self) -> int:
         return self.components[0].n_modes
 
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        total = sum(c.values(pts) for c in self.components)
+    def _grid(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        total = sum(c._grid(q, p) for c in self.components)
         return self.norm_factor * total
 
+    def _stack(self):
+        """(z, b, alpha, weight) of the components, stacked on a leading axis."""
+        comps = self.components
+        return (np.array([c.z for c in comps]), np.array([c.b for c in comps]),
+                np.array([c.alpha for c in comps]), np.array([c.weight for c in comps]))
+
     def moments(self) -> "Moments":
-        """Moment table of the normalized distribution, in closed form: with
-        component k's integral I_k, complex centroid c_k and second central
-        moment i hbar B_k^{-1}, and I = sum_k I_k, <x> = Re sum_k I_k c_k / I
-        and <x x^T> = Re sum_k I_k (i hbar B_k^{-1} + c_k c_k^T) / I."""
-        integrals = [c.integral() for c in self.components]
-        cs = [c.centroid() for c in self.components]
-        total = sum(integrals)
-        x = np.real(sum(c * w for c, w in zip(cs, integrals)) / total)
-        binv = np.linalg.inv(np.stack([c.b for c in self.components]))  # one batched call
-        second = sum(w * (1j * self.hbar * bi + np.outer(c, c))
-                     for w, bi, c in zip(integrals, binv, cs))
-        return moments_from_covariance(self.hbar, x, np.real(second / total) - np.outer(x, x))
+        """Moment table of the normalized distribution (`_superposition_moments`)."""
+        z, b, alpha, weight = self._stack()
+        integrals, centroids = _integrals(self.hbar, z, b, alpha, weight)
+        x, cov = _superposition_moments(self.hbar, integrals, centroids, b)
+        return moments_from_covariance(self.hbar, x, cov)
 
     def normalized(self) -> "SuperpositionState":
-        raw = sum(c.integral() for c in self.components)
+        raw = _integrals(self.hbar, *self._stack())[0].sum()
         return SuperpositionState(self.components, norm_factor=float(1.0 / raw.real))
 
 
@@ -388,14 +416,15 @@ class WignerGrid:
 def eval_wigner(state, spec: GridSpec) -> WignerGrid:
     """Sample a state's Wigner function on a grid (single mode).
 
-    For a SuperpositionState the summed real part is returned; a lone
-    ComplexGaussian keeps its complex values.
+    Each Gaussian's exponent is summed on the grid from a q term, a p term
+    and one q p outer term (`_exponent_on_grid`).  For a SuperpositionState
+    the summed real part is returned; a lone ComplexGaussian keeps its
+    complex values.
     """
     n_modes = state.n_modes
     if n_modes != 1:
         raise ValueError("grid evaluation is defined for single-mode states")
-    pts = spec.points()
-    vals = state.values(pts)
+    vals = state._grid(*spec.axes())
     if isinstance(state, (GaussianWigner, SuperpositionState)):
         vals = np.real(vals)
     return WignerGrid(spec, vals)
@@ -436,13 +465,22 @@ class Moments:
         return float(abs(self.adag_a(i, j)) / np.sqrt(den))
 
 
+def _moment_tables(hbar: float, xs: np.ndarray, covs: np.ndarray) -> list:
+    """One moment table per row of the first moments xs (k, 2n) and per
+    symmetrized quadrature covariance of covs (k, 2n, 2n), mapped to the
+    mode frame by two stacked products."""
+    n = xs.shape[-1] // 2
+    t = transformation_matrix(n)
+    sigma = t @ covs @ t.conj().T
+    modes = xs @ t[:n].T
+    return [Moments(hbar=hbar, x=x, modes=m,
+                    blocks=CovarianceBlocks(alpha_block=sg[n:, n:], beta_block=sg[n:, :n]))
+            for x, m, sg in zip(xs, modes, sigma)]
+
+
 def moments_from_covariance(hbar: float, x: np.ndarray, cov: np.ndarray) -> Moments:
     """Moment table from first moments and the symmetrized quadrature covariance."""
-    n = x.size // 2
-    t = transformation_matrix(n)
-    sigma = t @ cov @ t.conj().T
-    blocks = CovarianceBlocks(alpha_block=sigma[n:, n:], beta_block=sigma[n:, :n])
-    return Moments(hbar=hbar, x=x, modes=(t @ x)[:n], blocks=blocks)
+    return _moment_tables(hbar, x[None], cov[None])[0]
 
 
 def moments(state: GaussianWigner) -> Moments:

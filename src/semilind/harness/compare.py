@@ -126,16 +126,17 @@ def trajectory_to_csv(traj) -> str:
 
 
 def component_csv(series, idx: int) -> str:
-    """Component ``idx`` of a `SuperpositionSeries` as ``component_<idx>.csv``."""
-    comps = [st.components[idx] for st in series.states]
-    n2 = comps[0].z.size // 2
+    """Component ``idx`` of a `SuperpositionSeries` as ``component_<idx>.csv``,
+    read from its stacked arrays."""
+    n2 = series.z.shape[-1] // 2
     iu = np.triu_indices(n2)
     header = (["t"] + [f"{v}_{i+1}" for v in "XY" for i in range(n2)]
               + [f"{part}B_{i+1}{j+1}" for part in ("Re", "Im") for i, j in zip(*iu)]
               + ["re_alpha", "im_alpha", "weight_re", "weight_im"])
-    bu = np.array([c.b[iu] for c in comps])
-    ends = [[c.alpha.real, c.alpha.imag, c.weight.real, c.weight.imag] for c in comps]
-    table = np.column_stack([series.times, [c.z for c in comps], bu.real, bu.imag, ends])
+    bu = series.b[:, idx, iu[0], iu[1]]
+    alpha, weight = series.alpha[:, idx], series.weights[:, idx]
+    table = np.column_stack([series.times, series.z[:, idx], bu.real, bu.imag, alpha.real,
+                             alpha.imag, weight.real, weight.imag])
     return csv_text(header, table.tolist())
 
 

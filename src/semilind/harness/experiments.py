@@ -88,7 +88,7 @@ class SolverRun:
     moments: list | None = None  # Moments per output time, for the experiment's map
     observables: dict = field(default_factory=dict)  # name -> ObservableSeries
     files: dict = field(default_factory=dict)  # file name -> text
-    frame: Callable | None = None  # output index -> WignerGrid
+    frames: Callable | None = None  # output indices -> their WignerGrids, in order
     entries: list = field(default_factory=list)
     result: object = None
     grids: dict = field(default_factory=dict)  # output index -> WignerGrid, set by _wigner_frames
@@ -105,13 +105,14 @@ class ExperimentDef:
 
 
 def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
-    """Store ``run.frame(k)`` in ``run.grids`` for each index k.  A grid with
-    a non-finite value raises, naming the directory it would be written to; a
-    grid whose border exceeds 1e-6 of its peak, so that it cuts off part of
-    the state, records a ``grid_clipping`` event on the solver's result."""
-    for k in indices:
-        run.grids[k] = run.frame(k)
-        vals = np.abs(run.grids[k].values)
+    """Store the grids of ``run.frames(indices)`` in ``run.grids`` by index.
+    A grid with a non-finite value raises, naming the directory it would be
+    written to; a grid whose border exceeds 1e-6 of its peak, so that it
+    cuts off part of the state, records a ``grid_clipping`` event on the
+    solver's result."""
+    for k, grid in zip(indices, run.frames(indices), strict=True):
+        run.grids[k] = grid
+        vals = np.abs(grid.values)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{outdir}: Wigner frame at t={times[k]:g} has non-finite values")
         peak = vals.max()
@@ -154,7 +155,7 @@ def _gaussian(config: ExperimentConfig, model, t_eval) -> SolverRun:
         moments=[moments(st) for st in traj.states],
         observables={"min_eig_physicality": ObservableSeries(t_eval, traj.min_physicality)},
         files={"trajectory.csv": trajectory_to_csv(traj)},
-        frame=lambda k: eval_wigner(traj.states[k], config.grid),
+        frames=lambda ks: [eval_wigner(traj.states[k], config.grid) for k in ks],
         entries=[{"check": "semiclassical_solver", "nfev": traj.nfev, "passed": True}],
         result=traj,
     )
@@ -166,8 +167,8 @@ def _master(config: ExperimentConfig, model, t_eval) -> SolverRun:
     rho0 = DensityMatrix.from_state(_initial_vector(config, fock), fock)
     mtraj = integrate_master(rho0, model, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
     return SolverRun(
-        moments=[moments_of_density(mtraj.density(k)) for k in range(len(t_eval))],
-        frame=lambda k: wigner_of_density(mtraj.density(k), config.grid),
+        moments=moments_of_density(mtraj),
+        frames=lambda ks: wigner_of_density([mtraj.density(k) for k in ks], config.grid),
         entries=[{"check": "master_solver", "method": mtraj.method, "nfev": mtraj.nfev,
                   "superoperator": "real_hermitian", "nnz": mtraj.nnz, "blocks": mtraj.blocks,
                   "max_block": mtraj.max_block, "passed": True}],
@@ -182,12 +183,12 @@ def _doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
     series = propagate_superposition(model, cat, t_eval, rtol=config.ode_rtol,
                                      atol=config.ode_atol)
     return SolverRun(
-        moments=[st.moments() for st in series.states],
+        moments=series.moments(),
         observables={"raw_norm": ObservableSeries(t_eval, series.raw_norms),
                      "cross_magnitude": ObservableSeries(t_eval, series.cross_magnitudes())},
         files={f"component_{idx}.csv": component_csv(series, idx)
                for idx in range(len(cat.components))},
-        frame=lambda k: eval_wigner(series.states[k], config.grid),
+        frames=lambda ks: [eval_wigner(series.state(k), config.grid) for k in ks],
         entries=[{"check": "doubled_solver", "nfev": series.nfev, "passed": True}],
         result=series,
     )
@@ -228,7 +229,9 @@ def _jumps(config: ExperimentConfig, model, t_eval) -> SolverRun:
 
 # The initial kinds each row kind takes (``_flow`` takes none), and the row
 # kinds that solve in a truncated Fock basis, which is built at hbar = 1 and
-# holds a cat only as unit-width packets of one mode.
+# holds a cat only as unit-width packets of one mode.  The master row also
+# needs its initial state inside the truncation (`integrate_master`'s 1e-10
+# leakage bound); the jump ensemble has no such bound.
 _TAKES = {_gaussian: ("coherent",), _master: ("coherent", "cat"), _jumps: ("coherent", "cat"),
           _doubled: ("cat",)}
 _FOCK_KINDS = (_master, _jumps)
@@ -270,6 +273,14 @@ def _check_rows(config: ExperimentConfig, exp: ExperimentDef) -> None:
             if init.kind == "cat" and abs(init.width - 1j) > 1e-12:
                 raise ConfigError(f"initial.width: the {name} row takes unit packet width only "
                                   f"([0, 1]), got {init.width}")
+        if kind is _master:
+            fock = FockSpace([config.fock_levels] * n)
+            vec = _initial_vector(config, fock)
+            leak = fock.leakage(vec / np.linalg.norm(vec))
+            if leak > 1e-10:
+                raise ConfigError(f"fock_levels: the {name} row's initial state puts {leak:.2e} "
+                                  f"in the top of {config.fock_levels} levels, above the 1e-10 "
+                                  f"the master equation starts from")
 
 
 def _check_windows(config: ExperimentConfig, t_eval) -> None:
@@ -752,7 +763,7 @@ def run_experiment(config: ExperimentConfig, root=None):
         run = runs[name] = solve(config, model, t_eval)
         if run.moments is not None:
             run.observables = {**exp.observables(t_eval, run.moments), **run.observables}
-        if config.grid is not None and run.frame is not None:
+        if config.grid is not None and run.frames is not None and frames:
             _wigner_frames(outdir / name, t_eval, frames, run)
         report.runtime_s[name] = time.perf_counter() - t0
     for name, run in runs.items():

@@ -11,17 +11,20 @@ the blocks into one stack of equal bins (`_BlockPartition`), so that a
 product by every block is one batched call.  The master equation builds one
 CSR Lindblad superoperator and steps rho in its n^2 real Hermitian
 coordinates (`_HermitianCoords`), so every output rho is Hermitian by
-construction.
+construction.  It keeps those coordinates stacked over the output times and
+reads the trace, the leakage and the quadrature moments of all of them as
+linear functionals (`FockSpace._functionals`), in one sparse product; a
+density matrix is built only for a requested frame.
 When no block of the real superoperator is larger than twice the Hilbert
 space, as for the band pairs m - n = +-k of a phase-covariant model, it
 steps between output times with exact dense block propagators, and
 otherwise it integrates the whole real superoperator with the adaptive
 eighth-order Dormand-Prince method (DOP853).
 The jump ensemble diagonalizes each block of the effective Hamiltonian, such
-as a number sector of the lossy lattice.  Moments read sparse quadratures
-that each `FockSpace` builds once.  The Wigner transform of a density matrix
-is exact and separable: a 45-degree rotation of (x, x') turns it into two
-matrix products with tables of Hermite functions on the grid axes.
+as a number sector of the lossy lattice.  The Wigner transform of a density
+matrix is exact and separable: a 45-degree rotation of (x, x') turns it into
+two matrix products with tables of Hermite functions on the grid axes, and
+the frames of one call share the rotation blocks and the tables.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import matrix_power as _sparse_matrix_power
 from scipy.special import gammaln
 
-from .gaussian import GridSpec, Moments, WignerGrid, moments_from_covariance
+from .gaussian import GridSpec, Moments, WignerGrid, _moment_tables
 from .semiclassical import LindbladModel, _check_times
 from .symbols import Chart, PolySymbol, chart_transform
 
@@ -110,15 +113,24 @@ class FockSpace:
         return np.exp(-0.5j * q0 * p0) * self.coherent_vector([alpha])
 
     @cached_property
-    def _quadratures(self):
-        """Sparse quadratures x = (q_1..q_n, p_1..p_n), and their symmetrized
-        products x_i x_j + x_j x_i keyed by (i, j) with i <= j.  They are
-        kept as COO, the form `DensityMatrix.expectation` reads."""
+    def _coords(self) -> "_HermitianCoords":
+        return _HermitianCoords(self.dim)
+
+    @cached_property
+    def _functionals(self) -> sp.csr_array:
+        """Real CSR matrix F whose rows read, from the real coordinates x of a
+        Hermitian rho (`_HermitianCoords`), Tr rho, the leakage, each <x_i>
+        and each <x_i x_j + x_j x_i> with i <= j, for the quadratures
+        x = (q_1..q_n, p_1..p_n): Tr(rho O) = vec(rho) . vec(O^T) = F_O . x
+        with F_O = Re P^T vec(O^T), real because O is Hermitian."""
         xs = [(a + a.conj().T) / np.sqrt(2) for a in self._lowering]
         xs += [1j * (a.conj().T - a) / np.sqrt(2) for a in self._lowering]
-        pairs = {(i, j): (xs[i] @ xs[j] + xs[j] @ xs[i]).tocoo()
-                 for i in range(len(xs)) for j in range(i, len(xs))}
-        return [x.tocoo() for x in xs], pairs
+        ops = [sp.identity(self.dim, format="csr"), sp.diags_array(self._top_mask), *xs]
+        ops += [xs[i] @ xs[j] + xs[j] @ xs[i] for i in range(len(xs)) for j in range(i, len(xs))]
+        rows = sp.vstack([sp.csr_array(op.T.reshape(1, -1)) for op in ops], format="csr")
+        funcs = sp.csr_array((rows @ self._coords.P).real)
+        funcs.eliminate_zeros()
+        return funcs
 
     def leakage(self, vec_or_rho: np.ndarray) -> float:
         """Total population of the highest level of any mode."""
@@ -214,11 +226,6 @@ class DensityMatrix:
         vec = np.asarray(vec, dtype=complex)
         vec = vec / np.linalg.norm(vec)
         return cls(rho=np.outer(vec, vec.conj()), fock=fock)
-
-    def expectation(self, op) -> complex:
-        """Tr(rho op), summed over the stored entries of a sparse or dense op."""
-        op = op.tocoo() if sp.issparse(op) else sp.coo_array(op)
-        return complex(self.rho[op.col, op.row] @ op.data)
 
 
 # -- invariant blocks -----------------------------------------------------------
@@ -348,8 +355,16 @@ class _HermitianCoords:
 
 @dataclass
 class MasterTrajectory:
+    """rho at each output time, as the columns of `coords` in its real
+    coordinates (`_HermitianCoords`), and the quadrature moments that
+    `integrate_master` read from them: `means[k]` holds each <x_i> and
+    `covariances[k]` the symmetrized covariance <x_i x_j + x_j x_i> -
+    2 <x_i><x_j>, for x = (q_1..q_n, p_1..p_n)."""
+
     times: np.ndarray
-    rhos: list
+    coords: np.ndarray
+    means: np.ndarray
+    covariances: np.ndarray
     fock: FockSpace
     method: str  # "block_expm" or "dop853"
     # DOP853 right-hand-side calls; 0 on the block path.  The count depends on
@@ -363,7 +378,10 @@ class MasterTrajectory:
     events: list = field(default_factory=list)
 
     def density(self, k: int) -> DensityMatrix:
-        return DensityMatrix(rho=self.rhos[k], fock=self.fock)
+        """rho at output time k; built only when asked for, as for a frame."""
+        dim = self.fock.dim
+        return DensityMatrix(rho=(self.fock._coords.P @ self.coords[:, k]).reshape(dim, dim),
+                             fock=self.fock)
 
 
 def _model_matrices(model: LindbladModel, fock: FockSpace):
@@ -416,7 +434,10 @@ def integrate_master(
     blocks are its two parity sectors, is integrated whole by adaptive
     DOP853 (method "dop853"); `rtol` and `atol` apply to this path only.
 
-    Each output rho = P x is Hermitian by construction; the trace is
+    Each output rho = P x is Hermitian by construction, and is built only
+    on request (`MasterTrajectory.density`).  The trace, the leakage and the
+    quadrature moments of every output time are linear functionals of x,
+    read by one sparse product (`FockSpace._functionals`).  The trace is
     renormalized only if it drifts beyond 1e-10 (logged).  Population of
     the highest Fock level is the truncation-leakage monitor.
     """
@@ -426,13 +447,14 @@ def integrate_master(
     init_leak = fock.leakage(rho0.rho)
     if init_leak > 1e-10:
         raise ValueError(f"initial truncation leakage {init_leak:.2e} exceeds 1e-10")
-    coords = _HermitianCoords(dim)
-    liou = coords.superop(_liouvillian(*_model_matrices(model, fock)))
+    liou = fock._coords.superop(_liouvillian(*_model_matrices(model, fock)))
     blocks = _BlockPartition(liou)
-    y0 = coords.read(rho0.rho.ravel())
+    y0 = fock._coords.read(rho0.rho.ravel())
     if blocks.max_block <= 2 * dim:
         method, nfev = "block_expm", 0
-        states = _block_states(liou, blocks, y0, t_eval)
+        coords = np.empty((y0.size, t_eval.size))
+        for k, y in enumerate(_block_states(liou, blocks, y0, t_eval)):
+            coords[:, k] = y
     else:
 
         def rhs(t, y):
@@ -442,45 +464,56 @@ def integrate_master(
                         rtol=rtol, atol=atol)
         if not sol.success:
             raise RuntimeError(f"master-equation integration failed: {sol.message}")
-        method, nfev, states = "dop853", int(sol.nfev), sol.y.T
-    rhos, events = [], []
-    for t, y in zip(t_eval, states):
-        rho = (coords.P @ y).reshape(dim, dim)
-        tr = np.real(np.trace(rho))
-        if abs(tr - 1.0) > 1e-10:
-            events.append({"t": float(t), "kind": "trace_renormalized", "trace": float(tr)})
-            rho = rho / tr
-        leak = fock.leakage(rho)
-        if leak > 1e-6:
-            events.append({"t": float(t), "kind": "leakage", "population": leak})
-        rhos.append(rho)
-    leaks = [ev for ev in events if ev["kind"] == "leakage"]
-    if leaks:
-        peak = max(ev["population"] for ev in leaks)
-        warnings.warn(f"truncation leakage above 1e-6 at {len(leaks)} output times: "
-                      f"max {peak:.2e}, first at t={leaks[0]['t']:.3g}")
-    return MasterTrajectory(times=t_eval.copy(), rhos=rhos, fock=fock, method=method, nfev=nfev,
-                            nnz=int(liou.nnz), blocks=blocks.n_blocks,
-                            max_block=blocks.max_block, events=events)
+        method, nfev, coords = "dop853", int(sol.nfev), sol.y
+    values = fock._functionals @ coords
+    trace = values[0].copy()
+    renorm = np.abs(trace - 1.0) > 1e-10
+    values[:, renorm] /= trace[renorm]
+    coords[:, renorm] /= trace[renorm]
+    leaks = values[1]
+    leaky = leaks > 1e-6
+    events = []
+    for k in np.flatnonzero(renorm | leaky):
+        t = float(t_eval[k])
+        if renorm[k]:
+            events.append({"t": t, "kind": "trace_renormalized", "trace": float(trace[k])})
+        if leaky[k]:
+            events.append({"t": t, "kind": "leakage", "population": float(leaks[k])})
+    if leaky.any():
+        warnings.warn(f"truncation leakage above 1e-6 at {int(leaky.sum())} output times: "
+                      f"max {leaks[leaky].max():.2e}, "
+                      f"first at t={t_eval[np.argmax(leaky)]:.3g}")
+    means, covs = _quadrature_moments(fock, values)
+    return MasterTrajectory(times=t_eval.copy(), coords=coords, means=means, covariances=covs,
+                            fock=fock, method=method, nfev=nfev, nnz=int(liou.nnz),
+                            blocks=blocks.n_blocks, max_block=blocks.max_block, events=events)
 
 
 # -- moments ------------------------------------------------------------------
 
 
-def _quadrature_moments(rho: DensityMatrix):
-    """First moments and symmetrized covariance of the quadratures."""
-    xops, pairs = rho.fock._quadratures
-    x = np.array([np.real(rho.expectation(op)) for op in xops])
-    cov = np.zeros((x.size, x.size))
-    for (i, j), op in pairs.items():
-        cov[i, j] = cov[j, i] = np.real(rho.expectation(op)) - 2 * x[i] * x[j]
-    return x, cov
+def _quadrature_moments(fock: FockSpace, values: np.ndarray):
+    """First moments (k, 2n) and symmetrized covariances (k, 2n, 2n) of k
+    states from the values (rows) of `FockSpace._functionals` on them (columns)."""
+    dim = 2 * fock.n_modes
+    means = values[2:2 + dim].T
+    iu = np.triu_indices(dim)
+    pairs = np.empty((values.shape[1], dim, dim))
+    pairs[:, iu[0], iu[1]] = values[2 + dim:].T
+    pairs[:, iu[1], iu[0]] = values[2 + dim:].T
+    return means, pairs - 2 * means[:, :, None] * means[:, None, :]
 
 
-def moments_of_density(rho: DensityMatrix) -> Moments:
-    """First moments and mode covariance blocks of a density matrix."""
-    x, cov = _quadrature_moments(rho)
-    return moments_from_covariance(rho.hbar, x, cov)
+def moments_of_density(rho) -> Moments | list:
+    """First moments and mode covariance blocks of a density matrix, or of each
+    output rho of a `MasterTrajectory`, from the moments `integrate_master`
+    read.  A `DensityMatrix` is read as a trajectory of one state."""
+    if isinstance(rho, MasterTrajectory):  # solved at hbar = 1
+        return _moment_tables(1.0, rho.means, rho.covariances)
+    fock = rho.fock
+    values = fock._functionals @ fock._coords.read(rho.rho.ravel())
+    means, covs = _quadrature_moments(fock, values[:, None])
+    return _moment_tables(rho.hbar, means, covs)[0]
 
 
 # -- Wigner transform ---------------------------------------------------------
@@ -538,8 +571,10 @@ def _rotation_blocks(n: int):
         yield rot
 
 
-def wigner_of_density(rho: DensityMatrix, spec: GridSpec) -> WignerGrid:
-    """Wigner function of a single-mode density matrix on a grid.
+def wigner_of_density(rho, spec: GridSpec):
+    """Wigner function of a single-mode density matrix on a grid, or of each
+    of a list of density matrices on one `FockSpace`, which share one set of
+    rotation blocks and Hermite tables; returns a `WignerGrid` or a list.
 
     In the position representation rho(x, x') = sum_mn rho_mn phi_m(x) phi_n(x')
     with Hermite functions phi and x in units of sqrt(hbar).  Rotated to
@@ -558,25 +593,31 @@ def wigner_of_density(rho: DensityMatrix, spec: GridSpec) -> WignerGrid:
     a Laguerre recurrence over all G^2 points for each of N diagonals, and
     every factor stays in floating-point range at any truncation.
     """
-    fock = rho.fock
+    single = isinstance(rho, DensityMatrix)
+    rhos = [rho] if single else list(rho)
+    fock, hbar = rhos[0].fock, rhos[0].hbar
     if fock.n_modes != 1:
         raise ValueError("wigner_of_density is single mode")
-    hbar = rho.hbar
+    if any(r.fock.dims != fock.dims or r.hbar != hbar for r in rhos):
+        raise ValueError("the density matrices of one call share their truncation and hbar")
     n = fock.dims[0]
     q, p = spec.axes()
     kmax = 2.0 * np.sqrt(2.0 * n / hbar)
     if max(spec.dq, spec.dp) > np.pi / kmax:
         warnings.warn("grid spacing too coarse for the Fock truncation; fringes may alias")
-    flipped = rho.rho[:, ::-1]  # anti-diagonal s of rho is diagonal n - 1 - s here
+    # anti-diagonal s of each rho is diagonal n - 1 - s here
+    flipped = np.array([r.rho for r in rhos])[:, :, ::-1]
     minus_i_pow = np.array([1.0, -1j, -1.0, 1j])
-    m_re = np.zeros((2 * n - 1, 2 * n - 1))
+    m_re = np.zeros((len(rhos), 2 * n - 1, 2 * n - 1))
     for s, rot in enumerate(_rotation_blocks(n)):
         j = np.arange(s + 1)
-        m_re[j, s - j] = (minus_i_pow[(s - j) % 4] * (rot @ np.diagonal(flipped, n - 1 - s))).real
+        diags = np.diagonal(flipped, n - 1 - s, axis1=1, axis2=2)
+        m_re[:, j, s - j] = (minus_i_pow[(s - j) % 4] * (diags @ rot.T)).real
     scale = np.sqrt(2.0 / hbar)
     phi_q = _hermite_functions(scale * q, 2 * n - 1)
     phi_p = _hermite_functions(scale * p, 2 * n - 1)
-    return WignerGrid(spec, phi_q @ m_re @ phi_p.T / (np.sqrt(np.pi) * hbar))
+    grids = [WignerGrid(spec, phi_q @ m @ phi_p.T / (np.sqrt(np.pi) * hbar)) for m in m_re]
+    return grids[0] if single else grids
 
 
 # -- quantum-jump Monte Carlo ---------------------------------------------------

@@ -13,6 +13,13 @@ formulas, separately from the program paths they check.
   (``ChordGaussian``, ``chord_from_component``, ``diffusion_matrix``,
   ``chord_rhs``), and ``rhs_component``, the program's stacked rates
   ``doubled._rates`` for one component, which it is compared with.
+* Per-object formulas for what the program computes stacked over output
+  times and components: ``wigner_values``, the Wigner value of a Gaussian,
+  a complex Gaussian or a superposition point by point from the quadratic
+  form of its exponent; ``component_integral``, ``component_centroid``,
+  ``peak_magnitude`` and ``superposition_moments`` of one complex Gaussian
+  or superposition; ``quadrature_moments`` of one density matrix, as traces
+  with the quadrature operators.
 """
 
 from __future__ import annotations
@@ -21,8 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import scipy.sparse as sp
+
 from semilind.doubled import DoubledSymbol, _rates
-from semilind.gaussian import ComplexGaussian
+from semilind.gaussian import (
+    ComplexGaussian,
+    GaussianWigner,
+    Moments,
+    SuperpositionState,
+    moments_from_covariance,
+)
+from semilind.quantum import DensityMatrix
 from semilind.semiclassical import LindbladModel, _require_chart
 from semilind.symbols import (
     Chart,
@@ -129,6 +145,72 @@ def rhs_g_complex(model: LindbladModel, xc, gc: np.ndarray) -> np.ndarray:
     )
 
 
+# -- one state at a time ---------------------------------------------------------
+
+
+def wigner_values(state, pts: np.ndarray) -> np.ndarray:
+    """Wigner values of a `GaussianWigner`, `ComplexGaussian` or
+    `SuperpositionState` at points of shape (..., 2n), each exponent from its
+    quadratic form at every point."""
+    if isinstance(state, SuperpositionState):
+        return state.norm_factor * sum(wigner_values(c, pts) for c in state.components)
+    delta = pts - state.x
+    if isinstance(state, GaussianWigner):
+        quad = np.einsum("...i,ij,...j->...", delta, state.g, delta)
+        norm = np.sqrt(np.linalg.det(state.g)) / (np.pi * state.hbar) ** state.n_modes
+        return norm * np.exp(-quad / state.hbar)
+    quad = np.einsum("...i,ij,...j->...", delta, state.b, delta)
+    lin = delta @ state.y
+    return state.weight * np.exp(1j / state.hbar * (0.5 * quad + lin + state.alpha))
+
+
+def component_integral(comp: ComplexGaussian) -> complex:
+    """Phase-space integral of one complex Gaussian, with det(-iB)^(1/2) the
+    product of the principal roots of the eigenvalues of -iB."""
+    dim = comp.z.size // 2
+    binv_y = np.linalg.solve(comp.b, comp.y)
+    expo = 1j / comp.hbar * (comp.alpha - 0.5 * comp.y @ binv_y)
+    det_sqrt = complex(np.prod(np.sqrt(np.linalg.eigvals(-1j * comp.b))))
+    return comp.weight * (2 * np.pi * comp.hbar) ** (dim // 2) / det_sqrt * np.exp(expo)
+
+
+def component_centroid(comp: ComplexGaussian) -> np.ndarray:
+    """Complex centroid X - B^{-1} Y of one complex Gaussian."""
+    return comp.x - np.linalg.solve(comp.b, comp.y)
+
+
+def peak_magnitude(comp: ComplexGaussian) -> float:
+    """Modulus of one complex Gaussian at x = X."""
+    return abs(comp.weight) * float(np.exp(-comp.alpha.imag / comp.hbar))
+
+
+def superposition_moments(state: SuperpositionState) -> Moments:
+    """Moments of a normalized superposition, summed component by component."""
+    integrals = [component_integral(c) for c in state.components]
+    cs = [component_centroid(c) for c in state.components]
+    total = sum(integrals)
+    x = np.real(sum(c * w for c, w in zip(cs, integrals)) / total)
+    second = sum(w * (1j * state.hbar * np.linalg.inv(comp.b) + np.outer(c, c))
+                 for w, comp, c in zip(integrals, state.components, cs))
+    return moments_from_covariance(state.hbar, x, np.real(second / total) - np.outer(x, x))
+
+
+def quadrature_moments(rho: DensityMatrix):
+    """<x> and <x_i x_j + x_j x_i> - 2 <x_i><x_j> of one density matrix, as
+    traces with the quadratures x = (q_1..q_n, p_1..p_n)."""
+    lowering = rho.fock._lowering
+    xs = [(a + a.conj().T) / np.sqrt(2) for a in lowering]
+    xs += [1j * (a.conj().T - a) / np.sqrt(2) for a in lowering]
+
+    def expectation(op):
+        return np.real(np.sum(rho.rho * sp.csr_array(op).toarray().T))
+
+    x = np.array([expectation(op) for op in xs])
+    cov = np.array([[expectation(u @ v + v @ u) - 2 * xu * xv for v, xv in zip(xs, x)]
+                    for u, xu in zip(xs, x)])
+    return x, cov
+
+
 # -- one doubled-phase-space component ------------------------------------------
 
 
@@ -167,7 +249,7 @@ def chord_from_component(comp: ComplexGaussian) -> ChordGaussian:
         y=comp.y,
         nmat=minus_binv.real,
         mmat=minus_binv.imag,
-        norm=comp.integral(),
+        norm=component_integral(comp),
     )
 
 

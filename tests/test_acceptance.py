@@ -30,7 +30,6 @@ from semilind.quantum import (
     DensityMatrix,
     FockSpace,
     _model_matrices,
-    _quadrature_moments,
     integrate_master,
     moments_of_density,
 )
@@ -187,11 +186,9 @@ def damped_oscillator_run():
     rho0 = DensityMatrix.from_state(fock.coherent_vector([a0]), fock)
     mtraj = integrate_master(rho0, model, t_eval)
     x_err = g_err = 0.0
-    for k in range(t_eval.size):
-        dm = DensityMatrix(rho=mtraj.rhos[k], fock=fock)
-        mom = moments_of_density(dm)
+    for k, mom in enumerate(moments_of_density(mtraj)):
         x_err = max(x_err, float(np.max(np.abs(mom.x - straj.states[k].x))))
-        gq = np.linalg.inv(_quadrature_moments(dm)[1])
+        gq = np.linalg.inv(mtraj.covariances[k])
         g_err = max(g_err, float(np.max(np.abs(gq - straj.states[k].g))))
     _ALL_TRAJECTORIES.append(("damped_oscillator", straj.min_physicality))
     return {"x_err": x_err, "g_err": g_err, "runtime": time.perf_counter() - t0}
@@ -378,15 +375,15 @@ def test_c07_doubled_reduction_matches_width_dynamics():
             model, GaussianWigner(1.0, np.array(centre), np.eye(2)), t_eval
         )
         for k in range(t_eval.size):
-            comp = series.states[k].components[idx]
+            comp = series.state(k).components[idx]
             worst_y = max(worst_y, float(np.max(np.abs(comp.y))))
             worst_xg = max(worst_xg, float(np.max(np.abs(comp.x - straj.states[k].x))))
             worst_xg = max(
                 worst_xg, float(np.max(np.abs(comp.b.imag / 2 - straj.states[k].g)))
             )
         widths = np.array(
-            [physicality_of_width(st.components[idx].b.imag / 2).min_eig
-             for st in series.states]
+            [physicality_of_width(series.state(k).components[idx].b.imag / 2).min_eig
+             for k in range(t_eval.size)]
         )
         assert widths.min() >= -1e-9  # uncertainty relation along the component flow
     runtime = time.perf_counter() - t0

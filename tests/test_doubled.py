@@ -19,7 +19,17 @@ from semilind.harness.experiments import default_config
 from semilind.quantum import DensityMatrix, FockSpace, integrate_master, wigner_of_density
 from semilind.semiclassical import LindbladModel, drift_x, integrate
 from semilind.symbols import Chart, PolySymbol, double_lift, moyal_term, parse_symbol
-from oracles import ChordGaussian, chord_from_component, chord_rhs, diffusion_matrix, rhs_component
+from oracles import (
+    ChordGaussian,
+    chord_from_component,
+    chord_rhs,
+    component_centroid,
+    component_integral,
+    diffusion_matrix,
+    peak_magnitude,
+    rhs_component,
+    superposition_moments,
+)
 from test_semiclassical import width_rate
 
 
@@ -180,7 +190,7 @@ class TestRhsComponent:
         )
         series = propagate_superposition(model, SuperpositionState_one(comp), [0.0, 0.6])
         rot = rotation(0.6)
-        got = series.states[1].components[0]
+        got = series.state(1).components[0]
         assert np.allclose(got.x, rot @ comp.x, atol=1e-9)
         assert np.allclose(got.y, rot @ comp.y, atol=1e-9)
         assert np.allclose(got.b, rot @ comp.b @ rot.T, atol=1e-9)
@@ -215,7 +225,7 @@ def squeezed_state(widths):
 
 def component_track(series, idx):
     """Component idx of a propagated superposition at every output time."""
-    return [st.components[idx] for st in series.states]
+    return [series.state(k).components[idx] for k in range(series.times.size)]
 
 
 def component_events(series, idx):
@@ -245,22 +255,69 @@ class TestComponentPacking:
 
 class TestPropagateSuperposition:
     def test_each_component_integral_computed_once(self, monkeypatch):
-        # the normalization of each output state and its moments read one
-        # integral per component
+        # the integrals of every component at every output time are one
+        # stacked evaluation, which the norms and the moments both read
         cat = cat_decompose([(2.0, 1.0), (2.0, -1.0)], [1.0, 1.0], np.array([[1j]]))
-        real, calls = ComplexGaussian._det_mi_b_sqrt, []
+        real, calls = doubled._integrals, []
 
-        def counted(self):
-            calls.append(self)
-            return real(self)
+        def counted(hbar, z, *rest):
+            calls.append(z.shape[:-1])
+            return real(hbar, z, *rest)
 
-        monkeypatch.setattr(ComplexGaussian, "_det_mi_b_sqrt", counted)
+        monkeypatch.setattr(doubled, "_integrals", counted)
         series = propagate_superposition(anharmonic_damped(), cat, np.linspace(0, 0.5, 6))
-        solved = len(calls)
-        assert solved == len({id(c) for st in series.states for c in st.components})
-        for st in series.states:
-            st.moments()
-        assert len(calls) == solved
+        series.moments()
+        series.cross_magnitudes()
+        assert calls == [(6, 4)]
+
+    @pytest.mark.parametrize("case", ["registered_cat", "collapse"])
+    def test_stacked_quantities_match_per_state_formulas(self, case):
+        if case == "registered_cat":
+            cfg = ExperimentConfig.from_dict(default_config("cat_anharmonic"))
+            init = cfg.initial
+            state = cat_decompose(init.centres, init.coefficients, np.array([[init.width]]))
+            series = propagate_superposition(cfg.model.build(1.0), state, cfg.times.grid(),
+                                             rtol=cfg.ode_rtol, atol=cfg.ode_atol)
+        else:  # the first component collapses at t = 11.86 and keeps weight zero
+            state = squeezed_state([np.eye(2), np.diag([1e6, 1e-6])])
+            series = propagate_superposition(squeeze_model(), state, np.linspace(0.0, 14.0, 8))
+            assert np.all(series.weights[-2:, 0] == 0)
+        moments = series.moments()
+        cross = series.cross_magnitudes()
+        for k in range(series.times.size):
+            st = series.state(k)
+            integrals = np.array([component_integral(c) for c in st.components])
+            scale = np.max(np.abs(integrals))
+            assert np.max(np.abs(series.integrals[k] - integrals)) <= 1e-12 * scale
+            for i, c in enumerate(st.components):
+                want = component_centroid(c)
+                assert np.max(np.abs(series.centroids[k, i] - want)) <= 1e-12 * max(
+                    1.0, np.max(np.abs(want)))
+            raw = integrals.sum().real
+            assert st.norm_factor == pytest.approx(1.0 / raw, rel=1e-12)
+            assert series.raw_norms[k] == pytest.approx(state.norm_factor * raw, rel=1e-12)
+            want = superposition_moments(st)
+            assert np.max(np.abs(moments[k].x - want.x)) <= 1e-12 * max(
+                1.0, np.max(np.abs(want.x)))
+            for block in ("alpha_block", "beta_block"):
+                a, b = getattr(moments[k].blocks, block), getattr(want.blocks, block)
+                assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+            peaks = sum(peak_magnitude(c) for c in st.components if np.linalg.norm(c.y) > 1e-8)
+            assert cross[k] == pytest.approx(peaks * abs(st.norm_factor), rel=1e-12, abs=1e-300)
+
+    def test_every_output_width_is_checked(self, monkeypatch):
+        # every component at every output time goes through the check that
+        # ComplexGaussian makes, as one stack
+        real, seen = doubled._check_widths, []
+
+        def recorded(b):
+            seen.append(b.shape)
+            real(b)
+
+        monkeypatch.setattr(doubled, "_check_widths", recorded)
+        cat = cat_decompose([(2.0, 1.0), (2.0, -1.0)], [1.0, 1.0], np.array([[1j]]))
+        propagate_superposition(anharmonic_damped(), cat, np.linspace(0, 0.5, 6))
+        assert seen == [(6, 4, 2, 2)]
 
     def test_single_component_matches_semiclassical(self):
         model = anharmonic_damped(beta=0.1, gamma=0.3)
@@ -271,7 +328,7 @@ class TestPropagateSuperposition:
             model, GaussianWigner(1.0, np.array([2.0, 1.0]), np.eye(2)), t_eval
         )
         for k in range(t_eval.size):
-            comp = series.states[k].components[0]
+            comp = series.state(k).components[0]
             assert np.allclose(comp.x, straj.states[k].x, atol=1e-8)
             assert np.allclose(comp.y, 0, atol=1e-10)
             assert np.allclose(comp.b.imag / 2, straj.states[k].g, atol=1e-8)
@@ -290,8 +347,8 @@ class TestPropagateSuperposition:
         rho0 = DensityMatrix.from_state(v, f)
         mtraj = integrate_master(rho0, model, t_eval)
         spec = GridSpec(-7, 7, 101, -7, 7, 101)
-        got = eval_wigner(series.states[1], spec)
-        want = wigner_of_density(DensityMatrix(rho=mtraj.rhos[1], fock=f), spec)
+        got = eval_wigner(series.state(1), spec)
+        want = wigner_of_density(mtraj.density(1), spec)
         assert np.max(np.abs(got.values - want.values)) < 1e-6
 
     def test_component_collapse(self):
@@ -391,12 +448,11 @@ class TestPropagateSuperposition:
                                          rtol=cfg.ode_rtol, atol=cfg.ode_atol)
         spec = GridSpec(-16.0, 16.0, 400, -16.0, 16.0, 400)
         pts = spec.points().reshape(-1, 2)
-        for state in series.states:
-            w = eval_wigner(state, spec).values.ravel()
+        for k, got in enumerate(series.moments()):
+            w = eval_wigner(series.state(k), spec).values.ravel()
             mean = w @ pts / w.sum()
             cov = (pts - mean).T @ ((pts - mean) * w[:, None]) / w.sum()
             want = moments_from_covariance(cfg.hbar, mean, cov)
-            got = state.moments()
             assert np.max(np.abs(got.x - want.x)) < 1e-10
             for block in ("alpha_block", "beta_block"):
                 diff = getattr(got.blocks, block) - getattr(want.blocks, block)
@@ -417,7 +473,7 @@ class TestPropagateSuperposition:
                                alpha=0.0, weight=np.sqrt(np.linalg.det(g)) / np.pi)
         series = propagate_superposition(anharmonic_damped(beta=0.0, gamma=0.3),
                                          SuperpositionState((comp,)), np.linspace(0, 5, 11))
-        dets = [abs(np.linalg.det(st.components[0].b)) for st in series.states]
+        dets = [abs(np.linalg.det(c.b)) for c in component_track(series, 0)]
         assert dets[0] == pytest.approx(4.0) and dets[-1] < 3.0
         assert np.max(np.abs(series.raw_norms - 1.0)) <= 1e-8
 
@@ -428,7 +484,7 @@ class TestPropagateSuperposition:
         mags = series.cross_magnitudes()
         assert np.all(np.diff(mags) <= 1e-9 * mags[0])
         # off-diagonal phases pick up a growing imaginary part
-        cross = [st.components[1] for st in series.states]
+        cross = component_track(series, 1)
         imalpha = np.array([c.alpha.imag for c in cross])
         assert np.all(np.diff(imalpha) >= -1e-10)
 
@@ -444,7 +500,7 @@ class TestPropagateSuperposition:
         cross0 = cat.components[1]
         y0sq = cross0.y @ cross0.y
         for k, t in enumerate(t_eval):
-            got = series.states[k].components[1].alpha.imag
+            got = series.state(k).components[1].alpha.imag
             want = 0.25 * y0sq * (1 - np.exp(-gamma * t))
             assert got == pytest.approx(want, abs=5e-8)
 

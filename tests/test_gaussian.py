@@ -7,12 +7,19 @@ from semilind.gaussian import (
     GridSpec,
     SuperpositionState,
     WignerGrid,
+    _check_widths,
     cat_decompose,
     coherent,
     eval_wigner,
     g_from_a,
     moments,
     physicality_of_width,
+)
+from oracles import (
+    component_integral,
+    peak_magnitude,
+    superposition_moments,
+    wigner_values,
 )
 
 
@@ -95,6 +102,49 @@ class TestWignerEval:
             GridSpec(1, -1, 10, -1, 1, 10)
 
 
+def random_off_centre_states(rng):
+    """A real Gaussian and a complex Gaussian with B_qp != 0, complex alpha and
+    an off-centre X, and their superposition with a second component."""
+    a = rng.normal(size=(2, 2))
+    g = a @ a.T + 0.5 * np.eye(2)
+    real = GaussianWigner(hbar=0.7, x=np.array([1.3, -0.8]), g=g)
+    comps = []
+    for _ in range(2):
+        re, im = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        b = 0.5 * (re + re.T) + 1j * (im @ im.T + 0.5 * np.eye(2))
+        comps.append(ComplexGaussian(hbar=0.7, z=rng.normal(size=4), b=b,
+                                     alpha=complex(*rng.normal(size=2)),
+                                     weight=complex(*rng.normal(size=2))))
+    assert min(abs(g[0, 1]), abs(comps[0].b[0, 1]), abs(comps[1].b[0, 1])) > 1e-3
+    return real, comps[0], SuperpositionState(tuple(comps), norm_factor=0.9)
+
+
+class TestGridValues:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_grid_matches_pointwise_quadratic_form(self, seed):
+        # n_q != n_p and a grid that is not centred on any state
+        spec = GridSpec(-5.0, 6.0, 57, -4.5, 3.5, 43)
+        for state in random_off_centre_states(np.random.default_rng(seed)):
+            got = eval_wigner(state, spec).values
+            want = wigner_values(state, spec.points())
+            if not isinstance(state, ComplexGaussian):
+                want = want.real
+            assert got.shape == (57, 43) and got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_far_tails_underflow_without_overflow(self):
+        # a strongly correlated width: the q p term alone would overflow on
+        # this grid, the summed exponent does not
+        g = np.array([[400.0, 399.0], [399.0, 400.0]])
+        state = GaussianWigner(hbar=1.0, x=np.zeros(2), g=g)
+        spec = GridSpec(-8.0, 8.0, 41, -8.0, 8.0, 41)
+        with np.errstate(over="raise", invalid="raise"):
+            got = eval_wigner(state, spec).values
+        want = wigner_values(state, spec.points())
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+
 class TestCatDecompose:
     def setup_method(self):
         self.state = cat_decompose(
@@ -140,20 +190,30 @@ class TestCatDecompose:
         comps = self.state.components
         lobe = GaussianWigner(hbar=1.0, x=np.array([4.0, 3.0]), g=np.eye(2))
         spec = GridSpec(0, 8, 81, -1, 7, 81)
-        got = comps[0].values(spec.points())
-        want = lobe.values(spec.points())
+        got = eval_wigner(comps[0], spec).values
+        want = eval_wigner(lobe, spec).values
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_analytic_integral_matches_quadrature(self):
         spec = GridSpec(-6, 14, 301, -10, 10, 301)
         for comp in self.state.components:
-            grid_int = grid_integral(WignerGrid(spec, comp.values(spec.points())))
-            assert abs(grid_int - comp.integral()) < 1e-8
+            grid_int = grid_integral(eval_wigner(comp, spec))
+            assert abs(grid_int - component_integral(comp)) < 1e-8
 
     def test_moments_symmetric_cat(self):
         m = self.state.moments().x
         assert m[0] == pytest.approx(4.0, abs=1e-9)
         assert m[1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_moments_match_per_component_sums(self):
+        _, _, state = random_off_centre_states(np.random.default_rng(8))
+        got, want = state.moments(), superposition_moments(state)
+        assert np.max(np.abs(got.x - want.x)) <= 1e-12 * max(1.0, np.max(np.abs(want.x)))
+        for block in ("alpha_block", "beta_block"):
+            a, b = getattr(got.blocks, block), getattr(want.blocks, block)
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+        raw = sum(component_integral(c) for c in state.components)
+        assert state.normalized().norm_factor == pytest.approx(1.0 / raw.real, rel=1e-12)
 
 
 class TestMoments:
@@ -189,7 +249,7 @@ class TestGridIO:
     def test_text_round_trip_complex_component(self):
         comp = cat_decompose([(2.0, 0.0), (-2.0, 0.0)], [1, 1], np.array([[1j]])).components[1]
         spec = GridSpec(-4, 4, 17, -4, 4, 17)
-        grid = WignerGrid(spec, comp.values(spec.points()))
+        grid = eval_wigner(comp, spec)
         lines = grid.to_text().splitlines()
         s = grid.spec
         header = [float(v) for v in " ".join(lines[:2]).replace("#", "").split()]
@@ -221,6 +281,18 @@ class TestGridIO:
 
 
 class TestComplexGaussianChecks:
+    def test_width_check_reads_every_matrix_of_a_stack(self):
+        b = np.tile(2j * np.eye(2), (5, 4, 1, 1))
+        _check_widths(b)
+        bad = b.copy()
+        bad[3, 1, 1, 1] = -0.5j
+        with pytest.raises(ValueError, match="Im B must be positive definite"):
+            _check_widths(bad)
+        bad = b.copy()
+        bad[4, 2, 0, 1] = 0.3
+        with pytest.raises(ValueError, match="B must be symmetric"):
+            _check_widths(bad)
+
     def test_rejects_nonpositive_im_b(self):
         with pytest.raises(ValueError):
             ComplexGaussian(
@@ -235,4 +307,6 @@ class TestComplexGaussianChecks:
         comp = ComplexGaussian(
             hbar=1.0, z=np.zeros(4), b=2j * np.eye(2), alpha=0.5j, weight=2.0
         )
-        assert comp.peak_magnitude() == pytest.approx(2 * np.exp(-0.5))
+        assert peak_magnitude(comp) == pytest.approx(2 * np.exp(-0.5))
+        peak = eval_wigner(comp, GridSpec(-1.0, 1.0, 3, -1.0, 1.0, 3)).values[1, 1]
+        assert abs(peak) == pytest.approx(2 * np.exp(-0.5), rel=1e-14)

@@ -620,7 +620,7 @@ class TestRunners:
 
     def test_non_finite_frame_raises_before_writing(self, tmp_path):
         spec = GridSpec(-1.0, 1.0, 4, -1.0, 1.0, 4)
-        run = SolverRun(frame=lambda k: WignerGrid(spec, np.full((4, 4), np.nan)))
+        run = SolverRun(frames=lambda ks: [WignerGrid(spec, np.full((4, 4), np.nan)) for k in ks])
         with pytest.raises(ValueError, match=r"master.*t=0\.5.*non-finite"):
             _wigner_frames(tmp_path / "master", np.array([0.0, 0.5]), [1], run)
         assert not (tmp_path / "master").exists()
@@ -630,7 +630,8 @@ class TestRunners:
         # the frame check records it as an event instead of a warning
         small = GridSpec(-1, 1, 21, -1, 1, 21)
         result = SimpleNamespace(events=[])
-        run = SolverRun(frame=lambda k: eval_wigner(coherent(1, 0.0), small), result=result)
+        run = SolverRun(frames=lambda ks: [eval_wigner(coherent(1, 0.0), small) for k in ks],
+                        result=result)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _wigner_frames(tmp_path / "semiclassical", np.array([0.0, 0.5]), [0, 1], run)
@@ -641,7 +642,8 @@ class TestRunners:
              "count": 2, "first_t": 0.0, "passed": True}]
         wide = GridSpec(-8, 8, 41, -8, 8, 41)
         result = SimpleNamespace(events=[])
-        run = SolverRun(frame=lambda k: eval_wigner(coherent(1, 0.0), wide), result=result)
+        run = SolverRun(frames=lambda ks: [eval_wigner(coherent(1, 0.0), wide) for k in ks],
+                        result=result)
         _wigner_frames(tmp_path / "semiclassical", np.array([0.0, 0.5]), [0, 1], run)
         assert result.events == []
 
@@ -684,7 +686,9 @@ class TestRunners:
 
         monkeypatch.setattr(experiments, "wigner_of_density", counted)
         _, outdir = run_experiment(cfg)
-        assert len(calls) == 2
+        # one call draws both master frames, from one set of rotation blocks
+        # and Hermite tables
+        assert [len(args[0]) for args in calls] == [2]
         doc = json.loads((Path(outdir) / "report.json").read_text())
         fringes = [e for e in doc["entries"] if e["check"] == "wigner_fringe_info"]
         assert [e["at_time"] for e in fringes] == [0.1, 0.2]
@@ -890,9 +894,13 @@ class TestRowKinds:
          "config.tolerances.g12_min_decay: must be positive, got -0.05"),
         ("cat_anharmonic", ("tolerances", "cross_monotone_slack"), -1e-9,
          "config.tolerances.cross_monotone_slack: must not be negative, got -1e-09"),
+        ("cat_anharmonic", ("fock_levels",), 20,
+         "fock_levels: the master row's initial state puts 4.36e-02 in the top of 20 levels, "
+         "above the 1e-10 the master equation starts from"),
     ], ids=["fock-hbar", "fock-cat-width", "lattice-one-mode", "amplitude-count",
             "amplitudes-string", "negative-t-short", "t-short-below-step",
-            "slope-window-below-step", "zero-bound", "negative-decay", "negative-slack"])
+            "slope-window-below-step", "zero-bound", "negative-decay", "negative-slack",
+            "master-truncation"])
     def test_config_a_run_cannot_use_fails_before_any_solve(self, name, path, value, message,
                                                             tmp_path, monkeypatch):
         """A value no row can run with, or outside a tolerance's meaning, is a

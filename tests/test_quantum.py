@@ -19,6 +19,7 @@ from semilind.gaussian import (
     cat_decompose,
     coherent,
     eval_wigner,
+    transformation_matrix,
 )
 from semilind.harness import default_config
 from semilind.harness.config import ExperimentConfig
@@ -34,7 +35,6 @@ from semilind.quantum import (
     _HermitianCoords,
     _liouvillian,
     _model_matrices,
-    _quadrature_moments,
     _rotation_blocks,
     _trajectory_key,
     integrate_master,
@@ -46,7 +46,12 @@ from semilind.quantum import (
     wigner_of_density,
 )
 from semilind.symbols import Chart, PolySymbol, chart_transform, parse_symbol
-from oracles import weyl_of_normal_ordered
+from oracles import quadrature_moments, weyl_of_normal_ordered
+
+
+def output_rhos(traj):
+    """rho at every output time of a master trajectory."""
+    return [traj.density(k).rho for k in range(traj.times.size)]
 
 
 def mode_symbols(n=1):
@@ -344,7 +349,7 @@ class TestMaster:
         t_eval = np.linspace(0, 4.0, 21)
         traj = integrate_master(rho0, model, t_eval)
         amat = f._lowering[0].toarray()
-        for t, rho in zip(traj.times, traj.rhos):
+        for t, rho in zip(traj.times, output_rhos(traj)):
             got = np.trace(rho @ amat)
             want = a0 * np.exp((-1j * omega - gamma / 2) * t)
             assert abs(got - want) < 1e-7
@@ -354,7 +359,7 @@ class TestMaster:
         f = FockSpace(10)
         rho0 = DensityMatrix.from_state(f.coherent_vector([0.0]), f)
         traj = integrate_master(rho0, model, np.linspace(0, 3, 7))
-        for rho in traj.rhos:
+        for rho in output_rhos(traj):
             assert np.real(np.trace(rho @ rho)) == pytest.approx(1.0, abs=1e-9)
 
     def test_trace_and_hermiticity_monitors(self):
@@ -362,7 +367,7 @@ class TestMaster:
         f = FockSpace(18)
         rho0 = DensityMatrix.from_state(f.coherent_vector([1.0]), f)
         traj = integrate_master(rho0, model, np.linspace(0, 5, 11))
-        for rho in traj.rhos:
+        for rho in output_rhos(traj):
             assert abs(np.trace(rho) - 1) < 1e-8
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
 
@@ -376,11 +381,9 @@ class TestMaster:
         t_eval = np.linspace(0, 3.0, 13)
         mtraj = integrate_master(rho0, model, t_eval)
         straj = integrate(model, GaussianWigner(1.0, coherent(1, a0).x, np.eye(2)), t_eval)
-        for k in range(t_eval.size):
-            dm = DensityMatrix(rho=mtraj.rhos[k], fock=f)
-            mom = moments_of_density(dm)
+        for k, mom in enumerate(moments_of_density(mtraj)):
             assert np.allclose(mom.x, straj.states[k].x, atol=1e-7)
-            gq = np.linalg.inv(_quadrature_moments(dm)[1])
+            gq = np.linalg.inv(mtraj.covariances[k])
             assert np.allclose(gq, straj.states[k].g, atol=1e-7)
 
     def test_leakage_warns_once_per_run(self):
@@ -391,7 +394,7 @@ class TestMaster:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             traj = integrate_master(rho0, model, np.linspace(0, 2.0, 11))
-        leaky = [(float(t), f.leakage(r)) for t, r in zip(traj.times, traj.rhos)
+        leaky = [(float(t), f.leakage(r)) for t, r in zip(traj.times, output_rhos(traj))
                  if f.leakage(r) > 1e-6]
         assert len(leaky) > 1
         events = [(ev["t"], ev["population"]) for ev in traj.events if ev["kind"] == "leakage"]
@@ -470,7 +473,7 @@ class TestMasterPaths:
         assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 56, 110)
         assert np.array_equal(traj.times, t_eval)
         want = reference_rhos(rho0, model, t_eval)
-        assert max(np.max(np.abs(got - ref)) for got, ref in zip(traj.rhos, want)) < 1e-8
+        assert max(np.max(np.abs(got - ref)) for got, ref in zip(output_rhos(traj), want)) < 1e-8
 
     def test_quartic_cat_stays_on_dop853(self):
         # q^4 couples m - n to m - n +- 2, 4, so the blocks are the two
@@ -500,7 +503,7 @@ class TestMasterPaths:
             y = expm_multiply(liou * dt, y)
             want.append(y)
         assert max(np.max(np.abs(got - ref.reshape(got.shape)))
-                   for got, ref in zip(traj.rhos, want)) <= 1e-8
+                   for got, ref in zip(output_rhos(traj), want)) <= 1e-8
 
     @pytest.mark.parametrize("name, method", [("limit_cycle", "block_expm"),
                                               ("cat_anharmonic", "dop853")])
@@ -509,7 +512,7 @@ class TestMasterPaths:
         rho0 = DensityMatrix.from_state(f.coherent_vector([0.8 + 0.4j]), f)
         traj = integrate_master(rho0, registered_model(name), np.array([0.0, 0.3, 1.0, 1.05]))
         assert traj.method == method
-        assert all(np.array_equal(rho, rho.conj().T) for rho in traj.rhos)
+        assert all(np.array_equal(rho, rho.conj().T) for rho in output_rhos(traj))
 
     @pytest.mark.parametrize("name, method", [("limit_cycle", "block_expm"),
                                               ("cat_anharmonic", "dop853")])
@@ -557,10 +560,46 @@ class TestMomentsOfDensity:
                          for v, xv in zip(xs, x)] for u, xu in zip(xs, x)])
         m = moments_of_density(dm)
         assert np.max(np.abs(m.x - x)) < 1e-13
-        gq = np.linalg.inv(_quadrature_moments(dm)[1])
+        assert np.max(np.abs(quadrature_moments(dm)[0] - x)) < 1e-13
+        gq = np.linalg.inv(quadrature_moments(dm)[1])
         assert np.max(np.abs(gq - np.linalg.inv(cov))) < 1e-12
-        op = sp.csr_array(a[1].conj().T @ a[1] + 0.3j * a[0])
-        assert dm.expectation(op) == pytest.approx(np.trace(dm.rho @ op.toarray()), abs=1e-13)
+        t = transformation_matrix(2)
+        sigma = t @ cov @ t.conj().T
+        assert np.max(np.abs(m.blocks.alpha_block - sigma[2:, 2:])) < 1e-12
+        assert np.max(np.abs(m.blocks.beta_block - sigma[2:, :2])) < 1e-12
+
+    @pytest.mark.parametrize("case", ["block_path", "dop853_path", "trace_renormalized"])
+    def test_master_functionals_match_each_rho(self, case):
+        """The moments and leakage `integrate_master` reads from its stacked
+        coordinates against traces with each output rho."""
+        if case == "block_path":
+            f = FockSpace(30)
+            rho0 = DensityMatrix.from_state(f.coherent_vector([1.2 + 0.4j]), f)
+            traj = integrate_master(rho0, registered_model("limit_cycle"), np.linspace(0, 5, 11))
+            assert traj.method == "block_expm"
+        else:
+            f = FockSpace(24)
+            psi = f.packet_vector(1.0, 0.5) + f.packet_vector(-1.0, 0.5)
+            rho0 = DensityMatrix.from_state(psi, f)
+            if case == "trace_renormalized":
+                # a trace of 1 + 1e-9, below the 1e-8 that DensityMatrix warns at
+                rho0 = DensityMatrix(rho=rho0.rho * (1 + 1e-9), fock=f)
+            traj = integrate_master(rho0, registered_model("cat_anharmonic"), np.linspace(0, 1, 6))
+            assert traj.method == "dop853"
+        renormalized = [ev["t"] for ev in traj.events if ev["kind"] == "trace_renormalized"]
+        assert renormalized == (list(traj.times) if case == "trace_renormalized" else [])
+        tables = moments_of_density(traj)
+        for k in range(traj.times.size):
+            dm = traj.density(k)
+            assert abs(np.trace(dm.rho) - 1) < 1e-12
+            x, cov = quadrature_moments(dm)
+            scale = max(1.0, np.max(np.abs(cov)))
+            assert np.max(np.abs(traj.means[k] - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+            assert np.max(np.abs(traj.covariances[k] - cov)) <= 1e-12 * scale
+            one = moments_of_density(dm)
+            assert np.max(np.abs(tables[k].x - one.x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+            assert np.max(np.abs(tables[k].blocks.alpha_block - one.blocks.alpha_block)) <= (
+                1e-12 * scale)
 
 
 class TestWignerOfDensity:
@@ -1079,7 +1118,7 @@ class TestQuantumJump:
         rho0 = DensityMatrix.from_state(psi0, f)
         mtraj = integrate_master(rho0, model, t_eval)
         n_op = (f._lowering[0].conj().T @ f._lowering[0]).toarray()
-        pops = np.array([np.real(np.trace(r @ n_op)) for r in mtraj.rhos])
+        pops = np.array([np.real(np.trace(r @ n_op)) for r in output_rhos(mtraj)])
         mean, err = mean_and_stderr(ens, "occ_1")
         for k in range(1, t_eval.size):
             assert abs(mean[k] - pops[k]) < 3.5 * max(err[k], 2e-3)
