@@ -2,6 +2,7 @@
 
 Subpackages:
 
+* ``ode``           the one adaptive ODE solver, DOP853 with dense output
 * ``symbols``       exact polynomial calculus for phase-space symbols
 * ``gaussian``      Gaussian and complex-Gaussian Wigner states, grids
 * ``semiclassical`` centre/width equations of motion and the flow classifier

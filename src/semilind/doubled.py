@@ -45,10 +45,10 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .gaussian import (ComplexGaussian, SuperpositionState, _check_widths, _integrals,
                        _moment_tables, _superposition_moments)
+from .ode import solve_ivp
 from .semiclassical import LindbladModel, _check_times, _packing
 from .symbols import Chart, PolyBatch, PolySymbol, double_lift, moyal_term, poisson, symplectic_form
 
@@ -225,6 +225,8 @@ class SuperpositionSeries:
     raw_norms: np.ndarray
     events: list = field(default_factory=list)
     nfev: int = 0  # DOP853 right-hand-side calls of the one stacked system
+    steps: int = 0  # accepted DOP853 steps, over every restart
+    rejected: int = 0  # rejected DOP853 steps, over every restart
 
     def state(self, k: int) -> SuperpositionState:
         """The renormalized superposition at output time k."""
@@ -281,9 +283,6 @@ def propagate_superposition(
     def breakdown(t, yvec):
         return floor_gaps(yvec.reshape(-1, kev.row_size)).min()
 
-    breakdown.terminal = True
-    breakdown.direction = -1
-
     rows = kev.pack(
         np.array([c.z for c in comps]),
         np.array([c.b for c in comps]),
@@ -293,7 +292,8 @@ def propagate_superposition(
     out = np.empty((t_eval.size,) + rows.shape)
     weights = np.tile(np.array([c.weight for c in comps]), (t_eval.size, 1))
     live = np.arange(len(comps))
-    events, nfev, k, t0 = [], 0, 0, t_eval[0]
+    events, k, t0 = [], 0, t_eval[0]
+    nfev = steps = rejected = 0
     while k < t_eval.size:
         if not live.size:
             times = ", ".join(f"{ev['t']:.6g}" for ev in events)
@@ -301,19 +301,11 @@ def propagate_superposition(
                 f"no live component at output time t = {t_eval[k]:g}: "
                 f"every component collapsed (at t = {times})"
             )
-        sol = solve_ivp(
-            odefun,
-            (t0, t_eval[-1]),
-            rows[live].ravel(),
-            method="DOP853",
-            t_eval=t_eval[k:],
-            rtol=rtol,
-            atol=atol,
-            events=breakdown,
-        )
-        if not sol.success and sol.status != 1:
+        sol = solve_ivp(odefun, (t0, t_eval[-1]), rows[live].ravel(), t_eval=t_eval[k:],
+                        rtol=rtol, atol=atol, event=breakdown)
+        if not sol.success:
             raise RuntimeError(f"superposition integration failed: {sol.message}")
-        nfev += int(sol.nfev)
+        nfev, steps, rejected = nfev + sol.nfev, steps + sol.steps, rejected + sol.rejected
         done = slice(k, k + sol.t.size)
         frozen = np.setdiff1d(np.arange(len(comps)), live)
         out[done, live] = sol.y.T.reshape(sol.t.size, live.size, -1)
@@ -321,8 +313,8 @@ def propagate_superposition(
         weights[done, frozen] = 0.0
         k += sol.t.size
         if sol.status == 1:
-            t0 = float(sol.t_events[0][0])
-            rows[live] = sol.y_events[0][0].reshape(live.size, -1)
+            t0 = float(sol.t_event)
+            rows[live] = sol.y_event.reshape(live.size, -1)
             gaps = floor_gaps(rows[live])
             collapsed = gaps <= max(gaps.min(), 0.0)
             for idx in live[collapsed]:
@@ -336,5 +328,6 @@ def propagate_superposition(
     return SuperpositionSeries(
         times=t_eval.copy(), hbar=hbar, z=z, b=b, alpha=alpha, weights=weights,
         integrals=integrals, centroids=centroids, norm_factors=norm_factors,
-        raw_norms=state.norm_factor / norm_factors, events=events, nfev=nfev,
+        raw_norms=state.norm_factor / norm_factors, events=events, nfev=nfev, steps=steps,
+        rejected=rejected,
     )

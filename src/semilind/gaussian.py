@@ -114,22 +114,19 @@ class GaussianWigner:
         expo = _exponent_on_grid(q, p, self.x, -2.0 / self.hbar * self.g, (0.0, 0.0), 0.0)
         return norm * np.exp(expo, out=expo)
 
-    def covariance(self) -> np.ndarray:
-        """Symmetrized covariance matrix hbar * G^{-1}."""
-        return self.hbar * np.linalg.inv(self.g)
-
 
 @dataclass(frozen=True)
 class PhysicalityReport:
-    min_eig: float
-    passed: bool
+    min_eig: float | np.ndarray
+    passed: bool | np.ndarray
 
 
 def physicality_of_width(g: np.ndarray) -> PhysicalityReport:
-    """Uncertainty-relation check: min eig of G^{-1} + i Omega >= _PHYS_TOL."""
-    n = g.shape[0] // 2
+    """Uncertainty-relation check: min eig of G^{-1} + i Omega >= _PHYS_TOL,
+    of one width matrix, or of each of a stack (k, 2n, 2n) as arrays (k,)."""
+    n = g.shape[-1] // 2
     m = np.linalg.inv(g) + 1j * symplectic_form(n)
-    min_eig = float(np.linalg.eigvalsh(m).min())
+    min_eig = np.linalg.eigvalsh(m).min(axis=-1)
     return PhysicalityReport(min_eig=min_eig, passed=min_eig >= _PHYS_TOL)
 
 
@@ -483,6 +480,11 @@ def moments_from_covariance(hbar: float, x: np.ndarray, cov: np.ndarray) -> Mome
     return _moment_tables(hbar, x[None], cov[None])[0]
 
 
-def moments(state: GaussianWigner) -> Moments:
-    """Moment table of a Gaussian state in the mode frame."""
-    return moments_from_covariance(state.hbar, state.x.copy(), state.covariance())
+def moments(state) -> Moments | list:
+    """Moment table of a Gaussian state in the mode frame, or one per output
+    time of a `semiclassical.Trajectory`, from its stacked centres x (k, 2n)
+    and widths g (k, 2n, 2n).  A state is read as a trajectory of one."""
+    single = isinstance(state, GaussianWigner)
+    x, g = (state.x[None], state.g[None]) if single else (state.x, state.g)
+    tables = _moment_tables(state.hbar, x, state.hbar * np.linalg.inv(g))
+    return tables[0] if single else tables

@@ -116,12 +116,12 @@ def read_observables(path) -> dict:
 
 def trajectory_to_csv(traj) -> str:
     """A `Trajectory` of Gaussian states as ``trajectory.csv``."""
-    dim = traj.states[0].x.size
+    dim = traj.x.shape[1]
     iu = np.triu_indices(dim)
     header = (["t"] + [f"X_{i+1}" for i in range(dim)]
               + [f"G_{i+1}{j+1}" for i, j in zip(*iu)] + ["min_eig_physicality"])
-    table = np.column_stack([traj.times, [st.x for st in traj.states],
-                             [st.g[iu] for st in traj.states], traj.min_physicality])
+    table = np.column_stack([traj.times, traj.x, traj.g[:, iu[0], iu[1]],
+                             traj.min_physicality])
     return csv_text(header, table.tolist())
 
 

@@ -236,7 +236,8 @@ class TimesSection:
         for fr, k in zip(times.frames, nearest):
             name = frame_name(t[k])
             if name in written:
-                raise ConfigError(f"frame times {written[name]} and {fr} both write {name}")
+                raise ConfigError(f"times.frames: frame times {written[name]} and {fr} both "
+                                  f"write {name}")
             written[name] = fr
         return times
 
@@ -252,7 +253,7 @@ class TimesSection:
         t, nearest = self._nearest()
         for fr, k in zip(self.frames, nearest):
             if abs(t[k] - fr) > 1e-9 * max(1.0, self.t_end):
-                raise ConfigError(f"frame time {fr} is not on the output grid")
+                raise ConfigError(f"times.frames: frame time {fr} is not on the output grid")
         return nearest
 
 

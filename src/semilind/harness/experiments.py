@@ -53,7 +53,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..doubled import propagate_superposition
 from ..gaussian import (
@@ -62,6 +61,7 @@ from ..gaussian import (
     eval_wigner,
     moments,
 )
+from ..ode import solve_ivp
 from ..quantum import (
     DensityMatrix,
     FockSpace,
@@ -152,11 +152,12 @@ def _gaussian(config: ExperimentConfig, model, t_eval) -> SolverRun:
     state0 = coherent(model.n_modes, np.array(config.initial.amplitudes), config.hbar)
     traj = integrate(model, state0, t_eval, rtol=config.ode_rtol, atol=config.ode_atol)
     return SolverRun(
-        moments=[moments(st) for st in traj.states],
+        moments=moments(traj),
         observables={"min_eig_physicality": ObservableSeries(t_eval, traj.min_physicality)},
         files={"trajectory.csv": trajectory_to_csv(traj)},
-        frames=lambda ks: [eval_wigner(traj.states[k], config.grid) for k in ks],
-        entries=[{"check": "semiclassical_solver", "nfev": traj.nfev, "passed": True}],
+        frames=lambda ks: [eval_wigner(traj.state(k), config.grid) for k in ks],
+        entries=[{"check": "semiclassical_solver", "nfev": traj.nfev, "steps": traj.steps,
+                  "rejected": traj.rejected, "passed": True}],
         result=traj,
     )
 
@@ -170,6 +171,7 @@ def _master(config: ExperimentConfig, model, t_eval) -> SolverRun:
         moments=moments_of_density(mtraj),
         frames=lambda ks: wigner_of_density([mtraj.density(k) for k in ks], config.grid),
         entries=[{"check": "master_solver", "method": mtraj.method, "nfev": mtraj.nfev,
+                  "steps": mtraj.steps, "rejected": mtraj.rejected,
                   "superoperator": "real_hermitian", "nnz": mtraj.nnz, "blocks": mtraj.blocks,
                   "max_block": mtraj.max_block, "passed": True}],
         result=mtraj,
@@ -189,7 +191,8 @@ def _doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
         files={f"component_{idx}.csv": component_csv(series, idx)
                for idx in range(len(cat.components))},
         frames=lambda ks: [eval_wigner(series.state(k), config.grid) for k in ks],
-        entries=[{"check": "doubled_solver", "nfev": series.nfev, "passed": True}],
+        entries=[{"check": "doubled_solver", "nfev": series.nfev, "steps": series.steps,
+                  "rejected": series.rejected, "passed": True}],
         result=series,
     )
 
@@ -606,28 +609,22 @@ def _flow(config: ExperimentConfig, model, t_eval) -> SolverRun:
     drift = drift_x(model, points)
     samples = np.column_stack([points, drift, np.hypot(drift[:, 0], drift[:, 1])])
     times = np.linspace(0.0, port.t_end, port.n_out)
-    rows, nfev = [], 0
+    rows, nfev, steps, rejected = [], 0, 0, 0
     for idx, (q0, p0) in enumerate(port.starts):
-        sol = solve_ivp(
-            lambda t, x: drift_x(model, x),
-            (0.0, port.t_end),
-            [q0, p0],
-            method="DOP853",
-            t_eval=times,
-            rtol=config.ode_rtol,
-            atol=config.ode_atol,
-        )
+        sol = solve_ivp(lambda t, x: drift_x(model, x), (0.0, port.t_end), [q0, p0],
+                        t_eval=times, rtol=config.ode_rtol, atol=config.ode_atol)
         if not sol.success:
             reached = sol.t[-1] if sol.t.size else 0.0
             raise RuntimeError(f"portrait trajectory {idx} from ({q0:g}, {p0:g}) stopped after "
                                f"output time t={reached:g} of {port.t_end:g}: {sol.message}")
-        nfev += sol.nfev
+        nfev, steps, rejected = nfev + sol.nfev, steps + sol.steps, rejected + sol.rejected
         rows.extend([idx, *row] for row in np.vstack([sol.t, sol.y]).T.tolist())
     classes = [classify_flow(L) for L in model.to_chart(Chart.REAL_QP).lindblads]
     return SolverRun(
         files={"field.csv": csv_text(["q", "p", "dq", "dp", "speed"], samples.tolist()),
                "trajectories.csv": csv_text(["trajectory", "t", "q", "p"], rows)},
-        entries=[{"check": "flow_solver", "nfev": nfev, "passed": True}]
+        entries=[{"check": "flow_solver", "nfev": nfev, "steps": steps, "rejected": rejected,
+                  "passed": True}]
         + [{"check": "flow_class", "lindblad": symbol, "kind": res.kind.value, "sign": res.sign,
             "passed": True}  # informational
            for symbol, res in zip(config.model.lindblads, classes)],

@@ -13,7 +13,8 @@ and D = sum_k Re(grad L_k grad conj(L_k)^T), everything evaluated at X.
 The last term is the quantum correction that keeps G^{-1} + i Omega >= 0.
 
 `integrate` moves a `GaussianWigner` (centre X, width G, hbar) along both
-flows and returns a `Trajectory` of `GaussianWigner`s with the same hbar.
+flows and returns a `Trajectory`: the centres and widths at the output times,
+stacked, from which a `GaussianWigner` is built only on request.
 `classify_flow` names the class of the centre flow one Lindblad symbol
 contributes (gradient, Hamiltonian or general); each phase portrait reports
 it for every Lindblad symbol of its model.
@@ -26,9 +27,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .gaussian import GaussianWigner, physicality_of_width
+from .ode import solve_ivp
 from .symbols import Chart, PolyBatch, PolySymbol, chart_transform, poisson, symplectic_form
 
 __all__ = [
@@ -224,14 +225,23 @@ def _packing(dim, offset):
 
 @dataclass
 class Trajectory:
-    """Gaussian states (centre X, width G, hbar) at the sampled times, with
+    """Gaussian states at the sampled times, stacked: centre ``x[k]`` (2n,)
+    and width ``g[k]`` (2n, 2n) at ``times[k]``, with
     min eig(G^{-1} + i Omega) at each and the clamp and physicality events."""
 
     times: np.ndarray
-    states: list
+    hbar: float
+    x: np.ndarray
+    g: np.ndarray
     min_physicality: np.ndarray
     events: list = field(default_factory=list)
     nfev: int = 0  # DOP853 right-hand-side calls
+    steps: int = 0  # accepted DOP853 steps
+    rejected: int = 0  # rejected DOP853 steps
+
+    def state(self, k: int) -> GaussianWigner:
+        """The Gaussian state at output time k."""
+        return GaussianWigner(hbar=self.hbar, x=self.x[k], g=self.g[k])
 
 
 class _CompiledRhs:
@@ -279,8 +289,9 @@ def integrate(
     returned at t_eval, which must increase strictly, carry ``state0.hbar``.
 
     G is packed by its upper triangle, so symmetry is exact by construction.
-    At each output time the state is checked: eigenvalues of G below the
-    clamp threshold are raised (with an event record) and the uncertainty
+    The states of all output times are checked together, by one stacked
+    ``eigh``: eigenvalues of G below the clamp threshold are raised (with an
+    event record), rebuilding only the clamped widths, and the uncertainty
     measure min eig(G^{-1} + i Omega) is stored.
     """
     dim = 2 * model.n_modes
@@ -289,43 +300,34 @@ def integrate(
     t_eval = _check_times(t_eval)
     rhs = model._compiled
     y0 = np.concatenate([state0.x, state0.g[rhs.iu]])
-    sol = solve_ivp(
-        rhs,
-        (t_eval[0], t_eval[-1]),
-        y0,
-        method="DOP853",
-        t_eval=t_eval,
-        rtol=rtol,
-        atol=atol,
-        dense_output=False,
-    )
+    sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]), y0, t_eval=t_eval, rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
-    states, phys, events = [], [], []
-    for k, t in enumerate(sol.t):
-        x, g = sol.y[:dim, k], sol.y[rhs.gather, k]
-        evals, evecs = np.linalg.eigh(g)
-        if evals.min() < _EIG_CLAMP:
-            events.append(
-                {"t": float(t), "kind": "width_clamp", "min_eig": float(evals.min())}
+    x = sol.y[:dim].T
+    g = np.moveaxis(sol.y[rhs.gather], -1, 0)
+    evals, evecs = np.linalg.eigh(g)
+    clamped = evals.min(axis=1) < _EIG_CLAMP
+    for k in np.flatnonzero(clamped):
+        lam = np.clip(evals[k], _EIG_CLAMP, None)
+        gk = evecs[k] @ np.diag(lam) @ evecs[k].T
+        # rounding in the rebuild is about eps times the largest
+        # eigenvalue, which can swamp the floor unless G is axis-aligned
+        if not np.allclose(np.linalg.eigvalsh(gk), lam, rtol=1e-6, atol=0.0):
+            raise RuntimeError(
+                f"width clamp at t={float(t_eval[k])!r} cannot be held: eigenvalue ratio "
+                f"{lam[-1] / lam[0]:.3g} of G is beyond float64 precision"
             )
-            evals = np.clip(evals, _EIG_CLAMP, None)
-            g = evecs @ np.diag(evals) @ evecs.T
-            # rounding in the rebuild is about eps times the largest
-            # eigenvalue, which can swamp the floor unless G is axis-aligned
-            if not np.allclose(np.linalg.eigvalsh(g), evals, rtol=1e-6, atol=0.0):
-                raise RuntimeError(
-                    f"width clamp at t={float(t)!r} cannot be held: eigenvalue ratio "
-                    f"{evals[-1] / evals[0]:.3g} of G is beyond float64 precision"
-                )
-        rep = physicality_of_width(g)
-        if not rep.passed:
-            events.append(
-                {"t": float(t), "kind": "physicality", "min_eig": rep.min_eig}
-            )
-        phys.append(rep.min_eig)
-        states.append(GaussianWigner(hbar=state0.hbar, x=x, g=g))
+        g[k] = 0.5 * (gk + gk.T)
+    report = physicality_of_width(g)
+    phys, unphysical = report.min_eig, ~report.passed
+    events = []
+    for k in np.flatnonzero(clamped | unphysical):
+        t = float(t_eval[k])
+        if clamped[k]:
+            events.append({"t": t, "kind": "width_clamp", "min_eig": float(evals[k].min())})
+        if unphysical[k]:
+            events.append({"t": t, "kind": "physicality", "min_eig": float(phys[k])})
     return Trajectory(
-        times=sol.t.copy(), states=states, min_physicality=np.array(phys), events=events,
-        nfev=int(sol.nfev),
+        times=sol.t, hbar=state0.hbar, x=x, g=g, min_physicality=phys, events=events,
+        nfev=sol.nfev, steps=sol.steps, rejected=sol.rejected,
     )

@@ -187,9 +187,9 @@ def damped_oscillator_run():
     mtraj = integrate_master(rho0, model, t_eval)
     x_err = g_err = 0.0
     for k, mom in enumerate(moments_of_density(mtraj)):
-        x_err = max(x_err, float(np.max(np.abs(mom.x - straj.states[k].x))))
+        x_err = max(x_err, float(np.max(np.abs(mom.x - straj.x[k]))))
         gq = np.linalg.inv(mtraj.covariances[k])
-        g_err = max(g_err, float(np.max(np.abs(gq - straj.states[k].g))))
+        g_err = max(g_err, float(np.max(np.abs(gq - straj.g[k]))))
     _ALL_TRAJECTORIES.append(("damped_oscillator", straj.min_physicality))
     return {"x_err": x_err, "g_err": g_err, "runtime": time.perf_counter() - t0}
 
@@ -204,7 +204,7 @@ def ring_run():
     traj = integrate(
         model, GaussianWigner(1.0, coherent(1, a0).x, np.eye(2)), t_eval
     )
-    amp_sq = np.array([(s.x[0] ** 2 + s.x[1] ** 2) / 2.0 for s in traj.states])
+    amp_sq = (traj.x[:, 0] ** 2 + traj.x[:, 1] ** 2) / 2.0
     _ALL_TRAJECTORIES.append(("limit_cycle_ring", traj.min_physicality))
     return {"final": float(amp_sq[-1]), "runtime": time.perf_counter() - t0}
 
@@ -377,9 +377,9 @@ def test_c07_doubled_reduction_matches_width_dynamics():
         for k in range(t_eval.size):
             comp = series.state(k).components[idx]
             worst_y = max(worst_y, float(np.max(np.abs(comp.y))))
-            worst_xg = max(worst_xg, float(np.max(np.abs(comp.x - straj.states[k].x))))
+            worst_xg = max(worst_xg, float(np.max(np.abs(comp.x - straj.x[k]))))
             worst_xg = max(
-                worst_xg, float(np.max(np.abs(comp.b.imag / 2 - straj.states[k].g)))
+                worst_xg, float(np.max(np.abs(comp.b.imag / 2 - straj.g[k])))
             )
         widths = np.array(
             [physicality_of_width(series.state(k).components[idx].b.imag / 2).min_eig
@@ -539,7 +539,7 @@ def test_c11_centre_tolerance_rejects_a_wrong_loss_rate(lattice_exact):
     )
     state0 = coherent(2, np.array(config.initial.amplitudes))
     traj = integrate(lossier, GaussianWigner(1.0, state0.x, state0.g), config.times.grid())
-    occ = np.array([(st.x[:2] ** 2 + st.x[2:] ** 2) / 2 for st in traj.states])
+    occ = (traj.x[:, :2] ** 2 + traj.x[:, 2:] ** 2) / 2
     err_n, err_s = centre_flow_errors(occ.sum(axis=1), occ[:, 0] - occ[:, 1], lattice_exact)
     assert err_n > C11_CENTRE_TOL
     assert err_s > C11_CENTRE_TOL

@@ -329,9 +329,9 @@ class TestPropagateSuperposition:
         )
         for k in range(t_eval.size):
             comp = series.state(k).components[0]
-            assert np.allclose(comp.x, straj.states[k].x, atol=1e-8)
+            assert np.allclose(comp.x, straj.x[k], atol=1e-8)
             assert np.allclose(comp.y, 0, atol=1e-10)
-            assert np.allclose(comp.b.imag / 2, straj.states[k].g, atol=1e-8)
+            assert np.allclose(comp.b.imag / 2, straj.g[k], atol=1e-8)
             assert np.allclose(comp.b.real, 0, atol=1e-8)
 
     def test_exact_case_against_quantum_wigner(self):

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from semilind import ode
 from semilind.gaussian import GridSpec, WignerGrid, coherent, eval_wigner
 from semilind.harness.cli import main as cli_main
 from semilind.harness.compare import (
@@ -117,7 +118,8 @@ class TestConfig:
         d = default_config("cat_anharmonic")
         d["times"]["frames"] = [0.333]
         cfg = ExperimentConfig.from_dict(d)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^times\.frames: frame time 0\.333 is not on "
+                                              r"the output grid$"):
             cfg.times.frame_indices()
 
     @pytest.mark.parametrize("times, first, second, name", [
@@ -127,8 +129,8 @@ class TestConfig:
          "wigner_t0.5.npy"),
     ], ids=["print-alike", "duplicate"])
     def test_frames_sharing_a_file_name_rejected(self, times, first, second, name):
-        with pytest.raises(ConfigError, match=f"frame times {first} and {second} both write "
-                                              f"{re.escape(name)}"):
+        with pytest.raises(ConfigError, match=f"^times\\.frames: frame times {first} and "
+                                              f"{second} both write {re.escape(name)}"):
             TimesSection.from_dict(times)
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan"), float("inf")])
@@ -538,15 +540,16 @@ class TestRunners:
         solver = [e for e in doc["entries"] if e["check"] == "master_solver"]
         (mtraj,) = trajs
         assert solver == [{"check": "master_solver", "method": mtraj.method, "nfev": mtraj.nfev,
-                           "superoperator": "real_hermitian", "nnz": mtraj.nnz, "blocks": mtraj.blocks,
-                           "max_block": mtraj.max_block, "passed": True}]
+                           "steps": mtraj.steps, "rejected": mtraj.rejected,
+                           "superoperator": "real_hermitian", "nnz": mtraj.nnz,
+                           "blocks": mtraj.blocks, "max_block": mtraj.max_block, "passed": True}]
         assert mtraj.nnz > 0
         if name == "limit_cycle":  # the band pairs m - n = +-k, propagated exactly
-            assert (mtraj.method, mtraj.nfev, mtraj.blocks, mtraj.max_block) == (
-                "block_expm", 0, 56, 110)
+            assert (mtraj.method, mtraj.nfev, mtraj.steps, mtraj.rejected, mtraj.blocks,
+                    mtraj.max_block) == ("block_expm", 0, 0, 0, 56, 110)
         else:  # two parity blocks of the 55-level q^4 model
             assert (mtraj.method, mtraj.blocks, mtraj.max_block) == ("dop853", 2, 1513)
-            assert mtraj.nfev > 0
+            assert mtraj.nfev > 0 and mtraj.steps > 0
         others = [e["passed"] for e in doc["entries"] if e["check"] != "master_solver"]
         assert others
         assert doc["passed"] == report.passed == all(others)
@@ -561,8 +564,9 @@ class TestRunners:
         doc = json.loads((Path(outdir) / "report.json").read_text())
         (result,) = results
         assert [e for e in doc["entries"] if e["check"] == check] == [
-            {"check": check, "nfev": result.nfev, "passed": True}]
-        assert result.nfev > 0
+            {"check": check, "nfev": result.nfev, "steps": result.steps,
+             "rejected": result.rejected, "passed": True}]
+        assert result.nfev > 0 and result.steps > 0
 
     def test_unknown_solver_rejected(self, tmp_path):
         cfg = tiny_config("cat_anharmonic", tmp_path, solvers=["dubled", "mastr"])
@@ -935,13 +939,16 @@ ODE_MODULES =("semilind.semiclassical", "semilind.doubled", "semilind.quantum",
 class TestOneIntegrator:
     def test_every_adaptive_solve_is_dop853_at_the_config_tolerances(self, tmp_path,
                                                                      monkeypatch):
+        """Every adaptive solve of every registered run is `semilind.ode.solve_ivp`,
+        the package's one DOP853, called at the config's rtol and atol."""
         calls = []
         for modname in ODE_MODULES:
             module = importlib.import_module(modname)
+            assert module.solve_ivp is ode.solve_ivp, modname
 
-            def recorded(*args, _real=module.solve_ivp, _mod=modname, **kwargs):
+            def recorded(*args, _mod=modname, **kwargs):
                 calls.append((_mod, kwargs))
-                return _real(*args, **kwargs)
+                return ode.solve_ivp(*args, **kwargs)
 
             monkeypatch.setattr(module, "solve_ivp", recorded)
         seen = set()
@@ -951,10 +958,37 @@ class TestOneIntegrator:
             run_experiment(cfg)
             assert calls, name
             for modname, kwargs in calls:
-                assert (kwargs.get("method"), kwargs.get("rtol"), kwargs.get("atol")) == (
-                    "DOP853", cfg.ode_rtol, cfg.ode_atol), (name, modname)
+                assert (kwargs.get("rtol"), kwargs.get("atol")) == (
+                    cfg.ode_rtol, cfg.ode_atol), (name, modname)
             seen.update(modname for modname, _ in calls)
         assert seen == set(ODE_MODULES)
+
+    @pytest.mark.parametrize("name, check", [
+        ("limit_cycle", "semiclassical_solver"), ("cat_anharmonic", "doubled_solver"),
+        ("cat_anharmonic", "master_solver"), ("portrait_limit_cycle", "flow_solver")])
+    def test_evaluation_budget_of_each_solve(self, name, check, tmp_path, monkeypatch):
+        """Each DOP853 solve of a registered run costs 2 evaluations for the
+        initial step, 12 per accepted or rejected step and 3 per step whose
+        interpolant is built; its row's report entry sums the steps of its solves."""
+        results = []
+        for modname in ODE_MODULES:
+            def recorded(*args, _mod=modname, **kwargs):
+                results.append((_mod, ode.solve_ivp(*args, **kwargs)))
+                return results[-1][1]
+
+            monkeypatch.setattr(importlib.import_module(modname), "solve_ivp", recorded)
+        modname = {"semiclassical_solver": "semilind.semiclassical",
+                   "doubled_solver": "semilind.doubled", "master_solver": "semilind.quantum",
+                   "flow_solver": "semilind.harness.experiments"}[check]
+        report, _ = run_experiment(tiny_config(name, tmp_path))
+        sols = [sol for mod, sol in results if mod == modname]
+        assert sols
+        for sol in sols:
+            assert sol.success and sol.steps > 0 and sol.dense_steps > 0
+            assert sol.nfev == 2 + 12 * (sol.steps + sol.rejected) + 3 * sol.dense_steps
+        (entry,) = [e for e in report.entries if e["check"] == check]
+        assert (entry["nfev"], entry["steps"], entry["rejected"]) == (
+            sum(s.nfev for s in sols), sum(s.steps for s in sols), sum(s.rejected for s in sols))
 
 
 class TestPortrait:
@@ -1097,7 +1131,8 @@ class TestPortraitBenchmarkContract:
         (entry,) = [e for e in report.entries if e["check"] == "flow_solver"]
         assert len(solutions) == 2
         assert entry == {"check": "flow_solver", "nfev": sum(s.nfev for s in solutions),
-                         "passed": True}
+                         "steps": sum(s.steps for s in solutions),
+                         "rejected": sum(s.rejected for s in solutions), "passed": True}
         assert entry["nfev"] > 0
 
 

@@ -410,8 +410,8 @@ class TestIntegrate:
         g0 = np.array([[2.0, 0.3], [0.3, 0.6]])
         t_eval = np.linspace(0, 2 * np.pi, 33)
         traj = integrate(model, GaussianWigner(1.0, x0, g0), t_eval)
-        assert np.allclose(traj.states[-1].x, x0, atol=1e-8)
-        assert np.allclose(traj.states[-1].g, g0, atol=1e-8)
+        assert np.allclose(traj.x[-1], x0, atol=1e-8)
+        assert np.allclose(traj.g[-1], g0, atol=1e-8)
 
     def test_damped_closed_form(self):
         omega, gamma = 1.0, 0.25
@@ -420,11 +420,11 @@ class TestIntegrate:
         x0 = np.sqrt(2) * np.array([a0.real, a0.imag])
         t_eval = np.linspace(0, 8.0, 81)
         traj = integrate(model, GaussianWigner(1.0, x0, np.eye(2)), t_eval)
-        for t, st in zip(traj.times, traj.states):
-            a_t = (st.x[0] + 1j * st.x[1]) / np.sqrt(2)
+        for t, x, g in zip(traj.times, traj.x, traj.g):
+            a_t = (x[0] + 1j * x[1]) / np.sqrt(2)
             want = a0 * np.exp((-1j * omega - gamma / 2) * t)
             assert abs(a_t - want) < 1e-8
-            assert np.allclose(st.g, np.eye(2), atol=1e-9)
+            assert np.allclose(g, np.eye(2), atol=1e-9)
 
     def test_physicality_along_flow(self):
         model = damped_oscillator(1.0, 0.3)
@@ -441,7 +441,7 @@ class TestIntegrate:
         t_eval = np.linspace(0.0, 16.0, 9)
         traj = integrate(model, GaussianWigner(1.0, [1.0, 0.0], np.eye(2)), t_eval)
         assert [ev["t"] for ev in traj.events if ev["kind"] == "width_clamp"] == [14.0, 16.0]
-        assert np.linalg.eigvalsh(traj.states[-1].g).min() == pytest.approx(1e-12, rel=1e-9)
+        assert np.linalg.eigvalsh(traj.g[-1]).min() == pytest.approx(1e-12, rel=1e-9)
 
     def test_width_clamp_off_axis(self):
         # H = (q^2 - p^2)/2 squeezes G along the diagonals; V diag(lam) V^T
@@ -464,8 +464,8 @@ class TestIntegrate:
         rows = np.loadtxt(trajectory_to_csv(traj).splitlines(), delimiter=",", skiprows=1)
         iu = np.triu_indices(2)
         assert np.array_equal(rows[:, 0], traj.times)
-        assert np.array_equal(rows[:, 1:3], [st.x for st in traj.states])
-        assert np.array_equal(rows[:, 3:6], [st.g[iu] for st in traj.states])
+        assert np.array_equal(rows[:, 1:3], [traj.state(k).x for k in range(5)])
+        assert np.array_equal(rows[:, 3:6], [traj.state(k).g[iu] for k in range(5)])
         assert np.array_equal(rows[:, 6], traj.min_physicality)
 
 

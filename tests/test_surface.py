@@ -6,6 +6,9 @@ caller: it checks program paths, so every name it imports from the package
 must be loaded by another module too.  Test oracles live in tests/oracles.py."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "semilind"
@@ -66,3 +69,17 @@ def test_selftest_imports_only_program_paths():
                 if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
     assert imported
     assert sorted(imported - loaded - allowed) == []
+
+
+def test_harness_import_leaves_out_the_heavy_scipy_packages():
+    """Set-up time: the package integrates with its own DOP853 (`semilind.ode`)
+    and needs of scipy only sparse matrices, ``expm`` and ``csgraph``; this
+    holds for the harness and for every CLI verb, the selftest among them."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys, semilind.harness.cli, semilind.harness.selftest; "
+                               f"print([m for m in {heavy!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
