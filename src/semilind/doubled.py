@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import (ComplexGaussian, SuperpositionState, _check_widths, _integrals,
-                       _moment_tables, _superposition_moments)
+from .gaussian import (ComplexGaussian, Moments, SuperpositionState, _check_widths, _integrals,
+                       _superposition_moments)
 from .ode import solve_ivp
 from .semiclassical import LindbladModel, _check_times, _packing
 from .symbols import Chart, PolyBatch, PolySymbol, double_lift, moyal_term, poisson, symplectic_form
@@ -234,10 +234,10 @@ class SuperpositionSeries:
                       for z, b, a, w in zip(self.z[k], self.b[k], self.alpha[k], self.weights[k]))
         return SuperpositionState(comps, norm_factor=float(self.norm_factors[k]))
 
-    def moments(self) -> list:
-        """The moment table of each output time (`_superposition_moments`)."""
+    def moments(self) -> Moments:
+        """The moments of every output time, as one record (`_superposition_moments`)."""
         x, cov = _superposition_moments(self.hbar, self.integrals, self.centroids, self.b)
-        return _moment_tables(self.hbar, x, cov)
+        return Moments.from_covariance(self.hbar, x, cov)
 
     def cross_magnitudes(self) -> np.ndarray:
         """Normalized peak magnitude of the off-diagonal (Y != 0) part: the sum

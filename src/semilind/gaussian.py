@@ -26,23 +26,19 @@ __all__ = [
     "GaussianWigner",
     "ComplexGaussian",
     "SuperpositionState",
-    "CovarianceBlocks",
     "Moments",
     "GridSpec",
     "WignerGrid",
-    "PhysicalityReport",
     "coherent",
     "g_from_a",
     "cat_decompose",
     "eval_wigner",
     "moments",
-    "moments_from_covariance",
     "physicality_of_width",
     "transformation_matrix",
 ]
 
 _SYM_TOL = 1e-12
-_PHYS_TOL = -1e-9
 
 
 @functools.cache
@@ -115,19 +111,13 @@ class GaussianWigner:
         return norm * np.exp(expo, out=expo)
 
 
-@dataclass(frozen=True)
-class PhysicalityReport:
-    min_eig: float | np.ndarray
-    passed: bool | np.ndarray
-
-
-def physicality_of_width(g: np.ndarray) -> PhysicalityReport:
-    """Uncertainty-relation check: min eig of G^{-1} + i Omega >= _PHYS_TOL,
-    of one width matrix, or of each of a stack (k, 2n, 2n) as arrays (k,)."""
+def physicality_of_width(g: np.ndarray) -> np.ndarray:
+    """Uncertainty measure min eig(G^{-1} + i Omega) of one width matrix, or
+    of each of a stack (k, 2n, 2n) as an array (k,); a physical width has
+    it at or above zero."""
     n = g.shape[-1] // 2
     m = np.linalg.inv(g) + 1j * symplectic_form(n)
-    min_eig = np.linalg.eigvalsh(m).min(axis=-1)
-    return PhysicalityReport(min_eig=min_eig, passed=min_eig >= _PHYS_TOL)
+    return np.linalg.eigvalsh(m).min(axis=-1)
 
 
 def coherent(n_modes: int, a0, hbar: float = 1.0) -> GaussianWigner:
@@ -280,11 +270,12 @@ class SuperpositionState:
                 np.array([c.alpha for c in comps]), np.array([c.weight for c in comps]))
 
     def moments(self) -> "Moments":
-        """Moment table of the normalized distribution (`_superposition_moments`)."""
+        """Moments of the normalized distribution (`_superposition_moments`),
+        as a record of one."""
         z, b, alpha, weight = self._stack()
         integrals, centroids = _integrals(self.hbar, z, b, alpha, weight)
         x, cov = _superposition_moments(self.hbar, integrals, centroids, b)
-        return moments_from_covariance(self.hbar, x, cov)
+        return Moments.from_covariance(self.hbar, x[None], cov[None])
 
     def normalized(self) -> "SuperpositionState":
         raw = _integrals(self.hbar, *self._stack())[0].sum()
@@ -431,60 +422,49 @@ def eval_wigner(state, spec: GridSpec) -> WignerGrid:
 
 
 @dataclass(frozen=True)
-class CovarianceBlocks:
-    """Mode-frame covariance blocks of Sigma = T Cov T^dag."""
-
-    alpha_block: np.ndarray
-    beta_block: np.ndarray
-
-
-@dataclass(frozen=True)
 class Moments:
-    """First moments plus mode covariance blocks of a Gaussian state."""
+    """First moments and mode covariance blocks of k states, stacked: x
+    (k, 2n), <a_j> as modes (k, n), and the blocks of Sigma = T Cov T^dag,
+    alpha_block = Sigma[n:, n:] and beta_block = Sigma[n:, :n] (k, n, n).
+    A single state is the record of one."""
 
     hbar: float
     x: np.ndarray
-    modes: np.ndarray  # <a_j>
-    blocks: CovarianceBlocks
+    modes: np.ndarray
+    alpha_block: np.ndarray
+    beta_block: np.ndarray
 
-    def adag_a(self, i: int, j: int) -> complex:
-        """Normally ordered pair correlator <adag_i a_j>."""
-        alpha = self.blocks.alpha_block[i, j]
+    @classmethod
+    def from_covariance(cls, hbar: float, x: np.ndarray, cov: np.ndarray) -> "Moments":
+        """The record of the first moments x (k, 2n) and the symmetrized
+        quadrature covariances cov (k, 2n, 2n), mapped to the mode frame by
+        two stacked products."""
+        n = x.shape[-1] // 2
+        t = transformation_matrix(n)
+        sigma = t @ cov @ t.conj().T
+        return cls(hbar=hbar, x=x, modes=x @ t[:n].T, alpha_block=sigma[:, n:, n:],
+                   beta_block=sigma[:, n:, :n])
+
+    def adag_a(self, i: int, j: int) -> np.ndarray:
+        """Normally ordered pair correlator <adag_i a_j> of each state, (k,)."""
         delta = self.hbar if i == j else 0.0
-        return 0.5 * (alpha + 2.0 * np.conj(self.modes[i]) * self.modes[j] - delta)
+        return 0.5 * (self.alpha_block[:, i, j]
+                      + 2.0 * np.conj(self.modes[:, i]) * self.modes[:, j] - delta)
 
-    def occupation(self, j: int) -> float:
-        return float(np.real(self.adag_a(j, j)))
+    def occupation(self, j: int) -> np.ndarray:
+        return np.real(self.adag_a(j, j))
 
-    def g1(self, i: int, j: int) -> float:
-        """First-order coherence |<adag_i a_j>| / sqrt(<n_i><n_j>)."""
-        den = self.occupation(i) * self.occupation(j)
-        return float(abs(self.adag_a(i, j)) / np.sqrt(den))
-
-
-def _moment_tables(hbar: float, xs: np.ndarray, covs: np.ndarray) -> list:
-    """One moment table per row of the first moments xs (k, 2n) and per
-    symmetrized quadrature covariance of covs (k, 2n, 2n), mapped to the
-    mode frame by two stacked products."""
-    n = xs.shape[-1] // 2
-    t = transformation_matrix(n)
-    sigma = t @ covs @ t.conj().T
-    modes = xs @ t[:n].T
-    return [Moments(hbar=hbar, x=x, modes=m,
-                    blocks=CovarianceBlocks(alpha_block=sg[n:, n:], beta_block=sg[n:, :n]))
-            for x, m, sg in zip(xs, modes, sigma)]
+    def g1(self, i: int, j: int) -> np.ndarray:
+        """First-order coherence |<adag_i a_j>| / sqrt(<n_i><n_j>) of each state;
+        the modulus is `np.hypot`, which rounds as the scalar `abs` does."""
+        pair = self.adag_a(i, j)
+        return np.hypot(pair.real, pair.imag) / np.sqrt(self.occupation(i) * self.occupation(j))
 
 
-def moments_from_covariance(hbar: float, x: np.ndarray, cov: np.ndarray) -> Moments:
-    """Moment table from first moments and the symmetrized quadrature covariance."""
-    return _moment_tables(hbar, x[None], cov[None])[0]
-
-
-def moments(state) -> Moments | list:
-    """Moment table of a Gaussian state in the mode frame, or one per output
-    time of a `semiclassical.Trajectory`, from its stacked centres x (k, 2n)
-    and widths g (k, 2n, 2n).  A state is read as a trajectory of one."""
-    single = isinstance(state, GaussianWigner)
-    x, g = (state.x[None], state.g[None]) if single else (state.x, state.g)
-    tables = _moment_tables(state.hbar, x, state.hbar * np.linalg.inv(g))
-    return tables[0] if single else tables
+def moments(state) -> Moments:
+    """Moments of a Gaussian state in the mode frame, or of each output time
+    of a `semiclassical.Trajectory`, from its stacked centres x (k, 2n) and
+    widths g (k, 2n, 2n), as one record; a state is the record of one."""
+    x = np.atleast_2d(state.x)
+    g = state.g.reshape(x.shape + x.shape[-1:])
+    return Moments.from_covariance(state.hbar, x, state.hbar * np.linalg.inv(g))

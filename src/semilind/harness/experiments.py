@@ -5,12 +5,13 @@ per experiment, and check rows.
 ``solvers``, to a row kind ``fn(config, model, t_eval) -> SolverRun``
 (``t_eval`` is None for a config without ``times``): ``_gaussian``,
 ``_doubled``, ``_master``, ``_jumps`` or ``_flow``.  The gaussian, master
-and doubled kinds return one `Moments` record per output time;
-``run_experiment`` turns them into observables through the experiment's one
-map, ``ExperimentDef.observables``.  A series only one kind has, such as
-``min_eig_physicality`` or the jump ensemble's means with their standard
-errors, the kind adds itself.  Every Fock row builds its initial state in
-``_initial_vector``.  What a row needs of its config (the initial kinds
+and doubled kinds return one `Moments` record stacked over the output
+times; ``run_experiment`` turns it into observables through the
+experiment's one map, ``ExperimentDef.observables``, which reads its
+columns.  A series only one kind has, such as ``min_eig_physicality`` or
+the jump ensemble's means with their standard errors, the kind adds
+itself.  Every Fock row builds its initial state in ``_initial_vector``.
+What a row needs of its config (the initial kinds
 ``_TAKES`` lists for it, hbar = 1 and a unit-width one-mode cat for the
 ``_FOCK_KINDS``, the experiment's ``n_modes``) is checked for every
 requested row by ``_check_rows`` before the first row solves, so the kinds
@@ -56,6 +57,7 @@ import numpy as np
 
 from ..doubled import propagate_superposition
 from ..gaussian import (
+    Moments,
     cat_decompose,
     coherent,
     eval_wigner,
@@ -85,7 +87,7 @@ __all__ = ["EXPERIMENTS", "ExperimentDef", "SolverRun", "default_config", "run_e
 class SolverRun:
     """What a row kind returns; see the module docstring."""
 
-    moments: list | None = None  # Moments per output time, for the experiment's map
+    moments: Moments | None = None  # one record over the output times, for the map
     observables: dict = field(default_factory=dict)  # name -> ObservableSeries
     files: dict = field(default_factory=dict)  # file name -> text
     frames: Callable | None = None  # output indices -> their WignerGrids, in order
@@ -99,7 +101,7 @@ class ExperimentDef:
     description: str
     defaults: Callable
     solvers: dict = field(default_factory=dict)  # name -> row kind
-    observables: Callable | None = None  # fn(t_eval, moments) -> name -> ObservableSeries
+    observables: Callable | None = None  # fn(t_eval, Moments) -> name -> ObservableSeries
     checks: tuple = ()  # (needed solver names, fn(config, t_eval, runs) -> entries)
     n_modes: int | None = None  # the one model size its rows and map read, if any
 
@@ -338,16 +340,15 @@ def _limit_cycle_defaults():
     }
 
 
-def _ring_observables(t_eval, moms) -> dict:
-    """Mode amplitude <a> and its covariance at each output time."""
-    amps = [m.modes[0] for m in moms]
+def _ring_observables(t_eval, moms: Moments) -> dict:
+    """Mode amplitude <a> and its covariance at each output time; |<a>| is
+    `np.hypot`, which rounds as the scalar `abs` does."""
+    amp = moms.modes[:, 0]
     return {
-        "re_a": ObservableSeries(t_eval, np.array([a.real for a in amps])),
-        "im_a": ObservableSeries(t_eval, np.array([a.imag for a in amps])),
-        "abs_a_sq": ObservableSeries(t_eval, np.array([abs(a) ** 2 for a in amps])),
-        "alpha_cov": ObservableSeries(
-            t_eval, np.array([float(np.real(m.blocks.alpha_block[0, 0])) for m in moms])
-        ),
+        "re_a": ObservableSeries(t_eval, amp.real),
+        "im_a": ObservableSeries(t_eval, amp.imag),
+        "abs_a_sq": ObservableSeries(t_eval, np.hypot(amp.real, amp.imag) ** 2),
+        "alpha_cov": ObservableSeries(t_eval, moms.alpha_block[:, 0, 0].real),
     }
 
 
@@ -426,17 +427,16 @@ def _g12_with_stderr(o1, o2, re12, im12):
     return g12[:, 0], influence.std(axis=1, ddof=1) / np.sqrt(o1.shape[1])
 
 
-def _lattice_observables(t_eval, moms) -> dict:
+def _lattice_observables(t_eval, moms: Moments) -> dict:
     """Mean-field occupations |<a_j>|^2, N, imbalance, g12, and N with the widths."""
-    occ = np.array([np.abs(m.modes) ** 2 for m in moms])
-    occ_gauss = np.array([[m.occupation(j) for j in range(occ.shape[1])] for m in moms])
+    occ = np.abs(moms.modes) ** 2
     return {
         "occ_1": ObservableSeries(t_eval, occ[:, 0]),
         "occ_2": ObservableSeries(t_eval, occ[:, 1]),
         "total_number": ObservableSeries(t_eval, occ.sum(axis=1)),
         "imbalance": ObservableSeries(t_eval, occ[:, 0] - occ[:, 1]),
-        "g12": ObservableSeries(t_eval, np.array([m.g1(0, 1) for m in moms])),
-        "total_number_gauss": ObservableSeries(t_eval, occ_gauss.sum(axis=1)),
+        "g12": ObservableSeries(t_eval, moms.g1(0, 1)),
+        "total_number_gauss": ObservableSeries(t_eval, moms.occupation(0) + moms.occupation(1)),
     }
 
 
@@ -517,10 +517,9 @@ def _cat_defaults():
     }
 
 
-def _cat_observables(t_eval, moms) -> dict:
-    x = np.array([m.x for m in moms])
-    return {"q_mean": ObservableSeries(t_eval, x[:, 0]),
-            "p_mean": ObservableSeries(t_eval, x[:, 1])}
+def _cat_observables(t_eval, moms: Moments) -> dict:
+    return {"q_mean": ObservableSeries(t_eval, moms.x[:, 0]),
+            "p_mean": ObservableSeries(t_eval, moms.x[:, 1])}
 
 
 def _cat_doubled_checks(config: ExperimentConfig, t_eval, runs) -> list:
@@ -682,10 +681,14 @@ EXPERIMENTS = {
 }
 
 
-def default_config(name: str) -> dict:
+def _experiment(name: str) -> ExperimentDef:
     if name not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[name].defaults()
+        raise ConfigError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
+    return EXPERIMENTS[name]
+
+
+def default_config(name: str) -> dict:
+    return _experiment(name).defaults()
 
 
 def _resolve_root(config: ExperimentConfig, root=None) -> Path:
@@ -719,9 +722,7 @@ def run_experiment(config: ExperimentConfig, root=None):
     a top-level field the config leaves unset, and a tolerance it leaves
     out, takes its registered value.
     """
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
-    exp = EXPERIMENTS[config.experiment]
+    exp = _experiment(config.experiment)
     registered = ExperimentConfig.from_dict(exp.defaults())
     unknown = [key for key in config.tolerances or {} if key not in registered.tolerances]
     if unknown:

@@ -41,7 +41,7 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import matrix_power as _sparse_matrix_power
 
-from .gaussian import GridSpec, Moments, WignerGrid, _moment_tables
+from .gaussian import GridSpec, Moments, WignerGrid
 from .ode import solve_ivp
 from .semiclassical import LindbladModel, _check_times
 from .symbols import Chart, PolySymbol, chart_transform
@@ -527,16 +527,15 @@ def _quadrature_moments(fock: FockSpace, values: np.ndarray):
     return means, pairs - 2 * means[:, :, None] * means[:, None, :]
 
 
-def moments_of_density(rho) -> Moments | list:
-    """First moments and mode covariance blocks of a density matrix, or of each
-    output rho of a `MasterTrajectory`, from the moments `integrate_master`
-    read.  A `DensityMatrix` is read as a trajectory of one state."""
+def moments_of_density(rho) -> Moments:
+    """First moments and mode covariance blocks of each output rho of a
+    `MasterTrajectory`, from the moments `integrate_master` read, as one
+    record; a `DensityMatrix` is the trajectory of one state."""
     if isinstance(rho, MasterTrajectory):  # solved at hbar = 1
-        return _moment_tables(1.0, rho.means, rho.covariances)
+        return Moments.from_covariance(1.0, rho.means, rho.covariances)
     fock = rho.fock
     values = fock._functionals @ fock._coords.read(rho.rho.ravel())
-    means, covs = _quadrature_moments(fock, values[:, None])
-    return _moment_tables(rho.hbar, means, covs)[0]
+    return Moments.from_covariance(rho.hbar, *_quadrature_moments(fock, values[:, None]))
 
 
 # -- Wigner transform ---------------------------------------------------------

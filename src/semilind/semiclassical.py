@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _EIG_CLAMP = 1e-12
+_PHYS_TOL = -1e-9  # the least min eig(G^{-1} + i Omega) taken as physical
 
 
 @dataclass(frozen=True)
@@ -318,8 +319,8 @@ def integrate(
                 f"{lam[-1] / lam[0]:.3g} of G is beyond float64 precision"
             )
         g[k] = 0.5 * (gk + gk.T)
-    report = physicality_of_width(g)
-    phys, unphysical = report.min_eig, ~report.passed
+    phys = physicality_of_width(g)
+    unphysical = ~(phys >= _PHYS_TOL)  # a NaN measure is unphysical too
     events = []
     for k in np.flatnonzero(clamped | unphysical):
         t = float(t_eval[k])

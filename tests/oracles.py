@@ -19,7 +19,9 @@ formulas, separately from the program paths they check.
   form of its exponent; ``component_integral``, ``component_centroid``,
   ``peak_magnitude`` and ``superposition_moments`` of one complex Gaussian
   or superposition; ``quadrature_moments`` of one density matrix, as traces
-  with the quadrature operators.
+  with the quadrature operators; ``pair_correlator``, ``occupation`` and
+  ``coherence`` of one state from its <a> and alpha block, which
+  ``gaussian.Moments`` computes over a stack of states.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from semilind.gaussian import (
     GaussianWigner,
     Moments,
     SuperpositionState,
-    moments_from_covariance,
 )
 from semilind.quantum import DensityMatrix
 from semilind.semiclassical import LindbladModel, _require_chart
@@ -185,14 +186,34 @@ def peak_magnitude(comp: ComplexGaussian) -> float:
 
 
 def superposition_moments(state: SuperpositionState) -> Moments:
-    """Moments of a normalized superposition, summed component by component."""
+    """Moments of a normalized superposition, summed component by component,
+    as a stack of one."""
     integrals = [component_integral(c) for c in state.components]
     cs = [component_centroid(c) for c in state.components]
     total = sum(integrals)
     x = np.real(sum(c * w for c, w in zip(cs, integrals)) / total)
     second = sum(w * (1j * state.hbar * np.linalg.inv(comp.b) + np.outer(c, c))
                  for w, comp, c in zip(integrals, state.components, cs))
-    return moments_from_covariance(state.hbar, x, np.real(second / total) - np.outer(x, x))
+    cov = np.real(second / total) - np.outer(x, x)
+    return Moments.from_covariance(state.hbar, x[None], cov[None])
+
+
+def pair_correlator(hbar: float, modes, alpha_block, i: int, j: int) -> complex:
+    """Normally ordered <adag_i a_j> of one state, from its <a> (n,) and the
+    alpha block (n, n) of its mode covariance."""
+    delta = hbar if i == j else 0.0
+    return 0.5 * (alpha_block[i, j] + 2.0 * np.conj(modes[i]) * modes[j] - delta)
+
+
+def occupation(hbar: float, modes, alpha_block, j: int) -> float:
+    """<n_j> of one state."""
+    return float(np.real(pair_correlator(hbar, modes, alpha_block, j, j)))
+
+
+def coherence(hbar: float, modes, alpha_block, i: int, j: int) -> float:
+    """First-order coherence |<adag_i a_j>| / sqrt(<n_i><n_j>) of one state."""
+    den = occupation(hbar, modes, alpha_block, i) * occupation(hbar, modes, alpha_block, j)
+    return float(abs(pair_correlator(hbar, modes, alpha_block, i, j)) / np.sqrt(den))
 
 
 def quadrature_moments(rho: DensityMatrix):

@@ -5,6 +5,7 @@ from semilind.gaussian import (
     ComplexGaussian,
     GaussianWigner,
     GridSpec,
+    Moments,
     SuperpositionState,
     WignerGrid,
     _check_widths,
@@ -16,7 +17,10 @@ from semilind.gaussian import (
     physicality_of_width,
 )
 from oracles import (
+    coherence,
     component_integral,
+    occupation,
+    pair_correlator,
     peak_magnitude,
     superposition_moments,
     wigner_values,
@@ -44,9 +48,7 @@ class TestCoherent:
         assert np.allclose(st.x, [4.0, 4.0])
 
     def test_saturates_uncertainty(self):
-        rep = physicality_of_width(coherent(1, 1.2 - 0.5j).g)
-        assert rep.passed
-        assert abs(rep.min_eig) < 1e-12
+        assert abs(physicality_of_width(coherent(1, 1.2 - 0.5j).g)) < 1e-12
 
     def test_two_modes(self):
         st = coherent(2, [1.0, 1j])
@@ -56,15 +58,11 @@ class TestCoherent:
 class TestPhysicality:
     def test_squeezed_below_vacuum_fails(self):
         st = GaussianWigner(hbar=1.0, x=np.zeros(2), g=2 * np.eye(2))
-        rep = physicality_of_width(st.g)
-        assert not rep.passed
-        assert rep.min_eig == pytest.approx(-0.5, abs=1e-12)
+        assert physicality_of_width(st.g) == pytest.approx(-0.5, abs=1e-12)
 
     def test_broadened_state_passes(self):
         st = GaussianWigner(hbar=1.0, x=np.zeros(2), g=0.5 * np.eye(2))
-        rep = physicality_of_width(st.g)
-        assert rep.passed
-        assert rep.min_eig == pytest.approx(1.0, abs=1e-12)
+        assert physicality_of_width(st.g) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWidthFromPacket:
@@ -202,15 +200,16 @@ class TestCatDecompose:
 
     def test_moments_symmetric_cat(self):
         m = self.state.moments().x
-        assert m[0] == pytest.approx(4.0, abs=1e-9)
-        assert m[1] == pytest.approx(0.0, abs=1e-9)
+        assert m.shape == (1, 2)
+        assert m[0, 0] == pytest.approx(4.0, abs=1e-9)
+        assert m[0, 1] == pytest.approx(0.0, abs=1e-9)
 
     def test_moments_match_per_component_sums(self):
         _, _, state = random_off_centre_states(np.random.default_rng(8))
         got, want = state.moments(), superposition_moments(state)
         assert np.max(np.abs(got.x - want.x)) <= 1e-12 * max(1.0, np.max(np.abs(want.x)))
         for block in ("alpha_block", "beta_block"):
-            a, b = getattr(got.blocks, block), getattr(want.blocks, block)
+            a, b = getattr(got, block), getattr(want, block)
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
         raw = sum(component_integral(c) for c in state.components)
         assert state.normalized().norm_factor == pytest.approx(1.0 / raw.real, rel=1e-12)
@@ -219,22 +218,54 @@ class TestCatDecompose:
 class TestMoments:
     def test_vacuum(self):
         m = moments(coherent(1, 0.0))
-        assert m.blocks.alpha_block[0, 0] == pytest.approx(1.0)
-        assert m.adag_a(0, 0) == pytest.approx(0.0)
+        assert m.alpha_block.shape == (1, 1, 1)
+        assert m.alpha_block[0, 0, 0] == pytest.approx(1.0)
+        assert m.adag_a(0, 0)[0] == pytest.approx(0.0)
 
     def test_coherent_occupation(self):
         a0 = 1.7 - 0.4j
         m = moments(coherent(1, a0))
-        assert m.occupation(0) == pytest.approx(abs(a0) ** 2, rel=1e-12)
-        assert m.modes[0] == pytest.approx(a0)
+        assert m.occupation(0)[0] == pytest.approx(abs(a0) ** 2, rel=1e-12)
+        assert m.modes[0, 0] == pytest.approx(a0)
 
     def test_product_coherent_full_coherence(self):
         m = moments(coherent(2, [2.0, 1.0 + 1.0j]))
-        assert m.g1(0, 1) == pytest.approx(1.0, rel=1e-12)
+        assert m.g1(0, 1)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_beta_block_vanishes_for_coherent(self):
         m = moments(coherent(1, 0.8))
-        assert np.allclose(m.blocks.beta_block, 0, atol=1e-12)
+        assert np.allclose(m.beta_block, 0, atol=1e-12)
+
+    def test_stack_matches_per_state_oracle(self):
+        # hbar = 0.5, not 1, so that the hbar in <adag_j a_j> is checked;
+        # the covariances are symmetric positive definite
+        rng = np.random.default_rng(29)
+        hbar, k = 0.5, 7
+        x = rng.normal(size=(k, 4))
+        a = rng.normal(size=(k, 4, 4))
+        cov = a @ a.swapaxes(-1, -2) + np.eye(4)
+        m = Moments.from_covariance(hbar, x, cov)
+        states = list(zip(m.modes, m.alpha_block))
+
+        def close(got, want):
+            want = np.array(want)
+            return got.shape == (k,) and np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+        pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for i, j in pairs:
+            assert close(m.adag_a(i, j), [pair_correlator(hbar, md, al, i, j) for md, al in states])
+        for j in (0, 1):
+            assert close(m.occupation(j), [occupation(hbar, md, al, j) for md, al in states])
+        for i, j in ((0, 1), (1, 0)):
+            assert close(m.g1(i, j), [coherence(hbar, md, al, i, j) for md, al in states])
+        # a record of k states is k records of one
+        for idx in range(k):
+            one = Moments.from_covariance(hbar, x[idx:idx + 1], cov[idx:idx + 1])
+            for name in ("x", "modes", "alpha_block", "beta_block"):
+                assert np.array_equal(getattr(one, name)[0], getattr(m, name)[idx]), name
+            for i, j in pairs:
+                assert one.adag_a(i, j)[0] == m.adag_a(i, j)[idx]
+            assert one.g1(0, 1)[0] == m.g1(0, 1)[idx]
 
 
 class TestGridIO:

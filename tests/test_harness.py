@@ -826,6 +826,24 @@ class TestRowKinds:
         assert cat["master"] == {"q_mean", "p_mean"}
         assert cat["doubled"] == cat["master"] | {"raw_norm", "cross_magnitude"}
 
+    @pytest.mark.parametrize("name, rows", [
+        ("limit_cycle", 2), ("cat_anharmonic", 2), ("bose_hubbard_losses", 1)])
+    def test_each_moment_row_builds_one_record(self, name, rows, tmp_path, monkeypatch):
+        # a moment-returning row's outputs are one `Moments` stacked over its
+        # output times, which the experiment's map reads by column
+        import semilind.gaussian as gaussian
+
+        real, built = gaussian.Moments.__init__, []
+
+        def counted(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(gaussian.Moments, "__init__", counted)
+        cfg = tiny_config(name, tmp_path)
+        run_experiment(cfg)
+        assert [m.x.shape[0] for m in built] == [cfg.times.n_out] * rows
+
     @pytest.mark.parametrize("name, kind, solvers, message", [
         ("limit_cycle", "cat", None,
          r"the semiclassical row takes a 'coherent' initial state, not 'cat'"),
@@ -1187,6 +1205,19 @@ class TestCli:
 
     def test_run_missing_file_is_error(self, capsys):
         assert cli_main(["run", "/nonexistent/cfg.json"]) == 1
+
+    def test_unknown_experiment_is_one_error_naming_the_known(self, tmp_path, capsys):
+        d = tiny_config("cat_anharmonic", tmp_path).to_dict()
+        d["experiment"] = "nope"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        errors = []
+        for argv in (["list-experiments", "nope"], ["run", str(path)]):
+            assert cli_main(argv) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0] == f"error: unknown experiment 'nope'; known: {sorted(EXPERIMENTS)}\n"
+        assert not (tmp_path / "nope").exists()
 
     def test_compare_cli(self, tmp_path, capsys):
         t = np.linspace(0, 1, 11)
