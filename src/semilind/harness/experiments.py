@@ -20,8 +20,9 @@ entry, usable by every experiment whose initial state it takes.  A
 ``SolverRun``'s frames are saved as ``wigner_t<t>.npy`` at each configured
 frame when the config has a ``grid`` (single-mode models only),
 after ``_wigner_frames`` checks them; their axes are the ``grid`` of
-``config.json``.  The ``events`` of its result become one ``solver_events``
-entry per kind.
+``config.json``.  Its ``events``, a copy of its solver's events to which
+``_wigner_frames`` adds clipped frames, become one ``solver_events`` entry
+per kind.
 
 ``ExperimentDef.checks`` lists ``(needed solvers, fn(config, t_eval, runs) ->
 entries)``, with ``runs`` mapping solver name to ``SolverRun``; each check
@@ -65,6 +66,7 @@ from ..gaussian import (
 )
 from ..ode import solve_ivp
 from ..quantum import (
+    _INITIAL_LEAKAGE,
     DensityMatrix,
     FockSpace,
     integrate_master,
@@ -72,7 +74,7 @@ from ..quantum import (
     quantum_jump,
     wigner_of_density,
 )
-from ..semiclassical import classify_flow, drift_x, integrate
+from ..semiclassical import _PHYS_TOL, classify_flow, drift_x, integrate
 from ..symbols import Chart
 from .compare import (ComparisonReport, ObservableSeries, component_csv, csv_text,
                       frame_name, trajectory_to_csv, write_frame, write_observables,
@@ -92,7 +94,7 @@ class SolverRun:
     files: dict = field(default_factory=dict)  # file name -> text
     frames: Callable | None = None  # output indices -> their WignerGrids, in order
     entries: list = field(default_factory=list)
-    result: object = None
+    events: list = field(default_factory=list)  # the solver's, then clipped frames
     grids: dict = field(default_factory=dict)  # output index -> WignerGrid, set by _wigner_frames
 
 
@@ -110,8 +112,8 @@ def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
     """Store the grids of ``run.frames(indices)`` in ``run.grids`` by index.
     A grid with a non-finite value raises, naming the directory it would be
     written to; a grid whose border exceeds 1e-6 of its peak, so that it
-    cuts off part of the state, records a ``grid_clipping`` event on the
-    solver's result."""
+    cuts off part of the state, adds a ``grid_clipping`` event to
+    ``run.events``."""
     for k, grid in zip(indices, run.frames(indices), strict=True):
         run.grids[k] = grid
         vals = np.abs(grid.values)
@@ -120,15 +122,15 @@ def _wigner_frames(outdir: Path, times, indices, run: SolverRun):
         peak = vals.max()
         border = max(vals[0].max(), vals[-1].max(), vals[:, 0].max(), vals[:, -1].max())
         if peak > 0 and border > 1e-6 * peak:
-            run.result.events.append({"t": float(times[k]), "kind": "grid_clipping"})
+            run.events.append({"t": float(times[k]), "kind": "grid_clipping"})
 
 
-def _event_entries(solver: str, result) -> list:
-    """Informational report entries of the events a solver's result records
-    (trace renormalizations, width clamps, leakage, component collapses,
+def _event_entries(solver: str, events) -> list:
+    """Informational report entries of a row's events (physicality
+    violations, trace renormalizations, leakage, component collapses,
     clipped Wigner frames): one per kind, with its count and first time."""
     times = {}
-    for ev in getattr(result, "events", ()):
+    for ev in events:
         times.setdefault(ev["kind"], []).append(ev["t"])
     return [{"check": "solver_events", "solver": solver, "kind": kind, "count": len(ts),
              "first_t": min(ts), "passed": True} for kind, ts in times.items()]
@@ -160,7 +162,7 @@ def _gaussian(config: ExperimentConfig, model, t_eval) -> SolverRun:
         frames=lambda ks: [eval_wigner(traj.state(k), config.grid) for k in ks],
         entries=[{"check": "semiclassical_solver", "nfev": traj.nfev, "steps": traj.steps,
                   "rejected": traj.rejected, "passed": True}],
-        result=traj,
+        events=list(traj.events),
     )
 
 
@@ -176,7 +178,7 @@ def _master(config: ExperimentConfig, model, t_eval) -> SolverRun:
                   "steps": mtraj.steps, "rejected": mtraj.rejected,
                   "superoperator": "real_hermitian", "nnz": mtraj.nnz, "blocks": mtraj.blocks,
                   "max_block": mtraj.max_block, "passed": True}],
-        result=mtraj,
+        events=list(mtraj.events),
     )
 
 
@@ -195,7 +197,7 @@ def _doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
         frames=lambda ks: [eval_wigner(series.state(k), config.grid) for k in ks],
         entries=[{"check": "doubled_solver", "nfev": series.nfev, "steps": series.steps,
                   "rejected": series.rejected, "passed": True}],
-        result=series,
+        events=list(series.events),
     )
 
 
@@ -226,7 +228,6 @@ def _jumps(config: ExperimentConfig, model, t_eval) -> SolverRun:
                   "max_norm_evals": ens.max_norm_evals,
                   "n_blocks": ens.n_blocks, "max_block": ens.max_block,
                   "max_leakage": ens.max_leakage, "passed": True}],
-        result=ens,
     )
 
 
@@ -235,8 +236,8 @@ def _jumps(config: ExperimentConfig, model, t_eval) -> SolverRun:
 # The initial kinds each row kind takes (``_flow`` takes none), and the row
 # kinds that solve in a truncated Fock basis, which is built at hbar = 1 and
 # holds a cat only as unit-width packets of one mode.  The master row also
-# needs its initial state inside the truncation (`integrate_master`'s 1e-10
-# leakage bound); the jump ensemble has no such bound.
+# needs its initial state inside the truncation (`integrate_master`'s
+# `_INITIAL_LEAKAGE` bound); the jump ensemble has no such bound.
 _TAKES = {_gaussian: ("coherent",), _master: ("coherent", "cat"), _jumps: ("coherent", "cat"),
           _doubled: ("cat",)}
 _FOCK_KINDS = (_master, _jumps)
@@ -282,10 +283,10 @@ def _check_rows(config: ExperimentConfig, exp: ExperimentDef) -> None:
             fock = FockSpace([config.fock_levels] * n)
             vec = _initial_vector(config, fock)
             leak = fock.leakage(vec / np.linalg.norm(vec))
-            if leak > 1e-10:
+            if leak > _INITIAL_LEAKAGE:
                 raise ConfigError(f"fock_levels: the {name} row's initial state puts {leak:.2e} "
-                                  f"in the top of {config.fock_levels} levels, above the 1e-10 "
-                                  f"the master equation starts from")
+                                  f"in the top of {config.fock_levels} levels, above the "
+                                  f"{_INITIAL_LEAKAGE:g} the master equation starts from")
 
 
 def _check_windows(config: ExperimentConfig, t_eval) -> None:
@@ -353,9 +354,9 @@ def _ring_observables(t_eval, moms: Moments) -> dict:
 
 
 def _limit_cycle_flow_checks(config: ExperimentConfig, t_eval, runs) -> list:
-    phys = runs["semiclassical"].result.min_physicality.min()
-    return [{"check": "physicality_min_eig", "value": float(phys), "tolerance": -1e-9,
-             "passed": bool(phys >= -1e-9)}]
+    phys = runs["semiclassical"].observables["min_eig_physicality"].values.min()
+    return [{"check": "physicality_min_eig", "value": float(phys), "tolerance": _PHYS_TOL,
+             "passed": bool(phys >= _PHYS_TOL)}]
 
 
 def _limit_cycle_cross_checks(config: ExperimentConfig, t_eval, runs) -> list:
@@ -774,7 +775,7 @@ def run_experiment(config: ExperimentConfig, root=None):
             write_frame(outdir / name / frame_name(t_eval[k]), grid.values)
         report.runtime_s[name] += time.perf_counter() - t0
         report.entries.extend(run.entries)
-        report.entries.extend(_event_entries(name, run.result))
+        report.entries.extend(_event_entries(name, run.events))
     for needs, check in exp.checks:
         if all(name in runs for name in needs):
             report.entries.extend(check(config, t_eval, runs))

@@ -43,7 +43,6 @@ __all__ = [
     "integrate",
 ]
 
-_EIG_CLAMP = 1e-12
 _PHYS_TOL = -1e-9  # the least min eig(G^{-1} + i Omega) taken as physical
 
 
@@ -227,8 +226,8 @@ def _packing(dim, offset):
 @dataclass
 class Trajectory:
     """Gaussian states at the sampled times, stacked: centre ``x[k]`` (2n,)
-    and width ``g[k]`` (2n, 2n) at ``times[k]``, with
-    min eig(G^{-1} + i Omega) at each and the clamp and physicality events."""
+    and width ``g[k]`` (2n, 2n) at ``times[k]``, as integrated, with
+    min eig(G^{-1} + i Omega) at each and the physicality events."""
 
     times: np.ndarray
     hbar: float
@@ -289,11 +288,13 @@ def integrate(
     the adaptive eighth-order Dormand-Prince scheme (DOP853); the states
     returned at t_eval, which must increase strictly, carry ``state0.hbar``.
 
-    G is packed by its upper triangle, so symmetry is exact by construction.
-    The states of all output times are checked together, by one stacked
-    ``eigh``: eigenvalues of G below the clamp threshold are raised (with an
-    event record), rebuilding only the clamped widths, and the uncertainty
-    measure min eig(G^{-1} + i Omega) is stored.
+    G is packed by its upper triangle, so symmetry is exact by construction,
+    and is returned as integrated.  One stacked ``eigvalsh`` checks the
+    widths of all output times: the first G that is not positive definite
+    (a non-finite one among them) raises a `RuntimeError` naming its time
+    and smallest eigenvalue.  The uncertainty measure
+    min eig(G^{-1} + i Omega) is stored, and each output time where it
+    falls below ``_PHYS_TOL`` is a ``physicality`` event.
     """
     dim = 2 * model.n_modes
     if state0.x.size != dim:
@@ -306,28 +307,18 @@ def integrate(
         raise RuntimeError(f"integration failed: {sol.message}")
     x = sol.y[:dim].T
     g = np.moveaxis(sol.y[rhs.gather], -1, 0)
-    evals, evecs = np.linalg.eigh(g)
-    clamped = evals.min(axis=1) < _EIG_CLAMP
-    for k in np.flatnonzero(clamped):
-        lam = np.clip(evals[k], _EIG_CLAMP, None)
-        gk = evecs[k] @ np.diag(lam) @ evecs[k].T
-        # rounding in the rebuild is about eps times the largest
-        # eigenvalue, which can swamp the floor unless G is axis-aligned
-        if not np.allclose(np.linalg.eigvalsh(gk), lam, rtol=1e-6, atol=0.0):
-            raise RuntimeError(
-                f"width clamp at t={float(t_eval[k])!r} cannot be held: eigenvalue ratio "
-                f"{lam[-1] / lam[0]:.3g} of G is beyond float64 precision"
-            )
-        g[k] = 0.5 * (gk + gk.T)
+    smallest = np.linalg.eigvalsh(g).min(axis=1)
+    # a width with a non-finite entry is not positive definite, whatever
+    # LAPACK makes of it
+    smallest[~np.isfinite(g).all(axis=(1, 2))] = np.nan
+    bad = np.flatnonzero(~(smallest > 0))
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(f"width G at t={float(t_eval[k])!r} is not positive definite: "
+                           f"smallest eigenvalue {smallest[k]:.3g}")
     phys = physicality_of_width(g)
-    unphysical = ~(phys >= _PHYS_TOL)  # a NaN measure is unphysical too
-    events = []
-    for k in np.flatnonzero(clamped | unphysical):
-        t = float(t_eval[k])
-        if clamped[k]:
-            events.append({"t": t, "kind": "width_clamp", "min_eig": float(evals[k].min())})
-        if unphysical[k]:
-            events.append({"t": t, "kind": "physicality", "min_eig": float(phys[k])})
+    events = [{"t": float(t), "kind": "physicality", "min_eig": float(m)}
+              for t, m in zip(t_eval, phys) if not m >= _PHYS_TOL]  # a NaN measure too
     return Trajectory(
         times=sol.t, hbar=state0.hbar, x=x, g=g, min_physicality=phys, events=events,
         nfev=sol.nfev, steps=sol.steps, rejected=sol.rejected,

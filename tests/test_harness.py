@@ -5,7 +5,6 @@ import json
 import re
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -500,15 +499,15 @@ class TestRunners:
         assert int(count) > 0
 
     def test_event_entries_one_per_kind(self):
-        events = [{"t": 0.4, "kind": "component_collapse"}, {"t": 0.1, "kind": "width_clamp"},
+        events = [{"t": 0.4, "kind": "component_collapse"}, {"t": 0.1, "kind": "physicality"},
                   {"t": 0.2, "kind": "component_collapse"}]
-        assert _event_entries("doubled", SimpleNamespace(events=events)) == [
+        assert _event_entries("doubled", events) == [
             {"check": "solver_events", "solver": "doubled", "kind": "component_collapse",
              "count": 2, "first_t": 0.2, "passed": True},
-            {"check": "solver_events", "solver": "doubled", "kind": "width_clamp",
+            {"check": "solver_events", "solver": "doubled", "kind": "physicality",
              "count": 1, "first_t": 0.1, "passed": True},
         ]
-        assert _event_entries("jumps", SimpleNamespace()) == []
+        assert _event_entries("jumps", []) == []
 
     def test_report_is_valid_json(self, tmp_path):
         cfg = tiny_cat_config(tmp_path)
@@ -633,23 +632,19 @@ class TestRunners:
         # the vacuum on a grid of +-1 keeps exp(-1) of its peak at the border;
         # the frame check records it as an event instead of a warning
         small = GridSpec(-1, 1, 21, -1, 1, 21)
-        result = SimpleNamespace(events=[])
-        run = SolverRun(frames=lambda ks: [eval_wigner(coherent(1, 0.0), small) for k in ks],
-                        result=result)
+        run = SolverRun(frames=lambda ks: [eval_wigner(coherent(1, 0.0), small) for k in ks])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _wigner_frames(tmp_path / "semiclassical", np.array([0.0, 0.5]), [0, 1], run)
-        assert result.events == [{"t": 0.0, "kind": "grid_clipping"},
-                                 {"t": 0.5, "kind": "grid_clipping"}]
-        assert _event_entries("semiclassical", result) == [
+        assert run.events == [{"t": 0.0, "kind": "grid_clipping"},
+                              {"t": 0.5, "kind": "grid_clipping"}]
+        assert _event_entries("semiclassical", run.events) == [
             {"check": "solver_events", "solver": "semiclassical", "kind": "grid_clipping",
              "count": 2, "first_t": 0.0, "passed": True}]
         wide = GridSpec(-8, 8, 41, -8, 8, 41)
-        result = SimpleNamespace(events=[])
-        run = SolverRun(frames=lambda ks: [eval_wigner(coherent(1, 0.0), wide) for k in ks],
-                        result=result)
+        run = SolverRun(frames=lambda ks: [eval_wigner(coherent(1, 0.0), wide) for k in ks])
         _wigner_frames(tmp_path / "semiclassical", np.array([0.0, 0.5]), [0, 1], run)
-        assert result.events == []
+        assert run.events == []
 
     def test_clipped_cat_frames_are_one_event_per_solver(self, tmp_path):
         d = tiny_cat_config(tmp_path).to_dict()

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -434,28 +432,44 @@ class TestIntegrate:
         assert traj.min_physicality.min() >= -1e-9
 
     def test_width_clamp(self):
-        # H = q p squeezes G to diag(exp(-2t), exp(2t)): its small eigenvalue
-        # falls below the clamp between t = 12 and t = 14
+        # H = q p squeezes G to diag(exp(-2t), exp(2t)), a quadratic flow for
+        # which the width equation is exact; no clamp rewrites the small
+        # eigenvalue, which falls below 1e-12 between t = 12 and t = 14
         (q,), (p,) = real_vars()
         model = LindbladModel(1, 1.0, q * p, ())
         t_eval = np.linspace(0.0, 16.0, 9)
         traj = integrate(model, GaussianWigner(1.0, [1.0, 0.0], np.eye(2)), t_eval)
-        assert [ev["t"] for ev in traj.events if ev["kind"] == "width_clamp"] == [14.0, 16.0]
-        assert np.linalg.eigvalsh(traj.g[-1]).min() == pytest.approx(1e-12, rel=1e-9)
+        assert traj.events == []
+        assert np.abs(np.linalg.det(traj.g) - 1.0).max() < 5e-8
+        smallest = np.linalg.eigvalsh(traj.g).min(axis=1)
+        assert np.allclose(smallest, np.exp(-2.0 * t_eval), rtol=1e-7, atol=0.0)
 
     def test_width_clamp_off_axis(self):
-        # H = (q^2 - p^2)/2 squeezes G along the diagonals; V diag(lam) V^T
-        # cannot hold the floor next to eigenvalues of 1e8 and more, so the
-        # run stops with the time and the eigenvalue ratio instead of
-        # returning a singular width
+        # H = (q^2 - p^2)/2 squeezes G along the diagonals; the integrated
+        # entries lose the small eigenvalue, which turns negative by t = 12,
+        # and the run stops there instead of returning that width
         (q,), (p,) = real_vars()
         model = LindbladModel(1, 1.0, (q * q - p * p) * 0.5, ())
         t_eval = np.linspace(0.0, 14.0, 8)
-        with pytest.raises(RuntimeError, match="width clamp at t=") as err:
+        with pytest.raises(RuntimeError, match=r"t=12\.0 is not positive definite: "
+                                               r"smallest eigenvalue -"):
             integrate(model, GaussianWigner(1.0, [1.0, 0.0], np.eye(2)), t_eval)
-        t, ratio = re.search(r"t=(\S+) .*eigenvalue ratio (\S+)", str(err.value)).groups()
-        assert float(t) in t_eval
-        assert float(ratio) > 1e16
+
+    def test_non_finite_width_raises(self, monkeypatch):
+        # eigvalsh may return finite eigenvalues for a width with a NaN
+        # entry; such a width still counts as not positive definite
+        solve = semiclassical.solve_ivp
+
+        def nan_at_last_time(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            sol.y[2, -1] = np.nan  # G[0, 0] at t = 1
+            return sol
+
+        monkeypatch.setattr(semiclassical, "solve_ivp", nan_at_last_time)
+        with pytest.raises(RuntimeError, match=r"t=1\.0 is not positive definite: "
+                                               r"smallest eigenvalue nan"):
+            integrate(damped_oscillator(), GaussianWigner(1.0, [1.0, 0.0], np.eye(2)),
+                      np.linspace(0.0, 1.0, 3))
 
     def test_csv_round_trip(self):
         model = damped_oscillator()

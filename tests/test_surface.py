@@ -3,7 +3,8 @@ method under src/semilind is used by some module of the package other than
 ``harness/selftest.py`` (the library, the harness or the CLI), or is listed
 below with the reason, outside the tests, that it stays.  The selftest is no
 caller: it checks program paths, so every name it imports from the package
-must be loaded by another module too.  Test oracles live in tests/oracles.py."""
+must be loaded by another module too, and no module imports a name it
+never uses.  Test oracles live in tests/oracles.py."""
 
 import ast
 import os
@@ -69,6 +70,30 @@ def test_selftest_imports_only_program_paths():
                 if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
     assert imported
     assert sorted(imported - loaded - allowed) == []
+
+
+def unused_imports():
+    """(module, name) of each name a module imports and never loads; a name
+    listed in the module's ``__all__`` counts as loaded."""
+    unused = set()
+    for module, tree in _trees().items():
+        imported, loaded = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                loaded.update(ast.literal_eval(node.value))
+        unused.update((module, name) for name in imported - loaded)
+    return unused
+
+
+def test_no_unused_import():
+    assert sorted(unused_imports()) == []
 
 
 def test_harness_import_leaves_out_the_heavy_scipy_packages():
