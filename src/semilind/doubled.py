@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import (ComplexGaussian, Moments, SuperpositionState, _check_widths, _integrals,
-                       _superposition_moments)
+from .gaussian import Moments, SuperpositionState, _check_widths, _integrals, _superposition_moments
 from .ode import solve_ivp
 from .semiclassical import LindbladModel, _check_times, _packing
 from .symbols import Chart, PolyBatch, PolySymbol, double_lift, moyal_term, poisson, symplectic_form
@@ -230,9 +229,8 @@ class SuperpositionSeries:
 
     def state(self, k: int) -> SuperpositionState:
         """The renormalized superposition at output time k."""
-        comps = tuple(ComplexGaussian(hbar=self.hbar, z=z, b=b, alpha=a, weight=w)
-                      for z, b, a, w in zip(self.z[k], self.b[k], self.alpha[k], self.weights[k]))
-        return SuperpositionState(comps, norm_factor=float(self.norm_factors[k]))
+        return SuperpositionState(self.hbar, self.z[k], self.b[k], self.alpha[k], self.weights[k],
+                                  norm_factor=float(self.norm_factors[k]))
 
     def moments(self) -> Moments:
         """The moments of every output time, as one record (`_superposition_moments`)."""
@@ -264,14 +262,13 @@ def propagate_superposition(
     Wigner normalization is re-imposed at every output time (the raw integral
     is recorded).  The output times must increase strictly; an output time
     with no live component left raises `RuntimeError`.  Every output
-    component's B is checked, as `ComplexGaussian` checks it, in one pass
+    component's B is checked, as `SuperpositionState` checks it, in one pass
     over the stack, and the integrals of all output components are one
     stacked evaluation.
     """
     kev = model._doubled._evaluator
     hbar = state.hbar
     t_eval = _check_times(t_eval)
-    comps = state.components
 
     def odefun(t, yvec):
         z, b, _ = kev.unpack(yvec.reshape(-1, kev.row_size))
@@ -283,15 +280,11 @@ def propagate_superposition(
     def breakdown(t, yvec):
         return floor_gaps(yvec.reshape(-1, kev.row_size)).min()
 
-    rows = kev.pack(
-        np.array([c.z for c in comps]),
-        np.array([c.b for c in comps]),
-        np.array([c.alpha for c in comps]),
-    )
+    rows = kev.pack(state.z, state.b, state.alpha)
     # the packed rows of every component at every output time
     out = np.empty((t_eval.size,) + rows.shape)
-    weights = np.tile(np.array([c.weight for c in comps]), (t_eval.size, 1))
-    live = np.arange(len(comps))
+    weights = np.tile(state.weights, (t_eval.size, 1))
+    live = np.arange(len(rows))
     events, k, t0 = [], 0, t_eval[0]
     nfev = steps = rejected = 0
     while k < t_eval.size:
@@ -307,7 +300,7 @@ def propagate_superposition(
             raise RuntimeError(f"superposition integration failed: {sol.message}")
         nfev, steps, rejected = nfev + sol.nfev, steps + sol.steps, rejected + sol.rejected
         done = slice(k, k + sol.t.size)
-        frozen = np.setdiff1d(np.arange(len(comps)), live)
+        frozen = np.setdiff1d(np.arange(len(rows)), live)
         out[done, live] = sol.y.T.reshape(sol.t.size, live.size, -1)
         out[done, frozen] = out[k - 1, frozen]
         weights[done, frozen] = 0.0

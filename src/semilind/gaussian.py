@@ -8,7 +8,10 @@ Conventions (single source of truth for the whole package):
   hbar * G^{-1}
 * a complex Gaussian component evaluates to
   weight * exp(i/hbar [ (x-X) . B (x-X)/2 + Y . (x-X) + alpha ]),
-  with B complex symmetric, Im B > 0; all prefactors live in ``weight``
+  with B complex symmetric, Im B > 0; all prefactors live in ``weight``.
+  A superposition is one stack of components, `SuperpositionState`, whose
+  rows hold Z = (X, Y), B, alpha and the weight; no object holds a single
+  component
 * mode variables a_j = (q_j + i p_j)/sqrt(2)
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from .symbols import symplectic_form
 
 __all__ = [
     "GaussianWigner",
-    "ComplexGaussian",
     "SuperpositionState",
     "Moments",
     "GridSpec",
@@ -147,56 +149,6 @@ def g_from_a(width: np.ndarray) -> np.ndarray:
     return np.block([[im + re @ im_inv @ re, -re @ im_inv], [-im_inv @ re, im_inv]])
 
 
-@dataclass(frozen=True)
-class ComplexGaussian:
-    """One complex Gaussian component of a superposition Wigner function.
-
-    z = (X, Y) stacks the centre and the oscillation wave vector;
-    evaluation is weight * exp(i/hbar [ d.Bd/2 + Y.d + alpha ]), d = x - X.
-    """
-
-    hbar: float
-    z: np.ndarray
-    b: np.ndarray
-    alpha: complex
-    weight: complex
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        b = np.asarray(self.b, dtype=complex)
-        if z.ndim != 1 or z.size % 4:
-            raise ValueError("z must stack (X, Y), length 4n")
-        dim = z.size // 2
-        if b.shape != (dim, dim):
-            raise ValueError("B shape does not match z")
-        _check_widths(b)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "b", 0.5 * (b + b.T))
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "weight", complex(self.weight))
-
-    @property
-    def n_modes(self) -> int:
-        return self.z.size // 4
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.z[: self.z.size // 2]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.z[self.z.size // 2:]
-
-    def _grid(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Complex values on the grid of the axes q and p (single mode)."""
-        phase = 1j / self.hbar
-        expo = _exponent_on_grid(q, p, self.x, phase * self.b, phase * self.y,
-                                 phase * self.alpha)
-        np.exp(expo, out=expo)
-        expo *= self.weight
-        return expo
-
-
 def _integrals(hbar: float, z, b, alpha, weight):
     """Exact phase-space integrals and complex centroids X - B^{-1} Y of a
     stack of components, given as arrays over the same leading axes: z
@@ -236,50 +188,65 @@ def _superposition_moments(hbar: float, integrals, centroids, b):
 
 @dataclass(frozen=True)
 class SuperpositionState:
-    """Finite sum of complex Gaussian components times a normalization factor."""
+    """Finite sum of m complex Gaussian components times a normalization
+    factor, stacked on a leading axis: component i stacks its centre and
+    oscillation wave vector as z[i] = (X, Y) of length 4n, has the complex
+    symmetric width b[i] (2n, 2n), Im b[i] > 0, the phase alpha[i] and the
+    weight weights[i], and evaluates to
+    weights[i] exp(i/hbar [ d.Bd/2 + Y.d + alpha ]), d = x - X."""
 
-    components: tuple
+    hbar: float
+    z: np.ndarray
+    b: np.ndarray
+    alpha: np.ndarray
+    weights: np.ndarray
     norm_factor: float = 1.0
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("superposition needs at least one component")
-        hb = comps[0].hbar
-        n = comps[0].n_modes
-        if any(c.hbar != hb or c.n_modes != n for c in comps):
-            raise ValueError("components disagree on hbar or mode count")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def hbar(self) -> float:
-        return self.components[0].hbar
+        z = np.asarray(self.z, dtype=float)
+        b = np.asarray(self.b, dtype=complex)
+        alpha = np.asarray(self.alpha, dtype=complex)
+        weights = np.asarray(self.weights, dtype=complex)
+        if z.ndim != 2 or not z.shape[0]:
+            raise ValueError("superposition needs at least one component, z of shape (m, 4n)")
+        m, size = z.shape
+        if not size or size % 4:
+            raise ValueError("z must stack (X, Y) of each component, rows of length 4n")
+        if b.shape != (m, size // 2, size // 2):
+            raise ValueError("B shape does not match z: need (m, 2n, 2n)")
+        if alpha.shape != (m,) or weights.shape != (m,):
+            raise ValueError("alpha and weights need one entry per component")
+        _check_widths(b)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "b", 0.5 * (b + b.swapaxes(-2, -1)))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_modes(self) -> int:
-        return self.components[0].n_modes
+        return self.z.shape[1] // 4
 
     def _grid(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        total = sum(c._grid(q, p) for c in self.components)
+        """Complex values on the grid of the axes q and p (single mode), the
+        components summed in index order."""
+        phase, dim, total = 1j / self.hbar, self.b.shape[-1], 0
+        for z, b, alpha, weight in zip(self.z, self.b, self.alpha, self.weights):
+            expo = _exponent_on_grid(q, p, z[:dim], phase * b, phase * z[dim:], phase * alpha)
+            np.exp(expo, out=expo)
+            expo *= weight
+            total = total + expo
         return self.norm_factor * total
-
-    def _stack(self):
-        """(z, b, alpha, weight) of the components, stacked on a leading axis."""
-        comps = self.components
-        return (np.array([c.z for c in comps]), np.array([c.b for c in comps]),
-                np.array([c.alpha for c in comps]), np.array([c.weight for c in comps]))
 
     def moments(self) -> "Moments":
         """Moments of the normalized distribution (`_superposition_moments`),
         as a record of one."""
-        z, b, alpha, weight = self._stack()
-        integrals, centroids = _integrals(self.hbar, z, b, alpha, weight)
-        x, cov = _superposition_moments(self.hbar, integrals, centroids, b)
+        integrals, centroids = _integrals(self.hbar, self.z, self.b, self.alpha, self.weights)
+        x, cov = _superposition_moments(self.hbar, integrals, centroids, self.b)
         return Moments.from_covariance(self.hbar, x[None], cov[None])
 
     def normalized(self) -> "SuperpositionState":
-        raw = _integrals(self.hbar, *self._stack())[0].sum()
-        return SuperpositionState(self.components, norm_factor=float(1.0 / raw.real))
+        raw = _integrals(self.hbar, self.z, self.b, self.alpha, self.weights)[0].sum()
+        return replace(self, norm_factor=float(1.0 / raw.real))
 
 
 def cat_decompose(centres, coeffs, width, hbar: float = 1.0) -> SuperpositionState:
@@ -287,7 +254,8 @@ def cat_decompose(centres, coeffs, width, hbar: float = 1.0) -> SuperpositionSta
 
     Each packet j sits at (q_j, p_j) with complex weight c_j and shared
     complex symmetric width matrix `width` (Im > 0).  Every ordered pair
-    (i, j) contributes one complex Gaussian with
+    (i, j), as component i k + j of k packets, contributes one complex
+    Gaussian with
 
         X_ij = ((q_i+q_j)/2, (p_i+p_j)/2),  Y_ij = (p_j - p_i, q_i - q_j),
         alpha_ij = (p_i + p_j) . (q_i - q_j) / 2,  B = 2iG,
@@ -302,27 +270,20 @@ def cat_decompose(centres, coeffs, width, hbar: float = 1.0) -> SuperpositionSta
     n = centres[0].size // 2
     if any(c.size != 2 * n for c in centres):
         raise ValueError("centres must share one phase-space dimension")
-    gmat = g_from_a(width)
-    bmat = 2j * gmat
+    bmat = 2j * g_from_a(width)
+    k = len(centres)
+    # packet i along the first pair axis, packet j along the second
+    pairs = np.array(centres)[:, None]
+    qi, pi = pairs[..., :n], pairs[..., n:]
+    qj, pj = qi.swapaxes(0, 1), pi.swapaxes(0, 1)
+    z = np.concatenate([0.5 * (qi + qj), 0.5 * (pi + pj), pj - pi, qi - qj], axis=-1)
+    alpha = 0.5 * ((pi + pj)[..., None, :] @ (qi - qj)[..., :, None]).ravel()
+    # products of Python complex numbers: numpy's vectorized complex multiply
+    # may fuse its multiply-adds and round differently
     pref = (np.pi * hbar) ** (-n)
-    comps = []
-    for i, (ci, zi) in enumerate(zip(coeffs, centres)):
-        qi, pi = zi[:n], zi[n:]
-        for j, (cj, zj) in enumerate(zip(coeffs, centres)):
-            qj, pj = zj[:n], zj[n:]
-            x_ij = np.concatenate([0.5 * (qi + qj), 0.5 * (pi + pj)])
-            y_ij = np.concatenate([pj - pi, qi - qj])
-            alpha_ij = 0.5 * float((pi + pj) @ (qi - qj))
-            comps.append(
-                ComplexGaussian(
-                    hbar=hbar,
-                    z=np.concatenate([x_ij, y_ij]),
-                    b=bmat,
-                    alpha=alpha_ij,
-                    weight=np.conj(ci) * cj * pref,
-                )
-            )
-    return SuperpositionState(tuple(comps)).normalized()
+    weights = np.array([ci.conjugate() * cj * pref for ci in coeffs for cj in coeffs])
+    b = np.broadcast_to(bmat, (k * k,) + bmat.shape)
+    return SuperpositionState(hbar, z.reshape(k * k, 4 * n), b, alpha, weights).normalized()
 
 
 # -- grids --------------------------------------------------------------------
@@ -405,17 +366,11 @@ def eval_wigner(state, spec: GridSpec) -> WignerGrid:
     """Sample a state's Wigner function on a grid (single mode).
 
     Each Gaussian's exponent is summed on the grid from a q term, a p term
-    and one q p outer term (`_exponent_on_grid`).  For a SuperpositionState
-    the summed real part is returned; a lone ComplexGaussian keeps its
-    complex values.
+    and one q p outer term (`_exponent_on_grid`); the real part is returned.
     """
-    n_modes = state.n_modes
-    if n_modes != 1:
+    if state.n_modes != 1:
         raise ValueError("grid evaluation is defined for single-mode states")
-    vals = state._grid(*spec.axes())
-    if isinstance(state, (GaussianWigner, SuperpositionState)):
-        vals = np.real(vals)
-    return WignerGrid(spec, vals)
+    return WignerGrid(spec, np.real(state._grid(*spec.axes())))
 
 
 # -- moments ------------------------------------------------------------------

@@ -6,7 +6,11 @@ Infinity are `ConfigError`s.  No boolean or string is read as a number
 (`_real`).  Counts and the seed go through `_integer`, scales that must
 be positive through `_positive`, and lists through `_list`, so a value
 of the wrong type or range is a `ConfigError` naming its key when the
-config is read, before any solver runs.  Tolerances are only finite here;
+config is read, before any solver runs.  Every `ConfigError`, here and in
+``run_experiment``, starts with the path of the key at fault as the JSON
+document spells it from its root (``hbar``, ``tolerances.t_short``,
+``times.frames``, ``grid``), then ``: ``; a fault of the whole document
+starts ``config: ``.  Tolerances are only finite here;
 ``run_experiment`` reads each through the converter of its meaning
 (`_positive` or `_non_negative`) registered with the experiment's
 defaults.  `_plain` is the one way back to
@@ -37,27 +41,30 @@ class ConfigError(ValueError):
 
 def _convert(where: str, key: str, conv, value):
     """``conv(value)``; a value of the wrong type or range is a `ConfigError`
-    naming ``where.key``.  A `ConfigError` of a nested section already names
-    its own path and passes through."""
+    naming the path of ``key`` in the section ``where`` (``""`` for the
+    document's root).  A `ConfigError` of a nested section already names its
+    own path and passes through."""
     try:
         return conv(value)
     except ConfigError:
         raise
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:  # int(Infinity)
-        raise ConfigError(f"{where}.{key}: {exc}") from None
+        raise ConfigError(f"{where + '.' if where else ''}{key}: {exc}") from None
 
 
 def _pull(d: dict, where: str, required, optional=None):
+    """The keys of the section ``where`` (``""`` for the root), each through
+    its converter; a missing or unknown key is a fault of the section."""
     d = dict(d)
     out = {}
     for key, conv in required.items():
         if key not in d:
-            raise ConfigError(f"{where}: missing key {key!r}")
+            raise ConfigError(f"{where or 'config'}: missing key {key!r}")
         out[key] = _convert(where, key, conv, d.pop(key))
     for key, (conv, default) in (optional or {}).items():
         out[key] = _convert(where, key, conv, d.pop(key)) if key in d else default
     if d:
-        raise ConfigError(f"{where}: unknown keys {sorted(d)}")
+        raise ConfigError(f"{where or 'config'}: unknown keys {sorted(d)}")
     return out
 
 
@@ -180,7 +187,7 @@ class ModelSection:
             },
         )
         if vals["chart"] not in _CHARTS:
-            raise ConfigError(f"model.chart must be one of {sorted(_CHARTS)}")
+            raise ConfigError(f"model.chart: must be one of {sorted(_CHARTS)}")
         return cls(**vals)
 
     def build(self, hbar: float) -> LindbladModel:
@@ -216,9 +223,9 @@ class InitialSection:
                 {"width": (_complex_pair, 1j)},
             )
             if vals["width"].imag <= 0:
-                raise ConfigError("initial.width needs a positive imaginary part")
+                raise ConfigError("initial.width: needs a positive imaginary part")
             return cls(kind="cat", **vals)
-        raise ConfigError(f"initial.kind must be 'coherent' or 'cat', got {kind!r}")
+        raise ConfigError(f"initial.kind: must be 'coherent' or 'cat', got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -326,20 +333,20 @@ class ExperimentConfig:
             # its stderr is a sample standard deviation (ddof=1), which one
             # trajectory leaves undefined
             "n_trajectories": _integer(2),
-            "tolerances": lambda v: {str(k): _convert("config.tolerances", str(k), _finite, x)
+            "tolerances": lambda v: {str(k): _convert("tolerances", str(k), _finite, x)
                                      for k, x in v.items()},
             "portrait": PortraitSection.from_dict,
             "ode_rtol": _positive,
             "ode_atol": _positive,
         }
-        return cls(**_pull(d, "config", {"experiment": str, "model": ModelSection.from_dict},
+        return cls(**_pull(d, "", {"experiment": str, "model": ModelSection.from_dict},
                            {key: (conv, None) for key, conv in optional.items()}))
 
     def to_dict(self):
         return _plain(self)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=_convert("config", "seed", _SEED, seed))
+        return replace(self, seed=_convert("", "seed", _SEED, seed))
 
 
 def load_config(path) -> ExperimentConfig:

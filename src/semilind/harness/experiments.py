@@ -193,7 +193,7 @@ def _doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
         observables={"raw_norm": ObservableSeries(t_eval, series.raw_norms),
                      "cross_magnitude": ObservableSeries(t_eval, series.cross_magnitudes())},
         files={f"component_{idx}.csv": component_csv(series, idx)
-               for idx in range(len(cat.components))},
+               for idx in range(len(cat.weights))},
         frames=lambda ks: [eval_wigner(series.state(k), config.grid) for k in ks],
         entries=[{"check": "doubled_solver", "nfev": series.nfev, "steps": series.steps,
                   "rejected": series.rejected, "passed": True}],
@@ -294,10 +294,10 @@ def _check_windows(config: ExperimentConfig, t_eval) -> None:
     reads: ``t_short`` one after t = 0, ``slope_window`` two for a slope."""
     tol = config.tolerances
     if "t_short" in tol and not np.any((t_eval > 0) & (t_eval <= tol["t_short"])):
-        raise ConfigError(f"config.tolerances.t_short: {tol['t_short']:g} holds no output time "
+        raise ConfigError(f"tolerances.t_short: {tol['t_short']:g} holds no output time "
                           f"after t = 0; the first is {t_eval[1]:g}")
     if "slope_window" in tol and np.count_nonzero(t_eval >= t_eval[-1] - tol["slope_window"]) < 2:
-        raise ConfigError(f"config.tolerances.slope_window: {tol['slope_window']:g} holds fewer "
+        raise ConfigError(f"tolerances.slope_window: {tol['slope_window']:g} holds fewer "
                           f"than two output times; they are {t_eval[1]:g} apart")
 
 
@@ -684,7 +684,7 @@ EXPERIMENTS = {
 
 def _experiment(name: str) -> ExperimentDef:
     if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
+        raise ConfigError(f"experiment: unknown {name!r}; known: {sorted(EXPERIMENTS)}")
     return EXPERIMENTS[name]
 
 
@@ -704,7 +704,7 @@ def run_portrait(config: ExperimentConfig, root=None):
     Kept only because ``perfbench/worker.py`` imports it; the next benchmark
     change deletes it."""
     if "flow" not in getattr(EXPERIMENTS.get(config.experiment), "solvers", ()):
-        raise ConfigError(f"{config.experiment!r} has no 'flow' row to draw a portrait")
+        raise ConfigError(f"experiment: {config.experiment!r} has no 'flow' row for a portrait")
     report, outdir = run_experiment(config, root)
     return report, outdir / "flow"
 
@@ -727,23 +727,24 @@ def run_experiment(config: ExperimentConfig, root=None):
     registered = ExperimentConfig.from_dict(exp.defaults())
     unknown = [key for key in config.tolerances or {} if key not in registered.tolerances]
     if unknown:
-        raise ConfigError(f"unknown tolerance(s) {unknown} for {config.experiment!r}; "
-                          f"known: {list(registered.tolerances)}")
+        raise ConfigError(f"tolerances: unknown tolerance(s) {unknown} for "
+                          f"{config.experiment!r}; known: {list(registered.tolerances)}")
     tolerances = {**registered.tolerances, **(config.tolerances or {})}
     config = replace(config, tolerances={
-        key: _convert("config.tolerances", key, _TOLERANCES[key], value)
+        key: _convert("tolerances", key, _TOLERANCES[key], value)
         for key, value in tolerances.items()})
     config = replace(config, **{f.name: getattr(registered, f.name) for f in fields(config)
                                 if getattr(config, f.name) is None})
     unknown = [name for name in config.solvers if name not in exp.solvers]
     if unknown:
-        raise ConfigError(f"unknown solver(s) {unknown} for {config.experiment!r}; "
+        raise ConfigError(f"solvers: unknown solver(s) {unknown} for {config.experiment!r}; "
                           f"known: {list(exp.solvers)}")
     if not config.solvers:
-        raise ConfigError(f"{config.experiment!r} config runs no solver; "
+        raise ConfigError(f"solvers: {config.experiment!r} config runs no solver; "
                           f"list some of {list(exp.solvers)} under 'solvers'")
     if config.model.n_modes != 1 and (config.grid or config.portrait):
-        raise ConfigError(f"grids and portraits are drawn for single-mode models; "
+        key = "grid" if config.grid is not None else "portrait"
+        raise ConfigError(f"{key}: grids and portraits are drawn for single-mode models; "
                           f"{config.experiment!r} has {config.model.n_modes} modes")
     _check_rows(config, exp)
     t_eval = frames = None

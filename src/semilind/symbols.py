@@ -340,6 +340,18 @@ class PolyBatch:
 # -- bilinear operations ----------------------------------------------------
 
 
+def _add_into(acc: dict, f: PolySymbol) -> None:
+    """Add the terms of f to the coefficient map acc in place.  A sum that
+    cancels drops its key, as `PolySymbol.__add__` drops it, so that the keys
+    of a running sum keep the order of a chain of `+`."""
+    for key, c in f.terms.items():
+        total = acc.get(key, 0j) + c
+        if abs(total) > 0:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
+
+
 def _require_pairable(f: PolySymbol, g: PolySymbol, op: str):
     if f.chart is not g.chart or f.n_modes != g.n_modes:
         raise ValueError(f"{op}: chart/mode mismatch")
@@ -365,7 +377,7 @@ def moyal_term(f: PolySymbol, g: PolySymbol, order: int) -> PolySymbol:
     fdeg, gdeg = f.max_degrees(), g.max_degrees()
     acap = [min(fdeg[i], gdeg[half + i]) for i in range(half)]
     bcap = [min(fdeg[half + i], gdeg[i]) for i in range(half)]
-    out = PolySymbol.zero(f.chart, f.n_modes)
+    out: dict[tuple[int, ...], complex] = {}
     for alpha in _iproduct(*(range(c + 1) for c in acap)):
         rem = order - sum(alpha)
         if rem < 0:
@@ -382,8 +394,8 @@ def moyal_term(f: PolySymbol, g: PolySymbol, order: int) -> PolySymbol:
             scale = (-1) ** sum(beta)
             for m in alpha + beta:
                 scale /= math.factorial(m)
-            out = out + left * right * scale
-    return out
+            _add_into(out, left * right * scale)
+    return PolySymbol(f.chart, f.n_modes, out)
 
 
 # -- chart changes ----------------------------------------------------------
@@ -393,14 +405,14 @@ def _substitute(f: PolySymbol, target: Chart, cores, factor) -> PolySymbol:
     """f with variable i replaced by the symbol cores[i] on `target`; the
     coefficient of a degree-d monomial is first multiplied by factor(d)."""
     n = f.n_modes
-    out = PolySymbol.zero(target, n)
+    out: dict[tuple[int, ...], complex] = {}
     for key, coeff in f.terms.items():
         mono = PolySymbol.constant(target, n, coeff * factor(sum(key)))
         for i, e in enumerate(key):
             if e:
                 mono = mono * cores[i] ** e
-        out = out + mono
-    return out
+        _add_into(out, mono)
+    return PolySymbol(target, n, out)
 
 
 def chart_transform(f: PolySymbol, target: Chart) -> PolySymbol:

@@ -18,27 +18,26 @@ formulas, separately from the program paths they check.
   a complex Gaussian or a superposition point by point from the quadratic
   form of its exponent; ``component_integral``, ``component_centroid``,
   ``peak_magnitude`` and ``superposition_moments`` of one complex Gaussian
-  or superposition; ``quadrature_moments`` of one density matrix, as traces
-  with the quadrature operators; ``pair_correlator``, ``occupation`` and
-  ``coherence`` of one state from its <a> and alpha block, which
-  ``gaussian.Moments`` computes over a stack of states.
+  or superposition, a complex Gaussian being a `Component`, the
+  (hbar, z, b, alpha, weight) of one row of a `SuperpositionState`, which
+  ``components`` and ``stack`` convert between; ``quadrature_moments`` of
+  one density matrix, as traces with the quadrature operators;
+  ``pair_correlator``, ``occupation`` and ``coherence`` of one state from
+  its <a> and alpha block, which ``gaussian.Moments`` computes over a stack
+  of states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 import scipy.sparse as sp
 
 from semilind.doubled import DoubledSymbol, _rates
-from semilind.gaussian import (
-    ComplexGaussian,
-    GaussianWigner,
-    Moments,
-    SuperpositionState,
-)
+from semilind.gaussian import GaussianWigner, Moments, SuperpositionState
 from semilind.quantum import DensityMatrix
 from semilind.semiclassical import LindbladModel, _require_chart
 from semilind.symbols import (
@@ -149,12 +148,44 @@ def rhs_g_complex(model: LindbladModel, xc, gc: np.ndarray) -> np.ndarray:
 # -- one state at a time ---------------------------------------------------------
 
 
+class Component(NamedTuple):
+    """One complex Gaussian, weight * exp(i/hbar [ d.Bd/2 + Y.d + alpha ]),
+    d = x - X, with z = (X, Y)."""
+
+    hbar: float
+    z: np.ndarray
+    b: np.ndarray
+    alpha: complex
+    weight: complex
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.z[: self.z.size // 2]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.z[self.z.size // 2:]
+
+
+def components(state: SuperpositionState) -> list[Component]:
+    """The rows of a superposition, one `Component` each, in index order."""
+    return [Component(state.hbar, *row)
+            for row in zip(state.z, state.b, state.alpha, state.weights)]
+
+
+def stack(comps, norm_factor: float = 1.0) -> SuperpositionState:
+    """The superposition of `Component`s sharing one hbar."""
+    return SuperpositionState(comps[0].hbar, [c.z for c in comps], [c.b for c in comps],
+                              [c.alpha for c in comps], [c.weight for c in comps],
+                              norm_factor=norm_factor)
+
+
 def wigner_values(state, pts: np.ndarray) -> np.ndarray:
-    """Wigner values of a `GaussianWigner`, `ComplexGaussian` or
+    """Wigner values of a `GaussianWigner`, `Component` or
     `SuperpositionState` at points of shape (..., 2n), each exponent from its
     quadratic form at every point."""
     if isinstance(state, SuperpositionState):
-        return state.norm_factor * sum(wigner_values(c, pts) for c in state.components)
+        return state.norm_factor * sum(wigner_values(c, pts) for c in components(state))
     delta = pts - state.x
     if isinstance(state, GaussianWigner):
         quad = np.einsum("...i,ij,...j->...", delta, state.g, delta)
@@ -165,7 +196,7 @@ def wigner_values(state, pts: np.ndarray) -> np.ndarray:
     return state.weight * np.exp(1j / state.hbar * (0.5 * quad + lin + state.alpha))
 
 
-def component_integral(comp: ComplexGaussian) -> complex:
+def component_integral(comp: Component) -> complex:
     """Phase-space integral of one complex Gaussian, with det(-iB)^(1/2) the
     product of the principal roots of the eigenvalues of -iB."""
     dim = comp.z.size // 2
@@ -175,12 +206,12 @@ def component_integral(comp: ComplexGaussian) -> complex:
     return comp.weight * (2 * np.pi * comp.hbar) ** (dim // 2) / det_sqrt * np.exp(expo)
 
 
-def component_centroid(comp: ComplexGaussian) -> np.ndarray:
+def component_centroid(comp: Component) -> np.ndarray:
     """Complex centroid X - B^{-1} Y of one complex Gaussian."""
     return comp.x - np.linalg.solve(comp.b, comp.y)
 
 
-def peak_magnitude(comp: ComplexGaussian) -> float:
+def peak_magnitude(comp: Component) -> float:
     """Modulus of one complex Gaussian at x = X."""
     return abs(comp.weight) * float(np.exp(-comp.alpha.imag / comp.hbar))
 
@@ -188,12 +219,13 @@ def peak_magnitude(comp: ComplexGaussian) -> float:
 def superposition_moments(state: SuperpositionState) -> Moments:
     """Moments of a normalized superposition, summed component by component,
     as a stack of one."""
-    integrals = [component_integral(c) for c in state.components]
-    cs = [component_centroid(c) for c in state.components]
+    comps = components(state)
+    integrals = [component_integral(c) for c in comps]
+    cs = [component_centroid(c) for c in comps]
     total = sum(integrals)
     x = np.real(sum(c * w for c, w in zip(cs, integrals)) / total)
     second = sum(w * (1j * state.hbar * np.linalg.inv(comp.b) + np.outer(c, c))
-                 for w, comp, c in zip(integrals, state.components, cs))
+                 for w, comp, c in zip(integrals, comps, cs))
     cov = np.real(second / total) - np.outer(x, x)
     return Moments.from_covariance(state.hbar, x[None], cov[None])
 
@@ -235,7 +267,7 @@ def quadrature_moments(rho: DensityMatrix):
 # -- one doubled-phase-space component ------------------------------------------
 
 
-def rhs_component(ksym: DoubledSymbol, comp: ComplexGaussian):
+def rhs_component(ksym: DoubledSymbol, comp: Component):
     """Time derivatives (dZ, dB, dalpha) of one complex Gaussian component."""
     zdot, bdot, alphadot = _rates(ksym._evaluator, comp.z[None], comp.b[None], comp.hbar)
     return zdot[0], bdot[0], alphadot[0]
@@ -263,7 +295,7 @@ class ChordGaussian:
             raise ValueError("Mmat must be positive definite")
 
 
-def chord_from_component(comp: ComplexGaussian) -> ChordGaussian:
+def chord_from_component(comp: Component) -> ChordGaussian:
     minus_binv = -np.linalg.inv(comp.b)
     return ChordGaussian(
         x=comp.x,

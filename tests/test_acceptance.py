@@ -14,7 +14,6 @@ from scipy.special import gammaln
 
 from semilind.doubled import build_k, propagate_superposition
 from semilind.gaussian import (
-    ComplexGaussian,
     GaussianWigner,
     cat_decompose,
     coherent,
@@ -39,7 +38,8 @@ from semilind.semiclassical import (
     integrate,
 )
 from semilind.symbols import Chart, PolySymbol
-from oracles import chord_from_component, chord_rhs, moyal, rhs_component, weyl_of_normal_ordered
+from oracles import (Component, chord_from_component, chord_rhs, components, moyal,
+                     rhs_component, weyl_of_normal_ordered)
 
 _ALL_TRAJECTORIES = []  # min-physicality series collected for criterion 6
 
@@ -376,14 +376,14 @@ def test_c07_doubled_reduction_matches_width_dynamics():
             model, GaussianWigner(1.0, np.array(centre), np.eye(2)), t_eval
         )
         for k in range(t_eval.size):
-            comp = series.state(k).components[idx]
+            comp = components(series.state(k))[idx]
             worst_y = max(worst_y, float(np.max(np.abs(comp.y))))
             worst_xg = max(worst_xg, float(np.max(np.abs(comp.x - straj.x[k]))))
             worst_xg = max(
                 worst_xg, float(np.max(np.abs(comp.b.imag / 2 - straj.g[k])))
             )
         widths = np.array(
-            [physicality_of_width(series.state(k).components[idx].b.imag / 2)
+            [physicality_of_width(components(series.state(k))[idx].b.imag / 2)
              for k in range(t_eval.size)]
         )
         assert widths.min() >= -1e-9  # uncertainty relation along the component flow
@@ -452,7 +452,7 @@ def test_c10_chord_equivalence(rng_factory):
         model = LindbladModel(1, 1.0, h, tuple(ls))
         r = rng.normal(size=(2, 2))
         b = (r + r.T) + 1j * (r @ r.T + np.eye(2))
-        comp = ComplexGaussian(hbar=1.0, z=rng.normal(size=4), b=b, alpha=0.1j, weight=1.0)
+        comp = Component(hbar=1.0, z=rng.normal(size=4), b=b, alpha=0.1j, weight=1.0)
         zdot, bdot, _ = rhs_component(build_k(model), comp)
         xdot, ydot, mdot, ndot = chord_rhs(model, chord_from_component(comp))
         binv = np.linalg.inv(comp.b)

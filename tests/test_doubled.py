@@ -4,11 +4,9 @@ import pytest
 import semilind.doubled as doubled
 from semilind.doubled import DoubledSymbol, _KEvaluator, build_k, propagate_superposition
 from semilind.gaussian import (
-    ComplexGaussian,
     GaussianWigner,
     GridSpec,
     Moments,
-    SuperpositionState,
     cat_decompose,
     coherent,
     eval_wigner,
@@ -21,13 +19,16 @@ from semilind.semiclassical import LindbladModel, drift_x, integrate
 from semilind.symbols import Chart, PolySymbol, double_lift, moyal_term, parse_symbol
 from oracles import (
     ChordGaussian,
+    Component,
     chord_from_component,
     chord_rhs,
     component_centroid,
     component_integral,
+    components,
     diffusion_matrix,
     peak_magnitude,
     rhs_component,
+    stack,
     superposition_moments,
 )
 from test_semiclassical import width_rate
@@ -74,7 +75,7 @@ def random_component(rng, n=1, y_scale=1.0):
     re = re + re.T
     b = re + 1j * im
     z = np.concatenate([rng.normal(size=dim), y_scale * rng.normal(size=dim)])
-    return ComplexGaussian(hbar=1.0, z=z, b=b, alpha=complex(rng.normal(), 0.3), weight=1.0)
+    return Component(hbar=1.0, z=z, b=b, alpha=complex(rng.normal(), 0.3), weight=1.0)
 
 
 class TestBuildK:
@@ -138,7 +139,7 @@ class TestRhsComponent:
             x = rng.normal(size=2) * 2
             r = rng.normal(size=(2, 2))
             g = r @ r.T + 0.5 * np.eye(2)
-            comp = ComplexGaussian(
+            comp = Component(
                 hbar=1.0, z=np.concatenate([x, [0, 0]]), b=2j * g, alpha=0.0, weight=1.0
             )
             zdot, bdot, _ = rhs_component(ksym, comp)
@@ -154,7 +155,7 @@ class TestRhsComponent:
         ksym = build_k(model)
         x = np.array([1.0, -2.0])
         y = np.array([0.7, 0.4])
-        comp = ComplexGaussian(
+        comp = Component(
             hbar=1.0, z=np.concatenate([x, y]), b=2j * np.eye(2), alpha=0.1, weight=1.0
         )
         zdot, bdot, alphadot = rhs_component(ksym, comp)
@@ -181,16 +182,16 @@ class TestRhsComponent:
         (q,), (p,) = real_vars()
         h = (q * q + p * p) * 0.5
         model = LindbladModel(1, 1.0, h, ())
-        comp = ComplexGaussian(
+        comp = Component(
             hbar=1.0,
             z=np.array([1.0, 0.0, 0.3, -0.2]),
             b=np.array([[0.4 + 1.2j, 0.1], [0.1, 1.5j]]),
             alpha=0.2 + 0.1j,
             weight=1.0,
         )
-        series = propagate_superposition(model, SuperpositionState_one(comp), [0.0, 0.6])
+        series = propagate_superposition(model, stack([comp]), [0.0, 0.6])
         rot = rotation(0.6)
-        got = series.state(1).components[0]
+        got = components(series.state(1))[0]
         assert np.allclose(got.x, rot @ comp.x, atol=1e-9)
         assert np.allclose(got.y, rot @ comp.y, atol=1e-9)
         assert np.allclose(got.b, rot @ comp.b @ rot.T, atol=1e-9)
@@ -202,12 +203,6 @@ def rotation(t):
     return np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
 
 
-def SuperpositionState_one(comp):
-    from semilind.gaussian import SuperpositionState
-
-    return SuperpositionState((comp,), norm_factor=1.0)
-
-
 def squeeze_model():
     (q,), (p,) = real_vars()
     return LindbladModel(1, 1.0, q * p, ())
@@ -215,17 +210,17 @@ def squeeze_model():
 
 def squeezed_state(widths):
     """Normalized superposition of real Gaussians at the origin, one per G."""
-    comps = tuple(
-        ComplexGaussian(hbar=1.0, z=np.zeros(4), b=2j * g, alpha=0.0,
-                        weight=np.sqrt(np.linalg.det(g)) / np.pi)
+    comps = [
+        Component(hbar=1.0, z=np.zeros(4), b=2j * g, alpha=0.0,
+                  weight=np.sqrt(np.linalg.det(g)) / np.pi)
         for g in widths
-    )
-    return SuperpositionState(comps).normalized()
+    ]
+    return stack(comps).normalized()
 
 
 def component_track(series, idx):
     """Component idx of a propagated superposition at every output time."""
-    return [series.state(k).components[idx] for k in range(series.times.size)]
+    return [components(series.state(k))[idx] for k in range(series.times.size)]
 
 
 def component_events(series, idx):
@@ -286,10 +281,10 @@ class TestPropagateSuperposition:
         cross = series.cross_magnitudes()
         for k in range(series.times.size):
             st = series.state(k)
-            integrals = np.array([component_integral(c) for c in st.components])
+            integrals = np.array([component_integral(c) for c in components(st)])
             scale = np.max(np.abs(integrals))
             assert np.max(np.abs(series.integrals[k] - integrals)) <= 1e-12 * scale
-            for i, c in enumerate(st.components):
+            for i, c in enumerate(components(st)):
                 want = component_centroid(c)
                 assert np.max(np.abs(series.centroids[k, i] - want)) <= 1e-12 * max(
                     1.0, np.max(np.abs(want)))
@@ -302,12 +297,12 @@ class TestPropagateSuperposition:
             for block in ("alpha_block", "beta_block"):
                 a, b = getattr(moments, block)[k], getattr(want, block)[0]
                 assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
-            peaks = sum(peak_magnitude(c) for c in st.components if np.linalg.norm(c.y) > 1e-8)
+            peaks = sum(peak_magnitude(c) for c in components(st) if np.linalg.norm(c.y) > 1e-8)
             assert cross[k] == pytest.approx(peaks * abs(st.norm_factor), rel=1e-12, abs=1e-300)
 
     def test_every_output_width_is_checked(self, monkeypatch):
         # every component at every output time goes through the check that
-        # ComplexGaussian makes, as one stack
+        # SuperpositionState makes, as one stack
         real, seen = doubled._check_widths, []
 
         def recorded(b):
@@ -319,6 +314,17 @@ class TestPropagateSuperposition:
         propagate_superposition(anharmonic_damped(), cat, np.linspace(0, 0.5, 6))
         assert seen == [(6, 4, 2, 2)]
 
+    def test_state_is_the_series_slice(self):
+        cat = cat_decompose([(2.0, 1.0), (2.0, -1.0)], [1.0, 1.0], np.array([[1j]]))
+        series = propagate_superposition(anharmonic_damped(), cat, np.linspace(0, 0.5, 6))
+        for k in range(series.times.size):
+            st = series.state(k)
+            assert st.hbar == series.hbar and st.norm_factor == series.norm_factors[k]
+            for name in ("z", "b", "alpha", "weights"):
+                got, want = getattr(st, name), getattr(series, name)[k]
+                assert got.shape == want.shape and got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
+
     def test_single_component_matches_semiclassical(self):
         model = anharmonic_damped(beta=0.1, gamma=0.3)
         cat = cat_decompose([(2.0, 1.0)], [1.0], np.array([[1j]]))
@@ -328,7 +334,7 @@ class TestPropagateSuperposition:
             model, GaussianWigner(1.0, np.array([2.0, 1.0]), np.eye(2)), t_eval
         )
         for k in range(t_eval.size):
-            comp = series.state(k).components[0]
+            comp = components(series.state(k))[0]
             assert np.allclose(comp.x, straj.x[k], atol=1e-8)
             assert np.allclose(comp.y, 0, atol=1e-10)
             assert np.allclose(comp.b.imag / 2, straj.g[k], atol=1e-8)
@@ -405,15 +411,14 @@ class TestPropagateSuperposition:
         model = anharmonic_damped(beta=0.1, gamma=0.3)
         widths = [np.eye(2), np.diag([4.0, 0.25]), np.array([[2.0, 0.5], [0.5, 1.0]])]
         rng = np.random.default_rng(22)
-        comps = tuple(
-            ComplexGaussian(hbar=1.0, z=rng.normal(size=4), b=0.3 + 2j * g,
-                            alpha=0.1j, weight=1.0)
+        comps = [
+            Component(hbar=1.0, z=rng.normal(size=4), b=0.3 + 2j * g, alpha=0.1j, weight=1.0)
             for g in widths
-        )
+        ]
         t_eval = np.linspace(0.0, 2.0, 11)
-        series = propagate_superposition(model, SuperpositionState(comps), t_eval)
+        series = propagate_superposition(model, stack(comps), t_eval)
         for idx, comp in enumerate(comps):
-            solo = propagate_superposition(model, SuperpositionState((comp,)), t_eval)
+            solo = propagate_superposition(model, stack([comp]), t_eval)
             assert_tracks_close(component_track(series, idx), component_track(solo, 0), 1e-8)
 
     def test_registered_cat_tracks_are_conjugate_pairs(self):
@@ -470,10 +475,10 @@ class TestPropagateSuperposition:
         # falls from 4 to about 2.9, and alpha alone must carry the amplitude
         # (det B)^{1/4} and the phase (i hbar/4) Tr(dB/dt B^{-1}) would add
         g = np.diag([4.0, 0.25])
-        comp = ComplexGaussian(hbar=1.0, z=np.array([1.0, -0.5, 0.0, 0.0]), b=2j * g,
-                               alpha=0.0, weight=np.sqrt(np.linalg.det(g)) / np.pi)
+        comp = Component(hbar=1.0, z=np.array([1.0, -0.5, 0.0, 0.0]), b=2j * g,
+                         alpha=0.0, weight=np.sqrt(np.linalg.det(g)) / np.pi)
         series = propagate_superposition(anharmonic_damped(beta=0.0, gamma=0.3),
-                                         SuperpositionState((comp,)), np.linspace(0, 5, 11))
+                                         stack([comp]), np.linspace(0, 5, 11))
         dets = [abs(np.linalg.det(c.b)) for c in component_track(series, 0)]
         assert dets[0] == pytest.approx(4.0) and dets[-1] < 3.0
         assert np.max(np.abs(series.raw_norms - 1.0)) <= 1e-8
@@ -498,10 +503,10 @@ class TestPropagateSuperposition:
         cat = cat_decompose([(1.0, 2.0), (1.0, -2.0)], [1.0, 1.0], np.array([[1j]]))
         t_eval = np.array([0.0, 0.7, 1.4])
         series = propagate_superposition(model, cat, t_eval)
-        cross0 = cat.components[1]
+        cross0 = components(cat)[1]
         y0sq = cross0.y @ cross0.y
         for k, t in enumerate(t_eval):
-            got = series.state(k).components[1].alpha.imag
+            got = components(series.state(k))[1].alpha.imag
             want = 0.25 * y0sq * (1 - np.exp(-gamma * t))
             assert got == pytest.approx(want, abs=5e-8)
 
@@ -572,7 +577,7 @@ class TestChord:
 
     def test_width_correspondence_at_zero_y(self):
         g = np.array([[1.3, 0.2], [0.2, 0.9]])
-        comp = ComplexGaussian(
+        comp = Component(
             hbar=1.0, z=np.array([0.5, 0.1, 0.0, 0.0]), b=2j * g, alpha=0.0, weight=1.0
         )
         chord = chord_from_component(comp)

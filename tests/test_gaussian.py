@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from semilind.gaussian import (
-    ComplexGaussian,
     GaussianWigner,
     GridSpec,
     Moments,
@@ -17,11 +16,14 @@ from semilind.gaussian import (
     physicality_of_width,
 )
 from oracles import (
+    Component,
     coherence,
     component_integral,
+    components,
     occupation,
     pair_correlator,
     peak_magnitude,
+    stack,
     superposition_moments,
     wigner_values,
 )
@@ -34,6 +36,12 @@ def wide_grid(n=161, half=8.0):
 def grid_integral(grid):
     """Riemann sum of the sampled values over the grid cells."""
     return grid.values.sum() * grid.spec.dq * grid.spec.dp
+
+
+def component_grid(comp, spec):
+    """The complex values of one component on a grid, read through `_grid`
+    of its one-component superposition."""
+    return WignerGrid(spec, stack([comp])._grid(*spec.axes()))
 
 
 class TestCoherent:
@@ -110,11 +118,12 @@ def random_off_centre_states(rng):
     for _ in range(2):
         re, im = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         b = 0.5 * (re + re.T) + 1j * (im @ im.T + 0.5 * np.eye(2))
-        comps.append(ComplexGaussian(hbar=0.7, z=rng.normal(size=4), b=b,
-                                     alpha=complex(*rng.normal(size=2)),
-                                     weight=complex(*rng.normal(size=2))))
+        comps.append(Component(hbar=0.7, z=rng.normal(size=4), b=b,
+                               alpha=complex(*rng.normal(size=2)),
+                               weight=complex(*rng.normal(size=2))))
     assert min(abs(g[0, 1]), abs(comps[0].b[0, 1]), abs(comps[1].b[0, 1])) > 1e-3
-    return real, comps[0], SuperpositionState(tuple(comps), norm_factor=0.9)
+    state = stack(comps, norm_factor=0.9)
+    return real, components(state)[0], state
 
 
 class TestGridValues:
@@ -123,9 +132,11 @@ class TestGridValues:
         # n_q != n_p and a grid that is not centred on any state
         spec = GridSpec(-5.0, 6.0, 57, -4.5, 3.5, 43)
         for state in random_off_centre_states(np.random.default_rng(seed)):
-            got = eval_wigner(state, spec).values
             want = wigner_values(state, spec.points())
-            if not isinstance(state, ComplexGaussian):
+            if isinstance(state, Component):  # a lone component keeps its complex values
+                got = component_grid(state, spec).values
+            else:
+                got = eval_wigner(state, spec).values
                 want = want.real
             assert got.shape == (57, 43) and got.dtype == want.dtype
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -153,13 +164,13 @@ class TestCatDecompose:
 
     def test_single_gaussian_is_plain(self):
         st = cat_decompose([(1.0, -2.0)], [1.0], np.array([[1j]]))
-        (comp,) = st.components
+        (comp,) = components(st)
         assert np.allclose(comp.y, 0)
         assert comp.alpha == 0
         assert st.norm_factor == pytest.approx(1.0, rel=1e-12)
 
     def test_cross_component_parameters(self):
-        comps = self.state.components
+        comps = components(self.state)
         # ordered pairs: (0,0), (0,1), (1,0), (1,1)
         cross = comps[1]
         assert np.allclose(cross.x, [4.0, 0.0])
@@ -167,7 +178,7 @@ class TestCatDecompose:
         assert cross.alpha == 0
 
     def test_diagonal_centres(self):
-        comps = self.state.components
+        comps = components(self.state)
         assert np.allclose(comps[0].x, [4.0, 3.0])
         assert np.allclose(comps[3].x, [4.0, -3.0])
 
@@ -185,17 +196,17 @@ class TestCatDecompose:
         assert window.max() > 0.1 and window.min() < -0.1
 
     def test_diagonal_matches_gaussian_wigner(self):
-        comps = self.state.components
+        comps = components(self.state)
         lobe = GaussianWigner(hbar=1.0, x=np.array([4.0, 3.0]), g=np.eye(2))
         spec = GridSpec(0, 8, 81, -1, 7, 81)
-        got = eval_wigner(comps[0], spec).values
+        got = component_grid(comps[0], spec).values
         want = eval_wigner(lobe, spec).values
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_analytic_integral_matches_quadrature(self):
         spec = GridSpec(-6, 14, 301, -10, 10, 301)
-        for comp in self.state.components:
-            grid_int = grid_integral(eval_wigner(comp, spec))
+        for comp in components(self.state):
+            grid_int = grid_integral(component_grid(comp, spec))
             assert abs(grid_int - component_integral(comp)) < 1e-8
 
     def test_moments_symmetric_cat(self):
@@ -211,7 +222,7 @@ class TestCatDecompose:
         for block in ("alpha_block", "beta_block"):
             a, b = getattr(got, block), getattr(want, block)
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
-        raw = sum(component_integral(c) for c in state.components)
+        raw = sum(component_integral(c) for c in components(state))
         assert state.normalized().norm_factor == pytest.approx(1.0 / raw.real, rel=1e-12)
 
 
@@ -278,9 +289,9 @@ class TestGridIO:
         assert np.array_equal(np.loadtxt(lines), grid.values)
 
     def test_text_round_trip_complex_component(self):
-        comp = cat_decompose([(2.0, 0.0), (-2.0, 0.0)], [1, 1], np.array([[1j]])).components[1]
+        comp = components(cat_decompose([(2.0, 0.0), (-2.0, 0.0)], [1, 1], np.array([[1j]])))[1]
         spec = GridSpec(-4, 4, 17, -4, 4, 17)
-        grid = eval_wigner(comp, spec)
+        grid = component_grid(comp, spec)
         lines = grid.to_text().splitlines()
         s = grid.spec
         header = [float(v) for v in " ".join(lines[:2]).replace("#", "").split()]
@@ -326,18 +337,67 @@ class TestComplexGaussianChecks:
 
     def test_rejects_nonpositive_im_b(self):
         with pytest.raises(ValueError):
-            ComplexGaussian(
+            stack([Component(
                 hbar=1.0,
                 z=np.zeros(4),
                 b=np.array([[1j, 0], [0, -1j]]),
                 alpha=0.0,
                 weight=1.0,
-            )
+            )])
 
     def test_peak_magnitude_tracks_alpha(self):
-        comp = ComplexGaussian(
+        comp = Component(
             hbar=1.0, z=np.zeros(4), b=2j * np.eye(2), alpha=0.5j, weight=2.0
         )
         assert peak_magnitude(comp) == pytest.approx(2 * np.exp(-0.5))
-        peak = eval_wigner(comp, GridSpec(-1.0, 1.0, 3, -1.0, 1.0, 3)).values[1, 1]
+        peak = component_grid(comp, GridSpec(-1.0, 1.0, 3, -1.0, 1.0, 3)).values[1, 1]
         assert abs(peak) == pytest.approx(2 * np.exp(-0.5), rel=1e-14)
+
+
+def good_stack():
+    """(hbar, z, b, alpha, weights) of a valid two-component, one-mode stack."""
+    return 1.0, np.zeros((2, 4)), np.tile(2j * np.eye(2), (2, 1, 1)), np.zeros(2), np.ones(2)
+
+
+class TestSuperpositionStack:
+    def test_valid_stack_is_stored_as_given(self):
+        hbar, z, b, alpha, weights = good_stack()
+        st = SuperpositionState(hbar, z, b, alpha, weights, norm_factor=0.5)
+        assert st.n_modes == 1 and st.norm_factor == 0.5
+        assert st.z.dtype == float and st.b.dtype == st.alpha.dtype == st.weights.dtype == complex
+        assert np.array_equal(st.b, b) and np.array_equal(st.weights, weights)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("z", np.zeros((0, 4)), "at least one component"),
+        ("z", np.zeros((2, 6)), "rows of length 4n"),
+        ("b", np.tile(2j * np.eye(3), (2, 1, 1)), "B shape does not match z"),
+        ("b", 2j * np.eye(2)[None], "B shape does not match z"),
+        ("alpha", np.zeros(3), "one entry per component"),
+        ("weights", np.ones(1), "one entry per component"),
+        ("b", np.array([2j * np.eye(2), np.diag([1j, -1j])]), "Im B must be positive definite"),
+    ], ids=["no-component", "z-row-length", "b-wide", "b-one-matrix", "alpha-length",
+            "weights-length", "im-b-indefinite"])
+    def test_malformed_stack_raises(self, field, value, message):
+        fields = dict(zip(("hbar", "z", "b", "alpha", "weights"), good_stack()))
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            SuperpositionState(**fields)
+
+    def test_three_packet_cat_closed_form(self):
+        # component 3 i + j is the ordered pair (i, j) of packets
+        centres = [(1.0, -2.0), (-0.5, 0.75), (3.0, 1.5)]
+        coeffs = [1.0, -0.5 + 2j, 0.25j]
+        hbar, width = 0.5, np.array([[0.3 + 1.2j]])
+        st = cat_decompose(centres, coeffs, width, hbar=hbar)
+        assert st.z.shape == (9, 4) and st.b.shape == (9, 2, 2)
+        assert np.array_equal(st.b, np.broadcast_to(2j * g_from_a(width), (9, 2, 2)))
+        for i, ((qi, pi), ci) in enumerate(zip(centres, coeffs)):
+            for j, ((qj, pj), cj) in enumerate(zip(centres, coeffs)):
+                k = 3 * i + j
+                z = [(qi + qj) / 2, (pi + pj) / 2, pj - pi, qi - qj]
+                assert np.allclose(st.z[k], z, rtol=0, atol=1e-15)
+                assert st.alpha[k] == pytest.approx((pi + pj) * (qi - qj) / 2, rel=1e-15)
+                weight = np.conj(ci) * cj / (np.pi * hbar)
+                assert st.weights[k] == pytest.approx(weight, rel=1e-15)
+        raw = sum(component_integral(c) for c in components(st))
+        assert st.norm_factor == pytest.approx(1.0 / raw.real, rel=1e-12)

@@ -182,12 +182,12 @@ class TestConfig:
     def test_value_of_wrong_type_is_config_error(self, key, value, tmp_path, capsys):
         d = default_config("cat_anharmonic")
         d[key] = value
-        with pytest.raises(ConfigError, match=rf"^config\.{key}: "):
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
             ExperimentConfig.from_dict(d)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(d))
         assert cli_main(["run", str(path)]) == 1
-        assert f"config.{key}: " in capsys.readouterr().err
+        assert f"error: {key}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [[1], None, "x", 3], ids=["list", "null", "string", "number"])
     def test_document_that_is_not_a_mapping_is_config_error(self, doc, tmp_path, capsys):
@@ -202,13 +202,13 @@ class TestConfig:
 
 
     @pytest.mark.parametrize("name, path, value, message", [
-        ("limit_cycle", ("hbar",), float("nan"), "config.hbar: must be a finite number"),
-        ("limit_cycle", ("ode_rtol",), float("nan"), "config.ode_rtol: must be a finite number"),
-        ("limit_cycle", ("ode_atol",), float("nan"), "config.ode_atol: must be a finite number"),
+        ("limit_cycle", ("hbar",), float("nan"), "hbar: must be a finite number"),
+        ("limit_cycle", ("ode_rtol",), float("nan"), "ode_rtol: must be a finite number"),
+        ("limit_cycle", ("ode_atol",), float("nan"), "ode_atol: must be a finite number"),
         ("cat_anharmonic", ("tolerances", "moment_rms_rel"), float("inf"),
-         "config.tolerances.moment_rms_rel: must be a finite number"),
+         "tolerances.moment_rms_rel: must be a finite number"),
         ("cat_anharmonic", ("tolerances", "moment_rms_rel"), float("nan"),
-         "config.tolerances.moment_rms_rel: must be a finite number"),
+         "tolerances.moment_rms_rel: must be a finite number"),
         ("cat_anharmonic", ("times", "frames"), [0.5, float("nan")],
          "times.frames: must be a finite number"),
         ("limit_cycle", ("initial", "amplitudes"), [[float("nan"), 0.0]],
@@ -221,8 +221,8 @@ class TestConfig:
          "initial.width: must be a finite number"),
         ("portrait_limit_cycle", ("portrait", "starts"), [[4.0, float("nan")]],
          "portrait.starts: must be a finite number"),
-        ("limit_cycle", ("seed",), float("inf"), "config.seed: cannot convert"),
-        ("limit_cycle", ("fock_levels",), float("inf"), "config.fock_levels: cannot convert"),
+        ("limit_cycle", ("seed",), float("inf"), "seed: cannot convert"),
+        ("limit_cycle", ("fock_levels",), float("inf"), "fock_levels: cannot convert"),
         ("limit_cycle", ("times", "n_out"), float("inf"), "times.n_out: cannot convert"),
         ("limit_cycle", ("grid", "n_q"), float("inf"), "grid.n_q: cannot convert"),
     ])
@@ -250,7 +250,7 @@ class TestConfig:
         # the ensemble stderr is a sample standard deviation, undefined for one trajectory
         d = default_config("bose_hubbard_losses")
         d["n_trajectories"] = 1
-        with pytest.raises(ConfigError, match=r"^config\.n_trajectories: must be at least 2, got 1"):
+        with pytest.raises(ConfigError, match=r"^n_trajectories: must be at least 2, got 1"):
             ExperimentConfig.from_dict(d)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(d))
@@ -258,18 +258,18 @@ class TestConfig:
         assert "n_trajectories: must be at least 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path, value, message", [
-        (("fock_levels",), 3.9, "config.fock_levels: must be an integer, got 3.9"),
-        (("seed",), True, "config.seed: must be a number, got True"),
-        (("fock_levels",), "3", "config.fock_levels: must be a number, got '3'"),
-        (("hbar",), "1", "config.hbar: must be a number, got '1'"),
+        (("fock_levels",), 3.9, "fock_levels: must be an integer, got 3.9"),
+        (("seed",), True, "seed: must be a number, got True"),
+        (("fock_levels",), "3", "fock_levels: must be a number, got '3'"),
+        (("hbar",), "1", "hbar: must be a number, got '1'"),
         (("times", "t_end"), True, "times.t_end: must be a number, got True"),
         (("grid", "q_min"), "-8", "grid.q_min: must be a number, got '-8'"),
         (("model", "lindblads"), "1", "model.lindblads: must be a list, got '1'"),
         (("times", "frames"), "12", "times.frames: must be a list, got '12'"),
-        (("solvers",), "master", "config.solvers: must be a list, got 'master'"),
-        (("ode_rtol",), 0, "config.ode_rtol: must be positive, got 0"),
-        (("fock_levels",), 1, "config.fock_levels: must be at least 2, got 1"),
-        (("seed",), 2**64, f"config.seed: must be at most {2**64 - 1}, got {2**64}"),
+        (("solvers",), "master", "solvers: must be a list, got 'master'"),
+        (("ode_rtol",), 0, "ode_rtol: must be positive, got 0"),
+        (("fock_levels",), 1, "fock_levels: must be at least 2, got 1"),
+        (("seed",), 2**64, f"seed: must be at most {2**64 - 1}, got {2**64}"),
     ], ids=["fractional", "boolean", "numeric-string", "string-scale", "boolean-time",
             "string-bound", "lindblads-string", "frames-string", "solvers-string", "zero-rtol",
             "one-level", "seed-above-64-bits"])
@@ -900,17 +900,17 @@ class TestRowKinds:
         ("limit_cycle", ("initial", "amplitudes"), "ab",
          "initial.amplitudes: complex values are [re, im] pairs, got 'a'"),
         ("cat_anharmonic", ("tolerances", "t_short"), -1.0,
-         "config.tolerances.t_short: must be positive, got -1.0"),
+         "tolerances.t_short: must be positive, got -1.0"),
         ("limit_cycle", ("tolerances", "t_short"), 0.1,
-         "config.tolerances.t_short: 0.1 holds no output time after t = 0; the first is 0.5"),
+         "tolerances.t_short: 0.1 holds no output time after t = 0; the first is 0.5"),
         ("limit_cycle", ("tolerances", "slope_window"), 0.1,
-         "config.tolerances.slope_window: 0.1 holds fewer than two output times"),
+         "tolerances.slope_window: 0.1 holds fewer than two output times"),
         ("limit_cycle", ("tolerances", "alpha_rel_short"), 0.0,
-         "config.tolerances.alpha_rel_short: must be positive, got 0.0"),
+         "tolerances.alpha_rel_short: must be positive, got 0.0"),
         ("bose_hubbard_losses", ("tolerances", "g12_min_decay"), -0.05,
-         "config.tolerances.g12_min_decay: must be positive, got -0.05"),
+         "tolerances.g12_min_decay: must be positive, got -0.05"),
         ("cat_anharmonic", ("tolerances", "cross_monotone_slack"), -1e-9,
-         "config.tolerances.cross_monotone_slack: must not be negative, got -1e-09"),
+         "tolerances.cross_monotone_slack: must not be negative, got -1e-09"),
         ("cat_anharmonic", ("fock_levels",), 20,
          "fock_levels: the master row's initial state puts 4.36e-02 in the top of 20 levels, "
          "above the 1e-10 the master equation starts from"),
@@ -943,6 +943,101 @@ class TestRowKinds:
             run_experiment(ExperimentConfig.from_dict(d))
         assert calls == []
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+_DELETE = object()  # an edit that removes its key
+_CAT_INITIAL = default_config("cat_anharmonic")["initial"]
+_GRID = {"q_min": -5.0, "q_max": 5.0, "n_q": 20, "p_min": -5.0, "p_max": 5.0, "n_p": 20}
+
+
+def _run(d):
+    return run_experiment(ExperimentConfig.from_dict(d))
+
+
+# One bad config per ConfigError message: (id, experiment, edits, how it is
+# read, the path its message must start with).  An edit is (path, value).
+CONFIG_ERRORS = [
+    ("not-a-mapping", "limit_cycle", [], lambda d: ExperimentConfig.from_dict([d]), "config"),
+    ("missing-root-key", "limit_cycle", [(("experiment",), _DELETE)], _run, "config"),
+    ("unknown-root-key", "limit_cycle", [(("extra",), 1)], _run, "config"),
+    ("root-value", "limit_cycle", [(("hbar",), 0.0)], _run, "hbar"),
+    ("seed-override", "limit_cycle", [],
+     lambda d: ExperimentConfig.from_dict(d).with_seed(-1), "seed"),
+    ("missing-section-key", "limit_cycle", [(("model", "hamiltonian"), _DELETE)], _run,
+     "model"),
+    ("unknown-section-key", "limit_cycle", [(("model", "extra"), 1)], _run, "model"),
+    ("section-value", "limit_cycle", [(("model", "n_modes"), 0)], _run, "model.n_modes"),
+    ("chart", "limit_cycle", [(("model", "chart"), "polar")], _run, "model.chart"),
+    ("initial-kind", "limit_cycle", [(("initial", "kind"), "fock")], _run, "initial.kind"),
+    ("width-sign", "cat_anharmonic", [(("initial", "width"), [0.0, -1.0])], _run,
+     "initial.width"),
+    ("frames-one-file", "cat_anharmonic", [(("times", "frames"), [0.5, 0.5])], _run,
+     "times.frames"),
+    ("frame-off-grid", "cat_anharmonic", [(("times", "frames"), [0.333])], _run,
+     "times.frames"),
+    ("degenerate-grid", "cat_anharmonic", [(("grid", "n_q"), 0)], _run, "grid"),
+    ("degenerate-portrait", "portrait_limit_cycle", [(("portrait", "n_q"), 0)], _run,
+     "portrait"),
+    ("tolerance-value", "limit_cycle", [(("tolerances", "t_short"), float("nan"))], _run,
+     "tolerances.t_short"),
+    ("tolerance-meaning", "cat_anharmonic", [(("tolerances", "cross_monotone_slack"), -1.0)],
+     _run, "tolerances.cross_monotone_slack"),
+    ("unknown-tolerance", "cat_anharmonic", [(("tolerances", "wigner_sup"), 1.0)], _run,
+     "tolerances"),
+    ("t-short-window", "limit_cycle", [(("tolerances", "t_short"), 0.1)], _run,
+     "tolerances.t_short"),
+    ("slope-window", "limit_cycle", [(("tolerances", "slope_window"), 0.1)], _run,
+     "tolerances.slope_window"),
+    ("unknown-experiment", "cat_anharmonic", [(("experiment",), "nope")], _run, "experiment"),
+    ("portrait-of-no-flow", "limit_cycle", [],
+     lambda d: run_portrait(ExperimentConfig.from_dict(d)), "experiment"),
+    ("unknown-solver", "cat_anharmonic", [(("solvers",), ["dubled"])], _run, "solvers"),
+    ("no-solver", "cat_anharmonic", [(("solvers",), [])], _run, "solvers"),
+    ("multi-mode-grid", "bose_hubbard_losses", [(("grid",), _GRID)], _run, "grid"),
+    ("multi-mode-portrait", "bose_hubbard_losses",
+     [(("portrait",), default_config("portrait_limit_cycle")["portrait"])], _run, "portrait"),
+    ("experiment-modes", "bose_hubbard_losses",
+     [(("model",), {"n_modes": 1, "chart": "complex", "hamiltonian": "0.025*a1^2 a1bar^2",
+                    "lindblads": ["0.2*a1^2"]})], _run, "model.n_modes"),
+    ("row-kind", "cat_anharmonic", [(("initial",), default_config("limit_cycle")["initial"])],
+     _run, "initial.kind"),
+    ("amplitude-count", "limit_cycle", [(("initial", "amplitudes"), [[1.0, 0.0], [0.0, 1.0]])],
+     _run, "initial.amplitudes"),
+    ("multi-mode-cat", "bose_hubbard_losses",
+     [(("initial",), _CAT_INITIAL), (("solvers",), ["jumps"])], _run, "initial.kind"),
+    ("fock-hbar", "limit_cycle", [(("hbar",), 0.5)], _run, "hbar"),
+    ("fock-width", "cat_anharmonic", [(("initial", "width"), [0.0, 2.0])], _run,
+     "initial.width"),
+    ("fock-truncation", "cat_anharmonic", [(("fock_levels",), 20)], _run, "fock_levels"),
+]
+
+
+class TestConfigErrorPaths:
+    @pytest.mark.parametrize("name, edits, read, key",
+                             [case[1:] for case in CONFIG_ERRORS],
+                             ids=[case[0] for case in CONFIG_ERRORS])
+    def test_message_starts_with_the_key_path(self, name, edits, read, key, tmp_path,
+                                              monkeypatch):
+        """Every ConfigError starts with the path of the key at fault as the
+        document spells it from its root, then ': '; a fault of the whole
+        document starts 'config: '.  No case reaches a solver."""
+        d = default_config(name)
+        d["output_dir"] = str(tmp_path)
+        for path, value in edits:
+            section = d
+            for part in path[:-1]:
+                section = section[part]
+            if value is _DELETE:
+                del section[path[-1]]
+            else:
+                section[path[-1]] = value
+        for fn in ("integrate", "propagate_superposition", "quantum_jump", "integrate_master",
+                   "solve_ivp"):
+            monkeypatch.setattr(f"semilind.harness.experiments.{fn}",
+                                lambda *a, _fn=fn, **k: pytest.fail(f"{_fn} ran"))
+        with pytest.raises(ConfigError) as info:
+            read(d)
+        assert str(info.value).startswith(f"{key}: "), str(info.value)
 
 
 ODE_MODULES =("semilind.semiclassical", "semilind.doubled", "semilind.quantum",
@@ -1211,7 +1306,7 @@ class TestCli:
             assert cli_main(argv) == 1
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
-        assert errors[0] == f"error: unknown experiment 'nope'; known: {sorted(EXPERIMENTS)}\n"
+        assert errors[0] == f"error: experiment: unknown 'nope'; known: {sorted(EXPERIMENTS)}\n"
         assert not (tmp_path / "nope").exists()
 
     def test_compare_cli(self, tmp_path, capsys):
