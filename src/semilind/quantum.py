@@ -21,16 +21,18 @@ steps between output times with exact dense block propagators, and
 otherwise it integrates the whole real superoperator with the adaptive
 eighth-order Dormand-Prince method (DOP853).
 The jump ensemble diagonalizes each block of the effective Hamiltonian, such
-as a number sector of the lossy lattice.  The Wigner transform of a density
-matrix is exact and separable: a 45-degree rotation of (x, x') turns it into
-two matrix products with tables of Hermite functions on the grid axes, and
-the frames of one call share the rotation blocks and the tables.
+as a number sector of the lossy lattice, and runs its trajectories as two
+halves on two threads.  The Wigner transform of a density matrix is exact
+and separable: a 45-degree rotation of (x, x') turns it into two matrix
+products with tables of Hermite functions on the grid axes, and the frames
+of one call share the rotation blocks and the tables.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -789,6 +791,36 @@ def _trajectory_key(seed: int, index: int) -> int:
     return (seed << 64) | index
 
 
+class _RowGather:
+    """Product of a sparse square operator with each row x of an array, by
+    gathers instead of a CSR product.  Row i of the operator holds at most
+    K entries; `cols[:, i]` and `coef[:, i]` list them in CSR order, padded
+    with column 0 and value 0, and entry i of the product is
+    sum_k coef[k, i] * x[cols[k, i]].  With one entry per row the result
+    equals the CSR product bit for bit."""
+
+    def __init__(self, op):
+        op = sp.csr_array(op)
+        counts = np.diff(op.indptr)
+        rows = np.repeat(np.arange(op.shape[0]), counts)
+        rank = np.arange(op.nnz) - np.repeat(op.indptr[:-1], counts)
+        k = max(int(counts.max(initial=0)), 1)
+        self.cols = np.zeros((k, op.shape[0]), dtype=np.intp)
+        self.coef = np.zeros((k, op.shape[0]), dtype=op.dtype)
+        self.cols[rank, rows], self.coef[rank, rows] = op.indices, op.data
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = self.coef[0] * x[:, self.cols[0]]
+        for cols, coef in zip(self.cols[1:], self.coef[1:]):
+            out += coef * x[:, cols]
+        return out
+
+
+# The ensemble runs as this many contiguous parts of its trajectories, one
+# thread each; fixed, so that the output never depends on the host's cores.
+_PARTS = 2
+
+
 def quantum_jump(
     model: LindbladModel,
     psi0: np.ndarray,
@@ -799,7 +831,8 @@ def quantum_jump(
 ) -> JumpEnsemble:
     """Monte Carlo wavefunction unravelling of the master equation, with
     `n_traj` >= 1 trajectories, at the times `t_eval`, which must increase
-    strictly.
+    strictly, from the state `psi0`, a vector of length `fock.dim` with
+    finite entries and a nonzero norm.
 
     Between jumps the unnormalized state evolves under
     H - (i/2) sum_k Ldag_k L_k; a jump fires when the squared norm crosses a
@@ -812,40 +845,58 @@ def quantum_jump(
 
     Each trajectory owns a counter-based Philox stream whose 128-bit key
     holds the seed in its high 64 bits and the trajectory index in its low
-    64 bits, so no two (seed, trajectory) pairs share a stream, and
-    ensembles are reproducible and independent of batching order.
+    64 bits, so no two (seed, trajectory) pairs share a stream, and a
+    trajectory draws the same numbers however the ensemble is batched.  Its
+    arithmetic agrees across batchings to rounding only: the batched
+    products may round a row differently, by about 1e-14 in the series.
 
     `series` holds, per trajectory, each mode's occupation `occ_<j>` and
     the real and imaginary parts of each cross observable <a_i^dag a_j>,
-    i < j (`re_adag_a_<i>_<j>`, `im_adag_a_<i>_<j>`); the jump operators and
-    the cross observables are CSR matrices.  The no-jump evolution uses the
-    eigendecomposition of each connected block of the effective
-    Hamiltonian; for the lossy lattice these are its number sectors.  The
-    ensemble is held in the propagator's bin layout as eigenbasis
-    coefficients C and states V C, and every operator is moved into that
-    layout once.  A trajectory that does not jump in an output interval
-    costs one phase multiply and one product by V; only the states that
-    jump are mapped back to coefficients.
+    i < j (`re_adag_a_<i>_<j>`, `im_adag_a_<i>_<j>`).  The no-jump
+    evolution uses the eigendecomposition of each connected block of the
+    effective Hamiltonian; for the lossy lattice these are its number
+    sectors.  The ensemble is held in the propagator's bin layout as
+    eigenbasis coefficients C and states V C, and every operator is moved
+    into that layout once; the jump operators and the cross observables
+    act on the states as row gathers (`_RowGather`).  A trajectory that
+    does not jump in an output interval costs one phase multiply and one
+    product by V; only the states that jump are mapped back to
+    coefficients.
+
+    With `n_traj` >= 2 the trajectories run as two contiguous halves, each
+    on its own thread, joined before the call returns; an exception in
+    either half is raised here.  The halves write disjoint columns of the
+    series, so the result is the same on any number of cores.  Pin BLAS to
+    one thread (``OPENBLAS_NUM_THREADS=1``), or the two threads' products
+    contend for the cores.
     """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (fock.dim,):
+        raise ValueError(f"psi0 must be a vector of length {fock.dim}, got shape {psi0.shape}")
+    if not np.all(np.isfinite(psi0)):
+        raise ValueError("psi0 has a non-finite entry")
+    norm0 = np.linalg.norm(psi0)
+    if norm0 == 0:
+        raise ValueError("psi0 has zero norm")
     t_eval = _check_times(t_eval)
+    # Everything that calls into the symbol and operator layers runs here,
+    # on the calling thread, before the trajectories split.
     h, ls = _model_matrices(model, fock)
     prop = _SectorPropagator(h - 0.5j * sum(L.conj().T @ L for L in ls))
-    ls = [prop.embed(L, operator=True) for L in ls]
-
-    psi0 = np.asarray(psi0, dtype=complex)
-    psi0 = prop.embed(psi0 / np.linalg.norm(psi0))
+    jumps = [_RowGather(prop.embed(L, operator=True)) for L in ls]
+    psi0 = prop.embed(psi0 / norm0)
 
     number_diags = [prop.embed((a.conj().T @ a).diagonal().real) for a in fock._lowering]
     top_mask = prop.embed(fock._top_mask)
     cross_ops = {}
     for i in range(fock.n_modes):
         for j in range(i + 1, fock.n_modes):
-            cross_ops[f"adag_a_{i+1}_{j+1}"] = fock._lowering[i].conj().T @ fock._lowering[j]
-    cross_ops = {name: prop.embed(op, operator=True) for name, op in cross_ops.items()}
+            op = fock._lowering[i].conj().T @ fock._lowering[j]
+            cross_ops[f"adag_a_{i+1}_{j+1}"] = _RowGather(prop.embed(op, operator=True))
 
     names = [f"occ_{j+1}" for j in range(fock.n_modes)]
     cross_names = sorted(cross_ops)
@@ -853,86 +904,100 @@ def quantum_jump(
     for name in cross_names:
         series["re_" + name] = np.zeros((t_eval.size, n_traj))
         series["im_" + name] = np.zeros((t_eval.size, n_traj))
-    leakage = np.zeros(t_eval.size)
-
-    rngs = [
-        np.random.default_rng(np.random.Philox(key=_trajectory_key(seed, k)))
-        for k in range(n_traj)
-    ]
-    thresholds = np.array([rng.uniform() for rng in rngs])
+    leakage = np.zeros((t_eval.size, n_traj))  # each trajectory's top-level population
     jump_counts = np.zeros(n_traj, dtype=int)
-    norm_evals = max_norm_evals = 0
 
-    # each trajectory's state and its eigenbasis coefficients, one row each,
-    # at the trajectory's own time
-    states = np.tile(psi0, (n_traj, 1))
-    coeffs = prop.coeffs(states)
+    def run(part: slice):
+        """Run the trajectories of `part`, writing their columns of the
+        outputs; returns their norm evaluations and the most on one crossing."""
+        n_part = part.stop - part.start
+        out = {name: arr[:, part] for name, arr in series.items()}
+        leak, counts = leakage[:, part], jump_counts[part]
+        rngs = [
+            np.random.default_rng(np.random.Philox(key=_trajectory_key(seed, k)))
+            for k in range(part.start, part.stop)
+        ]
+        thresholds = np.array([rng.uniform() for rng in rngs])
+        norm_evals = max_norm_evals = 0
 
-    def record(k, states):
-        pops = np.abs(states) ** 2
-        norms = np.sum(pops, axis=1)
-        for j, name in enumerate(names):
-            series[name][k] = (pops @ number_diags[j]) / norms
-        leakage[k] = np.mean((pops @ top_mask) / norms)
-        for name in cross_names:
-            vals = np.vecdot(states, states @ cross_ops[name].T, axis=1) / norms
-            series["re_" + name][k] = vals.real
-            series["im_" + name][k] = vals.imag
+        # each trajectory's state and its eigenbasis coefficients, one row
+        # each, at the trajectory's own time
+        states = np.tile(psi0, (n_part, 1))
+        coeffs = prop.coeffs(states)
 
-    record(0, states)
-    for k in range(1, t_eval.size):
-        dt = t_eval[k] - t_eval[k - 1]
-        active = np.arange(n_traj)
-        offsets = np.zeros(n_traj)  # elapsed time within the interval per trajectory
-        guard = 0
-        while active.size:
-            guard += 1
-            if guard > 10000:
-                raise RuntimeError("step underflow near jump accumulation")
-            remain = dt - offsets[active]
-            whole = active.size == n_traj  # then active is every trajectory, in order
-            x = prop.evolve(coeffs if whole else coeffs[active], remain)
-            y = prop.states(x)
-            norms = np.vecdot(y, y, axis=1).real
-            crossed = norms < thresholds[active]
-            if whole:
-                # the crossing rows stay where they are
-                x[crossed], y[crossed] = coeffs[crossed], states[crossed]
-                coeffs, states = x, y
-            else:
-                done = ~crossed
-                coeffs[active[done]], states[active[done]] = x[done], y[done]
-            if not crossed.any():
-                break
-            idx = active[crossed]
-            csub = coeffs[idx]
-            n0 = np.vecdot(states[idx], states[idx], axis=1).real
-            s_jump, evals = _crossing_times(prop, csub, remain[crossed], n0, norms[crossed],
-                                            thresholds[idx])
-            norm_evals += int(evals.sum())
-            max_norm_evals = max(max_norm_evals, int(evals.max()))
-            at_jump = prop.states(prop.evolve(csub, s_jump))
-            # option 0 keeps the state, for a row with no decay channel open
-            options = np.stack([at_jump] + [at_jump @ L.T for L in ls])
-            weights = np.sum(np.abs(options[1:]) ** 2, axis=2)
-            wsum = weights.sum(axis=0)
-            pick = np.zeros(idx.size, dtype=int)
-            for i, traj in enumerate(idx):
-                rng = rngs[traj]
-                if wsum[i] > 0:
-                    u = rng.uniform() * wsum[i]
-                    pick[i] = 1 + min(int(np.searchsorted(np.cumsum(weights[:, i]), u)),
-                                      len(ls) - 1)
-                thresholds[traj] = rng.uniform()
-            psi = options[pick, np.arange(idx.size)]
-            states[idx] = psi / np.sqrt(np.vecdot(psi, psi, axis=1).real)[:, None]
-            coeffs[idx] = prop.coeffs(states[idx])
-            jump_counts[idx] += 1
-            offsets[idx] += s_jump
-            active = idx
-        record(k, states)
+        def record(k, states):
+            pops = np.abs(states) ** 2
+            norms = np.sum(pops, axis=1)
+            for j, name in enumerate(names):
+                out[name][k] = (pops @ number_diags[j]) / norms
+            leak[k] = (pops @ top_mask) / norms
+            for name in cross_names:
+                vals = np.vecdot(states, cross_ops[name](states), axis=1) / norms
+                out["re_" + name][k] = vals.real
+                out["im_" + name][k] = vals.imag
+
+        record(0, states)
+        for k in range(1, t_eval.size):
+            dt = t_eval[k] - t_eval[k - 1]
+            active = np.arange(n_part)
+            offsets = np.zeros(n_part)  # elapsed time within the interval per trajectory
+            guard = 0
+            while active.size:
+                guard += 1
+                if guard > 10000:
+                    raise RuntimeError("step underflow near jump accumulation")
+                remain = dt - offsets[active]
+                whole = active.size == n_part  # then active is every trajectory, in order
+                x = prop.evolve(coeffs if whole else coeffs[active], remain)
+                y = prop.states(x)
+                norms = np.vecdot(y, y, axis=1).real
+                crossed = norms < thresholds[active]
+                if whole:
+                    # the crossing rows stay where they are
+                    x[crossed], y[crossed] = coeffs[crossed], states[crossed]
+                    coeffs, states = x, y
+                else:
+                    done = ~crossed
+                    coeffs[active[done]], states[active[done]] = x[done], y[done]
+                if not crossed.any():
+                    break
+                idx = active[crossed]
+                csub = coeffs[idx]
+                n0 = np.vecdot(states[idx], states[idx], axis=1).real
+                s_jump, evals = _crossing_times(prop, csub, remain[crossed], n0,
+                                                norms[crossed], thresholds[idx])
+                norm_evals += int(evals.sum())
+                max_norm_evals = max(max_norm_evals, int(evals.max()))
+                at_jump = prop.states(prop.evolve(csub, s_jump))
+                # option 0 keeps the state, for a row with no decay channel open
+                options = np.stack([at_jump] + [jump(at_jump) for jump in jumps])
+                weights = np.sum(np.abs(options[1:]) ** 2, axis=2)
+                wsum = weights.sum(axis=0)
+                pick = np.zeros(idx.size, dtype=int)
+                for i, traj in enumerate(idx):
+                    rng = rngs[traj]
+                    if wsum[i] > 0:
+                        u = rng.uniform() * wsum[i]
+                        pick[i] = 1 + min(int(np.searchsorted(np.cumsum(weights[:, i]), u)),
+                                          len(jumps) - 1)
+                    thresholds[traj] = rng.uniform()
+                psi = options[pick, np.arange(idx.size)]
+                states[idx] = psi / np.sqrt(np.vecdot(psi, psi, axis=1).real)[:, None]
+                coeffs[idx] = prop.coeffs(states[idx])
+                counts[idx] += 1
+                offsets[idx] += s_jump
+                active = idx
+            record(k, states)
+        return norm_evals, max_norm_evals
+
+    parts = min(_PARTS, n_traj)
+    edges = [n_traj * p // parts for p in range(parts + 1)]
+    with ThreadPoolExecutor(parts, thread_name_prefix="quantum_jump") as pool:
+        futures = [pool.submit(run, slice(lo, hi)) for lo, hi in zip(edges, edges[1:])]
+        evals = [future.result() for future in futures]
     return JumpEnsemble(
         times=t_eval.copy(), n_traj=n_traj, seed=seed, series=series, jump_counts=jump_counts,
-        n_blocks=prop.n_blocks, max_block=prop.max_block, max_leakage=float(leakage.max()),
-        norm_evals=norm_evals, max_norm_evals=max_norm_evals,
+        n_blocks=prop.n_blocks, max_block=prop.max_block,
+        max_leakage=float(leakage.mean(axis=1).max()),
+        norm_evals=sum(e for e, _ in evals), max_norm_evals=max(m for _, m in evals),
     )

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -33,6 +35,7 @@ from semilind.quantum import (
     _blockwise,
     _crossing_times,
     _HermitianCoords,
+    _RowGather,
     _liouvillian,
     _log_factorials,
     _model_matrices,
@@ -976,6 +979,38 @@ class TestSectorPropagator:
         assert np.allclose(dn, -weight, rtol=1e-10, atol=0)
 
 
+class TestRowGather:
+    def test_registered_lattice_operators_bit_for_bit(self):
+        heff, f = lattice_heff(26)
+        part = _BlockPartition(heff)
+        _, ls = _model_matrices(registered_model("bose_hubbard_losses"), f)
+        a1, a2 = f._lowering
+        ops = [*ls, a1 @ a1, a2 @ a2, a1.conj().T @ a2]
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((3, part.n_slots)) + 1j * rng.standard_normal((3, part.n_slots))
+        for op in ops:
+            op = part.embed(op, operator=True)
+            gather = _RowGather(op)
+            assert gather.cols.shape == (1, part.n_slots)  # one entry per row
+            assert np.array_equal(gather(x), x @ op.T)
+
+    def test_random_operator_with_up_to_three_entries_per_row(self):
+        rng = np.random.default_rng(12)
+        n = 40
+        counts = rng.integers(0, 4, n)
+        assert counts.min() == 0 and counts.max() == 3
+        rows = np.repeat(np.arange(n), counts)
+        cols = np.concatenate([rng.choice(n, c, replace=False) for c in counts])
+        vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+        op = sp.csr_array((vals, (rows, cols)), shape=(n, n))
+        gather = _RowGather(op)
+        assert gather.cols.shape == (3, n)
+        x = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        want = (op @ x.T).T
+        assert np.all(gather(x)[:, counts == 0] == 0)
+        assert np.allclose(gather(x), want, rtol=1e-15, atol=1e-15 * np.abs(want).max())
+
+
 def crossing_run(prop, psi, remain, thresholds):
     """`_crossing_times` for one state against several thresholds."""
     r = np.asarray(thresholds, dtype=float)
@@ -1156,7 +1191,7 @@ class TestQuantumJump:
         e1 = quantum_jump(model, psi0, t_eval, n_traj=40, seed=9, fock=f)
         e2 = quantum_jump(model, psi0, t_eval, n_traj=40, seed=9, fock=f)
         assert np.array_equal(e1.series["occ_1"], e2.series["occ_1"])
-        # first 20 trajectories of a larger run match a smaller run exactly
+        # first 20 trajectories of a larger run match a smaller run to rounding
         e3 = quantum_jump(model, psi0, t_eval, n_traj=20, seed=9, fock=f)
         assert np.allclose(e1.series["occ_1"][:, :20], e3.series["occ_1"], atol=1e-12)
 
@@ -1187,3 +1222,90 @@ class TestQuantumJump:
                 quantum_jump(model, psi0, t_eval, n_traj=20, seed=0, fock=f)
         with pytest.raises(ValueError, match="n_traj must be at least 1, got 0"):
             quantum_jump(model, psi0, [0.0, 1.0], n_traj=0, seed=0, fock=f)
+
+
+    def test_two_halves_match_one_part(self, monkeypatch):
+        import semilind.quantum as quantum
+
+        model = registered_model("bose_hubbard_losses")
+        f = FockSpace([8, 8])
+        psi0 = f.coherent_vector([1.5j, 1.5])
+        t_eval = np.linspace(0.0, 2.0, 9)
+        threads = set()
+        crossing_times = quantum._crossing_times
+
+        def recording(*args):
+            threads.add(threading.current_thread().name)
+            return crossing_times(*args)
+
+        monkeypatch.setattr(quantum, "_crossing_times", recording)
+
+        def run():
+            threads.clear()
+            before = set(threading.enumerate())
+            ens = quantum_jump(model, psi0, t_eval, n_traj=41, seed=23, fock=f)
+            assert set(threading.enumerate()) == before
+            return ens, set(threads)
+
+        halves, used = run()
+        assert len(used) == 2 and threading.main_thread().name not in used
+        # more parts than cores, with the interpreter switching threads as
+        # often as it can: a lost or misplaced write would show
+        monkeypatch.setattr(quantum, "_PARTS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            eighths, _ = run()
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(quantum, "_PARTS", 1)
+        whole, used = run()
+        assert len(used) == 1
+        # trajectories 0-19 and 20-40 are the halves; both jump
+        assert halves.jump_counts[:20].sum() > 0 and halves.jump_counts[20:].sum() > 0
+        for split in (halves, eighths):
+            assert np.array_equal(split.jump_counts, whole.jump_counts)
+            assert (split.norm_evals, split.max_norm_evals) == (whole.norm_evals,
+                                                                whole.max_norm_evals)
+            for name in whole.series:
+                assert split.series[name].shape == (t_eval.size, 41)
+                assert np.max(np.abs(split.series[name] - whole.series[name])) < 1e-12, name
+            assert abs(split.max_leakage - whole.max_leakage) < 1e-15
+
+    @pytest.mark.parametrize("failing", [3, 30], ids=["first_half", "second_half"])
+    def test_error_in_either_half_reaches_caller(self, monkeypatch, failing):
+        import semilind.quantum as quantum
+
+        key = quantum._trajectory_key
+
+        def faulty(seed, index):
+            if index == failing:
+                raise RuntimeError(f"trajectory {index}")
+            return key(seed, index)
+
+        monkeypatch.setattr(quantum, "_trajectory_key", faulty)
+        f = FockSpace([6, 6])
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match=f"trajectory {failing}"):
+            quantum_jump(registered_model("bose_hubbard_losses"), f.coherent_vector([1.0, 1.0]),
+                         [0.0, 0.5], n_traj=41, seed=0, fock=f)
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("psi0, message", [
+        (np.ones(35), r"psi0 must be a vector of length 36, got shape \(35,\)"),
+        (np.ones((36, 1)), r"psi0 must be a vector of length 36, got shape \(36, 1\)"),
+        (np.r_[np.nan, np.ones(35)], "psi0 has a non-finite entry"),
+        (np.r_[1j * np.inf, np.ones(35)], "psi0 has a non-finite entry"),
+        (np.zeros(36), "psi0 has zero norm"),
+    ], ids=["short", "column", "nan", "inf", "zero"])
+    def test_rejects_a_bad_psi0_before_any_work(self, monkeypatch, psi0, message):
+        import semilind.quantum as quantum
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(quantum, "_model_matrices", forbidden)
+        f = FockSpace([6, 6])
+        with pytest.raises(ValueError, match=message):
+            quantum_jump(registered_model("bose_hubbard_losses"), psi0, [0.0, 1.0], n_traj=4,
+                         seed=0, fock=f)
