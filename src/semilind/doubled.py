@@ -228,9 +228,10 @@ class SuperpositionSeries:
     rejected: int = 0  # rejected DOP853 steps, over every restart
 
     def state(self, k: int) -> SuperpositionState:
-        """The renormalized superposition at output time k."""
-        return SuperpositionState(self.hbar, self.z[k], self.b[k], self.alpha[k], self.weights[k],
-                                  norm_factor=float(self.norm_factors[k]))
+        """The renormalized superposition at output time k; its widths were
+        checked with the whole stack, by `propagate_superposition`."""
+        return SuperpositionState._of_checked(self.hbar, self.z[k], self.b[k], self.alpha[k],
+                                              self.weights[k], float(self.norm_factors[k]))
 
     def moments(self) -> Moments:
         """The moments of every output time, as one record (`_superposition_moments`)."""

@@ -222,6 +222,18 @@ class SuperpositionState:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "weights", weights)
 
+    @classmethod
+    def _of_checked(cls, hbar, z, b, alpha, weights, norm_factor) -> "SuperpositionState":
+        """The state of arrays that already hold what the constructor makes
+        and checks: a slice of a stack that passed `_check_widths` as a whole,
+        with float z, complex b, alpha and weights, and b symmetric.  Built
+        without checking them again."""
+        state = object.__new__(cls)
+        for name, value in (("hbar", hbar), ("z", z), ("b", b), ("alpha", alpha),
+                            ("weights", weights), ("norm_factor", norm_factor)):
+            object.__setattr__(state, name, value)
+        return state
+
     @property
     def n_modes(self) -> int:
         return self.z.shape[1] // 4

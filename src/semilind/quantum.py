@@ -31,8 +31,8 @@ of one call share the rotation blocks and the tables.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -821,6 +821,17 @@ class _RowGather:
 _PARTS = 2
 
 
+def _diagonal_reads(states, diags):
+    """The squared norm of each row of `states`, and for each vector d of
+    `diags` the mean sum_i |states[r, i]|^2 d[i] / norm of each row r, read
+    as one dot product per row: identical rows then read identical values
+    wherever they sit in the batch, which a matrix-vector product does not
+    promise."""
+    pops = np.abs(states) ** 2
+    norms = np.sum(pops, axis=1)
+    return norms, [np.vecdot(pops, d) / norms for d in diags]
+
+
 def quantum_jump(
     model: LindbladModel,
     psi0: np.ndarray,
@@ -926,11 +937,10 @@ def quantum_jump(
         coeffs = prop.coeffs(states)
 
         def record(k, states):
-            pops = np.abs(states) ** 2
-            norms = np.sum(pops, axis=1)
-            for j, name in enumerate(names):
-                out[name][k] = (pops @ number_diags[j]) / norms
-            leak[k] = (pops @ top_mask) / norms
+            norms, reads = _diagonal_reads(states, [*number_diags, top_mask])
+            for name, vals in zip(names, reads):
+                out[name][k] = vals
+            leak[k] = reads[-1]
             for name in cross_names:
                 vals = np.vecdot(states, cross_ops[name](states), axis=1) / norms
                 out["re_" + name][k] = vals.real
@@ -992,9 +1002,25 @@ def quantum_jump(
 
     parts = min(_PARTS, n_traj)
     edges = [n_traj * p // parts for p in range(parts + 1)]
-    with ThreadPoolExecutor(parts, thread_name_prefix="quantum_jump") as pool:
-        futures = [pool.submit(run, slice(lo, hi)) for lo, hi in zip(edges, edges[1:])]
-        evals = [future.result() for future in futures]
+    # one thread per part, each keeping its result or its exception: a pool
+    # would hand a part to a thread that has already finished another
+    evals = [None] * parts
+
+    def run_part(i):
+        try:
+            evals[i] = run(slice(edges[i], edges[i + 1]))
+        except BaseException as exc:
+            evals[i] = exc
+
+    threads = [threading.Thread(target=run_part, args=(i,), name=f"quantum_jump_{i}")
+               for i in range(parts)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for result in evals:
+        if isinstance(result, BaseException):
+            raise result
     return JumpEnsemble(
         times=t_eval.copy(), n_traj=n_traj, seed=seed, series=series, jump_counts=jump_counts,
         n_blocks=prop.n_blocks, max_block=prop.max_block,

@@ -14,7 +14,12 @@ The last term is the quantum correction that keeps G^{-1} + i Omega >= 0.
 
 `integrate` moves a `GaussianWigner` (centre X, width G, hbar) along both
 flows and returns a `Trajectory`: the centres and widths at the output times,
-stacked, from which a `GaussianWigner` is built only on request.
+stacked, from which a `GaussianWigner` is built only on request.  It
+integrates the packed row (X, upper triangle of G), whose rate is a
+polynomial in that row entry by entry: the drift depends on X alone, and the
+width rate is linear and quadratic in G with coefficients polynomial in X.
+These polynomials are expanded once per model (`_packed_rates`), so each
+right-hand-side call is one `PolyBatch` evaluation.
 `classify_flow` names the class of the centre flow one Lindblad symbol
 contributes (gradient, Hamiltonian or general); each phase portrait reports
 it for every Lindblad symbol of its model.
@@ -30,7 +35,7 @@ import numpy as np
 
 from .gaussian import GaussianWigner, physicality_of_width
 from .ode import solve_ivp
-from .symbols import Chart, PolyBatch, PolySymbol, chart_transform, poisson, symplectic_form
+from .symbols import Chart, PolyBatch, PolySymbol, chart_transform, poisson
 
 __all__ = [
     "LindbladModel",
@@ -129,7 +134,7 @@ def drift_field(model: LindbladModel) -> list[PolySymbol]:
 def drift_x(model: LindbladModel, x) -> np.ndarray:
     """Centre drift at a phase-space point (q, p), or at each row of an
     (m, dim) array, for a model on either chart."""
-    return model._compiled.batch(x)[0]
+    return model._compiled.drift(x)[0]
 
 
 # -- flow classification ------------------------------------------------------
@@ -244,28 +249,64 @@ class Trajectory:
         return GaussianWigner(hbar=self.hbar, x=self.x[k], g=self.g[k])
 
 
-class _CompiledRhs:
-    """Drift, Lam and D + D^T compiled once into a PolyBatch; every Gaussian
-    caller evaluates them here, through the instance a model caches.
+def _packed_rates(drift, lam, d2, n_modes):
+    """The packed right-hand side as coefficient maps over the packed row
+    (X, upper triangle of G, as `_packing` lays it out): the drift, which
+    depends on X alone, then the upper triangle of the width rate in its
+    symmetric closed form dG/dt = S + S^T - W^T (D + D^T) W, with W = Omega G
+    and S = Lam W, which equals the symmetrized core because
+    Omega^T = -Omega.  S is linear and W^T (D + D^T) W quadratic in G, so
+    every entry is a polynomial in the row: each X-monomial of Lam and
+    D + D^T times one or two entries of G."""
+    dim = 2 * n_modes
+    iu, pos = _packing(dim, dim)
+    pad = (0,) * iu[0].size
+    # W = Omega G: row k of W is sign[k] times row partner[k] of G
+    partner = [*range(n_modes, dim), *range(n_modes)]
+    sign = [1] * n_modes + [-1] * n_modes
 
-    On the packed state the width equation is evaluated in its symmetric
-    closed form dG/dt = S + S^T - W^T (D + D^T) W with W = Omega G and
-    S = Lam W, which equals the symmetrized core because Omega^T = -Omega.
+    def add(acc, sym, scale, *slots):
+        """acc += scale * sym * (product of the packed entries at slots)."""
+        for key, c in sym.terms.items():
+            key = list(key + pad)
+            for s in slots:
+                key[s] += 1
+            key = tuple(key)
+            acc[key] = acc.get(key, 0j) + scale * c
+
+    rates = [{key + pad: c for key, c in f.terms.items()} for f in drift]
+    for i, j in zip(*iu):
+        acc = {}
+        for k in range(dim):
+            wki, wkj = pos[partner[k], i], pos[partner[k], j]
+            add(acc, lam[i][k], sign[k], wkj)
+            add(acc, lam[j][k], sign[k], wki)
+            for l in range(dim):
+                add(acc, d2[k][l], -sign[k] * sign[l], wki, pos[partner[l], j])
+        rates.append({key: c for key, c in acc.items() if c != 0})
+    return rates
+
+
+class _CompiledRhs:
+    """The Gaussian flow of a model, compiled once; every Gaussian caller
+    evaluates it here, through the instance a model caches.
+
+    The packed row holds X and the upper triangle of G.  `_packed_rates`
+    expands its rate into one polynomial per entry, from the drift, Lam and
+    D + D^T of `_gaussian_fields`, and ``rates`` is their `PolyBatch`: a call
+    is one evaluation of it, with nothing gathered or repacked.  ``drift``
+    is the drift alone, for `drift_x`.
     """
 
     def __init__(self, model: LindbladModel):
         dim = 2 * model.n_modes
-        self.batch = PolyBatch(_gaussian_fields(model))
-        self.dim = dim
-        self.omega = symplectic_form(model.n_modes)
+        drift, lam, d2 = _gaussian_fields(model)
+        self.drift = PolyBatch([drift])
+        self.rates = PolyBatch([_packed_rates(drift, lam, d2, model.n_modes)])
         self.iu, self.gather = _packing(dim, dim)
 
     def __call__(self, t, y):
-        drift, lam, d2 = self.batch(y[: self.dim])
-        w = self.omega.dot(y[self.gather])
-        s = lam.dot(w)
-        gdot = s + s.T - w.T.dot(d2).dot(w)
-        return np.concatenate([drift, gdot[self.iu]])
+        return self.rates(y)[0]
 
 
 def _check_times(t_eval) -> np.ndarray:

@@ -279,46 +279,63 @@ class PolySymbol:
 class PolyBatch:
     """Evaluate a fixed list of fields at real points with a few numpy ops.
 
-    A field is a symbol, or a regular nested list of symbols such as a
-    gradient or a Hessian; a call returns one array per field, shaped like
-    that field.  The batch shares the union of monomials across all symbols;
-    each monomial is a product of entries of a table of variable powers, and
-    evaluation is ``coeffs @ monomials``, one row per symbol in field order.
-    The coefficients are stored as float64 when every imaginary part is
-    zero, so real symbols stay in real arithmetic.  Used by the ODE
+    A field is a polynomial, or a regular nested list of polynomials such as
+    a gradient or a Hessian; a call returns one array per field, shaped like
+    that field.  A polynomial is a symbol or a coefficient map keyed by
+    exponent tuples, as a symbol's ``terms``; every key of the batch has the
+    same length, the number of variables.  The batch shares the union of
+    monomials across all polynomials; each monomial is the product of its
+    factors x_i^e with e > 0, gathered from a table of variable powers and
+    padded with the table's x^0 = 1 entry, and evaluation is
+    ``coeffs @ monomials``, one row per polynomial in field order.  The
+    coefficients are stored as float64 when every imaginary part is zero,
+    so real polynomials stay in real arithmetic.  Used by the ODE
     right-hand sides, where per-call Python overhead matters.
     """
 
     def __init__(self, fields):
         polys, self._layout = [], []  # rows and shape of each field
+        dims = set()  # the number of variables each polynomial declares
         for fld in fields:
             cells = np.array(fld, dtype=object)
-            if not all(isinstance(p, PolySymbol) for p in cells.flat):
-                raise ValueError("a field must be a symbol or a regular nested list of symbols")
+            if not all(isinstance(p, (PolySymbol, dict)) for p in cells.flat):
+                raise ValueError("a field must be a polynomial or a regular nested list of "
+                                 "polynomials (symbols or coefficient maps)")
             self._layout.append((slice(len(polys), len(polys) + cells.size), cells.shape))
-            polys.extend(cells.flat)
+            for p in cells.flat:
+                if isinstance(p, PolySymbol):
+                    dims.add(p.dim)
+                    p = p.terms
+                dims.update(len(k) for k in p)
+                polys.append(p)
         if not polys:
             raise ValueError("empty batch")
-        dim = polys[0].dim
-        for p in polys:
-            if p.dim != dim:
-                raise ValueError("mixed dimensions in batch")
-        monos = sorted({k for p in polys for k in p.terms})
+        if len(dims) != 1:
+            raise ValueError("mixed dimensions in batch" if dims else
+                             "a batch of empty coefficient maps has no dimension")
+        (dim,) = dims
+        monos = sorted({k for p in polys for k in p})
         if not monos:
             monos = [(0,) * dim]
         index = {k: i for i, k in enumerate(monos)}
         coeffs = np.zeros((len(polys), len(monos)), dtype=complex)
         for r, p in enumerate(polys):
-            for k, c in p.terms.items():
+            for k, c in p.items():
                 coeffs[r, index[k]] = c
         if not coeffs.imag.any():
             coeffs = np.ascontiguousarray(coeffs.real)
         self.coeffs = coeffs
         exponents = np.array(monos, dtype=np.int64)
-        # flat positions of x_i^e in the (dim, max_exp + 1) power table
+        # flat positions of each monomial's factors x_i^e, e > 0, in the
+        # (dim, max_exp + 1) power table, in variable order; a monomial with
+        # fewer factors is padded with position 0, which holds x_0^0 = 1
         n_pow = int(exponents.max()) + 1
         self._powers = np.arange(n_pow, dtype=float)
-        self._table_index = np.arange(dim) * n_pow + exponents
+        width = max(1, int(np.count_nonzero(exponents, axis=1).max()))
+        self._table_index = np.zeros((len(monos), width), dtype=np.intp)
+        for r, row in enumerate(exponents):
+            (var,) = np.nonzero(row)
+            self._table_index[r, :var.size] = var * n_pow + row[var]
 
     def __call__(self, point) -> list[np.ndarray]:
         """The fields at a real point of shape (dim,), one array shaped like

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import semilind.doubled as doubled
+import semilind.gaussian as gaussian
 from semilind.doubled import DoubledSymbol, _KEvaluator, build_k, propagate_superposition
 from semilind.gaussian import (
     GaussianWigner,
     GridSpec,
     Moments,
+    SuperpositionState,
     cat_decompose,
     coherent,
     eval_wigner,
@@ -324,6 +326,28 @@ class TestPropagateSuperposition:
                 got, want = getattr(st, name), getattr(series, name)[k]
                 assert got.shape == want.shape and got.dtype == want.dtype, name
                 assert got.tobytes() == want.tobytes(), name
+
+    def test_state_is_not_checked_again(self, monkeypatch):
+        # a frame state is a slice of the stack propagate_superposition
+        # checked; a state built from outside keeps its own check
+        cat = cat_decompose([(2.0, 1.0), (2.0, -1.0)], [1.0, 1.0], np.array([[1j]]))
+        series = propagate_superposition(anharmonic_damped(), cat, np.linspace(0, 0.5, 6))
+        real, seen = gaussian._check_widths, []
+
+        def recorded(b):
+            seen.append(b.shape)
+            real(b)
+
+        monkeypatch.setattr(gaussian, "_check_widths", recorded)
+        states = [series.state(k) for k in range(series.times.size)]
+        assert seen == [] and len(states) == 6
+        st = states[-1]
+        SuperpositionState(st.hbar, st.z, st.b, st.alpha, st.weights, st.norm_factor)
+        assert seen == [(4, 2, 2)]
+        bad = st.b.copy()
+        bad[1] = np.diag([1j, -1j])
+        with pytest.raises(ValueError, match="Im B must be positive definite"):
+            SuperpositionState(st.hbar, st.z, bad, st.alpha, st.weights)
 
     def test_single_component_matches_semiclassical(self):
         model = anharmonic_damped(beta=0.1, gamma=0.3)

@@ -34,6 +34,7 @@ from semilind.quantum import (
     _SectorPropagator,
     _blockwise,
     _crossing_times,
+    _diagonal_reads,
     _HermitianCoords,
     _RowGather,
     _liouvillian,
@@ -1194,6 +1195,27 @@ class TestQuantumJump:
         # first 20 trajectories of a larger run match a smaller run to rounding
         e3 = quantum_jump(model, psi0, t_eval, n_traj=20, seed=9, fock=f)
         assert np.allclose(e1.series["occ_1"][:, :20], e3.series["occ_1"], atol=1e-12)
+
+    def test_identical_rows_read_identical_values(self):
+        # the registered lattice's initial state in 150 rows: every row reads
+        # the same occupations and leakage, bit for bit, wherever it sits
+        f = FockSpace([26, 26])
+        psi0 = f.coherent_vector([3.1622776601683795j, 3.1622776601683795])
+        states = np.tile(psi0 / np.linalg.norm(psi0), (150, 1))
+        diags = [(a.conj().T @ a).diagonal().real for a in f._lowering] + [f._top_mask]
+        norms, reads = _diagonal_reads(states, diags)
+        assert np.ptp(norms) == 0
+        for vals, d in zip(reads, diags):
+            assert np.ptp(vals) == 0
+            assert vals[0] == pytest.approx(np.abs(psi0) ** 2 @ d / np.linalg.norm(psi0) ** 2,
+                                            rel=1e-12, abs=1e-300)
+        # so does the ensemble at t = 0, where every trajectory is psi0 (in the
+        # propagator's bin layout, which may round it differently)
+        ens = quantum_jump(registered_model("bose_hubbard_losses"), psi0, [0.0, 0.05],
+                           n_traj=150, seed=3, fock=f)
+        for j in (1, 2):
+            occ = ens.series[f"occ_{j}"][0]
+            assert np.ptp(occ) == 0 and occ[0] == pytest.approx(reads[j - 1][0], rel=1e-14)
 
     def test_max_leakage_is_largest_ensemble_mean(self):
         # hopping carries |3,2> into the top levels |5,0>, |0,5>; with no

@@ -17,7 +17,9 @@ from semilind.semiclassical import (
 from semilind.harness.compare import trajectory_to_csv
 from semilind.harness.config import ExperimentConfig
 from semilind.harness.experiments import EXPERIMENTS, default_config
-from semilind.symbols import Chart, PolySymbol, chart_transform, parse_symbol, symplectic_form
+from semilind.symbols import (
+    Chart, PolyBatch, PolySymbol, chart_transform, parse_symbol, symplectic_form,
+)
 from oracles import drift_complex, rhs_g_complex
 
 
@@ -43,6 +45,18 @@ def damped_oscillator(omega=1.0, gamma=0.1):
 def width_rate(model, x, g):
     rhs = model._compiled  # pack G's upper triangle, evaluate as `integrate` does, gather
     return rhs(0.0, np.concatenate([x, g[rhs.iu]]))[rhs.gather]
+
+
+def fields_at(model, x):
+    """Drift, Lam and D + D^T of a REAL_QP model at x, from one PolyBatch of
+    `_gaussian_fields`."""
+    return PolyBatch(_gaussian_fields(model))(x)
+
+
+def registered_model(name):
+    """The model of a registered experiment at its defaults, on the REAL_QP chart."""
+    cfg = ExperimentConfig.from_dict(default_config(name))
+    return cfg.model.build(cfg.hbar).to_chart(Chart.REAL_QP)
 
 
 def random_model(rng, n=1, deg=3, n_lind=2):
@@ -88,6 +102,18 @@ class TestDriftX:
         want = gamma * np.array([0.0, -x[0], -x[3], 0.0])
         assert np.allclose(got, want, atol=1e-13)
 
+    @pytest.mark.parametrize("name", ["limit_cycle", "bose_hubbard_losses",
+                                      "portrait_limit_cycle", "portrait_nonlinear_loss"])
+    def test_matches_drift_field_term_by_term(self, name):
+        model = registered_model(name)
+        fields = drift_field(model)
+        rng = np.random.default_rng(9)
+        xs = rng.uniform(-4.0, 4.0, size=(6, 2 * model.n_modes))
+        for x, got in zip(xs, drift_x(model, xs)):
+            want = np.array([f.eval(x).real for f in fields])
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+            assert np.array_equal(drift_x(model, x), got)
+
     def test_hermitian_lindblad_contributes_nothing(self):
         rng = np.random.default_rng(8)
         (q,), (p,) = real_vars()
@@ -103,7 +129,7 @@ class TestDriftX:
 class TestDriftMatrices:
     def test_damped_oscillator(self):
         omega, gamma = 1.0, 0.1
-        _, lam, d2 = damped_oscillator(omega, gamma)._compiled.batch([0.4, 0.7])
+        _, lam, d2 = fields_at(damped_oscillator(omega, gamma), [0.4, 0.7])
         want_lam = omega * np.eye(2) - 0.5 * gamma * symplectic_form(1)
         assert np.allclose(lam, want_lam, atol=1e-14)
         assert np.allclose(d2 / 2, 0.5 * gamma * np.eye(2), atol=1e-14)
@@ -112,7 +138,7 @@ class TestDriftMatrices:
         (q,), (p,) = real_vars()
         h = q * q * 1.5 + q * p + p * p * 0.25
         model = LindbladModel(1, 1.0, h, ())
-        _, lam, d2 = model._compiled.batch([0.0, 0.0])
+        _, lam, d2 = fields_at(model, [0.0, 0.0])
         assert np.allclose(lam, [[3.0, 1.0], [1.0, 0.5]])
         assert np.allclose(d2 / 2, 0)
 
@@ -121,7 +147,7 @@ class TestDriftMatrices:
         L = q * 2.0  # Hermitian symbol
         model = LindbladModel(1, 1.0, PolySymbol.zero(Chart.REAL_QP, 1), (L,))
         x = [0.2, -0.4]
-        _, lam, d2 = model._compiled.batch(x)
+        _, lam, d2 = fields_at(model, x)
         assert np.allclose(lam, 0)
         assert np.allclose(d2 / 2, [[4.0, 0.0], [0.0, 0.0]])
 
@@ -168,7 +194,7 @@ class TestRhsG:
             g = rng.normal(size=(2, 2))
             g = g @ g.T + 0.5 * np.eye(2)
             gdot = width_rate(model, x, g)
-            _, lam, d2 = model._compiled.batch(x)
+            _, lam, d2 = fields_at(model, x)
             lhs = np.trace(np.linalg.solve(g, gdot))
             rhs_val = 2 * np.trace(lam @ om) + 2 * np.trace(om @ (d2 / 2) @ om @ g)
             assert lhs == pytest.approx(rhs_val, rel=1e-9, abs=1e-9)
@@ -311,28 +337,56 @@ def symbolic_fields(model, x, g):
 
 
 class TestCompiledRhs:
+    @staticmethod
+    def assert_matches_symbolic_path(model, rng, x_scale=1.5):
+        dim = 2 * model.n_modes
+        rhs = _CompiledRhs(model)
+        for _ in range(5):
+            x = rng.uniform(-x_scale, x_scale, size=dim)
+            r = rng.normal(size=(dim, dim))
+            g = r @ r.T + np.eye(dim)
+            got = rhs(0.0, np.concatenate([x, g[rhs.iu]]))
+            want_x, want_g = symbolic_fields(model, x, g)
+            scale = max(1.0, np.max(np.abs(want_x)), np.max(np.abs(want_g)))
+            assert np.max(np.abs(got[:dim] - want_x)) <= 1e-13 * scale
+            assert np.max(np.abs(got[dim:] - want_g[rhs.iu])) <= 1e-13 * scale
+
     @pytest.mark.parametrize("n_modes", [1, 2])
     def test_matches_symbolic_path(self, n_modes):
         rng = np.random.default_rng(31 + n_modes)
-        dim = 2 * n_modes
         for _ in range(4):
-            model = random_model(rng, n=n_modes)
-            rhs = _CompiledRhs(model)
-            for _ in range(5):
-                x = rng.uniform(-1.5, 1.5, size=dim)
-                r = rng.normal(size=(dim, dim))
-                g = r @ r.T + np.eye(dim)
-                got = rhs(0.0, np.concatenate([x, g[rhs.iu]]))
-                want_x, want_g = symbolic_fields(model, x, g)
-                scale = max(1.0, np.max(np.abs(want_x)), np.max(np.abs(want_g)))
-                assert np.max(np.abs(got[:dim] - want_x)) <= 1e-13 * scale
-                assert np.max(np.abs(got[dim:] - want_g[rhs.iu])) <= 1e-13 * scale
+            self.assert_matches_symbolic_path(random_model(rng, n=n_modes), rng)
+
+    @pytest.mark.parametrize("name", ["limit_cycle", "bose_hubbard_losses",
+                                      "portrait_nonlinear_loss"])
+    def test_registered_models_match_symbolic_path(self, name):
+        # centres out to the limit cycle's start, |X| = 4
+        self.assert_matches_symbolic_path(registered_model(name), np.random.default_rng(35),
+                                          x_scale=4.0)
+
+    def test_one_batch_call_per_evaluation(self, monkeypatch):
+        # the packed rate is the batch's value as it stands: nothing else is
+        # evaluated, gathered or repacked
+        rhs = _CompiledRhs(random_model(np.random.default_rng(36), n=2))
+        real, seen = rhs.rates, []
+
+        def recorded(point):
+            seen.append(point)
+            return real(point)
+
+        monkeypatch.setattr(rhs, "rates", recorded)
+        y = np.random.default_rng(37).normal(size=14)
+        got = rhs(0.0, y)
+        assert len(seen) == 1 and seen[0] is y
+        assert np.array_equal(got, real(y)[0])
 
     def test_fields_batch_is_each_point(self):
         rhs = _CompiledRhs(random_model(np.random.default_rng(6), n=2))
-        xs = np.random.default_rng(7).uniform(-1.5, 1.5, size=(5, 4))
-        for got, want in zip(rhs.batch(xs), zip(*(rhs.batch(x) for x in xs))):
-            assert np.array_equal(got, np.array(want))
+        rng = np.random.default_rng(7)
+        for batch, size in ((rhs.drift, 4), (rhs.rates, 14)):
+            xs = rng.uniform(-1.5, 1.5, size=(5, size))
+            for got, want in zip(batch(xs), zip(*(batch(x) for x in xs))):
+                assert np.array_equal(got, np.array(want))
 
     def test_fields_built_once_per_model(self, monkeypatch):
         calls = []
@@ -349,10 +403,11 @@ class TestCompiledRhs:
         for _ in range(20):
             x = rng.normal(size=2)
             drift_x(model, x)
-            model._compiled.batch(x)
             width_rate(model, x, g)
         integrate(model, GaussianWigner(1.0, [0.1, 0.2], g), [0.0, 0.01])
         assert len(calls) == 1
+        assert isinstance(model._compiled.drift, PolyBatch)
+        assert isinstance(model._compiled.rates, PolyBatch)
 
 
 def y_free(sym, n2):
