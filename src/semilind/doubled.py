@@ -28,28 +28,34 @@ integrated: alpha carries the whole phase and amplitude, and the weight
 stays the t = 0 weight until a collapse sets it to zero.
 
 The components of a superposition are propagated together, as one DOP853
-system over the stack of their packed states: each right-hand-side call
-evaluates the symbols at all live centres in one `PolyBatch` call and the
-rates with stacked matrix products and solves.  A component whose Im B
-collapses ends that solve at a terminal event; the solve restarts from the
-event time without it.  The output stays stacked: `SuperpositionSeries`
-holds Z, B, alpha and the weight of every component at every output time
-as arrays, and its integrals, norms, moments, cross magnitudes and
-``component_<i>.csv`` come from them in a few batched operations.  A
-`SuperpositionState` is built only for a requested frame.
+system over the stack of their packed rows (Z, Re B triangle, Im B
+triangle, Re alpha, Im alpha).  Every rate is a polynomial in the row but
+for the terms in u = (Im B)^{-1}(v1 + Re B v2), (v1, v2) = grad Im K0, and
+those polynomials are expanded once per model (`_fused_rates`).  So each
+right-hand-side call is one `PolyBatch` evaluation over the stack of rows,
+a Cholesky check of the Im B read from the rows, one stacked solve for u,
+and the addition of u, Re B u and Y . u to dX, dY and dalpha.  A component
+whose Im B collapses ends that solve at a terminal event; the solve
+restarts from the event time without it.  The output stays stacked:
+`SuperpositionSeries` holds Z, B, alpha and the weight of every component
+at every output time as arrays, and its integrals, norms, moments, cross
+magnitudes and ``component_<i>.csv`` come from them in a few batched
+operations.  A `SuperpositionState` is built only for a requested frame.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .gaussian import Moments, SuperpositionState, _check_widths, _integrals, _superposition_moments
 from .ode import solve_ivp
 from .semiclassical import LindbladModel, _check_times, _packing
-from .symbols import Chart, PolyBatch, PolySymbol, double_lift, moyal_term, poisson, symplectic_form
+from .symbols import Chart, PolyBatch, PolySymbol, double_lift, moyal_term, poisson
 
 __all__ = [
     "DoubledSymbol",
@@ -79,9 +85,9 @@ class DoubledSymbol:
         return self.k0.n_modes
 
     @functools.cached_property
-    def _evaluator(self) -> "_KEvaluator":
-        """Batched evaluator of K0, K1 and their derivatives, compiled on first use."""
-        return _KEvaluator(self)
+    def _rhs(self) -> "_DoubledRhs":
+        """The rates of a stack of packed components, compiled on first use."""
+        return _DoubledRhs(self)
 
     def validate_structure(self) -> None:
         """Parity and sign structure of K0; raises on violation.
@@ -144,21 +150,47 @@ def build_k(model: LindbladModel) -> DoubledSymbol:
     return sym
 
 
-class _KEvaluator:
-    """``batch(z)`` gives K0, K1, grad K0 and the K0 Hessian at a point z, or
-    at each row of a stack; packs a component as the row (Z, Re/Im upper
-    triangle of B, Re alpha, Im alpha), and a stack of components as a stack
-    of rows."""
+class _DoubledRhs:
+    """The doubled rates of a model, compiled once: a call maps a stack of
+    packed rows to the stack of their rates.
+
+    A component is packed as the row (Z, Re B upper triangle, Im B upper
+    triangle, Re alpha, Im alpha), a stack of components as a stack of rows.
+    `_fused_rates` expands every rate that is polynomial in the row into one
+    `PolyBatch`; a call evaluates it, checks Im B by a stacked Cholesky
+    factorization, makes one stacked solve for u = (Im B)^{-1} w and adds
+    u to dX, Re B u to dY and Y . u to dalpha.
+    """
 
     def __init__(self, ksym: DoubledSymbol):
-        self.n2 = 2 * ksym.n_modes
-        dim = 2 * self.n2
-        self.batch = PolyBatch([ksym.k0, ksym.k1, ksym.k0.grad(), ksym.k0.hessian()])
-        self.dim = dim
-        self.omega = symplectic_form(self.n2)
-        self.iu, self.b_re = _packing(self.n2, dim)
+        n2 = 2 * ksym.n_modes
+        self.dim = 2 * n2
+        self.iu, self.b_re = _packing(n2, self.dim)
         self.b_im = self.b_re + self.iu[0].size
-        self.row_size = dim + 2 * self.iu[0].size + 2
+        self.row_size = self.dim + 2 * self.iu[0].size + 2
+        self.batch = PolyBatch([_fused_rates(ksym, self.b_re, self.b_im, self.row_size)])
+        # Im B, then the rows of Re B and Y that multiply u, gathered from a row
+        self.gather = np.concatenate([self.b_im, self.b_re, n2 + np.arange(n2)[None]])
+
+    def __call__(self, rows, hbar):
+        """Rates of the rows of an (m, row_size) stack; raises `ValueError`
+        if some row's Im B is not positive definite."""
+        n2, size = self.dim // 2, self.row_size
+        vals = self.batch(rows)[0]
+        mats = rows[:, self.gather]
+        im = mats[:, :n2]
+        try:
+            np.linalg.cholesky(im)
+        except np.linalg.LinAlgError:
+            raise ValueError("Im B must be positive definite") from None
+        u = np.linalg.solve(im, vals[:, size + 2:, None])
+        shifts = (mats[:, n2:] @ u)[..., 0]  # Re B u and Y . u
+        rates = vals[:, :size]
+        rates[:, :n2] += u[..., 0]
+        rates[:, n2:self.dim] += shifts[:, :n2]
+        rates[:, -2] += shifts[:, n2]
+        rates[:, -2:] += hbar * vals[:, size:size + 2]
+        return rates
 
     def pack(self, z, b, alpha):
         tri = b[..., self.iu[0], self.iu[1]]
@@ -170,31 +202,74 @@ class _KEvaluator:
         return rows[..., : self.dim], b, rows[..., -2] + 1j * rows[..., -1]
 
 
-def _rates(kev: _KEvaluator, z, b, hbar):
-    """(dZ, dB, dalpha) of a stack of m components, z of shape
-    (m, 2 n2) and b of shape (m, n2, n2); each row is computed on its own."""
-    n2 = kev.n2
-    re, im = b.real, b.imag
-    if np.linalg.eigvalsh(im).min() <= 0:
-        raise ValueError("Im B must be positive definite")
-    k0, k1, grad, hess = kev.batch(z)
-    # Gcal^{-1} (v1, v2) = (u, Re B u + Im B v2) with u = (Im B)^{-1} (v1 + Re B v2)
-    v1 = grad.imag[:, :n2, None]
-    v2 = grad.imag[:, n2:, None]
-    u = np.linalg.solve(im, v1 + re @ v2)
-    zdot = grad.real @ kev.omega.T + np.concatenate([u, re @ u + im @ v2], axis=1)[:, :, 0]
-    kxx = hess[:, :n2, :n2]
-    kxy = hess[:, :n2, n2:]
-    kyy = hess[:, n2:, n2:]
-    bdot = -b @ kyy @ b - b @ kxy.transpose(0, 2, 1) - kxy @ b - kxx
-    xdot = zdot[:, :n2]
-    alphadot = (
-        np.einsum("mi,mi->m", z[:, n2:], xdot)
-        - k0
-        - hbar * k1
-        + 0.5j * hbar * (np.einsum("mii->m", kxy) + np.einsum("mij,mji->m", kyy, b))
-    )
-    return zdot, bdot, alphadot
+def _fused_rates(ksym: DoubledSymbol, b_re, b_im, row_size):
+    """The doubled rates as coefficient maps over the packed row, the
+    positions of Re B and Im B in it given by ``b_re`` and ``b_im``: the
+    row's own rates in row order, then the hbar-linear part of dalpha/dt
+    (Re, Im) and the solve's right side w = v1 + Re B v2, with
+    (v1, v2) = grad Im K0.
+
+    Each rate but the terms in u = (Im B)^{-1} w is a polynomial in the row:
+    the Omega2 grad Re K0 + (0, Im B v2) part of dZ/dt, the Re and Im upper
+    triangles of dB/dt, and the hbar-free part -K0 + Y . (Omega2 grad Re K0)_x
+    and hbar-linear part -K1 + (i/2) Tr(K0_xy + K0_yy B) of dalpha/dt.
+    Every one is a sum of K-monomials in Z times entries of the row, and
+    B = Re B + i Im B enters as a complex linear form in two entries."""
+    n2 = b_re.shape[0]
+    pad = (0,) * (row_size - 2 * n2)
+    grad, hess = ksym.k0.grad(), ksym.k0.hessian()
+    g_re = [g.real_part().terms for g in grad]
+    g_im = [g.imag_part().terms for g in grad]
+    kxx = [[hess[i][j].terms for j in range(n2)] for i in range(n2)]
+    kxy = [[hess[i][n2 + j].terms for j in range(n2)] for i in range(n2)]
+    kyy = [[hess[n2 + i][n2 + j].terms for j in range(n2)] for i in range(n2)]
+
+    def b(i, j):  # B_ij as a linear form in the row, (position, coefficient) pairs
+        return [(b_re[i, j], 1.0), (b_im[i, j], 1j)]
+
+    def add(acc, terms, scale, *forms):
+        """acc += scale * (polynomial in Z) * (product of linear forms)."""
+        for choice in product(*forms):
+            c0 = scale * math.prod(c for _, c in choice)
+            for key, c in terms.items():
+                key = list(key + pad)
+                for s, _ in choice:
+                    key[s] += 1
+                key = tuple(key)
+                acc[key] = acc.get(key, 0j) + c0 * c
+        return acc
+
+    # Omega2 grad Re K0, a polynomial in Z alone
+    drift = g_re[n2:] + [{key: -c for key, c in f.items()} for f in g_re[:n2]]
+    zdot = [add({}, f, 1.0) for f in drift]
+    alpha0 = add({}, ksym.k0.terms, -1.0)
+    alpha1 = add({}, ksym.k1.terms, -1.0)
+    w = [add({}, g_im[i], 1.0) for i in range(n2)]
+    for i in range(n2):
+        add(alpha0, drift[i], 1.0, [(n2 + i, 1.0)])
+        add(alpha1, kxy[i][i], 0.5j)
+        for j in range(n2):
+            add(zdot[n2 + i], g_im[n2 + j], 1.0, [(b_im[i, j], 1.0)])
+            add(w[i], g_im[n2 + j], 1.0, [(b_re[i, j], 1.0)])
+            add(alpha1, kyy[i][j], 0.5j, b(j, i))
+    bdot = []
+    for i, j in zip(*np.triu_indices(n2)):
+        acc = add({}, kxx[i][j], -1.0)
+        for k in range(n2):
+            add(acc, kxy[j][k], -1.0, b(i, k))
+            add(acc, kxy[i][k], -1.0, b(k, j))
+            for l in range(n2):
+                add(acc, kyy[k][l], -1.0, b(i, k), b(l, j))
+        bdot.append(acc)
+
+    def part(acc, take):
+        return {key: take(c) for key, c in acc.items() if take(c) != 0}
+
+    real, imag = (lambda c: c.real), (lambda c: c.imag)
+    return ([part(f, real) for f in zdot] + [part(f, real) for f in bdot]
+            + [part(f, imag) for f in bdot]
+            + [part(f, take) for f in (alpha0, alpha1) for take in (real, imag)]
+            + [part(f, real) for f in w])
 
 
 # -- integration of a superposition -------------------------------------------
@@ -267,21 +342,20 @@ def propagate_superposition(
     over the stack, and the integrals of all output components are one
     stacked evaluation.
     """
-    kev = model._doubled._evaluator
+    rhs = model._doubled._rhs
     hbar = state.hbar
     t_eval = _check_times(t_eval)
 
     def odefun(t, yvec):
-        z, b, _ = kev.unpack(yvec.reshape(-1, kev.row_size))
-        return kev.pack(*_rates(kev, z, b, hbar)).ravel()
+        return rhs(yvec.reshape(-1, rhs.row_size), hbar).ravel()
 
     def floor_gaps(rows):
-        return np.linalg.eigvalsh(kev.unpack(rows)[1].imag).min(axis=1) - _IMB_FLOOR
+        return np.linalg.eigvalsh(rows[:, rhs.b_im]).min(axis=1) - _IMB_FLOOR
 
     def breakdown(t, yvec):
-        return floor_gaps(yvec.reshape(-1, kev.row_size)).min()
+        return floor_gaps(yvec.reshape(-1, rhs.row_size)).min()
 
-    rows = kev.pack(state.z, state.b, state.alpha)
+    rows = rhs.pack(state.z, state.b, state.alpha)
     # the packed rows of every component at every output time
     out = np.empty((t_eval.size,) + rows.shape)
     weights = np.tile(state.weights, (t_eval.size, 1))
@@ -315,7 +389,7 @@ def propagate_superposition(
                 events.append({"t": t0, "kind": "component_collapse", "component": int(idx)})
             live = live[~collapsed]
 
-    z, b, alpha = kev.unpack(out)
+    z, b, alpha = rhs.unpack(out)
     _check_widths(b)
     integrals, centroids = _integrals(hbar, z, b, alpha, weights)
     norm_factors = 1.0 / integrals.sum(axis=1).real

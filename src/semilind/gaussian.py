@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,8 +257,11 @@ class SuperpositionState:
         return Moments.from_covariance(self.hbar, x[None], cov[None])
 
     def normalized(self) -> "SuperpositionState":
+        """The same components with the norm factor that makes the integral
+        1; they were checked when this state was built."""
         raw = _integrals(self.hbar, self.z, self.b, self.alpha, self.weights)[0].sum()
-        return replace(self, norm_factor=float(1.0 / raw.real))
+        return SuperpositionState._of_checked(self.hbar, self.z, self.b, self.alpha,
+                                              self.weights, float(1.0 / raw.real))
 
 
 def cat_decompose(centres, coeffs, width, hbar: float = 1.0) -> SuperpositionState:

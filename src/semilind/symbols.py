@@ -327,15 +327,16 @@ class PolyBatch:
         self.coeffs = coeffs
         exponents = np.array(monos, dtype=np.int64)
         # flat positions of each monomial's factors x_i^e, e > 0, in the
-        # (dim, max_exp + 1) power table, in variable order; a monomial with
-        # fewer factors is padded with position 0, which holds x_0^0 = 1
+        # (dim, max_exp + 1) power table, in variable order, one column per
+        # monomial; a monomial with fewer factors is padded with position 0,
+        # which holds x_0^0 = 1
         n_pow = int(exponents.max()) + 1
         self._powers = np.arange(n_pow, dtype=float)
         width = max(1, int(np.count_nonzero(exponents, axis=1).max()))
-        self._table_index = np.zeros((len(monos), width), dtype=np.intp)
+        self._table_index = np.zeros((width, len(monos)), dtype=np.intp)
         for r, row in enumerate(exponents):
             (var,) = np.nonzero(row)
-            self._table_index[r, :var.size] = var * n_pow + row[var]
+            self._table_index[:var.size, r] = var * n_pow + row[var]
 
     def __call__(self, point) -> list[np.ndarray]:
         """The fields at a real point of shape (dim,), one array shaped like
@@ -344,11 +345,14 @@ class PolyBatch:
         point."""
         pt = np.asarray(point, dtype=float)
         table = pt[..., None] ** self._powers
+        # the factors multiply in variable order, along the leading axis of
+        # the index, whose rows are long
         if pt.ndim == 1:  # the ODE right-hand sides' path, kept lean
-            monos = np.multiply.reduce(table.ravel()[self._table_index], axis=1)
+            monos = np.multiply.reduce(table.ravel()[self._table_index], axis=0)
             vals = self.coeffs.dot(monos)
             return [vals[rows].reshape(shape) for rows, shape in self._layout]
-        monos = np.multiply.reduce(table.reshape(len(pt), -1)[:, self._table_index], axis=2)
+        monos = np.multiply.reduce(np.take(table.reshape(len(pt), -1), self._table_index, axis=1),
+                                   axis=1)
         # a stack of matrix-vector products, one per point
         vals = np.matmul(self.coeffs, monos[:, :, None])[:, :, 0]
         return [vals[:, rows].reshape(len(pt), *shape) for rows, shape in self._layout]

@@ -11,8 +11,9 @@ formulas, separately from the program paths they check.
   hbar = 1.
 * The chord-variable form of the doubled flow for quadratic H and linear L
   (``ChordGaussian``, ``chord_from_component``, ``diffusion_matrix``,
-  ``chord_rhs``), and ``rhs_component``, the program's stacked rates
-  ``doubled._rates`` for one component, which it is compared with.
+  ``chord_rhs``), and ``rhs_component``, the rates of one component as
+  matrices, from K0, K1, grad K0 and the K0 Hessian at its centre; the
+  program's fused rates of a packed stack are compared with it.
 * Per-object formulas for what the program computes stacked over output
   times and components: ``wigner_values``, the Wigner value of a Gaussian,
   a complex Gaussian or a superposition point by point from the quadratic
@@ -36,12 +37,13 @@ import numpy as np
 
 import scipy.sparse as sp
 
-from semilind.doubled import DoubledSymbol, _rates
+from semilind.doubled import DoubledSymbol
 from semilind.gaussian import GaussianWigner, Moments, SuperpositionState
 from semilind.quantum import DensityMatrix
 from semilind.semiclassical import LindbladModel, _require_chart
 from semilind.symbols import (
     Chart,
+    PolyBatch,
     PolySymbol,
     _require_pairable,
     chart_transform,
@@ -268,9 +270,28 @@ def quadrature_moments(rho: DensityMatrix):
 
 
 def rhs_component(ksym: DoubledSymbol, comp: Component):
-    """Time derivatives (dZ, dB, dalpha) of one complex Gaussian component."""
-    zdot, bdot, alphadot = _rates(ksym._evaluator, comp.z[None], comp.b[None], comp.hbar)
-    return zdot[0], bdot[0], alphadot[0]
+    """Time derivatives (dZ, dB, dalpha) of one complex Gaussian component:
+
+        dZ/dt     = O2 grad Re K0 + Gcal^{-1} grad Im K0
+        dB/dt     = -B K0_yy B - B K0_yx - K0_xy B - K0_xx
+        dalpha/dt = Y . dX/dt - K0 - hbar K1 + (i hbar/2) Tr(K0_xy + K0_yy B)
+
+    with Gcal^{-1} (v1, v2) = (u, Re B u + Im B v2), u = (Im B)^{-1}(v1 + Re B v2),
+    every derivative of K0 evaluated at Z as a vector or matrix."""
+    n2 = comp.z.size // 2
+    batch = PolyBatch([ksym.k0, ksym.k1, ksym.k0.grad(), ksym.k0.hessian()])
+    k0, k1, grad, hess = batch(comp.z)
+    re, im = comp.b.real, comp.b.imag
+    if np.linalg.eigvalsh(im).min() <= 0:
+        raise ValueError("Im B must be positive definite")
+    v1, v2 = grad.imag[:n2], grad.imag[n2:]
+    u = np.linalg.solve(im, v1 + re @ v2)
+    zdot = symplectic_form(n2) @ grad.real + np.concatenate([u, re @ u + im @ v2])
+    kxx, kxy, kyy = hess[:n2, :n2], hess[:n2, n2:], hess[n2:, n2:]
+    bdot = -comp.b @ kyy @ comp.b - comp.b @ kxy.T - kxy @ comp.b - kxx
+    alphadot = (comp.y @ zdot[:n2] - k0 - comp.hbar * k1
+                + 0.5j * comp.hbar * (np.trace(kxy) + np.trace(kyy @ comp.b)))
+    return zdot, bdot, alphadot
 
 
 # -- chord-variable form for linear Lindblad operators -------------------------
@@ -342,10 +363,10 @@ def chord_rhs(model: LindbladModel, chord: ChordGaussian):
     Returns (dX, dY, dMmat, dNmat); equivalent to rhs_component transported
     through -B^{-1} = N + iM, which the tests assert to 1e-12.
     """
-    kev = model._doubled._evaluator
+    k0 = model._doubled.k0
     n2 = chord.x.size
     z = np.concatenate([chord.x, chord.y])
-    _, _, grad, hess = kev.batch(z)
+    grad, hess = PolyBatch([k0.grad(), k0.hessian()])(z)
     gx = grad.real[:n2]
     gy = grad.real[n2:]
     kxx = hess[:n2, :n2].real

@@ -3,7 +3,7 @@ import pytest
 
 import semilind.doubled as doubled
 import semilind.gaussian as gaussian
-from semilind.doubled import DoubledSymbol, _KEvaluator, build_k, propagate_superposition
+from semilind.doubled import DoubledSymbol, _DoubledRhs, build_k, propagate_superposition
 from semilind.gaussian import (
     GaussianWigner,
     GridSpec,
@@ -34,6 +34,9 @@ from oracles import (
     superposition_moments,
 )
 from test_semiclassical import width_rate
+
+# a division or solve on a singular Im B fails instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def real_vars(n=1):
@@ -67,6 +70,15 @@ def random_quadratic_linear(rng, n=1, n_lind=2):
             L = L + xs[i] * complex(rng.normal(), rng.normal())
         ls.append(L)
     return LindbladModel(n, 1.0, h, tuple(ls))
+
+
+def fused_rates(ksym, comps, hbar=1.0):
+    """(dZ, dB, dalpha) of a stack of components, stacked, from the fused
+    rates of their packed rows."""
+    rhs = ksym._rhs
+    rows = rhs.pack(np.array([c.z for c in comps]), np.array([c.b for c in comps]),
+                    np.array([c.alpha for c in comps]))
+    return rhs.unpack(rhs(rows, hbar))
 
 
 def random_component(rng, n=1, y_scale=1.0):
@@ -144,7 +156,7 @@ class TestRhsComponent:
             comp = Component(
                 hbar=1.0, z=np.concatenate([x, [0, 0]]), b=2j * g, alpha=0.0, weight=1.0
             )
-            zdot, bdot, _ = rhs_component(ksym, comp)
+            zdot, bdot, _ = (rate[0] for rate in fused_rates(ksym, [comp]))
             assert np.allclose(zdot[:2], drift_x(model, x), atol=1e-11)
             assert np.allclose(zdot[2:], 0, atol=1e-12)
             assert np.allclose(bdot / 2j, width_rate(model, x, g), atol=1e-10)
@@ -160,7 +172,7 @@ class TestRhsComponent:
         comp = Component(
             hbar=1.0, z=np.concatenate([x, y]), b=2j * np.eye(2), alpha=0.1, weight=1.0
         )
-        zdot, bdot, alphadot = rhs_component(ksym, comp)
+        zdot, bdot, alphadot = (rate[0] for rate in fused_rates(ksym, [comp]))
         assert np.allclose(zdot[:2], -0.5 * gamma * x, atol=1e-12)
         assert np.allclose(zdot[2:], -0.5 * gamma * y, atol=1e-12)
         assert np.allclose(bdot, 0, atol=1e-12)
@@ -171,14 +183,54 @@ class TestRhsComponent:
         rng = np.random.default_rng(21)
         ksym = build_k(random_quadratic_linear(rng, n=2, n_lind=2))
         comps = [random_component(rng, n=2) for _ in range(3)]
-        zdot, bdot, alphadot = doubled._rates(
-            ksym._evaluator, np.array([c.z for c in comps]), np.array([c.b for c in comps]), 1.0
-        )
+        zdot, bdot, alphadot = fused_rates(ksym, comps)
+        for j, comp in enumerate(comps):
+            z1, b1, a1 = (rate[0] for rate in fused_rates(ksym, [comp]))
+            assert np.max(np.abs(zdot[j] - z1)) <= 1e-13 * max(np.max(np.abs(z1)), 1.0)
+            assert np.max(np.abs(bdot[j] - b1)) <= 1e-13 * max(np.max(np.abs(b1)), 1.0)
+            assert abs(alphadot[j] - a1) <= 1e-13 * max(abs(a1), 1.0)
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    @pytest.mark.parametrize("case", ["registered_cat", "limit_cycle", "two_mode"])
+    def test_fused_rates_match_matrix_rates(self, case, hbar):
+        # every fused rate against the rates as matrices, component by
+        # component; hbar = 0.5 weighs the hbar-linear part of dalpha/dt
+        rng = np.random.default_rng(23)
+        if case == "two_mode":  # the stacked solve at n2 = 4
+            ksym = build_k(random_quadratic_linear(rng, n=2, n_lind=2))
+            comps = [random_component(rng, n=2) for _ in range(3)]
+        else:
+            cfg = ExperimentConfig.from_dict(default_config(
+                "cat_anharmonic" if case == "registered_cat" else "limit_cycle"))
+            ksym = build_k(cfg.model.build(hbar))
+            if case == "registered_cat":
+                init = cfg.initial
+                comps = components(cat_decompose(init.centres, init.coefficients,
+                                                 np.array([[init.width]]), hbar=hbar))
+                comps += [random_component(rng) for _ in range(2)]
+            else:  # one real Gaussian, Y = 0 and B = 2iG
+                x0 = coherent(1, np.array(cfg.initial.amplitudes), hbar).x
+                r = rng.normal(size=(2, 2))
+                comps = [Component(hbar=hbar, z=np.concatenate([x0, [0.0, 0.0]]),
+                                   b=2j * (r @ r.T + 0.5 * np.eye(2)), alpha=0.0, weight=1.0)]
+        comps = [c._replace(hbar=hbar) for c in comps]
+        zdot, bdot, alphadot = fused_rates(ksym, comps, hbar)
         for j, comp in enumerate(comps):
             z1, b1, a1 = rhs_component(ksym, comp)
             assert np.max(np.abs(zdot[j] - z1)) <= 1e-13 * max(np.max(np.abs(z1)), 1.0)
             assert np.max(np.abs(bdot[j] - b1)) <= 1e-13 * max(np.max(np.abs(b1)), 1.0)
             assert abs(alphadot[j] - a1) <= 1e-13 * max(abs(a1), 1.0)
+
+    @pytest.mark.parametrize("im_b", [np.diag([1.0, -1.0]), np.zeros((2, 2))],
+                             ids=["indefinite", "singular"])
+    def test_stage_without_positive_im_b_raises(self, im_b):
+        # one bad row among good ones stops the whole call, before any solve
+        rng = np.random.default_rng(24)
+        ksym = build_k(anharmonic_damped())
+        comps = [random_component(rng) for _ in range(3)]
+        comps[1] = comps[1]._replace(b=comps[1].b.real + 1j * im_b)
+        with pytest.raises(ValueError, match="Im B must be positive definite"):
+            fused_rates(ksym, comps)
 
     def test_free_rotation_closed_form(self):
         (q,), (p,) = real_vars()
@@ -241,7 +293,7 @@ class TestComponentPacking:
     @pytest.mark.parametrize("n_modes", [1, 2])
     def test_pack_unpack_round_trip(self, n_modes):
         rng = np.random.default_rng(14 + n_modes)
-        kev = _KEvaluator(build_k(random_quadratic_linear(rng, n=n_modes)))
+        kev = _DoubledRhs(build_k(random_quadratic_linear(rng, n=n_modes)))
         comp = random_component(rng, n=n_modes)
         z, b, alpha = kev.unpack(kev.pack(comp.z, comp.b, comp.alpha))
         assert np.array_equal(z, comp.z)
@@ -616,31 +668,32 @@ class TestChord:
             chord_rhs(model, chord_from_component(comp))
 
     def test_generator_built_once_per_model(self, monkeypatch):
-        built, evaluators = [], []
-        original_k, original_kev = doubled.build_k, doubled._KEvaluator
+        built, compiled = [], []
+        original_k, original_rhs = doubled.build_k, doubled._DoubledRhs
 
         def counting_k(model):
             built.append(model)
             return original_k(model)
 
-        def counting_kev(ksym):
-            evaluators.append(ksym)
-            return original_kev(ksym)
+        def counting_rhs(ksym):
+            compiled.append(ksym)
+            return original_rhs(ksym)
 
         monkeypatch.setattr(doubled, "build_k", counting_k)
-        monkeypatch.setattr(doubled, "_KEvaluator", counting_kev)
+        monkeypatch.setattr(doubled, "_DoubledRhs", counting_rhs)
         rng = np.random.default_rng(41)
         model = random_quadratic_linear(rng, n=1, n_lind=2)
         comp = random_component(rng, n=1)
         for _ in range(20):
             chord_rhs(model, chord_from_component(comp))
-        propagate_superposition(model, cat_decompose([(1.0, 0.5)], [1.0], np.array([[1j]])),
-                                [0.0, 0.01])
-        assert len(built) == 1 and len(evaluators) == 1
+        for _ in range(2):
+            propagate_superposition(model, cat_decompose([(1.0, 0.5)], [1.0], np.array([[1j]])),
+                                    [0.0, 0.01])
+        assert len(built) == 1 and len(compiled) == 1
         ksym = build_k(model)
         for _ in range(20):
-            rhs_component(ksym, comp)
-        assert len(evaluators) == 2
+            fused_rates(ksym, [comp])
+        assert len(compiled) == 2
 
     def test_mmat_positivity_enforced(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import semilind.gaussian as gaussian
 from semilind.gaussian import (
     GaussianWigner,
     GridSpec,
@@ -161,6 +162,21 @@ class TestCatDecompose:
             coeffs=[1.0, 1.0],
             width=np.array([[1j]]),
         )
+
+    def test_widths_checked_once(self, monkeypatch):
+        # the normalized state is built from the checked one, not checked again
+        real, seen = gaussian._check_widths, []
+
+        def recorded(b):
+            seen.append(b.shape)
+            real(b)
+
+        monkeypatch.setattr(gaussian, "_check_widths", recorded)
+        st = cat_decompose([(4.0, 3.0), (4.0, -3.0)], [1.0, 1.0], np.array([[1j]]))
+        assert seen == [(4, 2, 2)]
+        assert st.norm_factor == self.state.norm_factor
+        for name in ("z", "b", "alpha", "weights"):
+            assert np.array_equal(getattr(st, name), getattr(self.state, name)), name
 
     def test_single_gaussian_is_plain(self):
         st = cat_decompose([(1.0, -2.0)], [1.0], np.array([[1j]]))

@@ -9,8 +9,10 @@ one line ``<sha256>  <path>`` per written file, paths relative to ``OUTDIR``
 and sorted, leaving out ``config.json``.  A ``report.json`` holds run times, so
 its line digests the report without ``runtime_s``.  Two checkouts that write
 the same artifacts print the same lines, so comparing them is one ``diff``
-of the two outputs.  The package is imported from the ``src`` directory of
-the checkout this script sits in.
+of the two outputs.  Where the lines differ, ``tools/artifact_diff.py``
+run on the two output roots shows by how much each differing file's values
+moved.  The package is imported from the ``src`` directory of the checkout
+this script sits in.
 """
 
 from __future__ import annotations
