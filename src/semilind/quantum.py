@@ -39,9 +39,6 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import matrix_power as _sparse_matrix_power
 
 from .gaussian import GridSpec, Moments, WignerGrid
 from .ode import solve_ivp
@@ -183,10 +180,22 @@ def quantize(terms, fock: FockSpace) -> sp.csr_array:
         mat = sp.identity(fock.dim, dtype=complex, format="csr")
         for j, (m, k) in enumerate(powers):
             a = fock._lowering[j]
-            mat = mat @ _sparse_matrix_power(a.conj().T, m)
-            mat = mat @ _sparse_matrix_power(a, k)
+            mat = mat @ _matrix_power(a.conj().T, m)
+            mat = mat @ _matrix_power(a, k)
         out = out + complex(coeff) * mat
     return out
+
+
+def _matrix_power(a, k: int):
+    """a^k of a square sparse matrix by the halving recursion of
+    ``scipy.sparse.linalg.matrix_power``, product for product, so that the
+    operators keep their last digits without importing ``scipy.sparse.linalg``."""
+    if k == 0:
+        return sp.eye_array(a.shape[0], dtype=a.dtype)
+    if k == 1:
+        return a
+    half = _matrix_power(a, k // 2)
+    return a @ half @ half if k % 2 else half @ half
 
 
 def symbol_to_normal_ordered(sym: PolySymbol):
@@ -257,9 +266,35 @@ class DensityMatrix:
 # -- invariant blocks -----------------------------------------------------------
 
 
+def _weak_components(mat):
+    """Number of weakly connected components of the nonzero pattern of a
+    square matrix, and the component label of each row, the components
+    numbered by their smallest row, as ``scipy.sparse.csgraph`` numbers them.
+
+    Every row starts as the root of its own tree.  A round hooks the root
+    of each edge's larger-rooted end onto the other end's root, the smallest
+    offered, then jumps pointers until every row points at its root; roots
+    only decrease, so the root of a component is its smallest row.  Edges
+    found inside one tree are dropped, and the rounds stop when none is left.
+    """
+    u, v = sp.coo_array(mat).nonzero()
+    root = np.arange(mat.shape[0])
+    while u.size:
+        ru, rv = root[u], root[v]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+        apart = root[u] != root[v]
+        u, v = u[apart], v[apart]
+    roots, labels = np.unique(root, return_inverse=True)
+    return roots.size, labels
+
+
 class _BlockPartition:
-    """Connected components of the nonzero pattern of a square matrix, packed
-    into bins of width M = `max_block`, the largest block.
+    """Connected components of the nonzero pattern of a square matrix
+    (`_weak_components`), packed into bins of width M = `max_block`, the
+    largest block.
 
     Each bin opens with the largest block left and takes the smallest blocks
     left while they fit, so packing is linear in the number of blocks.  The
@@ -274,8 +309,7 @@ class _BlockPartition:
     """
 
     def __init__(self, mat):
-        mat = sp.csr_array(mat)
-        self.n_blocks, labels = connected_components(mat != 0, directed=True, connection="weak")
+        self.n_blocks, labels = _weak_components(mat)
         self.sizes = np.bincount(labels)
         self.max_block = width = int(self.sizes.max())
         order = np.argsort(-self.sizes, kind="stable")
@@ -312,6 +346,15 @@ class _BlockPartition:
         out = np.zeros((self.n_bins, m, m), dtype=coo.dtype)
         out[r // m, r % m, c % m] = coo.data
         return out
+
+    def by_size(self):
+        """For each block size, the (g, size) slots of the g blocks of that
+        size and the index that cuts them from a (n_bins, M, M) stack as one
+        (g, size, size) stack."""
+        m = self.max_block
+        for size in np.unique(self.sizes):
+            slots = self.starts[self.sizes == size, None] + np.arange(size)
+            yield slots, (slots[:, :1, None] // m, slots[:, :, None] % m, slots[:, None, :] % m)
 
 
 def _blockwise(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -372,10 +415,13 @@ class _HermitianCoords:
         return np.concatenate([vec.real[self._re], vec.imag[self._im]])
 
     def superop(self, liou) -> sp.csr_array:
-        """CSR real matrix Q liou P, which acts on x as liou acts on vec(rho)."""
+        """CSR real matrix Q liou P, which acts on x as liou acts on vec(rho),
+        with its column indices sorted within each row, so that a product
+        sums each row in column order."""
         lp = sp.csr_array(liou @ self.P)
         real = sp.vstack([lp[self._re].real, lp[self._im].imag], format="csr")
         real.eliminate_zeros()
+        real.sort_indices()
         return real
 
 
@@ -423,19 +469,59 @@ def _model_matrices(model: LindbladModel, fock: FockSpace):
     return h, ls
 
 
+# Coefficients b_0 .. b_13 of the [13/13] Pade approximant of exp, over b_0
+# so that a zero matrix maps to the identity exactly, and the largest 1-norm
+# at which it is accurate to double precision (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 1179 (2005))
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a (g, n, n) stack, by Higham's scaling and
+    squaring with the [13/13] Pade approximant, all slices in one batched
+    pass: slice i is scaled by 2^-s_i to a 1-norm of at most theta_13, and
+    its approximant is squared s_i times."""
+    norm = np.abs(a).sum(axis=1).max(axis=1)
+    squarings = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    a = a * np.ldexp(1.0, -squarings)[:, None, None]
+    b, eye = _PADE13, np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+             + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    out = np.linalg.solve(v - u, v + u)
+    for k in range(squarings.max()):
+        sq = squarings > k
+        out[sq] = out[sq] @ out[sq]
+    return out
+
+
 def _block_states(liou, blocks: _BlockPartition, y0: np.ndarray, t_eval: np.ndarray):
     """Yield the state y at each time of t_eval, stepping with the exact
-    propagators expm(L_b dt) of the blocks of the superoperator, one expm of
-    their (n_bins, M, M) stack per step.  y stays in the bin layout between
-    steps.  Consecutive steps that agree to 1e-12 relative share one stack
-    of propagators, so a uniform grid computes one."""
+    propagators expm(L_b dt) of the blocks L_b of the superoperator.  A
+    step's propagators are one `_expm` call per block size, on the blocks of
+    that size cut from the (n_bins, M, M) stack (the sum of the blocks' m^3,
+    about half of n_bins M^3 on the limit cycle), set back into a stack that
+    is zero in the padding, so that a step is one batched product.  y stays
+    in the bin layout between steps.  Consecutive steps that agree to 1e-12
+    relative share one stack of propagators, so a uniform grid computes one."""
     stacked = blocks.stack(liou)
+    cuts = [cut for _, cut in blocks.by_size()]
+    props = np.zeros_like(stacked)
     y = blocks.embed(y0)
-    step, props = None, None
+    step = None
     yield y0
     for dt in np.diff(t_eval):
-        if props is None or abs(dt - step) > 1e-12 * step:
-            step, props = dt, expm(stacked * dt)
+        if step is None or abs(dt - step) > 1e-12 * step:
+            step = dt
+            for cut in cuts:
+                props[cut] = _expm(stacked[cut] * dt)
         y = _blockwise(props, y)
         yield y[blocks.pos]
 
@@ -457,8 +543,9 @@ def integrate_master(
     as for the band pairs m - n = +-k of a phase-covariant model (2(n - k)
     real unknowns each), x is mapped from one output time to the next by
     the exact dense propagators of the blocks, packed into one stack of bins
-    as wide as the largest block (method "block_expm", scaling and
-    squaring).  Any other model, such as one with a q^4 term, whose
+    as wide as the largest block (method "block_expm"; `_expm`, Pade-13
+    scaling and squaring, exponentiates the blocks of each size in one
+    batch).  Any other model, such as one with a q^4 term, whose
     blocks are its two parity sectors, is integrated whole by adaptive
     DOP853 (method "dop853"); `rtol` and `atol` apply to this path only.
 
@@ -702,10 +789,7 @@ class _SectorPropagator(_BlockPartition):
         vec_inv = vec.copy()
         self.lam = np.zeros(self.n_slots, dtype=complex)
         smax, smin = 0.0, np.inf
-        for size in np.unique(self.sizes):
-            # every block of this size, as a (g, size, size) stack cut from its bins
-            slots = self.starts[self.sizes == size, None] + np.arange(size)
-            cut = (slots[:, :1, None] // m, slots[:, :, None] % m, slots[:, None, :] % m)
+        for slots, cut in self.by_size():
             lam, v = np.linalg.eig(blocks[cut])
             sv = np.linalg.svd(v, compute_uv=False)
             smax, smin = max(smax, sv.max()), min(smin, sv.min())

@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag, expm
 from scipy.optimize import brentq
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, matrix_power
 from scipy.special import gammaln, hermite
 
 from semilind.gaussian import (
@@ -35,13 +35,16 @@ from semilind.quantum import (
     _blockwise,
     _crossing_times,
     _diagonal_reads,
+    _expm,
     _HermitianCoords,
     _RowGather,
     _liouvillian,
     _log_factorials,
+    _matrix_power,
     _model_matrices,
     _rotation_blocks,
     _trajectory_key,
+    _weak_components,
     integrate_master,
     moments_of_density,
     quantize,
@@ -188,6 +191,16 @@ class TestQuantize:
         for L, sym in zip(ls, model.lindblads):
             assert np.array_equal(L.toarray(), dense_quantize(sym, dims))
 
+    @pytest.mark.parametrize("k", range(7))
+    def test_power_helper_repeats_scipy_products(self, k):
+        for a in FockSpace([5, 7])._lowering:
+            for op in (a, a.conj().T):
+                got = sp.csr_array(_matrix_power(op, k))
+                want = sp.csr_array(matrix_power(op, k))
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.data, want.data)
+
     def test_registered_lattice_keeps_number_sectors_exactly(self):
         model = ExperimentConfig.from_dict(default_config("bose_hubbard_losses")).model.build(1.0)
         f = FockSpace([8, 8])
@@ -321,6 +334,13 @@ class TestHermitianCoords:
         assert np.array_equal(coords.P @ x, rho.ravel())
         x = rng.normal(size=n * n)
         assert np.array_equal(coords.read(coords.P @ x), x)
+
+    def test_superop_sorts_each_row(self):
+        # DOP853's products sum each row in this order, whether or not a
+        # block partition has read the matrix first
+        liou = real_superop("cat_anharmonic")
+        rows = np.repeat(np.arange(liou.shape[0]), np.diff(liou.indptr))
+        assert np.array_equal(np.lexsort((liou.indices, rows)), np.arange(liou.nnz))
 
     @pytest.mark.parametrize("model", ["random", "limit_cycle", "cat_anharmonic"])
     def test_real_superop_matches_liouvillian(self, model):
@@ -834,6 +854,71 @@ def block_labels(mat):
     return connected_components(sp.csr_array(mat) != 0, directed=True, connection="weak")[1]
 
 
+def real_superop(name):
+    """Real superoperator Q L P of a registered one-mode model at its
+    registered truncation."""
+    n = default_config(name)["fock_levels"]
+    return _HermitianCoords(n).superop(
+        _liouvillian(*_model_matrices(registered_model(name), FockSpace(n))))
+
+
+class TestWeakComponents:
+    @pytest.mark.parametrize("name", ["limit_cycle", "cat_anharmonic", "lattice"])
+    def test_registered_patterns_match_csgraph(self, name):
+        mat = lattice_heff(26)[0] if name == "lattice" else real_superop(name)
+        n_blocks, labels = _weak_components(mat)
+        want = connected_components(sp.csr_array(mat) != 0, directed=True, connection="weak")
+        assert n_blocks == want[0]
+        assert np.array_equal(labels, want[1])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_directed_patterns_match_csgraph(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 80
+        rows, cols = rng.integers(0, n, size=(2, 70))
+        data = rng.standard_normal(70)
+        data[:5] = 0.0  # stored zeros are no edges
+        mat = sp.csr_array((data, (rows, cols)), shape=(n, n))
+        n_blocks, labels = _weak_components(mat)
+        want = connected_components(mat != 0, directed=True, connection="weak")
+        assert np.sum(np.bincount(labels) == 1) > 10  # isolated rows among them
+        assert n_blocks == want[0]
+        assert np.array_equal(labels, want[1])
+
+
+    def test_partition_leaves_its_matrix_unchanged(self):
+        # each row's column indices in descending order
+        mat = sp.csr_array((np.arange(1.0, 7.0), [2, 1, 0, 2, 0, 1], [0, 3, 4, 6]), shape=(3, 3))
+        before = [arr.copy() for arr in (mat.data, mat.indices, mat.indptr)]
+        assert _BlockPartition(mat).n_blocks == 1
+        for arr, old in zip((mat.data, mat.indices, mat.indptr), before):
+            assert np.array_equal(arr, old)
+
+
+class TestExpm:
+    def test_limit_cycle_stack_matches_scipy(self):
+        liou = real_superop("limit_cycle")
+        part = _BlockPartition(liou)
+        stacked = part.stack(liou) * 0.5  # the registered output step
+        want = expm(stacked)
+        assert np.max(np.abs(_expm(stacked) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_random_non_normal_stacks_match_scipy(self):
+        # 1-norms from 1e-3 to 1e3: no squaring up to 5.37, eight at 1e3
+        rng = np.random.default_rng(0)
+        norms = np.logspace(-3, 3, 13)
+        a = rng.standard_normal((13, 6, 6)) + np.triu(4 * rng.standard_normal((13, 6, 6)), 1)
+        a *= (norms / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+        got, want = _expm(a), expm(a)
+        err = np.max(np.abs(got - want), axis=(1, 2)) / np.max(np.abs(want), axis=(1, 2))
+        # the conditioning of exp grows with the norm; 300 seeds stayed below 180 eps
+        assert np.all(err <= 1e3 * np.finfo(float).eps * np.maximum(1.0, norms))
+
+    def test_zero_stack_is_identity(self):
+        # a RuntimeWarning, such as log2(0), fails the test
+        assert np.array_equal(_expm(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
 class TestBlockPartition:
     def test_lattice_sectors_fill_bins_without_padding(self):
         # the 51 number sectors have sizes 1, 1, 2, 2, .., 25, 25, 26: the
@@ -845,8 +930,7 @@ class TestBlockPartition:
 
     def test_limit_cycle_blocks_each_inside_one_bin(self):
         n = 56
-        liou = _HermitianCoords(n).superop(
-            _liouvillian(*_model_matrices(registered_model("limit_cycle"), FockSpace(n))))
+        liou = real_superop("limit_cycle")
         part = _BlockPartition(liou)
         # 110 alone, 108 + 2, .., 56 + 54 (the band pairs), then the
         # 56 diagonal unknowns alone: 3,190 slots for 3,136 unknowns
@@ -949,8 +1033,8 @@ class TestSectorPropagator:
         t_eval = np.linspace(0.0, 2.0, 9)
         sectors = quantum_jump(model, psi0, t_eval, n_traj=40, seed=17, fock=f)
         assert (sectors.n_blocks, sectors.max_block) == (15, 8)
-        monkeypatch.setattr(quantum, "connected_components",
-                            lambda graph, **kw: (1, np.zeros(graph.shape[0], dtype=int)))
+        monkeypatch.setattr(quantum, "_weak_components",
+                            lambda mat: (1, np.zeros(mat.shape[0], dtype=int)))
         whole = quantum_jump(model, psi0, t_eval, n_traj=40, seed=17, fock=f)
         assert (whole.n_blocks, whole.max_block) == (1, 64)
         assert sectors.jump_counts.sum() > 40

@@ -98,11 +98,14 @@ def test_no_unused_import():
 
 def test_harness_import_leaves_out_the_heavy_scipy_packages():
     """Set-up time: the package integrates with its own DOP853 (`semilind.ode`)
-    and needs of scipy only sparse matrices, ``expm`` and ``csgraph``; this
-    holds for the harness and for every CLI verb, the selftest among them."""
+    and exponentiates, labels blocks and raises operators to powers with its
+    own kernels (`semilind.quantum`), so it needs of scipy only sparse
+    matrices; this holds for the harness and for every CLI verb, the selftest
+    among them."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg",
+             "scipy.sparse.linalg", "scipy.sparse.csgraph")
     out = subprocess.run(
         [sys.executable, "-c", f"import sys, semilind.harness.cli, semilind.harness.selftest; "
                                f"print([m for m in {heavy!r} if m in sys.modules])"],
