@@ -176,7 +176,7 @@ def _master(config: ExperimentConfig, model, t_eval) -> SolverRun:
         frames=lambda ks: wigner_of_density([mtraj.density(k) for k in ks], config.grid),
         entries=[{"check": "master_solver", "method": mtraj.method, "nfev": mtraj.nfev,
                   "steps": mtraj.steps, "rejected": mtraj.rejected,
-                  "superoperator": "real_hermitian", "nnz": mtraj.nnz, "blocks": mtraj.blocks,
+                  "superoperator": mtraj.superoperator, "nnz": mtraj.nnz, "blocks": mtraj.blocks,
                   "max_block": mtraj.max_block, "passed": True}],
         events=list(mtraj.events),
     )
@@ -199,6 +199,12 @@ def _doubled(config: ExperimentConfig, model, t_eval) -> SolverRun:
                   "rejected": series.rejected, "passed": True}],
         events=list(series.events),
     )
+
+
+# The variables that pin the BLAS thread count, which the jump ensemble's two
+# threads need at one (see `quantum_jump`).  Numpy cannot report the live
+# count, so the jump row records the pin as the environment states it.
+_BLAS_PIN_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _jumps(config: ExperimentConfig, model, t_eval) -> SolverRun:
@@ -227,7 +233,9 @@ def _jumps(config: ExperimentConfig, model, t_eval) -> SolverRun:
                   "norm_evals_per_jump": ens.norm_evals / max(int(ens.jump_counts.sum()), 1),
                   "max_norm_evals": ens.max_norm_evals,
                   "n_blocks": ens.n_blocks, "max_block": ens.max_block,
-                  "max_leakage": ens.max_leakage, "passed": True}],
+                  "max_leakage": ens.max_leakage,
+                  "blas_thread_pin": {var: os.environ.get(var) for var in _BLAS_PIN_VARS},
+                  "passed": True}],
     )
 
 

@@ -148,10 +148,10 @@ _MESSAGES = {
 @dataclass
 class OdeResult:
     """What `solve_ivp` returns.  ``y[:, k]`` is the state at ``t[k]``, the
-    output times reached.  A step is accepted or rejected; each of them costs
-    12 evaluations of the right-hand side, and each step whose interpolant
-    is built (``dense_steps``) 3 more, after the 2 of the initial step
-    selection."""
+    output times reached; ``y.T`` is C-contiguous, one row per time.  A step
+    is accepted or rejected; each of them costs 12 evaluations of the
+    right-hand side, and each step whose interpolant is built
+    (``dense_steps``) 3 more, after the 2 of the initial step selection."""
 
     t: np.ndarray
     y: np.ndarray
@@ -219,7 +219,8 @@ class _Interpolant:
         self.t_old, self.h, self.y_old, self.F = t_old, t - t_old, y_old, F
 
     def __call__(self, t):
-        """The state at a time (shape (n,)) or at a 1-D array of times ((n, k))."""
+        """The state at a time (shape (n,)) or at a 1-D array of times, one
+        row each ((k, n))."""
         x = (np.asarray(t) - self.t_old) / self.h
         x = x[..., None]
         y = np.zeros(x.shape[:-1] + self.y_old.shape)
@@ -230,7 +231,7 @@ class _Interpolant:
             else:
                 y *= 1 - x
         y += self.y_old
-        return y.T
+        return y
 
 
 def _crossing(f, a: float, b: float) -> float:
@@ -351,7 +352,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float, event=None) -> 
         t, y, f_cur = t_new, y_new, f_new
     return OdeResult(
         t=np.concatenate(ts) if ts else np.empty(0),
-        y=np.hstack(ys) if ys else np.empty((y.size, 0)),
+        y=(np.concatenate(ys) if ys else np.empty((0, y.size))).T,
         nfev=nfev, steps=steps, rejected=rejected, dense_steps=dense_steps, status=status,
         message=_MESSAGES[status], t_event=t_event, y_event=y_event,
     )

@@ -9,17 +9,17 @@ and L_k to the master equation and to the quantum-jump ensemble.  Both split
 their generator into the connected blocks of its nonzero pattern and pack
 the blocks into one stack of equal bins (`_BlockPartition`), so that a
 product by every block is one batched call.  The master equation builds one
-CSR Lindblad superoperator and steps rho in its n^2 real Hermitian
-coordinates (`_HermitianCoords`), so every output rho is Hermitian by
-construction.  It keeps those coordinates stacked over the output times and
-reads the trace, the leakage and the quadrature moments of all of them as
-linear functionals (`FockSpace._functionals`), in one sparse product; a
-density matrix is built only for a requested frame.
-When no block of the real superoperator is larger than twice the Hilbert
-space, as for the band pairs m - n = +-k of a phase-covariant model, it
-steps between output times with exact dense block propagators, and
-otherwise it integrates the whole real superoperator with the adaptive
-eighth-order Dormand-Prince method (DOP853).
+CSR Lindblad superoperator on vec(rho) and returns rho in its n^2 real
+Hermitian coordinates (`_HermitianCoords`), so every output rho is Hermitian
+by construction.  It keeps those coordinates stacked over the output times,
+one row each, and reads the trace, the leakage and the quadrature moments of
+all of them as linear functionals (`FockSpace._functionals`); a density
+matrix is built only for a requested frame.
+When no block of the superoperator is larger than the Hilbert space, as for
+the bands m - n = k of a phase-covariant model, it steps one block of each
+conjugate pair {S, S^T} between output times with exact dense complex block
+propagators, and otherwise it integrates the whole real superoperator with
+the adaptive eighth-order Dormand-Prince method (DOP853).
 The jump ensemble diagonalizes each block of the effective Hamiltonian, such
 as a number sector of the lossy lattice, and runs its trajectories as two
 halves on two threads.  The Wigner transform of a density matrix is exact
@@ -140,12 +140,14 @@ class FockSpace:
         return _HermitianCoords(self.dim)
 
     @cached_property
-    def _functionals(self) -> sp.csr_array:
-        """Real CSR matrix F whose rows read, from the real coordinates x of a
-        Hermitian rho (`_HermitianCoords`), Tr rho, the leakage, each <x_i>
-        and each <x_i x_j + x_j x_i> with i <= j, for the quadratures
+    def _functionals(self) -> "_RowGather":
+        """Reads, from each row x of an array of real coordinates of Hermitian
+        rho (`_HermitianCoords`), Tr rho, the leakage, each <x_i> and each
+        <x_i x_j + x_j x_i> with i <= j, for the quadratures
         x = (q_1..q_n, p_1..p_n): Tr(rho O) = vec(rho) . vec(O^T) = F_O . x
-        with F_O = Re P^T vec(O^T), real because O is Hermitian."""
+        with F_O = Re P^T vec(O^T), real because O is Hermitian.  The rows F_O
+        are a real CSR matrix read by row gathers, so a stack of states is
+        read where it lies (`_functional_values`)."""
         xs = [(a + a.conj().T) / np.sqrt(2) for a in self._lowering]
         xs += [1j * (a.conj().T - a) / np.sqrt(2) for a in self._lowering]
         ops = [sp.identity(self.dim, format="csr"), sp.diags_array(self._top_mask), *xs]
@@ -153,7 +155,12 @@ class FockSpace:
         rows = sp.vstack([sp.csr_array(op.T.reshape(1, -1)) for op in ops], format="csr")
         funcs = sp.csr_array((rows @ self._coords.P).real)
         funcs.eliminate_zeros()
-        return funcs
+        return _RowGather(funcs)
+
+    def _functional_values(self, x: np.ndarray) -> np.ndarray:
+        """The values of `_functionals` on each row of x, one row each, equal
+        bit for bit to the CSR product of its matrix with x^T."""
+        return self._functionals(x, np.zeros((x.shape[0], self._functionals.cols.shape[1])))
 
     def leakage(self, vec_or_rho: np.ndarray) -> float:
         """Total population of the highest level of any mode."""
@@ -427,11 +434,11 @@ class _HermitianCoords:
 
 @dataclass
 class MasterTrajectory:
-    """rho at each output time, as the columns of `coords` in its real
-    coordinates (`_HermitianCoords`), and the quadrature moments that
-    `integrate_master` read from them: `means[k]` holds each <x_i> and
-    `covariances[k]` the symmetrized covariance <x_i x_j + x_j x_i> -
-    2 <x_i><x_j>, for x = (q_1..q_n, p_1..p_n)."""
+    """rho at each output time k, as row k of `coords`, a C-contiguous
+    (times, n^2) array of its real coordinates (`_HermitianCoords`), and the
+    quadrature moments that `integrate_master` read from them: `means[k]`
+    holds each <x_i> and `covariances[k]` the symmetrized covariance
+    <x_i x_j + x_j x_i> - 2 <x_i><x_j>, for x = (q_1..q_n, p_1..p_n)."""
 
     times: np.ndarray
     coords: np.ndarray
@@ -446,15 +453,21 @@ class MasterTrajectory:
     nfev: int
     steps: int  # accepted DOP853 steps; 0 on the block path
     rejected: int  # rejected DOP853 steps; 0 on the block path
-    nnz: int  # stored entries of the real CSR superoperator Q L P
-    blocks: int  # connected blocks of the real superoperator
-    max_block: int  # real unknowns in its largest block
+    nnz: int  # stored entries of the stepped superoperator
+    blocks: int  # blocks of the complex L kept, one per conjugate pair
+    max_block: int  # complex unknowns in the largest block of L
     events: list = field(default_factory=list)
+
+    @property
+    def superoperator(self) -> str:
+        """The matrix the method steps: "complex", the complex L on one block
+        of each conjugate pair, or "real_hermitian", Q L P."""
+        return "complex" if self.method == "block_expm" else "real_hermitian"
 
     def density(self, k: int) -> DensityMatrix:
         """rho at output time k; built only when asked for, as for a frame."""
         dim = self.fock.dim
-        return DensityMatrix(rho=(self.fock._coords.P @ self.coords[:, k]).reshape(dim, dim),
+        return DensityMatrix(rho=(self.fock._coords.P @ self.coords[k]).reshape(dim, dim),
                              fock=self.fock)
 
 
@@ -502,28 +515,69 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_states(liou, blocks: _BlockPartition, y0: np.ndarray, t_eval: np.ndarray):
-    """Yield the state y at each time of t_eval, stepping with the exact
-    propagators expm(L_b dt) of the blocks L_b of the superoperator.  A
-    step's propagators are one `_expm` call per block size, on the blocks of
-    that size cut from the (n_bins, M, M) stack (the sum of the blocks' m^3,
-    about half of n_bins M^3 on the limit cycle), set back into a stack that
-    is zero in the padding, so that a step is one batched product.  y stays
-    in the bin layout between steps.  Consecutive steps that agree to 1e-12
-    relative share one stack of propagators, so a uniform grid computes one."""
-    stacked = blocks.stack(liou)
+def _conjugate_pairs(liou, n: int):
+    """Component label of each row of the complex superoperator `liou` on
+    the row-major vec(rho) of an n x n rho (`_weak_components`), the rows
+    kept to propagate, and the transpose of each row.
+
+    rho -> rho^dagger moves row i n + j to row j n + i, and a Lindblad
+    generator commutes with it, so it maps each block S onto a block S^T of
+    the same size: an entry of L whose mirror image rounds to zero is itself
+    at rounding level.  Of each pair {S, S^T} the block with the smaller
+    label, the one whose first row comes first, is kept; a block that is its
+    own image is kept whole.
+    """
+    swap = np.arange(n * n).reshape(n, n).T.ravel()
+    _, labels = _weak_components(liou)
+    return labels, labels <= labels[swap], swap
+
+
+def _block_states(liou, kept, swap, coords: _HermitianCoords, vec0, t_eval):
+    """The real coordinates x (`_HermitianCoords`) at each time of t_eval, as
+    the rows of a C-contiguous (t_eval.size, n^2) array, and the stored
+    entries of the kept superoperator, stepping vec(rho) on its `kept` rows
+    only with the exact propagators expm(L_b dt) of the blocks L_b of the
+    complex superoperator (`_conjugate_pairs`).
+
+    A step's propagators are one `_expm` call per block size, on the blocks
+    of that size cut from the (n_bins, M, M) stack, set back into a stack
+    that is zero in the padding, so that a step is one batched product.  The
+    state stays in the bin layout between steps, and row k of x is read from
+    it by one gather: an entry of the upper triangle in a block that is not
+    kept is read, conjugated, from its transpose.  Consecutive steps that
+    agree to 1e-12 relative share one stack of propagators, so a uniform grid
+    computes one."""
+    rows = np.flatnonzero(kept)
+    sub = liou[rows][:, rows]
+    blocks = _BlockPartition(sub)
+    stacked = blocks.stack(sub)
     cuts = [cut for _, cut in blocks.by_size()]
     props = np.zeros_like(stacked)
-    y = blocks.embed(y0)
+    # slot of the entry each coordinate reads, its real and imaginary parts
+    # at 2 slot and 2 slot + 1 of the state's float view
+    slot = np.zeros(kept.size, dtype=int)
+    slot[rows] = blocks.pos
+    src = slot[np.where(kept, np.arange(kept.size), swap)]
+    index = np.concatenate([2 * src[coords._re], 2 * src[coords._im] + 1])
+    flip = coords._re.size + np.flatnonzero(~kept[coords._im])
+    x = np.empty((t_eval.size, kept.size))
+
+    def read(y, out):
+        # every index is in range; "clip" lets take write into out unbuffered
+        np.take(y.view(float), index, out=out, mode="clip")
+        out[flip] = -out[flip]
+
+    y = blocks.embed(vec0[rows])
+    read(y, x[0])
     step = None
-    yield y0
-    for dt in np.diff(t_eval):
+    for out, dt in zip(x[1:], np.diff(t_eval)):
         if step is None or abs(dt - step) > 1e-12 * step:
             step = dt
             for cut in cuts:
                 props[cut] = _expm(stacked[cut] * dt)
         y = _blockwise(props, y)
-        yield y[blocks.pos]
+        read(y, out)
+    return x, int(sub.nnz)
 
 
 def integrate_master(
@@ -536,25 +590,28 @@ def integrate_master(
     """Master equation in the truncated basis at the times `t_eval`, which
     must increase strictly.
 
-    rho is stepped in its n^2 real coordinates x (`_HermitianCoords`), with
-    the real superoperator Q L P of the CSR Lindblad superoperator L.  That
-    matrix is split into the connected blocks of its nonzero pattern.  When
-    the largest block is no larger than twice the Hilbert-space dimension,
-    as for the band pairs m - n = +-k of a phase-covariant model (2(n - k)
-    real unknowns each), x is mapped from one output time to the next by
-    the exact dense propagators of the blocks, packed into one stack of bins
-    as wide as the largest block (method "block_expm"; `_expm`, Pade-13
-    scaling and squaring, exponentiates the blocks of each size in one
-    batch).  Any other model, such as one with a q^4 term, whose
-    blocks are its two parity sectors, is integrated whole by adaptive
-    DOP853 (method "dop853"); `rtol` and `atol` apply to this path only.
+    The CSR Lindblad superoperator L on the row-major vec(rho) is split into
+    the connected blocks of its nonzero pattern, which rho -> rho^dagger
+    maps onto each other in pairs {S, S^T} (`_conjugate_pairs`).  When no
+    block is larger than the Hilbert-space dimension, as for the bands
+    m - n = k of a phase-covariant model (n - k complex unknowns each),
+    vec(rho) is mapped from one output time to the next by the exact dense
+    propagators of one block of each pair, in complex arithmetic, packed
+    into one stack of bins as wide as the largest block (method
+    "block_expm"; `_expm`, Pade-13 scaling and squaring, exponentiates the
+    blocks of each size in one batch); the rest of rho is their conjugate.
+    Any other model, such as one with a q^4 term, whose blocks are the two
+    parities of m - n, is integrated whole by adaptive DOP853 (method
+    "dop853") in the n^2 real coordinates x (`_HermitianCoords`), with the
+    real superoperator Q L P; `rtol` and `atol` apply to this path only.
 
-    Each output rho = P x is Hermitian by construction, and is built only
-    on request (`MasterTrajectory.density`).  The trace, the leakage and the
-    quadrature moments of every output time are linear functionals of x,
-    read by one sparse product (`FockSpace._functionals`).  The trace is
-    renormalized only if it drifts beyond 1e-10 (logged).  Population of
-    the highest Fock level is the truncation-leakage monitor.
+    Both paths return x at every output time as one row of a C-contiguous
+    stack, and each output rho = P x is Hermitian by construction, built
+    only on request (`MasterTrajectory.density`).  The trace, the leakage
+    and the quadrature moments of every output time are linear functionals
+    of x, read from the stack by row gathers (`FockSpace._functional_values`).
+    The trace is renormalized only if it drifts beyond 1e-10 (logged).
+    Population of the highest Fock level is the truncation-leakage monitor.
     """
     t_eval = _check_times(t_eval)
     fock = rho0.fock
@@ -562,29 +619,31 @@ def integrate_master(
     init_leak = fock.leakage(rho0.rho)
     if init_leak > _INITIAL_LEAKAGE:
         raise ValueError(f"initial truncation leakage {init_leak:.2e} exceeds {_INITIAL_LEAKAGE:g}")
-    liou = fock._coords.superop(_liouvillian(*_model_matrices(model, fock)))
-    blocks = _BlockPartition(liou)
-    y0 = fock._coords.read(rho0.rho.ravel())
-    if blocks.max_block <= 2 * dim:
+    liou = _liouvillian(*_model_matrices(model, fock))
+    labels, kept, swap = _conjugate_pairs(liou, dim)
+    max_block = int(np.bincount(labels).max())
+    if max_block <= dim:
         method, nfev, steps, rejected = "block_expm", 0, 0, 0
-        coords = np.empty((y0.size, t_eval.size))
-        for k, y in enumerate(_block_states(liou, blocks, y0, t_eval)):
-            coords[:, k] = y
+        coords, nnz = _block_states(liou, kept, swap, fock._coords, rho0.rho.ravel(), t_eval)
     else:
+        real = fock._coords.superop(liou)
+        del liou  # not held through the solve, which would raise its peak memory
 
         def rhs(t, y):
-            return liou @ y
+            return real @ y
 
+        y0 = fock._coords.read(rho0.rho.ravel())
         sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]), y0, t_eval=t_eval, rtol=rtol, atol=atol)
         if not sol.success:
             raise RuntimeError(f"master-equation integration failed: {sol.message}")
-        method, nfev, steps, rejected, coords = "dop853", sol.nfev, sol.steps, sol.rejected, sol.y
-    values = fock._functionals @ coords
-    trace = values[0].copy()
+        method, nfev, steps, rejected = "dop853", sol.nfev, sol.steps, sol.rejected
+        coords, nnz = sol.y.T, int(real.nnz)
+    values = fock._functional_values(coords)
+    trace = values[:, 0].copy()
     renorm = np.abs(trace - 1.0) > 1e-10
-    values[:, renorm] /= trace[renorm]
-    coords[:, renorm] /= trace[renorm]
-    leaks = values[1]
+    values[renorm] /= trace[renorm, None]
+    coords[renorm] /= trace[renorm, None]
+    leaks = values[:, 1]
     leaky = leaks > 1e-6
     events = []
     for k in np.flatnonzero(renorm | leaky):
@@ -599,9 +658,9 @@ def integrate_master(
                       f"first at t={t_eval[np.argmax(leaky)]:.3g}")
     means, covs = _quadrature_moments(fock, values)
     return MasterTrajectory(times=t_eval.copy(), coords=coords, means=means, covariances=covs,
-                            fock=fock, method=method, nfev=nfev, steps=steps, rejected=rejected,
-                            nnz=int(liou.nnz), blocks=blocks.n_blocks,
-                            max_block=blocks.max_block, events=events)
+                            fock=fock, method=method, nfev=nfev, steps=steps,
+                            rejected=rejected, nnz=nnz, blocks=np.unique(labels[kept]).size,
+                            max_block=max_block, events=events)
 
 
 # -- moments ------------------------------------------------------------------
@@ -609,13 +668,13 @@ def integrate_master(
 
 def _quadrature_moments(fock: FockSpace, values: np.ndarray):
     """First moments (k, 2n) and symmetrized covariances (k, 2n, 2n) of k
-    states from the values (rows) of `FockSpace._functionals` on them (columns)."""
+    states from the values of `FockSpace._functionals` on them, one row each."""
     dim = 2 * fock.n_modes
-    means = values[2:2 + dim].T
+    means = values[:, 2:2 + dim]
     iu = np.triu_indices(dim)
-    pairs = np.empty((values.shape[1], dim, dim))
-    pairs[:, iu[0], iu[1]] = values[2 + dim:].T
-    pairs[:, iu[1], iu[0]] = values[2 + dim:].T
+    pairs = np.empty((values.shape[0], dim, dim))
+    pairs[:, iu[0], iu[1]] = values[:, 2 + dim:]
+    pairs[:, iu[1], iu[0]] = values[:, 2 + dim:]
     return means, pairs - 2 * means[:, :, None] * means[:, None, :]
 
 
@@ -626,8 +685,8 @@ def moments_of_density(rho) -> Moments:
     if isinstance(rho, MasterTrajectory):  # solved at hbar = 1
         return Moments.from_covariance(1.0, rho.means, rho.covariances)
     fock = rho.fock
-    values = fock._functionals @ fock._coords.read(rho.rho.ravel())
-    return Moments.from_covariance(rho.hbar, *_quadrature_moments(fock, values[:, None]))
+    values = fock._functional_values(fock._coords.read(rho.rho.ravel())[None])
+    return Moments.from_covariance(rho.hbar, *_quadrature_moments(fock, values))
 
 
 # -- Wigner transform ---------------------------------------------------------
@@ -876,12 +935,13 @@ def _trajectory_key(seed: int, index: int) -> int:
 
 
 class _RowGather:
-    """Product of a sparse square operator with each row x of an array, by
-    gathers instead of a CSR product.  Row i of the operator holds at most
-    K entries; `cols[:, i]` and `coef[:, i]` list them in CSR order, padded
+    """Product of a sparse operator with each row x of an array, by gathers
+    instead of a CSR product.  Row i of the operator holds at most K
+    entries; `cols[:, i]` and `coef[:, i]` list them in CSR order, padded
     with column 0 and value 0, and entry i of the product is
     sum_k coef[k, i] * x[cols[k, i]].  With one entry per row the result
-    equals the CSR product bit for bit."""
+    equals the CSR product bit for bit, and with any number when the terms
+    are added to zeros given as `out`, as the CSR product adds them."""
 
     def __init__(self, op):
         op = sp.csr_array(op)
@@ -893,9 +953,12 @@ class _RowGather:
         self.coef = np.zeros((k, op.shape[0]), dtype=op.dtype)
         self.cols[rank, rows], self.coef[rank, rows] = op.indices, op.data
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = self.coef[0] * x[:, self.cols[0]]
-        for cols, coef in zip(self.cols[1:], self.coef[1:]):
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        ranks = zip(self.cols, self.coef)
+        if out is None:
+            cols, coef = next(ranks)
+            out = coef * x[:, cols]
+        for cols, coef in ranks:
             out += coef * x[:, cols]
         return out
 

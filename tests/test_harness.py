@@ -540,14 +540,15 @@ class TestRunners:
         (mtraj,) = trajs
         assert solver == [{"check": "master_solver", "method": mtraj.method, "nfev": mtraj.nfev,
                            "steps": mtraj.steps, "rejected": mtraj.rejected,
-                           "superoperator": "real_hermitian", "nnz": mtraj.nnz,
+                           "superoperator": mtraj.superoperator, "nnz": mtraj.nnz,
                            "blocks": mtraj.blocks, "max_block": mtraj.max_block, "passed": True}]
         assert mtraj.nnz > 0
-        if name == "limit_cycle":  # the band pairs m - n = +-k, propagated exactly
-            assert (mtraj.method, mtraj.nfev, mtraj.steps, mtraj.rejected, mtraj.blocks,
-                    mtraj.max_block) == ("block_expm", 0, 0, 0, 56, 110)
-        else:  # two parity blocks of the 55-level q^4 model
-            assert (mtraj.method, mtraj.blocks, mtraj.max_block) == ("dop853", 2, 1513)
+        if name == "limit_cycle":  # the bands m - n = k >= 0, propagated exactly
+            assert (mtraj.method, mtraj.superoperator, mtraj.nfev, mtraj.steps, mtraj.rejected,
+                    mtraj.blocks, mtraj.max_block) == ("block_expm", "complex", 0, 0, 0, 56, 56)
+        else:  # two parity blocks of the 55-level q^4 model, each its own conjugate
+            assert (mtraj.method, mtraj.superoperator, mtraj.blocks,
+                    mtraj.max_block) == ("dop853", "real_hermitian", 2, 1513)
             assert mtraj.nfev > 0 and mtraj.steps > 0
         others = [e["passed"] for e in doc["entries"] if e["check"] != "master_solver"]
         assert others
@@ -734,6 +735,10 @@ class TestLatticeG12:
         assert g12.stderr[0] < 1e-12 and np.all(g12.stderr[1:] > 0)
 
     def test_jump_solver_stats_reach_report(self, tmp_path, monkeypatch):
+        # the BLAS pin is recorded as the environment states it, unset as null
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         d = default_config("bose_hubbard_losses")
         d.update(n_trajectories=20, fock_levels=10, output_dir=str(tmp_path))
         d["times"] = {"t_end": 0.5, "n_out": 5, "frames": []}
@@ -754,6 +759,8 @@ class TestLatticeG12:
                            "norm_evals_per_jump": ens.norm_evals / ens.jump_counts.sum(),
                            "max_norm_evals": ens.max_norm_evals,
                            "n_blocks": 19, "max_block": 10, "max_leakage": ens.max_leakage,
+                           "blas_thread_pin": {"OPENBLAS_NUM_THREADS": "1",
+                                               "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None},
                            "passed": True}]
         assert ens.jump_counts.sum() > 0 and 0 < ens.max_leakage < 1  # 10 levels leak heavily
         # every crossing takes at least one norm evaluation

@@ -44,6 +44,7 @@ def assert_same_solve(args, kwargs):
     assert got.nfev == 2 + 12 * (got.steps + got.rejected) + 3 * got.dense_steps
     np.testing.assert_allclose(got.t, want.t, rtol=1e-13, atol=0)
     np.testing.assert_allclose(got.y, want.y, rtol=1e-13, atol=0)
+    assert got.y.T.flags.c_contiguous  # one row per output time
     return got, want
 
 

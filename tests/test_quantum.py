@@ -33,6 +33,7 @@ from semilind.quantum import (
     _BlockPartition,
     _SectorPropagator,
     _blockwise,
+    _conjugate_pairs,
     _crossing_times,
     _diagonal_reads,
     _expm,
@@ -462,11 +463,14 @@ class TestMaster:
         rho0 = DensityMatrix.from_state(f.coherent_vector([1.0]), f)
         traj = integrate_master(rho0, model, np.linspace(0, 3, 7))
         assert len(calls) == 1
-        # the damped oscillator splits into its 16 band pairs m - n = +-k,
-        # the largest (k = 1) of 30 real unknowns, so it runs on the block
-        # path and makes no DOP853 calls
-        assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 16, 30)
-        assert traj.nnz == _HermitianCoords(16).superop(_liouvillian(*_model_matrices(model, f))).nnz
+        # the damped oscillator splits into its bands m - n = k, kept one of
+        # each pair +-k: 16 blocks, the largest (k = 0) of 16 complex
+        # unknowns, so it runs on the block path and makes no DOP853 calls
+        assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 16, 16)
+        # the kept rows are the upper triangle m <= n of vec(rho)
+        m, n = np.divmod(np.arange(16 * 16), 16)
+        upper = np.flatnonzero(m <= n)
+        assert traj.nnz == _liouvillian(*_model_matrices(model, f))[upper][:, upper].nnz
         integrate_master(rho0, model, np.linspace(0, 1, 3))
         assert len(calls) == 2
 
@@ -502,7 +506,7 @@ class TestMasterPaths:
         rho0 = DensityMatrix.from_state(f.coherent_vector(cfg.initial.amplitudes), f)
         model = cfg.model.build(1.0)
         traj = integrate_master(rho0, model, t_eval)
-        assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 56, 110)
+        assert (traj.method, traj.nfev, traj.blocks, traj.max_block) == ("block_expm", 0, 56, 56)
         assert np.array_equal(traj.times, t_eval)
         want = reference_rhos(rho0, model, t_eval)
         assert max(np.max(np.abs(got - ref)) for got, ref in zip(output_rhos(traj), want)) < 1e-8
@@ -515,7 +519,9 @@ class TestMasterPaths:
         rho0 = DensityMatrix.from_state(psi, f)
         traj = integrate_master(rho0, registered_model("cat_anharmonic"), np.linspace(0, 1, 5))
         assert traj.method == "dop853" and traj.nfev > 0
-        assert (traj.blocks, traj.max_block) == (2, 200)
+        # each parity block is its own conjugate: two kept blocks of 200
+        # complex unknowns, stepped as the real superoperator
+        assert (traj.blocks, traj.max_block, traj.superoperator) == (2, 200, "real_hermitian")
 
     @pytest.mark.parametrize("t_eval", [np.linspace(0.0, 1.0, 5), np.array([0.0, 0.3, 1.0, 1.05])],
                              ids=["uniform", "non_uniform"])
@@ -544,6 +550,8 @@ class TestMasterPaths:
         rho0 = DensityMatrix.from_state(f.coherent_vector([0.8 + 0.4j]), f)
         traj = integrate_master(rho0, registered_model(name), np.array([0.0, 0.3, 1.0, 1.05]))
         assert traj.method == method
+        # one C-contiguous stack layout, one row per output time, on both paths
+        assert traj.coords.flags.c_contiguous and traj.coords.shape == (4, 400)
         assert all(np.array_equal(rho, rho.conj().T) for rho in output_rhos(traj))
 
     @pytest.mark.parametrize("name, method", [("limit_cycle", "block_expm"),
@@ -556,6 +564,112 @@ class TestMasterPaths:
         for t_eval in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0], [1.0, 0.0], [0.0]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 integrate_master(rho0, model, t_eval)
+
+
+def real_block_coords(rho0, model, t_eval):
+    """x at t_eval, one row each, stepped by scipy's expm of each connected
+    block of the real superoperator Q L P: the real-block propagation that
+    the complex blocks replaced.  Steps that agree to 1e-12 share their
+    propagators, as in `integrate_master`."""
+    coords = _HermitianCoords(rho0.fock.dim)
+    real = coords.superop(_liouvillian(*_model_matrices(model, rho0.fock)))
+    labels = block_labels(real)
+    blocks = [np.flatnonzero(labels == b) for b in range(labels.max() + 1)]
+    mats = [real[idx][:, idx].toarray() for idx in blocks]
+    x, step = coords.read(rho0.rho.ravel()), None
+    out = [x]
+    for dt in np.diff(t_eval):
+        if step is None or abs(dt - step) > 1e-12 * step:
+            step, props = dt, [expm(mat * dt) for mat in mats]
+        x = x.copy()
+        for idx, prop in zip(blocks, props):
+            x[idx] = prop @ x[idx]
+        out.append(x)
+    return np.array(out)
+
+
+def lossless_dimer(levels=4):
+    """The registered lattice Hamiltonian with no Lindblad operators, and a
+    random state of at most two quanta, which never reaches the top level."""
+    h = registered_model("bose_hubbard_losses").hamiltonian
+    f = FockSpace([levels, levels])
+    n1, n2 = np.divmod(np.arange(f.dim), levels)
+    rng = np.random.default_rng(3)
+    psi = (rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)) * (n1 + n2 <= 2)
+    return LindbladModel(2, 1.0, h, ()), DensityMatrix.from_state(psi, f)
+
+
+class TestComplexBlocks:
+    @pytest.mark.parametrize("case", ["limit_cycle", "damped_oscillator"])
+    def test_matches_real_block_oracle(self, case):
+        if case == "limit_cycle":  # the registered row, at its output times
+            cfg = ExperimentConfig.from_dict(default_config("limit_cycle"))
+            f = FockSpace(cfg.fock_levels)
+            rho0 = DensityMatrix.from_state(f.coherent_vector(cfg.initial.amplitudes), f)
+            model, t_eval = cfg.model.build(1.0), cfg.times.grid()
+        else:  # the damped oscillator of C01
+            q = PolySymbol.variable(Chart.REAL_QP, 1, 0)
+            p = PolySymbol.variable(Chart.REAL_QP, 1, 1)
+            model = LindbladModel(1, 1.0, (q * q + p * p) * 0.5, ((q + p * 1j) * np.sqrt(0.05),))
+            f = FockSpace(41)
+            rho0 = DensityMatrix.from_state(f.coherent_vector([2.0]), f)
+            t_eval = np.linspace(0.0, 20.0, 101)
+        traj = integrate_master(rho0, model, t_eval)
+        assert traj.method == "block_expm"
+        assert traj.coords.flags.c_contiguous and traj.coords.shape == (t_eval.size, f.dim**2)
+        want = real_block_coords(rho0, model, t_eval)
+        err = np.max(np.abs(traj.coords - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert np.all(err <= 1e-12)
+
+    def test_limit_cycle_keeps_the_upper_bands(self):
+        # the bands m - n = k >= 0 are kept, sizes 56, 55, .., 1: 56 alone,
+        # then 55 + 1, .., 29 + 27, then 28, in 29 bins of width 56
+        n = 56
+        liou = _liouvillian(*_model_matrices(registered_model("limit_cycle"), FockSpace(n)))
+        labels, kept, swap = _conjugate_pairs(liou, n)
+        m, k = np.divmod(np.arange(n * n), n)
+        assert np.array_equal(kept, m <= k)
+        assert np.array_equal(swap, k * n + m)
+        assert np.array_equal(labels, block_labels(liou))
+        rows = np.flatnonzero(kept)
+        part = _BlockPartition(liou[rows][:, rows])
+        assert (part.n_blocks, part.n_bins, part.max_block) == (56, 29, 56)
+        assert np.array_equal(np.sort(part.sizes), np.arange(1, n + 1))
+
+    def test_lossless_dimer_self_conjugate_blocks(self):
+        # the blocks are the pairs (N, N') of number sectors, sizes 1, 2, 3,
+        # 4, 3, 2, 1: 49 blocks, of which the 7 (N, N) are their own image
+        model, rho0 = lossless_dimer()
+        f = rho0.fock
+        liou = _liouvillian(*_model_matrices(model, f))
+        labels, kept, swap = _conjugate_pairs(liou, f.dim)
+        sizes = np.bincount(labels)
+        own = np.unique(labels[labels == labels[swap]])
+        assert (sizes.size, own.size, sizes.max()) == (49, 7, f.dim)
+        t_eval = np.array([0.0, 0.4, 1.0, 1.3, 2.5])
+        traj = integrate_master(rho0, model, t_eval)
+        assert (traj.method, traj.blocks, traj.max_block) == ("block_expm", 28, 16)
+        rhos = output_rhos(traj)
+        assert all(np.array_equal(rho, rho.conj().T) for rho in rhos)
+        want = reference_rhos(rho0, model, t_eval)
+        assert max(np.max(np.abs(got - ref)) for got, ref in zip(rhos, want)) < 1e-8
+
+    def test_conjugated_reads(self):
+        # in the dimer's kept block (N, N') with N < N', the entry
+        # (|1,0>, |0,2>) = (4, 2) lies below the diagonal, so the upper entry
+        # (2, 4) is read, conjugated, from it
+        model, rho0 = lossless_dimer()
+        f = rho0.fock
+        labels, kept, swap = _conjugate_pairs(_liouvillian(*_model_matrices(model, f)), f.dim)
+        assert kept[4 * f.dim + 2] and not kept[2 * f.dim + 4]
+        assert labels[4 * f.dim + 2] != labels[2 * f.dim + 4] and rho0.rho[2, 4].imag != 0
+        t_eval = np.array([0.0, 0.7, 1.9])
+        traj = integrate_master(rho0, model, t_eval)
+        coords = _HermitianCoords(f.dim)
+        # at t = 0 the read gives back the coordinates of the exactly Hermitian start
+        assert np.array_equal(traj.coords[0], coords.read(rho0.rho.ravel()))
+        for x, ref in zip(traj.coords, reference_rhos(rho0, model, t_eval)):
+            assert np.max(np.abs(x - coords.read(ref.ravel()))) < 1e-8
 
 
 class TestMomentsOfDensity:

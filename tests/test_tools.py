@@ -48,7 +48,27 @@ class TestArtifactDiff:
         # the largest relative difference sits at a near-zero value
         assert lines[4] == ("exp/row/wigner_t0.5.npy: 1 of 4 values differ, max abs 1e-17 "
                             "(1e-17 of max |A|), max rel 1 (at A = 1e-17)")
-        assert len(lines) == 5
+        # over both files, the largest share of a file's largest value
+        assert lines[5] == "largest share of max |A|: 1e-09 (exp/row/observables.csv)"
+        assert len(lines) == 6
+
+    def test_largest_share_names_its_file(self, tmp_path, capsys):
+        # 0.5 of the frame's largest value 1.0 outweighs 1e-6 of the series' 2.0
+        write_root(tmp_path / "a", 2.0, 0.0, 0.1)
+        write_root(tmp_path / "b", 2.0 + 2e-6, 0.5, 0.1)
+        load_tool("artifact_diff").main([str(tmp_path / "a"), str(tmp_path / "b")])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "largest share of max |A|: 0.5 (exp/row/wigner_t0.5.npy)"
+
+    def test_report_only_differences(self, tmp_path, capsys):
+        write_root(tmp_path / "a", 2.0, 1e-17, 0.1)
+        write_root(tmp_path / "b", 2.0, 1e-17, 0.1)
+        report = tmp_path / "b" / "exp" / "report.json"
+        report.write_text(report.read_text().replace("true", "false"))
+        load_tool("artifact_diff").main([str(tmp_path / "a"), str(tmp_path / "b")])
+        assert capsys.readouterr().out.splitlines() == [
+            "exp/report.json:", "  entries[0:q_error].passed: True -> False",
+            "largest share of max |A|: no .csv or .npy values compared"]
 
     def test_bad_arguments(self, tmp_path):
         assert load_tool("artifact_diff").main([str(tmp_path)]) == 2

@@ -14,7 +14,10 @@ whose entries differ, prints each differing entry ``path: a -> b``,
 leaving out ``runtime_s`` as the digests do.  Files under one root only,
 and other files whose bytes differ, are listed by name.  Prints ``no differences`` when every file
 common to both roots has the same bytes and neither root has a file the
-other lacks.  Exits 0 in either case, and 2 on bad arguments.
+other lacks.  Otherwise the last line gives the largest |b - a| as a share
+of its file's largest |a| over every differing ``.csv`` and ``.npy`` file,
+and that file, so that a bound stated against each file's largest value
+reads off one number.  Exits 0 in either case, and 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -32,19 +35,20 @@ def _files(root: Path) -> set:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
 
-def _spread(a: np.ndarray, b: np.ndarray) -> str:
+def _spread(a: np.ndarray, b: np.ndarray):
     """How many of the values differ, the largest |b - a|, also as a share
-    of the largest |a|, and the largest |b - a| / |a| with the a it is at."""
+    of the largest |a|, and the largest |b - a| / |a| with the a it is at;
+    and that share, 0 when no value differs."""
     a, b = a.ravel(), b.ravel()
     diff = np.abs(b - a)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(diff == 0, 0.0, diff / np.abs(a))
-    if not np.count_nonzero(diff):
-        return f"0 of {a.size} values differ"
+        share = diff.max(initial=0.0) / np.abs(a).max(initial=0.0) if diff.any() else 0.0
+    if not share:
+        return f"0 of {a.size} values differ", share
     worst = int(np.argmax(rel))
     return (f"{np.count_nonzero(diff)} of {a.size} values differ, max abs {diff.max():.3g} "
-            f"({diff.max() / np.abs(a).max():.3g} of max |A|), "
-            f"max rel {rel[worst]:.3g} (at A = {a[worst]:.6g})")
+            f"({share:.3g} of max |A|), max rel {rel[worst]:.3g} (at A = {a[worst]:.6g})"), share
 
 
 def _float(cell: str):
@@ -58,7 +62,7 @@ def _csv_line(a_bytes: bytes, b_bytes: bytes) -> str:
     rows_a = list(csv.reader(io.StringIO(a_bytes.decode())))
     rows_b = list(csv.reader(io.StringIO(b_bytes.decode())))
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
-        return f"shape differs: {len(rows_a)} vs {len(rows_b)} rows"
+        return f"shape differs: {len(rows_a)} vs {len(rows_b)} rows", None
     xs, ys, text = [], [], 0
     for cell_a, cell_b in ((x, y) for ra, rb in zip(rows_a, rows_b) for x, y in zip(ra, rb)):
         num_a, num_b = _float(cell_a), _float(cell_b)
@@ -67,14 +71,14 @@ def _csv_line(a_bytes: bytes, b_bytes: bytes) -> str:
             ys.append(num_b)
         elif cell_a != cell_b:
             text += 1
-    line = _spread(np.array(xs), np.array(ys))
-    return line + (f"; {text} text cells differ" if text else "")
+    line, share = _spread(np.array(xs), np.array(ys))
+    return line + (f"; {text} text cells differ" if text else ""), share
 
 
 def _npy_line(a_path: Path, b_path: Path) -> str:
     a, b = np.load(a_path, allow_pickle=False), np.load(b_path, allow_pickle=False)
     if a.shape != b.shape:
-        return f"shape differs: {a.shape} vs {b.shape}"
+        return f"shape differs: {a.shape} vs {b.shape}", None
     return _spread(a, b)
 
 
@@ -119,6 +123,7 @@ def main(argv) -> int:
     root_a, root_b = (Path(arg) for arg in argv)
     files_a, files_b = _files(root_a), _files(root_b)
     found = False
+    largest = None  # (share, file) of the largest share of a file's max |A|
     for rel in sorted(files_a ^ files_b):
         print(f"{rel}: only under {root_a if rel in files_a else root_b}")
         found = True
@@ -135,14 +140,22 @@ def main(argv) -> int:
                 found = True
             continue
         found = True
-        if rel.suffix == ".csv":
-            print(f"{rel}: {_csv_line(a_bytes, b_bytes)}")
-        elif rel.suffix == ".npy":
-            print(f"{rel}: {_npy_line(a_path, b_path)}")
-        else:
+        if rel.suffix not in (".csv", ".npy"):
             print(f"{rel}: bytes differ")
+            continue
+        if rel.suffix == ".csv":
+            line, share = _csv_line(a_bytes, b_bytes)
+        else:
+            line, share = _npy_line(a_path, b_path)
+        print(f"{rel}: {line}")
+        if share is not None and (largest is None or share > largest[0]):
+            largest = (share, rel)
     if not found:
         print("no differences")
+    elif largest is None:
+        print("largest share of max |A|: no .csv or .npy values compared")
+    else:
+        print(f"largest share of max |A|: {largest[0]:.3g} ({largest[1]})")
     return 0
 
 
