@@ -31,8 +31,9 @@ The components of a superposition are propagated together, as one DOP853
 system over the stack of their packed rows (Z, Re B triangle, Im B
 triangle, Re alpha, Im alpha).  Every rate is a polynomial in the row but
 for the terms in u = (Im B)^{-1}(v1 + Re B v2), (v1, v2) = grad Im K0, and
-those polynomials are expanded once per model (`_fused_rates`).  So each
-right-hand-side call is one `PolyBatch` evaluation over the stack of rows,
+those polynomials are expanded once per model (`_fused_rates`; dB/dt by
+`_riccati_rates`, as the Gaussian width rate is).  So each right-hand-side
+call is one `PolyBatch` evaluation over the stack of rows,
 a Cholesky check of the Im B read from the rows, one stacked solve for u,
 and the addition of u, Re B u and Y . u to dX, dY and dalpha.  A component
 whose Im B collapses ends that solve at a terminal event; the solve
@@ -46,16 +47,15 @@ operations.  A `SuperpositionState` is built only for a requested frame.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .gaussian import Moments, SuperpositionState, _check_widths, _integrals, _superposition_moments
 from .ode import solve_ivp
-from .semiclassical import LindbladModel, _check_times, _packing
-from .symbols import Chart, PolyBatch, PolySymbol, double_lift, moyal_term, poisson
+from .semiclassical import LindbladModel, _check_times
+from .symbols import (Chart, PolyBatch, PolySymbol, _packing, _riccati_rates, _times_forms,
+                      double_lift, moyal_term, poisson)
 
 __all__ = [
     "DoubledSymbol",
@@ -108,7 +108,7 @@ class DoubledSymbol:
             if sum(key[n2:]) % 2 == 0 and abs(coeff) > 1e-12 * scale:
                 raise ValueError(f"Re K0 has a y-even term {key}")
         pts = np.random.default_rng(0).normal(size=(64, 2 * n2), scale=2.0)
-        vals = PolyBatch([im])(pts)[0].real
+        vals = PolyBatch([im])(pts).real
         if vals.max() > 1e-10 * scale:
             raise ValueError(f"Im K0 positive at a sample point: {vals.max()}")
 
@@ -157,9 +157,10 @@ class _DoubledRhs:
     A component is packed as the row (Z, Re B upper triangle, Im B upper
     triangle, Re alpha, Im alpha), a stack of components as a stack of rows.
     `_fused_rates` expands every rate that is polynomial in the row into one
-    `PolyBatch`; a call evaluates it, checks Im B by a stacked Cholesky
-    factorization, makes one stacked solve for u = (Im B)^{-1} w and adds
-    u to dX, Re B u to dY and Y . u to dalpha.
+    flat `PolyBatch`; a call evaluates it on the stack as one (m, n) array,
+    checks Im B by a stacked Cholesky factorization, makes one stacked
+    solve for u = (Im B)^{-1} w and adds u to dX, Re B u to dY and Y . u to
+    dalpha.
     """
 
     def __init__(self, ksym: DoubledSymbol):
@@ -168,7 +169,7 @@ class _DoubledRhs:
         self.iu, self.b_re = _packing(n2, self.dim)
         self.b_im = self.b_re + self.iu[0].size
         self.row_size = self.dim + 2 * self.iu[0].size + 2
-        self.batch = PolyBatch([_fused_rates(ksym, self.b_re, self.b_im, self.row_size)])
+        self.batch = PolyBatch(_fused_rates(ksym, self.b_re, self.b_im, self.row_size))
         # Im B, then the rows of Re B and Y that multiply u, gathered from a row
         self.gather = np.concatenate([self.b_im, self.b_re, n2 + np.arange(n2)[None]])
 
@@ -176,7 +177,7 @@ class _DoubledRhs:
         """Rates of the rows of an (m, row_size) stack; raises `ValueError`
         if some row's Im B is not positive definite."""
         n2, size = self.dim // 2, self.row_size
-        vals = self.batch(rows)[0]
+        vals = self.batch(rows)
         mats = rows[:, self.gather]
         im = mats[:, :n2]
         try:
@@ -211,56 +212,36 @@ def _fused_rates(ksym: DoubledSymbol, b_re, b_im, row_size):
 
     Each rate but the terms in u = (Im B)^{-1} w is a polynomial in the row:
     the Omega2 grad Re K0 + (0, Im B v2) part of dZ/dt, the Re and Im upper
-    triangles of dB/dt, and the hbar-free part -K0 + Y . (Omega2 grad Re K0)_x
-    and hbar-linear part -K1 + (i/2) Tr(K0_xy + K0_yy B) of dalpha/dt.
-    Every one is a sum of K-monomials in Z times entries of the row, and
+    triangles of dB/dt (`_riccati_rates`, M0 = K0_xx, M1 = K0_yx,
+    M2 = K0_yy), and the hbar-free part -K0 + Y . (Omega2 grad Re K0)_x and
+    hbar-linear part -K1 + (i/2) Tr(K0_xy + K0_yy B) of dalpha/dt.  Every
+    one is a sum of K-monomials in Z times entries of the row, and
     B = Re B + i Im B enters as a complex linear form in two entries."""
     n2 = b_re.shape[0]
-    pad = (0,) * (row_size - 2 * n2)
     grad, hess = ksym.k0.grad(), ksym.k0.hessian()
     g_re = [g.real_part().terms for g in grad]
     g_im = [g.imag_part().terms for g in grad]
     kxx = [[hess[i][j].terms for j in range(n2)] for i in range(n2)]
-    kxy = [[hess[i][n2 + j].terms for j in range(n2)] for i in range(n2)]
+    kyx = [[hess[j][n2 + i].terms for j in range(n2)] for i in range(n2)]  # K0_xy transposed
     kyy = [[hess[n2 + i][n2 + j].terms for j in range(n2)] for i in range(n2)]
 
     def b(i, j):  # B_ij as a linear form in the row, (position, coefficient) pairs
         return [(b_re[i, j], 1.0), (b_im[i, j], 1j)]
 
-    def add(acc, terms, scale, *forms):
-        """acc += scale * (polynomial in Z) * (product of linear forms)."""
-        for choice in product(*forms):
-            c0 = scale * math.prod(c for _, c in choice)
-            for key, c in terms.items():
-                key = list(key + pad)
-                for s, _ in choice:
-                    key[s] += 1
-                key = tuple(key)
-                acc[key] = acc.get(key, 0j) + c0 * c
-        return acc
-
     # Omega2 grad Re K0, a polynomial in Z alone
     drift = g_re[n2:] + [{key: -c for key, c in f.items()} for f in g_re[:n2]]
-    zdot = [add({}, f, 1.0) for f in drift]
-    alpha0 = add({}, ksym.k0.terms, -1.0)
-    alpha1 = add({}, ksym.k1.terms, -1.0)
-    w = [add({}, g_im[i], 1.0) for i in range(n2)]
+    zdot = [_times_forms({}, f, 1.0, (), row_size) for f in drift]
+    alpha0 = _times_forms({}, ksym.k0.terms, -1.0, (), row_size)
+    alpha1 = _times_forms({}, ksym.k1.terms, -1.0, (), row_size)
+    w = [_times_forms({}, g_im[i], 1.0, (), row_size) for i in range(n2)]
     for i in range(n2):
-        add(alpha0, drift[i], 1.0, [(n2 + i, 1.0)])
-        add(alpha1, kxy[i][i], 0.5j)
+        _times_forms(alpha0, drift[i], 1.0, ([(n2 + i, 1.0)],), row_size)
+        _times_forms(alpha1, kyx[i][i], 0.5j, (), row_size)
         for j in range(n2):
-            add(zdot[n2 + i], g_im[n2 + j], 1.0, [(b_im[i, j], 1.0)])
-            add(w[i], g_im[n2 + j], 1.0, [(b_re[i, j], 1.0)])
-            add(alpha1, kyy[i][j], 0.5j, b(j, i))
-    bdot = []
-    for i, j in zip(*np.triu_indices(n2)):
-        acc = add({}, kxx[i][j], -1.0)
-        for k in range(n2):
-            add(acc, kxy[j][k], -1.0, b(i, k))
-            add(acc, kxy[i][k], -1.0, b(k, j))
-            for l in range(n2):
-                add(acc, kyy[k][l], -1.0, b(i, k), b(l, j))
-        bdot.append(acc)
+            _times_forms(zdot[n2 + i], g_im[n2 + j], 1.0, ([(b_im[i, j], 1.0)],), row_size)
+            _times_forms(w[i], g_im[n2 + j], 1.0, ([(b_re[i, j], 1.0)],), row_size)
+            _times_forms(alpha1, kyy[i][j], 0.5j, (b(j, i),), row_size)
+    bdot = _riccati_rates(kxx, kyx, kyy, b, row_size)
 
     def part(acc, take):
         return {key: take(c) for key, c in acc.items() if take(c) != 0}

@@ -334,11 +334,6 @@ class GridSpec:
         p = self.p_min + self.dp * (np.arange(self.n_p) + 0.5)
         return q, p
 
-    def points(self) -> np.ndarray:
-        q, p = self.axes()
-        qq, pp = np.meshgrid(q, p, indexing="ij")
-        return np.stack([qq, pp], axis=-1)
-
 
 @dataclass(frozen=True)
 class WignerGrid:

@@ -4,7 +4,8 @@ Unknown keys are rejected at every level, and every float but the grid
 bounds (which `GridSpec` checks) goes through `_finite`, so NaN and
 Infinity are `ConfigError`s.  No boolean or string is read as a number
 (`_real`).  Counts and the seed go through `_integer`, scales that must
-be positive through `_positive`, and lists through `_list`, so a value
+be positive through `_positive`, and lists through `_list` (a cat's
+centres and a portrait's starts through `_nonempty` too), so a value
 of the wrong type or range is a `ConfigError` naming its key when the
 config is read, before any solver runs.  Every `ConfigError`, here and in
 ``run_experiment``, starts with the path of the key at fault as the JSON
@@ -130,18 +131,27 @@ def _list(conv):
     return convert
 
 
-def _complex_pair(v) -> complex:
+def _float_pair(v) -> tuple:
+    """A point [q, p] or a complex number's [re, im]."""
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise TypeError(f"complex values are [re, im] pairs, got {v!r}")
-    return complex(_finite(v[0]), _finite(v[1]))
+        raise TypeError(f"must be a pair of numbers, got {v!r}")
+    return _finite(v[0]), _finite(v[1])
 
 
-def _pair_list(v):
-    return tuple(_complex_pair(item) for item in v)
+def _complex_pair(v) -> complex:
+    return complex(*_float_pair(v))
 
 
-def _float_pair_list(v):
-    return tuple((_finite(a), _finite(b)) for a, b in v)
+def _nonempty(conv):
+    """Converter of a list (``conv``) that rejects an empty one: an empty cat
+    or fan of starts would run nothing, and pass."""
+
+    def convert(v) -> tuple:
+        if not (items := conv(v)):
+            raise ValueError("must not be empty")
+        return items
+
+    return convert
 
 
 def _plain(value):
@@ -199,8 +209,8 @@ class ModelSection:
 
 @dataclass(frozen=True)
 class InitialSection:
-    """A coherent state sets `amplitudes`, a cat the other three; the fields
-    a kind does not use stay None."""
+    """A coherent state sets `amplitudes`, a cat the other three, with one
+    coefficient per centre; the fields a kind does not use stay None."""
 
     kind: str
     amplitudes: tuple | None = None
@@ -213,15 +223,19 @@ class InitialSection:
         d = dict(d)
         kind = d.pop("kind", None)
         if kind == "coherent":
-            vals = _pull(d, "initial", {"amplitudes": _pair_list})
+            vals = _pull(d, "initial", {"amplitudes": _list(_complex_pair)})
             return cls(kind="coherent", amplitudes=vals["amplitudes"])
         if kind == "cat":
             vals = _pull(
                 d,
                 "initial",
-                {"centres": _float_pair_list, "coefficients": _pair_list},
+                {"centres": _nonempty(_list(_float_pair)), "coefficients": _list(_complex_pair)},
                 {"width": (_complex_pair, 1j)},
             )
+            if len(vals["coefficients"]) != len(vals["centres"]):
+                raise ConfigError(f"initial.coefficients: needs one coefficient per centre, "
+                                  f"{len(vals['centres'])} in all, got "
+                                  f"{len(vals['coefficients'])}")
             if vals["width"].imag <= 0:
                 raise ConfigError("initial.width: needs a positive imaginary part")
             return cls(kind="cat", **vals)
@@ -291,7 +305,8 @@ class PortraitSection:
 
     @classmethod
     def from_dict(cls, d):
-        vals = _pull(d, "portrait", {**_GRID_KEYS, **_SPAN, "starts": _float_pair_list})
+        vals = _pull(d, "portrait", {**_GRID_KEYS, **_SPAN,
+                                     "starts": _nonempty(_list(_float_pair))})
         _grid_spec("portrait", vals)
         return cls(**vals)
 

@@ -154,7 +154,7 @@ def run_selftest() -> bool:
     # on a grid whose centre is the origin, where |1> gives -1/pi
     fock = FockSpace(13)
     spec = GridSpec(-1.5, 1.5, 13, -1.5, 1.5, 13)
-    r2 = np.sum(spec.points() ** 2, axis=-1)
+    r2 = np.add.outer(*(axis ** 2 for axis in spec.axes()))
     ok = True
     for n in (0, 1, 2, 5, 12):
         grid = wigner_of_density(DensityMatrix.from_state(np.eye(13)[n], fock), spec)

@@ -299,9 +299,9 @@ def _weak_components(mat):
 
 
 class _BlockPartition:
-    """Connected components of the nonzero pattern of a square matrix
-    (`_weak_components`), packed into bins of width M = `max_block`, the
-    largest block.
+    """Blocks labelled 0, 1, .. by row (as `_weak_components` labels the
+    connected components of a matrix), packed into bins of width
+    M = `max_block`, the largest block.
 
     Each bin opens with the largest block left and takes the smallest blocks
     left while they fit, so packing is linear in the number of blocks.  The
@@ -315,9 +315,9 @@ class _BlockPartition:
     the layout by it in one batched product.
     """
 
-    def __init__(self, mat):
-        self.n_blocks, labels = _weak_components(mat)
+    def __init__(self, labels):
         self.sizes = np.bincount(labels)
+        self.n_blocks = self.sizes.size
         self.max_block = width = int(self.sizes.max())
         order = np.argsort(-self.sizes, kind="stable")
         self.starts = np.empty(self.n_blocks, dtype=int)
@@ -532,12 +532,13 @@ def _conjugate_pairs(liou, n: int):
     return labels, labels <= labels[swap], swap
 
 
-def _block_states(liou, kept, swap, coords: _HermitianCoords, vec0, t_eval):
+def _block_states(liou, labels, kept, swap, coords: _HermitianCoords, vec0, t_eval):
     """The real coordinates x (`_HermitianCoords`) at each time of t_eval, as
     the rows of a C-contiguous (t_eval.size, n^2) array, and the stored
     entries of the kept superoperator, stepping vec(rho) on its `kept` rows
     only with the exact propagators expm(L_b dt) of the blocks L_b of the
-    complex superoperator (`_conjugate_pairs`).
+    complex superoperator, whose blocks `labels` gives (`_conjugate_pairs`;
+    the kept rows are whole blocks, so they keep their labels' order).
 
     A step's propagators are one `_expm` call per block size, on the blocks
     of that size cut from the (n_bins, M, M) stack, set back into a stack
@@ -549,7 +550,7 @@ def _block_states(liou, kept, swap, coords: _HermitianCoords, vec0, t_eval):
     computes one."""
     rows = np.flatnonzero(kept)
     sub = liou[rows][:, rows]
-    blocks = _BlockPartition(sub)
+    blocks = _BlockPartition(np.unique(labels[rows], return_inverse=True)[1])
     stacked = blocks.stack(sub)
     cuts = [cut for _, cut in blocks.by_size()]
     props = np.zeros_like(stacked)
@@ -624,7 +625,8 @@ def integrate_master(
     max_block = int(np.bincount(labels).max())
     if max_block <= dim:
         method, nfev, steps, rejected = "block_expm", 0, 0, 0
-        coords, nnz = _block_states(liou, kept, swap, fock._coords, rho0.rho.ravel(), t_eval)
+        coords, nnz = _block_states(liou, labels, kept, swap, fock._coords, rho0.rho.ravel(),
+                                    t_eval)
     else:
         real = fock._coords.superop(liou)
         del liou  # not held through the solve, which would raise its peak memory
@@ -841,7 +843,7 @@ class _SectorPropagator(_BlockPartition):
     """
 
     def __init__(self, heff):
-        super().__init__(heff)
+        super().__init__(_weak_components(heff)[1])
         blocks = self.stack(heff)
         m = self.max_block
         vec = np.broadcast_to(np.eye(m, dtype=complex), blocks.shape).copy()

@@ -18,7 +18,8 @@ stacked, from which a `GaussianWigner` is built only on request.  It
 integrates the packed row (X, upper triangle of G), whose rate is a
 polynomial in that row entry by entry: the drift depends on X alone, and the
 width rate is linear and quadratic in G with coefficients polynomial in X.
-These polynomials are expanded once per model (`_packed_rates`), so each
+These polynomials are expanded once per model (`_packed_rates`, the width
+rate by `_riccati_rates`, the expansion the doubled dB/dt shares), so each
 right-hand-side call is one `PolyBatch` evaluation.
 `classify_flow` names the class of the centre flow one Lindblad symbol
 contributes (gradient, Hamiltonian or general); each phase portrait reports
@@ -35,7 +36,8 @@ import numpy as np
 
 from .gaussian import GaussianWigner, physicality_of_width
 from .ode import solve_ivp
-from .symbols import Chart, PolyBatch, PolySymbol, chart_transform, poisson
+from .symbols import (Chart, PolyBatch, PolySymbol, _packing, _riccati_rates, _times_forms,
+                      chart_transform, poisson)
 
 __all__ = [
     "LindbladModel",
@@ -134,7 +136,7 @@ def drift_field(model: LindbladModel) -> list[PolySymbol]:
 def drift_x(model: LindbladModel, x) -> np.ndarray:
     """Centre drift at a phase-space point (q, p), or at each row of an
     (m, dim) array, for a model on either chart."""
-    return model._compiled.drift(x)[0]
+    return model._compiled.drift(x)
 
 
 # -- flow classification ------------------------------------------------------
@@ -218,16 +220,6 @@ def classify_flow(lindblad: PolySymbol) -> FlowClassification:
 # -- integration --------------------------------------------------------------
 
 
-def _packing(dim, offset):
-    """Upper-triangle indices of a (dim, dim) symmetric matrix, and for every
-    entry its position in a packed row that holds the upper triangle,
-    row-major, from position ``offset`` on (after the centre)."""
-    iu = np.triu_indices(dim)
-    pos = np.zeros((dim, dim), dtype=np.intp)
-    pos[iu] = offset + np.arange(iu[0].size)
-    return iu, np.maximum(pos, pos.T)
-
-
 @dataclass
 class Trajectory:
     """Gaussian states at the sampled times, stacked: centre ``x[k]`` (2n,)
@@ -252,39 +244,23 @@ class Trajectory:
 def _packed_rates(drift, lam, d2, n_modes):
     """The packed right-hand side as coefficient maps over the packed row
     (X, upper triangle of G, as `_packing` lays it out): the drift, which
-    depends on X alone, then the upper triangle of the width rate in its
-    symmetric closed form dG/dt = S + S^T - W^T (D + D^T) W, with W = Omega G
-    and S = Lam W, which equals the symmetrized core because
-    Omega^T = -Omega.  S is linear and W^T (D + D^T) W quadratic in G, so
-    every entry is a polynomial in the row: each X-monomial of Lam and
-    D + D^T times one or two entries of G."""
+    depends on X alone, then the width rate as the Riccati rate
+    -(G M1 + M1^T G + G M2 G) of `_riccati_rates`, M1 = Omega Lam^T and
+    M2 = Omega^T (D + D^T) Omega, which equals the symmetrized core because
+    Omega^T = -Omega.  Row k of Omega is sign[k] times unit row partner[k]."""
     dim = 2 * n_modes
     iu, pos = _packing(dim, dim)
-    pad = (0,) * iu[0].size
-    # W = Omega G: row k of W is sign[k] times row partner[k] of G
+    size = dim + iu[0].size  # of the packed row
     partner = [*range(n_modes, dim), *range(n_modes)]
     sign = [1] * n_modes + [-1] * n_modes
 
-    def add(acc, sym, scale, *slots):
-        """acc += scale * sym * (product of the packed entries at slots)."""
-        for key, c in sym.terms.items():
-            key = list(key + pad)
-            for s in slots:
-                key[s] += 1
-            key = tuple(key)
-            acc[key] = acc.get(key, 0j) + scale * c
-
-    rates = [{key + pad: c for key, c in f.terms.items()} for f in drift]
-    for i, j in zip(*iu):
-        acc = {}
-        for k in range(dim):
-            wki, wkj = pos[partner[k], i], pos[partner[k], j]
-            add(acc, lam[i][k], sign[k], wkj)
-            add(acc, lam[j][k], sign[k], wki)
-            for l in range(dim):
-                add(acc, d2[k][l], -sign[k] * sign[l], wki, pos[partner[l], j])
-        rates.append({key: c for key, c in acc.items() if c != 0})
-    return rates
+    m0 = [[{}] * dim] * dim
+    m1 = [[(lam[i][partner[k]] * sign[k]).terms for i in range(dim)] for k in range(dim)]
+    m2 = [[(d2[partner[k]][partner[l]] * (sign[k] * sign[l])).terms for l in range(dim)]
+          for k in range(dim)]
+    g_rates = _riccati_rates(m0, m1, m2, lambda i, j: [(pos[i, j], 1.0)], size)
+    return ([_times_forms({}, f.terms, 1.0, (), size) for f in drift]
+            + [{key: c for key, c in acc.items() if c != 0} for acc in g_rates])
 
 
 class _CompiledRhs:
@@ -301,12 +277,12 @@ class _CompiledRhs:
     def __init__(self, model: LindbladModel):
         dim = 2 * model.n_modes
         drift, lam, d2 = _gaussian_fields(model)
-        self.drift = PolyBatch([drift])
-        self.rates = PolyBatch([_packed_rates(drift, lam, d2, model.n_modes)])
+        self.drift = PolyBatch(drift)
+        self.rates = PolyBatch(_packed_rates(drift, lam, d2, model.n_modes))
         self.iu, self.gather = _packing(dim, dim)
 
     def __call__(self, t, y):
-        return self.rates(y)[0]
+        return self.rates(y)
 
 
 def _check_times(t_eval) -> np.ndarray:

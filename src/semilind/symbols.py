@@ -273,46 +273,32 @@ class PolySymbol:
             total += v
         return total
 
-    __call__ = eval
-
 
 class PolyBatch:
-    """Evaluate a fixed list of fields at real points with a few numpy ops.
+    """Evaluate a fixed list of polynomials at real points in a few numpy ops.
 
-    A field is a polynomial, or a regular nested list of polynomials such as
-    a gradient or a Hessian; a call returns one array per field, shaped like
-    that field.  A polynomial is a symbol or a coefficient map keyed by
-    exponent tuples, as a symbol's ``terms``; every key of the batch has the
-    same length, the number of variables.  The batch shares the union of
-    monomials across all polynomials; each monomial is the product of its
-    factors x_i^e with e > 0, gathered from a table of variable powers and
-    padded with the table's x^0 = 1 entry, and evaluation is
-    ``coeffs @ monomials``, one row per polynomial in field order.  The
-    coefficients are stored as float64 when every imaginary part is zero,
-    so real polynomials stay in real arithmetic.  Used by the ODE
-    right-hand sides, where per-call Python overhead matters.
+    A polynomial is a symbol or a coefficient map keyed by exponent tuples,
+    as a symbol's ``terms``; every key of the batch has the same length, the
+    number of variables.  The batch shares the union of monomials across
+    all polynomials; each monomial is the product of its factors x_i^e with
+    e > 0, gathered from a table of variable powers and padded with the
+    table's x^0 = 1 entry, and evaluation is ``coeffs @ monomials``, one row
+    per polynomial in list order.  The coefficients are stored as float64
+    when every imaginary part is zero, so real polynomials stay in real
+    arithmetic.  Each ODE right-hand side is one batch, of the rates of a
+    packed row (`_riccati_rates`), where per-call Python overhead matters.
     """
 
-    def __init__(self, fields):
-        polys, self._layout = [], []  # rows and shape of each field
-        dims = set()  # the number of variables each polynomial declares
-        for fld in fields:
-            cells = np.array(fld, dtype=object)
-            if not all(isinstance(p, (PolySymbol, dict)) for p in cells.flat):
-                raise ValueError("a field must be a polynomial or a regular nested list of "
-                                 "polynomials (symbols or coefficient maps)")
-            self._layout.append((slice(len(polys), len(polys) + cells.size), cells.shape))
-            for p in cells.flat:
-                if isinstance(p, PolySymbol):
-                    dims.add(p.dim)
-                    p = p.terms
-                dims.update(len(k) for k in p)
-                polys.append(p)
-        if not polys:
-            raise ValueError("empty batch")
+    def __init__(self, polys):
+        if not all(isinstance(p, (PolySymbol, dict)) for p in polys):
+            raise ValueError("a batch holds polynomials: symbols or coefficient maps")
+        # the number of variables each polynomial declares
+        dims = {p.dim for p in polys if isinstance(p, PolySymbol)}
+        polys = [p.terms if isinstance(p, PolySymbol) else p for p in polys]
+        dims.update(len(k) for p in polys for k in p)
         if len(dims) != 1:
             raise ValueError("mixed dimensions in batch" if dims else
-                             "a batch of empty coefficient maps has no dimension")
+                             "a batch without a term has no dimension")
         (dim,) = dims
         monos = sorted({k for p in polys for k in p})
         if not monos:
@@ -338,24 +324,68 @@ class PolyBatch:
             (var,) = np.nonzero(row)
             self._table_index[:var.size, r] = var * n_pow + row[var]
 
-    def __call__(self, point) -> list[np.ndarray]:
-        """The fields at a real point of shape (dim,), one array shaped like
-        each field, or at m points of shape (m, dim), each array with a
-        leading axis m; each row of a batch gets the arithmetic of a single
-        point."""
+    def __call__(self, point) -> np.ndarray:
+        """The polynomials at a real point of shape (dim,), as an (n,) array,
+        or at m points of shape (m, dim), as an (m, n) array; each row of a
+        stack gets the arithmetic of a single point."""
         pt = np.asarray(point, dtype=float)
         table = pt[..., None] ** self._powers
         # the factors multiply in variable order, along the leading axis of
         # the index, whose rows are long
-        if pt.ndim == 1:  # the ODE right-hand sides' path, kept lean
-            monos = np.multiply.reduce(table.ravel()[self._table_index], axis=0)
-            vals = self.coeffs.dot(monos)
-            return [vals[rows].reshape(shape) for rows, shape in self._layout]
+        if pt.ndim == 1:  # the Gaussian right-hand side's path, kept lean
+            return self.coeffs.dot(np.multiply.reduce(table.ravel()[self._table_index], axis=0))
         monos = np.multiply.reduce(np.take(table.reshape(len(pt), -1), self._table_index, axis=1),
                                    axis=1)
         # a stack of matrix-vector products, one per point
-        vals = np.matmul(self.coeffs, monos[:, :, None])[:, :, 0]
-        return [vals[:, rows].reshape(len(pt), *shape) for rows, shape in self._layout]
+        return np.matmul(self.coeffs, monos[:, :, None])[:, :, 0]
+
+
+# -- the packed row ---------------------------------------------------------
+
+
+def _packing(dim, offset):
+    """Upper-triangle indices of a (dim, dim) symmetric matrix, and for every
+    entry its position in a packed row that holds the upper triangle,
+    row-major, from position ``offset`` on (after the centre)."""
+    iu = np.triu_indices(dim)
+    pos = np.zeros((dim, dim), dtype=np.intp)
+    pos[iu] = offset + np.arange(iu[0].size)
+    return iu, np.maximum(pos, pos.T)
+
+
+def _times_forms(acc: dict, poly: dict, scale, forms, width: int) -> dict:
+    """acc += scale * poly * (product of the linear forms), in place, over a
+    packed row of ``width`` entries: ``poly`` is a coefficient map over the
+    row's leading entries, and a form is a list of (position, coefficient)
+    pairs, such as B_ij = Re B_ij + i Im B_ij."""
+    for choice in _iproduct(*forms):
+        c0 = scale * math.prod(c for _, c in choice)
+        for key, c in poly.items():
+            key = list(key) + [0] * (width - len(key))
+            for s, _ in choice:
+                key[s] += 1
+            key = tuple(key)
+            acc[key] = acc.get(key, 0j) + c0 * c
+    return acc
+
+
+def _riccati_rates(m0, m1, m2, form, width: int) -> list[dict]:
+    """The upper triangle, row-major, of the Riccati rate
+    dB/dt = -(M0 + B M1 + M1^T B + B M2 B) of a symmetric B packed in a row
+    of ``width`` entries, as coefficient maps over the row: M0, M1 and M2
+    are (dim, dim) nested lists of coefficient maps over the row's leading
+    entries, and ``form(i, j)`` is B_ij as a linear form (`_times_forms`)."""
+    dim = len(m1)
+    rates = []
+    for i, j in zip(*np.triu_indices(dim)):
+        acc = _times_forms({}, m0[i][j], -1.0, (), width)
+        for k in range(dim):
+            _times_forms(acc, m1[k][j], -1.0, (form(i, k),), width)
+            _times_forms(acc, m1[k][i], -1.0, (form(k, j),), width)
+            for l in range(dim):
+                _times_forms(acc, m2[k][l], -1.0, (form(i, k), form(l, j)), width)
+        rates.append(acc)
+    return rates
 
 
 # -- bilinear operations ----------------------------------------------------

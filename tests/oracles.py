@@ -12,8 +12,10 @@ formulas, separately from the program paths they check.
 * The chord-variable form of the doubled flow for quadratic H and linear L
   (``ChordGaussian``, ``chord_from_component``, ``diffusion_matrix``,
   ``chord_rhs``), and ``rhs_component``, the rates of one component as
-  matrices, from K0, K1, grad K0 and the K0 Hessian at its centre; the
-  program's fused rates of a packed stack are compared with it.
+  matrices, from K0, K1, grad K0 and the K0 Hessian at its centre, each
+  evaluated by ``PolySymbol.eval`` (``derivatives_at``) rather than by the
+  program's compiled batch; the program's fused rates of a packed stack
+  are compared with it.
 * Per-object formulas for what the program computes stacked over output
   times and components: ``wigner_values``, the Wigner value of a Gaussian,
   a complex Gaussian or a superposition point by point from the quadratic
@@ -43,7 +45,6 @@ from semilind.quantum import DensityMatrix
 from semilind.semiclassical import LindbladModel, _require_chart
 from semilind.symbols import (
     Chart,
-    PolyBatch,
     PolySymbol,
     _require_pairable,
     chart_transform,
@@ -182,6 +183,13 @@ def stack(comps, norm_factor: float = 1.0) -> SuperpositionState:
                               norm_factor=norm_factor)
 
 
+def grid_points(spec) -> np.ndarray:
+    """The (n_q, n_p, 2) points (q, p) of a `GridSpec`, one per cell centre."""
+    q, p = spec.axes()
+    qq, pp = np.meshgrid(q, p, indexing="ij")
+    return np.stack([qq, pp], axis=-1)
+
+
 def wigner_values(state, pts: np.ndarray) -> np.ndarray:
     """Wigner values of a `GaussianWigner`, `Component` or
     `SuperpositionState` at points of shape (..., 2n), each exponent from its
@@ -269,6 +277,14 @@ def quadrature_moments(rho: DensityMatrix):
 # -- one doubled-phase-space component ------------------------------------------
 
 
+def derivatives_at(sym: PolySymbol, z):
+    """The gradient and the Hessian of a symbol at the point z, each entry
+    by PolySymbol.eval."""
+    grad = np.array([g.eval(z) for g in sym.grad()])
+    hess = np.array([[h.eval(z) for h in row] for row in sym.hessian()])
+    return grad, hess
+
+
 def rhs_component(ksym: DoubledSymbol, comp: Component):
     """Time derivatives (dZ, dB, dalpha) of one complex Gaussian component:
 
@@ -279,8 +295,8 @@ def rhs_component(ksym: DoubledSymbol, comp: Component):
     with Gcal^{-1} (v1, v2) = (u, Re B u + Im B v2), u = (Im B)^{-1}(v1 + Re B v2),
     every derivative of K0 evaluated at Z as a vector or matrix."""
     n2 = comp.z.size // 2
-    batch = PolyBatch([ksym.k0, ksym.k1, ksym.k0.grad(), ksym.k0.hessian()])
-    k0, k1, grad, hess = batch(comp.z)
+    k0, k1 = ksym.k0.eval(comp.z), ksym.k1.eval(comp.z)
+    grad, hess = derivatives_at(ksym.k0, comp.z)
     re, im = comp.b.real, comp.b.imag
     if np.linalg.eigvalsh(im).min() <= 0:
         raise ValueError("Im B must be positive definite")
@@ -366,7 +382,7 @@ def chord_rhs(model: LindbladModel, chord: ChordGaussian):
     k0 = model._doubled.k0
     n2 = chord.x.size
     z = np.concatenate([chord.x, chord.y])
-    grad, hess = PolyBatch([k0.grad(), k0.hessian()])(z)
+    grad, hess = derivatives_at(k0, z)
     gx = grad.real[:n2]
     gy = grad.real[n2:]
     kxx = hess[:n2, :n2].real

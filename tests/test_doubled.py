@@ -28,6 +28,7 @@ from oracles import (
     component_integral,
     components,
     diffusion_matrix,
+    grid_points,
     peak_magnitude,
     rhs_component,
     stack,
@@ -528,7 +529,7 @@ class TestPropagateSuperposition:
         series = propagate_superposition(cfg.model.build(cfg.hbar), cat, [0.0, 0.5, 1.5, 2.5],
                                          rtol=cfg.ode_rtol, atol=cfg.ode_atol)
         spec = GridSpec(-16.0, 16.0, 400, -16.0, 16.0, 400)
-        pts = spec.points().reshape(-1, 2)
+        pts = grid_points(spec).reshape(-1, 2)
         got = series.moments()
         for k in range(series.times.size):
             w = eval_wigner(series.state(k), spec).values.ravel()

@@ -21,6 +21,7 @@ from oracles import (
     coherence,
     component_integral,
     components,
+    grid_points,
     occupation,
     pair_correlator,
     peak_magnitude,
@@ -133,7 +134,7 @@ class TestGridValues:
         # n_q != n_p and a grid that is not centred on any state
         spec = GridSpec(-5.0, 6.0, 57, -4.5, 3.5, 43)
         for state in random_off_centre_states(np.random.default_rng(seed)):
-            want = wigner_values(state, spec.points())
+            want = wigner_values(state, grid_points(spec))
             if isinstance(state, Component):  # a lone component keeps its complex values
                 got = component_grid(state, spec).values
             else:
@@ -150,7 +151,7 @@ class TestGridValues:
         spec = GridSpec(-8.0, 8.0, 41, -8.0, 8.0, 41)
         with np.errstate(over="raise", invalid="raise"):
             got = eval_wigner(state, spec).values
-        want = wigner_values(state, spec.points())
+        want = wigner_values(state, grid_points(spec))
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 

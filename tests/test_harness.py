@@ -905,7 +905,7 @@ class TestRowKinds:
          "initial.amplitudes: the semiclassical row needs one amplitude per mode, 1 in all, "
          "got 2"),
         ("limit_cycle", ("initial", "amplitudes"), "ab",
-         "initial.amplitudes: complex values are [re, im] pairs, got 'a'"),
+         "initial.amplitudes: must be a list, got 'ab'"),
         ("cat_anharmonic", ("tolerances", "t_short"), -1.0,
          "tolerances.t_short: must be positive, got -1.0"),
         ("limit_cycle", ("tolerances", "t_short"), 0.1,
@@ -1016,6 +1016,22 @@ CONFIG_ERRORS = [
     ("fock-width", "cat_anharmonic", [(("initial", "width"), [0.0, 2.0])], _run,
      "initial.width"),
     ("fock-truncation", "cat_anharmonic", [(("fock_levels",), 20)], _run, "fock_levels"),
+    ("cat-coefficient-count", "cat_anharmonic", [(("initial", "coefficients"), [[1.0, 0.0]])],
+     _run, "initial.coefficients"),
+    ("cat-no-centre", "cat_anharmonic",
+     [(("initial", "centres"), []), (("initial", "coefficients"), [])], _run, "initial.centres"),
+    ("cat-centres-object", "cat_anharmonic",
+     [(("initial", "centres"), {"ab": [4.0, 3.0], "cd": [4.0, -3.0]})], _run, "initial.centres"),
+    ("cat-coefficients-object", "cat_anharmonic",
+     [(("initial", "coefficients"), {"ab": [1.0, 0.0], "cd": [1.0, 0.0]})], _run,
+     "initial.coefficients"),
+    ("cat-centre-not-a-pair", "cat_anharmonic", [(("initial", "centres"), [[4.0], [4.0, -3.0]])],
+     _run, "initial.centres"),
+    ("amplitudes-object", "limit_cycle", [(("initial", "amplitudes"), {"ab": [1.0, 0.0]})], _run,
+     "initial.amplitudes"),
+    ("no-start", "portrait_limit_cycle", [(("portrait", "starts"), [])], _run, "portrait.starts"),
+    ("starts-object", "portrait_limit_cycle", [(("portrait", "starts"), {"qp": [3.0, 1.0]})],
+     _run, "portrait.starts"),
 ]
 
 

@@ -55,7 +55,7 @@ from semilind.quantum import (
     wigner_of_density,
 )
 from semilind.symbols import Chart, PolySymbol, chart_transform, parse_symbol
-from oracles import quadrature_moments, weyl_of_normal_ordered
+from oracles import grid_points, quadrature_moments, weyl_of_normal_ordered
 
 
 def output_rhos(traj):
@@ -632,7 +632,11 @@ class TestComplexBlocks:
         assert np.array_equal(swap, k * n + m)
         assert np.array_equal(labels, block_labels(liou))
         rows = np.flatnonzero(kept)
-        part = _BlockPartition(liou[rows][:, rows])
+        # the kept rows are whole blocks: labelled again on their own, they
+        # are the same blocks in the same order
+        sub_labels = np.unique(labels[rows], return_inverse=True)[1]
+        assert np.array_equal(sub_labels, _weak_components(liou[rows][:, rows])[1])
+        part = _BlockPartition(sub_labels)
         assert (part.n_blocks, part.n_bins, part.max_block) == (56, 29, 56)
         assert np.array_equal(np.sort(part.sizes), np.arange(1, n + 1))
 
@@ -646,6 +650,9 @@ class TestComplexBlocks:
         sizes = np.bincount(labels)
         own = np.unique(labels[labels == labels[swap]])
         assert (sizes.size, own.size, sizes.max()) == (49, 7, f.dim)
+        rows = np.flatnonzero(kept)
+        assert np.array_equal(np.unique(labels[rows], return_inverse=True)[1],
+                              _weak_components(liou[rows][:, rows])[1])
         t_eval = np.array([0.0, 0.4, 1.0, 1.3, 2.5])
         traj = integrate_master(rho0, model, t_eval)
         assert (traj.method, traj.blocks, traj.max_block) == ("block_expm", 28, 16)
@@ -753,7 +760,7 @@ class TestWignerOfDensity:
         f = FockSpace(12)
         spec = GridSpec(-4, 4, 61, -4, 4, 61)
         grid = wigner_of_density(DensityMatrix.from_state(f.coherent_vector([0.0]), f), spec)
-        pts = spec.points()
+        pts = grid_points(spec)
         want = np.exp(-(pts[..., 0] ** 2 + pts[..., 1] ** 2)) / np.pi
         assert np.max(np.abs(grid.values - want)) < 1e-10
 
@@ -902,7 +909,7 @@ class TestSeparableWigner:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # coarse grid: the values are exact pointwise
             grid = wigner_of_density(DensityMatrix.from_state(np.eye(301)[n], f), spec)
-        r2 = np.sum(spec.points() ** 2, axis=-1)
+        r2 = np.sum(grid_points(spec) ** 2, axis=-1)
         assert np.max(np.abs(grid.values - fock_wigner_closed_form(n, r2))) < 1e-13
 
     def test_fock_state_where_the_gaussian_envelope_underflows(self):
@@ -913,7 +920,7 @@ class TestSeparableWigner:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             grid = wigner_of_density(DensityMatrix.from_state(np.eye(400)[399], f), spec)
-        pts = spec.points()
+        pts = grid_points(spec)
         want = fock_wigner_closed_form(399, np.sum(pts**2, axis=-1))
         assert np.max(np.abs(want[np.sqrt(2.0) * np.abs(pts[..., 0]) > 38.6])) > 1e-3
         assert np.max(np.abs(grid.values - want)) < 1e-13
@@ -1004,7 +1011,7 @@ class TestWeakComponents:
         # each row's column indices in descending order
         mat = sp.csr_array((np.arange(1.0, 7.0), [2, 1, 0, 2, 0, 1], [0, 3, 4, 6]), shape=(3, 3))
         before = [arr.copy() for arr in (mat.data, mat.indices, mat.indptr)]
-        assert _BlockPartition(mat).n_blocks == 1
+        assert _BlockPartition(_weak_components(mat)[1]).n_blocks == 1
         for arr, old in zip((mat.data, mat.indices, mat.indptr), before):
             assert np.array_equal(arr, old)
 
@@ -1012,7 +1019,7 @@ class TestWeakComponents:
 class TestExpm:
     def test_limit_cycle_stack_matches_scipy(self):
         liou = real_superop("limit_cycle")
-        part = _BlockPartition(liou)
+        part = _BlockPartition(_weak_components(liou)[1])
         stacked = part.stack(liou) * 0.5  # the registered output step
         want = expm(stacked)
         assert np.max(np.abs(_expm(stacked) - want)) <= 1e-13 * np.max(np.abs(want))
@@ -1038,14 +1045,14 @@ class TestBlockPartition:
         # the 51 number sectors have sizes 1, 1, 2, 2, .., 25, 25, 26: the
         # largest alone, then N + 1 with 25 - N, fill 26 bins of 26 exactly
         heff, f = lattice_heff(26)
-        part = _BlockPartition(heff)
+        part = _BlockPartition(_weak_components(heff)[1])
         assert (part.n_blocks, part.n_bins, part.max_block) == (51, 26, 26)
         assert np.array_equal(np.sort(part.pos), np.arange(f.dim))
 
     def test_limit_cycle_blocks_each_inside_one_bin(self):
         n = 56
         liou = real_superop("limit_cycle")
-        part = _BlockPartition(liou)
+        part = _BlockPartition(_weak_components(liou)[1])
         # 110 alone, 108 + 2, .., 56 + 54 (the band pairs), then the
         # 56 diagonal unknowns alone: 3,190 slots for 3,136 unknowns
         assert (part.n_blocks, part.n_bins, part.max_block) == (56, 29, 110)
@@ -1181,7 +1188,7 @@ class TestSectorPropagator:
 class TestRowGather:
     def test_registered_lattice_operators_bit_for_bit(self):
         heff, f = lattice_heff(26)
-        part = _BlockPartition(heff)
+        part = _BlockPartition(_weak_components(heff)[1])
         _, ls = _model_matrices(registered_model("bose_hubbard_losses"), f)
         a1, a2 = f._lowering
         ops = [*ls, a1 @ a1, a2 @ a2, a1.conj().T @ a2]

@@ -48,9 +48,11 @@ def width_rate(model, x, g):
 
 
 def fields_at(model, x):
-    """Drift, Lam and D + D^T of a REAL_QP model at x, from one PolyBatch of
-    `_gaussian_fields`."""
-    return PolyBatch(_gaussian_fields(model))(x)
+    """Drift, Lam and D + D^T of a REAL_QP model at x, each symbol of
+    `_gaussian_fields` evaluated by PolySymbol.eval, term by term."""
+    drift, lam, d2 = _gaussian_fields(model)
+    return (np.array([f.eval(x).real for f in drift]),
+            *(np.array([[f.eval(x).real for f in row] for row in mat]) for mat in (lam, d2)))
 
 
 def registered_model(name):
@@ -327,10 +329,7 @@ class TestClassifyFlow:
 
 def symbolic_fields(model, x, g):
     """Drift and symmetrized width rate by PolySymbol.eval, term by term."""
-    drift_syms, lam_syms, d2_syms = _gaussian_fields(model)
-    drift = np.array([f.eval(x).real for f in drift_syms])
-    lam = np.array([[f.eval(x).real for f in row] for row in lam_syms])
-    d2 = np.array([[f.eval(x).real for f in row] for row in d2_syms])
+    drift, lam, d2 = fields_at(model, x)
     om = symplectic_form(model.n_modes)
     core = lam @ om @ g - g @ om @ lam.T + g @ om @ d2 @ om @ g
     return drift, 0.5 * (core + core.T)
@@ -378,15 +377,14 @@ class TestCompiledRhs:
         y = np.random.default_rng(37).normal(size=14)
         got = rhs(0.0, y)
         assert len(seen) == 1 and seen[0] is y
-        assert np.array_equal(got, real(y)[0])
+        assert np.array_equal(got, real(y))
 
     def test_fields_batch_is_each_point(self):
         rhs = _CompiledRhs(random_model(np.random.default_rng(6), n=2))
         rng = np.random.default_rng(7)
         for batch, size in ((rhs.drift, 4), (rhs.rates, 14)):
             xs = rng.uniform(-1.5, 1.5, size=(5, size))
-            for got, want in zip(batch(xs), zip(*(batch(x) for x in xs))):
-                assert np.array_equal(got, np.array(want))
+            assert np.array_equal(batch(xs), np.array([batch(x) for x in xs]))
 
     def test_fields_built_once_per_model(self, monkeypatch):
         calls = []

@@ -1,10 +1,11 @@
-"""The package ships only program code: every public function, class and
-method under src/semilind is used by some module of the package other than
-``harness/selftest.py`` (the library, the harness or the CLI), or is listed
-below with the reason, outside the tests, that it stays.  The selftest is no
-caller: it checks program paths, so every name it imports from the package
-must be loaded by another module too, and no module imports a name it
-never uses.  Test oracles live in tests/oracles.py."""
+"""The package ships only program code: every public function and class
+under src/semilind is used by some module of the package other than
+``harness/selftest.py`` (the library, the harness or the CLI), and every
+public method and dataclass field is read as an attribute by one, or is
+listed below with the reason, outside the tests, that it stays.  The
+selftest is no caller: it checks program paths, so every name it imports
+from the package must be loaded by another module too, and no module
+imports a name it never uses.  Test oracles live in tests/oracles.py."""
 
 import ast
 import os
@@ -22,6 +23,18 @@ ALLOWED_UNUSED = {
                                  "is built by _gaussian_fields",
     "gaussian.WignerGrid.to_text": "perfbench/tracing.py traces it by name; frames are written "
                                    "as .npy by compare.write_frame",
+    "symbols.PolySymbol.eval": "perfbench/tracing.py traces it by name; the package evaluates "
+                               "symbols through PolyBatch",
+    "quantum.JumpEnsemble.n_traj": "perfbench/tracing.py reads it to count the trajectories "
+                                   "of a jump ensemble",
+    "ode.OdeResult.dense_steps": "a DOP853 statistic beside nfev, steps and rejected: the "
+                                 "interpolants built, which cost 3 of nfev each",
+    "gaussian.Moments.beta_block": "with alpha_block the whole mode covariance Sigma of a "
+                                   "state, the squeezing block a record of moments carries",
+    "semiclassical.FlowClassification.potential": "the potential of a gradient flow is what "
+                                                  "classify_flow reports beyond its kind; the "
+                                                  "selftest verb checks the drift against its "
+                                                  "gradient",
 }
 
 
@@ -44,18 +57,47 @@ def _loaded(trees):
     return loaded
 
 
+def _attributes_read(trees):
+    """Every attribute the given modules read, ``obj.name`` in a load."""
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _members(node: ast.ClassDef):
+    """Names of the methods of a class and, of a dataclass, its fields."""
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef):
+            yield item.name
+        elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and _is_dataclass(node)):
+            yield item.target.id
+
+
 def public_names_never_loaded():
+    """Public top-level names that no module of the package loads or
+    imports, and public methods and dataclass fields that none reads as an
+    attribute: a local variable or a class-body alias such as
+    ``__call__ = eval`` of the same name is no use of a member."""
     trees = _trees()
-    loaded = _loaded({module: tree for module, tree in trees.items() if module != SELFTEST})
-    defined = set()  # (qualified name, name) of each top-level def or class and each method
+    callers = {module: tree for module, tree in trees.items() if module != SELFTEST}
+    loaded, attributes = _loaded(callers), _attributes_read(callers)
+    unused = set()
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add((f"{module}.{node.name}", node.name))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in loaded:
+                unused.add(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
-                defined.update((f"{module}.{node.name}.{item.name}", item.name)
-                               for item in node.body if isinstance(item, ast.FunctionDef))
-    return {qual for qual, name in defined if not name.startswith("_") and name not in loaded}
+                unused.update(f"{module}.{node.name}.{name}" for name in _members(node)
+                              if name not in attributes)
+    return {qual for qual in unused if not qual.rsplit(".", 1)[-1].startswith("_")}
 
 
 def test_every_public_name_is_used_in_the_package():

@@ -339,10 +339,10 @@ class TestPolyBatch:
         rng = np.random.default_rng(13)
         polys = [random_poly(rng, n=2, deg=3) for _ in range(7)]
         polys.append(PolySymbol.zero(Chart.REAL_QP, 2))
-        batch = PolyBatch([polys])
+        batch = PolyBatch(polys)
         for _ in range(5):
             pt = rng.normal(size=4)
-            got = batch(pt)[0]
+            got = batch(pt)
             want = np.array([p.eval(pt) for p in polys])
             assert np.allclose(got, want, atol=1e-12)
 
@@ -350,18 +350,18 @@ class TestPolyBatch:
         rng = np.random.default_rng(14)
         polys = [random_poly(rng, n=2, deg=4) for _ in range(6)]
         polys.append(PolySymbol.constant(Chart.REAL_QP, 2, 2.5 - 1j))
-        batch = PolyBatch([polys])
+        batch = PolyBatch(polys)
         for _ in range(5):
             pt = rng.normal(size=4)
             want = np.array([p.eval(pt).real for p in polys])
-            assert np.allclose(batch(pt)[0].real, want, rtol=1e-13, atol=1e-13)
+            assert np.allclose(batch(pt).real, want, rtol=1e-13, atol=1e-13)
 
     def test_batch_is_each_point(self):
         rng = np.random.default_rng(15)
-        batch = PolyBatch([[random_poly(rng, n=2, deg=4) for _ in range(6)]])
+        batch = PolyBatch([random_poly(rng, n=2, deg=4) for _ in range(6)])
         pts = rng.normal(size=(9, 4))
-        want = np.array([batch(pt)[0] for pt in pts])
-        assert np.array_equal(batch(pts)[0], want)
+        want = np.array([batch(pt) for pt in pts])
+        assert batch(pts).shape == (9, 6) and np.array_equal(batch(pts), want)
 
     @pytest.mark.parametrize("seed", [16, 17, 18])
     def test_nonzero_factors_match_full_table(self, seed):
@@ -372,32 +372,40 @@ class TestPolyBatch:
         polys = [random_poly(rng, n=2, deg=5) for _ in range(8)]
         polys.append(PolySymbol.constant(Chart.REAL_QP, 2, 0.75))
         polys.append(PolySymbol.variable(Chart.REAL_QP, 2, 3))
-        batch = PolyBatch([polys])
+        batch = PolyBatch(polys)
         exponents = np.array(sorted({k for p in polys for k in p.terms}))
         pts = rng.normal(scale=1.5, size=(7, 4))
         pts[0, 1] = 0.0  # a zero coordinate: 0^0 = 1 in the full table
         table = pts[..., None] ** np.arange(exponents.max() + 1)
         full = np.multiply.reduce(table[:, np.arange(4), exponents], axis=2)
         for pt, monos in zip(pts, full):
-            assert np.array_equal(batch(pt)[0], batch.coeffs.dot(monos))
-        assert np.array_equal(batch(pts)[0], np.matmul(batch.coeffs, full[:, :, None])[:, :, 0])
+            assert np.array_equal(batch(pt), batch.coeffs.dot(monos))
+        assert np.array_equal(batch(pts), np.matmul(batch.coeffs, full[:, :, None])[:, :, 0])
 
     def test_coefficient_maps_are_symbols(self):
         rng = np.random.default_rng(19)
         polys = [random_poly(rng, n=1, deg=3) for _ in range(4)]
         maps = [dict(p.terms) for p in polys]
         pts = rng.normal(size=(3, 2))
-        by_symbol = PolyBatch([polys[:2], polys[2], [polys[3]]])
-        by_map = PolyBatch([maps[:2], maps[2], [maps[3]]])
+        by_symbol = PolyBatch(polys)
+        by_map = PolyBatch(maps[:2] + polys[2:3] + maps[3:])  # symbols and maps mix
         for pt in (pts[0], pts):
-            for got, want in zip(by_map(pt), by_symbol(pt)):
-                assert got.shape == want.shape and np.array_equal(got, want)
+            got, want = by_map(pt), by_symbol(pt)
+            assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_coefficient_maps_share_one_length(self):
         with pytest.raises(ValueError, match="mixed dimensions"):
-            PolyBatch([[{(1, 0): 1.0}, {(0, 1, 2): 2.0}]])
+            PolyBatch([{(1, 0): 1.0}, {(0, 1, 2): 2.0}])
         with pytest.raises(ValueError, match="mixed dimensions"):
             PolyBatch([PolySymbol.variable(Chart.REAL_QP, 1, 0), {(0, 1, 2): 2.0}])
         with pytest.raises(ValueError, match="no dimension"):
-            PolyBatch([[{}, {}]])
-        assert np.array_equal(PolyBatch([[{(0, 2): 3.0}, {}]])([2.0, 0.5])[0], [0.75, 0.0])
+            PolyBatch([{}, {}])
+        assert np.array_equal(PolyBatch([{(0, 2): 3.0}, {}])([2.0, 0.5]), [0.75, 0.0])
+
+    def test_items_are_polynomials(self):
+        # a batch is one flat list: a gradient or a Hessian is not an item
+        poly = PolySymbol.variable(Chart.REAL_QP, 1, 0)
+        with pytest.raises(ValueError, match="symbols or coefficient maps"):
+            PolyBatch([poly, [poly, poly]])
+        with pytest.raises(ValueError, match="no dimension"):
+            PolyBatch([])
